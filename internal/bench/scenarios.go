@@ -78,8 +78,16 @@ type countingConn struct {
 func (c countingConn) Call(ctx context.Context, service, method string, args, reply any) error {
 	switch {
 	case service == transport.BatchService:
+		// The sub-request type is private to transport; read its Service
+		// field so document sub-calls merged into a batch stay uncounted,
+		// as they are when sent alone. (Counting them made the total depend
+		// on how often the coalescer happened to batch a doc write.)
 		if v := reflect.ValueOf(args); v.Kind() == reflect.Slice {
-			atomic.AddInt64(c.indexOps, int64(v.Len()))
+			for i := 0; i < v.Len(); i++ {
+				if f := v.Index(i).FieldByName("Service"); !f.IsValid() || f.String() != cloud.DocService {
+					atomic.AddInt64(c.indexOps, 1)
+				}
+			}
 		}
 	case service != cloud.DocService:
 		atomic.AddInt64(c.indexOps, 1)

@@ -11,6 +11,11 @@
 //
 // Signed values are supported by encoding negatives as n - |v| and decoding
 // plaintexts above n/2 back to negative numbers.
+//
+// A PublicKey (a holder of n only, e.g. the cloud) pays the textbook
+// r^n mod n² per ciphertext. A PrivateKey knows the factors of n and works
+// modulo p² and q² separately, which makes both its encryption masks and
+// its decryption about three times cheaper; see privatekey.go.
 package paillier
 
 import (
@@ -23,6 +28,7 @@ import (
 // Common errors.
 var (
 	ErrKeySize        = errors.New("paillier: key size must be at least 256 bits")
+	ErrInvalidFactors = errors.New("paillier: invalid private key factors")
 	ErrMessageRange   = errors.New("paillier: message out of range")
 	ErrInvalidCipher  = errors.New("paillier: ciphertext out of range")
 	ErrMismatchedKeys = errors.New("paillier: ciphertexts from different keys")
@@ -35,69 +41,6 @@ type PublicKey struct {
 	N  *big.Int // modulus n = p*q
 	G  *big.Int // generator, fixed to n+1
 	N2 *big.Int // n² cache
-
-	// pool, when non-nil, holds precomputed r^n mod n² masks so Encrypt
-	// skips the per-call exponentiation. See EnableRandPool.
-	pool *randPool
-}
-
-// PrivateKey is a Paillier private key.
-type PrivateKey struct {
-	PublicKey
-	Lambda *big.Int // lcm(p-1, q-1)
-	Mu     *big.Int // (L(g^lambda mod n²))^-1 mod n
-}
-
-// GenerateKey creates a Paillier key pair with an n of the given bit size.
-// Bit sizes of 1024+ are cryptographically meaningful; tests may use
-// smaller sizes (>= 256) for speed.
-func GenerateKey(bits int) (*PrivateKey, error) {
-	if bits < 256 {
-		return nil, ErrKeySize
-	}
-	for {
-		p, err := rand.Prime(rand.Reader, bits/2)
-		if err != nil {
-			return nil, fmt.Errorf("paillier: generating p: %w", err)
-		}
-		q, err := rand.Prime(rand.Reader, bits/2)
-		if err != nil {
-			return nil, fmt.Errorf("paillier: generating q: %w", err)
-		}
-		if p.Cmp(q) == 0 {
-			continue
-		}
-		n := new(big.Int).Mul(p, q)
-		if n.BitLen() != bits {
-			continue
-		}
-		pm1 := new(big.Int).Sub(p, one)
-		qm1 := new(big.Int).Sub(q, one)
-		gcd := new(big.Int).GCD(nil, nil, pm1, qm1)
-		lambda := new(big.Int).Mul(pm1, qm1)
-		lambda.Div(lambda, gcd)
-
-		n2 := new(big.Int).Mul(n, n)
-		g := new(big.Int).Add(n, one)
-
-		// mu = (L(g^lambda mod n²))^-1 mod n, with L(x) = (x-1)/n.
-		glambda := new(big.Int).Exp(g, lambda, n2)
-		l := lFunc(glambda, n)
-		mu := new(big.Int).ModInverse(l, n)
-		if mu == nil {
-			continue // degenerate parameters; retry
-		}
-		return &PrivateKey{
-			PublicKey: PublicKey{N: n, G: g, N2: n2},
-			Lambda:    lambda,
-			Mu:        mu,
-		}, nil
-	}
-}
-
-func lFunc(x, n *big.Int) *big.Int {
-	r := new(big.Int).Sub(x, one)
-	return r.Div(r, n)
 }
 
 // Ciphertext is a Paillier ciphertext bound to its public key.
@@ -132,15 +75,15 @@ func (pk *PublicKey) decode(m *big.Int) *big.Int {
 	return new(big.Int).Set(m)
 }
 
-// Encrypt encrypts the signed value v. When a randomness pool is enabled
-// (EnableRandPool) and warm, the mask r^n mod n² is precomputed and this
-// costs one modular multiplication.
+// Encrypt encrypts the signed value v on the textbook path: one full-width
+// r^n mod n² exponentiation per ciphertext, all a holder of n alone can do.
+// Key holders should call PrivateKey.Encrypt instead.
 func (pk *PublicKey) Encrypt(v *big.Int) (*Ciphertext, error) {
 	m, err := pk.encode(v)
 	if err != nil {
 		return nil, err
 	}
-	rn, err := pk.mask()
+	rn, err := pk.newMask()
 	if err != nil {
 		return nil, err
 	}
@@ -164,39 +107,18 @@ func (pk *PublicKey) EncryptInt64(v int64) (*Ciphertext, error) {
 	return pk.Encrypt(big.NewInt(v))
 }
 
-// EncryptZero returns a fresh encryption of zero, the identity element for
-// homomorphic addition. Enc(0) = r^n mod n², so a pooled mask IS the
-// ciphertext — no multiplication at all.
-func (pk *PublicKey) EncryptZero() (*Ciphertext, error) {
-	rn, err := pk.mask()
-	if err != nil {
-		return nil, err
+// newMask samples r uniform in [1, n) with gcd(r, n) = 1 and returns
+// r^n mod n².
+func (pk *PublicKey) newMask() (*big.Int, error) {
+	for {
+		r, err := rand.Int(rand.Reader, pk.N)
+		if err != nil {
+			return nil, fmt.Errorf("paillier: sampling r: %w", err)
+		}
+		if r.Sign() > 0 && new(big.Int).GCD(nil, nil, r, pk.N).Cmp(one) == 0 {
+			return new(big.Int).Exp(r, pk.N, pk.N2), nil
+		}
 	}
-	return &Ciphertext{C: rn, pk: pk}, nil
-}
-
-// Decrypt recovers the signed plaintext from ct.
-func (sk *PrivateKey) Decrypt(ct *Ciphertext) (*big.Int, error) {
-	if ct.C.Sign() <= 0 || ct.C.Cmp(sk.N2) >= 0 {
-		return nil, ErrInvalidCipher
-	}
-	clambda := new(big.Int).Exp(ct.C, sk.Lambda, sk.N2)
-	m := lFunc(clambda, sk.N)
-	m.Mul(m, sk.Mu)
-	m.Mod(m, sk.N)
-	return sk.decode(m), nil
-}
-
-// DecryptInt64 decrypts and converts to int64, erroring on overflow.
-func (sk *PrivateKey) DecryptInt64(ct *Ciphertext) (int64, error) {
-	m, err := sk.Decrypt(ct)
-	if err != nil {
-		return 0, err
-	}
-	if !m.IsInt64() {
-		return 0, fmt.Errorf("paillier: plaintext %s exceeds int64", m)
-	}
-	return m.Int64(), nil
 }
 
 // Add homomorphically adds two ciphertexts: Dec(Add(a,b)) = Dec(a)+Dec(b).
@@ -234,20 +156,55 @@ func MulPlain(a *Ciphertext, k *big.Int) (*Ciphertext, error) {
 	return &Ciphertext{C: c, pk: a.pk}, nil
 }
 
-// Sum homomorphically adds a sequence of ciphertexts. It returns an
-// encryption of zero for an empty input, which requires pk.
-func Sum(pk *PublicKey, cts ...*Ciphertext) (*Ciphertext, error) {
-	acc, err := pk.EncryptZero()
-	if err != nil {
-		return nil, err
+// Accumulator folds serialized ciphertexts into a running homomorphic sum
+// in place: no exponentiation, no fresh mask and, after the first few
+// terms, no allocation. The sum of a single ciphertext is that ciphertext
+// unchanged — the result is not re-randomised, so it suits a reply that
+// only the key holder reads. Not safe for concurrent use.
+type Accumulator struct {
+	pk              *PublicKey
+	acc, term, prod big.Int
+	filled          bool // false until the first Add; acc is meaningless before
+}
+
+// NewAccumulator returns an empty accumulator under pk.
+func (pk *PublicKey) NewAccumulator() *Accumulator {
+	return &Accumulator{pk: pk}
+}
+
+// Add folds one serialized ciphertext into the sum.
+func (a *Accumulator) Add(raw []byte) error {
+	a.term.SetBytes(raw)
+	if a.term.Sign() <= 0 || a.term.Cmp(a.pk.N2) >= 0 {
+		return ErrInvalidCipher
 	}
-	for _, ct := range cts {
-		acc, err = Add(acc, ct)
-		if err != nil {
-			return nil, err
-		}
+	if !a.filled {
+		a.acc.Set(&a.term)
+		a.filled = true
+		return nil
 	}
-	return acc, nil
+	a.prod.Mul(&a.acc, &a.term)
+	// term is dead until the next SetBytes, so it takes the quotient and
+	// the reduction allocates nothing.
+	a.term.QuoRem(&a.prod, a.pk.N2, &a.acc)
+	return nil
+}
+
+// Bytes serializes the sum; nil when nothing was added.
+func (a *Accumulator) Bytes() []byte {
+	if !a.filled {
+		return nil
+	}
+	return a.acc.Bytes()
+}
+
+// Ciphertext returns the sum, or nil when nothing was added. The result
+// aliases the accumulator and is invalidated by the next Add.
+func (a *Accumulator) Ciphertext() *Ciphertext {
+	if !a.filled {
+		return nil
+	}
+	return &Ciphertext{C: &a.acc, pk: a.pk}
 }
 
 // Bytes serializes the ciphertext value.

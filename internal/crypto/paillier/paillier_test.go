@@ -134,33 +134,6 @@ func TestMulPlain(t *testing.T) {
 	}
 }
 
-func TestSum(t *testing.T) {
-	sk := key(t)
-	var cts []*Ciphertext
-	want := int64(0)
-	for _, v := range []int64{5, -2, 10, 0, 7} {
-		ct, _ := sk.EncryptInt64(v)
-		cts = append(cts, ct)
-		want += v
-	}
-	sum, err := Sum(&sk.PublicKey, cts...)
-	if err != nil {
-		t.Fatalf("Sum: %v", err)
-	}
-	got, _ := sk.DecryptInt64(sum)
-	if got != want {
-		t.Fatalf("Sum = %d, want %d", got, want)
-	}
-	// Empty sum decrypts to zero.
-	empty, err := Sum(&sk.PublicKey)
-	if err != nil {
-		t.Fatalf("empty Sum: %v", err)
-	}
-	if got, _ := sk.DecryptInt64(empty); got != 0 {
-		t.Fatalf("empty Sum = %d, want 0", got)
-	}
-}
-
 func TestMessageRange(t *testing.T) {
 	sk := key(t)
 	tooBig := new(big.Int).Rsh(sk.N, 1) // (n-1)/2 + 1 > maxAbs
@@ -254,16 +227,14 @@ func TestDecryptRejectsGarbage(t *testing.T) {
 func TestAverageProtocol(t *testing.T) {
 	sk := key(t)
 	values := []int64{60, 72, 66, 80} // heart rates
-	var cts []*Ciphertext
+	sum := sk.NewAccumulator()
 	for _, v := range values {
 		ct, _ := sk.EncryptInt64(v)
-		cts = append(cts, ct)
+		if err := sum.Add(ct.Bytes()); err != nil {
+			t.Fatalf("Add: %v", err)
+		}
 	}
-	sum, err := Sum(&sk.PublicKey, cts...)
-	if err != nil {
-		t.Fatalf("Sum: %v", err)
-	}
-	total, _ := sk.DecryptInt64(sum)
+	total, _ := sk.DecryptInt64(sum.Ciphertext())
 	avg := float64(total) / float64(len(values))
 	if avg != 69.5 {
 		t.Fatalf("average = %g, want 69.5", avg)

@@ -1,72 +1,59 @@
 package paillier
 
 import (
-	"crypto/rand"
-	"fmt"
 	"math/big"
 	"sync/atomic"
 )
 
-// The expensive part of a Paillier encryption is the random mask
-// r^n mod n² — one full-width modular exponentiation per ciphertext. The
-// mask is independent of the message, so it can be precomputed off the hot
-// path: with a warm pool, Encrypt is a single modular multiplication. This
-// is the classic offline/online split for Paillier (see the homomorphic
-// encryption survey in PAPERS.md).
+// The expensive part of a Paillier encryption is the random mask — an n-th
+// residue mod n², two half-width modular exponentiations for the key
+// holder. The mask is independent of the message, so it can be precomputed
+// off the hot path: with a warm pool, Encrypt is a single modular
+// multiplication. This is the classic offline/online split for Paillier
+// (see the homomorphic encryption survey in PAPERS.md). Only a PrivateKey
+// has a pool: a key without one computes every mask inline.
 
-// randPooling gates pool draws globally so benchmarks can A/B the
-// precomputation without re-plumbing key setup. Pools still fill in the
-// background while disabled; draws just bypass them.
-var randPooling atomic.Bool
-
-func init() { randPooling.Store(true) }
-
-// SetRandPooling toggles use of precomputed encryption masks globally.
-func SetRandPooling(on bool) { randPooling.Store(on) }
-
-// RandPooling reports whether pooled masks are in use.
-func RandPooling() bool { return randPooling.Load() }
-
-// randPool buffers precomputed masks for one public key. The filler
+// randPool buffers precomputed masks for one private key. The filler
 // goroutine is self-terminating: it runs only while the pool has room and
 // exits once full, so keys need no Close/teardown lifecycle. Each draw
 // re-kicks the filler if it has stopped.
 type randPool struct {
 	masks   chan *big.Int
 	filling atomic.Bool
-	pk      *PublicKey
+	sk      *PrivateKey
 }
 
-// EnableRandPool attaches a mask pool of the given capacity to pk and
+// EnableRandPool attaches a mask pool of the given capacity to sk and
 // starts filling it in the background. capacity <= 0 detaches any pool.
-// Calling it again replaces the existing pool.
-func (pk *PublicKey) EnableRandPool(capacity int) {
+// Calling it again replaces the existing pool. Call it before sk is shared
+// between goroutines.
+func (sk *PrivateKey) EnableRandPool(capacity int) {
 	if capacity <= 0 {
-		pk.pool = nil
+		sk.pool = nil
 		return
 	}
-	p := &randPool{masks: make(chan *big.Int, capacity), pk: pk}
-	pk.pool = p
+	p := &randPool{masks: make(chan *big.Int, capacity), sk: sk}
+	sk.pool = p
 	p.kick()
 }
 
 // RandPoolLen reports how many precomputed masks are ready to draw.
-func (pk *PublicKey) RandPoolLen() int {
-	if pk.pool == nil {
+func (sk *PrivateKey) RandPoolLen() int {
+	if sk.pool == nil {
 		return 0
 	}
-	return len(pk.pool.masks)
+	return len(sk.pool.masks)
 }
 
 // FillRandPool synchronously tops the pool up to capacity. Benchmarks call
 // it to measure warm (pure online-phase) throughput.
-func (pk *PublicKey) FillRandPool() error {
-	p := pk.pool
+func (sk *PrivateKey) FillRandPool() error {
+	p := sk.pool
 	if p == nil {
 		return nil
 	}
 	for {
-		m, err := pk.newMask()
+		m, err := sk.newMask()
 		if err != nil {
 			return err
 		}
@@ -87,7 +74,7 @@ func (p *randPool) kick() {
 func (p *randPool) fill() {
 	defer p.filling.Store(false)
 	for {
-		m, err := p.pk.newMask()
+		m, err := p.sk.newMask()
 		if err != nil {
 			return // rand.Reader failure; surface on the inline path
 		}
@@ -99,10 +86,10 @@ func (p *randPool) fill() {
 	}
 }
 
-// mask returns a fresh r^n mod n² value, preferring the precomputed pool
-// and falling back to inline computation when it is dry or disabled.
-func (pk *PublicKey) mask() (*big.Int, error) {
-	if p := pk.pool; p != nil && randPooling.Load() {
+// mask returns a fresh mask, preferring the precomputed pool and falling
+// back to inline computation when there is none or it is dry.
+func (sk *PrivateKey) mask() (*big.Int, error) {
+	if p := sk.pool; p != nil {
 		select {
 		case m := <-p.masks:
 			p.kick()
@@ -111,19 +98,5 @@ func (pk *PublicKey) mask() (*big.Int, error) {
 			p.kick()
 		}
 	}
-	return pk.newMask()
-}
-
-// newMask samples r uniform in [1, n) with gcd(r, n) = 1 and returns
-// r^n mod n².
-func (pk *PublicKey) newMask() (*big.Int, error) {
-	for {
-		r, err := rand.Int(rand.Reader, pk.N)
-		if err != nil {
-			return nil, fmt.Errorf("paillier: sampling r: %w", err)
-		}
-		if r.Sign() > 0 && new(big.Int).GCD(nil, nil, r, pk.N).Cmp(one) == 0 {
-			return new(big.Int).Exp(r, pk.N, pk.N2), nil
-		}
-	}
+	return sk.newMask()
 }
