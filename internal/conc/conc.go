@@ -8,7 +8,6 @@ package conc
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 )
 
@@ -70,15 +69,6 @@ func (g *Group) Wait() error {
 		g.cancel(nil)
 	}
 	return g.err
-}
-
-// NumWorkers returns the default worker-pool width for CPU-bound stages
-// (AEAD opens, JSON decodes): the machine's logical CPU count, minimum 1.
-func NumWorkers() int {
-	if n := runtime.NumCPU(); n > 1 {
-		return n
-	}
-	return 1
 }
 
 // ForEach runs f(i) for every i in [0, n) with at most limit concurrent

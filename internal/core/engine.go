@@ -9,7 +9,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -17,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -56,10 +54,10 @@ type Config struct {
 	// Registry is the tactic catalog; defaults must be supplied by the
 	// caller (use tactics.Registry()).
 	Registry *spi.Registry
-	// Sequential disables gateway-side fan-out: predicate leaves, index
-	// writes and result decryption run one after another, as they did
-	// before the concurrent engine. It exists as the benchmark/debug
-	// baseline; production configurations leave it false.
+	// Sequential disables gateway-side fan-out: predicate leaves and index
+	// writes run one after another, as they did before the concurrent
+	// engine. It exists as the benchmark/debug baseline; production
+	// configurations leave it false.
 	Sequential bool
 	// Coalesce configures the per-shard group-commit stage wrapped around
 	// every cloud connection (see internal/coalesce). The zero value
@@ -623,89 +621,46 @@ func GenerateID() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
-// sealDoc encrypts the whole document (SecureEnc).
+// docScratch recycles the buffers document plaintexts are built in and
+// decrypted into. Nothing decoded from a plaintext aliases it (DecodeFields
+// copies strings), so a buffer goes back to the pool as soon as the call
+// that drew it returns.
+var docScratch = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+
+// sealDoc encrypts the whole document (SecureEnc): the model codec's
+// encoding of its fields, sealed with the document id as associated data.
+// The scratch buffer holds id || plaintext, so the associated data costs no
+// allocation of its own.
 func (rt *schemaRuntime) sealDoc(doc *model.Document) ([]byte, error) {
-	pt, err := json.Marshal(doc.Fields)
+	bp := docScratch.Get().(*[]byte)
+	defer docScratch.Put(bp)
+	buf, err := model.AppendFields(append((*bp)[:0], doc.ID...), rt.schema, doc.Fields)
 	if err != nil {
-		return nil, fmt.Errorf("core: encoding document: %w", err)
+		return nil, fmt.Errorf("core: encoding document %s: %w", doc.ID, err)
 	}
-	return rt.aead.Seal(pt, []byte(doc.ID))
+	*bp = buf
+	n := len(doc.ID)
+	return rt.aead.Seal(buf[n:], buf[:n])
 }
 
-// openDoc decrypts a whole-document blob.
+// openDoc decrypts and decodes a whole-document blob. A blob whose plaintext
+// is not in the codec's format (model.ErrDocFormat) is an error naming the
+// document; there is no second decoder.
 func (rt *schemaRuntime) openDoc(id string, blob []byte) (*model.Document, error) {
-	pt, err := rt.aead.Open(blob, []byte(id))
+	bp := docScratch.Get().(*[]byte)
+	defer docScratch.Put(bp)
+	n := len(id)
+	ad := append((*bp)[:0], id...)
+	buf, err := rt.aead.OpenInto(ad, blob, ad[:n:n])
 	if err != nil {
 		return nil, fmt.Errorf("core: document %s failed authentication: %w", id, err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(pt))
-	dec.UseNumber() // int64 values above 2^53 must not round-trip through float64
-	var fields map[string]any
-	if err := dec.Decode(&fields); err != nil {
-		return nil, fmt.Errorf("core: decoding document %s: %w", id, err)
-	}
-	if err := normalizeJSONNumbers(rt.schema, fields); err != nil {
+	*bp = buf
+	fields, err := model.DecodeFields(rt.schema, buf[n:])
+	if err != nil {
 		return nil, fmt.Errorf("core: decoding document %s: %w", id, err)
 	}
 	return &model.Document{ID: id, Fields: fields}, nil
-}
-
-// normalizeJSONNumbers converts the decoder's json.Number artifacts back
-// to the engine's internal types: int fields parse losslessly to int64
-// (a float64 round-trip silently corrupts values above 2^53), everything
-// else gets the default decoder's float64 representation.
-func normalizeJSONNumbers(s *model.Schema, fields map[string]any) error {
-	for name, v := range fields {
-		f, ok := s.Field(name)
-		if ok && f.Type == model.TypeInt {
-			if num, isN := v.(json.Number); isN {
-				i, err := strconv.ParseInt(num.String(), 10, 64)
-				if err != nil {
-					return fmt.Errorf("field %q: parsing integer %q: %w", name, num, err)
-				}
-				fields[name] = i
-			}
-			continue
-		}
-		nv, err := denumber(v)
-		if err != nil {
-			return fmt.Errorf("field %q: %w", name, err)
-		}
-		fields[name] = nv
-	}
-	return nil
-}
-
-// denumber recursively replaces json.Number with float64, matching what
-// the default decoder would have produced for non-integer values.
-func denumber(v any) (any, error) {
-	switch t := v.(type) {
-	case json.Number:
-		f, err := t.Float64()
-		if err != nil {
-			return nil, err
-		}
-		return f, nil
-	case map[string]any:
-		for k, e := range t {
-			ne, err := denumber(e)
-			if err != nil {
-				return nil, err
-			}
-			t[k] = ne
-		}
-		return t, nil
-	case []any:
-		for i, e := range t {
-			ne, err := denumber(e)
-			if err != nil {
-				return nil, err
-			}
-			t[i] = ne
-		}
-		return t, nil
-	}
-	return v, nil
 }
 
 // normalizeInput canonicalizes caller-provided values to the engine's
@@ -1102,28 +1057,10 @@ func (e *Engine) Fetch(ctx context.Context, schema string, ids []string) ([]*mod
 		return nil, err
 	}
 	docs := make([]*model.Document, len(records))
-	if e.seq || len(records) <= 1 {
-		for i, rec := range records {
-			doc, err := rt.openDoc(rec.ID, rec.Blob)
-			if err != nil {
-				return nil, err
-			}
-			docs[i] = doc
+	for i, rec := range records {
+		if docs[i], err = rt.openDoc(rec.ID, rec.Blob); err != nil {
+			return nil, err
 		}
-		return docs, nil
-	}
-	// AEAD open + JSON decode is CPU-bound; a NumCPU-wide pool keeps large
-	// result sets from serializing on one core without oversubscribing.
-	err = conc.ForEach(ctx, len(records), conc.NumWorkers(), func(_ context.Context, i int) error {
-		doc, err := rt.openDoc(records[i].ID, records[i].Blob)
-		if err != nil {
-			return err
-		}
-		docs[i] = doc
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return docs, nil
 }
@@ -1146,7 +1083,7 @@ func (e *Engine) getMany(ctx context.Context, schema string, ids []string) ([]do
 		routes[i] = docRoute(schema, id)
 	}
 	groups := e.shards.Split(routes)
-	found := make([]map[string][]byte, e.shards.N())
+	replies := make([][]docstore.Record, e.shards.N())
 	err := e.shards.Each(ctx, func(gctx context.Context, shard int, conn transport.Conn) error {
 		idx := groups[shard]
 		if len(idx) == 0 {
@@ -1161,21 +1098,26 @@ func (e *Engine) getMany(ctx context.Context, schema string, ids []string) ([]do
 			cloud.DocGetManyArgs{Collection: schema, IDs: sub}, &reply); err != nil {
 			return err
 		}
-		m := make(map[string][]byte, len(reply.Records))
-		for _, rec := range reply.Records {
-			m[rec.ID] = rec.Blob
-		}
-		found[shard] = m
+		replies[shard] = reply.Records
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	// A shard's reply keeps the order of its sub-request and only skips
+	// missing ids, so walking ids in order and taking the head of the owning
+	// shard's reply whenever it matches restores request order.
+	owner := make([]int, len(ids))
+	for shard, idx := range groups {
+		for _, i := range idx {
+			owner[i] = shard
+		}
+	}
 	records := make([]docstore.Record, 0, len(ids))
 	for i, id := range ids {
-		m := found[e.shards.Shard(routes[i])]
-		if blob, ok := m[id]; ok {
-			records = append(records, docstore.Record{ID: id, Blob: blob})
+		if rs := replies[owner[i]]; len(rs) > 0 && rs[0].ID == id {
+			records = append(records, rs[0])
+			replies[owner[i]] = rs[1:]
 		}
 	}
 	return records, nil

@@ -18,9 +18,10 @@ import (
 // exits once full, so keys need no Close/teardown lifecycle. Each draw
 // re-kicks the filler if it has stopped.
 type randPool struct {
-	masks   chan *big.Int
-	filling atomic.Bool
-	sk      *PrivateKey
+	masks    chan *big.Int
+	filling  atomic.Bool
+	computed atomic.Int64 // masks computed for the pool; read by tests
+	sk       *PrivateKey
 }
 
 // EnableRandPool attaches a mask pool of the given capacity to sk and
@@ -48,42 +49,39 @@ func (sk *PrivateKey) RandPoolLen() int {
 // FillRandPool synchronously tops the pool up to capacity. Benchmarks call
 // it to measure warm (pure online-phase) throughput.
 func (sk *PrivateKey) FillRandPool() error {
-	p := sk.pool
-	if p == nil {
+	if sk.pool == nil {
 		return nil
 	}
-	for {
-		m, err := sk.newMask()
+	return sk.pool.topUp()
+}
+
+func (p *randPool) kick() {
+	if p.filling.CompareAndSwap(false, true) {
+		go func() {
+			defer p.filling.Store(false)
+			_ = p.topUp() // a rand.Reader failure surfaces on the inline path
+		}()
+	}
+}
+
+// topUp computes masks while the pool has room. It looks for room before
+// paying for a mask, so topping up a pool that is k short costs k masks;
+// the non-blocking send only loses one when a synchronous FillRandPool
+// races the background filler for the last slot.
+func (p *randPool) topUp() error {
+	for len(p.masks) < cap(p.masks) {
+		m, err := p.sk.newMask()
 		if err != nil {
 			return err
 		}
+		p.computed.Add(1)
 		select {
 		case p.masks <- m:
 		default:
 			return nil
 		}
 	}
-}
-
-func (p *randPool) kick() {
-	if p.filling.CompareAndSwap(false, true) {
-		go p.fill()
-	}
-}
-
-func (p *randPool) fill() {
-	defer p.filling.Store(false)
-	for {
-		m, err := p.sk.newMask()
-		if err != nil {
-			return // rand.Reader failure; surface on the inline path
-		}
-		select {
-		case p.masks <- m:
-		default:
-			return // full: exit until the next draw kicks a new filler
-		}
-	}
+	return nil
 }
 
 // mask returns a fresh mask, preferring the precomputed pool and falling

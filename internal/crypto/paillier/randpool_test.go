@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"sync"
 	"testing"
+	"time"
 )
 
 // testKeyBits keeps pool tests fast; correctness does not depend on size.
@@ -43,6 +44,50 @@ func TestEncryptWithPoolRoundTrips(t *testing.T) {
 		if got, err := sk.DecryptInt64(ct); err != nil || got != 7 {
 			t.Fatalf("drained round trip = %d, %v", got, err)
 		}
+	}
+}
+
+// TestRandPoolComputesOnlyWhatIsDrawn pins the filler's bookkeeping: a full
+// pool drained by k draws is topped up with exactly k masks. A filler that
+// computes first and looks for room second throws one away per top-up.
+func TestRandPoolComputesOnlyWhatIsDrawn(t *testing.T) {
+	sk, err := GenerateKey(testKeyBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const capacity, k = 8, 5
+	sk.EnableRandPool(capacity)
+	p := sk.pool
+	settle := func() {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for p.filling.Load() {
+			if time.Now().After(deadline) {
+				t.Fatal("background filler did not stop")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		// A draw that lands while the filler is exiting leaves a gap
+		// until the next draw; close it synchronously.
+		if err := sk.FillRandPool(); err != nil {
+			t.Fatal(err)
+		}
+		if got := sk.RandPoolLen(); got != capacity {
+			t.Fatalf("RandPoolLen = %d, want %d", got, capacity)
+		}
+	}
+	settle()
+	if got := p.computed.Load(); got != capacity {
+		t.Fatalf("filling an empty pool computed %d masks, want %d", got, capacity)
+	}
+	for i := 0; i < k; i++ {
+		if _, err := sk.mask(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle()
+	if got := p.computed.Load() - capacity; got != k {
+		t.Fatalf("%d draws from a full pool computed %d masks, want %d", k, got, k)
 	}
 }
 

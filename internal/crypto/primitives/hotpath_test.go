@@ -2,6 +2,7 @@ package primitives
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 )
@@ -95,6 +96,58 @@ func TestSealIntoRoundTrip(t *testing.T) {
 	}
 	if got, err := aead.Open(out[len(prefix):], nil); err != nil || !bytes.Equal(got, pt) {
 		t.Fatalf("SealInto-with-prefix round trip = %q, %v", got, err)
+	}
+}
+
+// TestOpenInto: the plaintext is appended after whatever dst already holds
+// (the document path keeps the associated data there), the associated data
+// may alias that prefix, and a failed open returns nothing.
+func TestOpenInto(t *testing.T) {
+	key, err := NewRandomKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	aead, err := NewAEAD(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := []byte("the quick brown fox")
+	id := []byte("doc-0042")
+	blob, err := aead.Seal(pt, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := append(make([]byte, 0, 64), id...)
+	out, err := aead.OpenInto(scratch, blob, scratch[:len(id)])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out[:len(id)], id) || !bytes.Equal(out[len(id):], pt) {
+		t.Fatalf("OpenInto = %q, want %q followed by %q", out, id, pt)
+	}
+	if &out[0] != &scratch[0] {
+		t.Error("OpenInto reallocated a dst with enough capacity")
+	}
+	if got, err := aead.OpenInto(nil, blob, id); err != nil || !bytes.Equal(got, pt) {
+		t.Fatalf("OpenInto(nil) = %q, %v", got, err)
+	}
+	blob[len(blob)-1] ^= 1
+	if got, err := aead.OpenInto(scratch, blob, id); !errors.Is(err, ErrAuthentication) || got != nil {
+		t.Fatalf("OpenInto of a tampered blob = %q, %v", got, err)
+	}
+	if got, err := aead.OpenInto(scratch, blob[:NonceSize], id); !errors.Is(err, ErrCiphertext) || got != nil {
+		t.Fatalf("OpenInto of a short blob = %q, %v", got, err)
+	}
+	if raceEnabled {
+		return
+	}
+	blob[len(blob)-1] ^= 1
+	if got := testing.AllocsPerRun(200, func() {
+		if _, err := aead.OpenInto(scratch, blob, scratch[:len(id)]); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("OpenInto allocs/op = %.1f, want 0", got)
 	}
 }
 
@@ -231,4 +284,3 @@ func BenchmarkSealInto(b *testing.B) {
 		}
 	}
 }
-

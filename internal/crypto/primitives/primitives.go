@@ -301,10 +301,17 @@ func (a *AEAD) SealInto(dst, plaintext, ad []byte) ([]byte, error) {
 
 // Open decrypts a blob produced by Seal, authenticating ad.
 func (a *AEAD) Open(blob, ad []byte) ([]byte, error) {
+	return a.OpenInto(nil, blob, ad)
+}
+
+// OpenInto appends the plaintext of blob to dst and returns the extended
+// slice, letting hot paths decrypt into caller-owned scratch. dst may be
+// nil (equivalent to Open); its spare capacity must not overlap blob.
+func (a *AEAD) OpenInto(dst, blob, ad []byte) ([]byte, error) {
 	if len(blob) < NonceSize+TagSize {
 		return nil, ErrCiphertext
 	}
-	pt, err := a.gcm.Open(nil, blob[:NonceSize], blob[NonceSize:], ad)
+	pt, err := a.gcm.Open(dst, blob[:NonceSize], blob[NonceSize:], ad)
 	if err != nil {
 		return nil, ErrAuthentication
 	}

@@ -21,7 +21,6 @@
 package emm
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -29,6 +28,7 @@ import (
 	"datablinder/internal/crypto/keycache"
 	"datablinder/internal/crypto/primitives"
 	"datablinder/internal/store/kvstore"
+	"datablinder/internal/wirefmt"
 )
 
 // BucketCapacity is the number of identifiers per packed bucket.
@@ -210,9 +210,11 @@ func packedAddr(addrKey primitives.Key, j uint64) []byte {
 	return primitives.PRF(addrKey, []byte("p"), primitives.Uint64Bytes(j))
 }
 
-// aeads caches constructed AEADs per value key: cipher construction (key
-// schedule + GCM tables) dominates small-cell seal/open costs. The cache
-// is package-level so the client and server halves share it.
+// aeads caches constructed AEADs per keyword value key: cipher construction
+// (key schedule + GCM tables) dominates small-cell seal/open costs. The
+// cache is package-level so the client and server halves share it. Only
+// keyword value keys go through it: a shared-payload group key is used once
+// per cell and would only evict them.
 var aeads = keycache.New[primitives.Key, *primitives.AEAD](keycache.DefaultSize)
 
 func aeadFor(valueKey primitives.Key) (*primitives.AEAD, error) {
@@ -221,16 +223,24 @@ func aeadFor(valueKey primitives.Key) (*primitives.AEAD, error) {
 	})
 }
 
-func sealIDs(valueKey primitives.Key, ids []string) ([]byte, error) {
-	aead, err := aeadFor(valueKey)
+// sealIDs seals an identifier list as a count-prefixed sequence of
+// length-prefixed strings (wirefmt.AppendStrings).
+func sealIDs(aead *primitives.AEAD, ids []string) ([]byte, error) {
+	return aead.Seal(wirefmt.AppendStrings(nil, ids), nil)
+}
+
+// openSealedIDs reverses sealIDs.
+func openSealedIDs(aead *primitives.AEAD, blob []byte) ([]string, error) {
+	pt, err := aead.Open(blob, nil)
 	if err != nil {
 		return nil, err
 	}
-	pt, err := json.Marshal(ids)
-	if err != nil {
-		return nil, fmt.Errorf("emm: encoding ids: %w", err)
+	r := wirefmt.NewReader(pt)
+	ids := r.Strings()
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("emm: decoding ids: %w", err)
 	}
-	return aead.Seal(pt, nil)
+	return ids, nil
 }
 
 func openIDs(valueKey primitives.Key, blob []byte) ([]string, error) {
@@ -241,15 +251,7 @@ func openIDs(valueKey primitives.Key, blob []byte) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	pt, err := aead.Open(blob, nil)
-	if err != nil {
-		return nil, err
-	}
-	var ids []string
-	if err := json.Unmarshal(pt, &ids); err != nil {
-		return nil, fmt.Errorf("emm: decoding ids: %w", err)
-	}
-	return ids, nil
+	return openSealedIDs(aead, blob)
 }
 
 // Shared-payload cells
@@ -298,7 +300,11 @@ func (c *Client) AppendAddr(namespace, w string) ([]byte, primitives.Key, error)
 
 // SealSharedIDs seals one identifier list under an ephemeral group key.
 func SealSharedIDs(kd primitives.Key, ids []string) ([]byte, error) {
-	return sealIDs(kd, ids)
+	aead, err := primitives.NewAEAD(kd)
+	if err != nil {
+		return nil, err
+	}
+	return sealIDs(aead, ids)
 }
 
 // WrapSharedKey binds the group key kd to one cell's value key.
@@ -332,19 +338,12 @@ func openShared(valueKey primitives.Key, blob []byte) ([]string, bool) {
 	if err != nil {
 		return nil, false
 	}
-	aead, err := aeadFor(kd)
+	aead, err := primitives.NewAEAD(kd)
 	if err != nil {
 		return nil, false
 	}
-	pt, err := aead.Open(shared, nil)
-	if err != nil {
-		return nil, false
-	}
-	var ids []string
-	if err := json.Unmarshal(pt, &ids); err != nil {
-		return nil, false
-	}
-	return ids, true
+	ids, err := openSealedIDs(aead, shared)
+	return ids, err == nil
 }
 
 // Append produces the encrypted tail cell for (w -> id) and advances the
@@ -352,7 +351,11 @@ func openShared(valueKey primitives.Key, blob []byte) ([]string, bool) {
 // Server.Insert.
 func (c *Client) Append(namespace, w, id string) (Entry, error) {
 	ak, vk := c.keywordKeys(namespace, w)
-	val, err := sealIDs(vk, []string{id})
+	aead, err := aeadFor(vk)
+	if err != nil {
+		return Entry{}, err
+	}
+	val, err := sealIDs(aead, []string{id})
 	if err != nil {
 		return Entry{}, err
 	}
@@ -373,13 +376,17 @@ func (c *Client) BuildPacked(namespace, w string, ids []string) (entries []Entry
 		return nil, Counts{}, Counts{}, err
 	}
 	ak, vk := c.keywordKeys(namespace, w)
+	aead, err := aeadFor(vk)
+	if err != nil {
+		return nil, Counts{}, Counts{}, err
+	}
 	for j := 0; j*BucketCapacity < len(ids) || (j == 0 && len(ids) == 0); j++ {
 		loEnd := j * BucketCapacity
 		hiEnd := loEnd + BucketCapacity
 		if hiEnd > len(ids) {
 			hiEnd = len(ids)
 		}
-		val, err := sealIDs(vk, ids[loEnd:hiEnd])
+		val, err := sealIDs(aead, ids[loEnd:hiEnd])
 		if err != nil {
 			return nil, Counts{}, Counts{}, err
 		}

@@ -1,6 +1,8 @@
 package emm
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -9,6 +11,7 @@ import (
 
 	"datablinder/internal/crypto/primitives"
 	"datablinder/internal/store/kvstore"
+	"datablinder/internal/wirefmt"
 )
 
 func setup(t testing.TB) (*Client, *Server) {
@@ -370,5 +373,88 @@ func TestSharedCellWrongKeyFailsClosed(t *testing.T) {
 	}
 	if _, err := s.Search(tok); err == nil {
 		t.Fatal("Search with mis-wrapped shared cell succeeded, want error")
+	}
+}
+
+// TestSharedGroupKeysBypassAEADCache: a shared-payload cell's group key is
+// used for that one cell, so opening (or sealing) it must not take a slot in
+// the AEAD cache that keyword value keys share; one search adds the
+// keyword's own value key and nothing else, however many cells it opens.
+func TestSharedGroupKeysBypassAEADCache(t *testing.T) {
+	c, s := setup(t)
+	const cells = 40
+	for i := 0; i < cells; i++ {
+		kd, err := primitives.NewRandomKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		nonce, err := primitives.RandomBytes(SharedNonceLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared, err := SealSharedIDs(kd, []string{fmt.Sprintf("d%02d", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, vk, err := c.AppendAddr("ns", "w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Insert([]Entry{{Addr: addr, Val: SharedValue(WrapSharedKey(vk, nonce, kd), nonce, shared)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendAll(t, c, s, "ns", "w", "tail") // a plain cell, which does use the value key
+	before := aeads.Len()
+	if got := search(t, c, s, "ns", "w"); len(got) != cells+1 {
+		t.Fatalf("Search returned %d ids, want %d", len(got), cells+1)
+	}
+	if grew := aeads.Len() - before; grew != 0 {
+		t.Errorf("searching %d shared cells added %d AEAD cache entries, want 0 (the value key was cached by Append)", cells, grew)
+	}
+}
+
+// TestIDListEncoding pins the sealed plaintext of a cell — a count-prefixed
+// list of length-prefixed strings — and that anything else inside a valid
+// AEAD is an error, not an empty or partial result.
+func TestIDListEncoding(t *testing.T) {
+	key, err := primitives.NewRandomKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	aead, err := primitives.NewAEAD(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ids := range [][]string{nil, {""}, {"d1"}, {"d1", "naïve ✓", string(make([]byte, 200))}} {
+		blob, err := sealIDs(aead, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt, err := aead.Open(blob, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := wirefmt.AppendStrings(nil, ids); !bytes.Equal(pt, want) {
+			t.Errorf("sealed plaintext of %q = %x, want %x", ids, pt, want)
+		}
+		got, err := openIDs(key, blob)
+		if err != nil || !reflect.DeepEqual(got, ids) {
+			t.Errorf("openIDs(sealIDs(%q)) = %q, %v", ids, got, err)
+		}
+	}
+	for name, pt := range map[string][]byte{
+		"JSON array":      []byte(`["d1","d2"]`),
+		"truncated":       wirefmt.AppendStrings(nil, []string{"d1", "d2"})[:5],
+		"trailing byte":   append(wirefmt.AppendStrings(nil, []string{"d1"}), 0),
+		"count too large": {9, 1, 'a'},
+	} {
+		blob, err := aead.Seal(pt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ids, err := openIDs(key, blob); !errors.Is(err, wirefmt.ErrMalformed) {
+			t.Errorf("%s: openIDs = %q, %v; want wirefmt.ErrMalformed", name, ids, err)
+		}
 	}
 }

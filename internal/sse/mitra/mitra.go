@@ -16,6 +16,8 @@
 package mitra
 
 import (
+	"crypto/subtle"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -170,17 +172,34 @@ func (c *Client) keywordKey(namespace, w string) primitives.Key {
 	return k
 }
 
-func addrOf(kw primitives.Key, i uint64) []byte {
-	return primitives.PRF(kw, primitives.Uint64Bytes(i), []byte{0})
+// cellPRF derives one keyword's cell addresses and pads. It owns the PRF
+// input and pad buffers, so a search allocates them once, not per cell.
+// The PRF inputs are i || 0 for an address and i || 1 || blk for pad block
+// blk (all integers 8 bytes big-endian).
+type cellPRF struct {
+	kw  primitives.Key
+	in  [17]byte
+	pad [idSlot]byte
 }
 
-// pad derives the idSlot-byte encryption pad for update i.
-func pad(kw primitives.Key, i uint64) []byte {
-	p := make([]byte, 0, idSlot)
+// appendAddr appends the address of update i to dst.
+func (d *cellPRF) appendAddr(dst []byte, i uint64) []byte {
+	binary.BigEndian.PutUint64(d.in[:8], i)
+	d.in[8] = 0
+	return primitives.PRFInto(dst, d.kw, d.in[:9])
+}
+
+// padFor derives the idSlot-byte encryption pad for update i. The result
+// is the receiver's own buffer, overwritten by the next call.
+func (d *cellPRF) padFor(i uint64) []byte {
+	binary.BigEndian.PutUint64(d.in[:8], i)
+	d.in[8] = 1
+	p := d.pad[:0]
 	for blk := uint64(0); len(p) < idSlot; blk++ {
-		p = append(p, primitives.PRF(kw, primitives.Uint64Bytes(i), []byte{1}, primitives.Uint64Bytes(blk))...)
+		binary.BigEndian.PutUint64(d.in[9:], blk)
+		p = primitives.PRFInto(p, d.kw, d.in[:])
 	}
-	return p[:idSlot]
+	return p
 }
 
 func encodeCell(op Op, id string) ([]byte, error) {
@@ -194,26 +213,26 @@ func encodeCell(op Op, id string) ([]byte, error) {
 	return cell, nil
 }
 
-func decodeCell(cell []byte) (Op, string, error) {
+// decodeCell splits a decrypted cell; the id aliases cell.
+func decodeCell(cell []byte) (Op, []byte, error) {
 	if len(cell) != idSlot {
-		return 0, "", ErrBadCell
+		return 0, nil, ErrBadCell
 	}
 	op := Op(cell[0])
 	if op != OpAdd && op != OpDel {
-		return 0, "", ErrBadCell
+		return 0, nil, ErrBadCell
 	}
 	n := int(cell[1])
 	if n > MaxIDLen {
-		return 0, "", ErrBadCell
+		return 0, nil, ErrBadCell
 	}
-	return op, string(cell[2 : 2+n]), nil
+	return op, cell[2 : 2+n], nil
 }
 
 // Update produces the encrypted cell for an add/delete of id under w.
 // The cell index is reserved atomically, so concurrent updates to one
 // keyword never collide.
 func (c *Client) Update(namespace, w string, op Op, id string) (Entry, error) {
-	kw := c.keywordKey(namespace, w)
 	cell, err := encodeCell(op, id)
 	if err != nil {
 		return Entry{}, err
@@ -222,10 +241,9 @@ func (c *Client) Update(namespace, w string, op Op, id string) (Entry, error) {
 	if err != nil {
 		return Entry{}, err
 	}
-	return Entry{
-		Addr: addrOf(kw, ctr),
-		Val:  primitives.XOR(cell, pad(kw, ctr)),
-	}, nil
+	d := cellPRF{kw: c.keywordKey(namespace, w)}
+	subtle.XORBytes(cell, cell, d.padFor(ctr))
+	return Entry{Addr: d.appendAddr(nil, ctr), Val: cell}, nil
 }
 
 // SearchRequest enumerates the cell addresses for w. An empty request
@@ -235,22 +253,30 @@ func (c *Client) SearchRequest(namespace, w string) (SearchRequest, error) {
 	if err != nil {
 		return SearchRequest{}, err
 	}
-	kw := c.keywordKey(namespace, w)
-	req := SearchRequest{Addrs: make([][]byte, 0, ctr)}
-	for i := uint64(0); i < ctr; i++ {
-		req.Addrs = append(req.Addrs, addrOf(kw, i))
+	d := cellPRF{kw: c.keywordKey(namespace, w)}
+	req := SearchRequest{Addrs: make([][]byte, ctr)}
+	slab := make([]byte, 0, ctr*primitives.PRFSize)
+	for i := range req.Addrs {
+		slab = d.appendAddr(slab, uint64(i))
+		req.Addrs[i] = slab[len(slab)-primitives.PRFSize : len(slab) : len(slab)]
 	}
 	return req, nil
 }
 
 // Resolve decrypts the server's response and cancels deletions: an id is
 // in the result iff its additions outnumber its deletions (each add
-// contributes one live reference, each delete removes one).
+// contributes one live reference, each delete removes one). Results keep
+// the order in which ids were first added.
 func (c *Client) Resolve(namespace, w string, vals [][]byte) ([]string, error) {
-	kw := c.keywordKey(namespace, w)
-	live := make(map[string]int)
-	seen := make(map[string]bool)
-	order := make([]string, 0, len(vals))
+	type ref struct {
+		id    string
+		live  int
+		added bool
+	}
+	d := cellPRF{kw: c.keywordKey(namespace, w)}
+	refs := make([]ref, 0, len(vals))
+	index := make(map[string]int, len(vals)) // id -> position in refs
+	order := make([]int, 0, len(vals))       // refs positions, by first add
 	for i, v := range vals {
 		if v == nil {
 			continue // cell missing server-side; tolerate
@@ -258,25 +284,32 @@ func (c *Client) Resolve(namespace, w string, vals [][]byte) ([]string, error) {
 		if len(v) != idSlot {
 			return nil, ErrBadCell
 		}
-		op, id, err := decodeCell(primitives.XOR(v, pad(kw, uint64(i))))
+		cell := d.padFor(uint64(i))
+		subtle.XORBytes(cell, cell, v)
+		op, id, err := decodeCell(cell)
 		if err != nil {
 			return nil, err
 		}
-		switch op {
-		case OpAdd:
-			if !seen[id] {
-				seen[id] = true
-				order = append(order, id)
-			}
-			live[id]++
-		case OpDel:
-			live[id]--
+		k, ok := index[string(id)]
+		if !ok {
+			k = len(refs)
+			refs = append(refs, ref{id: string(id)})
+			index[refs[k].id] = k
+		}
+		if op == OpDel {
+			refs[k].live--
+			continue
+		}
+		refs[k].live++
+		if !refs[k].added {
+			refs[k].added = true
+			order = append(order, k)
 		}
 	}
 	out := make([]string, 0, len(order))
-	for _, id := range order {
-		if live[id] > 0 {
-			out = append(out, id)
+	for _, k := range order {
+		if refs[k].live > 0 {
+			out = append(out, refs[k].id)
 		}
 	}
 	return out, nil

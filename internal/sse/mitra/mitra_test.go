@@ -1,6 +1,8 @@
 package mitra
 
 import (
+	"bytes"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"sort"
@@ -283,5 +285,85 @@ func BenchmarkSearch1000(b *testing.B) {
 		if _, err := c.Resolve("ns", "w", vals); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestGoldenVectors pins the bytes the cloud stores: an address, a pad and
+// one encrypted cell under fixed keys, taken from the implementation that
+// allocated per PRF block. Any change here orphans every stored cell.
+func TestGoldenVectors(t *testing.T) {
+	var kw primitives.Key
+	for i := range kw {
+		kw[i] = byte(i)
+	}
+	d := cellPRF{kw: kw}
+	if got, want := hex.EncodeToString(d.appendAddr(nil, 7)),
+		"d2f467e728bb214fb3c73b4b3451e6141ea1e3e355f69f8e67455bcc61ce80da"; got != want {
+		t.Errorf("address of update 7 = %s, want %s", got, want)
+	}
+	if got, want := hex.EncodeToString(d.padFor(7)),
+		"8ccf3907cee87cc3bdb8f0a253dc641361af4b866f66ac650c0fc817b606fd25"+
+			"fe635670912fbac91dbbaf2a979b17390812cfcbcfa536c3a434b9d84b33b1eb"; got != want {
+		t.Errorf("pad of update 7 = %s, want %s", got, want)
+	}
+
+	var master primitives.Key
+	for i := range master {
+		master[i] = byte(0xa0 + i)
+	}
+	st := NewMemState()
+	if err := st.SetCounter("ns", "w", 7); err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(master, st)
+	e, err := c.Update("ns", "w", OpAdd, "doc-0042")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := hex.EncodeToString(e.Addr),
+		"7aff9726e82956b5029dca991405a57f9484c4f9f38408ed77571cc1effddbcb"; got != want {
+		t.Errorf("cell address = %s, want %s", got, want)
+	}
+	if got, want := hex.EncodeToString(e.Val),
+		"ae91cf7274870d2ba5be7b2d3a851e30c9845c8bfd808f1fd5b711645bf1acd0"+
+			"33126d7dec92d29e23cbb486ef3f6b36cf1f9fe08efec130c72cef0b19a5e555"; got != want {
+		t.Errorf("cell value = %s, want %s", got, want)
+	}
+	// The request for the same keyword carves the same address from its slab.
+	req, err := c.SearchRequest("ns", "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(req.Addrs) != 8 || !bytes.Equal(req.Addrs[7], e.Addr) {
+		t.Errorf("SearchRequest address 7 = %x, want %x", req.Addrs[7], e.Addr)
+	}
+}
+
+// TestResolveOrderAndCancellation: results follow first-add order, a delete
+// seen before its add still cancels it, and ids whose deletes match their
+// adds drop out.
+func TestResolveOrderAndCancellation(t *testing.T) {
+	key, _ := primitives.NewRandomKey()
+	c := NewClient(key, NewMemState())
+	ops := []struct {
+		op Op
+		id string
+	}{
+		{OpDel, "a"}, {OpAdd, "b"}, {OpAdd, "a"}, {OpAdd, "a"}, {OpAdd, "c"}, {OpDel, "c"}, {OpAdd, "d"}, {OpAdd, "b"},
+	}
+	vals := make([][]byte, len(ops))
+	for i, o := range ops {
+		e, err := c.Update("ns", "w", o.op, o.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals[i] = e.Val
+	}
+	got, err := c.Resolve("ns", "w", vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"b", "a", "d"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Resolve = %v, want %v", got, want)
 	}
 }

@@ -155,11 +155,15 @@ func (s *Store) claim() (uint64, bool) {
 // the same stripe must not wait behind it.
 func (s *Store) logFrame(seq uint64, frame []byte) error {
 	err := s.wal.Append(seq, frame)
+	if err == nil {
+		// Before Done: a compaction started here joins wg while this
+		// append still holds it, so Close waits for the snapshot write.
+		s.maybeCompact()
+	}
 	s.wg.Done()
 	if err != nil {
 		return fmt.Errorf("kvstore: wal append: %w", err)
 	}
-	s.maybeCompact()
 	return nil
 }
 
@@ -457,7 +461,9 @@ func (s *Store) maybeCompact() {
 	if !s.compacting.CompareAndSwap(false, true) {
 		return
 	}
+	s.wg.Add(1)
 	go func() {
+		defer s.wg.Done()
 		defer s.compacting.Store(false)
 		s.Compact() //nolint:errcheck // best-effort; retried on the next trigger
 	}()

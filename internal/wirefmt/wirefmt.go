@@ -1,6 +1,8 @@
 // Package wirefmt provides the append-style binary primitives underlying
-// wire codec v2 (internal/transport): unsigned varints, zigzag-encoded
-// signed varints, and length-prefixed byte/string fields.
+// wire codec v2 (internal/transport) and the plaintexts sealed at rest
+// (internal/model documents, internal/sse/emm id lists): unsigned varints,
+// zigzag-encoded signed varints, fixed-width floats, and length-prefixed
+// byte/string fields.
 //
 // Writers append into caller-owned buffers (typically drawn from the
 // transport frame pool) and never allocate beyond slice growth. Readers
@@ -16,6 +18,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -43,6 +46,12 @@ func AppendBytes(b, p []byte) []byte {
 func AppendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
+}
+
+// AppendFloat64 appends the 8 IEEE-754 bytes of f, little-endian. Every bit
+// pattern round-trips, NaN payloads and signed zeros included.
+func AppendFloat64(b []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 }
 
 // AppendBool appends a single 0/1 byte.
@@ -168,6 +177,20 @@ func (r *Reader) Uvarint() uint64 {
 func (r *Reader) Int64() int64 {
 	u := r.Uvarint()
 	return int64(u>>1) ^ -int64(u&1)
+}
+
+// Float64 consumes the 8 bytes written by AppendFloat64.
+func (r *Reader) Float64() float64 {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.b) < 8 {
+		r.fail()
+		return 0
+	}
+	f := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
+	r.b = r.b[8:]
+	return f
 }
 
 // Count consumes a count prefix, rejecting counts that could not possibly

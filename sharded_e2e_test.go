@@ -360,4 +360,54 @@ func TestShardedTierMatchesSingleNode(t *testing.T) {
 			t.Errorf("BIEX index key balance %v: max/min = %.1fx, want <= 4x", biexKeys, ratio)
 		}
 	}
+
+	// A blob missing in the middle of a result set: drop one document's
+	// blob behind the gateway's back (its index entries stay), and the
+	// cross-shard getmany reassembly must skip exactly that id and keep
+	// every other document in the order the search produced. (A result
+	// set never repeats an id, so the duplicate-id case of the reassembly
+	// is covered in internal/core's TestFetchShardedReassembly.)
+	finalQ := datablinder.Eq{Field: "status", Value: "final"}
+	before, err := shardedCol.SearchIDs(ctx, finalQ)
+	if err != nil || len(before) < 3 {
+		t.Fatalf("search before dropping a blob: %v, %v", before, err)
+	}
+	victim := before[len(before)/2]
+	dropped := 0
+	for i, addr := range addrs {
+		conn, err := transport.Dial(addr, transport.DialOptions{})
+		if err != nil {
+			t.Fatalf("dialing shard %d: %v", i, err)
+		}
+		err = conn.Call(ctx, cloud.DocService, "delete", cloud.DocDeleteArgs{Collection: schema.Name, ID: victim}, nil)
+		conn.Close()
+		if err == nil {
+			dropped++
+		} else if !transport.IsNotFoundError(err) {
+			t.Fatalf("dropping %s on shard %d: %v", victim, i, err)
+		}
+	}
+	if dropped != 1 {
+		t.Fatalf("%s was held by %d shards, want 1", victim, dropped)
+	}
+	var want []string
+	for _, id := range before {
+		if id != victim {
+			want = append(want, id)
+		}
+	}
+	results, err = shardedCol.Search(ctx, finalQ)
+	if err != nil {
+		t.Fatalf("search with a blob missing: %v", err)
+	}
+	var got []string
+	for _, d := range results {
+		got = append(got, d.ID)
+		if wantIdent := "obs-" + d.ID[len("doc-"):]; d.Fields["identifier"] != wantIdent {
+			t.Errorf("%s came back with identifier %v, want %s", d.ID, d.Fields["identifier"], wantIdent)
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("fetch with %s missing: got %v, want %v", victim, got, want)
+	}
 }
