@@ -37,11 +37,10 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "fig5 | latency | concurrency | hotpath | sharding | coalesce | wire | persist | planner | all")
+	experiment := flag.String("experiment", "all", "fig5 | latency | concurrency | hotpath | sharding | coalesce | persist | planner | all")
 	plannerOut := flag.String("planner-out", "BENCH_planner.json", "output path for the planner experiment's JSON result")
 	hotpathOut := flag.String("hotpath-out", "BENCH_hotpath.json", "output path for the hotpath experiment's JSON result")
 	persistOut := flag.String("persist-out", "BENCH_persist.json", "output path for the persist experiment's JSON result")
-	wireOut := flag.String("wire-out", "BENCH_wire.json", "output path for the wire experiment's JSON result")
 	shardingOut := flag.String("sharding-out", "BENCH_sharding.json", "output path for the sharding experiment's JSON result")
 	coalesceOut := flag.String("coalesce-out", "BENCH_coalesce.json", "output path for the coalesce experiment's JSON result")
 	users := flag.Int("users", 64, "concurrent virtual users (paper: 1000)")
@@ -56,16 +55,16 @@ func main() {
 		}
 	})
 
-	if err := run(*experiment, *users, *requests, *seed, *netDelay, netDelaySet, *hotpathOut, *shardingOut, *coalesceOut, *wireOut, *persistOut, *plannerOut); err != nil {
+	if err := run(*experiment, *users, *requests, *seed, *netDelay, netDelaySet, *hotpathOut, *shardingOut, *coalesceOut, *persistOut, *plannerOut); err != nil {
 		log.Fatalf("blinderbench: %v", err)
 	}
 }
 
-func run(experiment string, users, requests int, seed int64, netDelay time.Duration, netDelaySet bool, hotpathOut, shardingOut, coalesceOut, wireOut, persistOut, plannerOut string) error {
+func run(experiment string, users, requests int, seed int64, netDelay time.Duration, netDelaySet bool, hotpathOut, shardingOut, coalesceOut, persistOut, plannerOut string) error {
 	switch experiment {
-	case "fig5", "latency", "concurrency", "hotpath", "sharding", "coalesce", "wire", "persist", "planner", "all":
+	case "fig5", "latency", "concurrency", "hotpath", "sharding", "coalesce", "persist", "planner", "all":
 	default:
-		return fmt.Errorf("unknown experiment %q (want fig5, latency, concurrency, hotpath, sharding, coalesce, wire, persist, planner, or all)", experiment)
+		return fmt.Errorf("unknown experiment %q (want fig5, latency, concurrency, hotpath, sharding, coalesce, persist, planner, or all)", experiment)
 	}
 
 	if experiment == "planner" || experiment == "all" {
@@ -102,25 +101,6 @@ func run(experiment string, users, requests int, seed int64, netDelay time.Durat
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", persistOut)
 		if experiment == "persist" {
-			return nil
-		}
-	}
-
-	if experiment == "wire" || experiment == "all" {
-		cfg := bench.DefaultWireConfig()
-		cfg.Seed = seed
-		fmt.Fprintf(os.Stderr, "running wire experiment (%d TCP shards, %d inserts + %d searches per cell, callers %v)...\n",
-			cfg.Shards, cfg.Docs, cfg.Searches, cfg.CallerCounts)
-		r, err := bench.RunWire(context.Background(), cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatWire(r))
-		if err := bench.WriteWireJSON(r, wireOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", wireOut)
-		if experiment == "wire" {
 			return nil
 		}
 	}

@@ -1,6 +1,7 @@
 // Command cloudserver runs DataBlinder's untrusted-zone node: the
 // encrypted document store, the tactic index store, and the cloud halves
-// of every tactic protocol, served over the framed JSON RPC transport.
+// of every tactic protocol, served over the binary RPC transport
+// (internal/transport).
 //
 // Usage:
 //
@@ -9,9 +10,7 @@
 // With -data, both stores persist through segmented binary write-ahead
 // logs with group-committed fsync and background snapshot compaction;
 // -fsync picks the durability policy (default "interval": at most the
-// last second of writes is lost to a crash). Pre-WAL data directories
-// (text index.aof, per-collection JSON snapshots) migrate automatically
-// on first start.
+// last second of writes is lost to a crash).
 //
 // With -shards N (N > 1), the process hosts N independent cloud nodes —
 // disjoint stores, one listener each — on consecutive ports starting at
@@ -43,8 +42,7 @@ func main() {
 	dataDir := flag.String("data", "", "persistence directory (empty = in-memory only)")
 	fsync := flag.String("fsync", "interval", "WAL durability policy: always (fsync per write, group-committed), interval (1s background), never")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
-	maxInFlight := flag.Int("max-inflight", transport.DefaultMaxInFlight, "per-connection cap on concurrently executing RPCs (coalesced gateway batches count as one)")
-	wireJSON := flag.Bool("wire-json", false, "answer codec negotiation with v1: every connection stays on JSON framing")
+	maxInFlight := flag.Int("max-inflight", transport.DefaultMaxInFlight, "server-wide cap on concurrently executing RPCs, across all connections (a coalesced gateway batch counts as one)")
 	flag.Parse()
 
 	stopPprof, err := pprofserve.Start(*pprofAddr)
@@ -53,7 +51,7 @@ func main() {
 	}
 	defer stopPprof()
 
-	if err := run(*listen, *shards, *dataDir, *fsync, *maxInFlight, *wireJSON); err != nil {
+	if err := run(*listen, *shards, *dataDir, *fsync, *maxInFlight); err != nil {
 		log.Fatalf("cloudserver: %v", err)
 	}
 }
@@ -82,7 +80,7 @@ func shardAddrs(listen string, n int) ([]string, error) {
 	return addrs, nil
 }
 
-func run(listen string, shards int, dataDir, fsync string, maxInFlight int, wireJSON bool) error {
+func run(listen string, shards int, dataDir, fsync string, maxInFlight int) error {
 	if shards < 1 {
 		return fmt.Errorf("-shards must be >= 1 (got %d)", shards)
 	}
@@ -101,7 +99,6 @@ func run(listen string, shards int, dataDir, fsync string, maxInFlight int, wire
 			if err := os.MkdirAll(dir, 0o700); err != nil {
 				return fmt.Errorf("creating data dir: %w", err)
 			}
-			// v1 layouts used <dir>/index.aof; cloud.NewNode migrates it.
 			opts.KVPath = filepath.Join(dir, "index")
 			opts.DocDir = filepath.Join(dir, "docs")
 		}
@@ -113,7 +110,6 @@ func run(listen string, shards int, dataDir, fsync string, maxInFlight int, wire
 
 		srv := transport.NewServer(node.Mux)
 		srv.MaxInFlight = maxInFlight
-		srv.DisableBinary = wireJSON
 		addr, err := srv.Listen(shardAddr)
 		if err != nil {
 			return err

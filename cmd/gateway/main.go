@@ -57,11 +57,10 @@ func main() {
 	cloudAddr := flag.String("cloud", "127.0.0.1:7700", "cloudserver address (single node)")
 	shardAddrs := flag.String("shard-addrs", "", "comma-separated sharded cloud tier addresses (overrides -cloud; order is positional shard identity)")
 	keyPath := flag.String("key", "datablinder-master.key", "master key file (created if absent)")
-	statePath := flag.String("state", "datablinder-gateway.aof", "gateway state directory (a v1 state file at this path is migrated)")
+	statePath := flag.String("state", "datablinder-gateway.aof", "gateway state directory (a write-ahead log)")
 	fsync := flag.String("fsync", "interval", "state WAL durability policy: always, interval, never")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 	noCoalesce := flag.Bool("no-coalesce", false, "disable cross-caller write coalescing (per-shard group commit)")
-	wireJSON := flag.Bool("wire-json", false, "pin the cloud channel to v1 JSON framing instead of negotiating the binary wire codec")
 	planner := flag.Bool("planner", false, "cost-based tactic selection: pick the cheapest tactic within each field's leakage budget")
 	replanInterval := flag.Duration("replan-interval", 0, "with -planner, re-evaluate plans against live costs at this interval (0 = only on explicit replan)")
 	flag.Parse()
@@ -85,7 +84,6 @@ func main() {
 		LocalStatePath:    *statePath,
 		FsyncPolicy:       *fsync,
 		DisableCoalescing: *noCoalesce,
-		DisableBinaryWire: *wireJSON,
 		Planner:           *planner,
 		ReplanInterval:    *replanInterval,
 	}

@@ -190,12 +190,6 @@ type Options struct {
 	// (see README "Write-path coalescing"). Coalescing is on by default;
 	// disable it only for debugging or A/B benchmarking.
 	DisableCoalescing bool
-	// DisableBinaryWire pins the gateway↔cloud channel to the v1 JSON
-	// framing instead of negotiating the binary wire codec (see README
-	// "Wire protocol"). Binary is on by default; disable it only for
-	// debugging or A/B benchmarking — servers that lack v2 fall back to
-	// JSON automatically, no pinning needed.
-	DisableBinaryWire bool
 
 	// MasterKeyPath loads (or, with CreateKey, creates) the gateway master
 	// key file. Empty means an ephemeral random key.
@@ -205,8 +199,7 @@ type Options struct {
 	CreateKey bool
 
 	// LocalStatePath enables WAL persistence of gateway state (tactic
-	// counters, schemas). Empty means in-memory. A v1 text AOF at this
-	// path is migrated on first open.
+	// counters, schemas) under this directory. Empty means in-memory.
 	LocalStatePath string
 
 	// CloudKVPath / CloudDocDir enable persistence for the in-process
@@ -318,11 +311,7 @@ func Open(ctx context.Context, opts Options) (*Client, error) {
 				return nil, err
 			}
 			client.nodes = append(client.nodes, node)
-			if opts.DisableBinaryWire {
-				conns = append(conns, transport.NewLoopbackJSON(node.Mux))
-			} else {
-				conns = append(conns, transport.NewLoopback(node.Mux))
-			}
+			conns = append(conns, transport.NewLoopback(node.Mux))
 		}
 		client.conn = shardConn(conns, opts.VirtualNodes)
 	} else {
@@ -332,10 +321,7 @@ func Open(ctx context.Context, opts Options) (*Client, error) {
 		}
 		conns := make([]transport.Conn, 0, len(addrs))
 		for _, addr := range addrs {
-			conn, err := transport.Dial(addr, transport.DialOptions{
-				PoolSize:      opts.PoolSize,
-				DisableBinary: opts.DisableBinaryWire,
-			})
+			conn, err := transport.Dial(addr, transport.DialOptions{PoolSize: opts.PoolSize})
 			if err != nil {
 				for _, c := range conns {
 					c.Close()

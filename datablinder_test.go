@@ -1,10 +1,13 @@
 package datablinder_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"datablinder"
@@ -147,9 +150,31 @@ func TestEndToEndPublicAPI(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsStateFileThatIsNotADirectory: gateway state is a WAL
+// directory and nothing else. A regular file at LocalStatePath fails Open
+// with the path in the error and is left exactly as it was.
+func TestOpenRejectsStateFileThatIsNotADirectory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gateway.aof")
+	content := []byte("SET aw== dg==\n")
+	if err := os.WriteFile(path, content, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	client, err := datablinder.Open(context.Background(), datablinder.Options{InProcessCloud: true, LocalStatePath: path})
+	if err == nil {
+		client.Close()
+		t.Fatal("Open succeeded with a regular file as its state directory")
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Fatalf("error %q does not name the path %s", err, path)
+	}
+	if got, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(got, content) {
+		t.Fatalf("state file changed by the failed Open: %q, %v", got, rerr)
+	}
+}
+
 func TestPersistentGatewayRestart(t *testing.T) {
 	// Full durability path through the public API: master key file,
-	// gateway AOF, cloud persistence — close everything, reopen, verify.
+	// gateway state log, cloud persistence — close everything, reopen, verify.
 	dir := t.TempDir()
 	opts := datablinder.Options{
 		InProcessCloud: true,

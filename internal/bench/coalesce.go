@@ -178,28 +178,13 @@ func (c *rpcConn) Call(ctx context.Context, service, method string, args, reply 
 // count per item, so packing and coalescing change framing, not billed
 // work.
 func countFrameOps(service, method string, args any) int {
-	if service != transport.BatchService {
-		payload, err := json.Marshal(args)
-		if err != nil {
-			return 1
-		}
-		return countSubOps(service, method, payload)
-	}
-	raw, err := json.Marshal(args)
-	if err != nil {
-		return 1
-	}
-	var subs []struct {
-		Service string          `json:"service"`
-		Method  string          `json:"method"`
-		Payload json.RawMessage `json:"payload"`
-	}
-	if err := json.Unmarshal(raw, &subs); err != nil {
-		return 1
+	calls, ok := args.([]transport.BatchCall)
+	if !ok {
+		return countSubOps(service, method, args)
 	}
 	n := 0
-	for _, s := range subs {
-		n += countSubOps(s.Service, s.Method, s.Payload)
+	for _, c := range calls {
+		n += countSubOps(c.Service, c.Method, c.Args)
 	}
 	if n < 1 {
 		n = 1
@@ -207,8 +192,15 @@ func countFrameOps(service, method string, args any) int {
 	return n
 }
 
-func countSubOps(service, method string, payload json.RawMessage) int {
+// countSubOps reads the item count out of args' JSON form, which is the
+// same whether the value arrives plain or inside the coalescer's
+// transport.RawArgs.
+func countSubOps(service, method string, args any) int {
 	n := 1
+	payload, err := json.Marshal(args)
+	if err != nil {
+		return n
+	}
 	switch service + "." + method {
 	case "biex.insert":
 		var a struct {

@@ -1,34 +1,25 @@
-// Persist experiment: measures what the segmented binary WAL buys over
-// the v1 text append-only file on the index store's durable write path,
-// and what snapshots buy on restart.
+// Persist experiment: measures the index store's durable write path — the
+// segmented binary WAL — across fsync policies and caller counts, and what
+// snapshots buy on restart.
 //
 // Three measured dimensions:
 //
 //	throughput — kvstore.Set ops/s per fsync policy at 1 caller (clean
 //	             per-op cost) and Callers concurrent callers (the regime
-//	             group commit amortizes: N callers share one fsync). The
-//	             baseline arm is a faithful replica of the v1 write path —
-//	             one big mutex, base64 text records via fmt.Fprintf, an
-//	             fsync per record under "always" — because the store
-//	             itself no longer has a text mode to A/B against.
+//	             group commit amortizes: N callers share one fsync).
 //	allocs     — heap allocations per durable Set (runtime Mallocs delta,
-//	             single caller), v1's per-record base64+Sprintf churn
-//	             versus the WAL's pooled binary frames.
+//	             single caller).
 //	recovery   — cold-start time over the same RecoveryRecords-record
-//	             history three ways: parsing the v1 text AOF, replaying
-//	             the full WAL (parallel across lock stripes), and loading
-//	             a snapshot plus empty tail.
+//	             history two ways: replaying the full WAL (parallel across
+//	             lock stripes), and loading a snapshot plus empty tail.
 //
-// Both arms run on real files in a temp directory; fsync cost is the
-// machine's, so absolute numbers vary but the A/B ratios are what the
-// acceptance thresholds bind.
+// The store runs on real files in a temp directory; fsync cost is the
+// machine's, so absolute numbers vary.
 
 package bench
 
 import (
-	"bufio"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -55,9 +46,9 @@ type PersistConfig struct {
 	// RecoveryRecords is the history length for the recovery comparison.
 	RecoveryRecords int
 	// RecoveryKeys is the number of distinct keys the recovery history
-	// cycles over. Records/Keys is the update factor: both text-AOF parse
-	// and full-WAL replay scale with the record count, snapshot load with
-	// the live key count — the gap is exactly what snapshots buy.
+	// cycles over. Records/Keys is the update factor: full-WAL replay
+	// scales with the record count, snapshot load with the live key count —
+	// the gap is exactly what snapshots buy.
 	RecoveryKeys int
 	// ValueBytes sizes each Set value.
 	ValueBytes int
@@ -80,9 +71,8 @@ func DefaultPersistConfig() PersistConfig {
 	}
 }
 
-// PersistRun is one (engine, policy, caller-count) throughput cell.
+// PersistRun is one (policy, caller-count) throughput cell.
 type PersistRun struct {
-	Engine      string  `json:"engine"` // "text-aof" or "wal"
 	Policy      string  `json:"policy"`
 	Callers     int     `json:"callers"`
 	Ops         int     `json:"ops"`
@@ -91,141 +81,23 @@ type PersistRun struct {
 	AllocsPerOp float64 `json:"allocs_per_op"` // filled on single-caller cells
 }
 
-// RecoveryRun is one engine's cold-start cost over the same history.
+// RecoveryRun is one cold-start path's cost over the same history.
 type RecoveryRun struct {
-	Engine  string  `json:"engine"` // "text-aof", "wal-replay", "wal-snapshot"
+	Engine  string  `json:"engine"` // "wal-replay" or "wal-snapshot"
 	Records int     `json:"records"`
 	LoadMs  float64 `json:"load_ms"`
 }
 
-// PersistResult carries every cell plus the headline ratios the
-// acceptance criteria bind.
+// PersistResult carries every cell plus the snapshot headline ratio.
 type PersistResult struct {
 	Runs     []PersistRun  `json:"runs"`
 	Recovery []RecoveryRun `json:"recovery"`
-	// AlwaysSpeedup is WAL/text-AOF throughput at fsync=always and the
-	// highest caller count — the group-commit headline.
-	AlwaysSpeedup float64 `json:"always_speedup_concurrent"`
-	// AllocsReduction is the fractional single-caller allocs/op saving of
-	// the WAL write path over the text AOF (0.4 = 40% fewer).
-	AllocsReduction float64 `json:"allocs_reduction"`
 	// SnapshotSpeedup is full-WAL-replay time over snapshot-load time for
 	// the RecoveryRecords history.
 	SnapshotSpeedup float64       `json:"snapshot_recovery_speedup"`
 	Config          PersistConfig `json:"config"`
 	// Meta is stamped by WritePersistJSON.
 	Meta Meta `json:"meta"`
-}
-
-// legacyAOF replicates the v1 kvstore persistence path closely enough to
-// be a fair baseline: a single mutex around an in-memory map and a
-// buffered text AOF of base64 records, flushed+fsynced per record under
-// "always", once a second under "interval", and only at close under
-// "never". (The v1 store had per-stripe data locks but serialized every
-// append through one log mutex; collapsing both into one mutex changes
-// nothing measurable when the log write dominates.)
-type legacyAOF struct {
-	mu     sync.Mutex
-	m      map[string][]byte
-	f      *os.File
-	w      *bufio.Writer
-	policy string
-	stop   chan struct{}
-	done   chan struct{}
-}
-
-func openLegacyAOF(path, policy string) (*legacyAOF, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
-	if err != nil {
-		return nil, err
-	}
-	s := &legacyAOF{
-		m: make(map[string][]byte), f: f, w: bufio.NewWriter(f),
-		policy: policy, stop: make(chan struct{}), done: make(chan struct{}),
-	}
-	if policy == "interval" {
-		go s.intervalSync()
-	} else {
-		close(s.done)
-	}
-	return s, nil
-}
-
-func (s *legacyAOF) intervalSync() {
-	defer close(s.done)
-	t := time.NewTicker(time.Second)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			s.mu.Lock()
-			s.w.Flush()
-			s.f.Sync()
-			s.mu.Unlock()
-		case <-s.stop:
-			return
-		}
-	}
-}
-
-func (s *legacyAOF) set(key, value []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[string(key)] = value
-	enc := base64.StdEncoding
-	if _, err := fmt.Fprintf(s.w, "SET %s %s\n", enc.EncodeToString(key), enc.EncodeToString(value)); err != nil {
-		return err
-	}
-	if s.policy == "always" {
-		if err := s.w.Flush(); err != nil {
-			return err
-		}
-		return s.f.Sync()
-	}
-	return nil
-}
-
-// load parses the AOF back into memory — the v1 Open path.
-func (s *legacyAOF) load(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	scanner := bufio.NewScanner(f)
-	scanner.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for scanner.Scan() {
-		op, rest, ok := strings.Cut(scanner.Text(), " ")
-		if !ok || op != "SET" {
-			return fmt.Errorf("bench: malformed legacy record %q", scanner.Text())
-		}
-		k64, v64, ok := strings.Cut(rest, " ")
-		if !ok {
-			return fmt.Errorf("bench: malformed legacy record %q", scanner.Text())
-		}
-		key, err := base64.StdEncoding.DecodeString(k64)
-		if err != nil {
-			return err
-		}
-		val, err := base64.StdEncoding.DecodeString(v64)
-		if err != nil {
-			return err
-		}
-		s.m[string(key)] = val
-	}
-	return scanner.Err()
-}
-
-func (s *legacyAOF) close() error {
-	if s.policy == "interval" {
-		close(s.stop)
-		<-s.done
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.w.Flush()
-	s.f.Sync()
-	return s.f.Close()
 }
 
 // persistKeys materializes the key/value population outside the timed
@@ -275,44 +147,26 @@ func persistPhase(callers, total int, op func(i int) error) (time.Duration, uint
 	return elapsed, m1.Mallocs - m0.Mallocs, nil
 }
 
-// runPersistCell measures one (engine, policy, callers) cell on a fresh
-// store in a fresh directory.
-func runPersistCell(cfg PersistConfig, dir, engine, policy string, callers int) (PersistRun, error) {
-	run := PersistRun{Engine: engine, Policy: policy, Callers: callers, Ops: cfg.Inserts}
+// runPersistCell measures one (policy, callers) cell on a fresh store in
+// a fresh directory.
+func runPersistCell(cfg PersistConfig, dir, policy string, callers int) (PersistRun, error) {
+	run := PersistRun{Policy: policy, Callers: callers, Ops: cfg.Inserts}
 	keys, vals := persistKeys(cfg.Inserts, cfg.ValueBytes, cfg.Seed)
-
-	var op func(i int) error
-	var closeStore func() error
-	switch engine {
-	case "text-aof":
-		s, err := openLegacyAOF(filepath.Join(dir, "index.aof"), policy)
-		if err != nil {
-			return run, err
-		}
-		op = func(i int) error { return s.set(keys[i], vals[i]) }
-		closeStore = s.close
-	case "wal":
-		fsync, err := wal.ParsePolicy(policy)
-		if err != nil {
-			return run, err
-		}
-		s, err := kvstore.Open(filepath.Join(dir, "index"), kvstore.Options{Fsync: fsync})
-		if err != nil {
-			return run, err
-		}
-		op = func(i int) error { return s.Set(keys[i], vals[i]) }
-		closeStore = s.Close
-	default:
-		return run, fmt.Errorf("bench: unknown persist engine %q", engine)
-	}
-
-	elapsed, allocs, err := persistPhase(callers, cfg.Inserts, op)
-	cerr := closeStore()
+	fsync, err := wal.ParsePolicy(policy)
 	if err != nil {
-		return run, fmt.Errorf("bench: persist %s/%s/%d: %w", engine, policy, callers, err)
+		return run, err
+	}
+	s, err := kvstore.Open(filepath.Join(dir, "index"), kvstore.Options{Fsync: fsync})
+	if err != nil {
+		return run, err
+	}
+	elapsed, allocs, err := persistPhase(callers, cfg.Inserts, func(i int) error { return s.Set(keys[i], vals[i]) })
+	cerr := s.Close()
+	if err != nil {
+		return run, fmt.Errorf("bench: persist %s/%d: %w", policy, callers, err)
 	}
 	if cerr != nil {
-		return run, fmt.Errorf("bench: persist %s/%s/%d close: %w", engine, policy, callers, cerr)
+		return run, fmt.Errorf("bench: persist %s/%d close: %w", policy, callers, cerr)
 	}
 	if elapsed > 0 {
 		run.Throughput = float64(run.Ops) / elapsed.Seconds()
@@ -324,8 +178,8 @@ func runPersistCell(cfg PersistConfig, dir, engine, policy string, callers int) 
 	return run, nil
 }
 
-// runRecovery builds one RecoveryRecords-record history per engine and
-// times the cold start. fsync=never keeps history construction fast; the
+// runRecovery builds one RecoveryRecords-record history and times the
+// cold start both ways. fsync=never keeps history construction fast; the
 // recovery path is identical regardless of how the log was synced.
 func runRecovery(cfg PersistConfig, dir string) ([]RecoveryRun, error) {
 	keys, vals := persistKeys(cfg.RecoveryKeys, cfg.ValueBytes, cfg.Seed+1)
@@ -333,33 +187,8 @@ func runRecovery(cfg PersistConfig, dir string) ([]RecoveryRun, error) {
 	val := func(i int) []byte { return vals[(i/cfg.RecoveryKeys)%cfg.RecoveryKeys] }
 	var runs []RecoveryRun
 
-	// v1 text AOF: write the history, then time the parse.
-	aofPath := filepath.Join(dir, "legacy.aof")
-	legacy, err := openLegacyAOF(aofPath, "never")
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < cfg.RecoveryRecords; i++ {
-		if err := legacy.set(key(i), val(i)); err != nil {
-			return nil, err
-		}
-	}
-	if err := legacy.close(); err != nil {
-		return nil, err
-	}
-	cold := &legacyAOF{m: make(map[string][]byte)}
-	t0 := time.Now()
-	if err := cold.load(aofPath); err != nil {
-		return nil, err
-	}
-	legacyMs := float64(time.Since(t0).Microseconds()) / 1000
-	if len(cold.m) != cfg.RecoveryKeys {
-		return nil, fmt.Errorf("bench: legacy recovery loaded %d keys, want %d", len(cold.m), cfg.RecoveryKeys)
-	}
-	runs = append(runs, RecoveryRun{Engine: "text-aof", Records: cfg.RecoveryRecords, LoadMs: legacyMs})
-
-	// WAL: write the same history once, time a full-log replay, then
-	// snapshot (Compact) and time the snapshot-load start.
+	// Write the history once, time a full-log replay, then snapshot
+	// (Compact) and time the snapshot-load start.
 	walPath := filepath.Join(dir, "walstore")
 	s, err := kvstore.Open(walPath, kvstore.Options{Fsync: wal.FsyncNever})
 	if err != nil {
@@ -420,27 +249,21 @@ func RunPersist(ctx context.Context, cfg PersistConfig) (PersistResult, error) {
 	defer os.RemoveAll(root)
 
 	r := PersistResult{Config: cfg}
-	cells := make(map[string]PersistRun)
-	cell := 0
-	for _, engine := range []string{"text-aof", "wal"} {
-		for _, policy := range cfg.Policies {
-			for _, callers := range cfg.CallerCounts {
-				if callers < 1 {
-					return PersistResult{}, fmt.Errorf("bench: caller count must be >= 1 (got %d)", callers)
-				}
-				cell++
-				dir := filepath.Join(root, fmt.Sprintf("cell-%d", cell))
-				if err := os.MkdirAll(dir, 0o700); err != nil {
-					return PersistResult{}, err
-				}
-				fmt.Fprintf(os.Stderr, "  %s, fsync=%s, %d caller(s)...\n", engine, policy, callers)
-				run, err := runPersistCell(cfg, dir, engine, policy, callers)
-				if err != nil {
-					return PersistResult{}, err
-				}
-				r.Runs = append(r.Runs, run)
-				cells[fmt.Sprintf("%s/%s/%d", engine, policy, callers)] = run
+	for _, policy := range cfg.Policies {
+		for _, callers := range cfg.CallerCounts {
+			if callers < 1 {
+				return PersistResult{}, fmt.Errorf("bench: caller count must be >= 1 (got %d)", callers)
 			}
+			dir := filepath.Join(root, fmt.Sprintf("cell-%d", len(r.Runs)+1))
+			if err := os.MkdirAll(dir, 0o700); err != nil {
+				return PersistResult{}, err
+			}
+			fmt.Fprintf(os.Stderr, "  fsync=%s, %d caller(s)...\n", policy, callers)
+			run, err := runPersistCell(cfg, dir, policy, callers)
+			if err != nil {
+				return PersistResult{}, err
+			}
+			r.Runs = append(r.Runs, run)
 		}
 	}
 
@@ -454,17 +277,6 @@ func RunPersist(ctx context.Context, cfg PersistConfig) (PersistResult, error) {
 		return PersistResult{}, err
 	}
 
-	top := cfg.CallerCounts[len(cfg.CallerCounts)-1]
-	if legacy, ok := cells[fmt.Sprintf("text-aof/always/%d", top)]; ok {
-		if w, ok := cells[fmt.Sprintf("wal/always/%d", top)]; ok && legacy.Throughput > 0 {
-			r.AlwaysSpeedup = w.Throughput / legacy.Throughput
-		}
-	}
-	if legacy, ok := cells["text-aof/always/1"]; ok {
-		if w, ok := cells["wal/always/1"]; ok && legacy.AllocsPerOp > 0 {
-			r.AllocsReduction = 1 - w.AllocsPerOp/legacy.AllocsPerOp
-		}
-	}
 	rec := make(map[string]RecoveryRun)
 	for _, run := range r.Recovery {
 		rec[run.Engine] = run
@@ -485,28 +297,25 @@ func WritePersistJSON(r PersistResult, path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// FormatPersist renders the policy grid plus the headline ratios.
+// FormatPersist renders the policy grid plus the snapshot headline.
 func FormatPersist(r PersistResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Persistence experiment (%d Set ops per cell, %dB values, recovery over %d records / %d live keys)\n\n",
 		r.Config.Inserts, r.Config.ValueBytes, r.Config.RecoveryRecords, r.Config.RecoveryKeys)
-	fmt.Fprintf(&b, "%10s %10s %8s %12s %12s %12s\n", "engine", "fsync", "callers", "ops/s", "ns/op", "allocs/op")
+	fmt.Fprintf(&b, "%10s %8s %12s %12s %12s\n", "fsync", "callers", "ops/s", "ns/op", "allocs/op")
 	for _, run := range r.Runs {
 		allocs := "-"
 		if run.AllocsPerOp > 0 {
 			allocs = fmt.Sprintf("%.1f", run.AllocsPerOp)
 		}
-		fmt.Fprintf(&b, "%10s %10s %8d %12.1f %12.1f %12s\n",
-			run.Engine, run.Policy, run.Callers, run.Throughput, run.NsPerOp, allocs)
+		fmt.Fprintf(&b, "%10s %8d %12.1f %12.1f %12s\n",
+			run.Policy, run.Callers, run.Throughput, run.NsPerOp, allocs)
 	}
 	fmt.Fprintf(&b, "\ncold-start recovery:\n")
 	fmt.Fprintf(&b, "%14s %10s %10s\n", "engine", "records", "load ms")
 	for _, run := range r.Recovery {
 		fmt.Fprintf(&b, "%14s %10d %10.1f\n", run.Engine, run.Records, run.LoadMs)
 	}
-	fmt.Fprintf(&b, "\nwal vs text-aof: %.1fx durable-insert throughput at fsync=always with %d callers, "+
-		"%.1f%% fewer allocs/op; snapshot recovery %.1fx faster than full-log replay\n",
-		r.AlwaysSpeedup, r.Config.CallerCounts[len(r.Config.CallerCounts)-1],
-		100*r.AllocsReduction, r.SnapshotSpeedup)
+	fmt.Fprintf(&b, "\nsnapshot recovery %.1fx faster than full-log replay\n", r.SnapshotSpeedup)
 	return b.String()
 }

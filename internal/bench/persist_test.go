@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestRunPersistSmoke runs a miniature persistence A/B and checks the
-// result's shape: every (engine, policy, callers) cell present with
-// positive throughput, single-caller cells carrying allocation counts,
-// all three recovery arms measured over the configured history, and the
-// headline ratios populated. Magnitude thresholds live in the full
+// TestRunPersistSmoke runs a miniature persistence experiment and checks
+// the result's shape: every (policy, callers) cell present with positive
+// throughput, single-caller cells carrying allocation counts, both
+// recovery arms measured over the configured history, and the headline
+// ratio populated. Magnitude thresholds live in the full
 // blinderbench run, not here — a 2-core CI runner at toy scale proves
 // shape, not speedups.
 func TestRunPersistSmoke(t *testing.T) {
@@ -26,20 +26,20 @@ func TestRunPersistSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCells := 2 * len(cfg.Policies) * len(cfg.CallerCounts)
+	wantCells := len(cfg.Policies) * len(cfg.CallerCounts)
 	if len(r.Runs) != wantCells {
 		t.Fatalf("got %d cells, want %d", len(r.Runs), wantCells)
 	}
 	for _, run := range r.Runs {
 		if run.Ops != cfg.Inserts || run.Throughput <= 0 || run.NsPerOp <= 0 {
-			t.Errorf("%s/%s/%d: bad accounting %+v", run.Engine, run.Policy, run.Callers, run)
+			t.Errorf("%s/%d: bad accounting %+v", run.Policy, run.Callers, run)
 		}
 		if run.Callers == 1 && run.AllocsPerOp <= 0 {
-			t.Errorf("%s/%s/1: missing allocs/op", run.Engine, run.Policy)
+			t.Errorf("%s/1: missing allocs/op", run.Policy)
 		}
 	}
-	if len(r.Recovery) != 3 {
-		t.Fatalf("got %d recovery runs, want 3", len(r.Recovery))
+	if len(r.Recovery) != 2 {
+		t.Fatalf("got %d recovery runs, want 2", len(r.Recovery))
 	}
 	engines := map[string]bool{}
 	for _, run := range r.Recovery {
@@ -48,17 +48,12 @@ func TestRunPersistSmoke(t *testing.T) {
 			t.Errorf("recovery %s: bad accounting %+v", run.Engine, run)
 		}
 	}
-	for _, e := range []string{"text-aof", "wal-replay", "wal-snapshot"} {
+	for _, e := range []string{"wal-replay", "wal-snapshot"} {
 		if !engines[e] {
 			t.Errorf("recovery arm %s missing", e)
 		}
 	}
-	if r.AlwaysSpeedup <= 0 || r.SnapshotSpeedup <= 0 {
-		t.Errorf("headline ratios not populated: %+v", r)
-	}
-	// The WAL write path must allocate less than the base64+Sprintf text
-	// path per durable Set — that inequality holds at any scale.
-	if r.AllocsReduction <= 0 {
-		t.Errorf("allocs reduction %.3f, want > 0", r.AllocsReduction)
+	if r.SnapshotSpeedup <= 0 {
+		t.Errorf("headline ratio not populated: %+v", r)
 	}
 }

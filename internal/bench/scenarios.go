@@ -17,7 +17,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"sync/atomic"
 	"time"
 
@@ -78,15 +77,13 @@ type countingConn struct {
 func (c countingConn) Call(ctx context.Context, service, method string, args, reply any) error {
 	switch {
 	case service == transport.BatchService:
-		// The sub-request type is private to transport; read its Service
-		// field so document sub-calls merged into a batch stay uncounted,
-		// as they are when sent alone. (Counting them made the total depend
-		// on how often the coalescer happened to batch a doc write.)
-		if v := reflect.ValueOf(args); v.Kind() == reflect.Slice {
-			for i := 0; i < v.Len(); i++ {
-				if f := v.Index(i).FieldByName("Service"); !f.IsValid() || f.String() != cloud.DocService {
-					atomic.AddInt64(c.indexOps, 1)
-				}
+		// Document sub-calls merged into a batch stay uncounted, as they
+		// are when sent alone. (Counting them made the total depend on how
+		// often the coalescer happened to batch a doc write.)
+		calls, _ := args.([]transport.BatchCall)
+		for _, call := range calls {
+			if call.Service != cloud.DocService {
+				atomic.AddInt64(c.indexOps, 1)
 			}
 		}
 	case service != cloud.DocService:

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"reflect"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -153,10 +152,8 @@ func (c *nodeConn) Call(ctx context.Context, service, method string, args, reply
 	defer func() { <-c.slots }()
 	if c.service > 0 {
 		cost := c.service
-		if service == transport.BatchService {
-			if v := reflect.ValueOf(args); v.Kind() == reflect.Slice && v.Len() > 1 {
-				cost = time.Duration(v.Len()) * c.service
-			}
+		if calls, ok := args.([]transport.BatchCall); ok && len(calls) > 1 {
+			cost = time.Duration(len(calls)) * c.service
 		}
 		// BIEX insert batches get the same per-operation accounting: one
 		// RPC carries a whole per-shard group of index cells, and a real

@@ -75,7 +75,7 @@ func TestNodeConnBatchCost(t *testing.T) {
 	}
 
 	t0 = time.Now()
-	if err := nc.Call(context.Background(), transport.BatchService, transport.BatchMethod, []int{1, 2, 3}, nil); err != nil {
+	if err := nc.Call(context.Background(), transport.BatchService, transport.BatchMethod, make([]transport.BatchCall, 3), nil); err != nil {
 		t.Fatal(err)
 	}
 	if batched := time.Since(t0); batched < 3*quantum {

@@ -111,8 +111,7 @@ type StatsReply struct {
 // Options configures a cloud node.
 type Options struct {
 	// KVPath enables WAL persistence for the index store (a directory of
-	// log segments; a v1 text AOF at this path or at KVPath+".aof" is
-	// migrated on first open).
+	// log segments).
 	KVPath string
 	// DocDir enables WAL persistence for the document store.
 	DocDir string
@@ -136,11 +135,7 @@ func NewNode(opts Options) (*Node, error) {
 	}
 	var kv *kvstore.Store
 	if opts.KVPath != "" {
-		kv, err = kvstore.Open(opts.KVPath, kvstore.Options{
-			Fsync: fsync,
-			// Pre-WAL cloud layouts kept the text AOF beside the doc dir.
-			LegacyAOF: opts.KVPath + ".aof",
-		})
+		kv, err = kvstore.Open(opts.KVPath, kvstore.Options{Fsync: fsync})
 		if err != nil {
 			return nil, fmt.Errorf("cloud: opening kv store: %w", err)
 		}

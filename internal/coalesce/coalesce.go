@@ -68,8 +68,9 @@ const (
 // defaults above.
 type Options struct {
 	// Disabled routes every call straight through to the underlying
-	// connection — the pre-coalescing behavior, kept as the benchmark and
-	// debugging baseline.
+	// connection. A caller that composes its own coalescer chain under the
+	// engine (the traced harness in benchmark/cmd/dblayers) sets it so the
+	// engine does not stack a second one on top; see DESIGN.md §6.
 	Disabled bool
 	// MaxCalls flushes when this many sub-calls are queued (0 = default).
 	MaxCalls int
@@ -134,8 +135,8 @@ func classify(service, method string) opClass {
 // entry is one caller's queued sub-call plus its completion future. The
 // payload is pre-encoded with the underlying connection's wire codec at
 // enqueue time (exact byte accounting, byte-level dedup keys, encode-once
-// flushes); args is retained so the flush can re-encode if the socket's
-// codec changes underneath the queue.
+// flushes); args is retained so the transport can re-encode for a socket
+// that did not negotiate the method.
 type entry struct {
 	service, method string
 	payload         []byte
@@ -310,10 +311,8 @@ func (c *Conn) gatherReadyLocked() bool {
 func (c *Conn) add(codec transport.WireCodec, service, method string, payload []byte, typed bool, args any, cls opClass) (e *entry, ok bool) {
 	var key string
 	if cls == opRead || cls == opGet {
-		// The codec name keys the byte-level dedup: identical reads encode
-		// identically under one codec, and payloads from different codecs
-		// must never be conflated.
-		key = service + "." + method + "\x00" + codec.Name() + "\x00" + string(payload)
+		// Byte-level dedup: identical reads encode identically.
+		key = service + "." + method + "\x00" + string(payload)
 	}
 	c.mu.Lock()
 	if c.closed {

@@ -211,23 +211,34 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-func TestOpenRejectsCorruptSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "obs.json"), []byte("{not json"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir); err == nil {
-		t.Fatal("Open accepted corrupt snapshot")
-	}
-}
-
+// TestOpenIgnoresForeignFiles: only the log's own segment and snapshot
+// files are state. Anything else in the directory — including *.json
+// files, whatever they hold — is neither read nor touched.
 func TestOpenIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
-	os.WriteFile(filepath.Join(dir, "README.txt"), []byte("hi"), 0o600)
+	foreign := map[string][]byte{
+		"README.txt": []byte("hi"),
+		"obs.json":   []byte(`[{"id":"a","blob":"Yg=="}]`),
+		"bad.json":   []byte("{not json"),
+	}
+	for name, content := range foreign {
+		if err := os.WriteFile(filepath.Join(dir, name), content, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
 	os.MkdirAll(filepath.Join(dir, "subdir"), 0o700)
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatalf("Open with foreign files: %v", err)
 	}
+	if names, err := s.Collections(); err != nil || len(names) != 0 {
+		t.Fatalf("store opened with collections %v (%v), want empty", names, err)
+	}
 	s.Close()
+	for name, content := range foreign {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || !bytes.Equal(got, content) {
+			t.Fatalf("%s changed by Open/Close: %q, %v", name, got, err)
+		}
+	}
 }

@@ -1,6 +1,5 @@
 // WAL-backed persistence for the document store: per-mutation log records
-// (put/delete), snapshot-as-compaction, and a one-shot migration from the
-// v1 layout of Close-time JSON snapshot files.
+// (put/delete) and snapshot-as-compaction.
 //
 // Frame format: one op byte, then collection and id as wirefmt strings,
 // then (for puts) the blob. A snapshot payload concatenates
@@ -9,11 +8,8 @@
 package docstore
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -55,8 +51,6 @@ func (o Options) withDefaults() Options {
 }
 
 // Open returns a store persisted under dir, replaying any existing state.
-// v1 "<collection>.json" snapshot files found in an otherwise-empty dir
-// are migrated into the log and retired with a ".migrated" suffix.
 func Open(dir string, options ...Options) (*Store, error) {
 	var opts Options
 	if len(options) > 0 {
@@ -74,71 +68,18 @@ func Open(dir string, options ...Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("docstore: %w", err)
 	}
-	migrated := false
-	if l.Empty() {
-		migrated, err = s.loadLegacyJSON(dir)
-		if err != nil {
-			l.Close()
-			return nil, err
-		}
-	}
 	if err := s.recover(l); err != nil {
 		l.Close()
 		return nil, err
 	}
 	s.wal = l
 	s.seq = l.MaxSeq()
-	if migrated {
-		// Persist the migrated collections immediately: the retired JSON
-		// files are never read again.
-		if err := s.Snapshot(); err != nil {
-			l.Close()
-			return nil, err
-		}
-	}
 	return s, nil
 }
 
 // WAL exposes the underlying log for stats, benchmarks, and the planned
 // replica catch-up protocol. Nil for in-memory stores.
 func (s *Store) WAL() *wal.Log { return s.wal }
-
-// loadLegacyJSON loads v1 per-collection snapshot files, retiring each
-// with a ".migrated" suffix. A corrupt file fails the open untouched.
-func (s *Store) loadLegacyJSON(dir string) (bool, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false, fmt.Errorf("docstore: reading snapshot dir: %w", err)
-	}
-	var loaded []string
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".json" {
-			continue
-		}
-		name := e.Name()[:len(e.Name())-len(".json")]
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return false, fmt.Errorf("docstore: reading snapshot %s: %w", e.Name(), err)
-		}
-		var recs []Record
-		if err := json.Unmarshal(data, &recs); err != nil {
-			return false, fmt.Errorf("docstore: decoding snapshot %s: %w", e.Name(), err)
-		}
-		col := make(map[string][]byte, len(recs))
-		for _, r := range recs {
-			col[r.ID] = r.Blob
-		}
-		s.collections[name] = col
-		loaded = append(loaded, e.Name())
-	}
-	for _, name := range loaded {
-		p := filepath.Join(dir, name)
-		if err := os.Rename(p, p+".migrated"); err != nil {
-			return false, fmt.Errorf("docstore: retiring snapshot %s: %w", name, err)
-		}
-	}
-	return len(loaded) > 0, nil
-}
 
 // claimLocked reserves the next commit sequence and registers an in-flight
 // append; the caller holds mu exclusively.

@@ -1,6 +1,5 @@
 // WAL-backed persistence: the binary op codec, recovery (snapshot +
-// parallel tail replay), background snapshot/compaction, and migration
-// from the v1 text append-only file.
+// parallel tail replay), and background snapshot/compaction.
 //
 // Frame format: one op byte followed by wirefmt fields, key first — the
 // key leads so recovery can route a frame to its lock stripe without
@@ -12,7 +11,6 @@ package kvstore
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -55,11 +53,6 @@ type Options struct {
 	// CompactBytes triggers a background snapshot once the sealed log
 	// exceeds this size (0 = 64 MiB; negative disables auto-compaction).
 	CompactBytes int64
-	// LegacyAOF names a v1 text append-only file to migrate when the WAL
-	// directory is empty (the old cloud layout kept "<dir>/index.aof"
-	// beside the doc directory). The path itself is also checked: if it is
-	// a regular file, it is treated as a v1 AOF and migrated in place.
-	LegacyAOF string
 }
 
 func (o Options) withDefaults() Options {
@@ -70,9 +63,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Open returns a store persisted under path (a directory of log segments
-// and snapshots; created if missing), replaying any existing state. A v1
-// text AOF — either at path itself or at Options.LegacyAOF — is migrated
-// into the log on first open and retired with a suffix rename.
+// and snapshots; created if missing), replaying any existing state.
 func Open(path string, options ...Options) (*Store, error) {
 	var opts Options
 	if len(options) > 0 {
@@ -81,19 +72,6 @@ func Open(path string, options ...Options) (*Store, error) {
 	opts = opts.withDefaults()
 	s := New()
 	s.opts = opts
-
-	migrated := false
-	if fi, err := os.Stat(path); err == nil && fi.Mode().IsRegular() {
-		// v1 layout: path is the text AOF itself. Parse before renaming so
-		// a corrupt file is rejected untouched.
-		if err := s.loadLegacyAOF(path); err != nil {
-			return nil, err
-		}
-		if err := os.Rename(path, path+".legacy"); err != nil {
-			return nil, fmt.Errorf("kvstore: retiring legacy AOF: %w", err)
-		}
-		migrated = true
-	}
 
 	l, err := wal.Open(path, wal.Options{
 		Fsync:        opts.Fsync,
@@ -104,33 +82,12 @@ func Open(path string, options ...Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: %w", err)
 	}
-	if !migrated && opts.LegacyAOF != "" && l.Empty() {
-		if fi, err := os.Stat(opts.LegacyAOF); err == nil && fi.Mode().IsRegular() {
-			if err := s.loadLegacyAOF(opts.LegacyAOF); err != nil {
-				l.Close()
-				return nil, err
-			}
-			if err := os.Rename(opts.LegacyAOF, opts.LegacyAOF+".migrated"); err != nil {
-				l.Close()
-				return nil, fmt.Errorf("kvstore: retiring legacy AOF: %w", err)
-			}
-			migrated = true
-		}
-	}
 	if err := s.recover(l); err != nil {
 		l.Close()
 		return nil, err
 	}
 	s.wal = l
 	s.seq.Store(l.MaxSeq())
-	if migrated {
-		// Persist the migrated state immediately: the retired text file is
-		// never read again, so the log must own a full copy from day one.
-		if err := s.Compact(); err != nil {
-			l.Close()
-			return nil, fmt.Errorf("kvstore: snapshotting migrated state: %w", err)
-		}
-	}
 	return s, nil
 }
 

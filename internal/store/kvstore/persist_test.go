@@ -3,7 +3,6 @@ package kvstore
 import (
 	"bufio"
 	"bytes"
-	"encoding/base64"
 	"fmt"
 	"os"
 	"os/exec"
@@ -16,95 +15,30 @@ import (
 	"datablinder/internal/store/wal"
 )
 
-// b64 builds a v1 text-AOF record from raw arguments.
-func b64rec(op string, args ...[]byte) string {
-	parts := []string{op}
-	for _, a := range args {
-		parts = append(parts, base64.StdEncoding.EncodeToString(a))
-	}
-	return strings.Join(parts, " ")
-}
-
-func TestLegacyMigrationInPlace(t *testing.T) {
+// TestOpenOnRegularFileFailsAndLeavesIt: the WAL directory is the only
+// on-disk format. A regular file at the store path — whatever wrote it —
+// is not read, converted or moved aside: Open fails naming the path and
+// the file stays byte-identical.
+func TestOpenOnRegularFileFailsAndLeavesIt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.aof")
-	v1 := strings.Join([]string{
-		b64rec("SET", []byte("k"), []byte("v")),
-		b64rec("HSET", []byte("h"), []byte("f"), []byte("hv")),
-		b64rec("SADD", []byte("s"), []byte("m")),
-		b64rec("INCR", []byte("c"), []byte("42")),
-		b64rec("ZADD", []byte("z"), []byte("\x01"), []byte("doc1")),
-	}, "\n") + "\n"
-	if err := os.WriteFile(path, []byte(v1), 0o600); err != nil {
+	content := []byte("SET aw== dg==\nnot a directory of log segments\n")
+	if err := os.WriteFile(path, content, 0o600); err != nil {
 		t.Fatal(err)
 	}
-
 	s, err := Open(path)
-	if err != nil {
-		t.Fatalf("Open over v1 AOF: %v", err)
+	if err == nil {
+		s.Close()
+		t.Fatal("Open succeeded on a regular file")
 	}
-	if v, ok, _ := s.Get([]byte("k")); !ok || string(v) != "v" {
-		t.Fatalf("migrated string = %q, %v", v, ok)
+	if !strings.Contains(err.Error(), path) {
+		t.Fatalf("error %q does not name the path %s", err, path)
 	}
-	if c, _ := s.Counter([]byte("c")); c != 42 {
-		t.Fatalf("migrated counter = %d", c)
+	got, rerr := os.ReadFile(path)
+	if rerr != nil || !bytes.Equal(got, content) {
+		t.Fatalf("file changed by the failed Open: %q, %v", got, rerr)
 	}
-	// New writes must persist through the WAL.
-	if err := s.Set([]byte("post"), []byte("migration")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
-		t.Fatalf("path is not a WAL directory after migration: %v %v", fi, err)
-	}
-	if _, err := os.Stat(path + ".legacy"); err != nil {
-		t.Fatalf("legacy AOF not retired: %v", err)
-	}
-
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatalf("reopen after migration: %v", err)
-	}
-	defer s2.Close()
-	if v, ok, _ := s2.Get([]byte("post")); !ok || string(v) != "migration" {
-		t.Fatalf("post-migration write lost: %q, %v", v, ok)
-	}
-	if v, ok, _ := s2.HGet([]byte("h"), []byte("f")); !ok || string(v) != "hv" {
-		t.Fatalf("migrated hash lost on second open: %q, %v", v, ok)
-	}
-	if z, _ := s2.ZCard([]byte("z")); z != 1 {
-		t.Fatalf("migrated zset lost: card=%d", z)
-	}
-}
-
-func TestLegacyMigrationSidecar(t *testing.T) {
-	// The old cloud layout: WAL dir at <dir>/index, v1 AOF at <dir>/index.aof.
-	dir := t.TempDir()
-	legacy := filepath.Join(dir, "index.aof")
-	if err := os.WriteFile(legacy, []byte(b64rec("SET", []byte("k"), []byte("v"))+"\n"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(filepath.Join(dir, "index"), Options{LegacyAOF: legacy})
-	if err != nil {
-		t.Fatalf("Open with LegacyAOF: %v", err)
-	}
-	if v, ok, _ := s.Get([]byte("k")); !ok || string(v) != "v" {
-		t.Fatalf("sidecar migration = %q, %v", v, ok)
-	}
-	s.Close()
-	if _, err := os.Stat(legacy + ".migrated"); err != nil {
-		t.Fatalf("sidecar AOF not retired: %v", err)
-	}
-	// Second open must not re-apply the retired file.
-	s2, err := Open(filepath.Join(dir, "index"), Options{LegacyAOF: legacy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if v, ok, _ := s2.Get([]byte("k")); !ok || string(v) != "v" {
-		t.Fatalf("state lost after sidecar migration: %q, %v", v, ok)
+	if matches, _ := filepath.Glob(path + ".*"); len(matches) != 0 {
+		t.Fatalf("failed Open left files beside the path: %v", matches)
 	}
 }
 

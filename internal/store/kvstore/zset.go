@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"bytes"
-	"fmt"
 	"sort"
 )
 
@@ -161,27 +160,4 @@ func (s *Store) ZCard(key []byte) (int, error) {
 		return 0, ErrClosed
 	}
 	return len(sh.zsets[string(key)]), nil
-}
-
-// replayZ applies ZADD/ZREM v1 AOF records; called from replay.
-func (s *Store) replayZ(op string, key []byte, parts []string) error {
-	if len(parts) < 4 {
-		return fmt.Errorf("malformed %s record", op)
-	}
-	score, err := dec(parts[2])
-	if err != nil {
-		return err
-	}
-	member, err := dec(parts[3])
-	if err != nil {
-		return err
-	}
-	sh := s.shard(key)
-	switch op {
-	case "ZADD":
-		sh.zinsert(string(key), score, member)
-	case "ZREM":
-		sh.zremove(string(key), score, member)
-	}
-	return nil
 }

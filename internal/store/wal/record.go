@@ -5,11 +5,10 @@
 //
 // where the CRC covers the encoded header and the payload, so a torn or
 // bit-flipped length is caught exactly like a torn payload. Raw bytes ride
-// as raw bytes — no base64, unlike the v1 text AOF — and the sequence
-// number is the *store's* commit order, not the file order: appends happen
-// outside the stores' stripe locks, so two records may land in the file
-// slightly out of sequence and recovery re-sorts per stripe before
-// applying.
+// as raw bytes, and the sequence number is the *store's* commit order, not
+// the file order: appends happen outside the stores' stripe locks, so two
+// records may land in the file slightly out of sequence and recovery
+// re-sorts per stripe before applying.
 //
 // The reader never trusts a decoded length before bounding it (a corrupt
 // 2^60 length must error, not allocate), never panics on malformed input,

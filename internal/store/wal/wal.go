@@ -145,7 +145,6 @@ type Log struct {
 	snapName string
 	maxSeq   uint64
 	segFiles []string // recovery worklist, cleared by Replay
-	wasEmpty bool     // no snapshot and no segments existed at Open
 
 	done chan struct{} // stops the interval syncer
 }
@@ -226,17 +225,12 @@ func Open(dir string, opts Options) (*Log, error) {
 			os.Remove(filepath.Join(dir, s))
 		}
 	}
-	l.wasEmpty = l.snapName == "" && len(l.segFiles) == 0
 	register(l)
 	return l, nil
 }
 
 // Dir returns the log's directory.
 func (l *Log) Dir() string { return l.dir }
-
-// Empty reports whether the directory held no snapshot and no segments at
-// Open — the condition under which stores run legacy-format migration.
-func (l *Log) Empty() bool { return l.wasEmpty }
 
 // MaxSeq returns the highest sequence recovered (snapshot covering seq or
 // any replayed record); the store resumes its sequence from here.

@@ -10,28 +10,28 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"datablinder/internal/wirefmt"
 )
 
-// BatchService is the reserved service every Mux serves; it executes a
-// slice of sub-requests received in one frame. The leading underscore
-// keeps it out of Services().
+// BatchService is the reserved service every Mux serves: a call to it
+// carries a batch payload ([]BatchCall on the client, encBatch on the wire)
+// whose sub-calls the peer executes in order (see wireExec).
 const (
 	BatchService = "_batch"
 	BatchMethod  = "exec"
+
+	batchName = BatchService + "." + BatchMethod
 )
 
 // BatchCall is one sub-call of a batch. Raw optionally carries the payload
 // pre-encoded by the connection's WireCodec (the coalescer encodes at
 // enqueue time for byte-accurate flush triggers); RawTyped says whether it
 // used the typed binary encoding. Args is still required alongside Raw so
-// the call can be re-encoded if the connection has since renegotiated to a
-// different codec.
+// the call can be re-encoded for a socket that did not negotiate the
+// method.
 type BatchCall struct {
 	Service  string
 	Method   string
@@ -42,8 +42,7 @@ type BatchCall struct {
 
 // BatchResult is one sub-call's outcome. Err is a *RemoteError when the
 // sub-handler failed; Payload is the encoded reply otherwise — JSON, or
-// the method's typed binary encoding when the batch rode codec v2 (Decode
-// handles both).
+// the method's typed binary encoding (Decode handles both).
 type BatchResult struct {
 	Err     error
 	Payload json.RawMessage
@@ -76,26 +75,6 @@ func (r BatchResult) Decode(reply any) error {
 	return nil
 }
 
-// execBatch is the mux's built-in handler for BatchService: it dispatches
-// every sub-request in order and returns the sub-responses. Sub-requests
-// run sequentially — the saving is the round trip, and in-order execution
-// preserves per-document index-update ordering for tactic protocols.
-func (m *Mux) execBatch(ctx context.Context, payload json.RawMessage) (any, error) {
-	var subs []request
-	if err := json.Unmarshal(payload, &subs); err != nil {
-		return nil, fmt.Errorf("transport: decoding batch: %w", err)
-	}
-	out := make([]response, len(subs))
-	for i := range subs {
-		if subs[i].Service == BatchService {
-			out[i] = response{Error: "transport: nested batch calls are not allowed"}
-			continue
-		}
-		out[i] = *m.dispatch(ctx, &subs[i])
-	}
-	return out, nil
-}
-
 // BatchCaller is implemented by connections that coalesce batch sub-calls
 // themselves (the gateway's per-shard write coalescer). CallBatch hands
 // such a connection the call list directly, so a caller-built batch merges
@@ -104,44 +83,23 @@ type BatchCaller interface {
 	CallBatch(ctx context.Context, calls []BatchCall) ([]BatchResult, error)
 }
 
-// maxBatchChunkBytes caps the estimated encoded size of the sub-requests
-// shipped in one _batch.exec frame. It leaves headroom under maxPooledBuf
-// (64 KiB) for the outer request envelope, so a coalesced mega-batch keeps
-// reusing pooled frame buffers instead of allocating past the pool cap.
-// A single sub-call larger than the cap still ships (in a chunk of its
-// own); only that frame's buffer escapes the pool, as it always has.
+// maxBatchChunkBytes caps the encoded size of the sub-calls shipped in one
+// _batch.exec frame. It leaves headroom under maxPooledBuf (64 KiB) for the
+// outer request envelope, so a coalesced mega-batch keeps reusing pooled
+// frame buffers instead of allocating past the pool cap. A single sub-call
+// larger than the cap still ships (in a chunk of its own); only that
+// frame's buffer escapes the pool.
 const maxBatchChunkBytes = 56 << 10
-
-// subRequestOverhead approximates one sub-request's JSON envelope (id,
-// service/method keys, quoting) for the v1 chunk-size estimate. Codec v2
-// needs no estimate: its sub-call envelopes are sized exactly
-// (WireCodec.SubSize), so chunks fill the byte budget instead of leaving
-// the JSON envelope's slack unused.
-const subRequestOverhead = 56
-
-// encodedSub is one sub-call with its payload encoded for the active
-// codec.
-type encodedSub struct {
-	service, method string
-	args            any
-	payload         []byte
-	typed           bool
-	size            int // exact (binary) or estimated (JSON) wire size
-}
-
-// chunkSender ships one pre-encoded batch chunk. Implemented by TCPClient
-// and Loopback; wrapper Conns fall back to the v1 []request JSON framing.
-type chunkSender interface {
-	sendBatchChunk(ctx context.Context, subs []encodedSub) ([]BatchResult, error)
-}
 
 // CallBatch executes calls over conn and returns one result per call, in
 // order. The connection's peer mux always supports it (the batch executor
-// is built into every Mux). Sub-call payloads are encoded once, with the
-// connection's active wire codec, and chunked by their exact encoded
-// sizes: batches that would exceed the frame-buffer pool cap split into
-// several sequential frames — still in order, so per-document index-update
-// ordering is preserved. Transport-level failures return a non-nil error;
+// is built into the protocol). Sub-call payloads are encoded once, with the
+// connection's wire codec, and chunked by their exact encoded sizes:
+// batches that would exceed the frame-buffer pool cap split into several
+// sequential calls — still in order, so per-document index-update ordering
+// is preserved. Each chunk is an ordinary conn.Call of BatchService with
+// []BatchCall args and a *[]BatchResult reply, which wrapper Conns forward
+// like any other call. Transport-level failures return a non-nil error;
 // per-call handler failures are reported in the corresponding BatchResult
 // only.
 func CallBatch(ctx context.Context, conn Conn, calls []BatchCall) ([]BatchResult, error) {
@@ -152,34 +110,30 @@ func CallBatch(ctx context.Context, conn Conn, calls []BatchCall) ([]BatchResult
 		return bc.CallBatch(ctx, calls)
 	}
 	codec := ConnCodec(conn)
-	binaryCodec := codec.Name() == "binary"
-	subs := make([]encodedSub, len(calls))
+	subs := make([]BatchCall, len(calls))
+	sizes := make([]int, len(calls))
 	for i, call := range calls {
-		sub := encodedSub{service: call.Service, method: call.Method, args: call.Args}
-		if call.Raw != nil && call.RawTyped == (call.RawTyped && binaryCodec) {
-			// The pre-encoded payload matches the active codec kind.
-			sub.payload, sub.typed = call.Raw, call.RawTyped
-		} else {
-			payload, typed, err := codec.EncodeArgs(call.Service, call.Method, call.Args)
+		if call.Raw == nil {
+			var err error
+			call.Raw, call.RawTyped, err = codec.EncodeArgs(call.Service, call.Method, call.Args)
 			if err != nil {
 				return nil, fmt.Errorf("transport: encoding batch args [%d]: %w", i, err)
 			}
-			sub.payload, sub.typed = payload, typed
 		}
-		sub.size = codec.SubSize(call.Service, call.Method, len(sub.payload))
-		subs[i] = sub
+		subs[i] = call
+		sizes[i] = codec.SubSize(call.Service, call.Method, len(call.Raw))
 	}
 	maxChunk := codec.MaxChunkBytes()
 	out := make([]BatchResult, 0, len(calls))
 	for start := 0; start < len(subs); {
 		end := start + 1
-		bytes := subs[start].size
-		for end < len(subs) && bytes+subs[end].size <= maxChunk {
-			bytes += subs[end].size
+		bytes := sizes[start]
+		for end < len(subs) && bytes+sizes[end] <= maxChunk {
+			bytes += sizes[end]
 			end++
 		}
-		chunk, err := sendBatchSubs(ctx, conn, subs[start:end])
-		if err != nil {
+		var chunk []BatchResult
+		if err := conn.Call(ctx, BatchService, BatchMethod, subs[start:end], &chunk); err != nil {
 			return nil, err
 		}
 		if len(chunk) != end-start {
@@ -191,80 +145,32 @@ func CallBatch(ctx context.Context, conn Conn, calls []BatchCall) ([]BatchResult
 	return out, nil
 }
 
-// sendBatchSubs ships one chunk via the connection's native batch framing,
-// or the v1 []request JSON framing for wrapper Conns.
-func sendBatchSubs(ctx context.Context, conn Conn, subs []encodedSub) ([]BatchResult, error) {
-	if cs, ok := conn.(chunkSender); ok {
-		return cs.sendBatchChunk(ctx, subs)
-	}
-	reqs := make([]request, len(subs))
-	for i, sub := range subs {
-		if sub.typed {
-			// Wrapper Conns report the JSON codec, so typed payloads cannot
-			// appear here; re-encode defensively.
-			b, err := json.Marshal(sub.args)
-			if err != nil {
-				return nil, fmt.Errorf("transport: encoding batch args [%d]: %w", i, err)
-			}
-			sub.payload = b
-		}
-		reqs[i] = request{ID: uint64(i), Service: sub.service, Method: sub.method, Payload: sub.payload}
-	}
-	var replies []response
-	if err := conn.Call(ctx, BatchService, BatchMethod, reqs, &replies); err != nil {
-		return nil, err
-	}
-	out := make([]BatchResult, len(subs))
-	for i, r := range replies {
-		if i >= len(out) {
-			break
-		}
-		if !r.OK {
-			out[i] = BatchResult{Err: &RemoteError{Code: r.Code, Msg: r.Error}}
-			continue
-		}
-		out[i] = BatchResult{Payload: r.Payload}
-	}
-	if len(replies) != len(subs) {
-		return nil, fmt.Errorf("transport: batch returned %d results for %d calls", len(replies), len(subs))
-	}
-	return out, nil
-}
-
-// appendBatchPayload encodes subs as a codec-v2 batch payload, re-encoding
-// any sub whose pre-encoded payload does not fit the socket's table (a
-// replay after renegotiation).
-func appendBatchPayload(b []byte, t *wireTable, subs []encodedSub) ([]byte, error) {
-	b = binary.AppendUvarint(b, uint64(len(subs)))
-	for i, sub := range subs {
-		name := sub.service + "." + sub.method
-		payload, typed := sub.payload, sub.typed
-		if typed {
-			if _, ok := t.ids[name]; !ok {
-				// This socket did not negotiate the method; fall back to JSON.
-				jb, err := json.Marshal(sub.args)
-				if err != nil {
-					return nil, fmt.Errorf("transport: encoding batch args [%d]: %w", i, err)
-				}
-				payload, typed = jb, false
-			}
-		}
-		enc := byte(encJSON)
-		if typed {
-			enc = encTyped
+// appendBatchPayload appends calls as a batch payload, re-encoding any
+// sub-call that is not pre-encoded or whose pre-encoded payload does not
+// fit the socket's table (see payloadFor).
+func appendBatchPayload(b []byte, t *wireTable, calls []BatchCall) ([]byte, error) {
+	start := time.Now()
+	b = binary.AppendUvarint(b, uint64(len(calls)))
+	for i, call := range calls {
+		name := call.Service + "." + call.Method
+		payload, enc, err := payloadFor(t, name, call.Raw, call.RawTyped, call.Args)
+		if err != nil {
+			return b, fmt.Errorf("transport: encoding batch args [%d]: %w", i, err)
 		}
 		b = appendCall(b, t, name, enc, payload)
 		wireRecordSub(name, true, len(payload))
 	}
+	wireRecordEncode(batchName, time.Since(start))
 	return b, nil
 }
 
-// parseBatchResults decodes a codec-v2 batch response payload.
-func parseBatchResults(subs []encodedSub, payload []byte) ([]BatchResult, error) {
+// parseBatchResults decodes a batch response payload into one result per
+// call.
+func parseBatchResults(calls []BatchCall, payload []byte) ([]BatchResult, error) {
 	r := wirefmt.NewReader(payload)
 	n := r.Count()
-	if r.Err() != nil || n != len(subs) {
-		return nil, fmt.Errorf("transport: batch returned %d results for %d calls", n, len(subs))
+	if r.Err() != nil || n != len(calls) {
+		return nil, fmt.Errorf("transport: batch returned %d results for %d calls", n, len(calls))
 	}
 	out := make([]BatchResult, n)
 	for i := range out {
@@ -272,11 +178,11 @@ func parseBatchResults(subs []encodedSub, payload []byte) ([]BatchResult, error)
 		if err != nil {
 			return nil, err
 		}
-		name := subs[i].service + "." + subs[i].method
 		if !res.ok {
 			out[i] = BatchResult{Err: &RemoteError{Code: res.code, Msg: res.msg}}
 			continue
 		}
+		name := calls[i].Service + "." + calls[i].Method
 		wireRecordSub(name, false, len(res.payload))
 		out[i] = BatchResult{
 			Payload: append([]byte(nil), res.payload...),
@@ -286,222 +192,6 @@ func parseBatchResults(subs []encodedSub, payload []byte) ([]BatchResult, error)
 	}
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("transport: decoding batch results: %w", err)
-	}
-	return out, nil
-}
-
-// sendBatchChunk implements chunkSender for TCPClient: on a v2 socket the
-// chunk rides one binary batch frame with typed sub-payloads; on a v1
-// socket it is re-framed as the classic []request JSON batch.
-func (c *TCPClient) sendBatchChunk(ctx context.Context, subs []encodedSub) ([]BatchResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res, err, sockDead := c.batchRoundTrip(ctx, subs)
-	if sockDead && ctx.Err() == nil {
-		if res2, err2, dead2 := c.batchRoundTrip(ctx, subs); err2 == nil && !dead2 {
-			res, err = res2, nil
-		}
-	}
-	return res, err
-}
-
-// batchRoundTrip is roundTrip for one pre-encoded chunk.
-func (c *TCPClient) batchRoundTrip(ctx context.Context, subs []encodedSub) ([]BatchResult, error, bool) {
-	m, err := c.acquire()
-	if err != nil {
-		return nil, err, false
-	}
-	if m.table == nil {
-		// v1 socket: classic JSON batch framing.
-		reqs := make([]request, len(subs))
-		for i, sub := range subs {
-			payload := sub.payload
-			if sub.typed {
-				b, jerr := json.Marshal(sub.args)
-				if jerr != nil {
-					return nil, fmt.Errorf("transport: encoding batch args [%d]: %w", i, jerr), false
-				}
-				payload = b
-			}
-			reqs[i] = request{ID: uint64(i), Service: sub.service, Method: sub.method, Payload: payload}
-		}
-		var replies []response
-		if cerr := c.Call(ctx, BatchService, BatchMethod, reqs, &replies); cerr != nil {
-			// Call already did its own replay; don't signal sockDead again.
-			return nil, cerr, false
-		}
-		if len(replies) != len(subs) {
-			return nil, fmt.Errorf("transport: batch returned %d results for %d calls", len(replies), len(subs)), false
-		}
-		out := make([]BatchResult, len(subs))
-		for i, r := range replies {
-			if !r.OK {
-				out[i] = BatchResult{Err: &RemoteError{Code: r.Code, Msg: r.Error}}
-				continue
-			}
-			out[i] = BatchResult{Payload: r.Payload}
-		}
-		return out, nil, false
-	}
-
-	name := BatchService + "." + BatchMethod
-	id := atomic.AddUint64(&c.nextID, 1)
-	p := &pending{method: name, ch: make(chan *clientResp, 1)}
-	if rerr := m.register(id, p); rerr != nil {
-		return nil, rerr, !errors.Is(rerr, ErrClosed)
-	}
-	start := time.Now()
-	buf := newWireFrameBuf()
-	buf = append(buf, wireKindReq)
-	buf = binary.AppendUvarint(buf, id)
-	// Batch payload: build it in place after the call header.
-	if mid, ok := m.table.ids[name]; ok {
-		buf = binary.AppendUvarint(buf, uint64(mid))
-	} else {
-		buf = append(buf, 0)
-		buf = wirefmt.AppendString(buf, name)
-	}
-	buf = append(buf, encBatch)
-	lenMark := len(buf)
-	buf = append(buf, 0, 0, 0, 0, 0) // payload length placeholder (uvarint ≤ 5)
-	payloadStart := len(buf)
-	buf, err = appendBatchPayload(buf, m.table, subs)
-	if err != nil {
-		putWireFrameBuf(buf)
-		m.deregister(id)
-		return nil, err, false
-	}
-	// Back-fill the payload length, shifting the payload down over the
-	// placeholder slack.
-	plen := len(buf) - payloadStart
-	var lbuf [5]byte
-	ln := binary.PutUvarint(lbuf[:], uint64(plen))
-	copy(buf[lenMark:], lbuf[:ln])
-	copy(buf[lenMark+ln:], buf[payloadStart:])
-	buf = buf[:lenMark+ln+plen]
-	wireRecordEncode(name, time.Since(start))
-
-	frame, ferr := finishWireFrame(buf)
-	if ferr != nil {
-		putWireFrameBuf(buf)
-		m.deregister(id)
-		return nil, ferr, false
-	}
-	m.writeMu.Lock()
-	werr := m.c.SetWriteDeadline(time.Now().Add(c.timeout))
-	n := 0
-	if werr == nil {
-		n, werr = m.c.Write(frame)
-	}
-	m.writeMu.Unlock()
-	putWireFrameBuf(buf)
-	if werr != nil {
-		m.deregister(id)
-		m.fail(fmt.Errorf("transport: write: %w", werr))
-		return nil, fmt.Errorf("transport: write: %w", werr), true
-	}
-	wireRecordFrame(name, "binary", true, n)
-
-	timer := time.NewTimer(c.timeout)
-	defer timer.Stop()
-	var resp *clientResp
-	select {
-	case resp = <-p.ch:
-	case <-ctx.Done():
-		m.deregister(id)
-		return nil, ctx.Err(), false
-	case <-timer.C:
-		m.deregister(id)
-		return nil, fmt.Errorf("transport: call %s: timeout after %v", name, c.timeout), false
-	case <-m.dead:
-		select {
-		case resp = <-p.ch:
-		default:
-			return nil, m.err, !errors.Is(m.err, ErrClosed)
-		}
-	}
-	if !resp.ok {
-		return nil, &RemoteError{Code: resp.code, Msg: resp.msg}, false
-	}
-	if resp.enc != encBatch {
-		return nil, fmt.Errorf("%w: non-batch result for %s", ErrWireProtocol, name), false
-	}
-	start = time.Now()
-	out, perr := parseBatchResults(subs, resp.payload)
-	wireRecordDecode(name, time.Since(start))
-	return out, perr, false
-}
-
-// sendBatchChunk implements chunkSender for Loopback, dispatching each
-// sub-call through the active codec.
-func (l *Loopback) sendBatchChunk(ctx context.Context, subs []encodedSub) ([]BatchResult, error) {
-	l.mu.Lock()
-	closed := l.closed
-	l.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if l.table == nil {
-		return sendBatchSubsJSONLoopback(ctx, l, subs)
-	}
-	out := make([]BatchResult, len(subs))
-	for i, sub := range subs {
-		name := sub.service + "." + sub.method
-		if name == BatchService+"."+BatchMethod {
-			out[i] = BatchResult{Err: &RemoteError{Msg: "transport: nested batch calls are not allowed"}}
-			continue
-		}
-		payload, typed := sub.payload, sub.typed
-		enc := byte(encJSON)
-		if typed {
-			enc = encTyped
-		}
-		call := parsedCall{name: name, enc: enc, payload: payload}
-		if typed {
-			call.codec = LookupCodec(name)
-		}
-		wireRecordSub(name, true, len(payload))
-		body := wireExec(ctx, l.mux, l.table, nil, call, true)
-		r := wirefmt.NewReader(body)
-		res, perr := parseResult(r)
-		if perr != nil || r.Finish() != nil {
-			return nil, fmt.Errorf("%w: loopback batch result", ErrWireProtocol)
-		}
-		if !res.ok {
-			out[i] = BatchResult{Err: &RemoteError{Code: res.code, Msg: res.msg}}
-			continue
-		}
-		wireRecordSub(name, false, len(res.payload))
-		out[i] = BatchResult{Payload: res.payload, typed: res.enc == encTyped, method: name}
-	}
-	return out, nil
-}
-
-// sendBatchSubsJSONLoopback frames subs as the classic []request batch for
-// a JSON-pinned loopback.
-func sendBatchSubsJSONLoopback(ctx context.Context, l *Loopback, subs []encodedSub) ([]BatchResult, error) {
-	reqs := make([]request, len(subs))
-	for i, sub := range subs {
-		reqs[i] = request{ID: uint64(i), Service: sub.service, Method: sub.method, Payload: sub.payload}
-	}
-	var replies []response
-	if err := l.Call(ctx, BatchService, BatchMethod, reqs, &replies); err != nil {
-		return nil, err
-	}
-	if len(replies) != len(subs) {
-		return nil, fmt.Errorf("transport: batch returned %d results for %d calls", len(replies), len(subs))
-	}
-	out := make([]BatchResult, len(subs))
-	for i, r := range replies {
-		if !r.OK {
-			out[i] = BatchResult{Err: &RemoteError{Code: r.Code, Msg: r.Error}}
-			continue
-		}
-		out[i] = BatchResult{Payload: r.Payload}
 	}
 	return out, nil
 }

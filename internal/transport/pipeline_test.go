@@ -2,12 +2,9 @@ package transport
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -176,42 +173,19 @@ func TestManyGoroutinesOneSocket(t *testing.T) {
 // client's transparent one-shot redial-and-replay (the second connection
 // serves echo), and later calls keep working on the redialed socket.
 func TestMidCallSocketKill(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	// A raw server: the first connection is dropped after one request
-	// frame arrives (mid-call kill); later connections serve echo.
-	var connN atomic.Int64
-	go func() {
+	// The first connection is dropped after one request frame arrives
+	// (mid-call kill); later connections serve echo.
+	ln := fakeServer(t, func(n int, p *fakePeer) {
 		for {
-			conn, err := ln.Accept()
-			if err != nil {
+			id, call, err := p.readCall()
+			if err != nil || n == 1 {
+				return // n == 1: kill the socket with the call pending
+			}
+			if p.echo(id, call) != nil {
 				return
 			}
-			n := connN.Add(1)
-			go func(conn net.Conn, n int64) {
-				defer conn.Close()
-				for {
-					var req request
-					if _, err := readFrame(conn, &req); err != nil {
-						return
-					}
-					if req.Service == wireService {
-						// A v1 server pinned to JSON framing.
-						writeFrame(conn, &response{ID: req.ID, OK: true, Payload: []byte(`{"version":1}`)})
-						continue
-					}
-					if n == 1 {
-						return // kill the socket with the call pending
-					}
-					writeFrame(conn, &response{ID: req.ID, OK: true, Payload: req.Payload})
-				}
-			}(conn, n)
 		}
-	}()
+	})
 
 	client, err := Dial(ln.Addr().String(), DialOptions{PoolSize: 1, Timeout: 5 * time.Second})
 	if err != nil {
@@ -394,7 +368,7 @@ func TestBatchRejectsNesting(t *testing.T) {
 	lb := NewLoopback(testMux())
 	defer lb.Close()
 	results, err := CallBatch(context.Background(), lb, []BatchCall{
-		{Service: BatchService, Method: BatchMethod, Args: []request{}},
+		{Service: BatchService, Method: BatchMethod, Args: []BatchCall{}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -428,10 +402,12 @@ func TestErrorCodes(t *testing.T) {
 	if !IsAlreadyExistsError(err) {
 		t.Fatal("IsAlreadyExistsError missed a coded error")
 	}
-	// Uncoded remote errors fall back to substring matching.
-	legacy := &RemoteError{Msg: "document not found: x"}
-	if !IsNotFoundError(legacy) {
-		t.Fatal("IsNotFoundError missed a legacy uncoded error")
+	// An uncoded remote error is not classified by what its message says.
+	if IsNotFoundError(&RemoteError{Msg: "not found"}) {
+		t.Fatal("IsNotFoundError matched an uncoded error on its message")
+	}
+	if IsAlreadyExistsError(&RemoteError{Msg: "already exists"}) {
+		t.Fatal("IsAlreadyExistsError matched an uncoded error on its message")
 	}
 	if IsNotFoundError(errors.New("not a remote error: not found")) {
 		t.Fatal("IsNotFoundError matched a local error")
@@ -487,15 +463,3 @@ func TestOversizedArgs(t *testing.T) {
 		t.Fatalf("call after oversized args: %v", err)
 	}
 }
-
-// sanity: frame header helpers stay in sync with the wire format used by
-// the raw-socket tests above.
-func TestFrameHeaderFormat(t *testing.T) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 7)
-	if hdr != [4]byte{0, 0, 0, 7} {
-		t.Fatal("frame header is not big-endian length")
-	}
-}
-
-var _ io.Reader = (net.Conn)(nil) // keep the net/io imports honest

@@ -1,23 +1,88 @@
 package transport
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"datablinder/internal/wirefmt"
 )
 
-// answerHello consumes the client's codec-negotiation frame and pins the
-// socket to v1 JSON framing, emulating a pre-v2 server build.
-func answerHello(conn net.Conn, req *request) bool {
-	if _, err := readFrame(conn, req); err != nil {
-		return false
+// fakePeer is the server half of one socket in the hands of a test: it has
+// answered the client's hello and reads and writes real protocol frames,
+// but decides for itself when to answer and when to hang up.
+type fakePeer struct {
+	conn  net.Conn
+	br    *bufio.Reader
+	table *wireTable
+}
+
+// fakeServer listens on a loopback port and hands every socket that
+// completes the hello, with its 1-based ordinal, to serve on a goroutine of
+// its own. The socket closes when serve returns; the listener closes with
+// the test (or earlier, through the returned net.Listener).
+func fakeServer(t *testing.T, serve func(n int, p *fakePeer)) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if req.Service != wireService {
-		return false
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for n := 1; ; n++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(n int) {
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				table, err := acceptHello(conn, br)
+				if err != nil {
+					return
+				}
+				serve(n, &fakePeer{conn: conn, br: br, table: table})
+			}(n)
+		}
+	}()
+	return ln
+}
+
+// readCall reads one request frame.
+func (p *fakePeer) readCall() (id uint64, call parsedCall, err error) {
+	body, err := readWireFrame(p.br)
+	if err != nil {
+		return 0, call, err
 	}
-	_, err := writeFrame(conn, &response{ID: req.ID, OK: true, Payload: []byte(`{"version":1}`)})
-	return err == nil
+	r := wirefmt.NewReader(body)
+	if kind := r.Byte(); kind != wireKindReq {
+		return 0, call, fmt.Errorf("frame kind 0x%02x, want a request", kind)
+	}
+	id = r.Uvarint()
+	if call, err = parseCall(r, p.table); err != nil {
+		return 0, call, err
+	}
+	return id, call, r.Finish()
+}
+
+// respond writes the response frame for id; result appends its result
+// section.
+func (p *fakePeer) respond(id uint64, result func(b []byte) []byte) error {
+	buf := append(newWireFrameBuf(), wireKindResp)
+	return writeWireFrame(p.conn, result(binary.AppendUvarint(buf, id)))
+}
+
+// echo answers call with its own payload.
+func (p *fakePeer) echo(id uint64, call parsedCall) error {
+	return p.respond(id, func(b []byte) []byte { return appendResultOK(b, call.enc, call.payload) })
 }
 
 // TestCallReplaysOnceAfterMidFlightDeath kills the server side of the
@@ -26,45 +91,19 @@ func answerHello(conn net.Conn, req *request) bool {
 // must succeed transparently: the client redials the slot and replays
 // exactly the failed call.
 func TestCallReplaysOnceAfterMidFlightDeath(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	served := make(chan int, 2)
-	go func() {
-		// First connection: swallow one request and drop the socket —
-		// a crash with the call in flight.
-		conn, err := ln.Accept()
+	served := make(chan int, 4)
+	ln := fakeServer(t, func(n int, p *fakePeer) {
+		id, _, err := p.readCall()
 		if err != nil {
 			return
 		}
-		var req request
-		if answerHello(conn, &req) {
-			if _, err := readFrame(conn, &req); err == nil {
-				served <- 1
-			}
+		served <- n
+		if n == 1 {
+			return // a crash with the call in flight
 		}
-		conn.Close()
-
-		// Second connection (the redial): answer properly.
-		conn, err = ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		if !answerHello(conn, &req) {
-			return
-		}
-		if _, err := readFrame(conn, &req); err != nil {
-			return
-		}
-		served <- 2
-		writeFrame(conn, &response{ID: req.ID, OK: true, Payload: []byte(`{"ok":true}`)})
-		// Hold the socket open so the client can read the reply.
-		time.Sleep(200 * time.Millisecond)
-	}()
+		p.respond(id, func(b []byte) []byte { return appendResultOK(b, encJSON, []byte(`{"ok":true}`)) })
+		p.readCall() // hold the socket open until the client is done with it
+	})
 
 	c, err := Dial(ln.Addr().String(), DialOptions{PoolSize: 1, Timeout: 5 * time.Second})
 	if err != nil {
@@ -91,23 +130,14 @@ func TestCallReplaysOnceAfterMidFlightDeath(t *testing.T) {
 // connect, and the caller must see the original socket failure, not a
 // dial error.
 func TestCallSurfacesOriginalErrorWhenRedialFails(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
+	inFlight := make(chan struct{})
+	kill := make(chan struct{})
+	ln := fakeServer(t, func(n int, p *fakePeer) {
+		if _, _, err := p.readCall(); err == nil {
+			close(inFlight)
 		}
-		var req request
-		if !answerHello(conn, &req) {
-			return
-		}
-		accepted <- conn
-	}()
+		<-kill
+	})
 
 	c, err := Dial(ln.Addr().String(), DialOptions{PoolSize: 1, Timeout: 2 * time.Second})
 	if err != nil {
@@ -115,19 +145,208 @@ func TestCallSurfacesOriginalErrorWhenRedialFails(t *testing.T) {
 	}
 	defer c.Close()
 
-	conn := <-accepted
-	ln.Close() // no redial target
-
 	done := make(chan error, 1)
 	go func() {
 		done <- c.Call(context.Background(), "svc", "m", nil, nil)
 	}()
-	// Let the request frame land, then kill the socket mid-flight.
-	time.Sleep(100 * time.Millisecond)
-	conn.Close()
+	<-inFlight
+	ln.Close() // no redial target
+	close(kill)
 
 	err = <-done
 	if err == nil {
 		t.Fatal("call must fail when both the socket and the redial die")
+	}
+	var opErr *net.OpError
+	if errors.As(err, &opErr) && opErr.Op == "dial" {
+		t.Fatalf("caller saw the replay's dial error, want the original socket failure: %v", err)
+	}
+}
+
+// batchEchoPeer serves batches on a fakePeer through the real executor:
+// echo.id returns its "i" argument and records the order it ran in.
+type batchEchoPeer struct {
+	mux *Mux
+	mu  sync.Mutex
+	ran []int
+}
+
+func newBatchEchoPeer() *batchEchoPeer {
+	b := &batchEchoPeer{mux: NewMux()}
+	b.mux.Handle("echo", "id", func(_ context.Context, payload json.RawMessage) (any, error) {
+		var a struct {
+			I int `json:"i"`
+		}
+		if err := json.Unmarshal(payload, &a); err != nil {
+			return nil, err
+		}
+		b.mu.Lock()
+		b.ran = append(b.ran, a.I)
+		b.mu.Unlock()
+		return a.I, nil
+	})
+	return b
+}
+
+func (b *batchEchoPeer) exec(p *fakePeer, id uint64, call parsedCall) error {
+	return p.respond(id, func(buf []byte) []byte {
+		return wireExec(context.Background(), b.mux, p.table, buf, call, true)
+	})
+}
+
+func echoBatch(n int) []BatchCall {
+	calls := make([]BatchCall, n)
+	for i := range calls {
+		calls[i] = BatchCall{Service: "echo", Method: "id", Args: map[string]int{"i": i}}
+	}
+	return calls
+}
+
+// TestBatchReplayedOnceAfterMidFlightDeath: a CallBatch in flight when its
+// socket dies takes the same redial-and-replay as a single call — the
+// batch frame is resent exactly once, its sub-calls execute once, and the
+// results come back in call order.
+func TestBatchReplayedOnceAfterMidFlightDeath(t *testing.T) {
+	peer := newBatchEchoPeer()
+	var frames atomic.Int64
+	ln := fakeServer(t, func(n int, p *fakePeer) {
+		for {
+			id, call, err := p.readCall()
+			if err != nil {
+				return
+			}
+			if call.enc != encBatch {
+				t.Errorf("socket %d: call %s enc 0x%02x, want one batch frame", n, call.name, call.enc)
+			}
+			frames.Add(1)
+			if n == 1 {
+				return // the socket dies with the batch in flight
+			}
+			if err := peer.exec(p, id, call); err != nil {
+				return
+			}
+		}
+	})
+
+	c, err := Dial(ln.Addr().String(), DialOptions{PoolSize: 1, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const n = 5
+	results, err := CallBatch(context.Background(), c, echoBatch(n))
+	if err != nil {
+		t.Fatalf("batch across mid-flight socket death: %v", err)
+	}
+	if len(results) != n {
+		t.Fatalf("got %d results, want %d", len(results), n)
+	}
+	for i, r := range results {
+		var got int
+		if err := r.Decode(&got); err != nil || got != i {
+			t.Fatalf("result %d = %d, %v; results must come back in call order", i, got, err)
+		}
+	}
+	if got := frames.Load(); got != 2 {
+		t.Fatalf("server saw %d batch frames, want 2 (original + one replay)", got)
+	}
+	peer.mu.Lock()
+	defer peer.mu.Unlock()
+	if fmt.Sprint(peer.ran) != "[0 1 2 3 4]" {
+		t.Fatalf("sub-calls ran as %v, want each once, in order", peer.ran)
+	}
+}
+
+// TestBatchReplayNotAttemptedAfterContextExpiry: a batch whose context
+// ended while it was in flight may still be executing server-side; when
+// its socket then dies it must not be resent.
+func TestBatchReplayNotAttemptedAfterContextExpiry(t *testing.T) {
+	var frames atomic.Int64
+	expired := make(chan struct{})
+	ln := fakeServer(t, func(n int, p *fakePeer) {
+		if _, _, err := p.readCall(); err != nil {
+			return
+		}
+		frames.Add(1)
+		<-expired // then hang up on the expired call
+	})
+
+	c, err := Dial(ln.Addr().String(), DialOptions{PoolSize: 1, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	_, err = CallBatch(ctx, c, echoBatch(3))
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("CallBatch error = %v, want the context's deadline", err)
+	}
+	close(expired)
+	// Give a wrongly attempted replay time to redial and land.
+	time.Sleep(200 * time.Millisecond)
+	if got := frames.Load(); got != 1 {
+		t.Fatalf("server saw %d batch frames, want 1: an expired batch must not be replayed", got)
+	}
+}
+
+// TestClientSurvivesServerRestart: a cloud node restart (new listener on
+// the same address) must not permanently break a pooled client: calls fail
+// while the server is down and succeed again after reconnection.
+func TestClientSurvivesServerRestart(t *testing.T) {
+	mux := testMux()
+	srv := NewServer(mux)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := Dial(addr, DialOptions{PoolSize: 1, Timeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	ctx := context.Background()
+	var reply echoReply
+	if err := client.Call(ctx, "test", "echo", echoArgs{Msg: "before"}, &reply); err != nil {
+		t.Fatalf("call before restart: %v", err)
+	}
+	srv.Close()
+
+	// While down: calls fail (possibly several, as the pool reconnects).
+	sawFailure := false
+	for i := 0; i < 3; i++ {
+		if err := client.Call(ctx, "test", "echo", echoArgs{Msg: "down"}, &reply); err != nil {
+			sawFailure = true
+			break
+		}
+	}
+	if !sawFailure {
+		t.Fatal("no failure while server down")
+	}
+
+	// Restart on the same address.
+	srv2 := NewServer(mux)
+	if _, err := srv2.Listen(addr); err != nil {
+		t.Fatalf("restart listen: %v", err)
+	}
+	defer srv2.Close()
+
+	// The client reconnects lazily: allow a few attempts.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		err := client.Call(ctx, "test", "echo", echoArgs{Msg: "after"}, &reply)
+		if err == nil {
+			if reply.Msg != "after" {
+				t.Fatalf("reply = %q", reply.Msg)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("client never recovered: %v", err)
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }

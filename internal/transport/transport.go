@@ -1,6 +1,7 @@
 // Package transport implements DataBlinder's gateway↔cloud communication
-// channel: a length-prefixed JSON RPC protocol over TCP, plus an in-process
-// loopback implementation with identical serialization semantics.
+// channel: a varint-framed binary RPC protocol over TCP (see wire.go for
+// the frame grammar), plus an in-process loopback implementation with
+// identical serialization semantics.
 //
 // Every data protection tactic is a distributed protocol (paper §4.2);
 // its gateway half reaches its cloud half exclusively through a Conn, so
@@ -18,15 +19,12 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,30 +95,13 @@ func ErrorCode(err error) string {
 	return ""
 }
 
-// request is the wire format of a call.
-type request struct {
-	ID      uint64          `json:"id"`
-	Service string          `json:"service"`
-	Method  string          `json:"method"`
-	Payload json.RawMessage `json:"payload,omitempty"`
-}
-
-// response is the wire format of a reply.
-type response struct {
-	ID      uint64          `json:"id"`
-	OK      bool            `json:"ok"`
-	Error   string          `json:"error,omitempty"`
-	Code    string          `json:"code,omitempty"`
-	Payload json.RawMessage `json:"payload,omitempty"`
-}
-
 // Handler processes one RPC. The returned value is JSON-encoded into the
 // response payload.
 type Handler func(ctx context.Context, payload json.RawMessage) (any, error)
 
 // handlerEntry is one registered method: the JSON-payload handler plus,
-// for HandleTyped registrations, a decoded-args fast path that lets codec
-// v2 requests skip JSON entirely on the server side.
+// for HandleTyped registrations, a decoded-args fast path that lets typed
+// payloads skip JSON entirely on the server side.
 type handlerEntry struct {
 	h     Handler
 	typed func(ctx context.Context, args any) (any, error)
@@ -129,18 +110,16 @@ type handlerEntry struct {
 // Mux routes service.method names to handlers. The zero value is unusable;
 // construct with NewMux. Handle calls must complete before Serve starts.
 //
-// Every mux serves the reserved BatchService, which executes a slice of
-// sub-requests received in one frame (see CallBatch).
+// Every mux serves the reserved BatchService: a batch payload's sub-calls
+// are dispatched to these handlers in order (see CallBatch and wireExec).
 type Mux struct {
 	mu       sync.RWMutex
 	handlers map[string]*handlerEntry
 }
 
-// NewMux returns an empty router (plus the built-in batch executor).
+// NewMux returns an empty router.
 func NewMux() *Mux {
-	m := &Mux{handlers: make(map[string]*handlerEntry)}
-	m.handlers[BatchService+"."+BatchMethod] = &handlerEntry{h: m.execBatch}
-	return m
+	return &Mux{handlers: make(map[string]*handlerEntry)}
 }
 
 // Handle registers h for service.method, replacing any previous handler.
@@ -151,8 +130,9 @@ func (m *Mux) Handle(service, method string, h Handler) {
 }
 
 // HandleTyped registers fn for service.method with both payload paths: a
-// JSON handler (v1 sockets, cold escape hatch) and a decoded-args handler
-// that the binary codec dispatches to directly, so hot RPCs never touch
+// JSON handler (the cold escape hatch: a method the peer did not negotiate,
+// or an argument value its codec does not recognise) and a decoded-args
+// handler that typed payloads dispatch to directly, so hot RPCs never touch
 // encoding/json on the server.
 func HandleTyped[A any](m *Mux, service, method string, fn func(ctx context.Context, args *A) (any, error)) {
 	entry := &handlerEntry{
@@ -186,113 +166,24 @@ func (m *Mux) lookup(name string) *handlerEntry {
 }
 
 // Services returns the registered service.method names, unordered.
-// Reserved internal services (leading underscore) are omitted.
 func (m *Mux) Services() []string {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	out := make([]string, 0, len(m.handlers))
 	for k := range m.handlers {
-		if strings.HasPrefix(k, "_") {
-			continue
-		}
 		out = append(out, k)
 	}
 	return out
 }
 
-func (m *Mux) dispatch(ctx context.Context, req *request) *response {
-	entry := m.lookup(req.Service + "." + req.Method)
-	if entry == nil {
-		return &response{ID: req.ID, Error: fmt.Sprintf("%v: %s.%s", ErrNoHandler, req.Service, req.Method)}
-	}
-	result, err := entry.h(ctx, req.Payload)
-	if err != nil {
-		return &response{ID: req.ID, Error: err.Error(), Code: ErrorCode(err)}
-	}
-	payload, err := json.Marshal(result)
-	if err != nil {
-		return &response{ID: req.ID, Error: fmt.Sprintf("transport: encoding response: %v", err)}
-	}
-	return &response{ID: req.ID, OK: true, Payload: payload}
-}
-
 // Conn is a client connection to a cloud endpoint. Implementations are safe
 // for concurrent use.
 type Conn interface {
-	// Call invokes service.method with args (JSON-encoded) and decodes the
-	// response payload into reply (which may be nil to discard it).
+	// Call invokes service.method with args and decodes the response payload
+	// into reply (which may be nil to discard it).
 	Call(ctx context.Context, service, method string, args, reply any) error
 	// Close releases the connection. Subsequent calls return ErrClosed.
 	Close() error
-}
-
-// maxPooledBuf caps the capacity of recycled frame buffers so one huge
-// frame does not pin megabytes in the pools forever.
-const maxPooledBuf = 64 << 10
-
-// framePools recycle the encode buffer (header + JSON body, written as a
-// single frame) and the decode body across frames. Decoded values do not
-// alias the pooled body: json.RawMessage.UnmarshalJSON copies its input,
-// and every other frame field is a string or number.
-var (
-	encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	bodyPool   = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-)
-
-// writeFrame writes one length-prefixed JSON value as a single Write and
-// returns the frame size in bytes.
-func writeFrame(w io.Writer, v any) (int, error) {
-	buf := encBufPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledBuf {
-			encBufPool.Put(buf)
-		}
-	}()
-	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 0}) // length placeholder
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		return 0, fmt.Errorf("transport: encoding frame: %w", err)
-	}
-	frame := buf.Bytes()
-	frame = frame[:len(frame)-1] // drop the Encoder's trailing newline
-	body := frame[4:]
-	if len(body) > MaxFrameSize {
-		return 0, ErrFrameTooLarge
-	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(body)))
-	n, err := w.Write(frame)
-	return n, err
-}
-
-// readFrame reads one length-prefixed JSON value into v and returns the
-// frame size in bytes.
-func readFrame(r io.Reader, v any) (int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameSize {
-		return 0, ErrFrameTooLarge
-	}
-	bp := bodyPool.Get().(*[]byte)
-	if cap(*bp) < int(n) {
-		*bp = make([]byte, n)
-	}
-	body := (*bp)[:n]
-	defer func() {
-		if cap(body) <= maxPooledBuf {
-			*bp = body
-			bodyPool.Put(bp)
-		}
-	}()
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, err
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return 0, fmt.Errorf("transport: decoding frame: %w", err)
-	}
-	return 4 + int(n), nil
 }
 
 // DefaultMaxInFlight is the default per-server bound on concurrently
@@ -309,12 +200,6 @@ type Server struct {
 	// MaxInFlight bounds concurrently executing handlers across all
 	// connections (DefaultMaxInFlight if zero). Set before Listen.
 	MaxInFlight int
-
-	// DisableBinary makes the server answer `_wire.hello` with version 1,
-	// pinning every connection to the v1 JSON framing. Set before Listen.
-	// Used to run JSON-only shards in mixed-version fleets and in A/B
-	// benchmarks.
-	DisableBinary bool
 
 	sem    chan struct{}
 	ctx    context.Context
@@ -388,91 +273,18 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	br := bufio.NewReaderSize(conn, 32<<10)
+	table, err := acceptHello(conn, br)
+	if err != nil {
+		return // not a peer of this protocol version: drop it
+	}
 	// Responses from concurrent workers interleave on the socket; writeMu
 	// keeps individual frames atomic.
 	var writeMu sync.Mutex
-	br := bufio.NewReaderSize(conn, 32<<10)
-	for {
-		var req request
-		n, err := readFrame(br, &req)
-		if err != nil {
-			return // EOF, broken frame, or peer reset: drop the connection
-		}
-		// The negotiation request is intercepted before dispatch: a v2
-		// client sends it as the first (and only pre-negotiation) frame on
-		// a fresh socket, and on acceptance the very next frame is binary.
-		if req.Service == wireService && req.Method == wireHelloMethod {
-			table, switched, err := s.acceptHello(conn, &writeMu, &req)
-			if err != nil {
-				return
-			}
-			if switched {
-				s.serveBinary(conn, br, &writeMu, table)
-				return
-			}
-			continue
-		}
-		wireRecordFrame(req.Service+"."+req.Method, "json", false, n)
-		select {
-		case s.sem <- struct{}{}:
-		case <-s.ctx.Done():
-			return
-		}
-		s.wg.Add(1)
-		go func(req request) {
-			defer s.wg.Done()
-			defer func() { <-s.sem }()
-			resp := s.mux.dispatch(s.ctx, &req)
-			writeMu.Lock()
-			n, err := writeFrame(conn, resp)
-			writeMu.Unlock()
-			if err != nil {
-				conn.Close() // wakes the read loop; connection is torn down
-				return
-			}
-			wireRecordFrame(req.Service+"."+req.Method, "json", true, n)
-		}(req)
-	}
-}
-
-// acceptHello answers a `_wire.hello`. With binary framing enabled it
-// accepts the intersection of the client's proposal and the local codec
-// registry and reports switched=true; the caller must then read binary
-// frames. With DisableBinary (or an unintelligible proposal) it answers
-// version 1 and the connection stays on JSON.
-func (s *Server) acceptHello(conn net.Conn, writeMu *sync.Mutex, req *request) (*wireTable, bool, error) {
-	var args helloArgs
-	reply := helloReply{Version: 1}
-	var table *wireTable
-	if !s.DisableBinary && json.Unmarshal(req.Payload, &args) == nil && args.Version >= wireVersion {
-		accept := acceptIndexes(args.Methods)
-		if t, err := newWireTable(args.Methods, accept); err == nil {
-			table = t
-			reply = helloReply{Version: wireVersion, Accept: accept}
-		}
-	}
-	payload, err := json.Marshal(reply)
-	if err != nil {
-		return nil, false, err
-	}
-	writeMu.Lock()
-	_, werr := writeFrame(conn, &response{ID: req.ID, OK: true, Payload: payload})
-	writeMu.Unlock()
-	if werr != nil {
-		return nil, false, werr
-	}
-	return table, table != nil, nil
-}
-
-// serveBinary is the post-negotiation read loop: varint-framed binary
-// requests, each dispatched on its own bounded goroutine like the v1 loop.
-// A malformed frame (bad envelope, unknown method id) drops the
-// connection; per-call handler errors travel back as error results.
-func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, writeMu *sync.Mutex, table *wireTable) {
 	for {
 		body, err := readWireFrame(br)
 		if err != nil {
-			return
+			return // EOF, broken frame, or peer reset: drop the connection
 		}
 		r := wirefmt.NewReader(body)
 		if kind := r.Byte(); kind != wireKindReq {
@@ -481,9 +293,12 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, writeMu *sync.Mute
 		id := r.Uvarint()
 		call, cerr := parseCall(r, table)
 		if cerr != nil || r.Finish() != nil {
+			// A malformed frame (bad envelope, unknown method id) would
+			// desynchronize the stream; per-call handler errors, by
+			// contrast, travel back as error results.
 			return
 		}
-		wireRecordFrame(call.name, "binary", false, len(body)+uvarintLen(uint64(len(body))))
+		wireRecordFrame(call.name, false, len(body)+uvarintLen(uint64(len(body))))
 		select {
 		case s.sem <- struct{}{}:
 		case <-s.ctx.Done():
@@ -512,12 +327,37 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, writeMu *sync.Mute
 			writeMu.Unlock()
 			putWireFrameBuf(buf)
 			if werr != nil {
-				conn.Close()
+				conn.Close() // wakes the read loop; connection is torn down
 				return
 			}
-			wireRecordFrame(call.name, "binary", true, len(frame))
+			wireRecordFrame(call.name, true, len(frame))
 		}(id, call)
 	}
+}
+
+// acceptHello reads the hello that must open every socket and answers it
+// with the intersection of the client's proposal and the local codec
+// registry, which becomes the connection's method id table. Anything else
+// as a first frame — another protocol, another version, garbage — is an
+// error and the caller drops the socket.
+func acceptHello(conn net.Conn, br *bufio.Reader) (*wireTable, error) {
+	body, err := readWireFrame(br)
+	if err != nil {
+		return nil, err
+	}
+	proposal, err := parseHello(body)
+	if err != nil {
+		return nil, err
+	}
+	accept := acceptIndexes(proposal)
+	table, err := newWireTable(proposal, accept)
+	if err != nil {
+		return nil, err
+	}
+	if err := writeWireFrame(conn, appendHelloReply(newWireFrameBuf(), accept)); err != nil {
+		return nil, err
+	}
+	return table, nil
 }
 
 // Close stops accepting, cancels in-flight handlers, closes all
@@ -542,27 +382,17 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// clientResp is the codec-neutral form of one response, as delivered to a
-// pending call by either read loop.
-type clientResp struct {
-	ok      bool
-	enc     byte
-	payload []byte // owned by the caller
-	code    string
-	msg     string
-}
-
 // pending is one in-flight call awaiting its response.
 type pending struct {
-	method string           // for frame accounting in the read loop
-	ch     chan *clientResp // buffered(1); the reader delivers exactly once
+	method string             // for frame accounting in the read loop
+	ch     chan *parsedResult // buffered(1); the reader delivers exactly once
 }
 
 // msock is one multiplexed client socket: a single writer-side mutex
 // serializes frame writes, a dedicated reader goroutine correlates
-// responses to pending calls by request id. table is the codec negotiated
-// for this socket at dial time (nil: v1 JSON framing); it is immutable
-// once the read loop starts.
+// responses to pending calls by request id. table is the method id table
+// the hello fixed for this socket at dial time; it is immutable once the
+// read loop starts.
 type msock struct {
 	c       net.Conn
 	br      *bufio.Reader
@@ -572,118 +402,85 @@ type msock struct {
 	mu     sync.Mutex
 	calls  map[uint64]*pending
 	err    error         // terminal socket error, set once before closing dead
-	dead   chan struct{} // closed when the reader exits
+	dead   chan struct{} // closed when the socket fails
 	closed bool
 }
 
-// newMsock wraps a freshly dialed socket. With negotiate set it performs
-// the `_wire.hello` exchange synchronously before the socket is handed to
-// callers (the socket is unpublished, so no other frames can interleave);
-// a server without v2 simply leaves the socket on JSON. timeout bounds the
+// newMsock wraps a freshly dialed socket and performs the hello exchange
+// synchronously before the socket is handed to callers (the socket is
+// unpublished, so no other frames can interleave). timeout bounds the
 // exchange.
-func newMsock(c net.Conn, negotiate bool, timeout time.Duration) (*msock, error) {
+func newMsock(c net.Conn, timeout time.Duration) (*msock, error) {
 	m := &msock{c: c, br: bufio.NewReaderSize(c, 32<<10), calls: make(map[uint64]*pending), dead: make(chan struct{})}
-	if negotiate {
-		if err := m.clientHello(timeout); err != nil {
-			c.Close()
-			return nil, err
-		}
+	if err := m.clientHello(timeout); err != nil {
+		c.Close()
+		return nil, err
 	}
 	go m.readLoop()
 	return m, nil
 }
 
-// clientHello proposes codec v2 and switches the socket to binary framing
-// if the server accepts. Handler-level failures (old server: "no handler";
-// pinned server: version 1) leave the socket on JSON; only transport
-// failures are errors.
+// clientHello proposes this build's codec methods and adopts the subset
+// the server accepts as the socket's method id table. A peer that does not
+// complete the exchange — it hangs up, or answers anything but a hello
+// reply of this protocol version with in-range indexes — fails the dial
+// with ErrWireProtocol: there is no other framing to fall back to.
 func (m *msock) clientHello(timeout time.Duration) error {
-	proposal := RegisteredWireMethods()
-	payload, err := json.Marshal(helloArgs{Version: wireVersion, Methods: proposal})
-	if err != nil {
-		return err
-	}
 	if err := m.c.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return err
 	}
 	defer m.c.SetDeadline(time.Time{})
-	if _, err := writeFrame(m.c, &request{ID: 1, Service: wireService, Method: wireHelloMethod, Payload: payload}); err != nil {
-		return fmt.Errorf("transport: hello: %w", err)
+	proposal := RegisteredWireMethods()
+	err := writeWireFrame(m.c, appendHello(newWireFrameBuf(), proposal))
+	var body []byte
+	if err == nil {
+		body, err = readWireFrame(m.br)
 	}
-	var resp response
-	if _, err := readFrame(m.br, &resp); err != nil {
-		return fmt.Errorf("transport: hello: %w", err)
-	}
-	if !resp.OK {
-		return nil // server predates _wire.hello: stay on JSON
-	}
-	var reply helloReply
-	if json.Unmarshal(resp.Payload, &reply) != nil || reply.Version < wireVersion {
-		return nil
-	}
-	table, err := newWireTable(proposal, reply.Accept)
 	if err != nil {
-		// The server accepted nonsense; JSON still works.
-		return nil
+		return fmt.Errorf("%w: hello: %w", ErrWireProtocol, err)
 	}
-	m.table = table
-	return nil
+	accept, err := parseHelloReply(body)
+	if err != nil {
+		return err
+	}
+	m.table, err = newWireTable(proposal, accept)
+	return err
 }
 
 // readLoop delivers responses until the socket fails, then drains every
 // pending call with the terminal error.
 func (m *msock) readLoop() {
-	codec := "json"
-	if m.table != nil {
-		codec = "binary"
-	}
 	for {
-		var (
-			id   uint64
-			cr   clientResp
-			size int
-		)
-		if m.table != nil {
-			body, err := readWireFrame(m.br)
-			if err != nil {
-				m.fail(fmt.Errorf("transport: read: %w", err))
-				return
-			}
-			r := wirefmt.NewReader(body)
-			kind := r.Byte()
-			id = r.Uvarint()
-			res, perr := parseResult(r)
-			if kind != wireKindResp || perr != nil || r.Finish() != nil {
-				m.fail(fmt.Errorf("%w: bad response frame", ErrWireProtocol))
-				return
-			}
-			cr = clientResp{ok: res.ok, enc: res.enc, payload: res.payload, code: res.code, msg: res.msg}
-			size = len(body) + uvarintLen(uint64(len(body)))
-		} else {
-			var resp response
-			n, err := readFrame(m.br, &resp)
-			if err != nil {
-				m.fail(fmt.Errorf("transport: read: %w", err))
-				return
-			}
-			id = resp.ID
-			cr = clientResp{ok: resp.OK, enc: encJSON, payload: resp.Payload, code: resp.Code, msg: resp.Error}
-			size = n
+		body, err := readWireFrame(m.br)
+		if err != nil {
+			m.fail(fmt.Errorf("transport: read: %w", err))
+			return
+		}
+		r := wirefmt.NewReader(body)
+		kind := r.Byte()
+		id := r.Uvarint()
+		res, perr := parseResult(r)
+		if kind != wireKindResp || perr != nil || r.Finish() != nil {
+			m.fail(fmt.Errorf("%w: bad response frame", ErrWireProtocol))
+			return
 		}
 		m.mu.Lock()
 		p := m.calls[id]
 		delete(m.calls, id)
 		m.mu.Unlock()
 		if p != nil {
-			wireRecordFrame(p.method, codec, false, size)
-			p.ch <- &cr // buffered; never blocks
+			wireRecordFrame(p.method, false, len(body)+uvarintLen(uint64(len(body))))
+			p.ch <- &res // buffered; never blocks
 		}
 		// No pending entry: the caller gave up (timeout/cancel); the
 		// response is discarded and the socket stays usable.
 	}
 }
 
-// fail marks the socket dead and wakes every pending caller.
+// fail marks the socket dead and wakes every pending caller. dead closes
+// before mu is released, so whoever observes closed (a losing fail, a
+// failed register) also observes dead: acquire tests liveness on dead, and
+// a caller told to replay must never be handed this socket again.
 func (m *msock) fail(err error) {
 	m.mu.Lock()
 	if m.closed {
@@ -693,9 +490,9 @@ func (m *msock) fail(err error) {
 	m.closed = true
 	m.err = err
 	m.calls = nil // callers learn the error via dead; entries are dropped
+	close(m.dead)
 	m.mu.Unlock()
 	m.c.Close()
-	close(m.dead)
 }
 
 // register files a pending call under id. It fails if the socket is dead.
@@ -734,16 +531,15 @@ type socketSlot struct {
 // without serializing them. Additional sockets only add TCP-level
 // parallelism (congestion windows, kernel buffers).
 type TCPClient struct {
-	addr      string
-	timeout   time.Duration
-	negotiate bool // propose codec v2 on fresh sockets
+	addr    string
+	timeout time.Duration
 
 	nextID uint64 // atomic; request ids unique across the pool
 	rr     uint32 // atomic round-robin cursor
 
-	// table is the most recently negotiated codec table (nil: JSON). Used
-	// for client-level size accounting (ConnCodec); each socket pins its
-	// own copy at dial time.
+	// table is the most recently negotiated method id table. Used for
+	// client-level size accounting (ConnCodec); each socket pins its own
+	// copy at dial time.
 	table atomic.Pointer[wireTable]
 
 	mu    sync.Mutex
@@ -758,12 +554,10 @@ type DialOptions struct {
 	PoolSize int
 	// Timeout bounds each dial and each call round trip (default 30s).
 	Timeout time.Duration
-	// DisableBinary skips codec v2 negotiation and pins the client to the
-	// v1 JSON framing (mixed-version testing, A/B benchmarks).
-	DisableBinary bool
 }
 
-// Dial connects to a Server at addr.
+// Dial connects to a Server at addr. A listener that is not a Server of
+// this protocol version fails the dial with ErrWireProtocol.
 func Dial(addr string, opts DialOptions) (*TCPClient, error) {
 	if opts.PoolSize <= 0 {
 		opts.PoolSize = 4
@@ -772,35 +566,40 @@ func Dial(addr string, opts DialOptions) (*TCPClient, error) {
 		opts.Timeout = 30 * time.Second
 	}
 	c := &TCPClient{
-		addr:      addr,
-		timeout:   opts.Timeout,
-		negotiate: !opts.DisableBinary,
-		slots:     make([]*socketSlot, opts.PoolSize),
+		addr:    addr,
+		timeout: opts.Timeout,
+		slots:   make([]*socketSlot, opts.PoolSize),
 	}
 	for i := range c.slots {
 		c.slots[i] = &socketSlot{}
 	}
 	// Dial the first socket eagerly so an unreachable server fails fast;
 	// the remaining slots dial lazily on first use.
-	sock, err := net.DialTimeout("tcp", addr, opts.Timeout)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	m, err := newMsock(sock, c.negotiate, c.timeout)
+	m, err := c.dial()
 	if err != nil {
 		return nil, err
 	}
 	c.slots[0].cur = m
-	c.table.Store(m.table)
 	return c, nil
+}
+
+// dial opens one socket to the server and completes its hello.
+func (c *TCPClient) dial() (*msock, error) {
+	sock, err := net.DialTimeout("tcp", c.addr, c.timeout)
+	if err != nil {
+		return nil, fmt.Errorf("transport: dial %s: %w", c.addr, err)
+	}
+	m, err := newMsock(sock, c.timeout)
+	if err != nil {
+		return nil, err
+	}
+	c.table.Store(m.table)
+	return m, nil
 }
 
 // WireCodec reports the codec of the most recently negotiated socket.
 func (c *TCPClient) WireCodec() WireCodec {
-	if t := c.table.Load(); t != nil {
-		return binaryWireCodec{table: t}
-	}
-	return jsonWireCodec{}
+	return binaryWireCodec{table: c.table.Load()}
 }
 
 // acquire returns a healthy multiplexed socket for the next call, redialing
@@ -825,29 +624,25 @@ func (c *TCPClient) acquire() (*msock, error) {
 			return slot.cur, nil
 		}
 	}
-	sock, err := net.DialTimeout("tcp", c.addr, c.timeout)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", c.addr, err)
-	}
-	c.mu.Lock()
-	if c.done {
-		c.mu.Unlock()
-		sock.Close()
-		return nil, ErrClosed
-	}
-	c.mu.Unlock()
-	m, err := newMsock(sock, c.negotiate, c.timeout)
+	m, err := c.dial()
 	if err != nil {
 		return nil, err
 	}
+	c.mu.Lock()
+	done := c.done
+	c.mu.Unlock()
+	if done {
+		m.fail(ErrClosed)
+		return nil, ErrClosed
+	}
 	slot.cur = m
-	c.table.Store(m.table)
-	return slot.cur, nil
+	return m, nil
 }
 
 // Call implements Conn. The call is pipelined: it occupies the socket only
 // for the duration of the frame write, then waits for its correlated
-// response while other calls proceed on the same socket.
+// response while other calls proceed on the same socket. A batch chunk
+// ([]BatchCall args, see CallBatch) is a call like any other.
 //
 // A call that fails because its socket died mid-flight (write error, or
 // the reader exiting before the response arrived) is transparently
@@ -861,89 +656,53 @@ func (c *TCPClient) Call(ctx context.Context, service, method string, args, repl
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	resp, err, sockDead := c.roundTrip(ctx, service, method, args)
+	name := service + "." + method
+	res, err, sockDead := c.roundTrip(ctx, name, args)
 	if sockDead && ctx.Err() == nil {
-		if resp2, err2, dead2 := c.roundTrip(ctx, service, method, args); err2 == nil && !dead2 {
-			resp, err = resp2, nil
+		if res2, err2, dead2 := c.roundTrip(ctx, name, args); err2 == nil && !dead2 {
+			res, err = res2, nil
 		}
 		// Replay failed: report the original failure, not the retry's.
 	}
 	if err != nil {
 		return err
 	}
-	if !resp.ok {
-		return &RemoteError{Code: resp.code, Msg: resp.msg}
-	}
-	return decodeResultPayload(service+"."+method, resp.enc, resp.payload, reply)
+	return decodeResult(name, res, args, reply)
 }
 
 // roundTrip sends one request and waits for its response, encoding args
-// per the acquired socket's negotiated codec (a replay after a redial may
-// therefore re-encode for a different codec). sockDead reports that the
-// failure was the socket dying under this call — the class of error a
+// against the acquired socket's method id table (a replay after a redial
+// therefore re-encodes for the new socket's table). sockDead reports that
+// the failure was the socket dying under this call — the class of error a
 // single redial-and-replay can heal — as opposed to a timeout,
 // cancellation, client close, or a response that actually arrived.
-func (c *TCPClient) roundTrip(ctx context.Context, service, method string, args any) (resp *clientResp, err error, sockDead bool) {
+func (c *TCPClient) roundTrip(ctx context.Context, name string, args any) (res *parsedResult, err error, sockDead bool) {
 	m, err := c.acquire()
 	if err != nil {
 		return nil, err, false
 	}
 
-	name := service + "." + method
 	id := atomic.AddUint64(&c.nextID, 1)
-	p := &pending{method: name, ch: make(chan *clientResp, 1)}
+	p := &pending{method: name, ch: make(chan *parsedResult, 1)}
 	if err := m.register(id, p); err != nil {
 		// The socket died between acquire and register; same class as a
 		// write failure (unless the client itself was closed).
 		return nil, err, !errors.Is(err, ErrClosed)
 	}
 
-	// Encode the full frame outside the write lock. The payload is copied
-	// into the frame buffer right here, so the typed encode can run in a
-	// pooled scratch buffer instead of allocating per call.
-	var (
-		frame   []byte
-		buf     []byte
-		req     *request
-		codec   = "json"
-		payload []byte
-		enc     byte
-	)
-	var scratch []byte
-	if m.table != nil {
-		scratch = (*wireBufPool.Get().(*[]byte))[:0]
-	}
-	var fromScratch bool
-	payload, enc, fromScratch, err = encodeArgsScratch(scratch, m.table, service, method, args)
-	recycleScratch := func() {
-		if fromScratch {
-			putWireFrameBuf(payload) // scratch, possibly grown
-		} else if scratch != nil {
-			putWireFrameBuf(scratch)
-		}
+	// Encode the full frame, payload in place, outside the write lock.
+	buf := newWireFrameBuf()
+	buf = append(buf, wireKindReq)
+	buf = binary.AppendUvarint(buf, id)
+	buf, err = appendCallArgs(buf, m.table, name, args)
+	var frame []byte
+	if err == nil {
+		frame, err = finishWireFrame(buf)
 	}
 	if err != nil {
-		recycleScratch()
+		putWireFrameBuf(buf)
 		m.deregister(id)
 		return nil, err, false
-	}
-	if m.table != nil {
-		codec = "binary"
-		buf = newWireFrameBuf()
-		buf = append(buf, wireKindReq)
-		buf = binary.AppendUvarint(buf, id)
-		buf = appendCall(buf, m.table, name, enc, payload)
-		recycleScratch()
-		frame, err = finishWireFrame(buf)
-		if err != nil {
-			putWireFrameBuf(buf)
-			m.deregister(id)
-			return nil, err, false
-		}
-	} else {
-		// v1 JSON framing: the payload rides in the request struct until
-		// writeFrame copies it out, so nothing to recycle (scratch is nil).
-		req = &request{ID: id, Service: service, Method: method, Payload: payload}
 	}
 
 	// Frame writes are short; bound them so a wedged peer cannot hold the
@@ -951,18 +710,11 @@ func (c *TCPClient) roundTrip(ctx context.Context, service, method string, args 
 	// never socket-wide: a slow response must not fail its neighbours.
 	m.writeMu.Lock()
 	werr := m.c.SetWriteDeadline(time.Now().Add(c.timeout))
-	n := 0
 	if werr == nil {
-		if req != nil {
-			n, werr = writeFrame(m.c, req)
-		} else {
-			n, werr = m.c.Write(frame)
-		}
+		_, werr = m.c.Write(frame)
 	}
 	m.writeMu.Unlock()
-	if buf != nil {
-		putWireFrameBuf(buf)
-	}
+	putWireFrameBuf(buf)
 	if werr != nil {
 		m.deregister(id)
 		// A half-written frame poisons the stream for every call on the
@@ -970,28 +722,28 @@ func (c *TCPClient) roundTrip(ctx context.Context, service, method string, args 
 		m.fail(fmt.Errorf("transport: write: %w", werr))
 		return nil, fmt.Errorf("transport: write: %w", werr), true
 	}
-	wireRecordFrame(name, codec, true, n)
+	wireRecordFrame(name, true, len(frame))
 
 	timer := time.NewTimer(c.timeout)
 	defer timer.Stop()
 	select {
-	case resp = <-p.ch:
+	case res = <-p.ch:
 	case <-ctx.Done():
 		m.deregister(id)
 		return nil, ctx.Err(), false
 	case <-timer.C:
 		m.deregister(id)
-		return nil, fmt.Errorf("transport: call %s.%s: timeout after %v", service, method, c.timeout), false
+		return nil, fmt.Errorf("transport: call %s: timeout after %v", name, c.timeout), false
 	case <-m.dead:
 		// The reader exited; either our response will never come, or it
 		// raced in just before the failure.
 		select {
-		case resp = <-p.ch:
+		case res = <-p.ch:
 		default:
 			return nil, m.err, !errors.Is(m.err, ErrClosed)
 		}
 	}
-	return resp, nil, false
+	return res, nil, false
 }
 
 // Close implements Conn.
@@ -1016,48 +768,29 @@ func (c *TCPClient) Close() error {
 }
 
 // Loopback is a Conn that dispatches directly into a Mux in-process,
-// routing every payload through the active wire codec so serialization
-// behaviour matches the TCP path exactly: with codec v2 (the default, as
-// on TCP) hot payloads are binary-encoded and re-decoded on dispatch; with
-// NewLoopbackJSON they pass through JSON like a v1 socket. It is used by
-// benchmarks (scenario S_B/S_C single-host runs) and tests. Calls dispatch
-// on the caller's goroutine, so it is as concurrent as its callers.
+// routing every payload through the wire codec so serialization behaviour
+// matches the TCP path exactly: hot payloads are binary-encoded and
+// re-decoded on dispatch, everything else passes through JSON. It is used
+// by benchmarks (scenario S_B/S_C single-host runs) and tests. Calls
+// dispatch on the caller's goroutine, so it is as concurrent as its
+// callers.
 type Loopback struct {
 	mux   *Mux
-	table *wireTable // nil: JSON semantics
+	table *wireTable
 
 	mu     sync.Mutex
 	closed bool
 }
 
-// NewLoopback returns a loopback connection to mux with binary-codec
-// semantics (what a freshly dialed TCP socket negotiates).
+// NewLoopback returns a loopback connection to mux with the method id
+// table two peers of this build negotiate: every registered codec method.
 func NewLoopback(mux *Mux) *Loopback {
-	// The "negotiation": every registered codec method is in the table.
-	proposal := RegisteredWireMethods()
-	accept := make([]int, len(proposal))
-	for i := range accept {
-		accept[i] = i
-	}
-	table, err := newWireTable(proposal, accept)
-	if err != nil {
-		table = nil // unreachable: proposal comes from the registry
-	}
-	return &Loopback{mux: mux, table: table}
-}
-
-// NewLoopbackJSON returns a loopback connection pinned to v1 JSON payload
-// semantics (what a socket negotiates against a JSON-only peer).
-func NewLoopbackJSON(mux *Mux) *Loopback {
-	return &Loopback{mux: mux}
+	return &Loopback{mux: mux, table: registryTable()}
 }
 
 // WireCodec reports the loopback's codec.
 func (l *Loopback) WireCodec() WireCodec {
-	if l.table != nil {
-		return binaryWireCodec{table: l.table}
-	}
-	return jsonWireCodec{}
+	return binaryWireCodec{table: l.table}
 }
 
 // Call implements Conn.
@@ -1071,23 +804,13 @@ func (l *Loopback) Call(ctx context.Context, service, method string, args, reply
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	payload, enc, err := encodeArgsPayload(l.table, service, method, args)
+	name := service + "." + method
+	// The payload is freshly allocated, never pooled: typed decoders alias
+	// it and handlers may keep what they decoded.
+	payload, enc, err := appendArgs(nil, l.table, name, args)
 	if err != nil {
 		return err
 	}
-	if l.table == nil {
-		resp := l.mux.dispatch(ctx, &request{ID: 1, Service: service, Method: method, Payload: payload})
-		if !resp.OK {
-			return &RemoteError{Code: resp.Code, Msg: resp.Error}
-		}
-		if reply != nil && len(resp.Payload) > 0 {
-			if err := json.Unmarshal(resp.Payload, reply); err != nil {
-				return fmt.Errorf("transport: decoding reply: %w", err)
-			}
-		}
-		return nil
-	}
-	name := service + "." + method
 	call := parsedCall{name: name, enc: enc, payload: payload}
 	if enc == encTyped {
 		call.codec = LookupCodec(name)
@@ -1098,10 +821,7 @@ func (l *Loopback) Call(ctx context.Context, service, method string, args, reply
 	if perr != nil || r.Finish() != nil {
 		return fmt.Errorf("%w: loopback result", ErrWireProtocol)
 	}
-	if !res.ok {
-		return &RemoteError{Code: res.code, Msg: res.msg}
-	}
-	return decodeResultPayload(name, res.enc, res.payload, reply)
+	return decodeResult(name, &res, args, reply)
 }
 
 // Close implements Conn.
@@ -1112,31 +832,19 @@ func (l *Loopback) Close() error {
 	return nil
 }
 
-// IsNotFoundError reports whether err is a remote "not found" error.
-// Coded errors (CodeNotFound) are authoritative; uncoded remote errors
-// fall back to message matching for compatibility with older peers.
+// IsNotFoundError reports whether err is a remote error coded
+// CodeNotFound. The code is the whole test: handlers that mean "not found"
+// say so with WithCode, and a message that merely reads like one is not.
 func IsNotFoundError(err error) bool {
 	var re *RemoteError
-	if !errors.As(err, &re) {
-		return false
-	}
-	if re.Code != "" {
-		return re.Code == CodeNotFound
-	}
-	return strings.Contains(re.Msg, "not found")
+	return errors.As(err, &re) && re.Code == CodeNotFound
 }
 
-// IsAlreadyExistsError reports whether err is a remote "already exists"
-// error (e.g. an insert hitting a duplicate document id).
+// IsAlreadyExistsError reports whether err is a remote error coded
+// CodeAlreadyExists (e.g. an insert hitting a duplicate document id).
 func IsAlreadyExistsError(err error) bool {
 	var re *RemoteError
-	if !errors.As(err, &re) {
-		return false
-	}
-	if re.Code != "" {
-		return re.Code == CodeAlreadyExists
-	}
-	return strings.Contains(re.Msg, "already exists")
+	return errors.As(err, &re) && re.Code == CodeAlreadyExists
 }
 
 var (

@@ -2,10 +2,12 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -86,8 +88,8 @@ func TestRemoteErrorPropagation(t *testing.T) {
 	if !strings.Contains(re.Msg, "not found") {
 		t.Fatalf("remote message = %q", re.Msg)
 	}
-	if !IsNotFoundError(err) {
-		t.Fatal("IsNotFoundError = false")
+	if re.Code != "" || IsNotFoundError(err) {
+		t.Fatalf("uncoded handler error arrived coded %q / classified as not-found", re.Code)
 	}
 }
 
@@ -226,24 +228,47 @@ func TestClientRecoversAfterTimeout(t *testing.T) {
 	}
 }
 
+// TestServerSurvivesGarbageFrames: a socket that opens with anything but a
+// hello of this protocol version is dropped — no panic, no reply on some
+// other framing — and the accept loop keeps serving well-formed clients.
 func TestServerSurvivesGarbageFrames(t *testing.T) {
 	addr, _ := startServer(t)
 
-	// Write raw garbage: a frame header promising more bytes than sent,
-	// then an oversized header.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
+	hello := rawFrame(appendHello(nil, RegisteredWireMethods()))
+	v1Hello := `{"id":1,"service":"_wire","method":"hello","payload":{"version":2,"methods":["doc.get"]}}`
+	otherVersion := appendHello(nil, nil)
+	otherVersion[1]++
+	probes := []struct {
+		name  string
+		bytes []byte
+		// hangUp: the probe is incomplete, so the server is still reading;
+		// it can only be dropped by the peer going away.
+		hangUp bool
+	}{
+		{name: "v1 length-prefixed JSON hello", bytes: append(binary.BigEndian.AppendUint32(nil, uint32(len(v1Hello))), v1Hello...)},
+		{name: "frame length beyond the limit", bytes: binary.AppendUvarint(nil, MaxFrameSize+1)},
+		{name: "random garbage", bytes: rawFrame([]byte{0xde, 0xad, 0xbe, 0xef, 0x99})},
+		{name: "request before any hello", bytes: rawFrame(appendCall(binary.AppendUvarint([]byte{wireKindReq}, 1), registryTable(), "test.echo", encJSON, []byte(`{}`)))},
+		{name: "hello of another version", bytes: rawFrame(otherVersion)},
+		{name: "hello with trailing bytes", bytes: rawFrame(append(appendHello(nil, []string{"doc.get"}), 0x00))},
+		{name: "truncated hello", bytes: hello[:len(hello)/2], hangUp: true},
+		{name: "length prefix promising more than is sent", bytes: []byte{0xff, 0xff, 0x03, '{', 'b', 'a', 'd'}, hangUp: true},
 	}
-	conn.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // 4 GiB frame: rejected
-	conn.Close()
-
-	conn2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
+	for _, probe := range probes {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("%s: dial: %v", probe.name, err)
+		}
+		conn.Write(probe.bytes)
+		if !probe.hangUp {
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			// EOF, or a reset when the server closed over unread bytes.
+			if n, err := conn.Read(make([]byte, 64)); n != 0 || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Errorf("%s: server answered %d bytes / %v, want the socket dropped", probe.name, n, err)
+			}
+		}
+		conn.Close()
 	}
-	conn2.Write([]byte{0, 0, 0, 5, '{', 'b', 'a', 'd'}) // truncated JSON
-	conn2.Close()
 
 	// The server must still answer well-formed clients.
 	client, err := Dial(addr, DialOptions{})

@@ -1,28 +1,26 @@
-// Wire codec v2: a negotiated binary framing for the gateway↔cloud channel.
+// The wire protocol: a varint-framed binary envelope for the gateway↔cloud
+// channel, with hand-rolled typed payload encodings for the hot RPCs (raw
+// bytes ride as raw bytes: no base64, no reflective encode/decode) and JSON
+// payloads for everything else.
 //
-// The v1 protocol ships length-prefixed JSON, so every ciphertext, PRF
-// label, and BIEX cell pays base64 (+33% bytes) plus reflective
-// encode/decode allocations on both ends. Codec v2 replaces the JSON
-// envelope with a varint-framed binary one and, for the hot RPCs, replaces
-// the JSON payload with a hand-rolled typed encoding in which raw bytes
-// ride as raw bytes.
+// Hello: the first frame on a fresh socket is the client's hello, carrying
+// the protocol version and the sorted list of methods it has typed codecs
+// for. The server replies with the same version and the indexes of the
+// methods it also holds codecs for; that agreed subset, in order, becomes
+// the socket's method id table (id i+1 = i'th accepted method, id 0 =
+// inline method name, the escape hatch for cold setup/admin methods). There
+// is nothing to fall back to: a server drops a socket that opens with
+// anything but a hello of its own version, and a client fails the dial
+// with ErrWireProtocol when the answer is anything but a well-formed reply
+// of its own version.
 //
-// Negotiation: the first request a client sends on a fresh socket is a
-// v1-framed `_wire.hello` carrying the sorted list of methods it has typed
-// codecs for. A v2 server replies with the subset it also supports and
-// both sides switch the socket to binary framing; the agreed subset,
-// in order, becomes the method id table (id i+1 = i'th accepted method,
-// id 0 = inline method name, the escape hatch for cold setup/admin
-// methods). A server that predates v2 rejects the unknown method and a
-// server run with binary framing disabled answers `version: 1`; in both
-// cases the client simply stays on JSON, so mixed-version fleets keep
-// working.
-//
-// Binary frame layout (both directions, after a successful hello):
+// Frame layout (both directions):
 //
 //	frame    := uvarint(len(body)) body            // len ≤ MaxFrameSize
 //	body     := 0x01 uvarint(id) call              // request
 //	          | 0x02 uvarint(id) result            // response
+//	          | 0x03 uvarint(version) strs         // hello: client's methods
+//	          | 0x03 uvarint(version) uvarints     // hello reply: accepted indexes
 //	call     := method enc uvarint(len) payload
 //	method   := uvarint(mid)                       // mid=0: + str(service.method)
 //	enc      := 0x00 (JSON) | 0x01 (typed) | 0x02 (batch, _batch.exec only)
@@ -31,11 +29,13 @@
 //	batch    := uvarint(n) n×call                  // request payload, enc 0|1
 //	batchres := uvarint(n) n×result                // response payload
 //	str      := uvarint(len) bytes
+//	strs     := uvarint(n) n×str
+//	uvarints := uvarint(n) n×uvarint
 //
 // Typed payloads are used only for methods in the agreed table (both ends
 // are then guaranteed to hold the codec); everything else — including any
-// argument value a codec does not recognise — falls back to a JSON payload
-// inside the binary envelope.
+// argument value a codec does not recognise — is a JSON payload inside the
+// same envelope.
 package transport
 
 import (
@@ -48,23 +48,20 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"datablinder/internal/wirefmt"
 )
 
-// Reserved negotiation endpoint. The leading underscore keeps it out of
-// Mux.Services(); the server intercepts it before dispatch.
-const (
-	wireService     = "_wire"
-	wireHelloMethod = "hello"
-	wireVersion     = 2
-)
+// wireVersion is the protocol version both peers state in the hello.
+const wireVersion = 2
 
-// Binary frame kind and payload encoding tags.
+// Frame kind and payload encoding tags.
 const (
-	wireKindReq  = 0x01
-	wireKindResp = 0x02
+	wireKindReq   = 0x01
+	wireKindResp  = 0x02
+	wireKindHello = 0x03
 
 	encJSON  = 0x00 // payload is JSON bytes
 	encTyped = 0x01 // payload is the method's registered PayloadCodec encoding
@@ -74,24 +71,80 @@ const (
 	wireStatusErr = 0x01
 )
 
-// ErrWireProtocol reports a malformed binary frame (truncated varint,
-// oversized length, unknown method id, bad tag byte). Peers that send one
-// have their connection dropped.
+// ErrWireProtocol reports a peer that does not speak this protocol: a
+// hello that is missing, malformed or of another version, or a malformed
+// frame (truncated varint, oversized length, unknown method id, bad tag
+// byte). Peers that send one have their connection dropped.
 var ErrWireProtocol = errors.New("transport: wire protocol violation")
 
-// helloArgs is the client's negotiation proposal: the sorted service.method
+// appendHello appends the client's hello body: the sorted service.method
 // names it holds typed payload codecs for.
-type helloArgs struct {
-	Version int      `json:"version"`
-	Methods []string `json:"methods,omitempty"`
+func appendHello(b []byte, methods []string) []byte {
+	b = append(b, wireKindHello)
+	b = binary.AppendUvarint(b, wireVersion)
+	return wirefmt.AppendStrings(b, methods)
 }
 
-// helloReply is the server's answer. Version 2 switches the socket to
-// binary framing; Accept indexes into the client's Methods list and fixes
-// the method id table (id = position in Accept + 1).
-type helloReply struct {
-	Version int   `json:"version"`
-	Accept  []int `json:"accept,omitempty"`
+// appendHelloReply appends the server's answer: accept indexes into the
+// client's method list and fixes the method id table (id = position in
+// accept + 1).
+func appendHelloReply(b []byte, accept []int) []byte {
+	b = append(b, wireKindHello)
+	b = binary.AppendUvarint(b, wireVersion)
+	b = binary.AppendUvarint(b, uint64(len(accept)))
+	for _, idx := range accept {
+		b = binary.AppendUvarint(b, uint64(idx))
+	}
+	return b
+}
+
+// helloHeader consumes the kind and version both hello directions open
+// with.
+func helloHeader(r *wirefmt.Reader) error {
+	kind, version := r.Byte(), r.Uvarint()
+	switch {
+	case r.Err() != nil || kind != wireKindHello:
+		return fmt.Errorf("%w: first frame is not a hello", ErrWireProtocol)
+	case version != wireVersion:
+		return fmt.Errorf("%w: peer speaks version %d, this build speaks %d", ErrWireProtocol, version, wireVersion)
+	}
+	return nil
+}
+
+// parseHello decodes a client hello body into its method proposal.
+func parseHello(body []byte) ([]string, error) {
+	r := wirefmt.NewReader(body)
+	if err := helloHeader(r); err != nil {
+		return nil, err
+	}
+	methods := r.Strings()
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("%w: hello: %v", ErrWireProtocol, err)
+	}
+	return methods, nil
+}
+
+// parseHelloReply decodes a server hello reply body into its accept
+// indexes. Whether they fit the proposal is newWireTable's check; here an
+// index only has to fit an int.
+func parseHelloReply(body []byte) ([]int, error) {
+	r := wirefmt.NewReader(body)
+	if err := helloHeader(r); err != nil {
+		return nil, err
+	}
+	accept := make([]int, r.Count())
+	for i := range accept {
+		idx := r.Uvarint()
+		if idx > MaxFrameSize {
+			// No proposal that fits a frame has this many entries.
+			return nil, fmt.Errorf("%w: hello reply: accept index %d", ErrWireProtocol, idx)
+		}
+		accept[i] = int(idx)
+	}
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("%w: hello reply: %v", ErrWireProtocol, err)
+	}
+	return accept, nil
 }
 
 // PayloadCodec is the typed binary encoding of one method's argument and
@@ -126,6 +179,7 @@ func RegisterCodec(service, method string, c *PayloadCodec) {
 	codecMu.Lock()
 	defer codecMu.Unlock()
 	codecReg[service+"."+method] = c
+	registryTab.Store(nil)
 }
 
 // LookupCodec returns the codec registered for name ("service.method"),
@@ -147,6 +201,25 @@ func RegisteredWireMethods() []string {
 	codecMu.RUnlock()
 	sort.Strings(out)
 	return out
+}
+
+// registryTab caches registryTable's result until the next RegisterCodec.
+var registryTab atomic.Pointer[wireTable]
+
+// registryTable is the table a hello between two peers of this build
+// yields: every registered codec method. It is what a Loopback speaks, and
+// what ConnCodec assumes of a Conn that does not say.
+func registryTable() *wireTable {
+	if t := registryTab.Load(); t != nil {
+		return t
+	}
+	proposal := RegisteredWireMethods()
+	t, err := newWireTable(proposal, acceptIndexes(proposal))
+	if err != nil {
+		panic(err) // unreachable: both lists come from the registry
+	}
+	registryTab.Store(t)
+	return t
 }
 
 // errCodecType reports an argument/reply value a typed codec does not
@@ -268,7 +341,7 @@ func newWireTable(proposal []string, accept []int) (*wireTable, error) {
 
 // resolve maps a method id to its name and codec.
 func (t *wireTable) resolve(mid uint64) (string, *PayloadCodec, bool) {
-	if t == nil || mid == 0 || mid > uint64(len(t.names)) {
+	if mid == 0 || mid > uint64(len(t.names)) {
 		return "", nil, false
 	}
 	return t.names[mid-1], t.codecs[mid-1], true
@@ -285,8 +358,11 @@ func acceptIndexes(proposal []string) []int {
 	return accept
 }
 
-// wireBufPool recycles binary frame encode buffers (the analogue of
-// encBufPool for the v1 path).
+// maxPooledBuf caps the capacity of recycled frame buffers so one huge
+// frame does not pin megabytes in the pool forever.
+const maxPooledBuf = 64 << 10
+
+// wireBufPool recycles frame encode buffers.
 var wireBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // wireFrameHdr is the reserved prefix for the frame length uvarint
@@ -339,17 +415,70 @@ func readWireFrame(br *bufio.Reader) ([]byte, error) {
 	return body, nil
 }
 
-// appendCall appends one call section (method, enc, length-prefixed
-// payload), compressing the method to its table id when negotiated.
-func appendCall(b []byte, t *wireTable, name string, enc byte, payload []byte) []byte {
-	if mid, ok := t.ids[name]; ok {
-		b = binary.AppendUvarint(b, uint64(mid))
-	} else {
-		b = append(b, 0)
-		b = wirefmt.AppendString(b, name)
+// writeWireFrame finishes buf (see newWireFrameBuf), writes it to w as one
+// frame and recycles it.
+func writeWireFrame(w io.Writer, buf []byte) error {
+	frame, err := finishWireFrame(buf)
+	if err == nil {
+		_, err = w.Write(frame)
 	}
+	putWireFrameBuf(buf)
+	return err
+}
+
+// lenSlack is the room reserved for the length of a payload that is
+// encoded in place, before its size is known: uvarint(len) of anything a
+// frame can hold (MaxFrameSize < 2^28) fits.
+const lenSlack = 5
+
+// reserveLen reserves lenSlack bytes for the length of the payload about
+// to be appended and returns their offset, for sealLen.
+func reserveLen(b []byte) ([]byte, int) {
+	return append(b, make([]byte, lenSlack)...), len(b)
+}
+
+// sealLen closes a payload encoded in place after reserveLen: it writes
+// the payload's length at mark and shifts the payload down over the unused
+// slack.
+func sealLen(b []byte, mark int) []byte {
+	start := mark + lenSlack
+	var l [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(l[:], uint64(len(b)-start))
+	copy(b[mark:], l[:n])
+	copy(b[mark+n:], b[start:])
+	return b[:mark+n+len(b)-start]
+}
+
+// appendMethod appends a call's method, compressed to its table id when
+// negotiated.
+func appendMethod(b []byte, t *wireTable, name string) []byte {
+	if mid, ok := t.ids[name]; ok {
+		return binary.AppendUvarint(b, uint64(mid))
+	}
+	b = append(b, 0)
+	return wirefmt.AppendString(b, name)
+}
+
+// appendCall appends one call section (method, enc, length-prefixed
+// payload).
+func appendCall(b []byte, t *wireTable, name string, enc byte, payload []byte) []byte {
+	b = appendMethod(b, t, name)
 	b = append(b, enc)
 	return wirefmt.AppendBytes(b, payload)
+}
+
+// appendCallArgs appends the call section for args, encoding the payload
+// in place (see appendArgs for what args may be).
+func appendCallArgs(b []byte, t *wireTable, name string, args any) ([]byte, error) {
+	b = appendMethod(b, t, name)
+	encAt := len(b)
+	b, mark := reserveLen(append(b, encJSON))
+	b, enc, err := appendArgs(b, t, name, args)
+	if err != nil {
+		return b, err
+	}
+	b[encAt] = enc
+	return sealLen(b, mark), nil
 }
 
 // callWireSize is the exact encoded size of one call section — the
@@ -460,95 +589,112 @@ func parseResult(r *wirefmt.Reader) (parsedResult, error) {
 	return res, nil
 }
 
-// encodeArgsPayload encodes args for one outgoing call: typed when the
-// method is in the negotiated table and its codec recognises the value,
-// JSON otherwise. Pre-encoded RawArgs pass through unchanged unless the
-// socket's codec can no longer carry the payload — see RawArgs. The
-// payload may be retained by the caller, so it is always freshly
-// allocated; hot paths that copy it into a frame immediately should use
-// encodeArgsScratch instead.
-func encodeArgsPayload(t *wireTable, service, method string, args any) (payload []byte, enc byte, err error) {
-	payload, enc, _, err = encodeArgsScratch(nil, t, service, method, args)
-	return payload, enc, err
-}
-
-// encodeArgsScratch is encodeArgsPayload with a caller-supplied scratch
-// buffer for the typed-codec branch. fromScratch reports that the payload
-// was appended to scratch (possibly grown) and may be recycled once the
-// caller has copied it into a frame; when false the payload is a
-// pass-through (RawArgs) or a fresh JSON buffer and scratch is untouched.
-func encodeArgsScratch(scratch []byte, t *wireTable, service, method string, args any) (payload []byte, enc byte, fromScratch bool, err error) {
-	if raw, ok := args.(RawArgs); ok {
-		if raw.Typed {
-			if t != nil {
-				if _, ok := t.ids[service+"."+method]; ok {
-					return raw.Payload, encTyped, false, nil
-				}
-			}
-			// The socket renegotiated since the payload was encoded:
-			// re-encode from the retained args.
-			if raw.Args != nil {
-				return encodeArgsScratch(scratch, t, service, method, raw.Args)
-			}
-			if t == nil {
-				return nil, 0, false, errors.New("transport: typed RawArgs on a JSON connection")
-			}
-			return nil, 0, false, fmt.Errorf("transport: typed RawArgs for unnegotiated method %s.%s", service, method)
-		}
-		return raw.Payload, encJSON, false, nil
+// appendArgs appends the payload of one outgoing call to dst and reports
+// its encoding. A []BatchCall is a batch payload (_batch.exec); RawArgs
+// pass through pre-encoded; any other value is typed when the method is in
+// the table and its codec recognises the value, JSON otherwise. With a nil
+// dst the payload is freshly allocated and may be retained.
+func appendArgs(dst []byte, t *wireTable, name string, args any) (out []byte, enc byte, err error) {
+	switch a := args.(type) {
+	case []BatchCall:
+		out, err = appendBatchPayload(dst, t, a)
+		return out, encBatch, err
+	case RawArgs:
+		var payload []byte
+		payload, enc, err = payloadFor(t, name, a.Payload, a.Typed, a.Args)
+		return adopt(dst, payload), enc, err
 	}
-	if t != nil {
-		if mid, ok := t.ids[service+"."+method]; ok {
-			codec := t.codecs[mid-1]
-			start := time.Now()
-			if b, cerr := codec.EncodeArgs(scratch, args); cerr == nil {
-				wireRecordEncode(service+"."+method, time.Since(start))
-				return b, encTyped, scratch != nil, nil
-			}
-			// Unrecognised argument type: fall back to JSON.
+	if mid, ok := t.ids[name]; ok {
+		start := time.Now()
+		if b, cerr := t.codecs[mid-1].EncodeArgs(dst, args); cerr == nil {
+			wireRecordEncode(name, time.Since(start))
+			return b, encTyped, nil
 		}
+		// Unrecognised argument type: fall back to JSON.
 	}
 	if args == nil {
-		return nil, encJSON, false, nil
+		return dst, encJSON, nil
 	}
 	b, err := json.Marshal(args)
 	if err != nil {
-		return nil, 0, false, fmt.Errorf("transport: encoding args: %w", err)
+		return dst, 0, fmt.Errorf("transport: encoding args: %w", err)
 	}
-	return b, encJSON, false, nil
+	return adopt(dst, b), encJSON, nil
 }
 
-// decodeResultPayload decodes a result payload into reply, honouring the
-// payload encoding. A *BatchResult reply captures the raw payload without
-// decoding (the coalescer's deferred-decode path).
-func decodeResultPayload(name string, enc byte, payload []byte, reply any) error {
-	if enc == encBatch {
-		// Batch results are consumed by batchRoundTrip, never by Call.
+// adopt appends p to dst, or hands p over as is when there is no dst.
+func adopt(dst, p []byte) []byte {
+	if dst == nil {
+		return p
+	}
+	return append(dst, p...)
+}
+
+// payloadFor picks the payload to ship for name on a socket with table t:
+// the pre-encoded raw when there is one and t can carry it, a fresh
+// encoding of args otherwise. A typed payload is only sendable where the
+// method was negotiated; one encoded against another socket's table (the
+// server changed between a redial and its predecessor) is re-encoded.
+func payloadFor(t *wireTable, name string, raw []byte, rawTyped bool, args any) ([]byte, byte, error) {
+	if raw != nil {
+		if !rawTyped {
+			return raw, encJSON, nil
+		}
+		if _, ok := t.ids[name]; ok {
+			return raw, encTyped, nil
+		}
+		if args == nil {
+			return nil, 0, fmt.Errorf("transport: typed payload for unnegotiated method %s and no args to re-encode", name)
+		}
+	}
+	return appendArgs(nil, t, name, args)
+}
+
+// decodeResult turns the result of one call into Call's outcome: the
+// remote error, the parsed sub-results of a batch chunk, or the payload
+// decoded into reply. A *BatchResult reply captures the raw payload
+// without decoding (the coalescer's deferred-decode path).
+func decodeResult(name string, res *parsedResult, args, reply any) error {
+	if !res.ok {
+		return &RemoteError{Code: res.code, Msg: res.msg}
+	}
+	if calls, ok := args.([]BatchCall); ok {
+		out, _ := reply.(*[]BatchResult)
+		if res.enc != encBatch || out == nil {
+			return fmt.Errorf("%w: non-batch result for %s", ErrWireProtocol, name)
+		}
+		start := time.Now()
+		results, err := parseBatchResults(calls, res.payload)
+		wireRecordDecode(name, time.Since(start))
+		*out = results
+		return err
+	}
+	if res.enc == encBatch {
 		return fmt.Errorf("%w: unexpected batch result for %s", ErrWireProtocol, name)
 	}
 	if br, ok := reply.(*BatchResult); ok {
-		br.Payload = append(br.Payload[:0], payload...)
-		br.typed = enc == encTyped
+		br.Payload = append(br.Payload[:0], res.payload...)
+		br.typed = res.enc == encTyped
 		br.method = name
 		return nil
 	}
-	if reply == nil || len(payload) == 0 {
+	if reply == nil || len(res.payload) == 0 {
 		return nil
 	}
-	if enc == encTyped {
+	if res.enc == encTyped {
 		codec := LookupCodec(name)
 		if codec == nil || codec.DecodeReply == nil {
 			return fmt.Errorf("transport: no reply codec for %s", name)
 		}
 		start := time.Now()
-		err := codec.DecodeReply(payload, reply)
+		err := codec.DecodeReply(res.payload, reply)
 		wireRecordDecode(name, time.Since(start))
 		if err != nil {
 			return fmt.Errorf("transport: decoding %s reply: %w", name, err)
 		}
 		return nil
 	}
-	if err := json.Unmarshal(payload, reply); err != nil {
+	if err := json.Unmarshal(res.payload, reply); err != nil {
 		return fmt.Errorf("transport: decoding reply: %w", err)
 	}
 	return nil
@@ -628,25 +774,17 @@ func wireExec(ctx context.Context, m *Mux, t *wireTable, dst []byte, call parsed
 		return appendResultOK(dst, encJSON, nil)
 	}
 
-	// Encode the reply: typed when authorised and the codec recognises the
-	// handler's value, JSON otherwise. The typed encode runs in a pooled
-	// scratch buffer — it is copied into dst immediately.
+	// Encode the reply: typed, in place, when authorised and the codec
+	// recognises the handler's value; JSON otherwise.
 	if typedReply {
 		if codec := codecForReply(t, call); codec != nil && codec.EncodeReply != nil {
-			mark := len(dst)
-			dst = append(dst, wireStatusOK, encTyped)
-			lenMark := len(dst)
-			scratch := (*wireBufPool.Get().(*[]byte))[:0]
+			b, mark := reserveLen(append(dst, wireStatusOK, encTyped))
 			start := time.Now()
-			b, cerr := codec.EncodeReply(scratch, result)
+			b, cerr := codec.EncodeReply(b, result)
 			wireRecordEncode(call.name, time.Since(start))
 			if cerr == nil {
-				dst = wirefmt.AppendBytes(dst[:lenMark], b)
-				putWireFrameBuf(b)
-				return dst
+				return sealLen(b, mark)
 			}
-			putWireFrameBuf(scratch)
-			dst = dst[:mark]
 		}
 	}
 	payload, merr := json.Marshal(result)
@@ -663,10 +801,8 @@ func codecForReply(t *wireTable, call parsedCall) *PayloadCodec {
 	if call.codec != nil {
 		return call.codec
 	}
-	if t != nil {
-		if mid, ok := t.ids[call.name]; ok {
-			return t.codecs[mid-1]
-		}
+	if mid, ok := t.ids[call.name]; ok {
+		return t.codecs[mid-1]
 	}
 	return nil
 }
@@ -675,15 +811,14 @@ func codecForReply(t *wireTable, call parsedCall) *PayloadCodec {
 // connection's WireCodec (see ConnCodec / WireCodec.EncodeArgs). The
 // coalescer encodes sub-calls at enqueue time — for byte-accurate flush
 // triggers and dedup keys — and ships them with RawArgs so the transport
-// does not encode twice. A Typed payload is only sendable on the
-// connection whose codec produced it; if the socket has since renegotiated
-// down to a codec that cannot carry it, the transport re-encodes from the
-// retained Args (when set) instead of failing the call.
+// does not encode twice. A Typed payload is only sendable on a socket that
+// negotiated the method; on one that did not, the transport re-encodes
+// from the retained Args instead of failing the call.
 type RawArgs struct {
 	Payload []byte
 	Typed   bool
 	// Args is the original argument value, kept for re-encoding when the
-	// pre-encoded payload no longer matches the socket's codec.
+	// pre-encoded payload does not fit the socket's method id table.
 	Args any
 }
 
@@ -706,15 +841,15 @@ func (r RawArgs) MarshalJSON() ([]byte, error) {
 
 // WireCodec describes how a Conn encodes call payloads, letting the batch
 // chunker and the coalescer account exact per-sub-call wire sizes and
-// pre-encode payloads for the active codec.
+// pre-encode payloads against the connection's method id table.
 type WireCodec interface {
-	// Name is "json" or "binary".
+	// Name is "binary".
 	Name() string
 	// EncodeArgs returns the payload for service.method and whether it used
 	// the typed encoding.
 	EncodeArgs(service, method string, args any) (payload []byte, typed bool, err error)
-	// SubSize is the exact (binary) or estimated (JSON) encoded size of one
-	// batch sub-call with a payload of payloadLen bytes.
+	// SubSize is the exact encoded size of one batch sub-call with a
+	// payload of payloadLen bytes.
 	SubSize(service, method string, payloadLen int) int
 	// MaxChunkBytes caps the summed SubSizes shipped in one batch frame.
 	MaxChunkBytes() int
@@ -725,48 +860,26 @@ type wireCodecProvider interface {
 	WireCodec() WireCodec
 }
 
-// ConnCodec returns conn's active wire codec. Conns that do not expose one
-// (wrappers, test fakes) report the JSON codec, which matches how CallBatch
-// falls back to v1 framing for them.
+// ConnCodec returns conn's wire codec. Conns that do not expose one
+// (wrappers, test fakes) get the codec of the full-registry table, which
+// is what their inner connection negotiates with a peer of this build;
+// where it negotiated less, the transport re-encodes (see payloadFor).
 func ConnCodec(conn Conn) WireCodec {
 	if p, ok := conn.(wireCodecProvider); ok {
 		if c := p.WireCodec(); c != nil {
 			return c
 		}
 	}
-	return jsonWireCodec{}
+	return binaryWireCodec{table: registryTable()}
 }
 
-// jsonWireCodec is the v1 accounting: JSON payloads and the historical
-// 56-byte envelope estimate.
-type jsonWireCodec struct{}
-
-func (jsonWireCodec) Name() string { return "json" }
-
-func (jsonWireCodec) EncodeArgs(service, method string, args any) ([]byte, bool, error) {
-	if args == nil {
-		return nil, false, nil
-	}
-	b, err := json.Marshal(args)
-	if err != nil {
-		return nil, false, fmt.Errorf("transport: encoding args: %w", err)
-	}
-	return b, false, nil
-}
-
-func (jsonWireCodec) SubSize(service, method string, payloadLen int) int {
-	return payloadLen + len(service) + len(method) + subRequestOverhead
-}
-
-func (jsonWireCodec) MaxChunkBytes() int { return maxBatchChunkBytes }
-
-// binaryWireCodec accounts for the negotiated binary framing.
+// binaryWireCodec accounts for the framing under one method id table.
 type binaryWireCodec struct{ table *wireTable }
 
 func (binaryWireCodec) Name() string { return "binary" }
 
 func (c binaryWireCodec) EncodeArgs(service, method string, args any) ([]byte, bool, error) {
-	payload, enc, err := encodeArgsPayload(c.table, service, method, args)
+	payload, enc, err := appendArgs(nil, c.table, service+"."+method, args)
 	return payload, enc == encTyped, err
 }
 

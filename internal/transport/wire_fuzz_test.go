@@ -55,16 +55,6 @@ func init() {
 	))
 }
 
-// fuzzTable negotiates the full registry, like a same-binary loopback.
-func fuzzTable(t testing.TB) *wireTable {
-	proposal := RegisteredWireMethods()
-	table, err := newWireTable(proposal, acceptIndexes(proposal))
-	if err != nil {
-		t.Fatalf("building fuzz table: %v", err)
-	}
-	return table
-}
-
 func fuzzMux() *Mux {
 	mux := NewMux()
 	HandleTyped(mux, "fuzz", "echo", func(_ context.Context, a *fuzzArgs) (any, error) {
@@ -76,17 +66,17 @@ func fuzzMux() *Mux {
 	return mux
 }
 
-// FuzzBinaryFrame throws arbitrary bytes at both ends of the binary
-// framing: the server's request parse+execute path and the client's
-// response parse path. Malformed input must error (or be ignored), never
-// panic, never over-allocate, and a parse that succeeds must consume the
-// body exactly.
+// FuzzBinaryFrame throws arbitrary bytes at both ends of the framing: the
+// server's hello and request parse+execute paths and the client's hello
+// reply and response parse paths. Malformed input must error (or be
+// ignored), never panic, never over-allocate, and a parse that succeeds
+// must consume the body exactly.
 func FuzzBinaryFrame(f *testing.F) {
-	table := fuzzTable(f)
+	table := registryTable() // what a same-binary hello negotiates
 	mux := fuzzMux()
 
 	// Seed with well-formed frames of every section kind.
-	argPayload, _, err := encodeArgsPayload(table, "fuzz", "echo", &fuzzArgs{S: "s", B: []byte{1, 2}, US: []uint64{7}})
+	argPayload, _, err := appendArgs(nil, table, "fuzz.echo", &fuzzArgs{S: "s", B: []byte{1, 2}, US: []uint64{7}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -97,12 +87,19 @@ func FuzzBinaryFrame(f *testing.F) {
 	jsonReq = appendCall(jsonReq, table, "fuzz.json", encJSON, []byte(`{"x":1}`))
 	f.Add(jsonReq)
 
-	batchBody := binary.AppendUvarint(nil, 2)
-	batchBody = appendCall(batchBody, table, "fuzz.echo", encTyped, argPayload)
-	batchBody = appendCall(batchBody, table, "fuzz.json", encJSON, []byte(`{}`))
+	batch := []BatchCall{
+		{Service: "fuzz", Method: "echo", Raw: argPayload, RawTyped: true},
+		{Service: "fuzz", Method: "json", Raw: []byte(`{}`)},
+	}
+	batchBody, err := appendBatchPayload(nil, table, batch)
+	if err != nil {
+		f.Fatal(err)
+	}
 	batchReq := binary.AppendUvarint([]byte{wireKindReq}, 101)
-	batchReq = appendCall(batchReq, table, BatchService+"."+BatchMethod, encBatch, batchBody)
-	f.Add(batchReq)
+	f.Add(appendCall(batchReq, table, batchName, encBatch, batchBody))
+	batchResp := binary.AppendUvarint([]byte{wireKindResp}, 101)
+	f.Add(wireExec(context.Background(), mux, table, batchResp,
+		parsedCall{name: batchName, enc: encBatch, payload: batchBody}, true))
 
 	okResp := binary.AppendUvarint([]byte{wireKindResp}, 99)
 	okResp = appendResultOK(okResp, encTyped, []byte{3, 1, 2, 3})
@@ -110,11 +107,26 @@ func FuzzBinaryFrame(f *testing.F) {
 	errResp := binary.AppendUvarint([]byte{wireKindResp}, 99)
 	errResp = appendResultErr(errResp, "not_found", "gone")
 	f.Add(errResp)
+	f.Add(appendHello(nil, RegisteredWireMethods()))
+	f.Add(appendHelloReply(nil, []int{0, 2, 3}))
+	f.Add([]byte{wireKindHello, wireVersion + 1, 0})
 	f.Add([]byte{})
 	f.Add([]byte{wireKindReq})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 
 	f.Fuzz(func(t *testing.T, body []byte) {
+		// Either end of a fresh socket: the hello parsers read bytes no
+		// table has vetted yet, and what they accept must make a table or a
+		// clean error.
+		if proposal, err := parseHello(body); err == nil {
+			if _, err := newWireTable(proposal, acceptIndexes(proposal)); err != nil {
+				t.Fatalf("own accept of a parsed proposal rejected: %v", err)
+			}
+		}
+		if accept, err := parseHelloReply(body); err == nil {
+			newWireTable(RegisteredWireMethods(), accept)
+		}
+
 		// Server side: parse and, when valid, execute.
 		r := wirefmt.NewReader(body)
 		kind := r.Byte()
@@ -137,9 +149,8 @@ func FuzzBinaryFrame(f *testing.F) {
 		if res, err := parseResult(r); err == nil && r.Finish() == nil {
 			if res.ok && res.enc == encBatch {
 				// Batch results parse one level deeper: two sub-slots of
-				// arbitrary encoding, as batchRoundTrip would see them.
-				subs := []encodedSub{{service: "fuzz", method: "echo"}, {service: "fuzz", method: "json"}}
-				parseBatchResults(subs, res.payload)
+				// arbitrary encoding, as Call would see them.
+				parseBatchResults(batch, res.payload)
 			}
 		}
 	})

@@ -1,8 +1,7 @@
-// Wire-level observability: per-service.method byte/frame/time counters
-// split by codec, published as expvar "datablinder_wire" (visible on the
-// -pprof listener next to datablinder_coalesce). Codec wins are thereby
-// observable in production, not just in benches, and the mixed-version
-// e2e asserts on the per-codec frame counts.
+// Wire-level observability: per-service.method byte/frame/time counters,
+// published as expvar "datablinder_wire" (visible on the -pprof listener
+// next to datablinder_coalesce), so what the codec costs is observable in
+// production, not just in benches.
 
 package transport
 
@@ -27,44 +26,22 @@ type methodWireCounters struct {
 	decodeNs  uint64
 }
 
-// codecWireCounters accumulates frame/byte totals for one codec ("json"
-// or "binary") across all methods.
-type codecWireCounters struct {
-	mu     sync.Mutex
-	frames uint64
-	bytes  uint64
-}
-
 var (
-	wireStatsMu      sync.RWMutex
-	wireMethodStats  = make(map[string]*methodWireCounters)
-	wireCodecStats   = make(map[string]*codecWireCounters)
-	wireStatsEnabled = true
-)
-
-// SetWireStats toggles wire counter collection (benchmark isolation).
-func SetWireStats(enabled bool) {
-	wireStatsMu.Lock()
-	wireStatsEnabled = enabled
-	wireStatsMu.Unlock()
-}
-
-// ResetWireStats clears all counters (tests and A/B bench arms).
-func ResetWireStats() {
-	wireStatsMu.Lock()
+	wireStatsMu     sync.RWMutex
 	wireMethodStats = make(map[string]*methodWireCounters)
-	wireCodecStats = make(map[string]*codecWireCounters)
-	wireStatsMu.Unlock()
-}
+
+	// wireTotals sums frames and bytes across all methods, both directions.
+	wireTotals struct {
+		mu     sync.Mutex
+		frames uint64
+		bytes  uint64
+	}
+)
 
 func wireMethod(name string) *methodWireCounters {
 	wireStatsMu.RLock()
 	c, ok := wireMethodStats[name]
-	enabled := wireStatsEnabled
 	wireStatsMu.RUnlock()
-	if !enabled {
-		return nil
-	}
 	if ok {
 		return c
 	}
@@ -77,76 +54,50 @@ func wireMethod(name string) *methodWireCounters {
 	return c
 }
 
-func wireCodecCounters(codec string) *codecWireCounters {
-	wireStatsMu.RLock()
-	c, ok := wireCodecStats[codec]
-	enabled := wireStatsEnabled
-	wireStatsMu.RUnlock()
-	if !enabled {
-		return nil
+// wireRecordFrame bills one frame to method. out is true for frames this
+// process wrote (requests on clients, responses on servers).
+func wireRecordFrame(method string, out bool, bytes int) {
+	c := wireMethod(method)
+	c.mu.Lock()
+	if out {
+		c.framesOut++
+		c.bytesOut += uint64(bytes)
+	} else {
+		c.framesIn++
+		c.bytesIn += uint64(bytes)
 	}
-	if ok {
-		return c
-	}
-	wireStatsMu.Lock()
-	if c, ok = wireCodecStats[codec]; !ok {
-		c = &codecWireCounters{}
-		wireCodecStats[codec] = c
-	}
-	wireStatsMu.Unlock()
-	return c
-}
-
-// wireRecordFrame bills one frame to method under codec. out is true for
-// frames this process wrote (requests on clients, responses on servers).
-func wireRecordFrame(method, codec string, out bool, bytes int) {
-	if c := wireMethod(method); c != nil {
-		c.mu.Lock()
-		if out {
-			c.framesOut++
-			c.bytesOut += uint64(bytes)
-		} else {
-			c.framesIn++
-			c.bytesIn += uint64(bytes)
-		}
-		c.mu.Unlock()
-	}
-	if c := wireCodecCounters(codec); c != nil {
-		c.mu.Lock()
-		c.frames++
-		c.bytes += uint64(bytes)
-		c.mu.Unlock()
-	}
+	c.mu.Unlock()
+	wireTotals.mu.Lock()
+	wireTotals.frames++
+	wireTotals.bytes += uint64(bytes)
+	wireTotals.mu.Unlock()
 }
 
 // wireRecordSub bills one batch sub-call's payload bytes to its own
 // method (frames stay with the enclosing _batch.exec).
 func wireRecordSub(method string, out bool, bytes int) {
-	if c := wireMethod(method); c != nil {
-		c.mu.Lock()
-		if out {
-			c.bytesOut += uint64(bytes)
-		} else {
-			c.bytesIn += uint64(bytes)
-		}
-		c.mu.Unlock()
+	c := wireMethod(method)
+	c.mu.Lock()
+	if out {
+		c.bytesOut += uint64(bytes)
+	} else {
+		c.bytesIn += uint64(bytes)
 	}
+	c.mu.Unlock()
 }
 
 func wireRecordEncode(method string, d time.Duration) {
-	if c := wireMethod(method); c != nil {
-		c.mu.Lock()
-		c.encodeNs += uint64(d.Nanoseconds())
-		c.mu.Unlock()
-	}
+	c := wireMethod(method)
+	c.mu.Lock()
+	c.encodeNs += uint64(d.Nanoseconds())
+	c.mu.Unlock()
 }
 
 func wireRecordDecode(method string, d time.Duration) {
-	if c := wireMethod(method); c != nil {
-		c.mu.Lock()
-		c.decodeNs += uint64(d.Nanoseconds())
-		c.mu.Unlock()
-	}
+	c := wireMethod(method)
+	c.mu.Lock()
+	c.decodeNs += uint64(d.Nanoseconds())
+	c.mu.Unlock()
 }
 
 // MethodWireStats is a snapshot of one method's counters.
@@ -159,14 +110,14 @@ type MethodWireStats struct {
 	DecodeNs  uint64 `json:"decode_ns"`
 }
 
-// CodecWireStats is a snapshot of one codec's frame totals.
+// CodecWireStats is a snapshot of a codec's frame totals.
 type CodecWireStats struct {
 	Frames uint64 `json:"frames"`
 	Bytes  uint64 `json:"bytes"`
 }
 
 // WireStatsSnapshot is the full counter state, as published under the
-// "datablinder_wire" expvar.
+// "datablinder_wire" expvar. Codecs has the one key "binary".
 type WireStatsSnapshot struct {
 	Methods map[string]MethodWireStats `json:"methods"`
 	Codecs  map[string]CodecWireStats  `json:"codecs"`
@@ -185,9 +136,12 @@ func (s WireStatsSnapshot) TotalBytes() uint64 {
 func WireStats() WireStatsSnapshot {
 	wireStatsMu.RLock()
 	defer wireStatsMu.RUnlock()
+	wireTotals.mu.Lock()
+	totals := CodecWireStats{Frames: wireTotals.frames, Bytes: wireTotals.bytes}
+	wireTotals.mu.Unlock()
 	snap := WireStatsSnapshot{
 		Methods: make(map[string]MethodWireStats, len(wireMethodStats)),
-		Codecs:  make(map[string]CodecWireStats, len(wireCodecStats)),
+		Codecs:  map[string]CodecWireStats{"binary": totals},
 	}
 	for name, c := range wireMethodStats {
 		c.mu.Lock()
@@ -196,11 +150,6 @@ func WireStats() WireStatsSnapshot {
 			BytesOut: c.bytesOut, BytesIn: c.bytesIn,
 			EncodeNs: c.encodeNs, DecodeNs: c.decodeNs,
 		}
-		c.mu.Unlock()
-	}
-	for name, c := range wireCodecStats {
-		c.mu.Lock()
-		snap.Codecs[name] = CodecWireStats{Frames: c.frames, Bytes: c.bytes}
 		c.mu.Unlock()
 	}
 	return snap
