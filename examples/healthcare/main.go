@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"sort"
 	"strings"
 
 	"datablinder"
@@ -82,6 +83,7 @@ func run() error {
 		for t := range tactics {
 			names = append(names, t)
 		}
+		sort.Strings(names)
 		fmt.Printf("  %-14s %-26s -> %-22s (effective %s)\n",
 			f.Name, f.Annotation.String(), strings.Join(names, ", "), effective)
 	}

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/big"
+	"sync"
 )
 
 // Knowing p and q, Z*_{n²} splits into Z*_{p²} × Z*_{q²} and every
@@ -14,12 +15,12 @@ import (
 // Decryption: m_p = L_p(c^(p-1) mod p²)·h_p mod p with L_p(x) = (x-1)/p,
 // likewise m_q, and m = CRT(m_p, m_q).
 //
-// Masks: the n-th residues mod p² are the subgroup of order p-1 (x ↦ x^q
+// Masks: the n-th residues mod p² are the subgroup T_p of order p-1 (x ↦ x^q
 // permutes Z*_{p²} because gcd(n, φ(n)) = 1), and y ↦ y^p mod p² maps Z*_p
 // onto it one to one, since y^p depends only on y mod p and y^p ≡ y
-// (mod p). So CRT(y_p^p mod p², y_q^q mod q²) for uniform y_p ∈ Z*_p,
-// y_q ∈ Z*_q is a uniformly random n-th residue mod n² — the distribution
-// of r^n mod n² for uniform r ∈ Z*_n.
+// (mod p). So CRT(t_p, t_q) for uniform t_p ∈ T_p, t_q ∈ T_q is a uniformly
+// random n-th residue mod n² — the distribution of r^n mod n² for uniform
+// r ∈ Z*_n. fixedbase.go draws t_p and t_q as table products.
 
 // PrivateKey is a Paillier private key: the factors of n plus the
 // constants derived from them. Build one with NewPrivateKey or GenerateKey;
@@ -34,8 +35,14 @@ type PrivateKey struct {
 	pInvQ    *big.Int // p^-1 mod q: Garner coefficient for plaintexts mod n
 	ppInvQQ  *big.Int // (p²)^-1 mod q²: Garner coefficient for masks mod n²
 
+	// maskP and maskQ are the fixed-base tables masks are drawn from, built
+	// by the first mask: a key that only decrypts never pays for them.
+	maskOnce     sync.Once
+	maskP, maskQ *maskTable
+	maskErr      error
+
 	// pool, when non-nil, holds precomputed masks so Encrypt skips even the
-	// half-width exponentiations. See EnableRandPool.
+	// table products. See EnableRandPool.
 	pool *randPool
 }
 
@@ -171,26 +178,24 @@ func (sk *PrivateKey) EncryptInt64(v int64) (*Ciphertext, error) {
 	return sk.Encrypt(big.NewInt(v))
 }
 
-// newMask returns a uniformly random n-th residue mod n² from two
-// half-width exponentiations.
+// newMask returns a uniformly random n-th residue mod n²: one table product
+// per factor, recombined by Garner. The first call builds the tables.
 func (sk *PrivateKey) newMask() (*big.Int, error) {
-	rp, err := halfMask(sk.P, sk.pm1, sk.pp)
+	sk.maskOnce.Do(func() {
+		if sk.maskP, sk.maskErr = newMaskTable(sk.P, sk.pm1, sk.pp); sk.maskErr == nil {
+			sk.maskQ, sk.maskErr = newMaskTable(sk.Q, sk.qm1, sk.qq)
+		}
+	})
+	if sk.maskErr != nil {
+		return nil, sk.maskErr
+	}
+	rp, err := sk.maskP.random()
 	if err != nil {
 		return nil, err
 	}
-	rq, err := halfMask(sk.Q, sk.qm1, sk.qq)
+	rq, err := sk.maskQ.random()
 	if err != nil {
 		return nil, err
 	}
 	return garner(rp, rq, sk.pp, sk.qq, sk.ppInvQQ), nil
-}
-
-// halfMask returns y^f mod f² for y uniform in Z*_f = [1, f-1].
-func halfMask(f, fm1, ff *big.Int) (*big.Int, error) {
-	y, err := rand.Int(rand.Reader, fm1) // [0, f-2]
-	if err != nil {
-		return nil, fmt.Errorf("paillier: sampling mask: %w", err)
-	}
-	y.Add(y, one)
-	return y.Exp(y, f, ff), nil
 }

@@ -121,32 +121,43 @@ func TestCRTDecryptMatchesTextbook(t *testing.T) {
 }
 
 func TestPrivateMasksAreDistinctResidues(t *testing.T) {
-	sk := key(t)
-	tb := newTextbook(sk)
-	seen := make(map[string]bool)
-	for i := 0; i < 200; i++ {
-		mask, err := sk.newMask()
+	// Besides the shared 512-bit key: the smallest key allowed, and one whose
+	// 250-bit factors leave a partial top window in the mask tables.
+	keys := []*PrivateKey{key(t)}
+	for _, bits := range []int{256, 500} {
+		sk, err := GenerateKey(bits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mask.Sign() <= 0 || mask.Cmp(sk.N2) >= 0 {
-			t.Fatalf("mask %d out of range", i)
-		}
-		if !tb.isResidue(mask) {
-			t.Fatalf("mask %d is not an n-th residue: mask^λ != 1 mod n²", i)
-		}
-		if seen[mask.String()] {
-			t.Fatalf("mask %d repeats an earlier mask", i)
-		}
-		seen[mask.String()] = true
+		keys = append(keys, sk)
+	}
+	for _, sk := range keys {
+		tb := newTextbook(sk)
+		seen := make(map[string]bool)
+		for i := 0; i < 200; i++ {
+			mask, err := sk.newMask()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mask.Sign() <= 0 || mask.Cmp(sk.N2) >= 0 {
+				t.Fatalf("mask %d out of range", i)
+			}
+			if !tb.isResidue(mask) {
+				t.Fatalf("mask %d is not an n-th residue: mask^λ != 1 mod n²", i)
+			}
+			if seen[mask.String()] {
+				t.Fatalf("mask %d repeats an earlier mask", i)
+			}
+			seen[mask.String()] = true
 
-		v := big.NewInt(int64(i) - 100)
-		m, err := sk.encode(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := tb.decrypt(sk.encryptWithMask(m, mask)); got.Cmp(v) != 0 {
-			t.Fatalf("ciphertext from mask %d decrypts to %s under the textbook formula, want %s", i, got, v)
+			v := big.NewInt(int64(i) - 100)
+			m, err := sk.encode(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tb.decrypt(sk.encryptWithMask(m, mask)); got.Cmp(v) != 0 {
+				t.Fatalf("ciphertext from mask %d decrypts to %s under the textbook formula, want %s", i, got, v)
+			}
 		}
 	}
 }
@@ -282,8 +293,15 @@ func BenchmarkMaskTextbook(b *testing.B) {
 	}
 }
 
+// BenchmarkMaskCRT times a warm private-key mask: two fixed-base table
+// products and Garner. The tables are built before the timer starts;
+// BenchmarkMaskTableBuild has their cost.
 func BenchmarkMaskCRT(b *testing.B) {
 	sk, _ := benchKey(b)
+	if _, err := sk.newMask(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink, _ = sk.newMask()

@@ -6,17 +6,17 @@ import (
 )
 
 // The expensive part of a Paillier encryption is the random mask — an n-th
-// residue mod n², two half-width modular exponentiations for the key
-// holder. The mask is independent of the message, so it can be precomputed
-// off the hot path: with a warm pool, Encrypt is a single modular
-// multiplication. This is the classic offline/online split for Paillier
-// (see the homomorphic encryption survey in PAPERS.md). Only a PrivateKey
-// has a pool: a key without one computes every mask inline.
+// residue mod n², some 130 modular multiplications from the key holder's
+// fixed-base tables. The mask is independent of the message, so it can be
+// precomputed off the hot path: with a warm pool, Encrypt is a single
+// modular multiplication. This is the classic offline/online split for
+// Paillier (see the homomorphic encryption survey in PAPERS.md). Only a
+// PrivateKey has a pool: a key without one computes every mask inline.
 
 // randPool buffers precomputed masks for one private key. The filler
 // goroutine is self-terminating: it runs only while the pool has room and
-// exits once full, so keys need no Close/teardown lifecycle. Each draw
-// re-kicks the filler if it has stopped.
+// exits once full, so keys need no Close/teardown lifecycle. A draw that
+// leaves the pool less than half full re-kicks the filler if it has stopped.
 type randPool struct {
 	masks    chan *big.Int
 	filling  atomic.Bool
@@ -86,11 +86,20 @@ func (p *randPool) topUp() error {
 
 // mask returns a fresh mask, preferring the precomputed pool and falling
 // back to inline computation when there is none or it is dry.
+//
+// The pool refills in bursts from half full rather than after every draw. A
+// filler started by a draw runs next on the drawing goroutine's P, ahead of
+// the rest of that insert's work; while a mask took longer than the gap
+// between draws the filler never stopped and this did not matter, but a
+// sub-millisecond mask per draw put the mask straight back on each insert's
+// critical path (EXPERIMENTS.md, "Fixed-base Paillier masks").
 func (sk *PrivateKey) mask() (*big.Int, error) {
 	if p := sk.pool; p != nil {
 		select {
 		case m := <-p.masks:
-			p.kick()
+			if len(p.masks) < cap(p.masks)/2 {
+				p.kick()
+			}
 			return m, nil
 		default:
 			p.kick()

@@ -91,6 +91,50 @@ func TestRandPoolComputesOnlyWhatIsDrawn(t *testing.T) {
 	}
 }
 
+// TestRandPoolRefillsFromHalfFull pins when a draw restarts the filler: not
+// while the pool is at least half full, and all the way to capacity once it
+// is not.
+func TestRandPoolRefillsFromHalfFull(t *testing.T) {
+	sk, err := GenerateKey(testKeyBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const capacity = 8
+	sk.EnableRandPool(capacity)
+	p := sk.pool
+	waitFull := func() {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for p.filling.Load() || sk.RandPoolLen() < capacity {
+			if time.Now().After(deadline) {
+				t.Fatalf("pool stuck at %d of %d masks", sk.RandPoolLen(), capacity)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	draw := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := sk.mask(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	waitFull()
+	draw(capacity / 2)
+	// A kick is synchronous: had one happened, the filler would be running
+	// or would already have computed a mask.
+	if p.filling.Load() || p.computed.Load() != capacity || sk.RandPoolLen() != capacity/2 {
+		t.Fatalf("draws down to half full restarted the filler: filling=%v computed=%d len=%d",
+			p.filling.Load(), p.computed.Load(), sk.RandPoolLen())
+	}
+	draw(1)
+	waitFull()
+	if got := p.computed.Load() - capacity; got != capacity/2+1 {
+		t.Fatalf("refill from below half computed %d masks, want %d", got, capacity/2+1)
+	}
+}
+
 // TestRandPoolConcurrent hammers pooled encryption from parallel goroutines
 // under -race: draws, refills, and inline fallbacks all interleave.
 func TestRandPoolConcurrent(t *testing.T) {
@@ -123,8 +167,8 @@ func TestRandPoolConcurrent(t *testing.T) {
 }
 
 // BenchmarkPaillierEncrypt measures the offline/online split on the
-// private-key path: "inline" is a key without a pool, paying the two
-// half-width exponentiations per op; "pooled-online" times only the online
+// private-key path: "inline" is a key without a pool, paying the two table
+// products of a mask per op; "pooled-online" times only the online
 // phase (one mulmod) against precomputed masks, which is what a warm
 // randomness pool delivers per Encrypt. Masks are cycled rather than
 // refilled so the offline phase stays outside the measurement regardless
@@ -135,6 +179,9 @@ func BenchmarkPaillierEncrypt(b *testing.B) {
 		b.Fatal(err)
 	}
 	v := big.NewInt(123456)
+	if _, err := sk.newMask(); err != nil { // builds the mask tables off the clock
+		b.Fatal(err)
+	}
 	b.Run("inline", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -10,11 +10,12 @@
 // is decrypted at the gateway, which also divides by the count for
 // averages (the AggFunctionResolution interface).
 //
-// The gateway holds the factors of n, so its masks and decryptions take
-// the half-width CRT path; the cloud holds n only and never exponentiates:
-// a sum is a fold of modular multiplications starting from the first
-// ciphertext. DESIGN.md ("Paillier key at rest and fast paths") has the
-// argument for why that reply needs no re-randomisation.
+// The gateway holds the factors of n, so its decryptions take the half-width
+// CRT path and its masks are products from a per-key fixed-base table; the
+// cloud holds n only and never exponentiates: a sum is a fold of modular
+// multiplications starting from the first ciphertext. DESIGN.md ("Paillier
+// key at rest and fast paths") has the argument for why that reply needs no
+// re-randomisation.
 package paillier
 
 import (
@@ -42,13 +43,16 @@ const Service = "agg"
 
 // KeyBits is the Paillier modulus size. 1024 bits keeps the ~50k-call
 // benchmark workloads tractable while exercising the full protocol; raise
-// to 2048+ for production deployments.
+// to 2048+ for production deployments. The gateway's in-memory mask tables
+// grow with the square of it: 4 MiB per key at 1024 bits, 16 MiB at 2048.
 const KeyBits = 1024
 
 // randPoolSize is how many precomputed encryption masks the gateway keeps
 // ready; inserts draw one mask per encrypted value and a background filler
-// replaces it, so a burst of up to this many inserts pays one modular
-// multiplication each. The cloud has no pool: it never encrypts.
+// tops the pool up once it is under half full, so a burst of up to this many
+// inserts pays one modular multiplication each, and a miss pays the ~130
+// table multiplications of a mask inline. The cloud has no pool: it never
+// encrypts.
 const randPoolSize = 128
 
 // ErrStoredKeyFormat reports a private key in the gateway store that is not
@@ -115,14 +119,17 @@ func Describe() spi.Descriptor {
 		GatewayInterfaces: []string{"Setup", "Insertion", "AggFunctionResolution"},
 		CloudInterfaces:   []string{"Setup", "Insertion", "AggFunction"},
 		Perf: model.PerfMetrics{
-			Complexity:          "insert: two half-width modular exponentiations gateway-side (CRT mask, precomputed off-path while the pool is warm); aggregate: O(n) modular multiplications cloud-side, no exponentiation, plus one CRT decryption gateway-side",
+			Complexity:          "insert: ~2·⌈512/w⌉ modular multiplications from a per-key fixed-base table gateway-side, no exponentiation (precomputed off-path while the pool is warm); aggregate: O(n) modular multiplications cloud-side, no exponentiation, plus one CRT decryption gateway-side",
 			RoundTrips:          1,
 			ClientStorage:       "Paillier private key",
 			ServerStorageFactor: 8.0, // 2048-bit ciphertexts per numeric value
 			Costs: map[model.Op]model.CostPrior{
-				// The CRT mask dominates: two 512-bit-exponent, 1024-bit-modulus
-				// exponentiations, measured at ~410-480 µs (BenchmarkMaskCRT).
-				model.OpInsert: {Fixed: 450},
+				// The mask dominates: two 64-entry table products modulo p² and
+				// q², measured with the encryption around it at 105-200 µs
+				// depending on how busy the host is
+				// (BenchmarkPaillierEncrypt/inline; BenchmarkMaskCRT is the mask
+				// alone).
+				model.OpInsert: {Fixed: 150},
 				model.OpDelete: {Fixed: 100},
 			},
 		},
