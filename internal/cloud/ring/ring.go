@@ -156,25 +156,6 @@ func (r *Ring) Broadcast(ctx context.Context, service, method string, args any) 
 	})
 }
 
-// GroupByShard partitions items by the shard owning each item's routing
-// label — the batch-shaped companion to Shard for label-keyed payloads
-// (index entry groups, conjunction tokens). Single-shard rings return one
-// group without hashing.
-func GroupByShard[T any](r *Ring, items []T, label func(T) string) map[int][]T {
-	groups := make(map[int][]T)
-	if len(r.points) == 0 {
-		if len(items) > 0 {
-			groups[0] = items
-		}
-		return groups
-	}
-	for _, it := range items {
-		s := r.Shard(label(it))
-		groups[s] = append(groups[s], it)
-	}
-	return groups
-}
-
 // Split partitions keys by owning shard, preserving each key's index into
 // the original slice so gathered results can be reassembled in request
 // order. Single-shard rings return one group without hashing.

@@ -129,43 +129,6 @@ func TestSplitPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestGroupByShard checks the label-keyed grouping agrees with Shard and
-// that single-shard rings bypass hashing.
-func TestGroupByShard(t *testing.T) {
-	type item struct{ label, payload string }
-	items := make([]item, 50)
-	for i := range items {
-		items[i] = item{label: fmt.Sprintf("label-%03d", i), payload: fmt.Sprintf("p%d", i)}
-	}
-
-	r := New(conns(4), 0)
-	groups := GroupByShard(r, items, func(it item) string { return it.label })
-	total := 0
-	for shard, grp := range groups {
-		total += len(grp)
-		for _, it := range grp {
-			if got := r.Shard(it.label); got != shard {
-				t.Fatalf("item %q grouped under shard %d but Shard says %d", it.label, shard, got)
-			}
-		}
-	}
-	if total != len(items) {
-		t.Fatalf("grouped %d of %d items", total, len(items))
-	}
-	if len(groups) < 2 {
-		t.Fatalf("50 labels landed in %d group(s) on 4 shards", len(groups))
-	}
-
-	single := New(conns(1), 0)
-	sg := GroupByShard(single, items, func(it item) string { return it.label })
-	if len(sg) != 1 || len(sg[0]) != len(items) {
-		t.Fatalf("single-shard grouping = %v groups", len(sg))
-	}
-	if empty := GroupByShard(single, nil, func(it item) string { return it.label }); len(empty) != 0 {
-		t.Fatalf("empty input produced %d groups", len(empty))
-	}
-}
-
 func TestMergeSorted(t *testing.T) {
 	got := MergeSorted([][]string{{"a", "c", "e"}, {"b", "c"}, {}, {"d"}})
 	want := []string{"a", "b", "c", "d", "e"}

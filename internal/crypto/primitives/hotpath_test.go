@@ -218,6 +218,48 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 }
 
+// TestPRFStateMatchesPRF: a keyed state computes the same function as
+// PRFInto over the concatenated input, stays correct across reuse, appends
+// without allocating, and takes no slot in the HMAC pool — 10 000 distinct
+// short-lived keys later a long-lived key still gets its pooled state.
+func TestPRFStateMatchesPRF(t *testing.T) {
+	key, err := NewRandomKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewPRFState(key)
+	for _, in := range [][2][]byte{{[]byte("t"), Uint64Bytes(7)}, {nil, nil}, {[]byte("emm-shared"), bytes.Repeat([]byte{9}, 200)}} {
+		joined := append(append([]byte(nil), in[0]...), in[1]...)
+		got := s.Append([]byte("prefix/"), joined)
+		want := PRFInto([]byte("prefix/"), key, in[0], in[1])
+		if !bytes.Equal(got, want) {
+			t.Fatalf("PRFState.Append(%q) = %x, want %x", joined, got, want)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	data := make([]byte, 9) // heap memory, as a walk's input buffer is
+	buf := make([]byte, 0, PRFSize)
+	if got := testing.AllocsPerRun(200, func() { s.Append(buf, data) }); got != 0 {
+		t.Errorf("PRFState.Append allocs/op = %.1f, want 0", got)
+	}
+
+	SetHotPathCaching(true)
+	for i := 0; i < 10000; i++ {
+		k := PRFKey(key, Uint64Bytes(uint64(i)))
+		NewPRFState(k).Append(buf, data)
+	}
+	fresh, err := NewRandomKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	PRFInto(buf, fresh, data)
+	if got := testing.AllocsPerRun(200, func() { PRFInto(buf, fresh, data) }); got > 1 {
+		t.Errorf("PRFInto on a key first used after 10 000 keyed states = %.1f allocs/op, want <= 1", got)
+	}
+}
+
 // TestMACPoolConcurrent hammers the pooled PRF from parallel goroutines
 // under -race, over more distinct keys than one pool shard holds so both
 // the pooled and fallback paths run.

@@ -94,6 +94,12 @@ func HotPathCaching() bool { return hotPathCaching.Load() }
 // shard so an adversarial or merely huge keyword population cannot pin
 // unbounded memory: keys beyond a shard's capacity simply fall back to
 // hmac.New.
+//
+// The pool never evicts, so it is for long-lived keys only (root, field and
+// purpose keys: a few dozen per schema). A key derived per keyword, per
+// keyword pair or from a search token goes through PRFState instead: a
+// corpus has unboundedly many of them, and the first few thousand would
+// claim every slot for the life of the process.
 const (
 	macPoolShards   = 64
 	macPoolPerShard = 64
@@ -161,6 +167,32 @@ func PRFInto(dst []byte, key Key, data ...[]byte) []byte {
 		mac.Reset()
 		pool.Put(mac)
 	}
+	return out
+}
+
+// PRFState is the PRF keyed once for a run of evaluations under one
+// short-lived key: a per-keyword walk over cell addresses, the pads of one
+// Mitra search, the two derivations of one insert. Keying costs two SHA-256
+// key schedules and a handful of allocations; Append costs neither. The
+// state never touches the HMAC pool. Not safe for concurrent use.
+type PRFState struct {
+	mac hash.Hash
+}
+
+// NewPRFState keys the PRF with key.
+func NewPRFState(key Key) *PRFState {
+	return &PRFState{mac: hmac.New(sha256.New, key[:])}
+}
+
+// Append appends PRF(key, data) to dst and returns the extended slice; the
+// output equals PRFInto's over the concatenation of its data slices. data
+// is handed to the hash, so a caller that wants an allocation-free loop
+// keeps it in memory that already lives on the heap (a field of its walk
+// state), not in a fresh stack array.
+func (s *PRFState) Append(dst, data []byte) []byte {
+	s.mac.Write(data)
+	out := s.mac.Sum(dst)
+	s.mac.Reset()
 	return out
 }
 

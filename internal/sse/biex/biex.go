@@ -30,11 +30,11 @@
 // shard — the keyword's global-multimap cells, a replica of every cross
 // pair cell the keyword participates in, and (ZMF) the filters of its
 // co-occurring keywords. Insert takes a ShardFunc and returns one Entries
-// batch per shard; Token stamps each conjunction with its anchor's label
-// so the caller can route it. A conjunction therefore still resolves
-// entirely server-side on one shard (the sub-linear IEX walk is
-// preserved), while distinct anchor keywords — and hence the index as a
-// whole — spread across the tier.
+// batch per shard; Token takes the same ShardFunc and returns one
+// SearchToken per shard. A conjunction therefore still resolves entirely
+// server-side (the sub-linear IEX walk is preserved), while distinct
+// anchor keywords — and hence the index as a whole — spread across the
+// tier.
 //
 // # Hot-keyword spill
 //
@@ -47,11 +47,36 @@
 // global cell, the pair replicas anchored at w, the filters shipped for
 // w's benefit — all place by w's bucket at that insert, so each bucket
 // shard holds a self-contained slice of the keyword's index and refines
-// its conjunctions entirely locally. Queries anchored at w fan to its
-// buckets (cold keywords have exactly one, keeping the single-shard
-// resolution of the long tail) and union the slices. Bucket membership is
-// a pure function of client-side counters, so placement needs no
-// directory and survives restarts.
+// its conjunctions entirely locally. Bucket membership is a pure function
+// of client-side counters, so placement needs no directory and survives
+// restarts.
+//
+// # Resolving a conjunction
+//
+// A conjunction is anchored at its rarest positive literal (fewest inserts
+// by the client's spill counter) and becomes one ConjToken per shard that
+// holds a bucket of the anchor — not one per bucket: a shard walks each
+// structure once however many of the anchor's buckets it hosts, and a rare
+// anchor keeps the whole conjunction on one shard. On each shard the
+// candidates come from the smallest structure that can supply them:
+//
+//   - 2Lev, all other literals positive: the pair list of (anchor, literal)
+//     with the fewest cells; the remaining pair lists refine it. The
+//     anchor's global cells are never read and their tokens never sent —
+//     the pair multimap answers the conjunction, the global multimap only
+//     serves single keywords, which is the IEX walk. Sound because every
+//     pair cell of document d has a replica on the shard of the anchor's
+//     bucket at d's insert, and that shard is one of those queried: there d
+//     is in every pair list it belongs to, so it is found; elsewhere a
+//     shard can only report d if it holds d's cell in every positive pair
+//     list, and a cell exists only for a document containing both
+//     keywords, so nothing false is ever reported.
+//   - a negated literal, the ZMF variant, or no other literal at all: the
+//     anchor's global buckets on that shard, refined by every constraint.
+//     A negation needs them because absence from a pair list proves
+//     nothing on a shard that merely holds the *other* keyword's replica of
+//     d's cells; the global cell marks the shard whose view of d is
+//     complete.
 package biex
 
 import (
@@ -83,6 +108,9 @@ var (
 	ErrNoPositiveLiteral = errors.New("biex: every conjunction needs at least one positive literal")
 	ErrEmptyQuery        = errors.New("biex: empty query")
 	ErrBadVariant        = errors.New("biex: unknown variant")
+	// ErrNoCandidates reports a conjunction token with neither anchor
+	// buckets nor a positive pair constraint to draw candidates from.
+	ErrNoCandidates = errors.New("biex: conjunction token names no candidate source")
 )
 
 // SpillThreshold is how many inserts of one keyword share a spill bucket
@@ -129,18 +157,18 @@ type Constraint struct {
 	Negated bool             `json:"negated,omitempty"`
 }
 
-// ConjToken resolves one conjunction.
+// ConjToken resolves one conjunction on one shard.
 type ConjToken struct {
-	Anchor      emm.SearchToken `json:"anchor"`
-	Constraints []Constraint    `json:"constraints,omitempty"`
-	// Route is the anchor keyword's routing label: the shard owning it
-	// holds every cell this conjunction touches. Gateway-side only — the
-	// server resolves whatever conjunctions it is handed, so the label is
-	// never serialized toward the untrusted zone.
-	Route string `json:"-"`
+	// Anchors are the tokens of the anchor keyword's global-multimap spill
+	// buckets living on this shard: the candidate set. Empty when the
+	// candidates come from a pair list instead — the server then neither
+	// reads nor learns anything about the anchor's global cells.
+	Anchors     []emm.SearchToken `json:"anchors,omitempty"`
+	Constraints []Constraint      `json:"constraints,omitempty"`
 }
 
-// SearchToken resolves a full DNF query.
+// SearchToken resolves a DNF query on one shard: the union of its
+// conjunctions.
 type SearchToken struct {
 	Conjunctions []ConjToken `json:"conjunctions"`
 }
@@ -291,8 +319,9 @@ func bucketKeyword(w string, b uint64) string {
 }
 
 // Entries is the batch of server updates produced by one client operation.
-// Cross pair cells ship packed (CrossPacked); the per-cell Cross form is
-// retained for wire compatibility with writers that predate packing.
+// Cross pair cells ship packed (CrossPacked); the per-cell Cross form
+// carries cells already assembled into their stored shared-payload value
+// (emm.SharedValue) — the only form the cross multimap opens.
 type Entries struct {
 	Global      []emm.Entry       `json:"global,omitempty"`
 	Cross       []emm.Entry       `json:"cross,omitempty"`
@@ -455,10 +484,16 @@ func (c *Client) BucketRoute(namespace, w string, bucket uint64) string {
 // by one for every SpillThreshold inserts.
 func (c *Client) Buckets(namespace, w string) (int, error) {
 	n, err := c.state.Spill(namespace, w)
-	if err != nil || n == 0 {
-		return 1, err
+	return int(bucketCount(n)), err
+}
+
+// bucketCount is the number of spill buckets a keyword with the given
+// insert count spans.
+func bucketCount(inserts uint64) uint64 {
+	if inserts == 0 {
+		return 1
 	}
-	return int((n-1)/SpillThreshold) + 1, nil
+	return (inserts-1)/SpillThreshold + 1
 }
 
 // Insert indexes a document's keywords, assigning a fresh version, and
@@ -614,28 +649,36 @@ func (c *Client) Delete(namespace, id string) error {
 	return c.state.SetVersion(namespace, id, v+1)
 }
 
-// Token compiles a DNF query into a search token. A conjunction whose
-// anchor keyword has spilled into several buckets becomes one ConjToken
-// per bucket — identical constraints, bucket-specific anchor and route —
-// and the server-side union of the bucket slices reproduces the
-// single-shard result (a document version lands in exactly one bucket).
-func (c *Client) Token(namespace string, q Query) (SearchToken, error) {
+// Token compiles a DNF query into one search token per shard that has work
+// to do (per shardOf over the anchors' spill-bucket routing labels); the
+// caller delivers each to the matching shard's Server.Search and unions the
+// replies. An empty map means every conjunction was unsatisfiable. See the
+// package comment for how a conjunction picks its anchor and its candidate
+// source.
+func (c *Client) Token(namespace string, q Query, shardOf ShardFunc) (map[int]*SearchToken, error) {
 	if err := q.Validate(); err != nil {
-		return SearchToken{}, err
+		return nil, err
 	}
-	var tok SearchToken
+	out := make(map[int]*SearchToken)
 	for _, conj := range q {
-		// Anchor: the first positive literal.
+		// Anchor: the rarest positive literal, the first among equals.
 		anchorIdx := -1
+		var inserts uint64
 		for i, l := range conj {
-			if !l.Negated {
-				anchorIdx = i
-				break
+			if l.Negated {
+				continue
+			}
+			n, err := c.state.Spill(namespace, l.Keyword)
+			if err != nil {
+				return nil, err
+			}
+			if anchorIdx < 0 || n < inserts {
+				anchorIdx, inserts = i, n
 			}
 		}
 		anchorKw := conj[anchorIdx].Keyword
 		var constraints []Constraint
-		unsatisfiable := false
+		positive, negated, unsatisfiable := false, false, false
 		for i, l := range conj {
 			if i == anchorIdx {
 				continue
@@ -657,7 +700,7 @@ func (c *Client) Token(namespace string, q Query) (SearchToken, error) {
 			case Variant2Lev:
 				t, err := c.cross.Token(namespace, pairKeyword(anchorKw, l.Keyword))
 				if err != nil {
-					return SearchToken{}, err
+					return nil, err
 				}
 				con.Cross = &t
 			case VariantZMF:
@@ -665,27 +708,44 @@ func (c *Client) Token(namespace string, q Query) (SearchToken, error) {
 				con.Filter = &t
 			}
 			constraints = append(constraints, con)
+			if l.Negated {
+				negated = true
+			} else {
+				positive = true
+			}
 		}
 		if unsatisfiable {
 			continue
 		}
-		buckets, err := c.Buckets(namespace, anchorKw)
-		if err != nil {
-			return SearchToken{}, err
-		}
-		for b := 0; b < buckets; b++ {
-			anchor, err := c.global.Token(namespace, bucketKeyword(anchorKw, uint64(b)))
-			if err != nil {
-				return SearchToken{}, err
+		// Candidates come from a pair list when one exists and nothing is
+		// negated; otherwise from the anchor's global buckets.
+		pairFirst := c.variant == Variant2Lev && positive && !negated
+		// One ConjToken per shard holding a bucket of the anchor; a shard
+		// hosting several buckets gets them, in bucket order, in that token.
+		seen := make(map[int]bool)
+		for b := uint64(0); b < bucketCount(inserts); b++ {
+			shard := shardOf(c.BucketRoute(namespace, anchorKw, b))
+			tok := out[shard]
+			if tok == nil {
+				tok = &SearchToken{}
+				out[shard] = tok
 			}
-			tok.Conjunctions = append(tok.Conjunctions, ConjToken{
-				Anchor:      anchor,
-				Constraints: constraints,
-				Route:       c.BucketRoute(namespace, anchorKw, uint64(b)),
-			})
+			if !seen[shard] {
+				seen[shard] = true
+				tok.Conjunctions = append(tok.Conjunctions, ConjToken{Constraints: constraints})
+			}
+			if pairFirst {
+				continue
+			}
+			anchor, err := c.global.Token(namespace, bucketKeyword(anchorKw, b))
+			if err != nil {
+				return nil, err
+			}
+			ct := &tok.Conjunctions[len(tok.Conjunctions)-1]
+			ct.Anchors = append(ct.Anchors, anchor)
 		}
 	}
-	return tok, nil
+	return out, nil
 }
 
 // LiveVersioned filters versioned index ids down to those carrying their
@@ -720,10 +780,7 @@ func (c *Client) BucketToken(namespace, w string, bucket uint64) (SearchToken, e
 	if err != nil {
 		return SearchToken{}, err
 	}
-	return SearchToken{Conjunctions: []ConjToken{{
-		Anchor: anchor,
-		Route:  c.BucketRoute(namespace, w, bucket),
-	}}}, nil
+	return SearchToken{Conjunctions: []ConjToken{{Anchors: []emm.SearchToken{anchor}}}}, nil
 }
 
 // RepackGlobal rebuilds one spill bucket of keyword w's global-multimap
@@ -777,7 +834,7 @@ type Server struct {
 func NewServer(store *kvstore.Store, namespace string) *Server {
 	return &Server{
 		global:  emm.NewServer(store, "biexg/"+namespace),
-		cross:   emm.NewServer(store, "biexx/"+namespace),
+		cross:   emm.NewSharedServer(store, "biexx/"+namespace),
 		filters: zmf.NewServer(store, "biexz/"+namespace),
 	}
 }
@@ -833,12 +890,41 @@ func (s *Server) Search(tok SearchToken) ([]string, error) {
 	return order, nil
 }
 
+// pairCells bounds how many ids a multimap token's cells hold.
+func pairCells(t *emm.SearchToken) uint64 {
+	return t.Counts.Packed*emm.BucketCapacity + t.Counts.Tail
+}
+
 func (s *Server) searchConj(conj ConjToken) ([]string, error) {
-	candidates, err := s.global.Search(conj.Anchor)
-	if err != nil {
-		return nil, err
+	var candidates []string
+	start := -1 // the constraint the candidates came from, if not the anchor
+	if len(conj.Anchors) > 0 {
+		for _, anchor := range conj.Anchors {
+			ids, err := s.global.Search(anchor)
+			if err != nil {
+				return nil, err
+			}
+			candidates = append(candidates, ids...)
+		}
+	} else {
+		for i, con := range conj.Constraints {
+			if con.Cross != nil && !con.Negated &&
+				(start < 0 || pairCells(con.Cross) < pairCells(conj.Constraints[start].Cross)) {
+				start = i
+			}
+		}
+		if start < 0 {
+			return nil, ErrNoCandidates
+		}
+		var err error
+		if candidates, err = s.cross.Search(*conj.Constraints[start].Cross); err != nil {
+			return nil, err
+		}
 	}
-	for _, con := range conj.Constraints {
+	for i, con := range conj.Constraints {
+		if i == start {
+			continue
+		}
 		if len(candidates) == 0 {
 			return nil, nil
 		}

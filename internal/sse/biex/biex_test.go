@@ -25,32 +25,89 @@ func setup(t testing.TB, v Variant) (*Client, *Server) {
 	return c, NewServer(kvstore.New(), "obs")
 }
 
+// tier is a client over n servers, partitioned by a hash of the routing
+// label (a single server when n is 1).
+type tier struct {
+	c      *Client
+	shards []*Server
+	stores []*kvstore.Store
+}
+
+// pinnedKey is a fixed master key: placement is a PRF of it, so tests that
+// assert on which shards cells land fix it instead of drawing one.
+func pinnedKey(seed byte) primitives.Key {
+	var k primitives.Key
+	for i := range k {
+		k[i] = seed + byte(i)
+	}
+	return k
+}
+
+func newTier(t testing.TB, key primitives.Key, v Variant, n int) *tier {
+	t.Helper()
+	c, err := NewClient(key, NewMemState(), v)
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	tr := &tier{c: c}
+	for i := 0; i < n; i++ {
+		tr.stores = append(tr.stores, kvstore.New())
+		tr.shards = append(tr.shards, NewServer(tr.stores[i], "obs"))
+	}
+	return tr
+}
+
+func (tr *tier) shardOf(label string) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(label); i++ {
+		h = (h ^ uint32(label[i])) * 16777619
+	}
+	return int(h % uint32(len(tr.shards)))
+}
+
+func (tr *tier) insert(id string, kws ...string) error {
+	groups, err := tr.c.Insert("obs", id, kws, tr.shardOf)
+	if err != nil {
+		return err
+	}
+	for s, e := range groups {
+		if err := tr.shards[s].Insert(*e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// search compiles q, runs each shard's token on that shard and resolves the
+// union, the way the tactic does.
+func (tr *tier) search(q Query) ([]string, error) {
+	toks, err := tr.c.Token("obs", q, tr.shardOf)
+	if err != nil {
+		return nil, err
+	}
+	var vids []string
+	for s, tok := range toks {
+		got, err := tr.shards[s].Search(*tok)
+		if err != nil {
+			return nil, err
+		}
+		vids = append(vids, got...)
+	}
+	return tr.c.Resolve("obs", vids)
+}
+
 func insert(t testing.TB, c *Client, s *Server, id string, kws ...string) {
 	t.Helper()
-	groups, err := c.Insert("obs", id, kws, SingleShard)
-	if err != nil {
+	if err := (&tier{c: c, shards: []*Server{s}}).insert(id, kws...); err != nil {
 		t.Fatalf("Insert: %v", err)
-	}
-	for _, e := range groups {
-		if err := s.Insert(*e); err != nil {
-			t.Fatalf("server Insert: %v", err)
-		}
 	}
 }
 
 func run(t testing.TB, c *Client, s *Server, q Query) []string {
 	t.Helper()
-	tok, err := c.Token("obs", q)
+	ids, err := (&tier{c: c, shards: []*Server{s}}).search(q)
 	if err != nil {
-		t.Fatalf("Token: %v", err)
-	}
-	vids, err := s.Search(tok)
-	if err != nil {
-		t.Fatalf("Search: %v", err)
-	}
-	ids, err := c.Resolve("obs", vids)
-	if err != nil {
-		t.Fatalf("Resolve: %v", err)
+		t.Fatalf("search: %v", err)
 	}
 	return ids
 }
@@ -198,10 +255,10 @@ func TestDeleteUnknownIsNoop(t *testing.T) {
 
 func TestQueryValidation(t *testing.T) {
 	c, _ := setup(t, Variant2Lev)
-	if _, err := c.Token("obs", Query{}); err != ErrEmptyQuery {
+	if _, err := c.Token("obs", Query{}, SingleShard); err != ErrEmptyQuery {
 		t.Fatalf("empty query = %v", err)
 	}
-	if _, err := c.Token("obs", Query{{neg("a")}}); err != ErrNoPositiveLiteral {
+	if _, err := c.Token("obs", Query{{neg("a")}}, SingleShard); err != ErrNoPositiveLiteral {
 		t.Fatalf("all-negative conjunction = %v", err)
 	}
 }
@@ -299,15 +356,7 @@ func TestVariantsAgreeQuick(t *testing.T) {
 }
 
 func runQuiet(c *Client, s *Server, q Query) []string {
-	tok, err := c.Token("obs", q)
-	if err != nil {
-		return nil
-	}
-	vids, err := s.Search(tok)
-	if err != nil {
-		return nil
-	}
-	ids, err := c.Resolve("obs", vids)
+	ids, err := (&tier{c: c, shards: []*Server{s}}).search(q)
 	if err != nil {
 		return nil
 	}
@@ -316,39 +365,14 @@ func runQuiet(c *Client, s *Server, q Query) []string {
 
 // TestPartitionedMatchesSingleServer drives the sharded placement contract
 // directly: the same corpus lands on one server via SingleShard and on
-// three servers via a hash of the routing label, and every query — routed
-// per conjunction to the shard owning its anchor's label, results merged
-// — must agree with the single-server run.
+// three servers via a hash of the routing label, and every query — one
+// token per shard, results merged — must agree with the single-server run.
+// The key is pinned: with a drawn one, all seven labels hash to one shard
+// about once in sixty runs and the spread check below fails.
 func TestPartitionedMatchesSingleServer(t *testing.T) {
 	variants(t, func(t *testing.T, v Variant) {
-		key, err := primitives.NewRandomKey()
-		if err != nil {
-			t.Fatal(err)
-		}
-		single, err := NewClient(key, NewMemState(), v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parted, err := NewClient(key, NewMemState(), v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss := NewServer(kvstore.New(), "obs")
-		shards := []*Server{
-			NewServer(kvstore.New(), "obs"),
-			NewServer(kvstore.New(), "obs"),
-			NewServer(kvstore.New(), "obs"),
-		}
-		shardOf := func(label string) int {
-			h := 0
-			for i := 0; i < len(label); i++ {
-				h = h*31 + int(label[i])
-			}
-			if h < 0 {
-				h = -h
-			}
-			return h % len(shards)
-		}
+		single := newTier(t, pinnedKey(0x21), v, 1)
+		parted := newTier(t, pinnedKey(0x21), v, 3)
 
 		docs := map[string][]string{
 			"d1": {"status=final", "code=glucose", "interp=high"},
@@ -357,61 +381,22 @@ func TestPartitionedMatchesSingleServer(t *testing.T) {
 			"d4": {"status=final", "code=insulin", "interp=high"},
 			"d5": {"status=final"},
 		}
-		touched := make(map[int]bool)
 		for id, kws := range docs {
-			insert(t, single, ss, id, kws...)
-			groups, err := parted.Insert("obs", id, kws, shardOf)
-			if err != nil {
+			if err := single.insert(id, kws...); err != nil {
 				t.Fatalf("Insert(%s): %v", id, err)
 			}
-			for s, e := range groups {
-				touched[s] = true
-				if err := shards[s].Insert(*e); err != nil {
-					t.Fatalf("shard %d Insert: %v", s, err)
-				}
+			if err := parted.insert(id, kws...); err != nil {
+				t.Fatalf("partitioned Insert(%s): %v", id, err)
 			}
 		}
-		if len(touched) < 2 {
-			t.Fatalf("entries landed on %d shards — partitioning is not spreading", len(touched))
+		touched := 0
+		for _, st := range parted.stores {
+			if n, _ := st.Len(); n > 0 {
+				touched++
+			}
 		}
-
-		runParted := func(q Query) []string {
-			tok, err := parted.Token("obs", q)
-			if err != nil {
-				t.Fatalf("Token: %v", err)
-			}
-			var lists [][]string
-			for s := range shards {
-				var sub SearchToken
-				for _, ct := range tok.Conjunctions {
-					if shardOf(ct.Route) == s {
-						sub.Conjunctions = append(sub.Conjunctions, ct)
-					}
-				}
-				if len(sub.Conjunctions) == 0 {
-					continue
-				}
-				vids, err := shards[s].Search(sub)
-				if err != nil {
-					t.Fatalf("shard %d Search: %v", s, err)
-				}
-				lists = append(lists, vids)
-			}
-			merged := make(map[string]bool)
-			var union []string
-			for _, l := range lists {
-				for _, vid := range l {
-					if !merged[vid] {
-						merged[vid] = true
-						union = append(union, vid)
-					}
-				}
-			}
-			ids, err := parted.Resolve("obs", union)
-			if err != nil {
-				t.Fatalf("Resolve: %v", err)
-			}
-			return ids
+		if touched < 2 {
+			t.Fatalf("entries landed on %d shards — partitioning is not spreading", touched)
 		}
 
 		queries := []Query{
@@ -419,13 +404,20 @@ func TestPartitionedMatchesSingleServer(t *testing.T) {
 			{{pos("status=final"), pos("code=glucose")}},
 			{{pos("status=final"), pos("code=glucose"), pos("interp=high")}},
 			{{pos("status=final"), neg("interp=high")}},
+			{{pos("status=final"), pos("code=glucose"), neg("interp=high")}},
 			{{pos("code=glucose"), pos("interp=high")}, {pos("code=insulin")}},
 			{{pos("code=never")}},
 			{{pos("status=draft"), pos("code=insulin")}},
 		}
 		for i, q := range queries {
-			want := run(t, single, ss, q)
-			got := runParted(q)
+			want, err := single.search(q)
+			if err != nil {
+				t.Fatalf("query %d: %v", i, err)
+			}
+			got, err := parted.search(q)
+			if err != nil {
+				t.Fatalf("query %d, partitioned: %v", i, err)
+			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("query %d: partitioned %v != single %v", i, got, want)
 			}
@@ -450,9 +442,11 @@ func TestBucketRouteStableAndScoped(t *testing.T) {
 }
 
 // TestSpillFansHotKeywordAcrossBuckets drives one keyword past several
-// spill thresholds and checks (a) the query fans one ConjToken per
-// bucket, each with a distinct route, (b) the union over bucket slices
-// equals the full corpus, and (c) a cold keyword stays single-bucket.
+// spill thresholds and checks (a) a query anchored at it compiles to one
+// ConjToken per shard, carrying that shard's buckets — all three on a
+// single server, (b) the union over bucket slices equals the full corpus,
+// (c) a cold keyword stays single-bucket, and (d) a conjunction with a cold
+// keyword anchors there and reads no global bucket at all.
 func TestSpillFansHotKeywordAcrossBuckets(t *testing.T) {
 	for _, v := range []Variant{Variant2Lev, VariantZMF} {
 		t.Run(string(v), func(t *testing.T) {
@@ -470,28 +464,44 @@ func TestSpillFansHotKeywordAcrossBuckets(t *testing.T) {
 			if n, _ := c.Buckets("obs", "seq=000"); n != 1 {
 				t.Fatalf("Buckets(cold) = %d, want 1", n)
 			}
-			tok, err := c.Token("obs", Query{{pos("status=final")}})
+			toks, err := c.Token("obs", Query{{pos("status=final")}}, SingleShard)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(tok.Conjunctions) != 3 {
-				t.Fatalf("hot conjunction fanned to %d sub-tokens, want 3", len(tok.Conjunctions))
+			if len(toks) != 1 || len(toks[0].Conjunctions) != 1 || len(toks[0].Conjunctions[0].Anchors) != 3 {
+				t.Fatalf("hot keyword on one server compiled to %+v, want one ConjToken with 3 anchor buckets", toks)
 			}
-			routes := make(map[string]bool)
-			for _, ct := range tok.Conjunctions {
-				routes[ct.Route] = true
+			spread, err := c.Token("obs", Query{{pos("status=final")}}, func(label string) int { return int(label[0]) })
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(routes) != 3 {
-				t.Fatalf("%d distinct routes across 3 buckets", len(routes))
+			buckets := 0
+			for _, tok := range spread {
+				if len(tok.Conjunctions) != 1 {
+					t.Fatalf("a shard got %d ConjTokens for one conjunction", len(tok.Conjunctions))
+				}
+				buckets += len(tok.Conjunctions[0].Anchors)
+			}
+			if buckets != 3 {
+				t.Fatalf("%d anchor buckets across %d shards, want 3", buckets, len(spread))
 			}
 			got := run(t, c, s, Query{{pos("status=final")}})
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("spilled union = %v, want all %d docs", got, docs)
 			}
-			// A conjunction refines within each bucket slice too.
-			got = run(t, c, s, Query{{pos("status=final"), pos(fmt.Sprintf("seq=%03d", docs-1))}})
+			// A conjunction refines across the spill too, from its cold end.
+			last := fmt.Sprintf("seq=%03d", docs-1)
+			got = run(t, c, s, Query{{pos("status=final"), pos(last)}})
 			if fmt.Sprint(got) != fmt.Sprint([]string{fmt.Sprintf("d%03d", docs-1)}) {
 				t.Fatalf("conjunction across spill = %v", got)
+			}
+			toks, err = c.Token("obs", Query{{pos("status=final"), pos(last)}}, SingleShard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct := toks[0].Conjunctions[0]
+			if wantAnchors := map[Variant]int{Variant2Lev: 0, VariantZMF: 1}[v]; len(ct.Anchors) != wantAnchors {
+				t.Fatalf("conjunction with a cold keyword carries %d anchor buckets, want %d", len(ct.Anchors), wantAnchors)
 			}
 		})
 	}
@@ -548,17 +558,7 @@ func benchConjunction(b *testing.B, v Variant) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tok, err := c.Token("obs", q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		vids, err := s.Search(tok)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Resolve("obs", vids); err != nil {
-			b.Fatal(err)
-		}
+		run(b, c, s, q)
 	}
 }
 

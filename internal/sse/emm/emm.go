@@ -21,9 +21,12 @@
 package emm
 
 import (
+	"crypto/subtle"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"datablinder/internal/crypto/keycache"
 	"datablinder/internal/crypto/primitives"
@@ -35,7 +38,14 @@ import (
 const BucketCapacity = 8
 
 // Errors returned by this package.
-var ErrBadToken = errors.New("emm: malformed search token")
+var (
+	ErrBadToken = errors.New("emm: malformed search token")
+	// ErrCellFormat reports a stored cell that is not in the one form its
+	// multimap holds: a shared-payload cell under a sealed-cell Server
+	// (NewServer) or the reverse (NewSharedServer). Nothing is retried in the
+	// other form.
+	ErrCellFormat = errors.New("emm: cell is not in this multimap's form")
+)
 
 // Counts is the client-side per-keyword state: how many packed buckets and
 // how many tail entries exist for the keyword.
@@ -200,14 +210,29 @@ func (c *Client) addrKey(namespace, w string) primitives.Key {
 	return addr
 }
 
-// tailAddr computes the address of tail cell i.
-func tailAddr(addrKey primitives.Key, i uint64) []byte {
-	return primitives.PRF(addrKey, []byte("t"), primitives.Uint64Bytes(i))
+// Cell levels, the first byte of an address derivation.
+const (
+	levelPacked = 'p'
+	levelTail   = 't'
+)
+
+// addrWalk derives one keyword's cell addresses, PRF(addrKey, level ||
+// index), under a PRF keyed once: a search over n cells keys HMAC once, not
+// n times, and the per-keyword address key never enters the HMAC pool.
+type addrWalk struct {
+	prf *primitives.PRFState
+	in  [9]byte // level || big-endian index
 }
 
-// packedAddr computes the address of packed bucket j.
-func packedAddr(addrKey primitives.Key, j uint64) []byte {
-	return primitives.PRF(addrKey, []byte("p"), primitives.Uint64Bytes(j))
+func newAddrWalk(addrKey primitives.Key) *addrWalk {
+	return &addrWalk{prf: primitives.NewPRFState(addrKey)}
+}
+
+// appendAddr appends the address of cell i of level to dst.
+func (w *addrWalk) appendAddr(dst []byte, level byte, i uint64) []byte {
+	w.in[0] = level
+	binary.BigEndian.PutUint64(w.in[1:], i)
+	return w.prf.Append(dst, w.in[:])
 }
 
 // aeads caches constructed AEADs per keyword value key: cipher construction
@@ -243,17 +268,6 @@ func openSealedIDs(aead *primitives.AEAD, blob []byte) ([]string, error) {
 	return ids, nil
 }
 
-func openIDs(valueKey primitives.Key, blob []byte) ([]string, error) {
-	if ids, ok := openShared(valueKey, blob); ok {
-		return ids, nil
-	}
-	aead, err := aeadFor(valueKey)
-	if err != nil {
-		return nil, err
-	}
-	return openSealedIDs(aead, blob)
-}
-
 // Shared-payload cells
 //
 // An operation that fans one identical identifier list into many keywords'
@@ -271,8 +285,9 @@ func openIDs(valueKey primitives.Key, blob []byte) ([]string, error) {
 // distinct value key, so no PRF pad ever repeats. Only a holder of the
 // cell's value key recovers kd, which keeps the response-revealing
 // semantics exactly: a search token still opens exactly its keyword's
-// cells. openIDs recognizes the magic prefix and falls back to the legacy
-// whole-cell AEAD on authentication failure, so mixed-era indexes resolve.
+// cells. A multimap holds one form only — BIEX's cross multimap this one
+// (NewSharedServer), its global multimap whole-cell AEAD (NewServer) — and a
+// cell of the other form is ErrCellFormat, never a second attempt.
 
 const (
 	// SharedWrapLen is the byte length of a shared-payload key wrap.
@@ -281,6 +296,8 @@ const (
 	SharedNonceLen = 16
 	// sharedMagic prefixes stored cell values in shared-payload form.
 	sharedMagic = 0x53 // 'S'
+	// sharedMinLen is the shortest well-formed shared-payload cell value.
+	sharedMinLen = 1 + SharedWrapLen + SharedNonceLen + primitives.NonceSize + primitives.TagSize
 )
 
 // sharedLabel domain-separates the wrap PRF from address derivation.
@@ -295,7 +312,7 @@ func (c *Client) AppendAddr(namespace, w string) ([]byte, primitives.Key, error)
 	if err != nil {
 		return nil, primitives.Key{}, err
 	}
-	return tailAddr(ak, i), vk, nil
+	return newAddrWalk(ak).appendAddr(nil, levelTail, i), vk, nil
 }
 
 // SealSharedIDs seals one identifier list under an ephemeral group key.
@@ -307,10 +324,36 @@ func SealSharedIDs(kd primitives.Key, ids []string) ([]byte, error) {
 	return sealIDs(aead, ids)
 }
 
-// WrapSharedKey binds the group key kd to one cell's value key.
+// sharedPad derives the wrap pads of one keyword's cells, PRF(valueKey,
+// "emm-shared" || nonce), under a PRF keyed once; in and pad are its
+// scratch, so opening a cell allocates neither.
+type sharedPad struct {
+	prf *primitives.PRFState
+	in  [len("emm-shared") + SharedNonceLen]byte
+	pad [primitives.PRFSize]byte
+}
+
+func newSharedPad(valueKey primitives.Key) *sharedPad {
+	p := &sharedPad{prf: primitives.NewPRFState(valueKey)}
+	copy(p.in[:], sharedLabel)
+	return p
+}
+
+// xor returns k XOR the pad of nonce: a group key's wrap, or a wrap's group
+// key. k is KeySize bytes and nonce SharedNonceLen.
+func (p *sharedPad) xor(k, nonce []byte) primitives.Key {
+	copy(p.in[len(sharedLabel):], nonce)
+	p.prf.Append(p.pad[:0], p.in[:])
+	var out primitives.Key
+	subtle.XORBytes(out[:], p.pad[:primitives.KeySize], k)
+	return out
+}
+
+// WrapSharedKey binds the group key kd to one cell's value key. nonce is
+// SharedNonceLen bytes.
 func WrapSharedKey(valueKey primitives.Key, nonce []byte, kd primitives.Key) []byte {
-	pad := primitives.PRF(valueKey, sharedLabel, nonce)
-	return primitives.XOR(pad[:primitives.KeySize], kd[:])
+	wrap := newSharedPad(valueKey).xor(kd[:], nonce)
+	return wrap[:]
 }
 
 // SharedValue assembles the stored cell value of a shared-payload cell.
@@ -322,28 +365,18 @@ func SharedValue(wrap, nonce, shared []byte) []byte {
 	return append(out, shared...)
 }
 
-// openShared attempts to open blob as a shared-payload cell; ok=false
-// means "not that form" (wrong magic, short, or failed authentication)
-// and the caller should try the legacy form.
-func openShared(valueKey primitives.Key, blob []byte) ([]string, bool) {
-	minLen := 1 + SharedWrapLen + SharedNonceLen + primitives.NonceSize + primitives.TagSize
-	if len(blob) < minLen || blob[0] != sharedMagic {
-		return nil, false
+// openShared opens a shared-payload cell value with the keyword's pad state.
+func openShared(p *sharedPad, blob []byte) ([]string, error) {
+	if len(blob) < sharedMinLen || blob[0] != sharedMagic {
+		return nil, ErrCellFormat
 	}
 	wrap := blob[1 : 1+SharedWrapLen]
 	nonce := blob[1+SharedWrapLen : 1+SharedWrapLen+SharedNonceLen]
-	shared := blob[1+SharedWrapLen+SharedNonceLen:]
-	pad := primitives.PRF(valueKey, sharedLabel, nonce)
-	kd, err := primitives.KeyFromBytes(primitives.XOR(pad[:primitives.KeySize], wrap))
+	aead, err := primitives.NewAEAD(p.xor(wrap, nonce))
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
-	aead, err := primitives.NewAEAD(kd)
-	if err != nil {
-		return nil, false
-	}
-	ids, err := openSealedIDs(aead, shared)
-	return ids, err == nil
+	return openSealedIDs(aead, blob[1+SharedWrapLen+SharedNonceLen:])
 }
 
 // Append produces the encrypted tail cell for (w -> id) and advances the
@@ -363,7 +396,7 @@ func (c *Client) Append(namespace, w, id string) (Entry, error) {
 	if err != nil {
 		return Entry{}, err
 	}
-	return Entry{Addr: tailAddr(ak, i), Val: val}, nil
+	return Entry{Addr: newAddrWalk(ak).appendAddr(nil, levelTail, i), Val: val}, nil
 }
 
 // BuildPacked seals a full identifier list for w into packed buckets,
@@ -380,6 +413,7 @@ func (c *Client) BuildPacked(namespace, w string, ids []string) (entries []Entry
 	if err != nil {
 		return nil, Counts{}, Counts{}, err
 	}
+	walk := newAddrWalk(ak)
 	for j := 0; j*BucketCapacity < len(ids) || (j == 0 && len(ids) == 0); j++ {
 		loEnd := j * BucketCapacity
 		hiEnd := loEnd + BucketCapacity
@@ -390,7 +424,7 @@ func (c *Client) BuildPacked(namespace, w string, ids []string) (entries []Entry
 		if err != nil {
 			return nil, Counts{}, Counts{}, err
 		}
-		entries = append(entries, Entry{Addr: packedAddr(ak, uint64(j)), Val: val})
+		entries = append(entries, Entry{Addr: walk.appendAddr(nil, levelPacked, uint64(j)), Val: val})
 		if hiEnd == len(ids) {
 			break
 		}
@@ -415,31 +449,56 @@ func (c *Client) Token(namespace, w string) (SearchToken, error) {
 // StaleAddrs enumerates the server addresses occupied by the given counts
 // for w; Rebuild uses it to garbage-collect replaced cells.
 func (c *Client) StaleAddrs(namespace, w string, counts Counts) [][]byte {
-	ak := c.addrKey(namespace, w)
+	walk := newAddrWalk(c.addrKey(namespace, w))
 	addrs := make([][]byte, 0, counts.Packed+counts.Tail)
 	for j := uint64(0); j < counts.Packed; j++ {
-		addrs = append(addrs, packedAddr(ak, j))
+		addrs = append(addrs, walk.appendAddr(nil, levelPacked, j))
 	}
 	for i := uint64(0); i < counts.Tail; i++ {
-		addrs = append(addrs, tailAddr(ak, i))
+		addrs = append(addrs, walk.appendAddr(nil, levelTail, i))
 	}
 	return addrs
 }
 
-// Server is the cloud half of the EMM: an opaque cell store.
+// Server is the cloud half of the EMM: an opaque cell store holding cells
+// of one form.
 type Server struct {
-	store     *kvstore.Store
-	namespace string
+	store  *kvstore.Store
+	prefix []byte // "emm/<namespace>/": every cell key is prefix || address
+	shared bool   // cells are shared-payload values, not whole-cell AEAD
+
+	probes, opens atomic.Uint64
 }
 
-// NewServer builds a server over store. namespace isolates multiple EMMs
-// (e.g. the BIEX global and cross multimaps) in one store.
+// NewServer builds a server over store whose cells are whole-cell AEAD
+// under the keyword's value key (Client.Append, Client.BuildPacked).
+// namespace isolates multiple EMMs (e.g. the BIEX global and cross
+// multimaps) in one store.
 func NewServer(store *kvstore.Store, namespace string) *Server {
-	return &Server{store: store, namespace: namespace}
+	return &Server{store: store, prefix: []byte("emm/" + namespace + "/")}
+}
+
+// NewSharedServer builds a server over store whose cells are shared-payload
+// values (Client.AppendAddr + WrapSharedKey + SharedValue).
+func NewSharedServer(store *kvstore.Store, namespace string) *Server {
+	s := NewServer(store, namespace)
+	s.shared = true
+	return s
+}
+
+// ServerStats counts the work of every Search so far.
+type ServerStats struct {
+	Probes uint64 // cell addresses looked up in the store
+	Opens  uint64 // cells found and decrypted
+}
+
+// Stats returns the server's search counters.
+func (s *Server) Stats() ServerStats {
+	return ServerStats{Probes: s.probes.Load(), Opens: s.opens.Load()}
 }
 
 func (s *Server) cellKey(addr []byte) []byte {
-	return append([]byte("emm/"+s.namespace+"/"), addr...)
+	return append(s.prefix[:len(s.prefix):len(s.prefix)], addr...)
 }
 
 // Insert stores encrypted cells.
@@ -463,8 +522,9 @@ func (s *Server) Delete(addrs [][]byte) error {
 }
 
 // Search resolves a token to the identifier list. Missing cells are
-// tolerated (they may have been garbage-collected mid-rebuild); corrupt
-// cells are an error.
+// tolerated (they may have been garbage-collected mid-rebuild, or live on
+// another shard's replica of a partitioned index); corrupt cells and cells
+// of the other form are an error.
 func (s *Server) Search(t SearchToken) ([]string, error) {
 	ak, err := primitives.KeyFromBytes(t.AddrKey)
 	if err != nil {
@@ -474,33 +534,72 @@ func (s *Server) Search(t SearchToken) ([]string, error) {
 	if err != nil {
 		return nil, ErrBadToken
 	}
-	var ids []string
-	fetch := func(addr []byte) error {
-		val, ok, err := s.store.Get(s.cellKey(addr))
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		cell, err := openIDs(vk, val)
-		if err != nil {
-			return fmt.Errorf("emm: opening cell: %w", err)
-		}
-		ids = append(ids, cell...)
-		return nil
-	}
-	for j := uint64(0); j < t.Counts.Packed; j++ {
-		if err := fetch(packedAddr(ak, j)); err != nil {
-			return nil, err
-		}
-	}
-	for i := uint64(0); i < t.Counts.Tail; i++ {
-		if err := fetch(tailAddr(ak, i)); err != nil {
-			return nil, err
-		}
+	ids, probes, opens, err := s.scan(ak, vk, t.Counts)
+	s.probes.Add(probes)
+	s.opens.Add(opens)
+	if err != nil {
+		return nil, err
 	}
 	return ids, nil
+}
+
+// scan probes every address the counts enumerate and opens the cells it
+// finds. The walk owns everything a probe needs — the keyed PRF, its input
+// and the cell-key buffer the address is derived straight into — so a probe
+// that finds nothing allocates nothing.
+func (s *Server) scan(ak, vk primitives.Key, counts Counts) (ids []string, probes, opens uint64, err error) {
+	walk := newAddrWalk(ak)
+	key := append(make([]byte, 0, len(s.prefix)+primitives.PRFSize), s.prefix...)
+	var open func(val []byte) ([]string, error) // built at the first cell found
+	levels := [2]struct {
+		tag byte
+		n   uint64
+	}{{levelPacked, counts.Packed}, {levelTail, counts.Tail}}
+	for _, level := range levels {
+		for i := uint64(0); i < level.n; i++ {
+			probes++
+			key = walk.appendAddr(key[:len(s.prefix)], level.tag, i)
+			val, ok, err := s.store.Get(key)
+			if err != nil {
+				return nil, probes, opens, err
+			}
+			if !ok {
+				continue
+			}
+			if open == nil {
+				if open, err = s.opener(vk); err != nil {
+					return nil, probes, opens, err
+				}
+			}
+			opens++
+			cell, err := open(val)
+			if err != nil {
+				return nil, probes, opens, fmt.Errorf("emm: opening cell: %w", err)
+			}
+			ids = append(ids, cell...)
+		}
+	}
+	return ids, probes, opens, nil
+}
+
+// opener returns the function that opens this multimap's cells under one
+// keyword's value key: the key's cached AEAD, or a shared-payload pad state.
+func (s *Server) opener(vk primitives.Key) (func([]byte) ([]string, error), error) {
+	if s.shared {
+		pad := newSharedPad(vk)
+		return func(val []byte) ([]string, error) { return openShared(pad, val) }, nil
+	}
+	aead, err := aeadFor(vk)
+	if err != nil {
+		return nil, err
+	}
+	return func(val []byte) ([]string, error) {
+		ids, err := openSealedIDs(aead, val)
+		if errors.Is(err, primitives.ErrAuthentication) && len(val) >= sharedMinLen && val[0] == sharedMagic {
+			return nil, ErrCellFormat
+		}
+		return ids, err
+	}, nil
 }
 
 var (

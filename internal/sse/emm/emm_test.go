@@ -311,13 +311,10 @@ func BenchmarkSearchPacked1000(b *testing.B) {
 	}
 }
 
-func TestSharedCellsMixWithLegacy(t *testing.T) {
-	c, s := setup(t)
-	appendAll(t, c, s, "ns", "w", "d1", "d2")
-
-	// A newer writer ships shared-payload cells for the same keyword:
-	// each cell is a key wrap and the server stores the assembled
-	// self-contained value.
+// sharedCell appends one shared-payload cell for w carrying ids, wrapped
+// under wrapKey (the keyword's own value key when nil).
+func sharedCell(t testing.TB, c *Client, s *Server, ns, w string, wrapKey *primitives.Key, ids ...string) {
+	t.Helper()
 	kd, err := primitives.NewRandomKey()
 	if err != nil {
 		t.Fatalf("kd: %v", err)
@@ -326,13 +323,16 @@ func TestSharedCellsMixWithLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("nonce: %v", err)
 	}
-	shared, err := SealSharedIDs(kd, []string{"d3", "d4"})
+	shared, err := SealSharedIDs(kd, ids)
 	if err != nil {
 		t.Fatalf("SealSharedIDs: %v", err)
 	}
-	addr, vk, err := c.AppendAddr("ns", "w")
+	addr, vk, err := c.AppendAddr(ns, w)
 	if err != nil {
 		t.Fatalf("AppendAddr: %v", err)
+	}
+	if wrapKey != nil {
+		vk = *wrapKey
 	}
 	wrap := WrapSharedKey(vk, nonce, kd)
 	if len(wrap) != SharedWrapLen {
@@ -341,76 +341,159 @@ func TestSharedCellsMixWithLegacy(t *testing.T) {
 	if err := s.Insert([]Entry{{Addr: addr, Val: SharedValue(wrap, nonce, shared)}}); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
+}
 
-	got := search(t, c, s, "ns", "w")
-	want := []string{"d1", "d2", "d3", "d4"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("mixed-era Search = %v, want %v", got, want)
+// TestOneFormPerMultimap: a server opens its own form and nothing else. A
+// cell of the other form is ErrCellFormat — in both directions, and also for
+// the 1-in-256 sealed cell whose random nonce starts with the shared magic,
+// which the old try-shared-first open used to pay a PRF and an AEAD for.
+func TestOneFormPerMultimap(t *testing.T) {
+	c, sealed := setup(t)
+	shared := NewSharedServer(kvstore.New(), "test")
+
+	sharedCell(t, c, shared, "ns", "w", nil, "d1", "d2")
+	sharedCell(t, c, shared, "ns", "w", nil, "d3")
+	if got := search(t, c, shared, "ns", "w"); !reflect.DeepEqual(got, []string{"d1", "d2", "d3"}) {
+		t.Fatalf("shared multimap Search = %v", got)
+	}
+	appendAll(t, c, sealed, "ns", "x", "d1", "d2")
+	if got := search(t, c, sealed, "ns", "x"); !reflect.DeepEqual(got, []string{"d1", "d2"}) {
+		t.Fatalf("sealed multimap Search = %v", got)
+	}
+
+	// A sealed cell in the shared multimap.
+	appendAll(t, c, shared, "ns", "y", "d9")
+	tok, _ := c.Token("ns", "y")
+	if ids, err := shared.Search(tok); !errors.Is(err, ErrCellFormat) {
+		t.Errorf("sealed cell under NewSharedServer: %v, %v; want ErrCellFormat", ids, err)
+	}
+	// A shared cell in the sealed multimap.
+	sharedCell(t, c, sealed, "ns", "z", nil, "d9")
+	tok, _ = c.Token("ns", "z")
+	if ids, err := sealed.Search(tok); !errors.Is(err, ErrCellFormat) {
+		t.Errorf("shared cell under NewServer: %v, %v; want ErrCellFormat", ids, err)
+	}
+
+	// Sealed cells whose nonce happens to start with the magic byte are
+	// ordinary sealed cells: opened once, by the AEAD.
+	found := 0
+	for i := 0; found < 3; i++ {
+		e, err := c.Append("ns", "m", fmt.Sprintf("m%04d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Val[0] == sharedMagic {
+			found++
+		}
+		if err := sealed.Insert([]Entry{e}); err != nil {
+			t.Fatal(err)
+		}
+		if i > 20000 {
+			t.Fatal("no sealed cell with a magic-prefixed nonce in 20000 draws")
+		}
+	}
+	tok, _ = c.Token("ns", "m")
+	ids, err := sealed.Search(tok)
+	if err != nil || uint64(len(ids)) != tok.Counts.Tail {
+		t.Fatalf("Search over magic-prefixed sealed cells = %d ids, %v; want %d", len(ids), err, tok.Counts.Tail)
 	}
 }
 
 func TestSharedCellWrongKeyFailsClosed(t *testing.T) {
-	c, s := setup(t)
-	kd, _ := primitives.NewRandomKey()
-	nonce, _ := primitives.RandomBytes(SharedNonceLen)
-	shared, err := SealSharedIDs(kd, []string{"d1"})
-	if err != nil {
-		t.Fatalf("SealSharedIDs: %v", err)
-	}
-	addr, _, err := c.AppendAddr("ns", "w")
-	if err != nil {
-		t.Fatalf("AppendAddr: %v", err)
-	}
-	// Wrap under an unrelated key: neither the shared parse nor the
-	// legacy fallback may yield ids.
+	c, _ := setup(t)
+	s := NewSharedServer(kvstore.New(), "test")
+	// Wrap under an unrelated key: the cell is well-formed but must not open.
 	wrong, _ := primitives.NewRandomKey()
-	if err := s.Insert([]Entry{{Addr: addr, Val: SharedValue(WrapSharedKey(wrong, nonce, kd), nonce, shared)}}); err != nil {
-		t.Fatalf("Insert: %v", err)
-	}
+	sharedCell(t, c, s, "ns", "w", &wrong, "d1")
 	tok, err := c.Token("ns", "w")
 	if err != nil {
 		t.Fatalf("Token: %v", err)
 	}
-	if _, err := s.Search(tok); err == nil {
-		t.Fatal("Search with mis-wrapped shared cell succeeded, want error")
+	if ids, err := s.Search(tok); !errors.Is(err, primitives.ErrAuthentication) {
+		t.Fatalf("Search with mis-wrapped shared cell = %v, %v; want ErrAuthentication", ids, err)
 	}
 }
 
 // TestSharedGroupKeysBypassAEADCache: a shared-payload cell's group key is
 // used for that one cell, so opening (or sealing) it must not take a slot in
-// the AEAD cache that keyword value keys share; one search adds the
-// keyword's own value key and nothing else, however many cells it opens.
+// the AEAD cache that keyword value keys share; a search over a shared
+// multimap adds nothing to it, however many cells it opens.
 func TestSharedGroupKeysBypassAEADCache(t *testing.T) {
-	c, s := setup(t)
+	c, _ := setup(t)
+	s := NewSharedServer(kvstore.New(), "test")
 	const cells = 40
-	for i := 0; i < cells; i++ {
-		kd, err := primitives.NewRandomKey()
-		if err != nil {
-			t.Fatal(err)
-		}
-		nonce, err := primitives.RandomBytes(SharedNonceLen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shared, err := SealSharedIDs(kd, []string{fmt.Sprintf("d%02d", i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr, vk, err := c.AppendAddr("ns", "w")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Insert([]Entry{{Addr: addr, Val: SharedValue(WrapSharedKey(vk, nonce, kd), nonce, shared)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	appendAll(t, c, s, "ns", "w", "tail") // a plain cell, which does use the value key
 	before := aeads.Len()
-	if got := search(t, c, s, "ns", "w"); len(got) != cells+1 {
-		t.Fatalf("Search returned %d ids, want %d", len(got), cells+1)
+	for i := 0; i < cells; i++ {
+		sharedCell(t, c, s, "ns", "w", nil, fmt.Sprintf("d%02d", i))
+	}
+	if got := search(t, c, s, "ns", "w"); len(got) != cells {
+		t.Fatalf("Search returned %d ids, want %d", len(got), cells)
 	}
 	if grew := aeads.Len() - before; grew != 0 {
-		t.Errorf("searching %d shared cells added %d AEAD cache entries, want 0 (the value key was cached by Append)", cells, grew)
+		t.Errorf("writing and searching %d shared cells added %d AEAD cache entries, want 0", cells, grew)
+	}
+}
+
+// TestSearchWalkCosts pins what a probe costs. A search keys HMAC once and
+// derives every address into one reused cell-key buffer, so a probe that
+// finds nothing allocates nothing, and the counters say exactly how many
+// cells were probed and how many opened.
+func TestSearchWalkCosts(t *testing.T) {
+	c, s := setup(t)
+	appendAll(t, c, s, "ns", "w", "d1", "d2", "d3")
+	tok, _ := c.Token("ns", "w")
+	tok.Counts.Tail = 1000 // 997 addresses that were never written
+	if ids, err := s.Search(tok); err != nil || len(ids) != 3 {
+		t.Fatalf("Search = %v, %v", ids, err)
+	}
+	if st := s.Stats(); st.Probes != 1000 || st.Opens != 3 {
+		t.Fatalf("Stats = %+v, want 1000 probes and 3 opens", st)
+	}
+	if raceEnabled {
+		return
+	}
+	allocs := func(tail uint64) float64 {
+		tok.Counts.Tail = tail
+		return testing.AllocsPerRun(20, func() {
+			if _, err := s.Search(tok); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if with, without := allocs(1000), allocs(3); with != without {
+		t.Errorf("997 missing-cell probes cost %.0f allocations (%.0f with them, %.0f without), want 0", with-without, with, without)
+	}
+}
+
+// TestPerKeywordKeysStayOutOfTheMACPool: the HMAC state pool is first-come
+// and never evicts, so per-keyword keys must not enter it — 10 000 keywords'
+// worth of appends, shared-cell wraps, searches and rebuild sweeps later, a
+// long-lived key used for the first time still gets a pooled state.
+func TestPerKeywordKeysStayOutOfTheMACPool(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	c, s := setup(t)
+	shared := NewSharedServer(kvstore.New(), "test")
+	for i := 0; i < 10000; i++ {
+		w := fmt.Sprintf("w%05d", i)
+		appendAll(t, c, s, "ns", w, "d")
+		sharedCell(t, c, shared, "ns", w, nil, "d")
+		if i%100 == 0 {
+			search(t, c, s, "ns", w)
+			search(t, c, shared, "ns", w)
+			c.StaleAddrs("ns", w, Counts{Packed: 1, Tail: 2})
+		}
+	}
+	fresh, err := primitives.NewRandomKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, primitives.PRFSize)
+	data := []byte("first use of a long-lived key")
+	primitives.PRFInto(buf, fresh, data)
+	if got := testing.AllocsPerRun(200, func() { primitives.PRFInto(buf, fresh, data) }); got > 1 {
+		t.Errorf("PRFInto on a long-lived key first used after 10 000 keywords = %.1f allocs/op, want <= 1 (its pool slot was taken)", got)
 	}
 }
 
@@ -438,9 +521,9 @@ func TestIDListEncoding(t *testing.T) {
 		if want := wirefmt.AppendStrings(nil, ids); !bytes.Equal(pt, want) {
 			t.Errorf("sealed plaintext of %q = %x, want %x", ids, pt, want)
 		}
-		got, err := openIDs(key, blob)
+		got, err := openSealedIDs(aead, blob)
 		if err != nil || !reflect.DeepEqual(got, ids) {
-			t.Errorf("openIDs(sealIDs(%q)) = %q, %v", ids, got, err)
+			t.Errorf("openSealedIDs(sealIDs(%q)) = %q, %v", ids, got, err)
 		}
 	}
 	for name, pt := range map[string][]byte{
@@ -453,8 +536,8 @@ func TestIDListEncoding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ids, err := openIDs(key, blob); !errors.Is(err, wirefmt.ErrMalformed) {
-			t.Errorf("%s: openIDs = %q, %v; want wirefmt.ErrMalformed", name, ids, err)
+		if ids, err := openSealedIDs(aead, blob); !errors.Is(err, wirefmt.ErrMalformed) {
+			t.Errorf("%s: openSealedIDs = %q, %v; want wirefmt.ErrMalformed", name, ids, err)
 		}
 	}
 }

@@ -172,21 +172,27 @@ func (c *Client) keywordKey(namespace, w string) primitives.Key {
 	return k
 }
 
-// cellPRF derives one keyword's cell addresses and pads. It owns the PRF
-// input and pad buffers, so a search allocates them once, not per cell.
+// cellPRF derives one keyword's cell addresses and pads under a PRF keyed
+// once with the keyword key: a search over n cells keys HMAC once, not 3n
+// times, and the per-keyword key never enters the HMAC pool. It owns the
+// PRF input and pad buffers, so a search allocates them once, not per cell.
 // The PRF inputs are i || 0 for an address and i || 1 || blk for pad block
 // blk (all integers 8 bytes big-endian).
 type cellPRF struct {
-	kw  primitives.Key
+	prf *primitives.PRFState
 	in  [17]byte
 	pad [idSlot]byte
+}
+
+func newCellPRF(kw primitives.Key) *cellPRF {
+	return &cellPRF{prf: primitives.NewPRFState(kw)}
 }
 
 // appendAddr appends the address of update i to dst.
 func (d *cellPRF) appendAddr(dst []byte, i uint64) []byte {
 	binary.BigEndian.PutUint64(d.in[:8], i)
 	d.in[8] = 0
-	return primitives.PRFInto(dst, d.kw, d.in[:9])
+	return d.prf.Append(dst, d.in[:9])
 }
 
 // padFor derives the idSlot-byte encryption pad for update i. The result
@@ -197,7 +203,7 @@ func (d *cellPRF) padFor(i uint64) []byte {
 	p := d.pad[:0]
 	for blk := uint64(0); len(p) < idSlot; blk++ {
 		binary.BigEndian.PutUint64(d.in[9:], blk)
-		p = primitives.PRFInto(p, d.kw, d.in[:])
+		p = d.prf.Append(p, d.in[:])
 	}
 	return p
 }
@@ -241,7 +247,7 @@ func (c *Client) Update(namespace, w string, op Op, id string) (Entry, error) {
 	if err != nil {
 		return Entry{}, err
 	}
-	d := cellPRF{kw: c.keywordKey(namespace, w)}
+	d := newCellPRF(c.keywordKey(namespace, w))
 	subtle.XORBytes(cell, cell, d.padFor(ctr))
 	return Entry{Addr: d.appendAddr(nil, ctr), Val: cell}, nil
 }
@@ -253,7 +259,7 @@ func (c *Client) SearchRequest(namespace, w string) (SearchRequest, error) {
 	if err != nil {
 		return SearchRequest{}, err
 	}
-	d := cellPRF{kw: c.keywordKey(namespace, w)}
+	d := newCellPRF(c.keywordKey(namespace, w))
 	req := SearchRequest{Addrs: make([][]byte, ctr)}
 	slab := make([]byte, 0, ctr*primitives.PRFSize)
 	for i := range req.Addrs {
@@ -273,7 +279,7 @@ func (c *Client) Resolve(namespace, w string, vals [][]byte) ([]string, error) {
 		live  int
 		added bool
 	}
-	d := cellPRF{kw: c.keywordKey(namespace, w)}
+	d := newCellPRF(c.keywordKey(namespace, w))
 	refs := make([]ref, 0, len(vals))
 	index := make(map[string]int, len(vals)) // id -> position in refs
 	order := make([]int, 0, len(vals))       // refs positions, by first add

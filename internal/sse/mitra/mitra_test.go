@@ -296,7 +296,7 @@ func TestGoldenVectors(t *testing.T) {
 	for i := range kw {
 		kw[i] = byte(i)
 	}
-	d := cellPRF{kw: kw}
+	d := newCellPRF(kw)
 	if got, want := hex.EncodeToString(d.appendAddr(nil, 7)),
 		"d2f467e728bb214fb3c73b4b3451e6141ea1e3e355f69f8e67455bcc61ce80da"; got != want {
 		t.Errorf("address of update 7 = %s, want %s", got, want)

@@ -16,6 +16,7 @@ package sophos
 import (
 	"crypto/rand"
 	"crypto/rsa"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -213,16 +214,31 @@ func forward(pk PublicKey, st []byte) []byte {
 	return out
 }
 
-func h1(kw, st []byte) []byte {
-	k, _ := primitives.KeyFromBytes(kw)
-	return primitives.PRF(k, []byte{1}, st)
+// chainPRF derives one keyword's cell addresses and pads along its TDP
+// chain under a PRF keyed once with the keyword key, which so never enters
+// the HMAC pool. The PRF inputs are 1 || st for an address and
+// 2 || st || blk for pad block blk (8 bytes big-endian).
+type chainPRF struct {
+	prf *primitives.PRFState
+	in  []byte
 }
 
-func h2(kw, st []byte) []byte {
-	k, _ := primitives.KeyFromBytes(kw)
-	p := make([]byte, 0, idSlot)
+func newChainPRF(kw primitives.Key) *chainPRF {
+	return &chainPRF{prf: primitives.NewPRFState(kw), in: make([]byte, 0, 1+stBytes+8)}
+}
+
+// h1 returns the address of the cell at chain state st.
+func (d *chainPRF) h1(st []byte) []byte {
+	d.in = append(append(d.in[:0], 1), st...)
+	return d.prf.Append(nil, d.in)
+}
+
+// h2 returns the idSlot-byte pad of the cell at chain state st.
+func (d *chainPRF) h2(st []byte) []byte {
+	d.in = append(append(d.in[:0], 2), st...)
+	p := make([]byte, 0, idSlot+primitives.PRFSize)
 	for blk := uint64(0); len(p) < idSlot; blk++ {
-		p = append(p, primitives.PRF(k, []byte{2}, st, primitives.Uint64Bytes(blk))...)
+		p = d.prf.Append(p, binary.BigEndian.AppendUint64(d.in, blk))
 	}
 	return p[:idSlot]
 }
@@ -283,14 +299,14 @@ func (c *Client) Insert(namespace, w, id string) (Entry, error) {
 	}
 	ks.Count++
 
-	kw := c.keywordKey(namespace, w)
 	cell, err := encodeCell(id)
 	if err != nil {
 		return Entry{}, err
 	}
+	d := newChainPRF(c.keywordKey(namespace, w))
 	e := Entry{
-		Addr: h1(kw[:], ks.ST),
-		Val:  primitives.XOR(cell, h2(kw[:], ks.ST)),
+		Addr: d.h1(ks.ST),
+		Val:  primitives.XOR(cell, d.h2(ks.ST)),
 	}
 	if err := c.state.SetKeyword(namespace, w, ks); err != nil {
 		return Entry{}, err
@@ -338,13 +354,15 @@ func (s *Server) Insert(entries []Entry) error {
 // Search walks the TDP chain from the newest state to ST_1, decrypting the
 // cell at each state, and returns the ids. Missing cells are tolerated.
 func (s *Server) Search(t SearchToken) ([]string, error) {
-	if len(t.KeywordKey) != primitives.KeySize || len(t.ST) != stBytes {
+	kw, err := primitives.KeyFromBytes(t.KeywordKey)
+	if err != nil || len(t.ST) != stBytes {
 		return nil, ErrBadToken
 	}
+	d := newChainPRF(kw)
 	ids := make([]string, 0, t.Count)
 	st := t.ST
 	for i := t.Count; i > 0; i-- {
-		addr := h1(t.KeywordKey, st)
+		addr := d.h1(st)
 		val, ok, err := s.store.Get(s.cellKey(addr))
 		if err != nil {
 			return nil, err
@@ -353,7 +371,7 @@ func (s *Server) Search(t SearchToken) ([]string, error) {
 			if len(val) != idSlot {
 				return nil, ErrBadCell
 			}
-			id, err := decodeCell(primitives.XOR(val, h2(t.KeywordKey, st)))
+			id, err := decodeCell(primitives.XOR(val, d.h2(st)))
 			if err != nil {
 				return nil, err
 			}

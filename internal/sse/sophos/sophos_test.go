@@ -1,6 +1,7 @@
 package sophos
 
 import (
+	"bytes"
 	"crypto/rand"
 	"crypto/rsa"
 	"fmt"
@@ -241,6 +242,29 @@ func BenchmarkSearch100(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Search(tok); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestChainPRFIsAtRestStable pins the address and pad derivation stored
+// cells were written with, whichever way the PRF is keyed.
+func TestChainPRFIsAtRestStable(t *testing.T) {
+	var kw primitives.Key
+	for i := range kw {
+		kw[i] = byte(i)
+	}
+	st := bytes.Repeat([]byte{0xa5}, stBytes)
+	d := newChainPRF(kw)
+	for round := 0; round < 2; round++ { // the state is reused across cells
+		if got, want := d.h1(st), primitives.PRF(kw, []byte{1}, st); !bytes.Equal(got, want) {
+			t.Errorf("h1 = %x, want %x", got, want)
+		}
+		var want []byte
+		for blk := uint64(0); len(want) < idSlot; blk++ {
+			want = append(want, primitives.PRF(kw, []byte{2}, st, primitives.Uint64Bytes(blk))...)
+		}
+		if got := d.h2(st); !bytes.Equal(got, want[:idSlot]) {
+			t.Errorf("h2 = %x, want %x", got, want[:idSlot])
 		}
 	}
 }

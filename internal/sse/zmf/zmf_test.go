@@ -202,3 +202,22 @@ func BenchmarkTest100(b *testing.B) {
 		}
 	}
 }
+
+// TestProbePositionsAreAtRestStable pins the probe derivation stored filters
+// were written with: position h of id is PRF(probeKey, h || id) mod
+// FilterBits, whichever way the PRF is keyed.
+func TestProbePositionsAreAtRestStable(t *testing.T) {
+	var pk primitives.Key
+	for i := range pk {
+		pk[i] = byte(i)
+	}
+	p := newProber(pk)
+	for _, id := range []string{"", "d1", "a-much-longer-identifier-than-the-scratch-buffer-was-sized-for-0123456789#17"} {
+		got := p.positions(id)
+		for h := uint64(0); h < Hashes; h++ {
+			if want := primitives.PRFUint64(pk, primitives.Uint64Bytes(h), []byte(id)) % FilterBits; got[h] != want {
+				t.Errorf("position %d of %q = %d, want %d", h, id, got[h], want)
+			}
+		}
+	}
+}

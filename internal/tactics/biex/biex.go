@@ -66,16 +66,20 @@ type (
 
 func describe(name string, variant ssebiex.Variant) spi.Descriptor {
 	perf := model.PerfMetrics{
-		Complexity:          "sub-linear: anchor list + per-constraint refinement",
+		Complexity:          "sub-linear: smallest pair list + per-constraint refinement, once per anchor shard",
 		RoundTrips:          1,
 		ClientStorage:       "EMM counters + per-doc versions",
 		ServerStorageFactor: 4.0, // pair multimap dominates
 		Costs: map[model.Op]model.CostPrior{
 			// Inserts replicate pair cells across the cross-structure;
-			// boolean queries resolve on the anchor's buckets.
+			// boolean queries resolve from the smallest pair list on each
+			// of the anchor's shards. OpBoolean is what the planner's own
+			// counters record for a 75-hit two-keyword conjunction over
+			// 3 000 documents on three in-process shards (EXPERIMENTS.md,
+			// "BIEX pair-first conjunctions").
 			model.OpInsert:   {Fixed: 120},
 			model.OpEquality: {Fixed: 80},
-			model.OpBoolean:  {Fixed: 150},
+			model.OpBoolean:  {Fixed: 750},
 			model.OpDelete:   {Fixed: 120},
 		},
 	}
@@ -84,10 +88,13 @@ func describe(name string, variant ssebiex.Variant) spi.Descriptor {
 		perf.ServerStorageFactor = 1.6
 		perf.Complexity = "sub-linear: anchor list + filter probes (bounded false positives)"
 		perf.Costs = map[model.Op]model.CostPrior{
-			// ZMF trades storage for filter-probe work at both ends.
+			// ZMF trades storage for filter-probe work at both ends: it
+			// reads the anchor's whole list and probes seven counters per
+			// candidate. OpBoolean is measured like 2Lev's, so the two
+			// variants keep the order the measurement gives them.
 			model.OpInsert:   {Fixed: 200},
 			model.OpEquality: {Fixed: 120},
-			model.OpBoolean:  {Fixed: 250},
+			model.OpBoolean:  {Fixed: 1900},
 			model.OpDelete:   {Fixed: 200},
 		}
 	}
@@ -122,7 +129,8 @@ func describe(name string, variant ssebiex.Variant) spi.Descriptor {
 // shards. Inserts, DNF searches, and per-bucket maintenance (Compact)
 // all fan out to the owning shards in parallel; hot keywords spread over
 // several shards in SpillThreshold-sized bucket slices while the long
-// tail keeps single-shard resolution.
+// tail — and any conjunction anchored in it — keeps single-shard
+// resolution.
 type Tactic struct {
 	binding spi.Binding
 	shards  *ring.Ring
@@ -227,20 +235,16 @@ func (t *Tactic) SearchBool(ctx context.Context, q spi.BoolQuery) ([]string, err
 		}
 		query = append(query, lits)
 	}
-	tok, err := t.client.Token(t.ns, query)
+	// The client compiles one token per shard holding a bucket of some
+	// conjunction's anchor; the shards resolve in parallel and the union
+	// merges here. The query may compile to nothing (every conjunction
+	// unsatisfiable).
+	toks, err := t.client.Token(t.ns, query, t.shards.Shard)
 	if err != nil {
 		return nil, err
 	}
-	// Every conjunction resolves on the shard owning its anchor keyword;
-	// distinct anchors fan out in parallel and the union merges here. The
-	// token may compile to nothing (all conjunctions unsatisfiable).
-	if len(tok.Conjunctions) == 0 {
-		return t.client.Resolve(t.ns, nil)
-	}
-	groups := ring.GroupByShard(t.shards, tok.Conjunctions,
-		func(ct ssebiex.ConjToken) string { return ct.Route })
-	targets := make([]int, 0, len(groups))
-	for s := range groups {
+	targets := make([]int, 0, len(toks))
+	for s := range toks {
 		targets = append(targets, s)
 	}
 	sort.Ints(targets)
@@ -249,7 +253,7 @@ func (t *Tactic) SearchBool(ctx context.Context, q spi.BoolQuery) ([]string, err
 		s := targets[i]
 		var reply SearchReply
 		if err := t.shards.Conn(s).Call(gctx, Service, "search",
-			SearchArgs{Namespace: t.ns, Token: ssebiex.SearchToken{Conjunctions: groups[s]}}, &reply); err != nil {
+			SearchArgs{Namespace: t.ns, Token: *toks[s]}, &reply); err != nil {
 			return err
 		}
 		perShard[i] = reply.IDs

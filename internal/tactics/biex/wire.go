@@ -1,10 +1,6 @@
 // Typed wire codecs (codec v2) for the BIEX tactic. A k-keyword document
 // insert ships O(k²) PRF-sized cells; with JSON every cell pays two base64
 // fields plus key names, so this is the codec with the most to gain.
-//
-// ConjToken.Route is gateway-side routing state (`json:"-"`): the binary
-// encoding must match JSON semantics and leak nothing extra to the
-// untrusted zone, so it is never written to the wire.
 
 package biex
 
@@ -117,7 +113,10 @@ func init() {
 			b = wirefmt.AppendUvarint(b, uint64(len(a.Token.Conjunctions)))
 			for i := range a.Token.Conjunctions {
 				cj := &a.Token.Conjunctions[i]
-				b = appendEMMToken(b, &cj.Anchor)
+				b = wirefmt.AppendUvarint(b, uint64(len(cj.Anchors)))
+				for j := range cj.Anchors {
+					b = appendEMMToken(b, &cj.Anchors[j])
+				}
 				b = wirefmt.AppendUvarint(b, uint64(len(cj.Constraints)))
 				for j := range cj.Constraints {
 					c := &cj.Constraints[j]
@@ -152,7 +151,12 @@ func init() {
 			a.Token.Conjunctions = make([]ssebiex.ConjToken, n)
 			for i := range a.Token.Conjunctions {
 				cj := &a.Token.Conjunctions[i]
-				readEMMToken(r, &cj.Anchor)
+				if m := r.Count(); m > 0 {
+					cj.Anchors = make([]emm.SearchToken, m)
+					for j := range cj.Anchors {
+						readEMMToken(r, &cj.Anchors[j])
+					}
+				}
 				if m := r.Count(); m > 0 {
 					cj.Constraints = make([]ssebiex.Constraint, m)
 					for j := range cj.Constraints {

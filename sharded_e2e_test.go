@@ -212,6 +212,13 @@ func TestShardedTierMatchesSingleNode(t *testing.T) {
 		datablinder.Eq{Field: "status", Value: "final"},
 		datablinder.Eq{Field: "effective", Value: int64(1600000000)},
 	}})
+	// A negated literal beside a positive pair: candidates must come from
+	// the anchor's global cells, not from the pair list alone.
+	sameIDs("boolean negation", datablinder.And{Preds: []datablinder.Predicate{
+		datablinder.Eq{Field: "status", Value: "final"},
+		datablinder.Eq{Field: "code", Value: "glucose"},
+		datablinder.Not{Pred: datablinder.Eq{Field: "effective", Value: int64(1600000000)}},
+	}})
 	// status and code cycle in lockstep (both i%5), so "final" never
 	// co-occurs with "cholesterol": both deployments must agree on empty.
 	emptyQ := datablinder.And{Preds: []datablinder.Predicate{

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"testing"
 
+	ssebiex "datablinder/internal/sse/biex"
+	"datablinder/internal/sse/emm"
+	"datablinder/internal/sse/zmf"
+	tbiex "datablinder/internal/tactics/biex"
 	"datablinder/internal/transport"
 
 	// Codec registrations ride on package imports; the root package pulls
@@ -27,6 +31,29 @@ func FuzzPayloadCodecs(f *testing.F) {
 	f.Add(1, []byte{0x01, 0x61, 0x00, 0x00})
 	f.Add(2, bytes.Repeat([]byte{0xff}, 24))
 	f.Add(3, []byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00})
+	// biex.search in its two token shapes: a conjunction answered from pair
+	// lists alone (no anchor buckets), and one with two anchor buckets on the
+	// shard refined by a negated pair list and a filter.
+	k := bytes.Repeat([]byte{0xa5}, 32)
+	pair := &emm.SearchToken{AddrKey: k, ValueKey: k, Counts: emm.Counts{Tail: 75}}
+	bucket := emm.SearchToken{AddrKey: k, ValueKey: k, Counts: emm.Counts{Packed: 2, Tail: 31}}
+	for i, name := range methods {
+		if name != tbiex.Service+".search" {
+			continue
+		}
+		for _, conj := range []ssebiex.ConjToken{
+			{Constraints: []ssebiex.Constraint{{Cross: pair}, {Cross: pair}}},
+			{Anchors: []emm.SearchToken{bucket, bucket}, Constraints: []ssebiex.Constraint{
+				{Cross: pair, Negated: true}, {Filter: &zmf.TestToken{Label: k, ProbeKey: k}}}},
+		} {
+			enc, err := transport.LookupCodec(name).EncodeArgs(nil, &tbiex.SearchArgs{
+				Namespace: "obs|2lev", Token: ssebiex.SearchToken{Conjunctions: []ssebiex.ConjToken{conj}}})
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(i, enc)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, pick int, data []byte) {
 		name := methods[abs(pick)%len(methods)]
