@@ -28,6 +28,7 @@ import (
 	"datablinder/internal/cloud"
 	"datablinder/internal/fhir"
 	"datablinder/internal/keys"
+	"datablinder/internal/model"
 	"datablinder/internal/spi"
 	"datablinder/internal/store/kvstore"
 	tbiex "datablinder/internal/tactics/biex"
@@ -262,7 +263,7 @@ func BenchmarkBIEXCompaction(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < 800; i++ {
-			if err := inst.(spi.DocInserter).InsertDoc(ctx, fmt.Sprintf("d%04d", i),
+			if err := spi.Apply(ctx, conn, inst, model.OpInsert, fmt.Sprintf("d%04d", i),
 				map[string]any{"code": "glucose"}); err != nil {
 				b.Fatal(err)
 			}

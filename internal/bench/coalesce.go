@@ -404,8 +404,7 @@ func measureBiexPacking() (cells, wire int, err error) {
 		return 0, 0, err
 	}
 	for _, g := range groups {
-		cells += len(g.Cross)
-		wire += len(g.Cross) + len(g.CrossPacked)
+		wire += len(g.CrossPacked)
 		for _, p := range g.CrossPacked {
 			cells += p.Count
 		}

@@ -1,14 +1,14 @@
 // Concurrency experiment: quantifies the gateway's fan-out and the
 // transport's pipelining against their sequential baselines.
 //
-// Three measurements, each over simulated gateway↔cloud latency (the
+// Two measurements, each over simulated gateway↔cloud latency (the
 // regime the paper's deployment actually ran in — a private datacenter
-// talking to a public cloud):
+// talking to a public cloud). Inserts are not among them: an insert ships
+// one batch per shard in either engine mode, so on this single node there
+// is no fan-out left to compare.
 //
 //	search   — multi-leaf disjunction across mixed-tactic fields, parallel
 //	           leaf evaluation vs core.Config{Sequential: true}
-//	insert   — multi-field document insert fanning out across tactic
-//	           indexes vs the same sequential baseline
 //	pipeline — N concurrent callers multiplexed over ONE TCP socket vs a
 //	           single caller (the transport-level win, isolated from the
 //	           engine)
@@ -39,8 +39,6 @@ type ConcurrencyConfig struct {
 	SeedDocs int
 	// Searches multi-leaf disjunctions are measured per engine mode.
 	Searches int
-	// Inserts multi-field documents are measured per engine mode.
-	Inserts int
 	// Clients is the concurrent-caller count of the pipeline scenario.
 	Clients int
 	// ClientOps is the total RPC count of the pipeline scenario (split
@@ -56,7 +54,7 @@ type ConcurrencyConfig struct {
 // DefaultConcurrencyConfig returns a laptop-scale configuration.
 func DefaultConcurrencyConfig() ConcurrencyConfig {
 	return ConcurrencyConfig{
-		SeedDocs: 60, Searches: 30, Inserts: 30,
+		SeedDocs: 60, Searches: 30,
 		Clients: 16, ClientOps: 480,
 		NetDelay: 10 * time.Millisecond, Seed: 1,
 	}
@@ -77,10 +75,9 @@ func measure(ops int, elapsed time.Duration) ModeStats {
 	return s
 }
 
-// ConcurrencyResult carries all six measurements.
+// ConcurrencyResult carries all four measurements.
 type ConcurrencyResult struct {
 	SearchSeq, SearchPar     ModeStats
-	InsertSeq, InsertPar     ModeStats
 	PipelineOne, PipelineFan ModeStats
 	Clients                  int
 	NetDelay                 time.Duration
@@ -88,9 +85,6 @@ type ConcurrencyResult struct {
 
 // SearchSpeedup is parallel over sequential search throughput.
 func (r ConcurrencyResult) SearchSpeedup() float64 { return speedup(r.SearchPar, r.SearchSeq) }
-
-// InsertSpeedup is parallel over sequential insert throughput.
-func (r ConcurrencyResult) InsertSpeedup() float64 { return speedup(r.InsertPar, r.InsertSeq) }
 
 // PipelineSpeedup is N-caller over single-caller throughput on one socket.
 func (r ConcurrencyResult) PipelineSpeedup() float64 { return speedup(r.PipelineFan, r.PipelineOne) }
@@ -162,11 +156,11 @@ func concurrencyEngine(ctx context.Context, cfg ConcurrencyConfig, sequential bo
 	return engine, cleanup, nil
 }
 
-// runEngineMode seeds one engine and measures its search and insert phases.
-func runEngineMode(ctx context.Context, cfg ConcurrencyConfig, sequential bool) (search, insert ModeStats, err error) {
+// runEngineMode seeds one engine and measures its search phase.
+func runEngineMode(ctx context.Context, cfg ConcurrencyConfig, sequential bool) (ModeStats, error) {
 	engine, cleanup, err := concurrencyEngine(ctx, cfg, sequential)
 	if err != nil {
-		return ModeStats{}, ModeStats{}, err
+		return ModeStats{}, err
 	}
 	defer cleanup()
 
@@ -174,7 +168,7 @@ func runEngineMode(ctx context.Context, cfg ConcurrencyConfig, sequential bool) 
 	schema := fhir.BenchmarkSchema().Name
 	for i := 0; i < cfg.SeedDocs; i++ {
 		if _, err := engine.Insert(ctx, schema, gen.Observation()); err != nil {
-			return ModeStats{}, ModeStats{}, fmt.Errorf("bench: seeding: %w", err)
+			return ModeStats{}, fmt.Errorf("bench: seeding: %w", err)
 		}
 	}
 	patients := gen.Patients()
@@ -182,19 +176,10 @@ func runEngineMode(ctx context.Context, cfg ConcurrencyConfig, sequential bool) 
 	t0 := time.Now()
 	for i := 0; i < cfg.Searches; i++ {
 		if _, err := engine.Search(ctx, schema, concurrencyQuery(i, patients)); err != nil {
-			return ModeStats{}, ModeStats{}, fmt.Errorf("bench: search %d: %w", i, err)
+			return ModeStats{}, fmt.Errorf("bench: search %d: %w", i, err)
 		}
 	}
-	search = measure(cfg.Searches, time.Since(t0))
-
-	t0 = time.Now()
-	for i := 0; i < cfg.Inserts; i++ {
-		if _, err := engine.Insert(ctx, schema, gen.Observation()); err != nil {
-			return ModeStats{}, ModeStats{}, fmt.Errorf("bench: insert %d: %w", i, err)
-		}
-	}
-	insert = measure(cfg.Inserts, time.Since(t0))
-	return search, insert, nil
+	return measure(cfg.Searches, time.Since(t0)), nil
 }
 
 // runPipeline serves a handler that sleeps NetDelay per request (the
@@ -266,15 +251,15 @@ func runPipeline(ctx context.Context, cfg ConcurrencyConfig) (one, fan ModeStats
 
 // RunConcurrency executes the full experiment.
 func RunConcurrency(ctx context.Context, cfg ConcurrencyConfig) (ConcurrencyResult, error) {
-	if cfg.SeedDocs <= 0 || cfg.Searches <= 0 || cfg.Inserts <= 0 || cfg.Clients <= 1 || cfg.ClientOps < cfg.Clients {
+	if cfg.SeedDocs <= 0 || cfg.Searches <= 0 || cfg.Clients <= 1 || cfg.ClientOps < cfg.Clients {
 		return ConcurrencyResult{}, fmt.Errorf("bench: concurrency config must be positive (Clients > 1, ClientOps >= Clients)")
 	}
 	r := ConcurrencyResult{Clients: cfg.Clients, NetDelay: cfg.NetDelay}
 	var err error
-	if r.SearchSeq, r.InsertSeq, err = runEngineMode(ctx, cfg, true); err != nil {
+	if r.SearchSeq, err = runEngineMode(ctx, cfg, true); err != nil {
 		return ConcurrencyResult{}, fmt.Errorf("bench: sequential mode: %w", err)
 	}
-	if r.SearchPar, r.InsertPar, err = runEngineMode(ctx, cfg, false); err != nil {
+	if r.SearchPar, err = runEngineMode(ctx, cfg, false); err != nil {
 		return ConcurrencyResult{}, fmt.Errorf("bench: parallel mode: %w", err)
 	}
 	if r.PipelineOne, r.PipelineFan, err = runPipeline(ctx, cfg); err != nil {
@@ -297,8 +282,6 @@ func FormatConcurrency(r ConcurrencyResult) string {
 	}
 	row("search 6-leaf sequential", r.SearchSeq, 0)
 	row("search 6-leaf parallel", r.SearchPar, r.SearchSpeedup())
-	row("insert 8-field sequential", r.InsertSeq, 0)
-	row("insert 8-field parallel", r.InsertPar, r.InsertSpeedup())
 	row("1 caller, 1 socket", r.PipelineOne, 0)
 	row(fmt.Sprintf("%d callers, 1 socket", r.Clients), r.PipelineFan, r.PipelineSpeedup())
 	return b.String()

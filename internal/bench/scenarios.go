@@ -264,29 +264,27 @@ func (a *hardcodedApp) Insert(ctx context.Context, doc *model.Document) error {
 		cloud.DocPutArgs{Collection: a.collection, ID: doc.ID, Blob: blob, IfAbsent: true}, nil); err != nil {
 		return err
 	}
+	// One tactic write per field, each its own round trip: the hard-coded
+	// application has no engine to batch them.
+	index := func(t spi.Tactic, f string) error {
+		v, ok := doc.Fields[f]
+		if !ok {
+			return nil
+		}
+		return spi.Apply(ctx, a.conn, t, model.OpInsert, doc.ID, map[string]any{f: v})
+	}
 	for _, f := range detFields {
-		if v, ok := doc.Fields[f]; ok {
-			if err := a.det.Insert(ctx, f, doc.ID, v); err != nil {
-				return err
-			}
-		}
-	}
-	if v, ok := doc.Fields["subject"]; ok {
-		if err := a.mitra.(spi.Inserter).Insert(ctx, "subject", doc.ID, v); err != nil {
+		if err := index(a.det, f); err != nil {
 			return err
 		}
 	}
-	if v, ok := doc.Fields["performer"]; ok {
-		if err := a.rnd.Insert(ctx, "performer", doc.ID, v); err != nil {
-			return err
-		}
+	if err := index(a.mitra, "subject"); err != nil {
+		return err
 	}
-	if v, ok := doc.Fields["value"]; ok {
-		if err := a.paillier.Insert(ctx, "value", doc.ID, v); err != nil {
-			return err
-		}
+	if err := index(a.rnd, "performer"); err != nil {
+		return err
 	}
-	return nil
+	return index(a.paillier, "value")
 }
 
 func (a *hardcodedApp) searchIDs(ctx context.Context, field string, value any) ([]string, error) {

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Group runs a set of goroutines and collects the first error. Associated
@@ -93,3 +94,54 @@ func ForEach(ctx context.Context, n, limit int, f func(ctx context.Context, i in
 	}
 	return g.Wait()
 }
+
+// Pool runs functions on goroutines that outlive them. A goroutine that has
+// finished one function parks and takes the next, so nothing is spawned or
+// torn down per call and the stack the work needs is already grown — for
+// short functions with deep call chains (send a frame, execute a request)
+// that is most of what a plain go statement costs. It bounds nothing: with
+// no goroutine parked, Go starts one. Waiting for a function to finish is
+// the caller's business.
+type Pool struct {
+	// tasks is unbuffered: a send succeeds only while a goroutine is parked
+	// on it, which is exactly when there is one to reuse.
+	tasks   chan func()
+	stop    chan struct{}
+	maxIdle int32
+	idle    atomic.Int32
+}
+
+// NewPool returns a pool that keeps at most maxIdle goroutines parked.
+func NewPool(maxIdle int) *Pool {
+	return &Pool{tasks: make(chan func()), stop: make(chan struct{}), maxIdle: int32(maxIdle)}
+}
+
+// Go runs f on a parked goroutine if there is one, on a new one otherwise.
+func (p *Pool) Go(f func()) {
+	select {
+	case p.tasks <- f:
+	default:
+		go p.run(f)
+	}
+}
+
+func (p *Pool) run(f func()) {
+	for {
+		f()
+		if p.idle.Add(1) > p.maxIdle {
+			p.idle.Add(-1)
+			return
+		}
+		select {
+		case f = <-p.tasks:
+			p.idle.Add(-1)
+		case <-p.stop:
+			p.idle.Add(-1)
+			return
+		}
+	}
+}
+
+// Close releases the parked goroutines; those still running a function exit
+// when it returns. Go keeps working after Close, without reuse.
+func (p *Pool) Close() { close(p.stop) }

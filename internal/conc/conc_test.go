@@ -3,6 +3,8 @@ package conc
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -98,4 +100,54 @@ func TestForEachFirstErrorCancels(t *testing.T) {
 	if atomic.LoadInt64(&ran) == 1000 {
 		t.Log("all tasks ran despite early error (timing-dependent, not fatal)")
 	}
+}
+
+// settle waits for the goroutine count to come down to want.
+func settle(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > want {
+		t.Fatalf("%d goroutines, want at most %d", got, want)
+	}
+}
+
+// TestPoolReusesParkedGoroutines: however many functions run, one after
+// another or at once, no more than maxIdle goroutines stay parked behind
+// them, and Close releases those.
+func TestPoolReusesParkedGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	p := NewPool(2)
+	var wg sync.WaitGroup
+	run := func(n int, hold chan struct{}) {
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			p.Go(func() {
+				defer wg.Done()
+				if hold != nil {
+					<-hold
+				}
+			})
+		}
+	}
+	for i := 0; i < 100; i++ {
+		run(1, nil)
+		wg.Wait()
+		settle(t, base+2) // a function that finds the last goroutine still parking starts one
+	}
+	hold := make(chan struct{})
+	run(5, hold)
+	if got := runtime.NumGoroutine(); got < base+5 {
+		t.Fatalf("5 blocked functions on %d goroutines", got-base)
+	}
+	close(hold)
+	wg.Wait()
+	settle(t, base+2) // maxIdle stay parked, the rest exit
+	p.Close()
+	settle(t, base)
+	run(3, nil) // still runs functions, on goroutines that do not linger
+	wg.Wait()
+	settle(t, base)
 }

@@ -54,9 +54,9 @@ type Config struct {
 	// Registry is the tactic catalog; defaults must be supplied by the
 	// caller (use tactics.Registry()).
 	Registry *spi.Registry
-	// Sequential disables gateway-side fan-out: predicate leaves and index
-	// writes run one after another, as they did before the concurrent
-	// engine. It exists as the benchmark/debug baseline; production
+	// Sequential disables gateway-side fan-out: predicate leaves run one
+	// after another and a request's per-shard write batches go out one
+	// after another. It exists as the benchmark/debug baseline; production
 	// configurations leave it false.
 	Sequential bool
 	// Coalesce configures the per-shard group-commit stage wrapped around
@@ -87,6 +87,10 @@ type Config struct {
 	MigrateThrottle time.Duration
 }
 
+// writeWorkers is how many write-path goroutines an engine keeps parked
+// between requests: enough for a few concurrent callers' shard batches.
+const writeWorkers = 16
+
 // Engine is the gateway-side middleware core.
 type Engine struct {
 	keys       keys.Provider
@@ -96,6 +100,11 @@ type Engine struct {
 	local      *kvstore.Store
 	registry   *spi.Registry
 	seq        bool
+	// workers runs what a write sends concurrently — the id reservation,
+	// all but one of its shard batches — on reused goroutines; spawn is its
+	// Go, nil under Config.Sequential (batches then go one after another).
+	workers *conc.Pool
+	spawn   func(func())
 
 	// stats is the engine-resident tactic cost model (EWMA latencies, RPC
 	// counts, per-field workload rates) feeding selection and replanning.
@@ -139,6 +148,10 @@ type schemaRuntime struct {
 	// mig is the in-flight online re-index touching this schema, nil
 	// outside a dual-write window.
 	mig *migration
+
+	// order caches indexOrder's result.
+	orderOnce sync.Once
+	order     []tacticFields
 }
 
 // clone copies the runtime for a copy-on-write swap. Lock pointers and
@@ -216,6 +229,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		local:       cfg.Local,
 		registry:    cfg.Registry,
 		seq:         cfg.Sequential,
+		workers:     conc.NewPool(writeWorkers),
 		stats:       stats,
 		priors:      priors,
 		plannerOn:   cfg.Planner,
@@ -223,6 +237,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 		migThrottle: cfg.MigrateThrottle,
 		stopCh:      make(chan struct{}),
 		schemas:     make(map[string]*schemaRuntime),
+	}
+	if !e.seq {
+		e.spawn = e.workers.Go
 	}
 	planner.Register(stats)
 	if cfg.Planner && cfg.ReplanInterval > 0 {
@@ -249,7 +266,10 @@ func (e *Engine) Drain() {
 // process-wide expvar export. The cloud connections and local store stay
 // open — they belong to the caller.
 func (e *Engine) Close() {
-	e.stopOnce.Do(func() { close(e.stopCh) })
+	e.stopOnce.Do(func() {
+		close(e.stopCh)
+		e.workers.Close() // writes still in flight fall back to plain goroutines
+	})
 	e.bg.Wait()
 	e.Drain()
 	planner.Unregister(e.stats)
@@ -689,168 +709,25 @@ func normalizeInput(s *model.Schema, fields map[string]any) error {
 	return nil
 }
 
-// tacticFieldValues groups, for one tactic, the document's field values
-// the tactic must index.
-func (rt *schemaRuntime) tacticFieldValues(doc *model.Document) map[string]map[string]any {
-	out := make(map[string]map[string]any)
-	for field, plan := range rt.plans {
-		v, present := doc.Fields[field]
-		if !present {
-			continue
-		}
-		for _, name := range plan.Tactics {
-			m := out[name]
-			if m == nil {
-				m = make(map[string]any)
-				out[name] = m
-			}
-			m[field] = v
-		}
-	}
-	return out
-}
-
-// runUnits executes independent index-operation closures: sequentially in
-// Sequential mode (or for a single unit), otherwise concurrently with
-// first-error cancellation. Each unit is one (tactic, field) RPC or one
-// cross-field tactic call, so fan-out width is bounded by the schema.
-func (e *Engine) runUnits(ctx context.Context, units []func(context.Context) error) error {
-	if len(units) == 0 {
-		return nil
-	}
-	if e.seq || len(units) == 1 {
-		for _, u := range units {
-			if err := u(ctx); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	g, gctx := conc.WithContext(ctx)
-	for _, u := range units {
-		u := u
-		g.Go(func() error { return u(gctx) })
-	}
-	return g.Wait()
-}
-
-// tacticUnits builds the per-(tactic, field) work units maintaining one
-// tactic instance's index for a document, timing every unit into the cost
-// model. Units are independent: cross-field tactics receive a single unit
-// (their InsertDoc/DeleteDoc call is already atomic over the document),
-// per-field tactics one unit per field (tactic clients reserve index
-// counters atomically, so fields of one document may race safely).
-func (e *Engine) tacticUnits(schema, name string, inst spi.Tactic, docID string, fields map[string]any, insert bool) []func(context.Context) error {
-	var units []func(context.Context) error
-	op := model.OpInsert
-	if !insert {
-		op = model.OpDelete
-	}
-	timed := func(fs []string, run func(context.Context) error) func(context.Context) error {
-		return func(ctx context.Context) error {
-			start := time.Now()
-			err := run(ctx)
-			if err == nil {
-				e.stats.Record(schema, fs, name, op, time.Since(start))
-			}
-			return err
-		}
-	}
-	if insert {
-		if di, ok := inst.(spi.DocInserter); ok {
-			return append(units, timed(sortedKeys(fields), func(ctx context.Context) error {
-				if err := di.InsertDoc(ctx, docID, fields); err != nil {
-					return fmt.Errorf("core: %s index insert: %w", name, err)
-				}
-				return nil
-			}))
-		}
-		ins, ok := inst.(spi.Inserter)
-		if !ok {
-			return nil
-		}
-		for _, f := range sortedKeys(fields) {
-			f := f
-			units = append(units, timed([]string{f}, func(ctx context.Context) error {
-				if err := ins.Insert(ctx, f, docID, fields[f]); err != nil {
-					return fmt.Errorf("core: %s index insert field %s: %w", name, f, err)
-				}
-				return nil
-			}))
-		}
-		return units
-	}
-	if dd, ok := inst.(spi.DocDeleter); ok {
-		return append(units, timed(sortedKeys(fields), func(ctx context.Context) error {
-			if err := dd.DeleteDoc(ctx, docID, fields); err != nil {
-				return fmt.Errorf("core: %s index delete: %w", name, err)
-			}
-			return nil
-		}))
-	}
-	del, ok := inst.(spi.Deleter)
-	if !ok {
-		return nil
-	}
-	for _, f := range sortedKeys(fields) {
-		f := f
-		units = append(units, timed([]string{f}, func(ctx context.Context) error {
-			if err := del.Delete(ctx, f, docID, fields[f]); err != nil {
-				return fmt.Errorf("core: %s index delete field %s: %w", name, f, err)
-			}
-			return nil
-		}))
-	}
-	return units
-}
-
-// indexUnits builds one document's full index maintenance across the
-// schema's plan.
-func (e *Engine) indexUnits(rt *schemaRuntime, doc *model.Document, insert bool) []func(context.Context) error {
-	var units []func(context.Context) error
-	for name, fields := range rt.tacticFieldValues(doc) {
-		units = append(units, e.tacticUnits(rt.schema.Name, name, rt.instances[name], doc.ID, fields, insert)...)
-	}
-	return units
-}
-
-// indexInsert feeds a document into every selected tactic index, fanning
-// out across tactics and fields. locked reports whether the caller holds
-// rt.docMu (Update flows) — it decides the dual-write discipline against
-// an in-flight migration's target index.
-func (e *Engine) indexInsert(ctx context.Context, rt *schemaRuntime, doc *model.Document, locked bool) error {
-	units := e.indexUnits(rt, doc, true)
-	units = append(units, e.migrationUnits(rt, doc, true, locked)...)
-	return e.runUnits(ctx, units)
-}
-
-// indexDelete removes a document from every selected tactic index, fanning
-// out across tactics and fields.
-func (e *Engine) indexDelete(ctx context.Context, rt *schemaRuntime, doc *model.Document, locked bool) error {
-	units := e.indexUnits(rt, doc, false)
-	units = append(units, e.migrationUnits(rt, doc, false, locked)...)
-	return e.runUnits(ctx, units)
-}
-
-func sortedKeys(m map[string]any) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Insert stores a new document: whole-document encryption plus secure
 // indexing of every sensitive field (the Entities interface of Fig. 3).
 // A document with an empty ID gets a generated one; the stored ID is
 // returned.
+//
+// The blob and every index mutation form one write set, shipped as one
+// batch per owning shard. A caller-supplied id may be taken, and only the
+// document's own shard can tell, so its put(IfAbsent) goes ahead as a
+// reservation wave of its own — the index crypto runs while it is in
+// flight, and a duplicate is rejected before any index write leaves the
+// gateway. A generated id cannot collide: its put is just the first member
+// of the doc shard's batch, and the insert is a single wave.
 func (e *Engine) Insert(ctx context.Context, schema string, doc *model.Document) (string, error) {
 	rt, err := e.runtime(schema)
 	if err != nil {
 		return "", err
 	}
-	if doc.ID == "" {
+	generated := doc.ID == ""
+	if generated {
 		id, err := GenerateID()
 		if err != nil {
 			return "", err
@@ -880,24 +757,45 @@ func (e *Engine) Insert(ctx context.Context, schema string, doc *model.Document)
 
 	// No doc lock here: concurrent inserts of distinct documents are safe —
 	// tactic clients reserve index counters atomically, and the IfAbsent
-	// put below rejects a racing duplicate id before it reaches indexing.
-	err = e.shards.Call(ctx, docRoute(schema, doc.ID), cloud.DocService, "put",
-		cloud.DocPutArgs{Collection: schema, ID: doc.ID, Blob: blob, IfAbsent: true}, nil)
-	if err != nil {
-		if transport.IsAlreadyExistsError(err) {
-			return "", fmt.Errorf("%w: %s", ErrDocumentExists, doc.ID)
-		}
-		return "", err
+	// put rejects a racing duplicate id before its index writes are sent.
+	route := docRoute(schema, doc.ID)
+	put := cloud.DocPutArgs{Collection: schema, ID: doc.ID, Blob: blob, IfAbsent: true}
+	w := &write{e: e, schema: schema}
+	var reserved chan error
+	if generated {
+		w.set.Add(spi.Mutation{Route: route, Service: cloud.DocService, Method: "put", Args: put})
+	} else {
+		reserved = make(chan error, 1) // the one send never blocks
+		e.workers.Go(func() { reserved <- e.shards.Call(ctx, route, cloud.DocService, "put", put, nil) })
 	}
-	if err := e.indexInsert(ctx, rt, doc, false); err != nil {
-		// The document blob is stored but (some of) its index entries are
-		// not, so searches would never surface it: compensate by removing
-		// the blob, best-effort, on a context that survives the caller's
-		// cancellation. The original indexing error is what the caller
-		// sees either way.
+	err = w.index(rt, doc, model.OpInsert)
+	if reserved != nil {
+		if rerr := <-reserved; rerr != nil {
+			if transport.IsAlreadyExistsError(rerr) {
+				return "", fmt.Errorf("%w: %s", ErrDocumentExists, doc.ID)
+			}
+			return "", rerr
+		}
+	}
+	// The dual-write claims the id against the backfill scan, so it waits
+	// until the id is known to be this insert's.
+	if err == nil {
+		err = w.mirror(rt, doc, model.OpInsert, false)
+	}
+	if err == nil {
+		err = w.flush(ctx)
+	}
+	if err != nil {
+		// The document blob is (or may be) stored but some of its index
+		// entries are not, so searches would never surface it: compensate by
+		// removing the blob, best-effort, on a context that survives the
+		// caller's cancellation. Index cells that did land stay behind as
+		// unreachable garbage (DESIGN.md §6 "The write path" says why they
+		// are not deleted). The original error is what the caller sees
+		// either way.
 		dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
 		defer cancel()
-		if derr := e.shards.Call(dctx, docRoute(schema, doc.ID), cloud.DocService, "delete",
+		if derr := e.shards.Call(dctx, route, cloud.DocService, "delete",
 			cloud.DocDeleteArgs{Collection: schema, ID: doc.ID}, nil); derr != nil && !transport.IsNotFoundError(derr) {
 			return "", fmt.Errorf("%w (compensating delete also failed: %v)", err, derr)
 		}
@@ -952,7 +850,7 @@ func (e *Engine) Update(ctx context.Context, schema string, doc *model.Document)
 	defer release()
 	rt.docMu.Lock()
 	defer rt.docMu.Unlock()
-	if err := e.indexDelete(ctx, rt, old, true); err != nil {
+	if err := e.reindex(ctx, rt, old, model.OpDelete); err != nil {
 		return err
 	}
 	blob, err := rt.sealDoc(doc)
@@ -963,7 +861,7 @@ func (e *Engine) Update(ctx context.Context, schema string, doc *model.Document)
 		cloud.DocPutArgs{Collection: schema, ID: doc.ID, Blob: blob}, nil); err != nil {
 		return err
 	}
-	return e.indexInsert(ctx, rt, doc, true)
+	return e.reindex(ctx, rt, doc, model.OpInsert)
 }
 
 // Delete removes a document and all its index entries.
@@ -979,7 +877,7 @@ func (e *Engine) Delete(ctx context.Context, schema, id string) error {
 	defer release()
 	rt.docMu.Lock()
 	defer rt.docMu.Unlock()
-	if err := e.indexDelete(ctx, rt, old, true); err != nil {
+	if err := e.reindex(ctx, rt, old, model.OpDelete); err != nil {
 		return err
 	}
 	if err := e.shards.Call(ctx, docRoute(schema, id), cloud.DocService, "delete",

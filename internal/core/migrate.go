@@ -72,84 +72,6 @@ type migration struct {
 	marker []byte
 }
 
-// insertValues returns the (field, value) map a migration write must index
-// for doc, nil when the doc does not carry the migrating field.
-func (m *migration) insertValues(doc *model.Document) map[string]any {
-	v, ok := doc.Fields[m.field]
-	if !ok {
-		return nil
-	}
-	return map[string]any{m.field: v}
-}
-
-// migrationUnits builds the dual-write work units mirroring one document
-// mutation into an in-flight migration's target indexes. The discipline
-// differs by caller:
-//
-//   - Plain inserts (locked=false, insert=true) run without the doc lock;
-//     they claim the id first (atomically, against the scan) and skip the
-//     write if the scan already backfilled it — both would write the same
-//     value, so the skip is safe and spares non-idempotent tactics a
-//     duplicate.
-//   - Update/Delete flows (locked=true) hold the doc lock, so they never
-//     interleave a scan batch. Their delete halves only apply when the id
-//     is claimed (the target index holds nothing to delete otherwise — and
-//     a counted-cell tactic would go negative); their insert halves always
-//     apply and claim, because they carry the newest value.
-func (e *Engine) migrationUnits(rt *schemaRuntime, doc *model.Document, insert, locked bool) []func(context.Context) error {
-	m := rt.mig
-	if m == nil {
-		return nil
-	}
-	values := m.insertValues(doc)
-	if values == nil {
-		return nil
-	}
-	schema := rt.schema.Name
-	if insert {
-		if !locked {
-			// One composite unit: the claim must decide before any write.
-			return []func(context.Context) error{func(ctx context.Context) error {
-				if _, loaded := m.claims.LoadOrStore(doc.ID, struct{}{}); loaded {
-					return nil
-				}
-				for _, name := range m.tactics {
-					units := e.tacticUnits(schema, name, m.instances[name], doc.ID, values, true)
-					if err := e.runUnits(ctx, units); err != nil {
-						return err
-					}
-				}
-				return e.local.HSet(m.marker, []byte(doc.ID), []byte{1})
-			}}
-		}
-		return []func(context.Context) error{func(ctx context.Context) error {
-			for _, name := range m.tactics {
-				units := e.tacticUnits(schema, name, m.instances[name], doc.ID, values, true)
-				if err := e.runUnits(ctx, units); err != nil {
-					return err
-				}
-			}
-			m.claims.Store(doc.ID, struct{}{})
-			return e.local.HSet(m.marker, []byte(doc.ID), []byte{1})
-		}}
-	}
-	if !locked {
-		return nil // plain inserts never delete
-	}
-	if _, claimed := m.claims.Load(doc.ID); !claimed {
-		return nil
-	}
-	return []func(context.Context) error{func(ctx context.Context) error {
-		for _, name := range m.tactics {
-			units := e.tacticUnits(schema, name, m.instances[name], doc.ID, values, false)
-			if err := e.runUnits(ctx, units); err != nil {
-				return err
-			}
-		}
-		return nil
-	}}
-}
-
 // planEqual reports whether two plans route identically.
 func planEqual(a, b spi.Plan) bool {
 	if len(a.ByOp) != len(b.ByOp) || len(a.ByAgg) != len(b.ByAgg) || len(a.Tactics) != len(b.Tactics) {
@@ -425,15 +347,16 @@ func (e *Engine) migrateBatch(ctx context.Context, schema string, rt *schemaRunt
 		return fmt.Errorf("core: migration fetch: %w", err)
 	}
 	for _, doc := range docs {
-		values := m.insertValues(doc)
-		if values == nil {
+		if _, ok := doc.Fields[m.field]; !ok {
 			continue
 		}
-		for _, name := range m.tactics {
-			units := e.tacticUnits(schema, name, m.instances[name], doc.ID, values, true)
-			if err := e.runUnits(ctx, units); err != nil {
-				return fmt.Errorf("core: migration backfill %s: %w", doc.ID, err)
-			}
+		w := &write{e: e, schema: schema}
+		err := w.target(m, doc, model.OpInsert)
+		if err == nil {
+			err = w.flush(ctx)
+		}
+		if err != nil {
+			return fmt.Errorf("core: migration backfill %s: %w", doc.ID, err)
 		}
 		if err := e.local.HSet(m.marker, []byte(doc.ID), []byte{1}); err != nil {
 			return fmt.Errorf("core: migration marker: %w", err)

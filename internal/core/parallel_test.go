@@ -201,50 +201,8 @@ func TestSearchFanOutOverlaps(t *testing.T) {
 	}
 }
 
-// TestInsertFanOutOverlaps: index maintenance units of one insert run
-// concurrently on the parallel engine, serially in Sequential mode.
-func TestInsertFanOutOverlaps(t *testing.T) {
-	var pc, sc *peakConn
-	par := wrapEnv(t, false, func(c transport.Conn) transport.Conn {
-		pc = &peakConn{inner: c}
-		return pc
-	})
-	seq := wrapEnv(t, true, func(c transport.Conn) transport.Conn {
-		sc = &peakConn{inner: c}
-		return sc
-	})
-
-	pc.enabled.Store(true)
-	if _, err := par.engine.Insert(context.Background(), "observation",
-		obs("p1", "final", "glucose", "john-doe", 1359966610, "john-smith", 6.3)); err != nil {
-		t.Fatal(err)
-	}
-	pc.enabled.Store(false)
-	if got := pc.peak.Load(); got < 2 {
-		t.Fatalf("parallel insert peak in-flight RPCs = %d, want >= 2", got)
-	}
-
-	sc.enabled.Store(true)
-	if _, err := seq.engine.Insert(context.Background(), "observation",
-		obs("s1", "final", "glucose", "john-doe", 1359966610, "john-smith", 6.3)); err != nil {
-		t.Fatal(err)
-	}
-	sc.enabled.Store(false)
-	if got := sc.peak.Load(); got != 1 {
-		t.Fatalf("sequential insert peak in-flight RPCs = %d, want exactly 1", got)
-	}
-
-	// Both engines must still serve reads after their inserts.
-	for _, env := range []*testEnv{par, seq} {
-		ids, err := env.engine.SearchIDs(context.Background(), "observation",
-			Eq{Field: "code", Value: "glucose"})
-		if err != nil || len(ids) != 1 {
-			t.Fatalf("post-insert search: ids=%v err=%v", ids, err)
-		}
-	}
-}
-
-// failServiceConn fails every call to one service once armed.
+// failServiceConn fails every call to one service once armed, and every
+// batch frame carrying a sub-call to it.
 type failServiceConn struct {
 	inner   transport.Conn
 	service string
@@ -255,7 +213,13 @@ type failServiceConn struct {
 var errInjected = errors.New("injected index failure")
 
 func (f *failServiceConn) Call(ctx context.Context, service, method string, args, reply any) error {
-	if f.armed.Load() && service == f.service {
+	hit := service == f.service
+	if calls, ok := args.([]transport.BatchCall); ok && service == transport.BatchService {
+		for _, c := range calls {
+			hit = hit || c.Service == f.service
+		}
+	}
+	if f.armed.Load() && hit {
 		f.failed.Add(1)
 		return fmt.Errorf("%s.%s: %w", service, method, errInjected)
 	}

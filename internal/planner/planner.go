@@ -29,6 +29,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"datablinder/internal/model"
@@ -79,7 +80,7 @@ type Stats struct {
 	// rpcs counts cloud RPCs per service name, recorded by the conn
 	// wrapper interposed outside the write coalescer (so one caller-issued
 	// sub-call counts once, however it is batched downstream).
-	rpcs sync.Map // string -> *uint64
+	rpcs sync.Map // string -> *atomic.Uint64
 }
 
 // NewStats builds an empty Stats.
@@ -181,11 +182,9 @@ func (s *Stats) FieldRates(schema, field string) map[model.Op]float64 {
 func (s *Stats) RPC(service string, n uint64) {
 	v, ok := s.rpcs.Load(service)
 	if !ok {
-		v, _ = s.rpcs.LoadOrStore(service, new(uint64))
+		v, _ = s.rpcs.LoadOrStore(service, new(atomic.Uint64))
 	}
-	s.mu.Lock()
-	*v.(*uint64) += n
-	s.mu.Unlock()
+	v.(*atomic.Uint64).Add(n)
 }
 
 // MigrationDone counts one completed online re-index.
@@ -346,7 +345,7 @@ func (s *Stats) Snapshot() Snapshot {
 		if t.Ops == nil {
 			t.Ops = make(map[string]OpSnapshot)
 		}
-		t.RPCs += *v.(*uint64)
+		t.RPCs += v.(*atomic.Uint64).Load()
 		snap.Tactics[tn] = t
 		return true
 	})

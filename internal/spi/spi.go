@@ -121,33 +121,6 @@ type Tactic interface {
 	Setup(ctx context.Context) error
 }
 
-// Inserter indexes a field value at insertion time.
-type Inserter interface {
-	Insert(ctx context.Context, field, docID string, value any) error
-}
-
-// Deleter removes a field value from the index. value is the previously
-// indexed value (the engine retrieves it before deletion, per Table 1's
-// Update row requiring Retrieval).
-type Deleter interface {
-	Delete(ctx context.Context, field, docID string, value any) error
-}
-
-// DocInserter indexes several fields of one document in one call. Tactics
-// whose structures span fields (BIEX's cross-keyword multimap) implement
-// this instead of per-field Inserter, and per-field tactics implement it
-// to coalesce their per-field cloud mutations into one transport batch
-// frame (DET). The engine prefers this interface over Inserter, passing
-// every field of the document assigned to the tactic in one call.
-type DocInserter interface {
-	InsertDoc(ctx context.Context, docID string, fields map[string]any) error
-}
-
-// DocDeleter removes a whole document from a cross-field structure.
-type DocDeleter interface {
-	DeleteDoc(ctx context.Context, docID string, fields map[string]any) error
-}
-
 // EqSearcher answers equality queries on one field.
 type EqSearcher interface {
 	SearchEq(ctx context.Context, field string, value any) ([]string, error)

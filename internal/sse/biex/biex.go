@@ -319,12 +319,10 @@ func bucketKeyword(w string, b uint64) string {
 }
 
 // Entries is the batch of server updates produced by one client operation.
-// Cross pair cells ship packed (CrossPacked); the per-cell Cross form
-// carries cells already assembled into their stored shared-payload value
-// (emm.SharedValue) — the only form the cross multimap opens.
+// Cross pair cells ship packed (CrossPacked) and are expanded server-side
+// into their stored shared-payload values (emm.SharedValue).
 type Entries struct {
 	Global      []emm.Entry       `json:"global,omitempty"`
-	Cross       []emm.Entry       `json:"cross,omitempty"`
 	CrossPacked []PackedEntry     `json:"cross_packed,omitempty"`
 	Filter      []zmf.UpdateEntry `json:"filter,omitempty"`
 }
@@ -333,7 +331,7 @@ type Entries struct {
 // by their contents — the unit a node's multimap insert work scales with,
 // regardless of how the cells were framed.
 func (e Entries) Cells() int {
-	n := len(e.Global) + len(e.Cross) + len(e.Filter)
+	n := len(e.Global) + len(e.Filter)
 	for _, p := range e.CrossPacked {
 		n += p.Count
 	}
@@ -344,7 +342,7 @@ func (e Entries) Cells() int {
 // framing the packed form compresses: a k-keyword document's O(k²) pair
 // cells collapse into O(1) packed entries per shard.
 func (e Entries) WireEntries() int {
-	return len(e.Global) + len(e.Cross) + len(e.CrossPacked) + len(e.Filter)
+	return len(e.Global) + len(e.CrossPacked) + len(e.Filter)
 }
 
 // PackedEntry ships n same-shaped multimap cells as two concatenated
@@ -518,14 +516,24 @@ func bucketCount(inserts uint64) uint64 {
 // bucket's shard holds a self-contained slice of w's index: anchoring a
 // conjunction there never needs another shard's cells.
 func (c *Client) Insert(namespace, id string, keywords []string, shardOf ShardFunc) (map[int]*Entries, error) {
-	v, err := c.state.Version(namespace, id)
+	out, commit, err := c.Prepare(namespace, id, keywords, shardOf)
 	if err != nil {
 		return nil, err
 	}
-	v++
-	if err := c.state.SetVersion(namespace, id, v); err != nil {
-		return nil, err
+	return out, commit()
+}
+
+// Prepare is Insert without the version bump: the entries carry the
+// document's next version, which only becomes the live one when the caller
+// runs commit — before delivering the batches. A caller that drops the
+// entries instead leaves the document's current index entries live.
+func (c *Client) Prepare(namespace, id string, keywords []string, shardOf ShardFunc) (out map[int]*Entries, commit func() error, err error) {
+	v, err := c.state.Version(namespace, id)
+	if err != nil {
+		return nil, nil, err
 	}
+	v++
+	commit = func() error { return c.state.SetVersion(namespace, id, v) }
 	vid := versionedID(id, v)
 
 	// Deduplicate keywords; pair generation assumes distinct keywords.
@@ -544,15 +552,15 @@ func (c *Client) Insert(namespace, id string, keywords []string, shardOf ShardFu
 	for i, w := range uniq {
 		n, err := c.state.Spill(namespace, w)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		bucket[i] = n / SpillThreshold
 		if err := c.state.SetSpill(namespace, w, n+1); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		shard[i] = shardOf(c.BucketRoute(namespace, w, bucket[i]))
 	}
-	out := make(map[int]*Entries)
+	out = make(map[int]*Entries)
 	grp := func(s int) *Entries {
 		e, ok := out[s]
 		if !ok {
@@ -565,7 +573,7 @@ func (c *Client) Insert(namespace, id string, keywords []string, shardOf ShardFu
 	for i, w := range uniq {
 		e, err := c.global.Append(namespace, bucketKeyword(w, bucket[i]), vid)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		g := grp(shard[i])
 		g.Global = append(g.Global, e)
@@ -582,22 +590,22 @@ func (c *Client) Insert(namespace, id string, keywords []string, shardOf ShardFu
 		if len(uniq) >= 2 {
 			kd, err := primitives.NewRandomKey()
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			nonce, err := primitives.RandomBytes(emm.SharedNonceLen)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			shared, err := emm.SealSharedIDs(kd, []string{vid})
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			perShard := make(map[int][]emm.Entry)
 			for i := 0; i < len(uniq); i++ {
 				for j := i + 1; j < len(uniq); j++ {
 					addr, vk, err := c.cross.AppendAddr(namespace, pairKeyword(uniq[i], uniq[j]))
 					if err != nil {
-						return nil, err
+						return nil, nil, err
 					}
 					e := emm.Entry{Addr: addr, Val: emm.WrapSharedKey(vk, nonce, kd)}
 					perShard[shard[i]] = append(perShard[shard[i]], e)
@@ -633,7 +641,7 @@ func (c *Client) Insert(namespace, id string, keywords []string, shardOf ShardFu
 			}
 		}
 	}
-	return out, nil
+	return out, commit, nil
 }
 
 // Delete supersedes every index entry of id by bumping its version. No
@@ -852,9 +860,6 @@ func (s *Server) RepackGlobal(stale [][]byte, entries []emm.Entry) error {
 // Insert applies a client update batch, expanding packed pair cells.
 func (s *Server) Insert(e Entries) error {
 	if err := s.global.Insert(e.Global); err != nil {
-		return err
-	}
-	if err := s.cross.Insert(e.Cross); err != nil {
 		return err
 	}
 	if len(e.CrossPacked) > 0 {

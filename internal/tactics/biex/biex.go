@@ -6,15 +6,13 @@
 // Both variants share the gateway logic; they differ in the cross-keyword
 // structure (pair multimap vs matryoshka filters), which is also the
 // read-efficiency/space trade-off the benchmarks contrast. The tactic
-// spans every boolean-annotated field of a schema: it implements the
-// doc-level SPI (DocInserter/DocDeleter) so cross-field keyword pairs form
-// at insertion time, plus single-keyword equality as a degenerate boolean
-// query.
+// spans every boolean-annotated field of a schema: one Prepare receives all
+// of a document's fields, so cross-field keyword pairs form at insertion
+// time, plus single-keyword equality as a degenerate boolean query.
 package biex
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"sync"
 
@@ -73,11 +71,13 @@ func describe(name string, variant ssebiex.Variant) spi.Descriptor {
 		Costs: map[model.Op]model.CostPrior{
 			// Inserts replicate pair cells across the cross-structure;
 			// boolean queries resolve from the smallest pair list on each
-			// of the anchor's shards. OpBoolean is what the planner's own
-			// counters record for a 75-hit two-keyword conjunction over
-			// 3 000 documents on three in-process shards (EXPERIMENTS.md,
-			// "BIEX pair-first conjunctions").
-			model.OpInsert:   {Fixed: 120},
+			// of the anchor's shards. OpInsert and OpBoolean are what the
+			// planner's own counters record on three in-process shards: a
+			// six-keyword document (prepare plus the flush that carried
+			// its cells; EXPERIMENTS.md, "One batch per shard") and a
+			// 75-hit two-keyword conjunction over 3 000 documents
+			// ("BIEX pair-first conjunctions").
+			model.OpInsert:   {Fixed: 430},
 			model.OpEquality: {Fixed: 80},
 			model.OpBoolean:  {Fixed: 750},
 			model.OpDelete:   {Fixed: 120},
@@ -90,9 +90,10 @@ func describe(name string, variant ssebiex.Variant) spi.Descriptor {
 		perf.Costs = map[model.Op]model.CostPrior{
 			// ZMF trades storage for filter-probe work at both ends: it
 			// reads the anchor's whole list and probes seven counters per
-			// candidate. OpBoolean is measured like 2Lev's, so the two
-			// variants keep the order the measurement gives them.
-			model.OpInsert:   {Fixed: 200},
+			// candidate. OpInsert and OpBoolean are measured like 2Lev's, so
+			// the two variants keep the order the measurement gives them
+			// (a ZMF insert ships filter updates, not wrapped pair cells).
+			model.OpInsert:   {Fixed: 400},
 			model.OpEquality: {Fixed: 120},
 			model.OpBoolean:  {Fixed: 1900},
 			model.OpDelete:   {Fixed: 200},
@@ -183,46 +184,44 @@ func keyword(field string, value any) string {
 	return field + "=" + model.ValueToString(value)
 }
 
-// InsertDoc implements spi.DocInserter. The client groups the document's
-// index entries by owning shard; the batches ship in parallel. A partial
-// failure is compensated the way the engine compensates a failed document
-// insert — by superseding, not rolling back: Delete bumps the version
-// past the one the surviving batches indexed, so their cells resolve to a
-// stale version and drop out at resolution time. Rolling the version
-// counter back instead would let a later insert re-issue the same
-// versioned id and resurrect the orphaned cells.
-func (t *Tactic) InsertDoc(ctx context.Context, docID string, fields map[string]any) error {
-	kws := make([]string, 0, len(fields))
-	for f, v := range fields {
-		kws = append(kws, keyword(f, v))
+// Prepare implements spi.Writer. For an insert the client groups the
+// document's index entries by owning shard, one mutation each; the version
+// they carry becomes the live one at commit. A failed write set — whichever
+// tactic's batch it was — is compensated the way the engine compensates a
+// failed document insert, by superseding, not rolling back: Delete bumps
+// the version past the one the surviving batches indexed, so their cells
+// resolve to a stale version and drop out at resolution time. Rolling the
+// version counter back instead would let a later insert re-issue the same
+// versioned id and resurrect the orphaned cells. A delete is that same
+// local supersession and ships nothing.
+func (t *Tactic) Prepare(ws *spi.WriteSet, op model.Op, docID string, fields []string, values map[string]any) error {
+	supersede := func() error { return t.client.Delete(t.ns, docID) }
+	if op == model.OpDelete {
+		ws.OnCommit(supersede)
+		return nil
 	}
-	groups, err := t.client.Insert(t.ns, docID, kws, t.shards.Shard)
+	kws := make([]string, len(fields))
+	for i, f := range fields {
+		kws[i] = keyword(f, values[f])
+	}
+	groups, commit, err := t.client.Prepare(t.ns, docID, kws, t.shards.Shard)
 	if err != nil {
 		return err
 	}
+	ws.OnCommit(commit)
+	ws.OnFailure(supersede)
 	targets := make([]int, 0, len(groups))
 	for s := range groups {
 		targets = append(targets, s)
 	}
 	sort.Ints(targets)
-	err = conc.ForEach(ctx, len(targets), 0, func(gctx context.Context, i int) error {
-		s := targets[i]
-		return t.shards.Conn(s).Call(gctx, Service, "insert",
-			InsertArgs{Namespace: t.ns, Entries: *groups[s]}, nil)
-	})
-	if err != nil {
-		if derr := t.client.Delete(t.ns, docID); derr != nil {
-			return fmt.Errorf("biex: insert failed (%w) and compensation failed: %v", err, derr)
-		}
-		return fmt.Errorf("biex: insert failed, index entries superseded: %w", err)
+	for _, s := range targets {
+		ws.Add(spi.Mutation{
+			Shard: s, Service: Service, Method: "insert",
+			Args: InsertArgs{Namespace: t.ns, Entries: *groups[s]},
+		})
 	}
 	return nil
-}
-
-// DeleteDoc implements spi.DocDeleter. Deletion is local: the document's
-// index version is superseded.
-func (t *Tactic) DeleteDoc(_ context.Context, docID string, _ map[string]any) error {
-	return t.client.Delete(t.ns, docID)
 }
 
 // SearchBool implements spi.BoolSearcher.
@@ -346,8 +345,7 @@ func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 }
 
 var (
-	_ spi.DocInserter  = (*Tactic)(nil)
-	_ spi.DocDeleter   = (*Tactic)(nil)
+	_ spi.Writer       = (*Tactic)(nil)
 	_ spi.BoolSearcher = (*Tactic)(nil)
 	_ spi.EqSearcher   = (*Tactic)(nil)
 )

@@ -10,6 +10,7 @@ import (
 
 	"datablinder/internal/cloud/ring"
 	"datablinder/internal/keys"
+	"datablinder/internal/model"
 	"datablinder/internal/spi"
 	ssebiex "datablinder/internal/sse/biex"
 	"datablinder/internal/store/kvstore"
@@ -20,7 +21,7 @@ import (
 // shardedInstance builds a tactic over n in-process cloud shards (n == 1
 // degenerates to the unsharded loopback setup). The returned stores allow
 // per-shard index inspection.
-func shardedInstance(t *testing.T, reg spi.Registration, n int) (spi.Tactic, []*kvstore.Store) {
+func shardedInstance(t *testing.T, reg spi.Registration, n int) (spi.Tactic, transport.Conn, []*kvstore.Store) {
 	t.Helper()
 	conns := make([]transport.Conn, n)
 	stores := make([]*kvstore.Store, n)
@@ -50,44 +51,44 @@ func shardedInstance(t *testing.T, reg spi.Registration, n int) (spi.Tactic, []*
 	if err != nil {
 		t.Fatal(err)
 	}
-	return inst, stores
+	return inst, cloud, stores
 }
 
-func instance(t *testing.T, reg spi.Registration) spi.Tactic {
+func instance(t *testing.T, reg spi.Registration) (spi.Tactic, transport.Conn) {
 	t.Helper()
-	inst, _ := shardedInstance(t, reg, 1)
-	return inst
+	inst, conn, _ := shardedInstance(t, reg, 1)
+	return inst, conn
 }
 
-func variants(t *testing.T, f func(t *testing.T, inst spi.Tactic)) {
+func variants(t *testing.T, f func(t *testing.T, inst spi.Tactic, conn transport.Conn)) {
 	t.Helper()
 	for _, reg := range []spi.Registration{biex.Registration2Lev(), biex.RegistrationZMF()} {
 		reg := reg
 		t.Run(reg.Descriptor.Name, func(t *testing.T) {
-			f(t, instance(t, reg))
+			inst, conn := instance(t, reg)
+			f(t, inst, conn)
 		})
 	}
 }
 
-func seed(t *testing.T, inst spi.Tactic) {
+func seed(t *testing.T, inst spi.Tactic, conn transport.Conn) {
 	t.Helper()
 	ctx := context.Background()
-	di := inst.(spi.DocInserter)
 	docs := map[string]map[string]any{
 		"d1": {"status": "final", "code": "glucose"},
 		"d2": {"status": "final", "code": "insulin"},
 		"d3": {"status": "draft", "code": "glucose"},
 	}
 	for id, fields := range docs {
-		if err := di.InsertDoc(ctx, id, fields); err != nil {
-			t.Fatalf("InsertDoc(%s): %v", id, err)
+		if err := spi.Apply(ctx, conn, inst, model.OpInsert, id, fields); err != nil {
+			t.Fatalf("insert %s: %v", id, err)
 		}
 	}
 }
 
 func TestCrossFieldConjunction(t *testing.T) {
-	variants(t, func(t *testing.T, inst spi.Tactic) {
-		seed(t, inst)
+	variants(t, func(t *testing.T, inst spi.Tactic, conn transport.Conn) {
+		seed(t, inst, conn)
 		ids, err := inst.(spi.BoolSearcher).SearchBool(context.Background(), spi.BoolQuery{{
 			{Field: "status", Value: "final"},
 			{Field: "code", Value: "glucose"},
@@ -102,8 +103,8 @@ func TestCrossFieldConjunction(t *testing.T) {
 }
 
 func TestDisjunctionAndNegation(t *testing.T) {
-	variants(t, func(t *testing.T, inst spi.Tactic) {
-		seed(t, inst)
+	variants(t, func(t *testing.T, inst spi.Tactic, conn transport.Conn) {
+		seed(t, inst, conn)
 		ctx := context.Background()
 		bs := inst.(spi.BoolSearcher)
 
@@ -134,8 +135,8 @@ func TestDisjunctionAndNegation(t *testing.T) {
 }
 
 func TestEqualityDegeneratesToSingleKeyword(t *testing.T) {
-	variants(t, func(t *testing.T, inst spi.Tactic) {
-		seed(t, inst)
+	variants(t, func(t *testing.T, inst spi.Tactic, conn transport.Conn) {
+		seed(t, inst, conn)
 		ids, err := inst.(spi.EqSearcher).SearchEq(context.Background(), "code", "glucose")
 		if err != nil {
 			t.Fatal(err)
@@ -147,10 +148,10 @@ func TestEqualityDegeneratesToSingleKeyword(t *testing.T) {
 }
 
 func TestDocDeleteSupersedes(t *testing.T) {
-	variants(t, func(t *testing.T, inst spi.Tactic) {
-		seed(t, inst)
+	variants(t, func(t *testing.T, inst spi.Tactic, conn transport.Conn) {
+		seed(t, inst, conn)
 		ctx := context.Background()
-		if err := inst.(spi.DocDeleter).DeleteDoc(ctx, "d1", nil); err != nil {
+		if err := spi.Apply(ctx, conn, inst, model.OpDelete, "d1", nil); err != nil {
 			t.Fatal(err)
 		}
 		ids, err := inst.(spi.EqSearcher).SearchEq(ctx, "code", "glucose")
@@ -161,7 +162,7 @@ func TestDocDeleteSupersedes(t *testing.T) {
 			t.Fatalf("after delete = %v", ids)
 		}
 		// Re-insert with changed fields: only new keywords match.
-		if err := inst.(spi.DocInserter).InsertDoc(ctx, "d1", map[string]any{
+		if err := spi.Apply(ctx, conn, inst, model.OpInsert, "d1", map[string]any{
 			"status": "amended", "code": "bmi",
 		}); err != nil {
 			t.Fatal(err)
@@ -178,18 +179,17 @@ func TestDocDeleteSupersedes(t *testing.T) {
 }
 
 func TestCompactPreservesResults(t *testing.T) {
-	variants(t, func(t *testing.T, inst spi.Tactic) {
+	variants(t, func(t *testing.T, inst spi.Tactic, conn transport.Conn) {
 		ctx := context.Background()
-		di := inst.(spi.DocInserter)
 		// 30 docs under one hot keyword, some deleted before compaction.
 		for i := 0; i < 30; i++ {
 			id := []string{"dA", "dB", "dC"}[i%3] + string(rune('0'+i/3))
-			if err := di.InsertDoc(ctx, id, map[string]any{"code": "glucose"}); err != nil {
+			if err := spi.Apply(ctx, conn, inst, model.OpInsert, id, map[string]any{"code": "glucose"}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		inst.(spi.DocDeleter).DeleteDoc(ctx, "dA0", nil)
-		inst.(spi.DocDeleter).DeleteDoc(ctx, "dB3", nil)
+		spi.Apply(ctx, conn, inst, model.OpDelete, "dA0", nil)
+		spi.Apply(ctx, conn, inst, model.OpDelete, "dB3", nil)
 
 		before, err := inst.(spi.EqSearcher).SearchEq(ctx, "code", "glucose")
 		if err != nil {
@@ -209,7 +209,7 @@ func TestCompactPreservesResults(t *testing.T) {
 			t.Fatalf("results = %d ids, want 28", len(after))
 		}
 		// Inserts after compaction land in the fresh tail and still match.
-		if err := di.InsertDoc(ctx, "post-compact", map[string]any{"code": "glucose"}); err != nil {
+		if err := spi.Apply(ctx, conn, inst, model.OpInsert, "post-compact", map[string]any{"code": "glucose"}); err != nil {
 			t.Fatal(err)
 		}
 		final, _ := inst.(spi.EqSearcher).SearchEq(ctx, "code", "glucose")
@@ -227,13 +227,13 @@ func TestCompactPreservesResults(t *testing.T) {
 // seeds both with identical documents.
 func shardedPair(t *testing.T, reg spi.Registration, docs map[string]map[string]any) (single, sharded spi.Tactic, stores []*kvstore.Store) {
 	t.Helper()
-	single, _ = shardedInstance(t, reg, 1)
-	sharded, stores = shardedInstance(t, reg, 3)
+	single, singleConn, _ := shardedInstance(t, reg, 1)
+	sharded, shardedConn, stores := shardedInstance(t, reg, 3)
 	ctx := context.Background()
 	for id, fields := range docs {
-		for _, inst := range []spi.Tactic{single, sharded} {
-			if err := inst.(spi.DocInserter).InsertDoc(ctx, id, fields); err != nil {
-				t.Fatalf("InsertDoc(%s): %v", id, err)
+		for inst, conn := range map[spi.Tactic]transport.Conn{single: singleConn, sharded: shardedConn} {
+			if err := spi.Apply(ctx, conn, inst, model.OpInsert, id, fields); err != nil {
+				t.Fatalf("insert %s: %v", id, err)
 			}
 		}
 	}
@@ -347,19 +347,18 @@ func TestShardedCompactPreservesResults(t *testing.T) {
 		reg := reg
 		t.Run(reg.Descriptor.Name, func(t *testing.T) {
 			ctx := context.Background()
-			inst, _ := shardedInstance(t, reg, 3)
-			di := inst.(spi.DocInserter)
+			inst, conn, _ := shardedInstance(t, reg, 3)
 			for i := 0; i < 80; i++ {
 				id := fmt.Sprintf("c%02d", i)
-				if err := di.InsertDoc(ctx, id, map[string]any{
+				if err := spi.Apply(ctx, conn, inst, model.OpInsert, id, map[string]any{
 					"code": "glucose",
 					"seq":  fmt.Sprintf("s%02d", i),
 				}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			inst.(spi.DocDeleter).DeleteDoc(ctx, "c03", nil)
-			inst.(spi.DocDeleter).DeleteDoc(ctx, "c71", nil) // one delete per end bucket
+			spi.Apply(ctx, conn, inst, model.OpDelete, "c03", nil)
+			spi.Apply(ctx, conn, inst, model.OpDelete, "c71", nil) // one delete per end bucket
 
 			before, err := inst.(spi.EqSearcher).SearchEq(ctx, "code", "glucose")
 			if err != nil {
@@ -402,7 +401,7 @@ func TestNegatedOnlyConjunctionRejected(t *testing.T) {
 		for _, n := range []int{1, 3} {
 			reg, n := reg, n
 			t.Run(fmt.Sprintf("%s/%d-shard", reg.Descriptor.Name, n), func(t *testing.T) {
-				inst, _ := shardedInstance(t, reg, n)
+				inst, _, _ := shardedInstance(t, reg, n)
 				_, err := inst.(spi.BoolSearcher).SearchBool(context.Background(), spi.BoolQuery{{
 					{Field: "status", Value: "final", Negated: true},
 				}})
@@ -414,9 +413,9 @@ func TestNegatedOnlyConjunctionRejected(t *testing.T) {
 	}
 }
 
-// failingConn fails the n-th biex insert RPC observed across all wrapped
-// connections, making partial-failure deterministic regardless of which
-// shards a document's batches land on.
+// failingConn fails the n-th shard batch carrying a biex insert observed
+// across all wrapped connections, making partial-failure deterministic
+// regardless of which shards a document's batches land on.
 type failingConn struct {
 	transport.Conn
 	counter *atomic.Int64
@@ -424,7 +423,8 @@ type failingConn struct {
 }
 
 func (f *failingConn) Call(ctx context.Context, service, method string, args, reply any) error {
-	if service == biex.Service && method == "insert" {
+	if calls, ok := args.([]transport.BatchCall); ok && service == transport.BatchService &&
+		calls[0].Service == biex.Service && calls[0].Method == "insert" {
 		if f.counter.Add(1) == f.failAt {
 			return errors.New("injected shard failure")
 		}
@@ -453,11 +453,8 @@ func TestInsertCompensatesOnPartialFailure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inst, err := reg.Factory(spi.Binding{
-				Schema: "obs", Keys: kp,
-				Cloud: ring.NewClient(conns, 0),
-				Local: kvstore.New(),
-			})
+			conn := ring.NewClient(conns, 0)
+			inst, err := reg.Factory(spi.Binding{Schema: "obs", Keys: kp, Cloud: conn, Local: kvstore.New()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -465,8 +462,8 @@ func TestInsertCompensatesOnPartialFailure(t *testing.T) {
 			// First insert: the very first batch RPC fails; the others (if
 			// any) may have landed. The call must report the failure...
 			fields := map[string]any{"status": "final", "code": "glucose", "seq": "s00"}
-			if err := inst.(spi.DocInserter).InsertDoc(ctx, "doomed", fields); err == nil {
-				t.Fatal("InsertDoc with failing shard: want error, got nil")
+			if err := spi.Apply(ctx, conn, inst, model.OpInsert, "doomed", fields); err == nil {
+				t.Fatal("insert with failing shard: want error, got nil")
 			}
 			// ...and the partially indexed document must never surface.
 			for _, kw := range []string{"final", "glucose"} {
@@ -481,8 +478,8 @@ func TestInsertCompensatesOnPartialFailure(t *testing.T) {
 			}
 			// Retrying the insert succeeds (no further injected failures) and
 			// the document becomes fully searchable under a fresh version.
-			if err := inst.(spi.DocInserter).InsertDoc(ctx, "doomed", fields); err != nil {
-				t.Fatalf("retry InsertDoc: %v", err)
+			if err := spi.Apply(ctx, conn, inst, model.OpInsert, "doomed", fields); err != nil {
+				t.Fatalf("retry insert: %v", err)
 			}
 			ids, err := inst.(spi.BoolSearcher).SearchBool(ctx, spi.BoolQuery{{
 				{Field: "status", Value: "final"},
@@ -519,7 +516,7 @@ func TestVariantsShareCloudWithoutInterference(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := i2.(spi.DocInserter).InsertDoc(ctx, "d1", map[string]any{"f": "v"}); err != nil {
+	if err := spi.Apply(ctx, binding.Cloud, i2, model.OpInsert, "d1", map[string]any{"f": "v"}); err != nil {
 		t.Fatal(err)
 	}
 	// ZMF variant never saw d1.

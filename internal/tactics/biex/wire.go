@@ -60,7 +60,6 @@ func init() {
 		func(b []byte, a *InsertArgs) []byte {
 			b = wirefmt.AppendString(b, a.Namespace)
 			b = appendCells(b, a.Entries.Global)
-			b = appendCells(b, a.Entries.Cross)
 			b = wirefmt.AppendUvarint(b, uint64(len(a.Entries.CrossPacked)))
 			for _, p := range a.Entries.CrossPacked {
 				b = wirefmt.AppendUvarint(b, uint64(p.Count))
@@ -82,7 +81,6 @@ func init() {
 		func(r *wirefmt.Reader, a *InsertArgs) {
 			a.Namespace = r.String()
 			a.Entries.Global = readCells(r)
-			a.Entries.Cross = readCells(r)
 			if n := r.Count(); n > 0 {
 				a.Entries.CrossPacked = make([]ssebiex.PackedEntry, n)
 				for i := range a.Entries.CrossPacked {

@@ -12,10 +12,8 @@ package det
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"datablinder/internal/cloud/ring"
-	"datablinder/internal/conc"
 	"datablinder/internal/crypto/keycache"
 	"datablinder/internal/crypto/primitives"
 	"datablinder/internal/keys"
@@ -148,92 +146,24 @@ func (t *Tactic) encrypt(field string, value any) ([]byte, error) {
 	return c.Encrypt([]byte(model.ValueToString(value))), nil
 }
 
-// Insert implements spi.Inserter.
-func (t *Tactic) Insert(ctx context.Context, field, docID string, value any) error {
-	ct, err := t.encrypt(field, value)
-	if err != nil {
-		return err
+// Prepare implements spi.Writer: one add or remove per field, each routed
+// by its own ciphertext.
+func (t *Tactic) Prepare(ws *spi.WriteSet, op model.Op, docID string, fields []string, values map[string]any) error {
+	method := "add"
+	if op == model.OpDelete {
+		method = "remove"
 	}
-	return t.shards.Call(ctx, t.route(field, ct), Service, "add",
-		AddArgs{Schema: t.binding.Schema, Field: field, CT: ct, DocID: docID}, nil)
-}
-
-// Delete implements spi.Deleter.
-func (t *Tactic) Delete(ctx context.Context, field, docID string, value any) error {
-	ct, err := t.encrypt(field, value)
-	if err != nil {
-		return err
-	}
-	return t.shards.Call(ctx, t.route(field, ct), Service, "remove",
-		RemoveArgs{Schema: t.binding.Schema, Field: field, CT: ct, DocID: docID}, nil)
-}
-
-// batchOps encrypts every field value and coalesces the per-field index
-// mutations into one transport batch per owning shard (a single
-// gateway↔cloud frame each; shard batches run concurrently).
-func (t *Tactic) batchOps(ctx context.Context, method, docID string, fields map[string]any) error {
-	names := make([]string, 0, len(fields))
-	for f := range fields {
-		names = append(names, f)
-	}
-	sort.Strings(names)
-	routes := make([]string, len(names))
-	calls := make([]transport.BatchCall, len(names))
-	for i, f := range names {
-		ct, err := t.encrypt(f, fields[f])
+	for _, f := range fields {
+		ct, err := t.encrypt(f, values[f])
 		if err != nil {
 			return err
 		}
-		routes[i] = t.route(f, ct)
-		calls[i] = transport.BatchCall{
-			Service: Service, Method: method,
+		ws.Add(spi.Mutation{
+			Route: t.route(f, ct), Field: f, Service: Service, Method: method,
 			Args: AddArgs{Schema: t.binding.Schema, Field: f, CT: ct, DocID: docID},
-		}
+		})
 	}
-	groups := t.shards.Split(routes)
-	shardList := make([]int, 0, len(groups))
-	for s := range groups {
-		shardList = append(shardList, s)
-	}
-	return conc.ForEach(ctx, len(shardList), 0, func(gctx context.Context, gi int) error {
-		shard := shardList[gi]
-		idx := groups[shard]
-		sub := make([]transport.BatchCall, len(idx))
-		for j, i := range idx {
-			sub[j] = calls[i]
-		}
-		results, err := transport.CallBatch(gctx, t.shards.Conn(shard), sub)
-		if err != nil {
-			return err
-		}
-		for j, r := range results {
-			if r.Err != nil {
-				return fmt.Errorf("det: %s field %s: %w", method, names[idx[j]], r.Err)
-			}
-		}
-		return nil
-	})
-}
-
-// InsertDoc implements spi.DocInserter: a document touching n DET-indexed
-// fields costs one round trip instead of n.
-func (t *Tactic) InsertDoc(ctx context.Context, docID string, fields map[string]any) error {
-	if len(fields) == 1 {
-		for f, v := range fields {
-			return t.Insert(ctx, f, docID, v)
-		}
-	}
-	return t.batchOps(ctx, "add", docID, fields)
-}
-
-// DeleteDoc implements spi.DocDeleter, batching like InsertDoc.
-func (t *Tactic) DeleteDoc(ctx context.Context, docID string, fields map[string]any) error {
-	if len(fields) == 1 {
-		for f, v := range fields {
-			return t.Delete(ctx, f, docID, v)
-		}
-	}
-	return t.batchOps(ctx, "remove", docID, fields)
+	return nil
 }
 
 // SearchEq implements spi.EqSearcher.
@@ -275,9 +205,6 @@ func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 }
 
 var (
-	_ spi.Inserter    = (*Tactic)(nil)
-	_ spi.Deleter     = (*Tactic)(nil)
-	_ spi.DocInserter = (*Tactic)(nil)
-	_ spi.DocDeleter  = (*Tactic)(nil)
-	_ spi.EqSearcher  = (*Tactic)(nil)
+	_ spi.Writer     = (*Tactic)(nil)
+	_ spi.EqSearcher = (*Tactic)(nil)
 )

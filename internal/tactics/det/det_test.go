@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"datablinder/internal/keys"
+	"datablinder/internal/model"
 	"datablinder/internal/spi"
 	"datablinder/internal/store/kvstore"
 	"datablinder/internal/tactics/det"
 	"datablinder/internal/transport"
 )
 
-func setup(t *testing.T) (spi.Tactic, *kvstore.Store) {
+func setup(t *testing.T) (spi.Tactic, transport.Conn, *kvstore.Store) {
 	t.Helper()
 	mux := transport.NewMux()
 	cloudKV := kvstore.New()
@@ -22,22 +23,18 @@ func setup(t *testing.T) (spi.Tactic, *kvstore.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := det.New(spi.Binding{
-		Schema: "obs", Keys: kp,
-		Cloud: transport.NewLoopback(mux),
-		Local: kvstore.New(),
-	})
+	conn := transport.NewLoopback(mux)
+	inst, err := det.New(spi.Binding{Schema: "obs", Keys: kp, Cloud: conn, Local: kvstore.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return inst, cloudKV
+	return inst, conn, cloudKV
 }
 
 func TestFieldIsolation(t *testing.T) {
-	inst, _ := setup(t)
+	inst, conn, _ := setup(t)
 	ctx := context.Background()
-	ins := inst.(spi.Inserter)
-	if err := ins.Insert(ctx, "status", "d1", "final"); err != nil {
+	if err := spi.Apply(ctx, conn, inst, model.OpInsert, "d1", map[string]any{"status": "final"}); err != nil {
 		t.Fatal(err)
 	}
 	// The same value under a different field must not match: keys are
@@ -52,9 +49,9 @@ func TestFieldIsolation(t *testing.T) {
 }
 
 func TestCloudSeesOnlyCiphertext(t *testing.T) {
-	inst, cloudKV := setup(t)
+	inst, conn, cloudKV := setup(t)
 	ctx := context.Background()
-	if err := inst.(spi.Inserter).Insert(ctx, "diagnosis", "patient-7", "pancreatic-cancer"); err != nil {
+	if err := spi.Apply(ctx, conn, inst, model.OpInsert, "patient-7", map[string]any{"diagnosis": "pancreatic-cancer"}); err != nil {
 		t.Fatal(err)
 	}
 	keysList, _ := cloudKV.Keys(nil)
@@ -68,9 +65,9 @@ func TestCloudSeesOnlyCiphertext(t *testing.T) {
 func TestNumericCanonicalization(t *testing.T) {
 	// int and int64 representations of the same number must produce the
 	// same deterministic ciphertext (ValueToString canonicalization).
-	inst, _ := setup(t)
+	inst, conn, _ := setup(t)
 	ctx := context.Background()
-	if err := inst.(spi.Inserter).Insert(ctx, "n", "d1", int64(42)); err != nil {
+	if err := spi.Apply(ctx, conn, inst, model.OpInsert, "d1", map[string]any{"n": int64(42)}); err != nil {
 		t.Fatal(err)
 	}
 	ids, err := inst.(spi.EqSearcher).SearchEq(ctx, "n", 42)

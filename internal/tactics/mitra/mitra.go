@@ -120,24 +120,26 @@ func keyword(field string, value any) string {
 	return field + "=" + model.ValueToString(value)
 }
 
-func (t *Tactic) update(ctx context.Context, op ssemitra.Op, field, docID string, value any) error {
-	w := keyword(field, value)
-	e, err := t.client.Update(t.binding.Schema, w, op, docID)
-	if err != nil {
-		return err
+// Prepare implements spi.Writer. Deletions are update cells like additions
+// (backward privacy), so both directions reserve the keyword's next counter
+// and ship one cell.
+func (t *Tactic) Prepare(ws *spi.WriteSet, op model.Op, docID string, fields []string, values map[string]any) error {
+	cell := ssemitra.OpAdd
+	if op == model.OpDelete {
+		cell = ssemitra.OpDel
 	}
-	return t.shards.Call(ctx, t.route(w), Service, "insert",
-		InsertArgs{Schema: t.binding.Schema, Entries: []ssemitra.Entry{e}}, nil)
-}
-
-// Insert implements spi.Inserter.
-func (t *Tactic) Insert(ctx context.Context, field, docID string, value any) error {
-	return t.update(ctx, ssemitra.OpAdd, field, docID, value)
-}
-
-// Delete implements spi.Deleter.
-func (t *Tactic) Delete(ctx context.Context, field, docID string, value any) error {
-	return t.update(ctx, ssemitra.OpDel, field, docID, value)
+	for _, f := range fields {
+		w := keyword(f, values[f])
+		e, err := t.client.Update(t.binding.Schema, w, cell, docID)
+		if err != nil {
+			return err
+		}
+		ws.Add(spi.Mutation{
+			Route: t.route(w), Field: f, Service: Service, Method: "insert",
+			Args: InsertArgs{Schema: t.binding.Schema, Entries: []ssemitra.Entry{e}},
+		})
+	}
+	return nil
 }
 
 // SearchEq implements spi.EqSearcher.
@@ -186,7 +188,6 @@ func (c *serverCache) get(schema string) *ssemitra.Server {
 }
 
 var (
-	_ spi.Inserter   = (*Tactic)(nil)
-	_ spi.Deleter    = (*Tactic)(nil)
+	_ spi.Writer     = (*Tactic)(nil)
 	_ spi.EqSearcher = (*Tactic)(nil)
 )

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"datablinder/internal/keys"
+	"datablinder/internal/model"
 	"datablinder/internal/spi"
 	"datablinder/internal/store/kvstore"
 	"datablinder/internal/tactics/mitra"
@@ -49,13 +50,11 @@ func TestDeleteThenReinsert(t *testing.T) {
 	e := newEnv(t)
 	inst := instance(t, e)
 	ctx := context.Background()
-	ins := inst.(spi.Inserter)
-	del := inst.(spi.Deleter)
 	es := inst.(spi.EqSearcher)
 
-	ins.Insert(ctx, "subject", "d1", "alice")
-	ins.Insert(ctx, "subject", "d2", "alice")
-	del.Delete(ctx, "subject", "d1", "alice")
+	spi.Apply(ctx, e.binding.Cloud, inst, model.OpInsert, "d1", map[string]any{"subject": "alice"})
+	spi.Apply(ctx, e.binding.Cloud, inst, model.OpInsert, "d2", map[string]any{"subject": "alice"})
+	spi.Apply(ctx, e.binding.Cloud, inst, model.OpDelete, "d1", map[string]any{"subject": "alice"})
 	ids, err := es.SearchEq(ctx, "subject", "alice")
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +62,7 @@ func TestDeleteThenReinsert(t *testing.T) {
 	if !reflect.DeepEqual(ids, []string{"d2"}) {
 		t.Fatalf("after delete = %v", ids)
 	}
-	ins.Insert(ctx, "subject", "d1", "alice")
+	spi.Apply(ctx, e.binding.Cloud, inst, model.OpInsert, "d1", map[string]any{"subject": "alice"})
 	ids, _ = es.SearchEq(ctx, "subject", "alice")
 	if len(ids) != 2 {
 		t.Fatalf("after re-insert = %v", ids)
@@ -76,10 +75,10 @@ func TestStateSharedAcrossInstances(t *testing.T) {
 	e := newEnv(t)
 	ctx := context.Background()
 	inst1 := instance(t, e)
-	inst1.(spi.Inserter).Insert(ctx, "f", "d1", "v")
+	spi.Apply(ctx, e.binding.Cloud, inst1, model.OpInsert, "d1", map[string]any{"f": "v"})
 
 	inst2 := instance(t, e)
-	inst2.(spi.Inserter).Insert(ctx, "f", "d2", "v")
+	spi.Apply(ctx, e.binding.Cloud, inst2, model.OpInsert, "d2", map[string]any{"f": "v"})
 	ids, err := inst2.(spi.EqSearcher).SearchEq(ctx, "f", "v")
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +102,7 @@ func TestConcurrentInsertsSameKeyword(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			id := "doc-" + string(rune('a'+i%26)) + string(rune('0'+i/26))
-			if err := inst.(spi.Inserter).Insert(ctx, "f", id, "shared"); err != nil {
+			if err := spi.Apply(ctx, e.binding.Cloud, inst, model.OpInsert, id, map[string]any{"f": "shared"}); err != nil {
 				errs <- err
 			}
 		}(i)

@@ -159,24 +159,24 @@ func (t *Tactic) encrypt(field string, value any) ([]byte, error) {
 	return c.EncryptUint64(u), nil
 }
 
-// Insert implements spi.Inserter.
-func (t *Tactic) Insert(ctx context.Context, field, docID string, value any) error {
-	ct, err := t.encrypt(field, value)
-	if err != nil {
-		return err
+// Prepare implements spi.Writer: the sorted index is keyed by (ciphertext,
+// id), so a delete re-encrypts the old value to name the entry.
+func (t *Tactic) Prepare(ws *spi.WriteSet, op model.Op, docID string, fields []string, values map[string]any) error {
+	method := "add"
+	if op == model.OpDelete {
+		method = "remove"
 	}
-	return t.shards.Call(ctx, t.route(docID), Service, "add",
-		AddArgs{Schema: t.binding.Schema, Field: field, CT: ct, DocID: docID}, nil)
-}
-
-// Delete implements spi.Deleter.
-func (t *Tactic) Delete(ctx context.Context, field, docID string, value any) error {
-	ct, err := t.encrypt(field, value)
-	if err != nil {
-		return err
+	for _, f := range fields {
+		ct, err := t.encrypt(f, values[f])
+		if err != nil {
+			return err
+		}
+		ws.Add(spi.Mutation{
+			Route: t.route(docID), Field: f, Service: Service, Method: method,
+			Args: AddArgs{Schema: t.binding.Schema, Field: f, CT: ct, DocID: docID},
+		})
 	}
-	return t.shards.Call(ctx, t.route(docID), Service, "remove",
-		RemoveArgs{Schema: t.binding.Schema, Field: field, CT: ct, DocID: docID}, nil)
+	return nil
 }
 
 // SearchRange implements spi.RangeSearcher.
@@ -287,8 +287,7 @@ func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 }
 
 var (
-	_ spi.Inserter      = (*Tactic)(nil)
-	_ spi.Deleter       = (*Tactic)(nil)
+	_ spi.Writer        = (*Tactic)(nil)
 	_ spi.RangeSearcher = (*Tactic)(nil)
 	_ spi.EqSearcher    = (*Tactic)(nil)
 )

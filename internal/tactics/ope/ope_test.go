@@ -8,13 +8,14 @@ import (
 	"testing/quick"
 
 	"datablinder/internal/keys"
+	"datablinder/internal/model"
 	"datablinder/internal/spi"
 	"datablinder/internal/store/kvstore"
 	"datablinder/internal/tactics/ope"
 	"datablinder/internal/transport"
 )
 
-func instance(t *testing.T) spi.Tactic {
+func instance(t *testing.T) (spi.Tactic, transport.Conn) {
 	t.Helper()
 	mux := transport.NewMux()
 	cloudKV := kvstore.New()
@@ -24,23 +25,19 @@ func instance(t *testing.T) spi.Tactic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := ope.New(spi.Binding{
-		Schema: "obs", Keys: kp,
-		Cloud: transport.NewLoopback(mux),
-		Local: kvstore.New(),
-	})
+	conn := transport.NewLoopback(mux)
+	inst, err := ope.New(spi.Binding{Schema: "obs", Keys: kp, Cloud: conn, Local: kvstore.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return inst
+	return inst, conn
 }
 
 func TestRangeQueryBounds(t *testing.T) {
-	inst := instance(t)
+	inst, conn := instance(t)
 	ctx := context.Background()
-	ins := inst.(spi.Inserter)
 	for _, v := range []int64{10, 20, 30, 40, 50} {
-		if err := ins.Insert(ctx, "ts", string(rune('a'+v/10)), v); err != nil {
+		if err := spi.Apply(ctx, conn, inst, model.OpInsert, string(rune('a'+v/10)), map[string]any{"ts": v}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,12 +72,11 @@ func TestRangeQueryBounds(t *testing.T) {
 func TestResultsComeBackInOrder(t *testing.T) {
 	// The OPE index is a sorted set; results arrive in plaintext order,
 	// which the engine may rely on for pagination.
-	inst := instance(t)
+	inst, conn := instance(t)
 	ctx := context.Background()
-	ins := inst.(spi.Inserter)
 	values := map[string]int64{"d3": 30, "d1": 10, "d2": 20}
 	for id, v := range values {
-		if err := ins.Insert(ctx, "ts", id, v); err != nil {
+		if err := spi.Apply(ctx, conn, inst, model.OpInsert, id, map[string]any{"ts": v}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -94,11 +90,10 @@ func TestResultsComeBackInOrder(t *testing.T) {
 }
 
 func TestFloatRanges(t *testing.T) {
-	inst := instance(t)
+	inst, conn := instance(t)
 	ctx := context.Background()
-	ins := inst.(spi.Inserter)
 	for id, v := range map[string]float64{"a": -2.5, "b": 0.0, "c": 3.25, "d": 100.0} {
-		if err := ins.Insert(ctx, "val", id, v); err != nil {
+		if err := spi.Apply(ctx, conn, inst, model.OpInsert, id, map[string]any{"val": v}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,17 +108,17 @@ func TestFloatRanges(t *testing.T) {
 }
 
 func TestRejectsNonNumeric(t *testing.T) {
-	inst := instance(t)
-	if err := inst.(spi.Inserter).Insert(context.Background(), "ts", "d1", "tomorrow"); err == nil {
+	inst, conn := instance(t)
+	if err := spi.Apply(context.Background(), conn, inst, model.OpInsert, "d1", map[string]any{"ts": "tomorrow"}); err == nil {
 		t.Fatal("string accepted by numeric tactic")
 	}
 }
 
 func TestDeleteRemovesFromIndex(t *testing.T) {
-	inst := instance(t)
+	inst, conn := instance(t)
 	ctx := context.Background()
-	inst.(spi.Inserter).Insert(ctx, "ts", "d1", int64(5))
-	if err := inst.(spi.Deleter).Delete(ctx, "ts", "d1", int64(5)); err != nil {
+	spi.Apply(ctx, conn, inst, model.OpInsert, "d1", map[string]any{"ts": int64(5)})
+	if err := spi.Apply(ctx, conn, inst, model.OpDelete, "d1", map[string]any{"ts": int64(5)}); err != nil {
 		t.Fatal(err)
 	}
 	ids, err := inst.(spi.RangeSearcher).SearchRange(ctx, "ts", nil, nil, true, true)
@@ -136,9 +131,8 @@ func TestDeleteRemovesFromIndex(t *testing.T) {
 }
 
 func TestRangeEqualsPlaintextQuick(t *testing.T) {
-	inst := instance(t)
+	inst, conn := instance(t)
 	ctx := context.Background()
-	ins := inst.(spi.Inserter)
 	rs := inst.(spi.RangeSearcher)
 	stored := map[string]int64{}
 	n := 0
@@ -146,7 +140,7 @@ func TestRangeEqualsPlaintextQuick(t *testing.T) {
 		id := string(rune('A'+n%26)) + string(rune('0'+n%10)) + string(rune('a'+n/260%26))
 		n++
 		if _, dup := stored[id]; !dup {
-			if err := ins.Insert(ctx, "q", id, v); err != nil {
+			if err := spi.Apply(ctx, conn, inst, model.OpInsert, id, map[string]any{"q": v}); err != nil {
 				return false
 			}
 			stored[id] = v

@@ -142,20 +142,23 @@ func (t *Tactic) encrypt(field string, value any) ([]byte, error) {
 	return cryptoore.New(k).EncryptUint64(u), nil
 }
 
-// Insert implements spi.Inserter.
-func (t *Tactic) Insert(ctx context.Context, field, docID string, value any) error {
-	ct, err := t.encrypt(field, value)
-	if err != nil {
-		return err
+// Prepare implements spi.Writer. A delete does not need the old value: the
+// cloud index is keyed by document id.
+func (t *Tactic) Prepare(ws *spi.WriteSet, op model.Op, docID string, fields []string, values map[string]any) error {
+	for _, f := range fields {
+		m := spi.Mutation{Route: t.route(docID), Field: f, Service: Service}
+		if op == model.OpDelete {
+			m.Method, m.Args = "remove", RemoveArgs{Schema: t.binding.Schema, Field: f, DocID: docID}
+		} else {
+			ct, err := t.encrypt(f, values[f])
+			if err != nil {
+				return err
+			}
+			m.Method, m.Args = "add", AddArgs{Schema: t.binding.Schema, Field: f, CT: ct, DocID: docID}
+		}
+		ws.Add(m)
 	}
-	return t.shards.Call(ctx, t.route(docID), Service, "add",
-		AddArgs{Schema: t.binding.Schema, Field: field, CT: ct, DocID: docID}, nil)
-}
-
-// Delete implements spi.Deleter.
-func (t *Tactic) Delete(ctx context.Context, field, docID string, _ any) error {
-	return t.shards.Call(ctx, t.route(docID), Service, "remove",
-		RemoveArgs{Schema: t.binding.Schema, Field: field, DocID: docID}, nil)
+	return nil
 }
 
 // SearchRange implements spi.RangeSearcher.
@@ -258,8 +261,7 @@ func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 }
 
 var (
-	_ spi.Inserter      = (*Tactic)(nil)
-	_ spi.Deleter       = (*Tactic)(nil)
+	_ spi.Writer        = (*Tactic)(nil)
 	_ spi.RangeSearcher = (*Tactic)(nil)
 	_ spi.EqSearcher    = (*Tactic)(nil)
 )

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"datablinder/internal/keys"
+	"datablinder/internal/model"
 	"datablinder/internal/spi"
 	"datablinder/internal/store/kvstore"
 	opet "datablinder/internal/tactics/ope"
@@ -14,7 +15,7 @@ import (
 	"datablinder/internal/transport"
 )
 
-func instance(t *testing.T) spi.Tactic {
+func instance(t *testing.T) (spi.Tactic, transport.Conn) {
 	t.Helper()
 	mux := transport.NewMux()
 	cloudKV := kvstore.New()
@@ -24,23 +25,19 @@ func instance(t *testing.T) spi.Tactic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := oret.New(spi.Binding{
-		Schema: "obs", Keys: kp,
-		Cloud: transport.NewLoopback(mux),
-		Local: kvstore.New(),
-	})
+	conn := transport.NewLoopback(mux)
+	inst, err := oret.New(spi.Binding{Schema: "obs", Keys: kp, Cloud: conn, Local: kvstore.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return inst
+	return inst, conn
 }
 
 func TestRangeQuery(t *testing.T) {
-	inst := instance(t)
+	inst, conn := instance(t)
 	ctx := context.Background()
-	ins := inst.(spi.Inserter)
 	for id, v := range map[string]int64{"a": 10, "b": 20, "c": 30, "d": -5} {
-		if err := ins.Insert(ctx, "ts", id, v); err != nil {
+		if err := spi.Apply(ctx, conn, inst, model.OpInsert, id, map[string]any{"ts": v}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,10 +68,10 @@ func TestRangeQuery(t *testing.T) {
 }
 
 func TestEqualityViaDegenerateRange(t *testing.T) {
-	inst := instance(t)
+	inst, conn := instance(t)
 	ctx := context.Background()
-	inst.(spi.Inserter).Insert(ctx, "ts", "d1", int64(7))
-	inst.(spi.Inserter).Insert(ctx, "ts", "d2", int64(8))
+	spi.Apply(ctx, conn, inst, model.OpInsert, "d1", map[string]any{"ts": int64(7)})
+	spi.Apply(ctx, conn, inst, model.OpInsert, "d2", map[string]any{"ts": int64(8)})
 	ids, err := inst.(spi.EqSearcher).SearchEq(ctx, "ts", int64(7))
 	if err != nil {
 		t.Fatal(err)
@@ -86,10 +83,10 @@ func TestEqualityViaDegenerateRange(t *testing.T) {
 
 func TestDeleteByDocID(t *testing.T) {
 	// ORE deletion needs no value: the column is keyed by document id.
-	inst := instance(t)
+	inst, conn := instance(t)
 	ctx := context.Background()
-	inst.(spi.Inserter).Insert(ctx, "ts", "d1", int64(5))
-	if err := inst.(spi.Deleter).Delete(ctx, "ts", "d1", nil); err != nil {
+	spi.Apply(ctx, conn, inst, model.OpInsert, "d1", map[string]any{"ts": int64(5)})
+	if err := spi.Apply(ctx, conn, inst, model.OpDelete, "d1", map[string]any{"ts": nil}); err != nil {
 		t.Fatal(err)
 	}
 	ids, err := inst.(spi.RangeSearcher).SearchRange(ctx, "ts", nil, nil, true, true)
@@ -125,10 +122,10 @@ func TestOPEOREAgree(t *testing.T) {
 	values := []int64{-100, -1, 0, 1, 50, 999, 1000}
 	for i, v := range values {
 		id := string(rune('a' + i))
-		if err := opeInst.(spi.Inserter).Insert(ctx, "n", id, v); err != nil {
+		if err := spi.Apply(ctx, binding.Cloud, opeInst, model.OpInsert, id, map[string]any{"n": v}); err != nil {
 			t.Fatal(err)
 		}
-		if err := oreInst.(spi.Inserter).Insert(ctx, "n", id, v); err != nil {
+		if err := spi.Apply(ctx, binding.Cloud, oreInst, model.OpInsert, id, map[string]any{"n": v}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -228,12 +228,31 @@ func (t *Tactic) key() (*cryptopaillier.PrivateKey, error) {
 	return t.sk, nil
 }
 
-// Insert implements spi.Inserter.
-func (t *Tactic) Insert(ctx context.Context, field, docID string, value any) error {
+// Prepare implements spi.Writer: one ciphertext per numeric field on
+// insert, one column removal per field on delete.
+func (t *Tactic) Prepare(ws *spi.WriteSet, op model.Op, docID string, fields []string, values map[string]any) error {
 	sk, err := t.key()
 	if err != nil {
 		return err
 	}
+	for _, f := range fields {
+		m := spi.Mutation{Route: t.route(docID), Field: f, Service: Service}
+		if op == model.OpDelete {
+			m.Method, m.Args = "remove", RemoveArgs{Schema: t.binding.Schema, Field: f, DocID: docID}
+		} else {
+			ct, err := encryptValue(sk, values[f])
+			if err != nil {
+				return err
+			}
+			m.Method, m.Args = "put", PutArgs{Schema: t.binding.Schema, Field: f, DocID: docID, CT: ct}
+		}
+		ws.Add(m)
+	}
+	return nil
+}
+
+// encryptValue encrypts a numeric field value in fixed point.
+func encryptValue(sk *cryptopaillier.PrivateKey, value any) ([]byte, error) {
 	var ft model.FieldType
 	switch value.(type) {
 	case int, int64:
@@ -241,24 +260,17 @@ func (t *Tactic) Insert(ctx context.Context, field, docID string, value any) err
 	case float64:
 		ft = model.TypeFloat
 	default:
-		return fmt.Errorf("paillier: value %v (%T) is not numeric", value, value)
+		return nil, fmt.Errorf("paillier: value %v (%T) is not numeric", value, value)
 	}
 	fp, err := model.ToFixedPoint(value, ft)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ct, err := sk.EncryptInt64(fp)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return t.shards.Call(ctx, t.route(docID), Service, "put",
-		PutArgs{Schema: t.binding.Schema, Field: field, DocID: docID, CT: ct.Bytes()}, nil)
-}
-
-// Delete implements spi.Deleter.
-func (t *Tactic) Delete(ctx context.Context, field, docID string, _ any) error {
-	return t.shards.Call(ctx, t.route(docID), Service, "remove",
-		RemoveArgs{Schema: t.binding.Schema, Field: field, DocID: docID}, nil)
+	return ct.Bytes(), nil
 }
 
 // Aggregate implements spi.Aggregator for sum and avg.
@@ -421,7 +433,6 @@ func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 }
 
 var (
-	_ spi.Inserter   = (*Tactic)(nil)
-	_ spi.Deleter    = (*Tactic)(nil)
+	_ spi.Writer     = (*Tactic)(nil)
 	_ spi.Aggregator = (*Tactic)(nil)
 )

@@ -60,14 +60,13 @@ func TestSumAndAverage(t *testing.T) {
 	e := newEnv(t)
 	inst := instance(t, e)
 	ctx := context.Background()
-	ins := inst.(spi.Inserter)
 	agg := inst.(spi.Aggregator)
 
 	values := map[string]float64{"d1": 6.3, "d2": 5.1, "d3": 7.9}
 	var ids []string
 	var sum float64
 	for id, v := range values {
-		if err := ins.Insert(ctx, "value", id, v); err != nil {
+		if err := spi.Apply(ctx, e.binding.Cloud, inst, model.OpInsert, id, map[string]any{"value": v}); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
@@ -93,11 +92,10 @@ func TestNegativeAndIntValues(t *testing.T) {
 	e := newEnv(t)
 	inst := instance(t, e)
 	ctx := context.Background()
-	ins := inst.(spi.Inserter)
-	if err := ins.Insert(ctx, "v", "d1", int64(-50)); err != nil {
+	if err := spi.Apply(ctx, e.binding.Cloud, inst, model.OpInsert, "d1", map[string]any{"v": int64(-50)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ins.Insert(ctx, "v", "d2", 30); err != nil {
+	if err := spi.Apply(ctx, e.binding.Cloud, inst, model.OpInsert, "d2", map[string]any{"v": 30}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := inst.(spi.Aggregator).Aggregate(ctx, "v", model.AggSum, []string{"d1", "d2"})
@@ -113,7 +111,7 @@ func TestMissingDocsSkipped(t *testing.T) {
 	e := newEnv(t)
 	inst := instance(t, e)
 	ctx := context.Background()
-	if err := inst.(spi.Inserter).Insert(ctx, "v", "d1", 10.0); err != nil {
+	if err := spi.Apply(ctx, e.binding.Cloud, inst, model.OpInsert, "d1", map[string]any{"v": 10.0}); err != nil {
 		t.Fatal(err)
 	}
 	// d2 never inserted: the average must divide by the count of present
@@ -140,9 +138,9 @@ func TestDeleteRemovesCiphertext(t *testing.T) {
 	e := newEnv(t)
 	inst := instance(t, e)
 	ctx := context.Background()
-	inst.(spi.Inserter).Insert(ctx, "v", "d1", 10.0)
-	inst.(spi.Inserter).Insert(ctx, "v", "d2", 20.0)
-	if err := inst.(spi.Deleter).Delete(ctx, "v", "d1", nil); err != nil {
+	spi.Apply(ctx, e.binding.Cloud, inst, model.OpInsert, "d1", map[string]any{"v": 10.0})
+	spi.Apply(ctx, e.binding.Cloud, inst, model.OpInsert, "d2", map[string]any{"v": 20.0})
+	if err := spi.Apply(ctx, e.binding.Cloud, inst, model.OpDelete, "d1", map[string]any{"v": nil}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := inst.(spi.Aggregator).Aggregate(ctx, "v", model.AggSum, []string{"d1", "d2"})
@@ -160,7 +158,7 @@ func TestKeyPersistsAcrossInstances(t *testing.T) {
 	e := newEnv(t)
 	ctx := context.Background()
 	inst1 := instance(t, e)
-	if err := inst1.(spi.Inserter).Insert(ctx, "v", "d1", 42.0); err != nil {
+	if err := spi.Apply(ctx, e.binding.Cloud, inst1, model.OpInsert, "d1", map[string]any{"v": 42.0}); err != nil {
 		t.Fatal(err)
 	}
 	inst2 := instance(t, e)
@@ -176,7 +174,7 @@ func TestKeyPersistsAcrossInstances(t *testing.T) {
 func TestRejectsNonNumeric(t *testing.T) {
 	e := newEnv(t)
 	inst := instance(t, e)
-	if err := inst.(spi.Inserter).Insert(context.Background(), "v", "d1", "not a number"); err == nil {
+	if err := spi.Apply(context.Background(), e.binding.Cloud, inst, model.OpInsert, "d1", map[string]any{"v": "not a number"}); err == nil {
 		t.Fatal("string value accepted")
 	}
 }
@@ -187,7 +185,7 @@ func TestSetupRequired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := inst.(spi.Inserter).Insert(context.Background(), "v", "d1", 1.0); err == nil {
+	if err := spi.Apply(context.Background(), e.binding.Cloud, inst, model.OpInsert, "d1", map[string]any{"v": 1.0}); err == nil {
 		t.Fatal("Insert before Setup succeeded")
 	}
 }
@@ -197,8 +195,8 @@ func TestFixedPointPrecision(t *testing.T) {
 	inst := instance(t, e)
 	ctx := context.Background()
 	// Six decimal places survive the fixed-point encoding.
-	inst.(spi.Inserter).Insert(ctx, "v", "d1", 0.000001)
-	inst.(spi.Inserter).Insert(ctx, "v", "d2", 0.000002)
+	spi.Apply(ctx, e.binding.Cloud, inst, model.OpInsert, "d1", map[string]any{"v": 0.000001})
+	spi.Apply(ctx, e.binding.Cloud, inst, model.OpInsert, "d2", map[string]any{"v": 0.000002})
 	got, err := inst.(spi.Aggregator).Aggregate(ctx, "v", model.AggSum, []string{"d1", "d2"})
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +303,7 @@ func TestAggregateOverPartialFieldCoverage(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, e *shardedEnv) {
 		inst := instance(t, env{binding: e.binding})
 		ctx := context.Background()
-		ins, agg := inst.(spi.Inserter), inst.(spi.Aggregator)
+		agg := inst.(spi.Aggregator)
 		// Twelve documents; the even ones carry "v", none carries "w".
 		var all, with, without []string
 		var sum float64
@@ -314,7 +312,7 @@ func TestAggregateOverPartialFieldCoverage(t *testing.T) {
 			all = append(all, id)
 			if i%2 == 0 {
 				v := float64(i) - 3.5
-				if err := ins.Insert(ctx, "v", id, v); err != nil {
+				if err := spi.Apply(ctx, e.binding.Cloud, inst, model.OpInsert, id, map[string]any{"v": v}); err != nil {
 					t.Fatal(err)
 				}
 				with = append(with, id)
@@ -366,7 +364,7 @@ func TestSingleContributorSumIsStoredCiphertext(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, e *shardedEnv) {
 		inst := instance(t, env{binding: e.binding})
 		ctx := context.Background()
-		if err := inst.(spi.Inserter).Insert(ctx, "v", "only", -12.25); err != nil {
+		if err := spi.Apply(ctx, e.binding.Cloud, inst, model.OpInsert, "only", map[string]any{"v": -12.25}); err != nil {
 			t.Fatal(err)
 		}
 		ids := []string{"ghost-1", "only", "ghost-2", "ghost-3"}
@@ -400,7 +398,7 @@ func TestRestartReloadsFactorsAndAggregates(t *testing.T) {
 		for i := 0; i < 9; i++ {
 			id := fmt.Sprintf("pre-%d", i)
 			v := float64(i*i) - 20
-			if err := before.(spi.Inserter).Insert(ctx, "v", id, v); err != nil {
+			if err := spi.Apply(ctx, e.binding.Cloud, before, model.OpInsert, id, map[string]any{"v": v}); err != nil {
 				t.Fatal(err)
 			}
 			ids = append(ids, id)
@@ -425,7 +423,7 @@ func TestRestartReloadsFactorsAndAggregates(t *testing.T) {
 			t.Fatalf("sum over pre-restart data = %g, %v; want %g", got, err, sum)
 		}
 		// New inserts under the reloaded key combine with the old ones.
-		if err := after.(spi.Inserter).Insert(ctx, "v", "post", 100.5); err != nil {
+		if err := spi.Apply(ctx, e.binding.Cloud, after, model.OpInsert, "post", map[string]any{"v": 100.5}); err != nil {
 			t.Fatal(err)
 		}
 		got, err = after.(spi.Aggregator).Aggregate(ctx, "v", model.AggAvg, append(ids, "post"))
@@ -487,10 +485,10 @@ func TestCloudKeyCacheFollowsSetup(t *testing.T) {
 	e := newEnv(t)
 	ctx := context.Background()
 	first := instance(t, e)
-	if err := first.(spi.Inserter).Insert(ctx, "v", "d1", 1.0); err != nil {
+	if err := spi.Apply(ctx, e.binding.Cloud, first, model.OpInsert, "d1", map[string]any{"v": 1.0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := first.(spi.Inserter).Insert(ctx, "v", "d2", 2.0); err != nil {
+	if err := spi.Apply(ctx, e.binding.Cloud, first, model.OpInsert, "d2", map[string]any{"v": 2.0}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := first.(spi.Aggregator).Aggregate(ctx, "v", model.AggSum, []string{"d1", "d2"}); err != nil {
@@ -502,7 +500,7 @@ func TestCloudKeyCacheFollowsSetup(t *testing.T) {
 	e.binding.Local = local
 	second := instance(t, e)
 	for id, v := range map[string]float64{"d1": 10, "d2": 20} {
-		if err := second.(spi.Inserter).Insert(ctx, "v", id, v); err != nil {
+		if err := spi.Apply(ctx, e.binding.Cloud, second, model.OpInsert, id, map[string]any{"v": v}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -139,25 +139,27 @@ func (t *Tactic) aead(field string) (*primitives.AEAD, error) {
 	})
 }
 
-// Insert implements spi.Inserter.
-func (t *Tactic) Insert(ctx context.Context, field, docID string, value any) error {
-	aead, err := t.aead(field)
-	if err != nil {
-		return err
+// Prepare implements spi.Writer. A delete does not need the old value: the
+// cloud column is keyed by document id.
+func (t *Tactic) Prepare(ws *spi.WriteSet, op model.Op, docID string, fields []string, values map[string]any) error {
+	for _, f := range fields {
+		m := spi.Mutation{Route: t.route(docID), Field: f, Service: Service}
+		if op == model.OpDelete {
+			m.Method, m.Args = "remove", RemoveArgs{Schema: t.binding.Schema, Field: f, DocID: docID}
+		} else {
+			aead, err := t.aead(f)
+			if err != nil {
+				return err
+			}
+			ct, err := aead.Seal([]byte(model.ValueToString(values[f])), []byte(docID))
+			if err != nil {
+				return err
+			}
+			m.Method, m.Args = "put", PutArgs{Schema: t.binding.Schema, Field: f, DocID: docID, CT: ct}
+		}
+		ws.Add(m)
 	}
-	ct, err := aead.Seal([]byte(model.ValueToString(value)), []byte(docID))
-	if err != nil {
-		return err
-	}
-	return t.shards.Call(ctx, t.route(docID), Service, "put",
-		PutArgs{Schema: t.binding.Schema, Field: field, DocID: docID, CT: ct}, nil)
-}
-
-// Delete implements spi.Deleter. The old value is not needed: the cloud
-// column is keyed by document id.
-func (t *Tactic) Delete(ctx context.Context, field, docID string, _ any) error {
-	return t.shards.Call(ctx, t.route(docID), Service, "remove",
-		RemoveArgs{Schema: t.binding.Schema, Field: field, DocID: docID}, nil)
+	return nil
 }
 
 // SearchEq implements spi.EqSearcher by exhaustive scan + gateway-side
@@ -259,7 +261,6 @@ func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 }
 
 var (
-	_ spi.Inserter   = (*Tactic)(nil)
-	_ spi.Deleter    = (*Tactic)(nil)
+	_ spi.Writer     = (*Tactic)(nil)
 	_ spi.EqSearcher = (*Tactic)(nil)
 )

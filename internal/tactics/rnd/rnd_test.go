@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"datablinder/internal/keys"
+	"datablinder/internal/model"
 	"datablinder/internal/spi"
 	"datablinder/internal/store/kvstore"
 	"datablinder/internal/tactics/rnd"
 	"datablinder/internal/transport"
 )
 
-func setup(t *testing.T) (spi.Tactic, *kvstore.Store) {
+func setup(t *testing.T) (spi.Tactic, transport.Conn, *kvstore.Store) {
 	t.Helper()
 	mux := transport.NewMux()
 	cloudKV := kvstore.New()
@@ -22,27 +23,23 @@ func setup(t *testing.T) (spi.Tactic, *kvstore.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := rnd.New(spi.Binding{
-		Schema: "obs", Keys: kp,
-		Cloud: transport.NewLoopback(mux),
-		Local: kvstore.New(),
-	})
+	conn := transport.NewLoopback(mux)
+	inst, err := rnd.New(spi.Binding{Schema: "obs", Keys: kp, Cloud: conn, Local: kvstore.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return inst, cloudKV
+	return inst, conn, cloudKV
 }
 
 func TestProbabilisticCiphertexts(t *testing.T) {
 	// Two documents with the same value must produce distinct ciphertexts
 	// in the cloud column (no equality leakage — that is RND's point).
-	inst, cloudKV := setup(t)
+	inst, conn, cloudKV := setup(t)
 	ctx := context.Background()
-	ins := inst.(spi.Inserter)
-	if err := ins.Insert(ctx, "performer", "d1", "john-smith"); err != nil {
+	if err := spi.Apply(ctx, conn, inst, model.OpInsert, "d1", map[string]any{"performer": "john-smith"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ins.Insert(ctx, "performer", "d2", "john-smith"); err != nil {
+	if err := spi.Apply(ctx, conn, inst, model.OpInsert, "d2", map[string]any{"performer": "john-smith"}); err != nil {
 		t.Fatal(err)
 	}
 	col := []byte("rndidx/obs/performer")
@@ -60,11 +57,10 @@ func TestProbabilisticCiphertexts(t *testing.T) {
 }
 
 func TestExhaustiveSearchCorrectness(t *testing.T) {
-	inst, _ := setup(t)
+	inst, conn, _ := setup(t)
 	ctx := context.Background()
-	ins := inst.(spi.Inserter)
 	for i, v := range []string{"a", "b", "a", "c", "a"} {
-		if err := ins.Insert(ctx, "f", string(rune('0'+i)), v); err != nil {
+		if err := spi.Apply(ctx, conn, inst, model.OpInsert, string(rune('0'+i)), map[string]any{"f": v}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,9 +76,9 @@ func TestExhaustiveSearchCorrectness(t *testing.T) {
 func TestTamperedColumnFailsClosed(t *testing.T) {
 	// Equality search authenticates every ciphertext; a tampered cloud
 	// column must produce an error, not silently wrong results.
-	inst, cloudKV := setup(t)
+	inst, conn, cloudKV := setup(t)
 	ctx := context.Background()
-	if err := inst.(spi.Inserter).Insert(ctx, "f", "d1", "value"); err != nil {
+	if err := spi.Apply(ctx, conn, inst, model.OpInsert, "d1", map[string]any{"f": "value"}); err != nil {
 		t.Fatal(err)
 	}
 	col := []byte("rndidx/obs/f")
@@ -97,9 +93,9 @@ func TestTamperedColumnFailsClosed(t *testing.T) {
 func TestCiphertextBoundToDocID(t *testing.T) {
 	// Moving a ciphertext to another document id must break authentication
 	// (the doc id is associated data).
-	inst, cloudKV := setup(t)
+	inst, conn, cloudKV := setup(t)
 	ctx := context.Background()
-	if err := inst.(spi.Inserter).Insert(ctx, "f", "d1", "value"); err != nil {
+	if err := spi.Apply(ctx, conn, inst, model.OpInsert, "d1", map[string]any{"f": "value"}); err != nil {
 		t.Fatal(err)
 	}
 	col := []byte("rndidx/obs/f")
@@ -112,12 +108,12 @@ func TestCiphertextBoundToDocID(t *testing.T) {
 }
 
 func TestDeleteRemovesColumnEntry(t *testing.T) {
-	inst, _ := setup(t)
+	inst, conn, _ := setup(t)
 	ctx := context.Background()
-	if err := inst.(spi.Inserter).Insert(ctx, "f", "d1", "v"); err != nil {
+	if err := spi.Apply(ctx, conn, inst, model.OpInsert, "d1", map[string]any{"f": "v"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := inst.(spi.Deleter).Delete(ctx, "f", "d1", nil); err != nil {
+	if err := spi.Apply(ctx, conn, inst, model.OpDelete, "d1", map[string]any{"f": nil}); err != nil {
 		t.Fatal(err)
 	}
 	ids, err := inst.(spi.EqSearcher).SearchEq(ctx, "f", "v")

@@ -204,41 +204,40 @@ func (t *Tactic) setVersion(field, docID string, v uint64) error {
 	return t.binding.Local.Set(t.verKey(field, docID), []byte(strconv.FormatUint(v, 10)))
 }
 
-// Insert implements spi.Inserter.
-func (t *Tactic) Insert(ctx context.Context, field, docID string, value any) error {
+// Prepare implements spi.Writer. An insert extends the keyword's chain with
+// a cell for the document's next version; a delete ships nothing — it
+// supersedes the current version, and stale cells resolve to dropped
+// versions at the gateway. Either way the version moves at commit, so a
+// prepared write that never ships leaves the live version searchable.
+func (t *Tactic) Prepare(ws *spi.WriteSet, op model.Op, docID string, fields []string, values map[string]any) error {
 	client, err := t.getClient()
 	if err != nil {
 		return err
 	}
-	v, err := t.version(field, docID)
-	if err != nil {
-		return err
+	for _, f := range fields {
+		v, err := t.version(f, docID)
+		if err != nil {
+			return err
+		}
+		if op == model.OpDelete && v == 0 {
+			continue // never indexed
+		}
+		v++
+		ws.OnCommit(func() error { return t.setVersion(f, docID, v) })
+		if op == model.OpDelete {
+			continue
+		}
+		w := keyword(f, values[f])
+		e, err := client.Insert(t.binding.Schema, w, docID+"#"+strconv.FormatUint(v, 10))
+		if err != nil {
+			return err
+		}
+		ws.Add(spi.Mutation{
+			Route: t.route(w), Field: f, Service: Service, Method: "insert",
+			Args: InsertArgs{Schema: t.binding.Schema, Entries: []ssesophos.Entry{e}},
+		})
 	}
-	v++
-	if err := t.setVersion(field, docID, v); err != nil {
-		return err
-	}
-	vid := docID + "#" + strconv.FormatUint(v, 10)
-	w := keyword(field, value)
-	e, err := client.Insert(t.binding.Schema, w, vid)
-	if err != nil {
-		return err
-	}
-	return t.shards.Call(ctx, t.route(w), Service, "insert",
-		InsertArgs{Schema: t.binding.Schema, Entries: []ssesophos.Entry{e}}, nil)
-}
-
-// Delete implements spi.Deleter by superseding the current version; stale
-// index cells resolve to dropped versions at the gateway.
-func (t *Tactic) Delete(_ context.Context, field, docID string, _ any) error {
-	v, err := t.version(field, docID)
-	if err != nil {
-		return err
-	}
-	if v == 0 {
-		return nil
-	}
-	return t.setVersion(field, docID, v+1)
+	return nil
 }
 
 // SearchEq implements spi.EqSearcher.
@@ -327,7 +326,6 @@ func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 }
 
 var (
-	_ spi.Inserter   = (*Tactic)(nil)
-	_ spi.Deleter    = (*Tactic)(nil)
+	_ spi.Writer     = (*Tactic)(nil)
 	_ spi.EqSearcher = (*Tactic)(nil)
 )

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"datablinder/internal/keys"
+	"datablinder/internal/model"
 	"datablinder/internal/spi"
 	"datablinder/internal/store/kvstore"
 	"datablinder/internal/tactics/sophos"
@@ -53,7 +54,7 @@ func TestOperationsRequireSetup(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := inst.(spi.Inserter).Insert(ctx, "f", "d1", "v"); err == nil {
+	if err := spi.Apply(ctx, e.binding.Cloud, inst, model.OpInsert, "d1", map[string]any{"f": "v"}); err == nil {
 		t.Fatal("Insert before Setup succeeded")
 	}
 	if _, err := inst.(spi.EqSearcher).SearchEq(ctx, "f", "v"); err == nil {
@@ -68,12 +69,12 @@ func TestTDPPersistsAcrossInstances(t *testing.T) {
 	e := newEnv(t)
 	ctx := context.Background()
 	inst1 := instance(t, e)
-	if err := inst1.(spi.Inserter).Insert(ctx, "f", "d1", "v"); err != nil {
+	if err := spi.Apply(ctx, e.binding.Cloud, inst1, model.OpInsert, "d1", map[string]any{"f": "v"}); err != nil {
 		t.Fatal(err)
 	}
 
 	inst2 := instance(t, e)
-	if err := inst2.(spi.Inserter).Insert(ctx, "f", "d2", "v"); err != nil {
+	if err := spi.Apply(ctx, e.binding.Cloud, inst2, model.OpInsert, "d2", map[string]any{"f": "v"}); err != nil {
 		t.Fatal(err)
 	}
 	ids, err := inst2.(spi.EqSearcher).SearchEq(ctx, "f", "v")
@@ -90,17 +91,15 @@ func TestVersionedDeletion(t *testing.T) {
 	e := newEnv(t)
 	ctx := context.Background()
 	inst := instance(t, e)
-	ins := inst.(spi.Inserter)
-	del := inst.(spi.Deleter)
 	es := inst.(spi.EqSearcher)
 
-	if err := ins.Insert(ctx, "f", "d1", "v"); err != nil {
+	if err := spi.Apply(ctx, e.binding.Cloud, inst, model.OpInsert, "d1", map[string]any{"f": "v"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ins.Insert(ctx, "f", "d2", "v"); err != nil {
+	if err := spi.Apply(ctx, e.binding.Cloud, inst, model.OpInsert, "d2", map[string]any{"f": "v"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := del.Delete(ctx, "f", "d1", "v"); err != nil {
+	if err := spi.Apply(ctx, e.binding.Cloud, inst, model.OpDelete, "d1", map[string]any{"f": "v"}); err != nil {
 		t.Fatal(err)
 	}
 	ids, err := es.SearchEq(ctx, "f", "v")
@@ -112,7 +111,7 @@ func TestVersionedDeletion(t *testing.T) {
 	}
 
 	// Re-insert resurrects under a fresh version.
-	if err := ins.Insert(ctx, "f", "d1", "v"); err != nil {
+	if err := spi.Apply(ctx, e.binding.Cloud, inst, model.OpInsert, "d1", map[string]any{"f": "v"}); err != nil {
 		t.Fatal(err)
 	}
 	ids, _ = es.SearchEq(ctx, "f", "v")
@@ -121,10 +120,10 @@ func TestVersionedDeletion(t *testing.T) {
 	}
 
 	// Update semantics: delete + insert under a different value.
-	if err := del.Delete(ctx, "f", "d2", "v"); err != nil {
+	if err := spi.Apply(ctx, e.binding.Cloud, inst, model.OpDelete, "d2", map[string]any{"f": "v"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ins.Insert(ctx, "f", "d2", "w"); err != nil {
+	if err := spi.Apply(ctx, e.binding.Cloud, inst, model.OpInsert, "d2", map[string]any{"f": "w"}); err != nil {
 		t.Fatal(err)
 	}
 	ids, _ = es.SearchEq(ctx, "f", "v")
@@ -140,7 +139,7 @@ func TestVersionedDeletion(t *testing.T) {
 func TestDeleteUnknownIsNoop(t *testing.T) {
 	e := newEnv(t)
 	inst := instance(t, e)
-	if err := inst.(spi.Deleter).Delete(context.Background(), "f", "ghost", "v"); err != nil {
+	if err := spi.Apply(context.Background(), e.binding.Cloud, inst, model.OpDelete, "ghost", map[string]any{"f": "v"}); err != nil {
 		t.Fatalf("Delete(unknown): %v", err)
 	}
 }

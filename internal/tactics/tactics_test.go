@@ -61,31 +61,17 @@ func instantiate(t testing.TB, name string, b spi.Binding) spi.Tactic {
 	return inst
 }
 
-func insertValue(t testing.TB, inst spi.Tactic, field, docID string, value any) {
+func insertValue(t testing.TB, conn transport.Conn, inst spi.Tactic, field, docID string, value any) {
 	t.Helper()
-	ctx := context.Background()
-	if di, ok := inst.(spi.DocInserter); ok {
-		if err := di.InsertDoc(ctx, docID, map[string]any{field: value}); err != nil {
-			t.Fatalf("InsertDoc: %v", err)
-		}
-		return
-	}
-	if err := inst.(spi.Inserter).Insert(ctx, field, docID, value); err != nil {
-		t.Fatalf("Insert: %v", err)
+	if err := spi.Apply(context.Background(), conn, inst, model.OpInsert, docID, map[string]any{field: value}); err != nil {
+		t.Fatalf("insert: %v", err)
 	}
 }
 
-func deleteValue(t testing.TB, inst spi.Tactic, field, docID string, value any) {
+func deleteValue(t testing.TB, conn transport.Conn, inst spi.Tactic, field, docID string, value any) {
 	t.Helper()
-	ctx := context.Background()
-	if dd, ok := inst.(spi.DocDeleter); ok {
-		if err := dd.DeleteDoc(ctx, docID, map[string]any{field: value}); err != nil {
-			t.Fatalf("DeleteDoc: %v", err)
-		}
-		return
-	}
-	if err := inst.(spi.Deleter).Delete(ctx, field, docID, value); err != nil {
-		t.Fatalf("Delete: %v", err)
+	if err := spi.Apply(context.Background(), conn, inst, model.OpDelete, docID, map[string]any{field: value}); err != nil {
+		t.Fatalf("delete: %v", err)
 	}
 }
 
@@ -125,9 +111,9 @@ func TestEqualityConformance(t *testing.T) {
 			inst := instantiate(t, d.Name, b)
 
 			v0, v1 := eqValue(d, 0), eqValue(d, 1)
-			insertValue(t, inst, "f", "d1", v0)
-			insertValue(t, inst, "f", "d2", v0)
-			insertValue(t, inst, "f", "d3", v1)
+			insertValue(t, b.Cloud, inst, "f", "d1", v0)
+			insertValue(t, b.Cloud, inst, "f", "d2", v0)
+			insertValue(t, b.Cloud, inst, "f", "d3", v1)
 
 			if got := searchEq(t, inst, "f", v0); len(got) != 2 || got[0] != "d1" || got[1] != "d2" {
 				t.Fatalf("search(v0) = %v", got)
@@ -139,22 +125,14 @@ func TestEqualityConformance(t *testing.T) {
 				t.Fatalf("search(absent) = %v", got)
 			}
 
-			if d.SupportsOp(model.OpDelete) || isDeleter(inst) {
-				deleteValue(t, inst, "f", "d1", v0)
+			if _, ok := inst.(spi.Writer); ok {
+				deleteValue(t, b.Cloud, inst, "f", "d1", v0)
 				if got := searchEq(t, inst, "f", v0); len(got) != 1 || got[0] != "d2" {
 					t.Fatalf("search after delete = %v", got)
 				}
 			}
 		})
 	}
-}
-
-func isDeleter(inst spi.Tactic) bool {
-	if _, ok := inst.(spi.Deleter); ok {
-		return true
-	}
-	_, ok := inst.(spi.DocDeleter)
-	return ok
 }
 
 // TestSetupIdempotent calls Setup twice for every tactic.
@@ -204,10 +182,11 @@ func TestSchemaIsolation(t *testing.T) {
 		}
 		d := d
 		t.Run(d.Name, func(t *testing.T) {
-			instA := instantiate(t, d.Name, mk("tenant-a-"+d.Name))
+			bA := mk("tenant-a-" + d.Name)
+			instA := instantiate(t, d.Name, bA)
 			instB := instantiate(t, d.Name, mk("tenant-b-"+d.Name))
 			v := eqValue(d, 0)
-			insertValue(t, instA, "f", "da", v)
+			insertValue(t, bA.Cloud, instA, "f", "da", v)
 			if got := searchEq(t, instB, "f", v); len(got) != 0 {
 				t.Fatalf("tenant B sees tenant A's entry: %v", got)
 			}

@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"datablinder/internal/conc"
 	"datablinder/internal/wirefmt"
 )
 
@@ -190,10 +191,17 @@ type Conn interface {
 // executing handlers.
 const DefaultMaxInFlight = 256
 
+// idleWorkers is how many request goroutines a Server keeps parked between
+// requests; more run when more requests are in flight.
+const idleWorkers = 64
+
 // Server serves a Mux over TCP. One reader goroutine per connection, one
 // worker goroutine per request (bounded by a server-wide semaphore), so
 // pipelined requests from a single socket execute concurrently and may
 // complete out of order; the client correlates responses by request id.
+// Workers are reused (conc.Pool): a request is short and its handler's call
+// chain deep, so a fresh goroutine per frame spent more on being created,
+// growing its stack and exiting than on the request.
 type Server struct {
 	mux *Mux
 
@@ -201,9 +209,10 @@ type Server struct {
 	// connections (DefaultMaxInFlight if zero). Set before Listen.
 	MaxInFlight int
 
-	sem    chan struct{}
-	ctx    context.Context
-	cancel context.CancelFunc
+	sem     chan struct{}
+	workers *conc.Pool
+	ctx     context.Context
+	cancel  context.CancelFunc
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -215,7 +224,7 @@ type Server struct {
 // NewServer constructs a server for mux.
 func NewServer(mux *Mux) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{mux: mux, conns: make(map[net.Conn]struct{}), ctx: ctx, cancel: cancel}
+	return &Server{mux: mux, conns: make(map[net.Conn]struct{}), ctx: ctx, cancel: cancel, workers: conc.NewPool(idleWorkers)}
 }
 
 // Listen binds addr (e.g. "127.0.0.1:0") and starts accepting in a
@@ -305,7 +314,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		s.wg.Add(1)
-		go func(id uint64, call parsedCall) {
+		s.workers.Go(func() {
 			defer s.wg.Done()
 			defer func() { <-s.sem }()
 			buf := newWireFrameBuf()
@@ -331,7 +340,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				return
 			}
 			wireRecordFrame(call.name, true, len(frame))
-		}(id, call)
+		})
 	}
 }
 
@@ -379,6 +388,7 @@ func (s *Server) Close() error {
 		ln.Close()
 	}
 	s.wg.Wait()
+	s.workers.Close()
 	return nil
 }
 

@@ -38,6 +38,22 @@ func FuzzPayloadCodecs(f *testing.F) {
 	pair := &emm.SearchToken{AddrKey: k, ValueKey: k, Counts: emm.Counts{Tail: 75}}
 	bucket := emm.SearchToken{AddrKey: k, ValueKey: k, Counts: emm.Counts{Packed: 2, Tail: 31}}
 	for i, name := range methods {
+		if name == tbiex.Service+".insert" {
+			// One shard's share of a document insert: global cells, packed
+			// pair cells and a filter update (no per-cell pair list — that
+			// slot left the codec with the field).
+			enc, err := transport.LookupCodec(name).EncodeArgs(nil, &tbiex.InsertArgs{
+				Namespace: "obs|2lev", Entries: ssebiex.Entries{
+					Global: []emm.Entry{{Addr: k, Val: k}, {Addr: k, Val: k}},
+					CrossPacked: []ssebiex.PackedEntry{{Count: 2, AddrLen: 32, ValLen: 32,
+						Addrs: append(k[:32:32], k...), Vals: append(k[:32:32], k...), Shared: k, Nonce: k[:12]}},
+					Filter: []zmf.UpdateEntry{{Label: k, Positions: []uint64{3, 1 << 40}, Delta: -1}},
+				}})
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(i, enc)
+		}
 		if name != tbiex.Service+".search" {
 			continue
 		}
