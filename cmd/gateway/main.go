@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	gateway [-cloud 127.0.0.1:7700 | -shard-addrs a:1,b:2,...] [-key master.key] [-state gw.aof] [-pprof addr] [-no-coalesce] <command> [args]
+//	gateway [-cloud 127.0.0.1:7700 | -shard-addrs a:1,b:2,...] [-key master.key] [-state wal-dir] [-fsync policy] [-pprof addr] [-planner] <command> [args]
 //
 // Commands:
 //
@@ -23,13 +23,12 @@
 //
 // With -planner, schema registration picks the cheapest tactic satisfying
 // each field's leakage budget instead of the classic
-// highest-tolerated-leakage rule, and -replan-interval starts a background
-// loop that migrates fields whose plan the live cost model has overtaken
-// (a one-shot CLI process exits before the loop matters; the flag is for
-// long-running embeddings of this command).
+// highest-tolerated-leakage rule; `replan` migrates fields whose plan the
+// live cost model has overtaken.
 //
-// The master key file is created on first use; the state file persists
-// tactic counters and schemas across gateway restarts.
+// The master key file is created on first use; the -state directory is a
+// write-ahead log that persists tactic counters and schemas across gateway
+// restarts.
 //
 // -shard-addrs routes to a sharded cloud tier (comma-separated, one
 // address per shard). The list is positional: pass the same addresses in
@@ -60,9 +59,7 @@ func main() {
 	statePath := flag.String("state", "datablinder-gateway.aof", "gateway state directory (a write-ahead log)")
 	fsync := flag.String("fsync", "interval", "state WAL durability policy: always, interval, never")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
-	noCoalesce := flag.Bool("no-coalesce", false, "disable cross-caller write coalescing (per-shard group commit)")
 	planner := flag.Bool("planner", false, "cost-based tactic selection: pick the cheapest tactic within each field's leakage budget")
-	replanInterval := flag.Duration("replan-interval", 0, "with -planner, re-evaluate plans against live costs at this interval (0 = only on explicit replan)")
 	flag.Parse()
 
 	stopPprof, err := pprofserve.Start(*pprofAddr)
@@ -79,13 +76,11 @@ func main() {
 	defer cancel()
 
 	opts := datablinder.Options{
-		MasterKeyPath:     *keyPath,
-		CreateKey:         true,
-		LocalStatePath:    *statePath,
-		FsyncPolicy:       *fsync,
-		DisableCoalescing: *noCoalesce,
-		Planner:           *planner,
-		ReplanInterval:    *replanInterval,
+		MasterKeyPath:  *keyPath,
+		CreateKey:      true,
+		LocalStatePath: *statePath,
+		FsyncPolicy:    *fsync,
+		Planner:        *planner,
 	}
 	if *shardAddrs != "" {
 		for _, addr := range strings.Split(*shardAddrs, ",") {

@@ -185,11 +185,6 @@ type Options struct {
 	// (0 = ring.DefaultVirtualNodes). All gateways of one deployment must
 	// agree on it.
 	VirtualNodes int
-	// DisableCoalescing routes every cloud RPC individually instead of
-	// merging concurrent callers' sub-calls into per-shard group commits
-	// (see README "Write-path coalescing"). Coalescing is on by default;
-	// disable it only for debugging or A/B benchmarking.
-	DisableCoalescing bool
 
 	// MasterKeyPath loads (or, with CreateKey, creates) the gateway master
 	// key file. Empty means an ephemeral random key.
@@ -217,15 +212,6 @@ type Options struct {
 	// instead of the classic highest-tolerated-leakage rule. Annotation
 	// tactic pins remain hard overrides either way.
 	Planner bool
-	// ReplanInterval, with Planner set, starts a background loop that
-	// periodically re-evaluates every unpinned field against the live
-	// cost model and online re-indexes fields whose plan is beaten by at
-	// least the hysteresis margin. Zero means no background loop — call
-	// Client.Replan explicitly.
-	ReplanInterval time.Duration
-	// PlannerHysteresis is the fractional cost advantage a challenger
-	// plan needs before a replan triggers a migration (default 0.3).
-	PlannerHysteresis float64
 	// MigrateThrottle pauses online re-index scans between batches to
 	// bound the migration's impact on live traffic.
 	MigrateThrottle time.Duration
@@ -340,15 +326,12 @@ func Open(ctx context.Context, opts Options) (*Client, error) {
 		return nil, err
 	}
 	engine, err := core.NewEngine(core.Config{
-		Keys:              provider,
-		Cloud:             client.conn,
-		Local:             local,
-		Registry:          registry,
-		Coalesce:          coalesce.Options{Disabled: opts.DisableCoalescing},
-		Planner:           opts.Planner,
-		ReplanInterval:    opts.ReplanInterval,
-		PlannerHysteresis: opts.PlannerHysteresis,
-		MigrateThrottle:   opts.MigrateThrottle,
+		Keys:            provider,
+		Cloud:           client.conn,
+		Local:           local,
+		Registry:        registry,
+		Planner:         opts.Planner,
+		MigrateThrottle: opts.MigrateThrottle,
 	})
 	if err != nil {
 		client.Close()
@@ -372,7 +355,7 @@ func shardConn(conns []transport.Conn, vnodes int) transport.Conn {
 	return ring.NewClient(conns, vnodes)
 }
 
-// Close stops background planner work, drains the write coalescers, and
+// Close stops background migrations, drains the write coalescers, and
 // releases the cloud connection and local state. It is idempotent.
 func (c *Client) Close() error {
 	var first error
@@ -407,9 +390,9 @@ func (c *Client) RegisterSchema(ctx context.Context, s *Schema) error {
 func (c *Client) Schemas() []string { return c.engine.Schemas() }
 
 // CoalesceStats reports the write coalescers' aggregated counters —
-// merge rate, flushes by trigger, batch-size histogram (all zero when
-// DisableCoalescing was set). The same numbers are exported process-wide
-// on the -pprof endpoint's /debug/vars as "datablinder_coalesce".
+// merge rate, flushes by trigger, batch-size histogram. The same numbers
+// are exported process-wide on the -pprof endpoint's /debug/vars as
+// "datablinder_coalesce".
 func (c *Client) CoalesceStats() coalesce.Stats { return c.engine.CoalesceStats() }
 
 // TacticCatalog returns the descriptors of every registered tactic
@@ -439,8 +422,9 @@ func (c *Client) TacticStats() planner.Snapshot { return c.engine.TacticStats() 
 
 // Replan re-evaluates every unpinned sensitive field against the live
 // cost model and online re-indexes those whose current plan is beaten by
-// at least the hysteresis margin. It returns the "schema.field" names it
-// migrated. Fields pinned via annotation `tactic [...]` are never touched.
+// at least 30%. It returns the "schema.field" names it migrated. Fields
+// pinned via annotation `tactic [...]` are never touched. Nothing calls it
+// on a schedule: an embedder that wants one calls it from its own ticker.
 func (c *Client) Replan(ctx context.Context) ([]string, error) {
 	return c.engine.Replan(ctx)
 }

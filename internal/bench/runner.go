@@ -45,12 +45,6 @@ type Config struct {
 	Local *kvstore.Store
 }
 
-// DefaultConfig returns a laptop-scale configuration (the full paper scale
-// is Requests=151000, Users=1000).
-func DefaultConfig() Config {
-	return Config{Users: 64, Requests: 4500, Seed: 1}
-}
-
 // Run executes one scenario and reports its statistics.
 func Run(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.Users <= 0 || cfg.Requests <= 0 {

@@ -54,16 +54,11 @@ type Config struct {
 	// Registry is the tactic catalog; defaults must be supplied by the
 	// caller (use tactics.Registry()).
 	Registry *spi.Registry
-	// Sequential disables gateway-side fan-out: predicate leaves run one
-	// after another and a request's per-shard write batches go out one
-	// after another. It exists as the benchmark/debug baseline; production
-	// configurations leave it false.
-	Sequential bool
 	// Coalesce configures the per-shard group-commit stage wrapped around
 	// every cloud connection (see internal/coalesce). The zero value
-	// enables coalescing with defaults; set Coalesce.Disabled to route
-	// every RPC individually — the pre-coalescing behavior, kept as the
-	// benchmark baseline.
+	// enables coalescing with defaults; Coalesce.Disabled routes every RPC
+	// individually, for a caller that wraps its shard conns in its own
+	// coalescer chain (benchmark/cmd/dblayers does).
 	Coalesce coalesce.Options
 	// Planner enables cost-based tactic selection: new plans pick the
 	// cheapest tactic satisfying the leakage budget (live measurements
@@ -71,16 +66,6 @@ type Config struct {
 	// classic highest-tolerated-leakage rule. Annotation pins remain hard
 	// overrides either way.
 	Planner bool
-	// ReplanInterval, when Planner is set and the interval is positive,
-	// starts a background loop that periodically re-evaluates every
-	// unpinned field against the live cost model and migrates fields whose
-	// current plan is beaten by at least the hysteresis margin.
-	ReplanInterval time.Duration
-	// PlannerHysteresis is the fractional cost advantage a challenger plan
-	// needs before a replan triggers an online re-index (default 0.3: the
-	// new plan must be ≥30% cheaper). Guards against plan flapping on
-	// noisy measurements.
-	PlannerHysteresis float64
 	// MigrateThrottle pauses the online re-index between scan batches —
 	// a live-traffic rate limit, and the crash-injection tests' window
 	// for killing a migration mid-flight.
@@ -99,19 +84,15 @@ type Engine struct {
 	coalescers []*coalesce.Conn
 	local      *kvstore.Store
 	registry   *spi.Registry
-	seq        bool
 	// workers runs what a write sends concurrently — the id reservation,
-	// all but one of its shard batches — on reused goroutines; spawn is its
-	// Go, nil under Config.Sequential (batches then go one after another).
+	// all but one of its shard batches — on reused goroutines.
 	workers *conc.Pool
-	spawn   func(func())
 
 	// stats is the engine-resident tactic cost model (EWMA latencies, RPC
 	// counts, per-field workload rates) feeding selection and replanning.
 	stats       *planner.Stats
 	priors      map[planner.Key]model.CostPrior
 	plannerOn   bool
-	hysteresis  float64
 	migThrottle time.Duration
 
 	// migMu serializes online re-indexes (one migration runs at a time).
@@ -217,10 +198,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	} else {
 		cloudConn = ring.ClientOf(base)
 	}
-	hyst := cfg.PlannerHysteresis
-	if hyst == 0 {
-		hyst = 0.3
-	}
 	e := &Engine{
 		keys:        cfg.Keys,
 		cloud:       cloudConn,
@@ -228,24 +205,15 @@ func NewEngine(cfg Config) (*Engine, error) {
 		coalescers:  coals,
 		local:       cfg.Local,
 		registry:    cfg.Registry,
-		seq:         cfg.Sequential,
 		workers:     conc.NewPool(writeWorkers),
 		stats:       stats,
 		priors:      priors,
 		plannerOn:   cfg.Planner,
-		hysteresis:  hyst,
 		migThrottle: cfg.MigrateThrottle,
 		stopCh:      make(chan struct{}),
 		schemas:     make(map[string]*schemaRuntime),
 	}
-	if !e.seq {
-		e.spawn = e.workers.Go
-	}
 	planner.Register(stats)
-	if cfg.Planner && cfg.ReplanInterval > 0 {
-		e.bg.Add(1)
-		go e.replanLoop(cfg.ReplanInterval)
-	}
 	return e, nil
 }
 
@@ -261,7 +229,7 @@ func (e *Engine) Drain() {
 	}
 }
 
-// Close stops background work (replan loop, resumed migrations), drains
+// Close stops background work (resumed migrations), drains
 // the coalescers, and detaches the engine's cost counters from the
 // process-wide expvar export. The cloud connections and local store stay
 // open — they belong to the caller.

@@ -99,16 +99,20 @@ func obs(id, status, code, subject string, effective int64, performer string, va
 	}}
 }
 
-func seed(t testing.TB, env *testEnv) {
-	t.Helper()
-	docs := []*model.Document{
+// seedDocs are the five documents seed inserts.
+func seedDocs() []*model.Document {
+	return []*model.Document{
 		obs("f001", "final", "glucose", "john-doe", 1359966610, "john-smith", 6.3),
 		obs("f002", "final", "glucose", "jane-roe", 1360966610, "mary-major", 5.1),
 		obs("f003", "draft", "glucose", "john-doe", 1361966610, "john-smith", 7.9),
 		obs("f004", "final", "insulin", "jane-roe", 1362966610, "mary-major", 11.0),
 		obs("f005", "amended", "heart-rate", "john-doe", 1363966610, "john-smith", 72.0),
 	}
-	for _, d := range docs {
+}
+
+func seed(t testing.TB, env *testEnv) {
+	t.Helper()
+	for _, d := range seedDocs() {
 		if _, err := env.engine.Insert(context.Background(), "observation", d); err != nil {
 			t.Fatalf("Insert(%s): %v", d.ID, err)
 		}

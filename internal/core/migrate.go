@@ -30,6 +30,11 @@ var ErrMigrationActive = errors.New("core: an online re-index is already running
 // holding the schema's doc lock.
 const migScanBatch = 256
 
+// replanHysteresis is the fractional cost advantage a challenger plan needs
+// before Replan triggers an online re-index: the new plan must be ≥30%
+// cheaper. Guards against plan flapping on noisy measurements.
+const replanHysteresis = 0.3
+
 // minReplanOps is the observation floor below which Replan leaves a field
 // alone: with almost no traffic there is no workload to optimize for, and
 // a migration would be pure churn.
@@ -56,7 +61,6 @@ type migrRecord struct {
 // while a re-index window is open.
 type migration struct {
 	field string
-	plan  spi.Plan
 	// tactics are the target plan's tactics absent from the current plan —
 	// the indexes being backfilled, which every live write must also feed.
 	tactics []string
@@ -230,7 +234,6 @@ func (e *Engine) migrateField(ctx context.Context, schema, field string, target 
 
 	mig := &migration{
 		field:     field,
-		plan:      target,
 		tactics:   subtract(target.Tactics, current.Tactics),
 		instances: instances,
 		claims:    claims,
@@ -274,7 +277,6 @@ func (e *Engine) migrateField(ctx context.Context, schema, field string, target 
 		return finish(fmt.Errorf("core: migration scan: %w", err))
 	}
 	e.stats.SeedDocs(schema, int64(len(ids)))
-	migrated := 0
 	for start := 0; start < len(ids); start += migScanBatch {
 		if err := ctx.Err(); err != nil {
 			return finish(err)
@@ -288,11 +290,9 @@ func (e *Engine) migrateField(ctx context.Context, schema, field string, target 
 		if end > len(ids) {
 			end = len(ids)
 		}
-		batch := ids[start:end]
-		if err := e.migrateBatch(ctx, schema, migRT, mig, batch); err != nil {
+		if err := e.migrateBatch(ctx, schema, migRT, mig, ids[start:end]); err != nil {
 			return finish(err)
 		}
-		migrated += len(batch)
 		if e.migThrottle > 0 {
 			time.Sleep(e.migThrottle)
 		}
@@ -474,7 +474,7 @@ func (e *Engine) Replan(ctx context.Context) ([]string, error) {
 			}
 			curScore := e.planScore(schema, current, rates, cost)
 			desScore := e.planScore(schema, desired, rates, cost)
-			if curScore <= 0 || desScore >= curScore*(1-e.hysteresis) {
+			if curScore <= 0 || desScore >= curScore*(1-replanHysteresis) {
 				continue // challenger not decisively cheaper; don't flap
 			}
 			if err := e.migrateField(ctx, schema, f.Name, desired); err != nil {
@@ -484,30 +484,4 @@ func (e *Engine) Replan(ctx context.Context) ([]string, error) {
 		}
 	}
 	return migrated, nil
-}
-
-// replanLoop periodically re-evaluates plans until the engine closes.
-func (e *Engine) replanLoop(interval time.Duration) {
-	defer e.bg.Done()
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-e.stopCh:
-			return
-		case <-ticker.C:
-			ctx, cancel := context.WithCancel(context.Background())
-			done := make(chan struct{})
-			go func() {
-				select {
-				case <-e.stopCh:
-					cancel()
-				case <-done:
-				}
-			}()
-			_, _ = e.Replan(ctx)
-			close(done)
-			cancel()
-		}
-	}
 }

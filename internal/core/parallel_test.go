@@ -13,14 +13,15 @@ import (
 	"datablinder/internal/cloud"
 	"datablinder/internal/coalesce"
 	"datablinder/internal/keys"
+	"datablinder/internal/model"
 	"datablinder/internal/store/kvstore"
 	"datablinder/internal/tactics"
 	"datablinder/internal/transport"
 )
 
 // wrapEnv builds a registered engine whose cloud conn is wrapped by wrap
-// (nil for a plain loopback), with Sequential set as given.
-func wrapEnv(t testing.TB, sequential bool, wrap func(transport.Conn) transport.Conn) *testEnv {
+// (nil for a plain loopback).
+func wrapEnv(t testing.TB, wrap func(transport.Conn) transport.Conn) *testEnv {
 	t.Helper()
 	node, err := cloud.NewNode(cloud.Options{})
 	if err != nil {
@@ -45,7 +46,7 @@ func wrapEnv(t testing.TB, sequential bool, wrap func(transport.Conn) transport.
 	// legitimately merge simultaneously-arriving sub-calls into one batch,
 	// which would measure the batcher, not the engine.
 	engine, err := NewEngine(Config{
-		Keys: ks, Cloud: conn, Local: local, Registry: reg, Sequential: sequential,
+		Keys: ks, Cloud: conn, Local: local, Registry: reg,
 		Coalesce: coalesce.Options{Disabled: true},
 	})
 	if err != nil {
@@ -105,14 +106,64 @@ func sortedSearchIDs(t *testing.T, env *testEnv, p Predicate) []string {
 	return ids
 }
 
-// TestParallelSearchMatchesSequential runs the same queries on a parallel
-// and a Sequential engine over identical data and requires identical
-// results.
-func TestParallelSearchMatchesSequential(t *testing.T) {
-	par := wrapEnv(t, false, nil)
-	seq := wrapEnv(t, true, nil)
-	seed(t, par)
-	seed(t, seq)
+// plainMatch evaluates p over one plaintext document: the reference the
+// engine's encrypted evaluation must agree with. Range bounds are int64,
+// as every range in these tests is over an int field.
+func plainMatch(p Predicate, d *model.Document) bool {
+	switch q := p.(type) {
+	case Eq:
+		return d.Fields[q.Field] == q.Value
+	case Range:
+		v, ok := d.Fields[q.Field].(int64)
+		if !ok {
+			return false
+		}
+		if lo, ok := q.Lo.(int64); ok && (v < lo || v == lo && !q.LoInc) {
+			return false
+		}
+		if hi, ok := q.Hi.(int64); ok && (v > hi || v == hi && !q.HiInc) {
+			return false
+		}
+		return true
+	case Not:
+		return !plainMatch(q.Pred, d)
+	case And:
+		for _, c := range q.Preds {
+			if !plainMatch(c, d) {
+				return false
+			}
+		}
+		return true
+	case Or:
+		for _, c := range q.Preds {
+			if plainMatch(c, d) {
+				return true
+			}
+		}
+		return false
+	}
+	panic(fmt.Sprintf("unexpected predicate %T", p))
+}
+
+// plainIDs returns the sorted ids of the documents p matches in plaintext.
+func plainIDs(docs []*model.Document, p Predicate) []string {
+	var ids []string
+	for _, d := range docs {
+		if plainMatch(p, d) {
+			ids = append(ids, d.ID)
+		}
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// TestParallelSearchMatchesPlaintext runs mixed-tactic boolean and range
+// queries through the engine's concurrent evaluator and requires the id
+// sets the same predicates select from seed's plaintext documents.
+func TestParallelSearchMatchesPlaintext(t *testing.T) {
+	env := wrapEnv(t, nil)
+	seed(t, env)
+	docs := seedDocs()
 
 	queries := []Predicate{
 		mixedOr(),
@@ -134,70 +185,54 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 		}},
 	}
 	for i, q := range queries {
-		got := sortedSearchIDs(t, par, q)
-		want := sortedSearchIDs(t, seq, q)
+		got := sortedSearchIDs(t, env, q)
+		want := plainIDs(docs, q)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("query %d: parallel=%v sequential=%v", i, got, want)
+			t.Errorf("query %d: engine=%v plaintext=%v", i, got, want)
 		}
 		if len(want) == 0 {
 			t.Errorf("query %d matched nothing — not exercising the evaluator", i)
 		}
 	}
 
-	// Full-document search paths (Fetch fan-out) must agree too.
-	pdocs, err := par.engine.Search(context.Background(), "observation", mixedOr())
+	// The full-document search path (Fetch fan-out) must decrypt the
+	// matching documents themselves.
+	got, err := env.engine.Search(context.Background(), "observation", mixedOr())
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
-	sdocs, err := seq.engine.Search(context.Background(), "observation", mixedOr())
-	if err != nil {
-		t.Fatalf("Search: %v", err)
+	want := map[string]float64{}
+	for _, d := range docs {
+		if plainMatch(mixedOr(), d) {
+			want[d.ID] = d.Fields["value"].(float64)
+		}
 	}
-	if len(pdocs) != len(sdocs) || len(pdocs) == 0 {
-		t.Fatalf("Search sizes: parallel=%d sequential=%d", len(pdocs), len(sdocs))
+	if len(got) != len(want) || len(got) == 0 {
+		t.Fatalf("Search returned %d documents, plaintext selects %d", len(got), len(want))
 	}
-	byID := map[string]float64{}
-	for _, d := range sdocs {
-		byID[d.ID] = d.Fields["value"].(float64)
-	}
-	for _, d := range pdocs {
-		if v, ok := byID[d.ID]; !ok || v != d.Fields["value"].(float64) {
-			t.Fatalf("document %s differs between engines", d.ID)
+	for _, d := range got {
+		if v, ok := want[d.ID]; !ok || v != d.Fields["value"].(float64) {
+			t.Fatalf("document %s differs from its plaintext", d.ID)
 		}
 	}
 }
 
-// TestSearchFanOutOverlaps proves the parallel engine issues leaf RPCs
-// concurrently while the Sequential engine keeps them strictly serial.
+// TestSearchFanOutOverlaps proves the engine issues leaf RPCs concurrently.
 func TestSearchFanOutOverlaps(t *testing.T) {
-	var pc, sc *peakConn
-	par := wrapEnv(t, false, func(c transport.Conn) transport.Conn {
+	var pc *peakConn
+	env := wrapEnv(t, func(c transport.Conn) transport.Conn {
 		pc = &peakConn{inner: c}
 		return pc
 	})
-	seq := wrapEnv(t, true, func(c transport.Conn) transport.Conn {
-		sc = &peakConn{inner: c}
-		return sc
-	})
-	seed(t, par)
-	seed(t, seq)
+	seed(t, env)
 
 	pc.enabled.Store(true)
-	if _, err := par.engine.SearchIDs(context.Background(), "observation", mixedOr()); err != nil {
+	if _, err := env.engine.SearchIDs(context.Background(), "observation", mixedOr()); err != nil {
 		t.Fatal(err)
 	}
 	pc.enabled.Store(false)
 	if got := pc.peak.Load(); got < 2 {
-		t.Fatalf("parallel engine peak in-flight RPCs = %d, want >= 2", got)
-	}
-
-	sc.enabled.Store(true)
-	if _, err := seq.engine.SearchIDs(context.Background(), "observation", mixedOr()); err != nil {
-		t.Fatal(err)
-	}
-	sc.enabled.Store(false)
-	if got := sc.peak.Load(); got != 1 {
-		t.Fatalf("sequential engine peak in-flight RPCs = %d, want exactly 1", got)
+		t.Fatalf("peak in-flight RPCs = %d, want >= 2", got)
 	}
 }
 
@@ -230,65 +265,75 @@ func (f *failServiceConn) Close() error { return f.inner.Close() }
 
 // TestInsertCompensatesFailedIndexing: when index writes fail after the
 // document blob reached the cloud, Insert must remove the blob again and
-// surface the original indexing error. Runs against both engine modes.
+// surface the original indexing error. The subtest keeps the name it had
+// when the engine still had a serial insert arm; the fan-out path it
+// covers is the only one left.
 func TestInsertCompensatesFailedIndexing(t *testing.T) {
-	for _, sequential := range []bool{false, true} {
-		t.Run(fmt.Sprintf("sequential=%v", sequential), func(t *testing.T) {
-			var fc *failServiceConn
-			env := wrapEnv(t, sequential, func(c transport.Conn) transport.Conn {
-				// "ope" indexes the effective/issued fields; doc puts and the
-				// compensating delete travel on the "doc" service and pass through.
-				fc = &failServiceConn{inner: c, service: "ope"}
-				return fc
-			})
-			fc.armed.Store(true)
-			_, err := env.engine.Insert(context.Background(), "observation",
-				obs("c1", "final", "glucose", "john-doe", 1359966610, "john-smith", 6.3))
-			fc.armed.Store(false)
-			if !errors.Is(err, errInjected) {
-				t.Fatalf("Insert = %v, want the injected indexing error", err)
-			}
-			if fc.failed.Load() == 0 {
-				t.Fatal("fault injector never fired")
-			}
-			// The compensating delete must have removed the orphaned blob.
-			if _, err := env.engine.Get(context.Background(), "observation", "c1"); !errors.Is(err, ErrDocumentMissing) {
-				t.Fatalf("Get after failed insert = %v, want ErrDocumentMissing", err)
-			}
-			// The id is reusable once the injector is disarmed.
-			if _, err := env.engine.Insert(context.Background(), "observation",
-				obs("c1", "final", "glucose", "john-doe", 1359966610, "john-smith", 6.3)); err != nil {
-				t.Fatalf("re-insert after compensation: %v", err)
-			}
-		})
+	t.Run("sequential=false", testInsertCompensatesFailedIndexing)
+}
+
+func testInsertCompensatesFailedIndexing(t *testing.T) {
+	var fc *failServiceConn
+	env := wrapEnv(t, func(c transport.Conn) transport.Conn {
+		// "ope" indexes the effective/issued fields; doc puts and the
+		// compensating delete travel on the "doc" service and pass through.
+		fc = &failServiceConn{inner: c, service: "ope"}
+		return fc
+	})
+	fc.armed.Store(true)
+	_, err := env.engine.Insert(context.Background(), "observation",
+		obs("c1", "final", "glucose", "john-doe", 1359966610, "john-smith", 6.3))
+	fc.armed.Store(false)
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("Insert = %v, want the injected indexing error", err)
+	}
+	if fc.failed.Load() == 0 {
+		t.Fatal("fault injector never fired")
+	}
+	// The compensating delete must have removed the orphaned blob.
+	if _, err := env.engine.Get(context.Background(), "observation", "c1"); !errors.Is(err, ErrDocumentMissing) {
+		t.Fatalf("Get after failed insert = %v, want ErrDocumentMissing", err)
+	}
+	// The id is reusable once the injector is disarmed.
+	if _, err := env.engine.Insert(context.Background(), "observation",
+		obs("c1", "final", "glucose", "john-doe", 1359966610, "john-smith", 6.3)); err != nil {
+		t.Fatalf("re-insert after compensation: %v", err)
 	}
 }
 
-// TestParallelUpdateDelete exercises the fan-out paths of Update and
-// Delete and cross-checks against the Sequential engine.
-func TestParallelUpdateDelete(t *testing.T) {
-	par := wrapEnv(t, false, nil)
-	seq := wrapEnv(t, true, nil)
-	seed(t, par)
-	seed(t, seq)
+// TestParallelUpdateDeleteMatchesPlaintext exercises the fan-out paths of
+// Update and Delete, applies the same mutations to seed's plaintext
+// documents, and requires the same search result from both.
+func TestParallelUpdateDeleteMatchesPlaintext(t *testing.T) {
+	env := wrapEnv(t, nil)
+	seed(t, env)
 
-	for _, env := range []*testEnv{par, seq} {
-		upd := obs("f001", "amended", "glucose", "john-doe", 1359966610, "john-smith", 9.9)
-		if err := env.engine.Update(context.Background(), "observation", upd); err != nil {
-			t.Fatalf("Update: %v", err)
-		}
-		if err := env.engine.Delete(context.Background(), "observation", "f002"); err != nil {
-			t.Fatalf("Delete: %v", err)
+	upd := obs("f001", "amended", "glucose", "john-doe", 1359966610, "john-smith", 9.9)
+	if err := env.engine.Update(context.Background(), "observation", upd); err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	if err := env.engine.Delete(context.Background(), "observation", "f002"); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	var docs []*model.Document
+	for _, d := range seedDocs() {
+		switch d.ID {
+		case upd.ID:
+			docs = append(docs, upd)
+		case "f002":
+		default:
+			docs = append(docs, d)
 		}
 	}
+
 	q := Or{Preds: []Predicate{
 		Eq{Field: "status", Value: "amended"},
 		Eq{Field: "subject", Value: "jane-roe"},
 	}}
-	got := sortedSearchIDs(t, par, q)
-	want := sortedSearchIDs(t, seq, q)
+	got := sortedSearchIDs(t, env, q)
+	want := plainIDs(docs, q)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-mutation search: parallel=%v sequential=%v", got, want)
+		t.Fatalf("post-mutation search: engine=%v plaintext=%v", got, want)
 	}
 	if len(got) == 0 {
 		t.Fatal("post-mutation search matched nothing")
@@ -298,7 +343,7 @@ func TestParallelUpdateDelete(t *testing.T) {
 // TestConcurrentEngineUse hammers one parallel engine from many goroutines
 // mixing inserts and searches (run with -race).
 func TestConcurrentEngineUse(t *testing.T) {
-	env := wrapEnv(t, false, nil)
+	env := wrapEnv(t, nil)
 	seed(t, env)
 
 	done := make(chan error, 12)

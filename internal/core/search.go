@@ -175,13 +175,12 @@ func (e *Engine) eval(ctx context.Context, rt *schemaRuntime, p Predicate) (idSe
 	}
 }
 
-// evalChildren evaluates sibling predicates: sequentially in Sequential
-// mode, otherwise concurrently with first-error cancellation. Children are
-// independent leaf RPCs or subtrees, so concurrency turns k serialized
-// round trips into one round-trip time.
+// evalChildren evaluates sibling predicates concurrently with first-error
+// cancellation. Children are independent leaf RPCs or subtrees, so
+// concurrency turns k serialized round trips into one round-trip time.
 func (e *Engine) evalChildren(ctx context.Context, rt *schemaRuntime, preds []Predicate) ([]idSet, error) {
 	sets := make([]idSet, len(preds))
-	if e.seq || len(preds) <= 1 {
+	if len(preds) <= 1 {
 		for i, child := range preds {
 			s, err := e.eval(ctx, rt, child)
 			if err != nil {
@@ -207,9 +206,9 @@ func (e *Engine) evalChildren(ctx context.Context, rt *schemaRuntime, preds []Pr
 
 // evalAnd intersects positive children, then subtracts negated ones. All
 // children evaluate concurrently; the set algebra happens gateway-side
-// once the last child lands. (The sequential engine's empty-intersection
-// short-circuit is deliberately traded for latency overlap: the common
-// case is a selective conjunction whose wall-clock is its slowest leaf.)
+// once the last child lands. (An empty-intersection short-circuit is
+// deliberately traded for latency overlap: the common case is a selective
+// conjunction whose wall-clock is its slowest leaf.)
 func (e *Engine) evalAnd(ctx context.Context, rt *schemaRuntime, q And) (idSet, error) {
 	if len(q.Preds) == 0 {
 		return nil, fmt.Errorf("%w: empty AND", ErrUnsupportedQuery)

@@ -166,7 +166,7 @@ func (w *write) mirror(rt *schemaRuntime, doc *model.Document, op model.Op, lock
 // then (spi.WriteSet.Flush).
 func (w *write) flush(ctx context.Context) error {
 	start := time.Now()
-	failed, err := w.set.Flush(ctx, w.e.shards, w.e.spawn)
+	failed, err := w.set.Flush(ctx, w.e.shards, w.e.workers.Go)
 	if err != nil {
 		for _, p := range w.parts {
 			if failed < p.from || failed >= p.to {

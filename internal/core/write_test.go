@@ -232,73 +232,61 @@ func tappedEngine(t testing.TB, n int, schema *model.Schema, cfg Config) (*Engin
 func TestInsertFramesPerShard(t *testing.T) {
 	want := map[string]int{"det.add": 5, "mitra.insert": 1, "rnd.put": 1, "agg.put": 1, "doc.put": 1}
 	for _, n := range []int{1, 3} {
-		for _, sequential := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%d-shard/sequential=%v", n, sequential), func(t *testing.T) {
-				e, tp := tappedEngine(t, n, paperSchema(), Config{Sequential: sequential})
-				tp.delay = 20 * time.Millisecond
-				ctx := context.Background()
-				widest := 0
-				for i := 0; i < 6; i++ {
-					generated := i%2 == 1
-					doc := paperObs(fmt.Sprintf("obs-%d", i), i)
-					if generated {
-						doc.ID = ""
+		t.Run(fmt.Sprintf("%d-shard", n), func(t *testing.T) {
+			e, tp := tappedEngine(t, n, paperSchema(), Config{})
+			tp.delay = 20 * time.Millisecond
+			ctx := context.Background()
+			widest := 0
+			for i := 0; i < 6; i++ {
+				generated := i%2 == 1
+				doc := paperObs(fmt.Sprintf("obs-%d", i), i)
+				if generated {
+					doc.ID = ""
+				}
+				tp.reset()
+				if _, err := e.Insert(ctx, "observation", doc); err != nil {
+					t.Fatal(err)
+				}
+				frames := tp.taken()
+				if got := subCalls(frames); !reflect.DeepEqual(got, want) {
+					t.Fatalf("sub-calls = %v, want %v", got, want)
+				}
+				ws := waves(frames)
+				flush := ws[len(ws)-1]
+				if generated {
+					if len(ws) != 1 {
+						t.Fatalf("generated id: %d waves, want 1: %+v", len(ws), frames)
 					}
-					tp.reset()
-					if _, err := e.Insert(ctx, "observation", doc); err != nil {
-						t.Fatal(err)
+				} else {
+					if len(ws[0]) != 1 || !reflect.DeepEqual(ws[0][0].subs, []string{"doc.put"}) {
+						t.Fatalf("caller id: first wave = %+v, want the doc.put reservation alone", ws[0])
 					}
-					frames := tp.taken()
-					if got := subCalls(frames); !reflect.DeepEqual(got, want) {
-						t.Fatalf("sub-calls = %v, want %v", got, want)
+					if len(ws) != 2 {
+						t.Fatalf("caller id: %d waves, want 2: %+v", len(ws), frames)
 					}
-					ws := waves(frames)
-					flush := ws[len(ws)-1]
-					if generated {
-						if !sequential && len(ws) != 1 {
-							t.Fatalf("generated id: %d waves, want 1: %+v", len(ws), frames)
-						}
-					} else {
-						if len(ws[0]) != 1 || !reflect.DeepEqual(ws[0][0].subs, []string{"doc.put"}) {
-							t.Fatalf("caller id: first wave = %+v, want the doc.put reservation alone", ws[0])
-						}
-						if !sequential && len(ws) != 2 {
-							t.Fatalf("caller id: %d waves, want 2: %+v", len(ws), frames)
-						}
-						frames = frames[1:]
-					}
-					// One frame per shard touched, whatever the wave count.
-					shards := map[int]int{}
-					for _, f := range frames {
-						shards[f.shard]++
-					}
-					for s, k := range shards {
-						if k != 1 {
-							t.Fatalf("shard %d carried %d frames of one flush, want 1: %+v", s, k, frames)
-						}
-					}
-					if sequential {
-						// Shard batches go one after another, in shard order.
-						if len(ws) != len(tp.taken()) {
-							t.Fatalf("sequential flush overlapped frames: %+v", frames)
-						}
-						for i := 1; i < len(frames); i++ {
-							if frames[i].shard < frames[i-1].shard {
-								t.Fatalf("sequential flush out of shard order: %+v", frames)
-							}
-						}
-					} else if len(flush) != len(shards) {
-						t.Fatalf("flush wave has %d frames for %d shards: %+v", len(flush), len(shards), frames)
-					}
-					if len(shards) > widest {
-						widest = len(shards)
+					frames = frames[1:]
+				}
+				// One frame per shard touched, all in one wave.
+				shards := map[int]int{}
+				for _, f := range frames {
+					shards[f.shard]++
+				}
+				for s, k := range shards {
+					if k != 1 {
+						t.Fatalf("shard %d carried %d frames of one flush, want 1: %+v", s, k, frames)
 					}
 				}
-				if n == 3 && widest < 2 {
-					t.Fatalf("no insert touched more than %d of 3 shards", widest)
+				if len(flush) != len(shards) {
+					t.Fatalf("flush wave has %d frames for %d shards: %+v", len(flush), len(shards), frames)
 				}
-			})
-		}
+				if len(shards) > widest {
+					widest = len(shards)
+				}
+			}
+			if n == 3 && widest < 2 {
+				t.Fatalf("no insert touched more than %d of 3 shards", widest)
+			}
+		})
 	}
 }
 

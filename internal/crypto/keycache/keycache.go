@@ -3,32 +3,17 @@
 // constructed AEAD/DET ciphers) on the gateway hot path. Derivation is
 // deterministic, so a cache hit is observationally identical to
 // re-deriving — the cache only removes CPU work, never changes results.
-//
-// A process-wide toggle (SetEnabled) lets benchmarks A/B the caches
-// without re-plumbing construction paths: while disabled every lookup
-// misses and nothing is stored.
 package keycache
 
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 )
 
 // DefaultSize is a reasonable bound for per-keyword caches: large enough
 // to cover a working set of hot keywords, small enough that adversarially
 // many distinct keywords cannot grow memory without bound.
 const DefaultSize = 1024
-
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled toggles all key caches process-wide.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether key caching is active.
-func Enabled() bool { return enabled.Load() }
 
 // Cache is a bounded LRU safe for concurrent use. The zero value is not
 // usable; construct with New.
@@ -58,12 +43,8 @@ func New[K comparable, V any](max int) *Cache[K, V] {
 }
 
 // Get returns the cached value for key, marking it most-recently used.
-// Always misses while caching is disabled.
 func (c *Cache[K, V]) Get(key K) (V, bool) {
 	var zero V
-	if !enabled.Load() {
-		return zero, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -75,11 +56,7 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 }
 
 // Put stores key→val, evicting the least-recently-used entry when full.
-// A no-op while caching is disabled.
 func (c *Cache[K, V]) Put(key K, val V) {
-	if !enabled.Load() {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

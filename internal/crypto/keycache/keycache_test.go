@@ -40,24 +40,6 @@ func TestPutUpdatesExisting(t *testing.T) {
 	}
 }
 
-func TestDisabledBypasses(t *testing.T) {
-	c := New[string, int](4)
-	c.Put("a", 1)
-	SetEnabled(false)
-	defer SetEnabled(true)
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("Get hit while disabled")
-	}
-	c.Put("b", 2)
-	SetEnabled(true)
-	if _, ok := c.Get("b"); ok {
-		t.Fatal("Put stored while disabled")
-	}
-	if v, ok := c.Get("a"); !ok || v != 1 {
-		t.Fatal("pre-disable entry lost")
-	}
-}
-
 func TestGetOrCompute(t *testing.T) {
 	c := New[string, int](4)
 	calls := 0
@@ -82,7 +64,7 @@ func TestGetOrCompute(t *testing.T) {
 }
 
 // TestConcurrentHammer exercises the cache from parallel goroutines under
-// -race: overlapping gets, puts, evictions, and toggle flips.
+// -race: overlapping gets, puts and evictions.
 func TestConcurrentHammer(t *testing.T) {
 	c := New[int, int](32)
 	var wg sync.WaitGroup
@@ -100,14 +82,5 @@ func TestConcurrentHammer(t *testing.T) {
 			}
 		}(g)
 	}
-	// A ninth goroutine flips the global toggle while the others run.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 100; i++ {
-			SetEnabled(i%2 == 0)
-		}
-		SetEnabled(true)
-	}()
 	wg.Wait()
 }

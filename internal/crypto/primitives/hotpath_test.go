@@ -2,13 +2,15 @@ package primitives
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"errors"
 	"sync"
 	"testing"
 )
 
-// TestPRFMatchesBaseline pins the pooled PRF to the allocate-per-call
-// reference output across toggle states and buffer reuse.
+// TestPRFMatchesBaseline pins the pooled PRF to a fresh stdlib HMAC across
+// buffer reuse.
 func TestPRFMatchesBaseline(t *testing.T) {
 	key, err := NewRandomKey()
 	if err != nil {
@@ -16,10 +18,11 @@ func TestPRFMatchesBaseline(t *testing.T) {
 	}
 	data := [][]byte{[]byte("namespace"), {0}, []byte("keyword")}
 
-	SetHotPathCaching(false)
-	want := PRF(key, data...)
-	SetHotPathCaching(true)
-	defer SetHotPathCaching(true)
+	ref := hmac.New(sha256.New, key[:])
+	for _, d := range data {
+		ref.Write(d)
+	}
+	want := ref.Sum(nil)
 
 	if got := PRF(key, data...); !bytes.Equal(got, want) {
 		t.Fatalf("pooled PRF = %x, want %x", got, want)
@@ -39,18 +42,21 @@ func TestPRFMatchesBaseline(t *testing.T) {
 	}
 }
 
+// TestDeriveKeyMemoMatchesBaseline pins the memoized DeriveKey to a direct
+// HKDF over the same master and label.
 func TestDeriveKeyMemoMatchesBaseline(t *testing.T) {
 	master, err := NewRandomKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetHotPathCaching(false)
-	want, err := DeriveKey(master, "label-a")
+	raw, err := HKDF(master[:], nil, []byte("label-a"), KeySize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetHotPathCaching(true)
-	defer SetHotPathCaching(true)
+	want, err := KeyFromBytes(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 3; i++ {
 		got, err := DeriveKey(master, "label-a")
 		if err != nil {
@@ -165,7 +171,6 @@ func TestHotPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetHotPathCaching(true)
 	data := []byte("allocation-regression-probe")
 
 	// PRFInto with a caller buffer: only the variadic slice remains once
@@ -245,7 +250,6 @@ func TestPRFStateMatchesPRF(t *testing.T) {
 		t.Errorf("PRFState.Append allocs/op = %.1f, want 0", got)
 	}
 
-	SetHotPathCaching(true)
 	for i := 0; i < 10000; i++ {
 		k := PRFKey(key, Uint64Bytes(uint64(i)))
 		NewPRFState(k).Append(buf, data)
@@ -267,7 +271,6 @@ func TestMACPoolConcurrent(t *testing.T) {
 	const keys = 128
 	ks := make([]Key, keys)
 	want := make([][]byte, keys)
-	SetHotPathCaching(true)
 	for i := range ks {
 		k, err := NewRandomKey()
 		if err != nil {
@@ -296,20 +299,11 @@ func TestMACPoolConcurrent(t *testing.T) {
 func BenchmarkPRFInto(b *testing.B) {
 	key, _ := NewRandomKey()
 	data := []byte("benchmark-keyword")
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"pooled", true}, {"baseline", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			SetHotPathCaching(mode.on)
-			defer SetHotPathCaching(true)
-			buf := make([]byte, 0, PRFSize)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				PRFInto(buf, key, data)
-			}
-		})
+	buf := make([]byte, 0, PRFSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PRFInto(buf, key, data)
 	}
 }
 

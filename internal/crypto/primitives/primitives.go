@@ -21,7 +21,6 @@ import (
 	"hash"
 	"io"
 	"sync"
-	"sync/atomic"
 )
 
 const (
@@ -70,22 +69,6 @@ func (k *Key) Zero() {
 		k[i] = 0
 	}
 }
-
-// hotPathCaching gates the HMAC state pool and the DeriveKey memo. Both
-// are semantically transparent (same outputs, fewer allocations); the
-// toggle exists so benchmarks can A/B the optimized hot path against the
-// allocate-per-call baseline.
-var hotPathCaching atomic.Bool
-
-func init() { hotPathCaching.Store(true) }
-
-// SetHotPathCaching enables or disables the HMAC state pool and the
-// DeriveKey memo (both on by default). It exists for benchmark baselines;
-// production code never needs to call it.
-func SetHotPathCaching(on bool) { hotPathCaching.Store(on) }
-
-// HotPathCaching reports whether the primitive-level caches are active.
-func HotPathCaching() bool { return hotPathCaching.Load() }
 
 // The HMAC pool: keyed HMAC states are reusable via Reset, so the states
 // for frequently used keys are pooled instead of re-initialized (two
@@ -150,10 +133,7 @@ func PRF(key Key, data ...[]byte) []byte {
 // letting hot paths reuse caller-owned buffers. dst may be nil.
 func PRFInto(dst []byte, key Key, data ...[]byte) []byte {
 	var mac hash.Hash
-	var pool *sync.Pool
-	if hotPathCaching.Load() {
-		pool = macPoolFor(key)
-	}
+	pool := macPoolFor(key)
 	if pool != nil {
 		mac = pool.Get().(hash.Hash)
 	} else {
@@ -260,32 +240,27 @@ var (
 // always yields the same sub-key, and results are memoized so HKDF runs
 // once per (master, label).
 func DeriveKey(master Key, label string) (Key, error) {
-	memo := hotPathCaching.Load()
 	mk := deriveMemoKey{master: master, label: label}
-	if memo {
-		deriveMemoMu.RLock()
-		k, ok := deriveMemo[mk]
-		deriveMemoMu.RUnlock()
-		if ok {
-			return k, nil
-		}
+	deriveMemoMu.RLock()
+	k, ok := deriveMemo[mk]
+	deriveMemoMu.RUnlock()
+	if ok {
+		return k, nil
 	}
 	raw, err := HKDF(master[:], nil, []byte(label), KeySize)
 	if err != nil {
 		return Key{}, err
 	}
-	k, err := KeyFromBytes(raw)
+	k, err = KeyFromBytes(raw)
 	if err != nil {
 		return Key{}, err
 	}
-	if memo {
-		deriveMemoMu.Lock()
-		if deriveMemo == nil || len(deriveMemo) >= deriveMemoMax {
-			deriveMemo = make(map[deriveMemoKey]Key, 64)
-		}
-		deriveMemo[mk] = k
-		deriveMemoMu.Unlock()
+	deriveMemoMu.Lock()
+	if deriveMemo == nil || len(deriveMemo) >= deriveMemoMax {
+		deriveMemo = make(map[deriveMemoKey]Key, 64)
 	}
+	deriveMemo[mk] = k
+	deriveMemoMu.Unlock()
 	return k, nil
 }
 

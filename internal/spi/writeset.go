@@ -64,9 +64,8 @@ func (ws *WriteSet) OnFailure(f func() error) { ws.failures = append(ws.failures
 // Flush commits the set and ships it: one transport.CallBatch per owning
 // shard, mutations in Add order within a batch. The calling goroutine sends
 // the first batch and hands each of the others to spawn, so they are in
-// flight together; with a nil spawn the batches go one after another in
-// ascending shard order, stopping at the first that fails. Batches do not
-// cancel each other, so the reported failure does not depend on timing:
+// flight together. Batches do not cancel each other, so the reported
+// failure does not depend on timing:
 // failed is the index of the first failed mutation of the lowest failing
 // shard, or -1 when a commit step failed (and when err is nil). On any
 // failure every OnFailure hook has run before Flush returns.
@@ -119,10 +118,6 @@ func (ws *WriteSet) ship(ctx context.Context, shards *ring.Ring, spawn func(func
 		b := &batches[s]
 		switch {
 		case b.calls == nil:
-		case spawn == nil:
-			if b.send(ctx, shards.Conn(s)); b.err != nil {
-				return ws.nth(owner, s, b.failed), b.err
-			}
 		case inline < 0:
 			inline = s
 		default:
