@@ -9,7 +9,6 @@ package cloud
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -99,6 +98,9 @@ type (
 // AdminService is the RPC service name of the node-introspection surface.
 const AdminService = "admin"
 
+// StatsArgs is admin.stats' empty argument; callers pass nil.
+type StatsArgs struct{}
+
 // StatsReply reports one node's storage footprint: per-namespace index
 // statistics and per-collection document counts. The sharding benchmark
 // gathers it from every shard to verify consistent-hash routing spreads
@@ -113,7 +115,8 @@ type Options struct {
 	// KVPath enables WAL persistence for the index store (a directory of
 	// log segments).
 	KVPath string
-	// DocDir enables WAL persistence for the document store.
+	// DocDir enables WAL persistence for the document store (a kvstore
+	// directory like KVPath).
 	DocDir string
 	// FsyncPolicy selects log durability for both stores: "always",
 	// "interval" (default), or "never".
@@ -133,25 +136,23 @@ func NewNode(opts Options) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cloud: %w", err)
 	}
-	var kv *kvstore.Store
-	if opts.KVPath != "" {
-		kv, err = kvstore.Open(opts.KVPath, kvstore.Options{Fsync: fsync})
-		if err != nil {
-			return nil, fmt.Errorf("cloud: opening kv store: %w", err)
+	// Both stores are kvstores, in memory unless given a directory.
+	open := func(dir string) (*kvstore.Store, error) {
+		if dir == "" {
+			return kvstore.New(), nil
 		}
-	} else {
-		kv = kvstore.New()
+		return kvstore.Open(dir, kvstore.Options{Fsync: fsync})
 	}
-	var docs *docstore.Store
-	if opts.DocDir != "" {
-		docs, err = docstore.Open(opts.DocDir, docstore.Options{Fsync: fsync})
-		if err != nil {
-			kv.Close()
-			return nil, fmt.Errorf("cloud: opening doc store: %w", err)
-		}
-	} else {
-		docs = docstore.New()
+	kv, err := open(opts.KVPath)
+	if err != nil {
+		return nil, fmt.Errorf("cloud: opening kv store: %w", err)
 	}
+	docKV, err := open(opts.DocDir)
+	if err != nil {
+		kv.Close()
+		return nil, fmt.Errorf("cloud: opening doc store: %w", err)
+	}
+	docs := docstore.Over(docKV)
 
 	mux := transport.NewMux()
 	tactics.RegisterCloud(mux, kv)
@@ -161,7 +162,7 @@ func NewNode(opts Options) (*Node, error) {
 }
 
 func registerAdminService(mux *transport.Mux, kv *kvstore.Store, docs *docstore.Store) {
-	mux.Handle(AdminService, "stats", func(_ context.Context, _ json.RawMessage) (any, error) {
+	transport.HandleTyped(mux, AdminService, "stats", func(_ context.Context, _ *StatsArgs) (any, error) {
 		ns, err := kv.Stats()
 		if err != nil {
 			return nil, err

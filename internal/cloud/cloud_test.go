@@ -2,11 +2,15 @@ package cloud
 
 import (
 	"context"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"datablinder/internal/store/wal"
 	"datablinder/internal/transport"
+	"datablinder/internal/wirefmt"
 )
 
 func TestNodeRegistersAllServices(t *testing.T) {
@@ -139,5 +143,84 @@ func TestNodeCloseIdempotent(t *testing.T) {
 	}
 	if err := node.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// writeOldDocLog writes a docs directory the way the document store did
+// before it became a kvstore hash: its own frames in the WAL, op 1 a put
+// (collection, id, blob), op 2 a delete (collection, id). With snapshot it
+// also leaves the final snapshot that store wrote on a clean close.
+func writeOldDocLog(t *testing.T, dir string, snapshot bool) {
+	t.Helper()
+	frame := func(op byte, id string, blob []byte) []byte {
+		b := wirefmt.AppendString([]byte{op}, "obs")
+		b = wirefmt.AppendString(b, id)
+		if op == 1 {
+			b = wirefmt.AppendBytes(b, blob)
+		}
+		return b
+	}
+	l, err := wal.Open(dir, wal.Options{Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := l.LoadSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Replay(func(uint64, []byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	for seq, f := range [][]byte{frame(1, "d1", []byte("sealed-1")), frame(1, "d2", []byte("sealed-2")), frame(2, "d1", nil)} {
+		if err := l.Append(uint64(seq+1), f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if snapshot {
+		if err := l.WriteSnapshot(3, wirefmt.AppendBytes(nil, frame(1, "d2", []byte("sealed-2")))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func readFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string)
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
+	}
+	return files
+}
+
+// TestNodeRefusesOldDocFormat: there is no migration from the document
+// store's own log format. A docs directory in it — crashed (log only) or
+// closed cleanly (log and snapshot) — fails NewNode with an error naming
+// the directory, and leaves every file in it byte-identical.
+func TestNodeRefusesOldDocFormat(t *testing.T) {
+	for _, snapshot := range []bool{false, true} {
+		dir := filepath.Join(t.TempDir(), "docs")
+		writeOldDocLog(t, dir, snapshot)
+		before := readFiles(t, dir)
+		node, err := NewNode(Options{DocDir: dir})
+		if err == nil {
+			node.Close()
+			t.Fatalf("snapshot=%v: NewNode opened a docs directory in the old format", snapshot)
+		}
+		if !strings.Contains(err.Error(), dir) {
+			t.Errorf("snapshot=%v: error %q does not name %s", snapshot, err, dir)
+		}
+		if after := readFiles(t, dir); !reflect.DeepEqual(before, after) {
+			t.Errorf("snapshot=%v: the failed open changed the directory: %d files before, %d after", snapshot, len(before), len(after))
+		}
 	}
 }

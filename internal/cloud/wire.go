@@ -1,11 +1,14 @@
-// Typed wire codecs (codec v2) for the document service: blobs ride as
-// raw bytes instead of base64 JSON. Registered at init so any process
-// importing this package — gateway and cloudserver both — negotiates them.
+// Typed wire codecs for the document and admin services: blobs ride as raw
+// bytes. Registered at init so any process importing this package —
+// gateway and cloudserver both — negotiates them.
 
 package cloud
 
 import (
+	"sort"
+
 	"datablinder/internal/store/docstore"
+	"datablinder/internal/store/kvstore"
 	"datablinder/internal/transport"
 	"datablinder/internal/wirefmt"
 )
@@ -32,7 +35,52 @@ func readRecords(r *wirefmt.Reader) []docstore.Record {
 	return recs
 }
 
+// sortedNames returns m's keys in order: a map encodes deterministically.
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for k := range m {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return names
+}
+
+func appendStats(b []byte, out *StatsReply) []byte {
+	b = wirefmt.AppendUvarint(b, uint64(len(out.Namespaces)))
+	for _, name := range sortedNames(out.Namespaces) {
+		ns := out.Namespaces[name]
+		b = wirefmt.AppendString(b, name)
+		b = wirefmt.AppendUvarint(b, uint64(ns.Keys))
+		b = wirefmt.AppendUvarint(b, uint64(ns.Items))
+		b = wirefmt.AppendInt64(b, ns.Bytes)
+	}
+	b = wirefmt.AppendUvarint(b, uint64(len(out.Collections)))
+	for _, name := range sortedNames(out.Collections) {
+		b = wirefmt.AppendString(b, name)
+		b = wirefmt.AppendUvarint(b, uint64(out.Collections[name]))
+	}
+	return b
+}
+
+func readStats(r *wirefmt.Reader, out *StatsReply) {
+	out.Namespaces = make(map[string]kvstore.NamespaceStats)
+	for n := r.Count(); n > 0; n-- {
+		name := r.String()
+		out.Namespaces[name] = kvstore.NamespaceStats{Keys: int(r.Uvarint()), Items: int(r.Uvarint()), Bytes: r.Int64()}
+	}
+	out.Collections = make(map[string]int)
+	for n := r.Count(); n > 0; n-- {
+		name := r.String()
+		out.Collections[name] = int(r.Uvarint())
+	}
+}
+
 func init() {
+	transport.RegisterCodec(AdminService, "stats", transport.Codec(
+		func(b []byte, _ *StatsArgs) []byte { return b },
+		func(*wirefmt.Reader, *StatsArgs) {},
+		appendStats, readStats,
+	))
 	transport.RegisterCodec(DocService, "put", transport.WriteCodec(
 		func(b []byte, a *DocPutArgs) []byte {
 			b = wirefmt.AppendString(b, a.Collection)

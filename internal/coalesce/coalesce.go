@@ -42,7 +42,6 @@ package coalesce
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -135,13 +134,11 @@ func classify(service, method string) opClass {
 // entry is one caller's queued sub-call plus its completion future. The
 // payload is pre-encoded with the underlying connection's wire codec at
 // enqueue time (exact byte accounting, byte-level dedup keys, encode-once
-// flushes); args is retained so the transport can re-encode for a socket
-// that did not negotiate the method.
+// flushes); args rides beside it for wrappers that inspect sub-calls.
 type entry struct {
 	service, method string
 	payload         []byte
-	typed           bool // payload uses the codec's typed (binary) encoding
-	size            int  // exact/estimated encoded sub-call size
+	size            int // exact encoded sub-call size
 	args            any
 	dedupKey        string // non-empty for reads
 	getArgs         *cloud.DocGetArgs
@@ -195,13 +192,13 @@ func (c *Conn) Call(ctx context.Context, service, method string, args, reply any
 		return c.under.Call(ctx, service, method, args, reply)
 	}
 	codec := transport.ConnCodec(c.under)
-	payload, typed, err := codec.EncodeArgs(service, method, args)
+	payload, err := codec.EncodeArgs(service, method, args)
 	if err != nil {
 		return err
 	}
 	c.enter()
 	defer c.exit()
-	e, ok := c.add(codec, service, method, payload, typed, args, cls)
+	e, ok := c.add(codec, service, method, payload, args, cls)
 	if !ok {
 		// Closed: fall through to the underlying conn, which reports it.
 		return c.under.Call(ctx, service, method, args, reply)
@@ -227,13 +224,13 @@ func (c *Conn) CallBatch(ctx context.Context, calls []transport.BatchCall) ([]tr
 	codec := transport.ConnCodec(c.under)
 	entries := make([]*entry, len(calls))
 	for i, call := range calls {
-		p, typed, err := codec.EncodeArgs(call.Service, call.Method, call.Args)
+		p, err := codec.EncodeArgs(call.Service, call.Method, call.Args)
 		if err != nil {
 			return nil, err
 		}
 		entries[i] = &entry{
 			service: call.Service, method: call.Method,
-			payload: p, typed: typed, args: call.Args,
+			payload: p, args: call.Args,
 			size: codec.SubSize(call.Service, call.Method, len(p)),
 			done: make(chan struct{}),
 		}
@@ -308,7 +305,7 @@ func (c *Conn) gatherReadyLocked() bool {
 
 // add enqueues one sub-call, possibly flushing. Reads join an identical
 // queued read instead of re-enqueueing. Returns ok=false when closed.
-func (c *Conn) add(codec transport.WireCodec, service, method string, payload []byte, typed bool, args any, cls opClass) (e *entry, ok bool) {
+func (c *Conn) add(codec transport.WireCodec, service, method string, payload []byte, args any, cls opClass) (e *entry, ok bool) {
 	var key string
 	if cls == opRead || cls == opGet {
 		// Byte-level dedup: identical reads encode identically.
@@ -341,7 +338,7 @@ func (c *Conn) add(codec transport.WireCodec, service, method string, payload []
 	}
 	e = &entry{
 		service: service, method: method,
-		payload: payload, typed: typed, args: args,
+		payload: payload, args: args,
 		size:     codec.SubSize(service, method, len(payload)),
 		dedupKey: key, done: make(chan struct{}),
 	}
@@ -351,13 +348,6 @@ func (c *Conn) add(codec transport.WireCodec, service, method string, payload []
 			e.getArgs = &ga
 		case *cloud.DocGetArgs:
 			e.getArgs = ga
-		default:
-			if !typed && len(payload) > 0 {
-				var parsed cloud.DocGetArgs
-				if json.Unmarshal(payload, &parsed) == nil {
-					e.getArgs = &parsed
-				}
-			}
 		}
 	}
 	batch, trigger := c.appendLocked([]*entry{e})
@@ -501,7 +491,7 @@ func (c *Conn) plan(batch []*entry) []planned {
 		plans = append(plans, planned{
 			call: transport.BatchCall{
 				Service: e.service, Method: e.method,
-				Args: e.args, Raw: e.payload, RawTyped: e.typed,
+				Args: e.args, Raw: e.payload,
 			},
 			members: []*entry{e},
 		})
@@ -516,7 +506,7 @@ func (c *Conn) plan(batch []*entry) []planned {
 			e := plans[i].members[0]
 			plans[i].call = transport.BatchCall{
 				Service: e.service, Method: e.method,
-				Args: e.args, Raw: e.payload, RawTyped: e.typed,
+				Args: e.args, Raw: e.payload,
 			}
 			plans[i].ids = nil
 		}
@@ -546,7 +536,7 @@ func (c *Conn) send(batch []*entry, trigger string) {
 		// A solo flush needs no batch framing: ship the pre-encoded payload
 		// and capture the raw result for the caller's deferred decode.
 		e := plans[0].members[0]
-		args := transport.RawArgs{Payload: e.payload, Typed: e.typed, Args: e.args}
+		args := transport.RawArgs{Payload: e.payload}
 		if err := c.under.Call(ctx, e.service, e.method, args, &e.res); err != nil {
 			e.res = transport.BatchResult{Err: err}
 		}
@@ -574,6 +564,9 @@ func (c *Conn) send(batch []*entry, trigger string) {
 	}
 }
 
+// docGet is the method a merged doc.getmany stands in for.
+const docGet = cloud.DocService + ".get"
+
 // demuxGetMany fans a merged doc.getmany result back into per-caller
 // doc.get replies, synthesizing the not-found error a direct doc.get
 // would have returned for ids the store does not hold.
@@ -591,6 +584,7 @@ func demuxGetMany(p planned, res transport.BatchResult) {
 		}
 		return
 	}
+	codec := transport.LookupCodec(docGet)
 	found := make(map[string][]byte, len(reply.Records))
 	for _, rec := range reply.Records {
 		found[rec.ID] = rec.Blob
@@ -604,12 +598,12 @@ func demuxGetMany(p planned, res transport.BatchResult) {
 			}}
 			continue
 		}
-		payload, err := json.Marshal(cloud.DocGetReply{Blob: blob})
+		payload, err := codec.EncodeReply(nil, &cloud.DocGetReply{Blob: blob})
 		if err != nil {
 			e.res = transport.BatchResult{Err: err}
 			continue
 		}
-		e.res = transport.BatchResult{Payload: payload}
+		e.res = transport.BatchResult{Payload: payload, Name: docGet}
 	}
 }
 

@@ -2,7 +2,6 @@ package coalesce
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -59,11 +58,7 @@ func testConn(t *testing.T, opts Options, register func(*transport.Mux)) (*Conn,
 // order and fails ids the fail set names.
 func putRecorder(ids *[]string, mu *sync.Mutex, fail map[string]bool) func(*transport.Mux) {
 	return func(mux *transport.Mux) {
-		mux.Handle(cloud.DocService, "put", func(_ context.Context, payload json.RawMessage) (any, error) {
-			var a cloud.DocPutArgs
-			if err := json.Unmarshal(payload, &a); err != nil {
-				return nil, err
-			}
+		transport.HandleTyped(mux, cloud.DocService, "put", func(_ context.Context, a *cloud.DocPutArgs) (any, error) {
 			mu.Lock()
 			*ids = append(*ids, a.ID)
 			mu.Unlock()
@@ -198,11 +193,7 @@ func TestGatherFlush(t *testing.T) {
 	var first atomic.Bool
 	first.Store(true)
 	c, counting := testConn(t, Options{Window: time.Minute}, func(mux *transport.Mux) {
-		mux.Handle(cloud.DocService, "put", func(_ context.Context, payload json.RawMessage) (any, error) {
-			var a cloud.DocPutArgs
-			if err := json.Unmarshal(payload, &a); err != nil {
-				return nil, err
-			}
+		transport.HandleTyped(mux, cloud.DocService, "put", func(_ context.Context, a *cloud.DocPutArgs) (any, error) {
 			if first.CompareAndSwap(true, false) {
 				close(entered)
 				<-block
@@ -303,15 +294,15 @@ func (f failBatches) Call(ctx context.Context, service, method string, args, rep
 func TestSingleflight(t *testing.T) {
 	var calls atomic.Int64
 	c, _ := testConn(t, Options{NoGatherFlush: true, Window: time.Minute}, func(mux *transport.Mux) {
-		mux.Handle(dettactic.Service, "lookup", func(_ context.Context, _ json.RawMessage) (any, error) {
+		transport.HandleTyped(mux, dettactic.Service, "lookup", func(context.Context, *dettactic.LookupArgs) (any, error) {
 			calls.Add(1)
-			return []string{"id1"}, nil
+			return &dettactic.LookupReply{DocIDs: []string{"id1"}}, nil
 		})
 	})
 	lookup := func() ([]string, error) {
-		var out []string
-		err := c.Call(context.Background(), dettactic.Service, "lookup", map[string]string{"token": "tk"}, &out)
-		return out, err
+		var out dettactic.LookupReply
+		err := c.Call(context.Background(), dettactic.Service, "lookup", dettactic.LookupArgs{CT: []byte("tk")}, &out)
+		return out.DocIDs, err
 	}
 
 	res := make([][]string, 2)
@@ -479,7 +470,7 @@ func TestAbandonedCaller(t *testing.T) {
 // TestPassthrough: setup and admin traffic bypasses the queue entirely.
 func TestPassthrough(t *testing.T) {
 	c, counting := testConn(t, Options{NoGatherFlush: true, Window: time.Minute}, func(mux *transport.Mux) {
-		mux.Handle(sophostactic.Service, "setup", func(_ context.Context, _ json.RawMessage) (any, error) {
+		transport.HandleTyped(mux, sophostactic.Service, "setup", func(context.Context, *sophostactic.SetupArgs) (any, error) {
 			return nil, nil
 		})
 	})

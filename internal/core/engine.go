@@ -651,28 +651,37 @@ func (rt *schemaRuntime) openDoc(id string, blob []byte) (*model.Document, error
 	return &model.Document{ID: id, Fields: fields}, nil
 }
 
+// canonicalValue converts a value of a field of type t to the engine's
+// internal type: int64 for ints, float64 for floats with -0 made 0, so the
+// two zeros index, order and compare alike. Other types pass unchanged.
+func canonicalValue(t model.FieldType, v any) (any, error) {
+	switch t {
+	case model.TypeInt:
+		i, _, err := model.NormalizeNumeric(v, t)
+		return i, err
+	case model.TypeFloat:
+		_, fl, err := model.NormalizeNumeric(v, t)
+		if fl == 0 {
+			fl = 0
+		}
+		return fl, err
+	}
+	return v, nil
+}
+
 // normalizeInput canonicalizes caller-provided values to the engine's
-// internal types (int64 for ints, float64 for floats).
+// internal types (see canonicalValue).
 func normalizeInput(s *model.Schema, fields map[string]any) error {
 	for name, v := range fields {
 		f, ok := s.Field(name)
 		if !ok {
 			continue
 		}
-		switch f.Type {
-		case model.TypeInt:
-			i, _, err := model.NormalizeNumeric(v, model.TypeInt)
-			if err != nil {
-				return fmt.Errorf("core: field %q: %w", name, err)
-			}
-			fields[name] = i
-		case model.TypeFloat:
-			_, fl, err := model.NormalizeNumeric(v, model.TypeFloat)
-			if err != nil {
-				return fmt.Errorf("core: field %q: %w", name, err)
-			}
-			fields[name] = fl
+		c, err := canonicalValue(f.Type, v)
+		if err != nil {
+			return fmt.Errorf("core: field %q: %w", name, err)
 		}
+		fields[name] = c
 	}
 	return nil
 }

@@ -331,22 +331,7 @@ func canonicalQueryValue(s *model.Schema, field string, v any) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown field %q", ErrUnsupportedQuery, field)
 	}
-	switch f.Type {
-	case model.TypeInt:
-		i, _, err := model.NormalizeNumeric(v, model.TypeInt)
-		if err != nil {
-			return nil, err
-		}
-		return i, nil
-	case model.TypeFloat:
-		_, fl, err := model.NormalizeNumeric(v, model.TypeFloat)
-		if err != nil {
-			return nil, err
-		}
-		return fl, nil
-	default:
-		return v, nil
-	}
+	return canonicalValue(f.Type, v)
 }
 
 func toSet(ids []string) idSet {

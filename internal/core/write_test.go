@@ -88,9 +88,6 @@ func (c *tapConn) Call(ctx context.Context, service, method string, args, reply 
 	calls, batch := args.([]transport.BatchCall)
 	if !batch || service != transport.BatchService {
 		calls = []transport.BatchCall{{Service: service, Method: method, Args: args}}
-		if raw, ok := args.(transport.RawArgs); ok {
-			calls[0].Args = raw.Args
-		}
 	}
 	f := frame{shard: c.shard, start: time.Now()}
 	for _, call := range calls {
@@ -115,6 +112,15 @@ func (c *tapConn) Call(ctx context.Context, service, method string, args, reply 
 		return c.inner.Call(ctx, service, method, args, reply)
 	}
 	if !batch {
+		if raw, ok := args.(transport.RawArgs); ok && len(raw.Payload) > 0 {
+			// A coalescer's solo flush ships the pre-encoded payload; failSub
+			// inspects the args it stands for.
+			codec := transport.LookupCodec(service + "." + method)
+			calls[0].Args = codec.NewArgs()
+			if err := codec.DecodeArgs(raw.Payload, calls[0].Args); err != nil {
+				return err
+			}
+		}
 		if err := failSub(c.shard, calls[0]); err != nil {
 			return err
 		}

@@ -631,7 +631,9 @@ func checkValueType(v any, t FieldType) error {
 
 // NormalizeNumeric converts any accepted numeric representation to int64
 // (for TypeInt) or float64 (for TypeFloat), returning an error for
-// non-numeric input. It is used by tactics that index numeric values.
+// non-numeric input. It is used by tactics that index numeric values. A
+// float stands for an int only when it is a whole number inside int64's
+// range.
 func NormalizeNumeric(v any, t FieldType) (int64, float64, error) {
 	switch t {
 	case TypeInt:
@@ -641,7 +643,7 @@ func NormalizeNumeric(v any, t FieldType) (int64, float64, error) {
 		case int:
 			return int64(x), float64(x), nil
 		case float64:
-			if x == math.Trunc(x) && !math.IsInf(x, 0) {
+			if x == math.Trunc(x) && x >= -(1<<63) && x < 1<<63 {
 				return int64(x), x, nil
 			}
 		}

@@ -2,6 +2,7 @@ package model
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -407,6 +408,15 @@ func TestNormalizeNumeric(t *testing.T) {
 	}
 	if _, f, err := NormalizeNumeric(6, TypeFloat); err != nil || f != 6.0 {
 		t.Fatalf("NormalizeNumeric(int->float) = %g, %v", f, err)
+	}
+	if i, _, err := NormalizeNumeric(-9.223372036854775808e18, TypeInt); err != nil || i != math.MinInt64 {
+		t.Fatalf("NormalizeNumeric(-2^63 as float) = %d, %v", i, err)
+	}
+	// A whole float past int64's range is no int: converting it would wrap.
+	for _, f := range []float64{9.223372036854775808e18, 1e300, math.Inf(-1), math.NaN()} {
+		if i, _, err := NormalizeNumeric(f, TypeInt); err == nil {
+			t.Fatalf("NormalizeNumeric(%g, int) = %d, want an error", f, i)
+		}
 	}
 	if _, _, err := NormalizeNumeric("oops", TypeInt); err == nil {
 		t.Fatal("NormalizeNumeric accepted a string")

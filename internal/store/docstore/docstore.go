@@ -2,10 +2,10 @@
 // cloud side keeps encrypted documents in. The original system used MongoDB
 // or Elasticsearch; the middleware only ever needs put/get/delete/scan by
 // document identifier on opaque (encrypted) blobs within named collections,
-// which this package provides backed by the segmented binary write-ahead
-// log in internal/store/wal: every mutation is logged as it happens (not
-// only at Close, as the old JSON-snapshot scheme did), so a crash loses at
-// most the configured fsync window.
+// which this package provides as a thin layer over a kvstore: one hash per
+// collection, the document id as the field, the blob as the value. The
+// kvstore's write-ahead log is therefore the documents' only on-disk
+// format, and a crash loses at most its configured fsync window.
 //
 // All operations are safe for concurrent use.
 package docstore
@@ -13,16 +13,13 @@ package docstore
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 
-	"datablinder/internal/store/wal"
+	"datablinder/internal/store/kvstore"
 )
 
 // Common errors.
 var (
-	ErrClosed   = errors.New("docstore: store is closed")
+	ErrClosed   = kvstore.ErrClosed
 	ErrNotFound = errors.New("docstore: document not found")
 	ErrExists   = errors.New("docstore: document already exists")
 )
@@ -35,98 +32,52 @@ type Record struct {
 	Blob []byte `json:"blob"`
 }
 
-// Store is an in-memory multi-collection document store with optional WAL
-// persistence.
+// Store is a multi-collection document store kept in a kvstore.
 type Store struct {
-	mu          sync.RWMutex
-	collections map[string]map[string][]byte
-	closed      bool
-	seq         uint64 // last claimed commit sequence; guarded by mu
-
-	wal        *wal.Log
-	opts       Options
-	wg         sync.WaitGroup
-	compacting atomic.Bool
+	kv *kvstore.Store
 }
 
 // New returns an empty in-memory store with no persistence.
-func New() *Store {
-	return &Store{collections: make(map[string]map[string][]byte)}
-}
+func New() *Store { return Over(kvstore.New()) }
 
-func (s *Store) collection(name string) map[string][]byte {
-	col := s.collections[name]
-	if col == nil {
-		col = make(map[string][]byte)
-		s.collections[name] = col
-	}
-	return col
-}
+// Over returns a store that keeps its documents in kv, which it owns from
+// then on: Close closes kv. Open kv with kvstore.Open to persist them.
+func Over(kv *kvstore.Store) *Store { return &Store{kv: kv} }
 
 // Insert stores blob under id in collection, failing if id already exists.
 func (s *Store) Insert(collection, id string, blob []byte) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	col := s.collection(collection)
-	if _, ok := col[id]; ok {
-		s.mu.Unlock()
+	ok, err := s.kv.HSetNX([]byte(collection), []byte(id), blob)
+	if err == nil && !ok {
 		return fmt.Errorf("%w: %s/%s", ErrExists, collection, id)
 	}
-	col[id] = append([]byte(nil), blob...)
-	seq, ok := s.claimLocked()
-	s.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	return s.logPut(seq, collection, id, blob)
+	return err
 }
 
 // Put stores blob under id in collection, overwriting any existing value.
 func (s *Store) Put(collection, id string, blob []byte) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	s.collection(collection)[id] = append([]byte(nil), blob...)
-	seq, ok := s.claimLocked()
-	s.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	return s.logPut(seq, collection, id, blob)
+	return s.kv.HSet([]byte(collection), []byte(id), blob)
 }
 
 // Get returns the blob stored under id in collection.
 func (s *Store) Get(collection, id string) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	blob, ok := s.collections[collection][id]
-	if !ok {
+	blob, ok, err := s.kv.HGet([]byte(collection), []byte(id))
+	if err == nil && !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, collection, id)
 	}
-	return append([]byte(nil), blob...), nil
+	return blob, err
 }
 
 // GetMany returns the records for the given ids, skipping missing ones.
 // The result preserves the order of ids.
 func (s *Store) GetMany(collection string, ids []string) ([]Record, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, ErrClosed
+	blobs, err := s.kv.HMGet([]byte(collection), ids)
+	if err != nil {
+		return nil, err
 	}
-	col := s.collections[collection]
 	out := make([]Record, 0, len(ids))
-	for _, id := range ids {
-		if blob, ok := col[id]; ok {
-			out = append(out, Record{ID: id, Blob: append([]byte(nil), blob...)})
+	for i, blob := range blobs {
+		if blob != nil {
+			out = append(out, Record{ID: ids[i], Blob: blob})
 		}
 	}
 	return out, nil
@@ -135,84 +86,64 @@ func (s *Store) GetMany(collection string, ids []string) ([]Record, error) {
 // Delete removes id from collection. Deleting a missing document returns
 // ErrNotFound.
 func (s *Store) Delete(collection, id string) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	col := s.collections[collection]
-	if _, ok := col[id]; !ok {
-		s.mu.Unlock()
+	ok, err := s.kv.HRemove([]byte(collection), []byte(id))
+	if err == nil && !ok {
 		return fmt.Errorf("%w: %s/%s", ErrNotFound, collection, id)
 	}
-	delete(col, id)
-	seq, ok := s.claimLocked()
-	s.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	return s.logDel(seq, collection, id)
-}
-
-// Exists reports whether id is present in collection.
-func (s *Store) Exists(collection, id string) (bool, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return false, ErrClosed
-	}
-	_, ok := s.collections[collection][id]
-	return ok, nil
+	return err
 }
 
 // Count returns the number of documents in collection.
 func (s *Store) Count(collection string) (int, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
-	return len(s.collections[collection]), nil
+	return s.kv.HLen([]byte(collection))
 }
 
 // Scan returns up to limit records from collection with id > after, in id
-// order. A limit <= 0 means no limit. It supports the RND tactic's
-// exhaustive equality search and administrative tooling.
+// order. A limit <= 0 means no limit. It supports administrative tooling;
+// a document deleted while the page is read is left out of it.
 func (s *Store) Scan(collection, after string, limit int) ([]Record, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, ErrClosed
+	ids, err := s.kv.HFields([]byte(collection))
+	if err != nil {
+		return nil, err
 	}
-	col := s.collections[collection]
-	ids := make([]string, 0, len(col))
-	for id := range col {
-		if id > after {
-			ids = append(ids, id)
+	var out []Record
+	for _, id := range ids {
+		if string(id) <= after {
+			continue
 		}
-	}
-	sort.Strings(ids)
-	if limit > 0 && len(ids) > limit {
-		ids = ids[:limit]
-	}
-	out := make([]Record, len(ids))
-	for i, id := range ids {
-		out[i] = Record{ID: id, Blob: append([]byte(nil), col[id]...)}
+		if limit > 0 && len(out) == limit {
+			break
+		}
+		blob, ok, err := s.kv.HGet([]byte(collection), id)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, Record{ID: string(id), Blob: blob})
+		}
 	}
 	return out, nil
 }
 
 // Collections returns the collection names, sorted.
 func (s *Store) Collections() ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, ErrClosed
+	keys, err := s.kv.HKeys(nil)
+	if err != nil {
+		return nil, err
 	}
-	names := make([]string, 0, len(s.collections))
-	for n := range s.collections {
-		names = append(names, n)
+	names := make([]string, len(keys))
+	for i, k := range keys {
+		names[i] = string(k)
 	}
-	sort.Strings(names)
 	return names, nil
+}
+
+// Close writes a final snapshot, so that the next open recovers from it
+// instead of replaying the log, and closes the store. Close is idempotent.
+func (s *Store) Close() error {
+	if err := s.kv.Compact(); err != nil && !errors.Is(err, kvstore.ErrClosed) {
+		s.kv.Close()
+		return fmt.Errorf("docstore: final snapshot: %w", err)
+	}
+	return s.kv.Close()
 }

@@ -8,7 +8,19 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"datablinder/internal/store/kvstore"
 )
+
+// open returns a store persisted under dir.
+func open(t *testing.T, dir string) *Store {
+	t.Helper()
+	kv, err := kvstore.Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	return Over(kv)
+}
 
 func TestInsertGetDelete(t *testing.T) {
 	s := New()
@@ -115,11 +127,11 @@ func TestCountExists(t *testing.T) {
 	if n, _ := s.Count("c"); n != 2 {
 		t.Fatalf("Count = %d", n)
 	}
-	if ok, _ := s.Exists("c", "a"); !ok {
-		t.Fatal("Exists(a) = false")
+	if _, err := s.Get("c", "a"); err != nil {
+		t.Fatalf("Get(a) = %v", err)
 	}
-	if ok, _ := s.Exists("c", "z"); ok {
-		t.Fatal("Exists(z) = true")
+	if _, err := s.Get("c", "z"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get(z) = %v, want ErrNotFound", err)
 	}
 }
 
@@ -141,21 +153,19 @@ func TestBlobCopySemantics(t *testing.T) {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	s := open(t, dir)
 	payload := []byte{0x00, 0x01, 0xFF, 'j', 's', 'o', 'n'}
 	s.Put("obs", "d1", payload)
 	s.Put("patients", "p1", []byte("enc"))
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
+	// Close leaves a final snapshot for the next open to recover from.
+	if snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap")); len(snaps) != 1 {
+		t.Fatalf("snapshots after Close = %v, want one", snaps)
 	}
+
+	s2 := open(t, dir)
 	defer s2.Close()
 	got, err := s2.Get("obs", "d1")
 	if err != nil || !bytes.Equal(got, payload) {
@@ -227,10 +237,7 @@ func TestOpenIgnoresForeignFiles(t *testing.T) {
 		}
 	}
 	os.MkdirAll(filepath.Join(dir, "subdir"), 0o700)
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open with foreign files: %v", err)
-	}
+	s := open(t, dir)
 	if names, err := s.Collections(); err != nil || len(names) != 0 {
 		t.Fatalf("store opened with collections %v (%v), want empty", names, err)
 	}

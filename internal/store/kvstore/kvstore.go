@@ -144,13 +144,29 @@ func (s *Store) Del(key []byte) error {
 
 // HSet stores value under (key, field) in a hash map.
 func (s *Store) HSet(key, field, value []byte) error {
+	_, err := s.hset(key, field, value, false)
+	return err
+}
+
+// HSetNX stores value under (key, field) only if the field is absent, and
+// reports whether it did. Check and write are one step under the key's
+// lock; the write logs the frame HSet does, a refusal logs nothing.
+func (s *Store) HSetNX(key, field, value []byte) (bool, error) {
+	return s.hset(key, field, value, true)
+}
+
+func (s *Store) hset(key, field, value []byte, ifAbsent bool) (bool, error) {
 	sh := s.shard(key)
 	sh.mu.Lock()
 	if s.closed.Load() {
 		sh.mu.Unlock()
-		return ErrClosed
+		return false, ErrClosed
 	}
 	h := sh.hashes[string(key)]
+	if _, ok := h[string(field)]; ok && ifAbsent {
+		sh.mu.Unlock()
+		return false, nil
+	}
 	if h == nil {
 		h = make(map[string][]byte)
 		sh.hashes[string(key)] = h
@@ -159,9 +175,9 @@ func (s *Store) HSet(key, field, value []byte) error {
 	seq, ok := s.claim()
 	sh.mu.Unlock()
 	if !ok {
-		return nil
+		return true, nil
 	}
-	return s.log3(seq, opHSet, key, field, value)
+	return true, s.log3(seq, opHSet, key, field, value)
 }
 
 // HGet returns the value for (key, field) and whether it exists.
@@ -179,21 +195,60 @@ func (s *Store) HGet(key, field []byte) ([]byte, bool, error) {
 	return append([]byte(nil), v...), true, nil
 }
 
+// HMGet returns the values of fields in the hash at key, in field order,
+// read under one lock; a missing field's value is nil, a present one's is
+// never nil. The fields are strings because batch readers hold their ids
+// as strings, and converting each to []byte would cost a copy.
+func (s *Store) HMGet(key []byte, fields []string) ([][]byte, error) {
+	sh := s.shard(key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if s.closed.Load() {
+		return nil, ErrClosed
+	}
+	h := sh.hashes[string(key)]
+	out := make([][]byte, len(fields))
+	for i, f := range fields {
+		if v, ok := h[f]; ok {
+			out[i] = append(make([]byte, 0, len(v)), v...)
+		}
+	}
+	return out, nil
+}
+
 // HDel removes field from the hash at key.
 func (s *Store) HDel(key, field []byte) error {
+	_, err := s.hdel(key, field, false)
+	return err
+}
+
+// HRemove removes field from the hash at key and reports whether it was
+// there. Check and delete are one step under the key's lock; a removal logs
+// the frame HDel does, a miss logs nothing.
+func (s *Store) HRemove(key, field []byte) (bool, error) {
+	return s.hdel(key, field, true)
+}
+
+func (s *Store) hdel(key, field []byte, ifPresent bool) (bool, error) {
 	sh := s.shard(key)
 	sh.mu.Lock()
 	if s.closed.Load() {
 		sh.mu.Unlock()
-		return ErrClosed
+		return false, ErrClosed
 	}
-	delete(sh.hashes[string(key)], string(field))
+	h := sh.hashes[string(key)]
+	_, present := h[string(field)]
+	if !present && ifPresent {
+		sh.mu.Unlock()
+		return false, nil
+	}
+	delete(h, string(field))
 	seq, ok := s.claim()
 	sh.mu.Unlock()
 	if !ok {
-		return nil
+		return present, nil
 	}
-	return s.log2(seq, opHDel, key, field)
+	return present, s.log2(seq, opHDel, key, field)
 }
 
 // HLen returns the number of fields in the hash at key.
@@ -346,6 +401,16 @@ func (s *Store) Counter(key []byte) (int64, error) {
 // Keys returns all string keys with the given prefix, sorted. It exists for
 // administrative tooling and tests; tactics never enumerate keys.
 func (s *Store) Keys(prefix []byte) ([][]byte, error) {
+	return sortedKeys(s, prefix, func(sh *shard) map[string][]byte { return sh.strings })
+}
+
+// HKeys returns the keys holding hash maps with the given prefix, sorted.
+func (s *Store) HKeys(prefix []byte) ([][]byte, error) {
+	return sortedKeys(s, prefix, func(sh *shard) map[string]map[string][]byte { return sh.hashes })
+}
+
+// sortedKeys lists the keys of one namespace, picked from each shard by of.
+func sortedKeys[V any](s *Store, prefix []byte, of func(*shard) map[string]V) ([][]byte, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -354,7 +419,7 @@ func (s *Store) Keys(prefix []byte) ([][]byte, error) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for k := range sh.strings {
+		for k := range of(sh) {
 			if strings.HasPrefix(k, p) {
 				keys = append(keys, k)
 			}

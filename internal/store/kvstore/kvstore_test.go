@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"datablinder/internal/store/wal"
 )
 
 func TestSetGetDel(t *testing.T) {
@@ -72,6 +74,12 @@ func TestHashOps(t *testing.T) {
 	if err != nil || len(fields) != 2 || string(fields[0]) != "f1" || string(fields[1]) != "f2" {
 		t.Fatalf("HFields = %v, %v", fields, err)
 	}
+	s.HSet([]byte("h"), []byte("empty"), nil)
+	vals, err := s.HMGet([]byte("h"), []string{"f2", "missing", "empty", "f1"})
+	if err != nil || string(vals[0]) != "v2" || vals[1] != nil || vals[2] == nil || len(vals[2]) != 0 || string(vals[3]) != "v1" {
+		t.Fatalf("HMGet = %q, %v; want v2, nil, empty, v1", vals, err)
+	}
+	s.HDel([]byte("h"), []byte("empty"))
 	if err := s.HDel([]byte("h"), []byte("f1")); err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +88,62 @@ func TestHashOps(t *testing.T) {
 	}
 	if n, _ := s.HLen([]byte("h")); n != 1 {
 		t.Fatalf("HLen after HDel = %d, want 1", n)
+	}
+}
+
+// TestHashConditionalOps: HSetNX writes only an absent field and HRemove
+// reports presence; a refusal or a miss appends nothing to the log, and
+// what they did write replays.
+func TestHashConditionalOps(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store")
+	s, err := Open(path, Options{Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := []byte("docs")
+	if ok, err := s.HSetNX(h, []byte("d1"), []byte("first")); err != nil || !ok {
+		t.Fatalf("HSetNX on an absent field = %v, %v", ok, err)
+	}
+	appends := s.WAL().Stats().Appends
+	if ok, err := s.HSetNX(h, []byte("d1"), []byte("second")); err != nil || ok {
+		t.Fatalf("HSetNX on a present field = %v, %v", ok, err)
+	}
+	if v, _, _ := s.HGet(h, []byte("d1")); string(v) != "first" {
+		t.Fatalf("refused HSetNX overwrote the field: %q", v)
+	}
+	if ok, err := s.HRemove(h, []byte("nope")); err != nil || ok {
+		t.Fatalf("HRemove of an absent field = %v, %v", ok, err)
+	}
+	if got := s.WAL().Stats().Appends; got != appends {
+		t.Fatalf("a refused HSetNX and a missed HRemove appended %d records", got-appends)
+	}
+	for _, f := range []string{"d2", "d3"} {
+		if ok, err := s.HSetNX(h, []byte(f), []byte(f)); err != nil || !ok {
+			t.Fatalf("HSetNX %s = %v, %v", f, ok, err)
+		}
+	}
+	if ok, err := s.HRemove(h, []byte("d2")); err != nil || !ok {
+		t.Fatalf("HRemove of a present field = %v, %v", ok, err)
+	}
+	s.Set([]byte("plain"), []byte("string key"))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	fields, _ := s2.HFields(h)
+	if fmt.Sprintf("%s", fields) != "[d1 d3]" {
+		t.Fatalf("replayed fields = %s, want [d1 d3]", fields)
+	}
+	if v, _, _ := s2.HGet(h, []byte("d1")); string(v) != "first" {
+		t.Fatalf("replayed d1 = %q, want first", v)
+	}
+	if keys, _ := s2.HKeys(nil); fmt.Sprintf("%s", keys) != "[docs]" {
+		t.Fatalf("HKeys = %s, want only the hash", keys)
 	}
 }
 

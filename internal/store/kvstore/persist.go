@@ -84,7 +84,7 @@ func Open(path string, options ...Options) (*Store, error) {
 	}
 	if err := s.recover(l); err != nil {
 		l.Close()
-		return nil, err
+		return nil, fmt.Errorf("kvstore: %s: %w", path, err)
 	}
 	s.wal = l
 	s.seq.Store(l.MaxSeq())
@@ -171,103 +171,89 @@ func (s *Store) logIncr(seq uint64, key []byte, delta int64) error {
 	return err
 }
 
-// frameShard routes a frame to its lock stripe by peeking the leading key.
-func frameShard(frame []byte) (int, error) {
-	if len(frame) < 2 || frame[0] < opSet || frame[0] > opMax {
-		return 0, fmt.Errorf("kvstore: malformed frame (%d bytes)", len(frame))
-	}
-	r := wirefmt.GetReader(frame[1:])
-	key := r.Bytes()
-	err := r.Err()
-	wirefmt.PutReader(r)
-	if err != nil {
-		return 0, fmt.Errorf("kvstore: malformed frame key: %w", err)
-	}
-	return shardIndex(key), nil
+// mutation is one decoded frame. Its slices alias the frame: a and b are
+// the field and value (opHSet), the field (opHDel), the member (opSAdd,
+// opSRem), the value (opSet, in b) or the score and member (opZAdd, opZRem).
+type mutation struct {
+	op    byte
+	key   []byte
+	a, b  []byte
+	delta int64
 }
 
-// applyFrame decodes one frame and mutates sh. Recovery-only: the caller
-// owns the shard exclusively, and the frame's backing memory, so decoded
-// slices are stored without copying.
-func (s *Store) applyFrame(sh *shard, frame []byte) error {
+// decodeFrame decodes and checks one frame in full.
+func decodeFrame(frame []byte) (mutation, error) {
+	if len(frame) < 2 || frame[0] < opSet || frame[0] > opMax {
+		return mutation{}, fmt.Errorf("malformed frame (%d bytes)", len(frame))
+	}
+	m := mutation{op: frame[0]}
 	r := wirefmt.GetReader(frame[1:])
 	defer wirefmt.PutReader(r)
-	k := r.String()
-	switch frame[0] {
+	m.key = r.Bytes()
+	switch m.op {
 	case opSet:
-		v := r.Bytes()
-		if err := r.Finish(); err != nil {
-			return err
-		}
-		sh.strings[k] = v
+		m.b = r.Bytes()
+	case opHSet, opZAdd, opZRem:
+		m.a, m.b = r.Bytes(), r.Bytes()
+	case opHDel, opSAdd, opSRem:
+		m.a = r.Bytes()
+	case opIncr:
+		m.delta = r.Int64()
+	}
+	if err := r.Finish(); err != nil {
+		return mutation{}, fmt.Errorf("malformed op %d frame: %w", m.op, err)
+	}
+	return m, nil
+}
+
+// apply replays m onto sh. Recovery-only: the caller owns the shard
+// exclusively, and the frame's backing memory, so slices are stored
+// without copying.
+func (sh *shard) apply(m mutation) {
+	k := string(m.key)
+	switch m.op {
+	case opSet:
+		sh.strings[k] = m.b
 	case opDel:
-		if err := r.Finish(); err != nil {
-			return err
-		}
 		delete(sh.strings, k)
 		delete(sh.hashes, k)
 		delete(sh.sets, k)
 		delete(sh.counters, k)
 		delete(sh.zsets, k)
 	case opHSet:
-		f := r.String()
-		v := r.Bytes()
-		if err := r.Finish(); err != nil {
-			return err
-		}
 		h := sh.hashes[k]
 		if h == nil {
 			h = make(map[string][]byte)
 			sh.hashes[k] = h
 		}
-		h[f] = v
+		h[string(m.a)] = m.b
 	case opHDel:
-		f := r.String()
-		if err := r.Finish(); err != nil {
-			return err
-		}
-		delete(sh.hashes[k], f)
+		delete(sh.hashes[k], string(m.a))
 	case opSAdd:
-		m := r.String()
-		if err := r.Finish(); err != nil {
-			return err
-		}
 		set := sh.sets[k]
 		if set == nil {
 			set = make(map[string]struct{})
 			sh.sets[k] = set
 		}
-		set[m] = struct{}{}
+		set[string(m.a)] = struct{}{}
 	case opSRem:
-		m := r.String()
-		if err := r.Finish(); err != nil {
-			return err
-		}
-		delete(sh.sets[k], m)
+		delete(sh.sets[k], string(m.a))
 	case opIncr:
-		d := r.Int64()
-		if err := r.Finish(); err != nil {
-			return err
-		}
-		sh.counters[k] += d
+		sh.counters[k] += m.delta
 	case opZAdd:
-		score := r.Bytes()
-		member := r.Bytes()
-		if err := r.Finish(); err != nil {
-			return err
-		}
-		sh.zinsert(k, score, member)
+		sh.zinsert(k, m.a, m.b)
 	case opZRem:
-		score := r.Bytes()
-		member := r.Bytes()
-		if err := r.Finish(); err != nil {
-			return err
-		}
-		sh.zremove(k, score, member)
-	default:
-		return fmt.Errorf("kvstore: unknown op %d", frame[0])
+		sh.zremove(k, m.a, m.b)
 	}
-	return nil
+}
+
+// stripeOf checks a frame in full and returns its lock stripe. Every frame
+// passes it before any is applied, and before Replay opens a segment of its
+// own, so a directory in another record format fails Open with its files
+// as they were.
+func stripeOf(frame []byte) (int, error) {
+	m, err := decodeFrame(frame)
+	return shardIndex(m.key), err
 }
 
 // recover loads the snapshot and replays the log tail, bucketing frames by
@@ -277,7 +263,7 @@ func (s *Store) applyFrame(sh *shard, frame []byte) error {
 func (s *Store) recover(l *wal.Log) error {
 	snap, snapSeq, hasSnap, err := l.LoadSnapshot()
 	if err != nil {
-		return fmt.Errorf("kvstore: %w", err)
+		return err
 	}
 	var snapFrames [numShards][][]byte
 	if hasSnap {
@@ -287,14 +273,14 @@ func (s *Store) recover(l *wal.Log) error {
 			if r.Err() != nil {
 				break
 			}
-			si, err := frameShard(frame)
+			si, err := stripeOf(frame)
 			if err != nil {
-				return fmt.Errorf("kvstore: snapshot seq %d: %w", snapSeq, err)
+				return fmt.Errorf("snapshot seq %d: %w", snapSeq, err)
 			}
 			snapFrames[si] = append(snapFrames[si], frame)
 		}
 		if err := r.Finish(); err != nil {
-			return fmt.Errorf("kvstore: corrupt snapshot: %w", err)
+			return fmt.Errorf("corrupt snapshot: %w", err)
 		}
 	}
 	type rec struct {
@@ -303,28 +289,26 @@ func (s *Store) recover(l *wal.Log) error {
 	}
 	var tail [numShards][]rec
 	if err := l.Replay(func(seq uint64, frame []byte) error {
-		si, err := frameShard(frame)
+		si, err := stripeOf(frame)
 		if err != nil {
 			return err
 		}
 		tail[si] = append(tail[si], rec{seq, frame})
 		return nil
 	}); err != nil {
-		return fmt.Errorf("kvstore: %w", err)
+		return err
 	}
 	return conc.ForEach(context.Background(), numShards, 0, func(_ context.Context, i int) error {
 		sh := &s.shards[i]
 		for _, frame := range snapFrames[i] {
-			if err := s.applyFrame(sh, frame); err != nil {
-				return fmt.Errorf("kvstore: snapshot frame: %w", err)
-			}
+			m, _ := decodeFrame(frame) // checked by stripeOf
+			sh.apply(m)
 		}
 		t := tail[i]
 		sort.Slice(t, func(a, b int) bool { return t[a].seq < t[b].seq })
 		for _, rc := range t {
-			if err := s.applyFrame(sh, rc.frame); err != nil {
-				return fmt.Errorf("kvstore: log record seq %d: %w", rc.seq, err)
-			}
+			m, _ := decodeFrame(rc.frame)
+			sh.apply(m)
 		}
 		return nil
 	})

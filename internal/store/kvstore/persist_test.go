@@ -215,9 +215,14 @@ const (
 	crashEnvPolicy = "KVSTORE_CRASH_POLICY"
 )
 
+// crashHash is the hash the crash child inserts into and deletes from.
+var crashHash = []byte("docs")
+
 // TestCrashHelper is not a real test: it is the body of the crash-injected
-// child process. It appends keys under concurrent load, recording each
-// acknowledged write in a ledger file, until it is killed.
+// child process. Under concurrent load it sets keys, inserts hash fields
+// with HSetNX, and inserts then HRemoves others, recording each
+// acknowledged write in a ledger file ("set k", "ins f", "del f"), until
+// it is killed.
 func TestCrashHelper(t *testing.T) {
 	dir := os.Getenv(crashEnvDir)
 	if dir == "" {
@@ -242,14 +247,29 @@ func TestCrashHelper(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			ack := func(kind, key string) {
+				mu.Lock()
+				fmt.Fprintf(ledger, "%s %s\n", kind, key)
+				mu.Unlock()
+			}
 			for i := 0; ; i++ {
 				key := fmt.Sprintf("w%d-%d", g, i)
 				if err := s.Set([]byte(key), []byte(key)); err != nil {
 					return
 				}
-				mu.Lock()
-				fmt.Fprintf(ledger, "%s\n", key)
-				mu.Unlock()
+				ack("set", key)
+				if ok, err := s.HSetNX(crashHash, []byte(key), []byte(key)); err != nil || !ok {
+					return
+				}
+				ack("ins", key)
+				gone := "gone-" + key
+				if ok, err := s.HSetNX(crashHash, []byte(gone), []byte(key)); err != nil || !ok {
+					return
+				}
+				if ok, err := s.HRemove(crashHash, []byte(gone)); err != nil || !ok {
+					return
+				}
+				ack("del", gone)
 			}
 		}(g)
 	}
@@ -300,7 +320,8 @@ func TestCrashRecovery(t *testing.T) {
 			}
 			defer s.Close()
 
-			// ...and under fsync=always every acked write must be present.
+			// ...and under fsync=always every acked write must be present,
+			// and every acked delete must stay deleted.
 			if policy != wal.FsyncAlways {
 				return
 			}
@@ -326,19 +347,29 @@ func TestCrashRecovery(t *testing.T) {
 			if len(raw) > 0 && raw[len(raw)-1] != '\n' && len(lines) > 0 {
 				lines = lines[:len(lines)-1]
 			}
-			for _, key := range lines {
-				if key == "" {
-					continue
+			for _, line := range lines {
+				kind, key, _ := strings.Cut(line, " ")
+				var ok bool
+				switch kind {
+				case "set":
+					_, ok, _ = s.Get([]byte(key))
+				case "ins":
+					_, ok, _ = s.HGet(crashHash, []byte(key))
+				case "del":
+					_, present, _ := s.HGet(crashHash, []byte(key))
+					ok = !present
+				default:
+					t.Fatalf("unparsable ledger line %q", line)
 				}
-				if _, ok, _ := s.Get([]byte(key)); !ok {
-					t.Fatalf("acked write %q lost after SIGKILL under fsync=always", key)
+				if !ok {
+					t.Fatalf("acked %s of %q lost after SIGKILL under fsync=always", kind, key)
 				}
 				acked++
 			}
 			if acked == 0 {
 				t.Fatal("ledger empty; crash test proved nothing")
 			}
-			t.Logf("verified %d acked writes survived SIGKILL", acked)
+			t.Logf("verified %d acked sets, inserts and deletes survived SIGKILL", acked)
 		})
 	}
 }

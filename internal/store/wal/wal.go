@@ -1,5 +1,5 @@
-// Package wal is the shard-local persistence engine v2 shared by the
-// kvstore (tactic indexes) and docstore (encrypted documents): a segmented
+// Package wal is the shard-local persistence engine under every kvstore
+// (tactic indexes, and encrypted documents through docstore): a segmented
 // append-only log of length-prefixed binary records with per-record
 // CRC32C, a group-commit fsync stage, point-in-time snapshots with segment
 // compaction, and crash-tolerant recovery that truncates a torn tail at

@@ -1,6 +1,5 @@
-// Typed wire codecs (codec v2) for the Paillier aggregation tactic:
-// ~256-byte ciphertexts ride as raw bytes instead of base64 JSON. The
-// setup RPC (public key, once per schema) stays JSON.
+// Typed wire codecs for the Paillier aggregation tactic: the modulus and
+// ~256-byte ciphertexts ride as raw bytes.
 
 package paillier
 
@@ -10,6 +9,16 @@ import (
 )
 
 func init() {
+	transport.RegisterCodec(Service, "setup", transport.WriteCodec(
+		func(b []byte, a *SetupArgs) []byte {
+			b = wirefmt.AppendString(b, a.Schema)
+			return wirefmt.AppendBytes(b, a.N)
+		},
+		func(r *wirefmt.Reader, a *SetupArgs) {
+			a.Schema = r.String()
+			a.N = r.Bytes()
+		},
+	))
 	transport.RegisterCodec(Service, "put", transport.WriteCodec(
 		func(b []byte, a *PutArgs) []byte {
 			b = wirefmt.AppendString(b, a.Schema)

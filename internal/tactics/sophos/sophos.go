@@ -12,7 +12,7 @@ package sophos
 import (
 	"context"
 	"crypto/x509"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -25,6 +25,7 @@ import (
 	ssesophos "datablinder/internal/sse/sophos"
 	"datablinder/internal/store/kvstore"
 	"datablinder/internal/transport"
+	"datablinder/internal/wirefmt"
 )
 
 // Name is the tactic's registry name.
@@ -280,11 +281,37 @@ func (t *Tactic) SearchEq(ctx context.Context, field string, value any) ([]strin
 	return out, nil
 }
 
+// ErrStoredKeyFormat reports a public key in the cloud store that is not the
+// {n, e} record this build writes — in particular the JSON blob earlier
+// builds stored, for which there is deliberately no migration: the blob is
+// left as it is, and the gateway's next setup replaces it.
+var ErrStoredKeyFormat = errors.New("sophos: stored public key is not an {n, e} record")
+
+// parsePK decodes a stored public key.
+func parsePK(raw []byte) (ssesophos.PublicKey, error) {
+	r := wirefmt.NewReader(raw)
+	pk := readPK(r)
+	if r.Finish() != nil || len(pk.N) == 0 || pk.E < 3 {
+		return ssesophos.PublicKey{}, ErrStoredKeyFormat
+	}
+	return pk, nil
+}
+
 // RegisterCloud installs the cloud half on mux, backed by store. The TDP
 // public key arrives via the setup call and persists in the store.
 func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 	pkKey := func(schema string) []byte { return []byte("sophospk/" + schema) }
+	// The parsed key is cached per schema. setup is the only writer of the
+	// stored key and drops the entry under pkMu, so insert and search never
+	// re-read the store to check the cache is current.
+	var pkMu sync.Mutex
+	pkCache := make(map[string]ssesophos.PublicKey)
 	loadPK := func(schema string) (ssesophos.PublicKey, error) {
+		pkMu.Lock()
+		defer pkMu.Unlock()
+		if pk, ok := pkCache[schema]; ok {
+			return pk, nil
+		}
 		raw, ok, err := store.Get(pkKey(schema))
 		if err != nil {
 			return ssesophos.PublicKey{}, err
@@ -292,18 +319,18 @@ func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 		if !ok {
 			return ssesophos.PublicKey{}, fmt.Errorf("sophos: schema %q has no registered public key", schema)
 		}
-		var pk ssesophos.PublicKey
-		if err := json.Unmarshal(raw, &pk); err != nil {
-			return ssesophos.PublicKey{}, err
+		pk, err := parsePK(raw)
+		if err != nil {
+			return ssesophos.PublicKey{}, fmt.Errorf("%w: key %q", err, pkKey(schema))
 		}
+		pkCache[schema] = pk
 		return pk, nil
 	}
 	transport.HandleTyped(mux, Service, "setup", func(_ context.Context, in *SetupArgs) (any, error) {
-		raw, err := json.Marshal(in.PK)
-		if err != nil {
-			return nil, err
-		}
-		return nil, store.Set(pkKey(in.Schema), raw)
+		pkMu.Lock()
+		defer pkMu.Unlock()
+		delete(pkCache, in.Schema)
+		return nil, store.Set(pkKey(in.Schema), appendPK(nil, in.PK))
 	})
 	transport.HandleTyped(mux, Service, "insert", func(_ context.Context, in *InsertArgs) (any, error) {
 		pk, err := loadPK(in.Schema)

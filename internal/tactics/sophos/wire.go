@@ -1,6 +1,5 @@
-// Typed wire codecs (codec v2) for the Sophos SSE tactic. The setup RPC
-// (RSA public key, once per schema) stays JSON — only the hot insert and
-// search paths get binary framing.
+// Typed wire codecs for the Sophos SSE tactic. The public key's encoding is
+// also the form the cloud keeps it in.
 
 package sophos
 
@@ -10,7 +9,27 @@ import (
 	"datablinder/internal/wirefmt"
 )
 
+// appendPK appends the TDP public key as {n, e}.
+func appendPK(b []byte, pk ssesophos.PublicKey) []byte {
+	b = wirefmt.AppendBytes(b, pk.N)
+	return wirefmt.AppendUvarint(b, uint64(pk.E))
+}
+
+func readPK(r *wirefmt.Reader) ssesophos.PublicKey {
+	return ssesophos.PublicKey{N: r.Bytes(), E: int(r.Uvarint())}
+}
+
 func init() {
+	transport.RegisterCodec(Service, "setup", transport.WriteCodec(
+		func(b []byte, a *SetupArgs) []byte {
+			b = wirefmt.AppendString(b, a.Schema)
+			return appendPK(b, a.PK)
+		},
+		func(r *wirefmt.Reader, a *SetupArgs) {
+			a.Schema = r.String()
+			a.PK = readPK(r)
+		},
+	))
 	transport.RegisterCodec(Service, "insert", transport.WriteCodec(
 		func(b []byte, a *InsertArgs) []byte {
 			b = wirefmt.AppendString(b, a.Schema)

@@ -9,7 +9,6 @@ package transport
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -17,8 +16,8 @@ import (
 )
 
 // BatchService is the reserved service every Mux serves: a call to it
-// carries a batch payload ([]BatchCall on the client, encBatch on the wire)
-// whose sub-calls the peer executes in order (see wireExec).
+// carries a batch payload ([]BatchCall on the client, method id 0 on the
+// wire) whose sub-calls the peer executes in order (see wireExec).
 const (
 	BatchService = "_batch"
 	BatchMethod  = "exec"
@@ -28,51 +27,31 @@ const (
 
 // BatchCall is one sub-call of a batch. Raw optionally carries the payload
 // pre-encoded by the connection's WireCodec (the coalescer encodes at
-// enqueue time for byte-accurate flush triggers); RawTyped says whether it
-// used the typed binary encoding. Args is still required alongside Raw so
-// the call can be re-encoded for a socket that did not negotiate the
-// method.
+// enqueue time for byte-accurate flush triggers); Args is encoded when Raw
+// is nil, and kept beside Raw for wrappers that inspect the call.
 type BatchCall struct {
-	Service  string
-	Method   string
-	Args     any
-	Raw      []byte
-	RawTyped bool
+	Service string
+	Method  string
+	Args    any
+	Raw     []byte
 }
 
 // BatchResult is one sub-call's outcome. Err is a *RemoteError when the
-// sub-handler failed; Payload is the encoded reply otherwise — JSON, or
-// the method's typed binary encoding (Decode handles both).
+// sub-handler failed; otherwise Payload is the reply in the typed encoding
+// of Name's codec (Name is service.method).
 type BatchResult struct {
 	Err     error
-	Payload json.RawMessage
-	typed   bool
-	method  string // service.method, for typed reply codec lookup
+	Payload []byte
+	Name    string
 }
 
-// Decode unmarshals the sub-reply into reply, returning the sub-call error
-// if there was one.
+// Decode decodes the sub-reply into reply, returning the sub-call error if
+// there was one.
 func (r BatchResult) Decode(reply any) error {
 	if r.Err != nil {
 		return r.Err
 	}
-	if reply == nil || len(r.Payload) == 0 {
-		return nil
-	}
-	if r.typed {
-		codec := LookupCodec(r.method)
-		if codec == nil || codec.DecodeReply == nil {
-			return fmt.Errorf("transport: no reply codec for %s", r.method)
-		}
-		if err := codec.DecodeReply(r.Payload, reply); err != nil {
-			return fmt.Errorf("transport: decoding %s batch reply: %w", r.method, err)
-		}
-		return nil
-	}
-	if err := json.Unmarshal(r.Payload, reply); err != nil {
-		return fmt.Errorf("transport: decoding batch reply: %w", err)
-	}
-	return nil
+	return decodeReply(r.Name, r.Payload, reply)
 }
 
 // BatchCaller is implemented by connections that coalesce batch sub-calls
@@ -115,8 +94,7 @@ func CallBatch(ctx context.Context, conn Conn, calls []BatchCall) ([]BatchResult
 	for i, call := range calls {
 		if call.Raw == nil {
 			var err error
-			call.Raw, call.RawTyped, err = codec.EncodeArgs(call.Service, call.Method, call.Args)
-			if err != nil {
+			if call.Raw, err = codec.EncodeArgs(call.Service, call.Method, call.Args); err != nil {
 				return nil, fmt.Errorf("transport: encoding batch args [%d]: %w", i, err)
 			}
 		}
@@ -124,7 +102,7 @@ func CallBatch(ctx context.Context, conn Conn, calls []BatchCall) ([]BatchResult
 		sizes[i] = codec.SubSize(call.Service, call.Method, len(call.Raw))
 	}
 	maxChunk := codec.MaxChunkBytes()
-	out := make([]BatchResult, 0, len(calls))
+	var out []BatchResult
 	for start := 0; start < len(subs); {
 		end := start + 1
 		bytes := sizes[start]
@@ -139,25 +117,34 @@ func CallBatch(ctx context.Context, conn Conn, calls []BatchCall) ([]BatchResult
 		if len(chunk) != end-start {
 			return nil, fmt.Errorf("transport: batch returned %d results for %d calls", len(chunk), end-start)
 		}
-		out = append(out, chunk...)
+		if out == nil {
+			out = chunk // the common single chunk needs no copy
+		} else {
+			out = append(out, chunk...)
+		}
 		start = end
 	}
 	return out, nil
 }
 
-// appendBatchPayload appends calls as a batch payload, re-encoding any
-// sub-call that is not pre-encoded or whose pre-encoded payload does not
-// fit the socket's table (see payloadFor).
+// appendBatchPayload appends calls as a batch payload, encoding any
+// sub-call that is not pre-encoded.
 func appendBatchPayload(b []byte, t *wireTable, calls []BatchCall) ([]byte, error) {
 	start := time.Now()
 	b = binary.AppendUvarint(b, uint64(len(calls)))
 	for i, call := range calls {
 		name := call.Service + "." + call.Method
-		payload, enc, err := payloadFor(t, name, call.Raw, call.RawTyped, call.Args)
+		payload := call.Raw
+		var err error
+		if payload == nil {
+			payload, err = appendArgs(nil, t, name, call.Args)
+		}
+		if err == nil {
+			b, err = appendCall(b, t, name, payload)
+		}
 		if err != nil {
 			return b, fmt.Errorf("transport: encoding batch args [%d]: %w", i, err)
 		}
-		b = appendCall(b, t, name, enc, payload)
 		wireRecordSub(name, true, len(payload))
 	}
 	wireRecordEncode(batchName, time.Since(start))
@@ -184,11 +171,7 @@ func parseBatchResults(calls []BatchCall, payload []byte) ([]BatchResult, error)
 		}
 		name := calls[i].Service + "." + calls[i].Method
 		wireRecordSub(name, false, len(res.payload))
-		out[i] = BatchResult{
-			Payload: append([]byte(nil), res.payload...),
-			typed:   res.enc == encTyped,
-			method:  name,
-		}
+		out[i] = BatchResult{Payload: append([]byte(nil), res.payload...), Name: name}
 	}
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("transport: decoding batch results: %w", err)

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -23,27 +22,21 @@ func (c *chunkCountingConn) Call(ctx context.Context, service, method string, ar
 	return c.Conn.Call(ctx, service, method, args, reply)
 }
 
-// echoMux registers an echo.id handler returning its payload's "i" field.
+// echoMux registers an echo.id handler returning its argument's A (the S
+// field pads the payload).
 func echoMux(t *testing.T) (*Mux, *[]int) {
 	t.Helper()
 	mux := NewMux()
 	var order []int
 	var mu sync.Mutex
-	mux.Handle("echo", "id", func(_ context.Context, payload json.RawMessage) (any, error) {
-		var a struct {
-			I   int    `json:"i"`
-			Pad string `json:"pad"`
-		}
-		if err := json.Unmarshal(payload, &a); err != nil {
-			return nil, err
-		}
+	handle(mux, "echo.id", func(_ context.Context, a *tmsg) (any, error) {
 		mu.Lock()
-		order = append(order, a.I)
+		order = append(order, int(a.A))
 		mu.Unlock()
-		if a.I == -1 {
+		if a.A == -1 {
 			return nil, fmt.Errorf("rejected")
 		}
-		return a.I, nil
+		return tmsg{A: a.A}, nil
 	})
 	return mux, &order
 }
@@ -61,7 +54,7 @@ func TestCallBatchChunking(t *testing.T) {
 	const n = 60
 	calls := make([]BatchCall, n)
 	for i := range calls {
-		calls[i] = BatchCall{Service: "echo", Method: "id", Args: map[string]any{"i": i, "pad": pad}}
+		calls[i] = BatchCall{Service: "echo", Method: "id", Args: tmsg{A: int64(i), S: pad}}
 	}
 	results, err := CallBatch(context.Background(), conn, calls)
 	if err != nil {
@@ -71,12 +64,12 @@ func TestCallBatchChunking(t *testing.T) {
 		t.Fatalf("got %d results, want %d", len(results), n)
 	}
 	for i, r := range results {
-		var got int
+		var got tmsg
 		if err := r.Decode(&got); err != nil {
 			t.Fatalf("result %d: %v", i, err)
 		}
-		if got != i {
-			t.Fatalf("result %d decoded to %d", i, got)
+		if got.A != int64(i) {
+			t.Fatalf("result %d decoded to %d", i, got.A)
 		}
 	}
 	if len(*order) != n {
@@ -99,18 +92,18 @@ func TestCallBatchSingleOversized(t *testing.T) {
 	conn := &chunkCountingConn{Conn: NewLoopback(mux)}
 	pad := strings.Repeat("x", maxBatchChunkBytes+1024)
 	results, err := CallBatch(context.Background(), conn, []BatchCall{
-		{Service: "echo", Method: "id", Args: map[string]any{"i": 7, "pad": pad}},
-		{Service: "echo", Method: "id", Args: map[string]any{"i": 8}},
+		{Service: "echo", Method: "id", Args: tmsg{A: 7, S: pad}},
+		{Service: "echo", Method: "id", Args: tmsg{A: 8}},
 	})
 	if err != nil {
 		t.Fatalf("CallBatch: %v", err)
 	}
-	var got int
-	if err := results[0].Decode(&got); err != nil || got != 7 {
-		t.Fatalf("oversized sub-call: got %d, %v", got, err)
+	var got tmsg
+	if err := results[0].Decode(&got); err != nil || got.A != 7 {
+		t.Fatalf("oversized sub-call: got %d, %v", got.A, err)
 	}
-	if err := results[1].Decode(&got); err != nil || got != 8 {
-		t.Fatalf("trailing sub-call: got %d, %v", got, err)
+	if err := results[1].Decode(&got); err != nil || got.A != 8 {
+		t.Fatalf("trailing sub-call: got %d, %v", got.A, err)
 	}
 	if conn.frames != 2 {
 		t.Fatalf("want the oversized sub-call in its own frame (2 total), got %d", conn.frames)
@@ -130,7 +123,7 @@ func TestCallBatchChunkedErrors(t *testing.T) {
 		if i == n-1 {
 			arg = -1 // the handler rejects -1
 		}
-		calls[i] = BatchCall{Service: "echo", Method: "id", Args: map[string]any{"i": arg, "pad": pad}}
+		calls[i] = BatchCall{Service: "echo", Method: "id", Args: tmsg{A: int64(arg), S: pad}}
 	}
 	results, err := CallBatch(context.Background(), conn, calls)
 	if err != nil {

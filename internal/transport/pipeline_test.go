@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -15,23 +14,19 @@ import (
 // (milliseconds) and echoes a tag, plus the echo/add handlers of testMux.
 func sleepMux() *Mux {
 	mux := testMux()
-	mux.Handle("slow", "sleep", func(ctx context.Context, payload json.RawMessage) (any, error) {
-		var in struct {
-			Ms  int    `json:"ms"`
-			Tag string `json:"tag"`
-		}
-		if err := json.Unmarshal(payload, &in); err != nil {
-			return nil, err
-		}
+	handle(mux, "slow.sleep", func(ctx context.Context, in *tmsg) (any, error) {
 		select {
-		case <-time.After(time.Duration(in.Ms) * time.Millisecond):
-			return map[string]string{"tag": in.Tag}, nil
+		case <-time.After(time.Duration(in.A) * time.Millisecond):
+			return tmsg{S: in.S}, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	})
 	return mux
 }
+
+// sleep is a slow.sleep argument: sleep ms, then echo tag.
+func sleep(ms int64, tag string) tmsg { return tmsg{A: ms, S: tag} }
 
 // TestPipelinedSingleSocket is the acceptance check for the multiplexed
 // client: N concurrent callers over PoolSize=1 must overlap on the wire,
@@ -59,15 +54,14 @@ func TestPipelinedSingleSocket(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var reply struct{ Tag string }
+			var reply tmsg
 			tag := fmt.Sprintf("c%d", i)
-			if err := client.Call(context.Background(), "slow", "sleep",
-				map[string]any{"ms": sleepMs, "tag": tag}, &reply); err != nil {
+			if err := client.Call(context.Background(), "slow", "sleep", sleep(sleepMs, tag), &reply); err != nil {
 				errs <- err
 				return
 			}
-			if reply.Tag != tag {
-				errs <- fmt.Errorf("cross-wired reply: got %q want %q", reply.Tag, tag)
+			if reply.S != tag {
+				errs <- fmt.Errorf("cross-wired reply: got %q want %q", reply.S, tag)
 			}
 		}(i)
 	}
@@ -103,20 +97,18 @@ func TestOutOfOrderResponses(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		var reply struct{ Tag string }
-		if err := client.Call(context.Background(), "slow", "sleep",
-			map[string]any{"ms": 400, "tag": "slow"}, &reply); err != nil || reply.Tag != "slow" {
-			t.Errorf("slow call: %v / %q", err, reply.Tag)
+		var reply tmsg
+		if err := client.Call(context.Background(), "slow", "sleep", sleep(400, "slow"), &reply); err != nil || reply.S != "slow" {
+			t.Errorf("slow call: %v / %q", err, reply.S)
 		}
 		slowDone.Store(time.Now().UnixNano())
 	}()
 	time.Sleep(50 * time.Millisecond) // ensure the slow request is on the wire first
 	go func() {
 		defer wg.Done()
-		var reply struct{ Tag string }
-		if err := client.Call(context.Background(), "slow", "sleep",
-			map[string]any{"ms": 10, "tag": "fast"}, &reply); err != nil || reply.Tag != "fast" {
-			t.Errorf("fast call: %v / %q", err, reply.Tag)
+		var reply tmsg
+		if err := client.Call(context.Background(), "slow", "sleep", sleep(10, "fast"), &reply); err != nil || reply.S != "fast" {
+			t.Errorf("fast call: %v / %q", err, reply.S)
 		}
 		fastDone.Store(time.Now().UnixNano())
 	}()
@@ -148,14 +140,14 @@ func TestManyGoroutinesOneSocket(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				var reply struct{ Sum int }
+				var reply tmsg
 				if err := client.Call(context.Background(), "test", "add",
-					map[string]int{"A": g * 1000, "B": i}, &reply); err != nil {
+					tmsg{A: int64(g * 1000), B: int64(i)}, &reply); err != nil {
 					errs <- err
 					return
 				}
-				if reply.Sum != g*1000+i {
-					errs <- fmt.Errorf("goroutine %d call %d: sum=%d", g, i, reply.Sum)
+				if reply.A != int64(g*1000+i) {
+					errs <- fmt.Errorf("goroutine %d call %d: sum=%d", g, i, reply.A)
 					return
 				}
 			}
@@ -200,7 +192,7 @@ func TestMidCallSocketKill(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			start := time.Now()
-			err := client.Call(context.Background(), "x", "y", map[string]int{"i": 1}, nil)
+			err := client.Call(context.Background(), "x", "y", tmsg{A: 1}, nil)
 			if err != nil {
 				t.Errorf("call on killed socket not replayed: %v", err)
 			}
@@ -212,11 +204,11 @@ func TestMidCallSocketKill(t *testing.T) {
 	wg.Wait()
 
 	// The next call redials and succeeds.
-	var reply map[string]int
-	if err := client.Call(context.Background(), "x", "y", map[string]int{"i": 7}, &reply); err != nil {
+	var reply tmsg
+	if err := client.Call(context.Background(), "x", "y", tmsg{A: 7}, &reply); err != nil {
 		t.Fatalf("call after redial: %v", err)
 	}
-	if reply["i"] != 7 {
+	if reply.A != 7 {
 		t.Fatalf("reply = %v", reply)
 	}
 }
@@ -240,7 +232,7 @@ func TestPendingCallContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- client.Call(ctx, "slow", "sleep", map[string]any{"ms": 2000, "tag": "a"}, nil)
+		done <- client.Call(ctx, "slow", "sleep", sleep(2000, "a"), nil)
 	}()
 	time.Sleep(50 * time.Millisecond)
 	cancel()
@@ -255,12 +247,12 @@ func TestPendingCallContextCancel(t *testing.T) {
 
 	// The socket is still healthy for other traffic — including while the
 	// orphaned response from the cancelled call is still pending server-side.
-	var reply echoReply
-	if err := client.Call(context.Background(), "test", "echo", echoArgs{Msg: "after-cancel"}, &reply); err != nil {
+	var reply tmsg
+	if err := client.Call(context.Background(), "test", "echo", tmsg{S: "after-cancel"}, &reply); err != nil {
 		t.Fatalf("call after cancel: %v", err)
 	}
-	if reply.Msg != "after-cancel" {
-		t.Fatalf("reply = %q", reply.Msg)
+	if reply.S != "after-cancel" {
+		t.Fatalf("reply = %q", reply.S)
 	}
 }
 
@@ -269,7 +261,7 @@ func TestPendingCallContextCancel(t *testing.T) {
 func TestServerConcurrentDispatch(t *testing.T) {
 	var cur, peak int64
 	mux := NewMux()
-	mux.Handle("probe", "run", func(_ context.Context, _ json.RawMessage) (any, error) {
+	handle(mux, "probe.run", func(context.Context, *tmsg) (any, error) {
 		c := atomic.AddInt64(&cur, 1)
 		for {
 			p := atomic.LoadInt64(&peak)
@@ -317,7 +309,7 @@ func TestServerConcurrentDispatch(t *testing.T) {
 // including per-sub-call error isolation and code propagation.
 func TestBatchCall(t *testing.T) {
 	mux := testMux()
-	mux.Handle("test", "coded", func(_ context.Context, _ json.RawMessage) (any, error) {
+	handle(mux, "test.coded", func(context.Context, *tmsg) (any, error) {
 		return nil, WithCode(errors.New("thing is gone"), CodeNotFound)
 	})
 
@@ -338,9 +330,9 @@ func TestBatchCall(t *testing.T) {
 	for name, conn := range map[string]Conn{"tcp": tcp, "loopback": lb} {
 		t.Run(name, func(t *testing.T) {
 			results, err := CallBatch(context.Background(), conn, []BatchCall{
-				{Service: "test", Method: "echo", Args: echoArgs{Msg: "one"}},
+				{Service: "test", Method: "echo", Args: tmsg{S: "one"}},
 				{Service: "test", Method: "coded"},
-				{Service: "test", Method: "add", Args: map[string]int{"A": 2, "B": 3}},
+				{Service: "test", Method: "add", Args: tmsg{A: 2, B: 3}},
 			})
 			if err != nil {
 				t.Fatalf("CallBatch: %v", err)
@@ -348,16 +340,16 @@ func TestBatchCall(t *testing.T) {
 			if len(results) != 3 {
 				t.Fatalf("results = %d", len(results))
 			}
-			var e echoReply
-			if err := results[0].Decode(&e); err != nil || e.Msg != "one" {
-				t.Fatalf("sub 0: %v / %q", err, e.Msg)
+			var e tmsg
+			if err := results[0].Decode(&e); err != nil || e.S != "one" {
+				t.Fatalf("sub 0: %v / %q", err, e.S)
 			}
 			if !IsNotFoundError(results[1].Err) {
 				t.Fatalf("sub 1 error = %v, want coded not_found", results[1].Err)
 			}
-			var sum struct{ Sum int }
-			if err := results[2].Decode(&sum); err != nil || sum.Sum != 5 {
-				t.Fatalf("sub 2: %v / %d", err, sum.Sum)
+			var sum tmsg
+			if err := results[2].Decode(&sum); err != nil || sum.A != 5 {
+				t.Fatalf("sub 2: %v / %d", err, sum.A)
 			}
 		})
 	}
@@ -428,12 +420,12 @@ func TestIdleSocketReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	var reply echoReply
-	if err := client.Call(context.Background(), "test", "echo", echoArgs{Msg: "a"}, &reply); err != nil {
+	var reply tmsg
+	if err := client.Call(context.Background(), "test", "echo", tmsg{S: "a"}, &reply); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(700 * time.Millisecond) // longer than the call timeout
-	if err := client.Call(context.Background(), "test", "echo", echoArgs{Msg: "b"}, &reply); err != nil {
+	if err := client.Call(context.Background(), "test", "echo", tmsg{S: "b"}, &reply); err != nil {
 		t.Fatalf("call after idle: %v", err)
 	}
 }
@@ -454,12 +446,12 @@ func TestOversizedArgs(t *testing.T) {
 	defer client.Close()
 
 	big := make([]byte, MaxFrameSize+1024)
-	err = client.Call(context.Background(), "test", "echo", map[string]any{"msg": string(big)}, nil)
+	err = client.Call(context.Background(), "test", "echo", tmsg{S: string(big)}, nil)
 	if err == nil {
 		t.Fatal("oversized args accepted")
 	}
-	var reply echoReply
-	if err := client.Call(context.Background(), "test", "echo", echoArgs{Msg: "ok"}, &reply); err != nil {
+	var reply tmsg
+	if err := client.Call(context.Background(), "test", "echo", tmsg{S: "ok"}, &reply); err != nil {
 		t.Fatalf("call after oversized args: %v", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -82,7 +81,7 @@ func (p *fakePeer) respond(id uint64, result func(b []byte) []byte) error {
 
 // echo answers call with its own payload.
 func (p *fakePeer) echo(id uint64, call parsedCall) error {
-	return p.respond(id, func(b []byte) []byte { return appendResultOK(b, call.enc, call.payload) })
+	return p.respond(id, func(b []byte) []byte { return appendResultOK(b, call.payload) })
 }
 
 // TestCallReplaysOnceAfterMidFlightDeath kills the server side of the
@@ -92,6 +91,10 @@ func (p *fakePeer) echo(id uint64, call parsedCall) error {
 // exactly the failed call.
 func TestCallReplaysOnceAfterMidFlightDeath(t *testing.T) {
 	served := make(chan int, 4)
+	ok, err := appendArgs(nil, registryTable(), "svc.echo", tmsg{S: "ok"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ln := fakeServer(t, func(n int, p *fakePeer) {
 		id, _, err := p.readCall()
 		if err != nil {
@@ -101,7 +104,7 @@ func TestCallReplaysOnceAfterMidFlightDeath(t *testing.T) {
 		if n == 1 {
 			return // a crash with the call in flight
 		}
-		p.respond(id, func(b []byte) []byte { return appendResultOK(b, encJSON, []byte(`{"ok":true}`)) })
+		p.respond(id, func(b []byte) []byte { return appendResultOK(b, ok) })
 		p.readCall() // hold the socket open until the client is done with it
 	})
 
@@ -111,13 +114,11 @@ func TestCallReplaysOnceAfterMidFlightDeath(t *testing.T) {
 	}
 	defer c.Close()
 
-	var reply struct {
-		OK bool `json:"ok"`
-	}
-	if err := c.Call(context.Background(), "svc", "echo", map[string]int{"x": 1}, &reply); err != nil {
+	var reply tmsg
+	if err := c.Call(context.Background(), "svc", "echo", tmsg{A: 1}, &reply); err != nil {
 		t.Fatalf("call across mid-flight socket death: %v", err)
 	}
-	if !reply.OK {
+	if reply.S != "ok" {
 		t.Fatal("reply not decoded after replay")
 	}
 	if got := len(served); got != 2 {
@@ -173,31 +174,25 @@ type batchEchoPeer struct {
 
 func newBatchEchoPeer() *batchEchoPeer {
 	b := &batchEchoPeer{mux: NewMux()}
-	b.mux.Handle("echo", "id", func(_ context.Context, payload json.RawMessage) (any, error) {
-		var a struct {
-			I int `json:"i"`
-		}
-		if err := json.Unmarshal(payload, &a); err != nil {
-			return nil, err
-		}
+	handle(b.mux, "echo.id", func(_ context.Context, a *tmsg) (any, error) {
 		b.mu.Lock()
-		b.ran = append(b.ran, a.I)
+		b.ran = append(b.ran, int(a.A))
 		b.mu.Unlock()
-		return a.I, nil
+		return tmsg{A: a.A}, nil
 	})
 	return b
 }
 
 func (b *batchEchoPeer) exec(p *fakePeer, id uint64, call parsedCall) error {
 	return p.respond(id, func(buf []byte) []byte {
-		return wireExec(context.Background(), b.mux, p.table, buf, call, true)
+		return wireExec(context.Background(), b.mux, p.table, buf, call)
 	})
 }
 
 func echoBatch(n int) []BatchCall {
 	calls := make([]BatchCall, n)
 	for i := range calls {
-		calls[i] = BatchCall{Service: "echo", Method: "id", Args: map[string]int{"i": i}}
+		calls[i] = BatchCall{Service: "echo", Method: "id", Args: tmsg{A: int64(i)}}
 	}
 	return calls
 }
@@ -215,8 +210,8 @@ func TestBatchReplayedOnceAfterMidFlightDeath(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if call.enc != encBatch {
-				t.Errorf("socket %d: call %s enc 0x%02x, want one batch frame", n, call.name, call.enc)
+			if call.name != batchName {
+				t.Errorf("socket %d: call %s, want one batch frame", n, call.name)
 			}
 			frames.Add(1)
 			if n == 1 {
@@ -243,9 +238,9 @@ func TestBatchReplayedOnceAfterMidFlightDeath(t *testing.T) {
 		t.Fatalf("got %d results, want %d", len(results), n)
 	}
 	for i, r := range results {
-		var got int
-		if err := r.Decode(&got); err != nil || got != i {
-			t.Fatalf("result %d = %d, %v; results must come back in call order", i, got, err)
+		var got tmsg
+		if err := r.Decode(&got); err != nil || got.A != int64(i) {
+			t.Fatalf("result %d = %d, %v; results must come back in call order", i, got.A, err)
 		}
 	}
 	if got := frames.Load(); got != 2 {
@@ -309,8 +304,8 @@ func TestClientSurvivesServerRestart(t *testing.T) {
 	defer client.Close()
 
 	ctx := context.Background()
-	var reply echoReply
-	if err := client.Call(ctx, "test", "echo", echoArgs{Msg: "before"}, &reply); err != nil {
+	var reply tmsg
+	if err := client.Call(ctx, "test", "echo", tmsg{S: "before"}, &reply); err != nil {
 		t.Fatalf("call before restart: %v", err)
 	}
 	srv.Close()
@@ -318,7 +313,7 @@ func TestClientSurvivesServerRestart(t *testing.T) {
 	// While down: calls fail (possibly several, as the pool reconnects).
 	sawFailure := false
 	for i := 0; i < 3; i++ {
-		if err := client.Call(ctx, "test", "echo", echoArgs{Msg: "down"}, &reply); err != nil {
+		if err := client.Call(ctx, "test", "echo", tmsg{S: "down"}, &reply); err != nil {
 			sawFailure = true
 			break
 		}
@@ -337,10 +332,10 @@ func TestClientSurvivesServerRestart(t *testing.T) {
 	// The client reconnects lazily: allow a few attempts.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		err := client.Call(ctx, "test", "echo", echoArgs{Msg: "after"}, &reply)
+		err := client.Call(ctx, "test", "echo", tmsg{S: "after"}, &reply)
 		if err == nil {
-			if reply.Msg != "after" {
-				t.Fatalf("reply = %q", reply.Msg)
+			if reply.S != "after" {
+				t.Fatalf("reply = %q", reply.S)
 			}
 			return
 		}

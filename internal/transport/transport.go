@@ -21,7 +21,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -96,71 +95,47 @@ func ErrorCode(err error) string {
 	return ""
 }
 
-// Handler processes one RPC. The returned value is JSON-encoded into the
-// response payload.
-type Handler func(ctx context.Context, payload json.RawMessage) (any, error)
-
-// handlerEntry is one registered method: the JSON-payload handler plus,
-// for HandleTyped registrations, a decoded-args fast path that lets typed
-// payloads skip JSON entirely on the server side.
-type handlerEntry struct {
-	h     Handler
-	typed func(ctx context.Context, args any) (any, error)
-}
+// handler runs one method on the args its codec decoded.
+type handler func(ctx context.Context, args any) (any, error)
 
 // Mux routes service.method names to handlers. The zero value is unusable;
-// construct with NewMux. Handle calls must complete before Serve starts.
+// construct with NewMux. HandleTyped calls must complete before Serve
+// starts.
 //
 // Every mux serves the reserved BatchService: a batch payload's sub-calls
 // are dispatched to these handlers in order (see CallBatch and wireExec).
 type Mux struct {
 	mu       sync.RWMutex
-	handlers map[string]*handlerEntry
+	handlers map[string]handler
 }
 
 // NewMux returns an empty router.
 func NewMux() *Mux {
-	return &Mux{handlers: make(map[string]*handlerEntry)}
+	return &Mux{handlers: make(map[string]handler)}
 }
 
-// Handle registers h for service.method, replacing any previous handler.
-func (m *Mux) Handle(service, method string, h Handler) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.handlers[service+"."+method] = &handlerEntry{h: h}
-}
-
-// HandleTyped registers fn for service.method with both payload paths: a
-// JSON handler (the cold escape hatch: a method the peer did not negotiate,
-// or an argument value its codec does not recognise) and a decoded-args
-// handler that typed payloads dispatch to directly, so hot RPCs never touch
-// encoding/json on the server.
+// HandleTyped registers fn for service.method, replacing any previous
+// handler. The method's codec (RegisterCodec) decodes the args fn gets
+// and encodes the reply it returns; registering a method without one, or
+// with a codec of other args, panics.
 func HandleTyped[A any](m *Mux, service, method string, fn func(ctx context.Context, args *A) (any, error)) {
-	entry := &handlerEntry{
-		h: func(ctx context.Context, payload json.RawMessage) (any, error) {
-			args := new(A)
-			if len(payload) > 0 {
-				if err := json.Unmarshal(payload, args); err != nil {
-					return nil, fmt.Errorf("transport: decoding %s.%s args: %w", service, method, err)
-				}
-			}
-			return fn(ctx, args)
-		},
-		typed: func(ctx context.Context, args any) (any, error) {
-			a, ok := args.(*A)
-			if !ok {
-				return nil, fmt.Errorf("transport: %s.%s: unexpected args type %T", service, method, args)
-			}
-			return fn(ctx, a)
-		},
+	name := service + "." + method
+	codec := LookupCodec(name)
+	if codec == nil {
+		panic("transport: HandleTyped " + name + ": no codec registered")
+	}
+	if _, ok := codec.NewArgs().(*A); !ok {
+		panic(fmt.Sprintf("transport: HandleTyped %s: codec args are %T, not *%T", name, codec.NewArgs(), *new(A)))
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.handlers[service+"."+method] = entry
+	m.handlers[name] = func(ctx context.Context, args any) (any, error) {
+		return fn(ctx, args.(*A))
+	}
 }
 
-// lookup returns the entry for name, or nil.
-func (m *Mux) lookup(name string) *handlerEntry {
+// lookup returns the handler for name, or nil.
+func (m *Mux) lookup(name string) handler {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.handlers[name]
@@ -320,7 +295,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			buf := newWireFrameBuf()
 			buf = append(buf, wireKindResp)
 			buf = binary.AppendUvarint(buf, id)
-			buf = wireExec(s.ctx, s.mux, table, buf, call, true)
+			buf = wireExec(s.ctx, s.mux, table, buf, call)
 			frame, ferr := finishWireFrame(buf)
 			if ferr != nil {
 				// Response too large for one frame: report instead of
@@ -779,8 +754,8 @@ func (c *TCPClient) Close() error {
 
 // Loopback is a Conn that dispatches directly into a Mux in-process,
 // routing every payload through the wire codec so serialization behaviour
-// matches the TCP path exactly: hot payloads are binary-encoded and
-// re-decoded on dispatch, everything else passes through JSON. It is used
+// matches the TCP path exactly: payloads are encoded by the method's codec
+// and re-decoded on dispatch. It is used
 // by benchmarks (scenario S_B/S_C single-host runs) and tests. Calls
 // dispatch on the caller's goroutine, so it is as concurrent as its
 // callers.
@@ -817,15 +792,15 @@ func (l *Loopback) Call(ctx context.Context, service, method string, args, reply
 	name := service + "." + method
 	// The payload is freshly allocated, never pooled: typed decoders alias
 	// it and handlers may keep what they decoded.
-	payload, enc, err := appendArgs(nil, l.table, name, args)
+	payload, err := appendArgs(nil, l.table, name, args)
 	if err != nil {
 		return err
 	}
-	call := parsedCall{name: name, enc: enc, payload: payload}
-	if enc == encTyped {
-		call.codec = LookupCodec(name)
+	call := parsedCall{name: name, payload: payload}
+	if mid, _ := l.table.mid(name); mid != 0 {
+		call.codec = l.table.codecs[mid-1]
 	}
-	body := wireExec(ctx, l.mux, l.table, nil, call, true)
+	body := wireExec(ctx, l.mux, l.table, nil, call)
 	r := wirefmt.NewReader(body)
 	res, perr := parseResult(r)
 	if perr != nil || r.Finish() != nil {

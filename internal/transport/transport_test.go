@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -12,34 +11,54 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"datablinder/internal/wirefmt"
 )
 
-type echoArgs struct {
-	Msg string `json:"msg"`
+// tmsg is the one payload every test method speaks, as args and as reply.
+type tmsg struct {
+	S    string
+	A, B int64
 }
 
-type echoReply struct {
-	Msg string `json:"msg"`
+// testMethods have the tmsg codec, so two test binaries negotiate them.
+// test.nope has no handler on any test mux.
+var testMethods = []string{
+	"test.echo", "test.fail", "test.add", "test.coded", "test.nope",
+	"slow.sleep", "probe.run", "echo.id", "svc.echo", "svc.m", "x.y",
+}
+
+func init() {
+	enc := func(b []byte, m *tmsg) []byte {
+		b = wirefmt.AppendString(b, m.S)
+		b = wirefmt.AppendInt64(b, m.A)
+		return wirefmt.AppendInt64(b, m.B)
+	}
+	dec := func(r *wirefmt.Reader, m *tmsg) {
+		m.S, m.A, m.B = r.String(), r.Int64(), r.Int64()
+	}
+	for _, name := range testMethods {
+		service, method, _ := strings.Cut(name, ".")
+		RegisterCodec(service, method, Codec(enc, dec, enc, dec))
+	}
+}
+
+// handle registers fn for one of testMethods.
+func handle(mux *Mux, name string, fn func(ctx context.Context, m *tmsg) (any, error)) {
+	service, method, _ := strings.Cut(name, ".")
+	HandleTyped(mux, service, method, fn)
 }
 
 func testMux() *Mux {
 	mux := NewMux()
-	mux.Handle("test", "echo", func(_ context.Context, payload json.RawMessage) (any, error) {
-		var in echoArgs
-		if err := json.Unmarshal(payload, &in); err != nil {
-			return nil, err
-		}
-		return echoReply{Msg: in.Msg}, nil
+	handle(mux, "test.echo", func(_ context.Context, in *tmsg) (any, error) {
+		return tmsg{S: in.S}, nil
 	})
-	mux.Handle("test", "fail", func(_ context.Context, _ json.RawMessage) (any, error) {
+	handle(mux, "test.fail", func(context.Context, *tmsg) (any, error) {
 		return nil, errors.New("document not found: obs/x")
 	})
-	mux.Handle("test", "add", func(_ context.Context, payload json.RawMessage) (any, error) {
-		var in struct{ A, B int }
-		if err := json.Unmarshal(payload, &in); err != nil {
-			return nil, err
-		}
-		return map[string]int{"sum": in.A + in.B}, nil
+	handle(mux, "test.add", func(_ context.Context, in *tmsg) (any, error) {
+		return tmsg{A: in.A + in.B}, nil
 	})
 	return mux
 }
@@ -63,12 +82,12 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 	defer client.Close()
 
-	var reply echoReply
-	if err := client.Call(context.Background(), "test", "echo", echoArgs{Msg: "hi"}, &reply); err != nil {
+	var reply tmsg
+	if err := client.Call(context.Background(), "test", "echo", tmsg{S: "hi"}, &reply); err != nil {
 		t.Fatalf("Call: %v", err)
 	}
-	if reply.Msg != "hi" {
-		t.Fatalf("reply = %q", reply.Msg)
+	if reply.S != "hi" {
+		t.Fatalf("reply = %q", reply.S)
 	}
 }
 
@@ -122,14 +141,14 @@ func TestConcurrentCalls(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				var reply struct{ Sum int }
+				var reply tmsg
 				if err := client.Call(context.Background(), "test", "add",
-					map[string]int{"A": g, "B": i}, &reply); err != nil {
+					tmsg{A: int64(g), B: int64(i)}, &reply); err != nil {
 					errs <- err
 					return
 				}
-				if reply.Sum != g+i {
-					errs <- fmt.Errorf("sum = %d, want %d", reply.Sum, g+i)
+				if reply.A != int64(g+i) {
+					errs <- fmt.Errorf("sum = %d, want %d", reply.A, g+i)
 					return
 				}
 			}
@@ -146,12 +165,12 @@ func TestLoopbackMatchesTCPSemantics(t *testing.T) {
 	lb := NewLoopback(testMux())
 	defer lb.Close()
 
-	var reply echoReply
-	if err := lb.Call(context.Background(), "test", "echo", echoArgs{Msg: "local"}, &reply); err != nil {
+	var reply tmsg
+	if err := lb.Call(context.Background(), "test", "echo", tmsg{S: "local"}, &reply); err != nil {
 		t.Fatalf("Call: %v", err)
 	}
-	if reply.Msg != "local" {
-		t.Fatalf("reply = %q", reply.Msg)
+	if reply.S != "local" {
+		t.Fatalf("reply = %q", reply.S)
 	}
 	err := lb.Call(context.Background(), "test", "fail", nil, nil)
 	var re *RemoteError
@@ -166,17 +185,17 @@ func TestLoopbackMatchesTCPSemantics(t *testing.T) {
 func TestLoopbackClosed(t *testing.T) {
 	lb := NewLoopback(testMux())
 	lb.Close()
-	if err := lb.Call(context.Background(), "test", "echo", echoArgs{}, nil); !errors.Is(err, ErrClosed) {
+	if err := lb.Call(context.Background(), "test", "echo", tmsg{}, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("call after close = %v", err)
 	}
 }
 
 func TestContextCancellation(t *testing.T) {
 	mux := NewMux()
-	mux.Handle("slow", "sleep", func(ctx context.Context, _ json.RawMessage) (any, error) {
+	handle(mux, "slow.sleep", func(ctx context.Context, _ *tmsg) (any, error) {
 		select {
 		case <-time.After(500 * time.Millisecond):
-			return "done", nil
+			return tmsg{S: "done"}, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -217,14 +236,14 @@ func TestClientRecoversAfterTimeout(t *testing.T) {
 	// Force a deadline failure, then verify the pooled socket still works.
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	cancel()
-	_ = client.Call(ctx, "test", "echo", echoArgs{Msg: "x"}, nil)
+	_ = client.Call(ctx, "test", "echo", tmsg{S: "x"}, nil)
 
-	var reply echoReply
-	if err := client.Call(context.Background(), "test", "echo", echoArgs{Msg: "recovered"}, &reply); err != nil {
+	var reply tmsg
+	if err := client.Call(context.Background(), "test", "echo", tmsg{S: "recovered"}, &reply); err != nil {
 		t.Fatalf("call after timeout: %v", err)
 	}
-	if reply.Msg != "recovered" {
-		t.Fatalf("reply = %q", reply.Msg)
+	if reply.S != "recovered" {
+		t.Fatalf("reply = %q", reply.S)
 	}
 }
 
@@ -237,7 +256,11 @@ func TestServerSurvivesGarbageFrames(t *testing.T) {
 	hello := rawFrame(appendHello(nil, RegisteredWireMethods()))
 	v1Hello := `{"id":1,"service":"_wire","method":"hello","payload":{"version":2,"methods":["doc.get"]}}`
 	otherVersion := appendHello(nil, nil)
-	otherVersion[1]++
+	otherVersion[1]--
+	request, err := appendCall(binary.AppendUvarint([]byte{wireKindReq}, 1), registryTable(), "test.echo", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	probes := []struct {
 		name  string
 		bytes []byte
@@ -248,8 +271,8 @@ func TestServerSurvivesGarbageFrames(t *testing.T) {
 		{name: "v1 length-prefixed JSON hello", bytes: append(binary.BigEndian.AppendUint32(nil, uint32(len(v1Hello))), v1Hello...)},
 		{name: "frame length beyond the limit", bytes: binary.AppendUvarint(nil, MaxFrameSize+1)},
 		{name: "random garbage", bytes: rawFrame([]byte{0xde, 0xad, 0xbe, 0xef, 0x99})},
-		{name: "request before any hello", bytes: rawFrame(appendCall(binary.AppendUvarint([]byte{wireKindReq}, 1), registryTable(), "test.echo", encJSON, []byte(`{}`)))},
-		{name: "hello of another version", bytes: rawFrame(otherVersion)},
+		{name: "request before any hello", bytes: rawFrame(request)},
+		{name: "hello of the previous version", bytes: rawFrame(otherVersion)},
 		{name: "hello with trailing bytes", bytes: rawFrame(append(appendHello(nil, []string{"doc.get"}), 0x00))},
 		{name: "truncated hello", bytes: hello[:len(hello)/2], hangUp: true},
 		{name: "length prefix promising more than is sent", bytes: []byte{0xff, 0xff, 0x03, '{', 'b', 'a', 'd'}, hangUp: true},
@@ -276,8 +299,8 @@ func TestServerSurvivesGarbageFrames(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer client.Close()
-	var reply echoReply
-	if err := client.Call(context.Background(), "test", "echo", echoArgs{Msg: "ok"}, &reply); err != nil {
+	var reply tmsg
+	if err := client.Call(context.Background(), "test", "echo", tmsg{S: "ok"}, &reply); err != nil {
 		t.Fatalf("Call after garbage: %v", err)
 	}
 }
@@ -316,8 +339,8 @@ func BenchmarkLoopbackCall(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var reply echoReply
-		if err := lb.Call(ctx, "test", "echo", echoArgs{Msg: "x"}, &reply); err != nil {
+		var reply tmsg
+		if err := lb.Call(ctx, "test", "echo", tmsg{S: "x"}, &reply); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -339,8 +362,8 @@ func BenchmarkTCPCall(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var reply echoReply
-		if err := client.Call(ctx, "test", "echo", echoArgs{Msg: "x"}, &reply); err != nil {
+		var reply tmsg
+		if err := client.Call(ctx, "test", "echo", tmsg{S: "x"}, &reply); err != nil {
 			b.Fatal(err)
 		}
 	}

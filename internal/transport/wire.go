@@ -1,18 +1,19 @@
 // The wire protocol: a varint-framed binary envelope for the gateway↔cloud
-// channel, with hand-rolled typed payload encodings for the hot RPCs (raw
-// bytes ride as raw bytes: no base64, no reflective encode/decode) and JSON
-// payloads for everything else.
+// channel whose every payload is the typed encoding of the method's
+// registered codec (raw bytes ride as raw bytes: no base64, no reflective
+// encode/decode).
 //
 // Hello: the first frame on a fresh socket is the client's hello, carrying
-// the protocol version and the sorted list of methods it has typed codecs
-// for. The server replies with the same version and the indexes of the
-// methods it also holds codecs for; that agreed subset, in order, becomes
-// the socket's method id table (id i+1 = i'th accepted method, id 0 =
-// inline method name, the escape hatch for cold setup/admin methods). There
-// is nothing to fall back to: a server drops a socket that opens with
-// anything but a hello of its own version, and a client fails the dial
-// with ErrWireProtocol when the answer is anything but a well-formed reply
-// of its own version.
+// the protocol version and the sorted list of methods it has codecs for.
+// The server replies with the same version and the indexes of the methods
+// it also holds codecs for; that agreed subset, in order, becomes the
+// socket's method id table (id i+1 = i'th accepted method; id 0 is the
+// batch executor, _batch.exec). Nothing travels by name, so a call to a
+// method outside the table fails on the client before any frame is sent.
+// There is nothing to fall back to either: a server drops a socket that
+// opens with anything but a hello of its own version, and a client fails
+// the dial with ErrWireProtocol when the answer is anything but a
+// well-formed reply of its own version.
 //
 // Frame layout (both directions):
 //
@@ -21,28 +22,23 @@
 //	          | 0x02 uvarint(id) result            // response
 //	          | 0x03 uvarint(version) strs         // hello: client's methods
 //	          | 0x03 uvarint(version) uvarints     // hello reply: accepted indexes
-//	call     := method enc uvarint(len) payload
-//	method   := uvarint(mid)                       // mid=0: + str(service.method)
-//	enc      := 0x00 (JSON) | 0x01 (typed) | 0x02 (batch, _batch.exec only)
-//	result   := 0x00 enc uvarint(len) payload      // ok
+//	call     := uvarint(mid) uvarint(len) payload  // mid 0: payload is a batch
+//	result   := 0x00 uvarint(len) payload          // ok
 //	          | 0x01 str(code) str(msg)            // handler error
-//	batch    := uvarint(n) n×call                  // request payload, enc 0|1
-//	batchres := uvarint(n) n×result                // response payload
+//	batch    := uvarint(n) n×call                  // a mid 0 inside fails that slot
+//	batchres := uvarint(n) n×result                // the reply payload of mid 0
 //	str      := uvarint(len) bytes
 //	strs     := uvarint(n) n×str
 //	uvarints := uvarint(n) n×uvarint
 //
-// Typed payloads are used only for methods in the agreed table (both ends
-// are then guaranteed to hold the codec); everything else — including any
-// argument value a codec does not recognise — is a JSON payload inside the
-// same envelope.
+// An empty payload is nil args or a nil reply, and decodes to the zero
+// value.
 package transport
 
 import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -55,17 +51,13 @@ import (
 )
 
 // wireVersion is the protocol version both peers state in the hello.
-const wireVersion = 2
+const wireVersion = 3
 
-// Frame kind and payload encoding tags.
+// Frame kind and result status tags.
 const (
 	wireKindReq   = 0x01
 	wireKindResp  = 0x02
 	wireKindHello = 0x03
-
-	encJSON  = 0x00 // payload is JSON bytes
-	encTyped = 0x01 // payload is the method's registered PayloadCodec encoding
-	encBatch = 0x02 // payload is a batch of calls (_batch.exec only)
 
 	wireStatusOK  = 0x00
 	wireStatusErr = 0x01
@@ -76,6 +68,11 @@ const (
 // frame (truncated varint, oversized length, unknown method id, bad tag
 // byte). Peers that send one have their connection dropped.
 var ErrWireProtocol = errors.New("transport: wire protocol violation")
+
+// ErrNotNegotiated reports a call to a method outside the connection's
+// method id table: the peer holds no codec for it (or this build does not).
+// The call fails before any frame is sent.
+var ErrNotNegotiated = errors.New("transport: method not negotiated with the peer")
 
 // appendHello appends the client's hello body: the sorted service.method
 // names it holds typed payload codecs for.
@@ -149,17 +146,16 @@ func parseHelloReply(body []byte) ([]int, error) {
 
 // PayloadCodec is the typed binary encoding of one method's argument and
 // reply payloads. Encode appends to dst (which may be a pooled frame
-// buffer) and returns the extended slice; an encode error (e.g. an
-// unexpected argument type) makes the transport fall back to a JSON
-// payload for that call. Decode must be strictly bounds-checked: malformed
-// input returns an error, never panics. Decoded byte slices may alias the
-// input buffer.
+// buffer) and returns the extended slice; a value of a type the codec does
+// not handle is an encode error, and the call fails. Decode must be
+// strictly bounds-checked: malformed input returns an error, never panics.
+// Decoded byte slices may alias the input buffer.
 type PayloadCodec struct {
 	NewArgs     func() any
 	EncodeArgs  func(dst []byte, args any) ([]byte, error)
 	DecodeArgs  func(data []byte, args any) error
-	NewReply    func() any                                  // nil when the reply stays JSON
-	EncodeReply func(dst []byte, reply any) ([]byte, error) // nil: reply always JSON
+	NewReply    func() any                                  // nil for a method whose reply is always nil
+	EncodeReply func(dst []byte, reply any) ([]byte, error) // nil: the handler returns nil
 	DecodeReply func(data []byte, reply any) error
 }
 
@@ -223,7 +219,7 @@ func registryTable() *wireTable {
 }
 
 // errCodecType reports an argument/reply value a typed codec does not
-// recognise; the transport falls back to JSON for that payload.
+// recognise.
 var errCodecType = errors.New("transport: value type not handled by codec")
 
 // NoReply marks a method without a typed reply encoding in Codec.
@@ -231,7 +227,7 @@ type NoReply = struct{}
 
 // Codec builds a PayloadCodec from four append/consume functions, keeping
 // per-method codecs down to their field lists. encR may be nil for
-// write-style methods whose replies stay JSON (use NoReply for R).
+// write-style methods whose handlers return nil (use NoReply for R).
 // Encoders must be deterministic (coalescing dedups on encoded bytes).
 // Decode functions receive a pooled Reader and must not retain it past
 // the call (decoded values alias the payload buffer, not the Reader).
@@ -339,7 +335,19 @@ func newWireTable(proposal []string, accept []int) (*wireTable, error) {
 	return t, nil
 }
 
-// resolve maps a method id to its name and codec.
+// mid returns the method id name travels under: 0 for the batch executor,
+// its table id for a negotiated method, ErrNotNegotiated otherwise.
+func (t *wireTable) mid(name string) (uint16, error) {
+	if name == batchName {
+		return 0, nil
+	}
+	if mid, ok := t.ids[name]; ok {
+		return mid, nil
+	}
+	return 0, fmt.Errorf("%w: %s", ErrNotNegotiated, name)
+}
+
+// resolve maps a nonzero method id to its name and codec.
 func (t *wireTable) resolve(mid uint64) (string, *PayloadCodec, bool) {
 	if mid == 0 || mid > uint64(len(t.names)) {
 		return "", nil, false
@@ -449,48 +457,36 @@ func sealLen(b []byte, mark int) []byte {
 	return b[:mark+n+len(b)-start]
 }
 
-// appendMethod appends a call's method, compressed to its table id when
-// negotiated.
-func appendMethod(b []byte, t *wireTable, name string) []byte {
-	if mid, ok := t.ids[name]; ok {
-		return binary.AppendUvarint(b, uint64(mid))
+// appendCall appends one call section for an already encoded payload.
+func appendCall(b []byte, t *wireTable, name string, payload []byte) ([]byte, error) {
+	mid, err := t.mid(name)
+	if err != nil {
+		return b, err
 	}
-	b = append(b, 0)
-	return wirefmt.AppendString(b, name)
-}
-
-// appendCall appends one call section (method, enc, length-prefixed
-// payload).
-func appendCall(b []byte, t *wireTable, name string, enc byte, payload []byte) []byte {
-	b = appendMethod(b, t, name)
-	b = append(b, enc)
-	return wirefmt.AppendBytes(b, payload)
+	b = binary.AppendUvarint(b, uint64(mid))
+	return wirefmt.AppendBytes(b, payload), nil
 }
 
 // appendCallArgs appends the call section for args, encoding the payload
 // in place (see appendArgs for what args may be).
 func appendCallArgs(b []byte, t *wireTable, name string, args any) ([]byte, error) {
-	b = appendMethod(b, t, name)
-	encAt := len(b)
-	b, mark := reserveLen(append(b, encJSON))
-	b, enc, err := appendArgs(b, t, name, args)
+	mid, err := t.mid(name)
 	if err != nil {
 		return b, err
 	}
-	b[encAt] = enc
+	b, mark := reserveLen(binary.AppendUvarint(b, uint64(mid)))
+	if b, err = appendArgs(b, t, name, args); err != nil {
+		return b, err
+	}
 	return sealLen(b, mark), nil
 }
 
 // callWireSize is the exact encoded size of one call section — the
 // codec-derived per-sub-call overhead the batch chunker uses.
 func callWireSize(t *wireTable, name string, payloadLen int) int {
-	n := 1 // enc byte
-	if mid, ok := t.ids[name]; ok {
-		n += uvarintLen(uint64(mid))
-	} else {
-		n += 1 + uvarintLen(uint64(len(name))) + len(name)
-	}
-	return n + uvarintLen(uint64(payloadLen)) + payloadLen
+	// 0 for the batch executor; an unnegotiated call fails when it is framed.
+	mid := t.ids[name]
+	return uvarintLen(uint64(mid)) + uvarintLen(uint64(payloadLen)) + payloadLen
 }
 
 func uvarintLen(u uint64) int {
@@ -505,46 +501,33 @@ func uvarintLen(u uint64) int {
 // parsedCall is one decoded call section.
 type parsedCall struct {
 	name    string
-	codec   *PayloadCodec // non-nil when resolved via the table
-	enc     byte
-	payload []byte // aliases the frame buffer
+	codec   *PayloadCodec // nil for a batch
+	payload []byte        // aliases the frame buffer
 }
 
 // parseCall consumes one call section from r.
 func parseCall(r *wirefmt.Reader, t *wireTable) (parsedCall, error) {
 	var c parsedCall
 	mid := r.Uvarint()
-	if mid == 0 {
-		c.name = r.String()
-	} else {
-		name, codec, ok := t.resolve(mid)
-		if !ok {
-			return c, fmt.Errorf("%w: unknown method id %d", ErrWireProtocol, mid)
-		}
-		c.name, c.codec = name, codec
-	}
-	c.enc = r.Byte()
 	c.payload = r.Bytes()
 	if err := r.Err(); err != nil {
 		return c, fmt.Errorf("%w: %v", ErrWireProtocol, err)
 	}
-	if c.enc > encBatch {
-		return c, fmt.Errorf("%w: bad payload encoding 0x%02x", ErrWireProtocol, c.enc)
+	if mid == 0 {
+		c.name = batchName
+		return c, nil
 	}
-	if c.codec == nil && c.enc == encTyped {
-		// Typed payloads are only legal for table methods; an inline-named
-		// typed payload would be undecodable.
-		c.codec = LookupCodec(c.name)
-		if c.codec == nil {
-			return c, fmt.Errorf("%w: typed payload for unregistered method %s", ErrWireProtocol, c.name)
-		}
+	name, codec, ok := t.resolve(mid)
+	if !ok {
+		return c, fmt.Errorf("%w: unknown method id %d", ErrWireProtocol, mid)
 	}
+	c.name, c.codec = name, codec
 	return c, nil
 }
 
 // appendResultOK appends an ok result section.
-func appendResultOK(b []byte, enc byte, payload []byte) []byte {
-	b = append(b, wireStatusOK, enc)
+func appendResultOK(b []byte, payload []byte) []byte {
+	b = append(b, wireStatusOK)
 	return wirefmt.AppendBytes(b, payload)
 }
 
@@ -558,7 +541,6 @@ func appendResultErr(b []byte, code, msg string) []byte {
 // parsedResult is one decoded result section.
 type parsedResult struct {
 	ok      bool
-	enc     byte
 	payload []byte // aliases the frame buffer
 	code    string
 	msg     string
@@ -569,7 +551,6 @@ func parseResult(r *wirefmt.Reader) (parsedResult, error) {
 	switch status := r.Byte(); status {
 	case wireStatusOK:
 		res.ok = true
-		res.enc = r.Byte()
 		res.payload = r.Bytes()
 	case wireStatusErr:
 		res.code = r.String()
@@ -583,71 +564,41 @@ func parseResult(r *wirefmt.Reader) (parsedResult, error) {
 	if err := r.Err(); err != nil {
 		return res, fmt.Errorf("%w: %v", ErrWireProtocol, err)
 	}
-	if res.ok && res.enc > encBatch {
-		return res, fmt.Errorf("%w: bad result encoding 0x%02x", ErrWireProtocol, res.enc)
-	}
 	return res, nil
 }
 
-// appendArgs appends the payload of one outgoing call to dst and reports
-// its encoding. A []BatchCall is a batch payload (_batch.exec); RawArgs
-// pass through pre-encoded; any other value is typed when the method is in
-// the table and its codec recognises the value, JSON otherwise. With a nil
-// dst the payload is freshly allocated and may be retained.
-func appendArgs(dst []byte, t *wireTable, name string, args any) (out []byte, enc byte, err error) {
-	switch a := args.(type) {
-	case []BatchCall:
-		out, err = appendBatchPayload(dst, t, a)
-		return out, encBatch, err
-	case RawArgs:
-		var payload []byte
-		payload, enc, err = payloadFor(t, name, a.Payload, a.Typed, a.Args)
-		return adopt(dst, payload), enc, err
-	}
-	if mid, ok := t.ids[name]; ok {
-		start := time.Now()
-		if b, cerr := t.codecs[mid-1].EncodeArgs(dst, args); cerr == nil {
-			wireRecordEncode(name, time.Since(start))
-			return b, encTyped, nil
-		}
-		// Unrecognised argument type: fall back to JSON.
-	}
-	if args == nil {
-		return dst, encJSON, nil
-	}
-	b, err := json.Marshal(args)
+// appendArgs appends the payload of one outgoing call to dst. The batch
+// executor takes []BatchCall; any other method takes nil (an empty
+// payload), RawArgs (shipped as is) or a value its codec recognises. With
+// a nil dst the payload is freshly allocated and may be retained.
+func appendArgs(dst []byte, t *wireTable, name string, args any) ([]byte, error) {
+	mid, err := t.mid(name)
 	if err != nil {
-		return dst, 0, fmt.Errorf("transport: encoding args: %w", err)
+		return dst, err
 	}
-	return adopt(dst, b), encJSON, nil
-}
-
-// adopt appends p to dst, or hands p over as is when there is no dst.
-func adopt(dst, p []byte) []byte {
-	if dst == nil {
-		return p
+	if mid == 0 {
+		calls, ok := args.([]BatchCall)
+		if !ok {
+			return dst, fmt.Errorf("transport: %s args are %T, want []BatchCall", name, args)
+		}
+		return appendBatchPayload(dst, t, calls)
 	}
-	return append(dst, p...)
-}
-
-// payloadFor picks the payload to ship for name on a socket with table t:
-// the pre-encoded raw when there is one and t can carry it, a fresh
-// encoding of args otherwise. A typed payload is only sendable where the
-// method was negotiated; one encoded against another socket's table (the
-// server changed between a redial and its predecessor) is re-encoded.
-func payloadFor(t *wireTable, name string, raw []byte, rawTyped bool, args any) ([]byte, byte, error) {
-	if raw != nil {
-		if !rawTyped {
-			return raw, encJSON, nil
+	switch a := args.(type) {
+	case nil:
+		return dst, nil
+	case RawArgs:
+		if dst == nil {
+			return a.Payload, nil
 		}
-		if _, ok := t.ids[name]; ok {
-			return raw, encTyped, nil
-		}
-		if args == nil {
-			return nil, 0, fmt.Errorf("transport: typed payload for unnegotiated method %s and no args to re-encode", name)
-		}
+		return append(dst, a.Payload...), nil
 	}
-	return appendArgs(nil, t, name, args)
+	start := time.Now()
+	b, err := t.codecs[mid-1].EncodeArgs(dst, args)
+	if err != nil {
+		return dst, fmt.Errorf("transport: encoding %s args (%T): %w", name, args, err)
+	}
+	wireRecordEncode(name, time.Since(start))
+	return b, nil
 }
 
 // decodeResult turns the result of one call into Call's outcome: the
@@ -660,8 +611,8 @@ func decodeResult(name string, res *parsedResult, args, reply any) error {
 	}
 	if calls, ok := args.([]BatchCall); ok {
 		out, _ := reply.(*[]BatchResult)
-		if res.enc != encBatch || out == nil {
-			return fmt.Errorf("%w: non-batch result for %s", ErrWireProtocol, name)
+		if out == nil {
+			return fmt.Errorf("transport: %s reply must be a *[]BatchResult, not %T", name, reply)
 		}
 		start := time.Now()
 		results, err := parseBatchResults(calls, res.payload)
@@ -669,45 +620,41 @@ func decodeResult(name string, res *parsedResult, args, reply any) error {
 		*out = results
 		return err
 	}
-	if res.enc == encBatch {
-		return fmt.Errorf("%w: unexpected batch result for %s", ErrWireProtocol, name)
-	}
 	if br, ok := reply.(*BatchResult); ok {
 		br.Payload = append(br.Payload[:0], res.payload...)
-		br.typed = res.enc == encTyped
-		br.method = name
+		br.Name = name
 		return nil
 	}
 	if reply == nil || len(res.payload) == 0 {
 		return nil
 	}
-	if res.enc == encTyped {
-		codec := LookupCodec(name)
-		if codec == nil || codec.DecodeReply == nil {
-			return fmt.Errorf("transport: no reply codec for %s", name)
-		}
-		start := time.Now()
-		err := codec.DecodeReply(res.payload, reply)
-		wireRecordDecode(name, time.Since(start))
-		if err != nil {
-			return fmt.Errorf("transport: decoding %s reply: %w", name, err)
-		}
+	start := time.Now()
+	err := decodeReply(name, res.payload, reply)
+	wireRecordDecode(name, time.Since(start))
+	return err
+}
+
+// decodeReply decodes a reply payload of name into reply; an empty
+// payload leaves reply at its zero value.
+func decodeReply(name string, payload []byte, reply any) error {
+	if reply == nil || len(payload) == 0 {
 		return nil
 	}
-	if err := json.Unmarshal(res.payload, reply); err != nil {
-		return fmt.Errorf("transport: decoding reply: %w", err)
+	codec := LookupCodec(name)
+	if codec == nil || codec.DecodeReply == nil {
+		return fmt.Errorf("transport: no reply codec for %s", name)
+	}
+	if err := codec.DecodeReply(payload, reply); err != nil {
+		return fmt.Errorf("transport: decoding %s reply: %w", name, err)
 	}
 	return nil
 }
 
 // wireExec executes one parsed call against m and appends its result
-// section to dst. typedReply authorises typed reply payloads (the peer
-// negotiated this method). Batch payloads recurse one level.
-func wireExec(ctx context.Context, m *Mux, t *wireTable, dst []byte, call parsedCall, typedReply bool) []byte {
-	if call.enc == encBatch {
-		if call.name != BatchService+"."+BatchMethod {
-			return appendResultErr(dst, "", "transport: batch payload on non-batch method "+call.name)
-		}
+// section to dst. A batch runs its sub-calls in order; a batch inside a
+// batch fails its slot.
+func wireExec(ctx context.Context, m *Mux, t *wireTable, dst []byte, call parsedCall) []byte {
+	if call.codec == nil {
 		r := wirefmt.NewReader(call.payload)
 		n := r.Count()
 		if r.Err() != nil {
@@ -721,122 +668,59 @@ func wireExec(ctx context.Context, m *Mux, t *wireTable, dst []byte, call parsed
 			if err != nil {
 				return appendResultErr(dst, "", fmt.Sprintf("transport: decoding batch sub-call %d: %v", i, err))
 			}
-			if sub.enc == encBatch || sub.name == BatchService+"."+BatchMethod {
+			if sub.codec == nil {
 				body = appendResultErr(body, "", "transport: nested batch calls are not allowed")
 				continue
 			}
-			body = wireExec(ctx, m, t, body, sub, typedReply)
+			body = wireExec(ctx, m, t, body, sub)
 		}
 		if err := r.Finish(); err != nil {
 			return appendResultErr(dst, "", "transport: decoding batch: trailing bytes")
 		}
-		return appendResultOK(dst, encBatch, body[wireFrameHdr:])
+		return appendResultOK(dst, body[wireFrameHdr:])
 	}
 
-	entry := m.lookup(call.name)
-	if entry == nil {
+	fn := m.lookup(call.name)
+	if fn == nil {
 		return appendResultErr(dst, "", fmt.Sprintf("%v: %s", ErrNoHandler, call.name))
 	}
-
-	var (
-		result any
-		err    error
-	)
-	switch call.enc {
-	case encTyped:
-		args := call.codec.NewArgs()
+	args := call.codec.NewArgs()
+	if len(call.payload) > 0 {
 		start := time.Now()
-		derr := call.codec.DecodeArgs(call.payload, args)
+		err := call.codec.DecodeArgs(call.payload, args)
 		wireRecordDecode(call.name, time.Since(start))
-		if derr != nil {
-			return appendResultErr(dst, "", fmt.Sprintf("transport: decoding %s args: %v", call.name, derr))
+		if err != nil {
+			return appendResultErr(dst, "", fmt.Sprintf("transport: decoding %s args: %v", call.name, err))
 		}
-		if entry.typed != nil {
-			result, err = entry.typed(ctx, args)
-		} else {
-			// Handler registered without a typed path: re-encode the decoded
-			// args as JSON so plain Handle registrations keep working.
-			b, merr := json.Marshal(args)
-			if merr != nil {
-				return appendResultErr(dst, "", fmt.Sprintf("transport: re-encoding %s args: %v", call.name, merr))
-			}
-			result, err = entry.h(ctx, b)
-		}
-	default: // encJSON
-		result, err = entry.h(ctx, call.payload)
 	}
+	result, err := fn(ctx, args)
 	if err != nil {
 		return appendResultErr(dst, ErrorCode(err), err.Error())
 	}
-
 	// A nil result (write-style methods) needs no payload at all.
 	if result == nil {
-		return appendResultOK(dst, encJSON, nil)
+		return appendResultOK(dst, nil)
 	}
-
-	// Encode the reply: typed, in place, when authorised and the codec
-	// recognises the handler's value; JSON otherwise.
-	if typedReply {
-		if codec := codecForReply(t, call); codec != nil && codec.EncodeReply != nil {
-			b, mark := reserveLen(append(dst, wireStatusOK, encTyped))
-			start := time.Now()
-			b, cerr := codec.EncodeReply(b, result)
-			wireRecordEncode(call.name, time.Since(start))
-			if cerr == nil {
-				return sealLen(b, mark)
-			}
-		}
+	if call.codec.EncodeReply == nil {
+		return appendResultErr(dst, "", fmt.Sprintf("transport: %s has no reply codec for a %T reply", call.name, result))
 	}
-	payload, merr := json.Marshal(result)
-	if merr != nil {
-		return appendResultErr(dst, "", fmt.Sprintf("transport: encoding response: %v", merr))
+	b, mark := reserveLen(append(dst, wireStatusOK))
+	start := time.Now()
+	b, err = call.codec.EncodeReply(b, result)
+	wireRecordEncode(call.name, time.Since(start))
+	if err != nil {
+		return appendResultErr(dst, "", fmt.Sprintf("transport: encoding %s reply (%T): %v", call.name, result, err))
 	}
-	return appendResultOK(dst, encJSON, payload)
-}
-
-// codecForReply returns the codec authorised for a typed reply to call:
-// the table entry when the call came in by id, or the registry entry for
-// an inline-named call the peer nevertheless negotiated.
-func codecForReply(t *wireTable, call parsedCall) *PayloadCodec {
-	if call.codec != nil {
-		return call.codec
-	}
-	if mid, ok := t.ids[call.name]; ok {
-		return t.codecs[mid-1]
-	}
-	return nil
+	return sealLen(b, mark)
 }
 
 // RawArgs is an argument value whose payload was already encoded by the
 // connection's WireCodec (see ConnCodec / WireCodec.EncodeArgs). The
 // coalescer encodes sub-calls at enqueue time — for byte-accurate flush
 // triggers and dedup keys — and ships them with RawArgs so the transport
-// does not encode twice. A Typed payload is only sendable on a socket that
-// negotiated the method; on one that did not, the transport re-encodes
-// from the retained Args instead of failing the call.
+// does not encode twice.
 type RawArgs struct {
 	Payload []byte
-	Typed   bool
-	// Args is the original argument value, kept for re-encoding when the
-	// pre-encoded payload does not fit the socket's method id table.
-	Args any
-}
-
-// MarshalJSON makes RawArgs transparent to JSON encoders: a JSON payload
-// passes through verbatim, a typed payload re-encodes from the retained
-// args. Wrapper connections that inspect arguments with json.Marshal
-// (bench instrumentation, logging) keep seeing the original value shape.
-func (r RawArgs) MarshalJSON() ([]byte, error) {
-	if !r.Typed {
-		if len(r.Payload) == 0 {
-			return []byte("null"), nil
-		}
-		return r.Payload, nil
-	}
-	if r.Args == nil {
-		return nil, errors.New("transport: typed RawArgs without retained args")
-	}
-	return json.Marshal(r.Args)
 }
 
 // WireCodec describes how a Conn encodes call payloads, letting the batch
@@ -845,9 +729,8 @@ func (r RawArgs) MarshalJSON() ([]byte, error) {
 type WireCodec interface {
 	// Name is "binary".
 	Name() string
-	// EncodeArgs returns the payload for service.method and whether it used
-	// the typed encoding.
-	EncodeArgs(service, method string, args any) (payload []byte, typed bool, err error)
+	// EncodeArgs returns the payload for service.method.
+	EncodeArgs(service, method string, args any) ([]byte, error)
 	// SubSize is the exact encoded size of one batch sub-call with a
 	// payload of payloadLen bytes.
 	SubSize(service, method string, payloadLen int) int
@@ -862,8 +745,7 @@ type wireCodecProvider interface {
 
 // ConnCodec returns conn's wire codec. Conns that do not expose one
 // (wrappers, test fakes) get the codec of the full-registry table, which
-// is what their inner connection negotiates with a peer of this build;
-// where it negotiated less, the transport re-encodes (see payloadFor).
+// is what their inner connection negotiates with a peer of this build.
 func ConnCodec(conn Conn) WireCodec {
 	if p, ok := conn.(wireCodecProvider); ok {
 		if c := p.WireCodec(); c != nil {
@@ -878,9 +760,8 @@ type binaryWireCodec struct{ table *wireTable }
 
 func (binaryWireCodec) Name() string { return "binary" }
 
-func (c binaryWireCodec) EncodeArgs(service, method string, args any) ([]byte, bool, error) {
-	payload, enc, err := appendArgs(nil, c.table, service+"."+method, args)
-	return payload, enc == encTyped, err
+func (c binaryWireCodec) EncodeArgs(service, method string, args any) ([]byte, error) {
+	return appendArgs(nil, c.table, service+"."+method, args)
 }
 
 func (c binaryWireCodec) SubSize(service, method string, payloadLen int) int {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"testing"
 
 	"datablinder/internal/wirefmt"
@@ -14,18 +13,18 @@ import (
 // under a dedicated service so the fuzz table exercises typed dispatch
 // without touching production codecs.
 type fuzzArgs struct {
-	S  string   `json:"s"`
-	B  []byte   `json:"b"`
-	N  uint64   `json:"n"`
-	I  int64    `json:"i"`
-	OK bool     `json:"ok"`
-	BS [][]byte `json:"bs"`
-	SS []string `json:"ss"`
-	US []uint64 `json:"us"`
+	S  string
+	B  []byte
+	N  uint64
+	I  int64
+	OK bool
+	BS [][]byte
+	SS []string
+	US []uint64
 }
 
 type fuzzReply struct {
-	Echo []byte `json:"echo"`
+	Echo []byte
 }
 
 func init() {
@@ -56,12 +55,9 @@ func init() {
 }
 
 func fuzzMux() *Mux {
-	mux := NewMux()
+	mux := testMux()
 	HandleTyped(mux, "fuzz", "echo", func(_ context.Context, a *fuzzArgs) (any, error) {
 		return fuzzReply{Echo: a.B}, nil
-	})
-	mux.Handle("fuzz", "json", func(_ context.Context, p json.RawMessage) (any, error) {
-		return map[string]int{"n": len(p)}, nil
 	})
 	return mux
 }
@@ -74,42 +70,46 @@ func fuzzMux() *Mux {
 func FuzzBinaryFrame(f *testing.F) {
 	table := registryTable() // what a same-binary hello negotiates
 	mux := fuzzMux()
-
-	// Seed with well-formed frames of every section kind.
-	argPayload, _, err := appendArgs(nil, table, "fuzz.echo", &fuzzArgs{S: "s", B: []byte{1, 2}, US: []uint64{7}})
-	if err != nil {
-		f.Fatal(err)
+	encode := func(name string, args any) []byte {
+		p, err := appendArgs(nil, table, name, args)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return p
 	}
-	req := binary.AppendUvarint([]byte{wireKindReq}, 99)
-	req = appendCall(req, table, "fuzz.echo", encTyped, argPayload)
-	f.Add(req)
-	jsonReq := binary.AppendUvarint([]byte{wireKindReq}, 100)
-	jsonReq = appendCall(jsonReq, table, "fuzz.json", encJSON, []byte(`{"x":1}`))
-	f.Add(jsonReq)
+	request := func(id uint64, name string, payload []byte) []byte {
+		b, err := appendCall(binary.AppendUvarint([]byte{wireKindReq}, id), table, name, payload)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
 
+	// Seed with well-formed frames of every section kind: a typed call, a
+	// call with nil args (empty payload), a batch as mid 0 carrying a mid 0
+	// of its own, and its response.
+	argPayload := encode("fuzz.echo", &fuzzArgs{S: "s", B: []byte{1, 2}, US: []uint64{7}})
+	f.Add(request(99, "fuzz.echo", argPayload))
+	f.Add(request(100, "test.echo", nil))
 	batch := []BatchCall{
-		{Service: "fuzz", Method: "echo", Raw: argPayload, RawTyped: true},
-		{Service: "fuzz", Method: "json", Raw: []byte(`{}`)},
+		{Service: "fuzz", Method: "echo", Raw: argPayload},
+		{Service: "test", Method: "add", Args: tmsg{A: 2, B: 3}},
+		{Service: BatchService, Method: BatchMethod, Args: []BatchCall{{Service: "test", Method: "echo"}}},
 	}
-	batchBody, err := appendBatchPayload(nil, table, batch)
-	if err != nil {
-		f.Fatal(err)
-	}
-	batchReq := binary.AppendUvarint([]byte{wireKindReq}, 101)
-	f.Add(appendCall(batchReq, table, batchName, encBatch, batchBody))
+	batchBody := encode(batchName, batch)
+	f.Add(request(101, batchName, batchBody))
 	batchResp := binary.AppendUvarint([]byte{wireKindResp}, 101)
-	f.Add(wireExec(context.Background(), mux, table, batchResp,
-		parsedCall{name: batchName, enc: encBatch, payload: batchBody}, true))
+	f.Add(wireExec(context.Background(), mux, table, batchResp, parsedCall{name: batchName, payload: batchBody}))
 
 	okResp := binary.AppendUvarint([]byte{wireKindResp}, 99)
-	okResp = appendResultOK(okResp, encTyped, []byte{3, 1, 2, 3})
+	okResp = appendResultOK(okResp, []byte{3, 1, 2, 3})
 	f.Add(okResp)
 	errResp := binary.AppendUvarint([]byte{wireKindResp}, 99)
 	errResp = appendResultErr(errResp, "not_found", "gone")
 	f.Add(errResp)
 	f.Add(appendHello(nil, RegisteredWireMethods()))
 	f.Add(appendHelloReply(nil, []int{0, 2, 3}))
-	f.Add([]byte{wireKindHello, wireVersion + 1, 0})
+	f.Add([]byte{wireKindHello, wireVersion - 1, 0})
 	f.Add([]byte{})
 	f.Add([]byte{wireKindReq})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
@@ -133,7 +133,7 @@ func FuzzBinaryFrame(f *testing.F) {
 		r.Uvarint() // request id
 		if kind == wireKindReq {
 			if call, err := parseCall(r, table); err == nil && r.Finish() == nil {
-				out := wireExec(context.Background(), mux, table, nil, call, true)
+				out := wireExec(context.Background(), mux, table, nil, call)
 				// Whatever the handler did, the result section must parse.
 				rr := wirefmt.NewReader(out)
 				if _, err := parseResult(rr); err != nil {
@@ -145,13 +145,10 @@ func FuzzBinaryFrame(f *testing.F) {
 			}
 			return
 		}
-		// Client side: response parse.
-		if res, err := parseResult(r); err == nil && r.Finish() == nil {
-			if res.ok && res.enc == encBatch {
-				// Batch results parse one level deeper: two sub-slots of
-				// arbitrary encoding, as Call would see them.
-				parseBatchResults(batch, res.payload)
-			}
+		// Client side: response parse. Whether a payload is a batch's is the
+		// call's business, so every ok payload is also tried as one.
+		if res, err := parseResult(r); err == nil && r.Finish() == nil && res.ok {
+			parseBatchResults(batch, res.payload)
 		}
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"net"
 	"strings"
@@ -48,32 +47,38 @@ func TestReadWireFrameRejectsTruncatedBody(t *testing.T) {
 func TestParseCallRejectsBadMethodID(t *testing.T) {
 	table := registryTable()
 	bad := binary.AppendUvarint(nil, uint64(len(table.names)+7)) // beyond the table
-	bad = append(bad, encJSON)
-	bad = wirefmt.AppendBytes(bad, []byte(`{}`))
+	bad = wirefmt.AppendBytes(bad, []byte{0})
 	if _, err := parseCall(wirefmt.NewReader(bad), table); err == nil {
 		t.Fatal("accepted out-of-table method id")
 	}
 }
 
-func TestParseCallRejectsBadEncoding(t *testing.T) {
+// TestParseCallRejectsTruncatedPayload: a payload length running past the
+// frame is malformed, not a short payload.
+func TestParseCallRejectsTruncatedPayload(t *testing.T) {
 	table := registryTable()
-	b := append([]byte{0}, 0) // inline name, empty — then bad enc
-	b = wirefmt.AppendString(b[:1], "svc.m")
-	b = append(b, encBatch+1)
-	b = wirefmt.AppendBytes(b, nil)
-	if _, err := parseCall(wirefmt.NewReader(b), table); err == nil {
-		t.Fatal("accepted unknown payload encoding")
+	b := binary.AppendUvarint(nil, uint64(table.ids["test.echo"]))
+	b = append(binary.AppendUvarint(b, 9), 1, 2, 3)
+	if _, err := parseCall(wirefmt.NewReader(b), table); !errors.Is(err, ErrWireProtocol) {
+		t.Fatalf("truncated payload: err = %v, want ErrWireProtocol", err)
 	}
 }
 
-func TestParseCallRejectsTypedInlineUnregistered(t *testing.T) {
+// TestMethodIDZeroIsTheBatchExecutor: mid 0 is how _batch.exec travels and
+// what it alone travels as; a method name has no way onto the wire.
+func TestMethodIDZeroIsTheBatchExecutor(t *testing.T) {
 	table := registryTable()
-	b := append([]byte{0}, 0)
-	b = wirefmt.AppendString(b[:1], "nosuch.method")
-	b = append(b, encTyped)
-	b = wirefmt.AppendBytes(b, []byte{1})
-	if _, err := parseCall(wirefmt.NewReader(b), table); err == nil {
-		t.Fatal("accepted typed payload for a method with no codec")
+	call, err := parseCall(wirefmt.NewReader([]byte{0, 1, 0}), table)
+	if err != nil || call.name != batchName || call.codec != nil {
+		t.Fatalf("mid 0 parsed as %q (codec %v), %v; want the batch executor", call.name, call.codec != nil, err)
+	}
+	if mid, err := table.mid(batchName); mid != 0 || err != nil {
+		t.Fatalf("mid(%s) = %d, %v", batchName, mid, err)
+	}
+	for name := range table.ids {
+		if mid, _ := table.mid(name); mid == 0 {
+			t.Fatalf("%s travels as mid 0", name)
+		}
 	}
 }
 
@@ -106,19 +111,12 @@ func TestNewWireTableRejectsBadAccepts(t *testing.T) {
 
 func testWireMux() *Mux {
 	mux := NewMux()
-	mux.Handle("svc", "echo", func(_ context.Context, p json.RawMessage) (any, error) {
-		var m map[string]string
-		if err := json.Unmarshal(p, &m); err != nil {
-			return nil, err
-		}
-		return m, nil
-	})
+	handle(mux, "svc.echo", func(_ context.Context, m *tmsg) (any, error) { return m, nil })
 	return mux
 }
 
 // TestHelloSettlesMethodTable: same-build client and server agree on the
-// full registry, and calls work (JSON escape hatch for a method with no
-// typed codec).
+// full registry, and calls work.
 func TestHelloSettlesMethodTable(t *testing.T) {
 	srv := NewServer(testWireMux())
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -132,11 +130,11 @@ func TestHelloSettlesMethodTable(t *testing.T) {
 	}
 	defer c.Close()
 
-	var reply map[string]string
-	if err := c.Call(context.Background(), "svc", "echo", map[string]string{"k": "v"}, &reply); err != nil {
+	var reply tmsg
+	if err := c.Call(context.Background(), "svc", "echo", tmsg{S: "v"}, &reply); err != nil {
 		t.Fatal(err)
 	}
-	if reply["k"] != "v" {
+	if reply.S != "v" {
 		t.Fatalf("echo reply = %v", reply)
 	}
 	if got := ConnCodec(c).Name(); got != "binary" {
@@ -162,7 +160,7 @@ func TestDialRejectsPeerThatIsNotThisProtocol(t *testing.T) {
 	answers := map[string][]byte{
 		"garbage":            {0xde, 0xad, 0xbe, 0xef, 0x00, 0x01},
 		"v1 JSON reply":      append([]byte{0, 0, 0, 40}, `{"id":1,"ok":true,"payload":{"version":1}}`...),
-		"response, no hello": rawFrame(appendResultOK(binary.AppendUvarint([]byte{wireKindResp}, 1), encJSON, nil)),
+		"response, no hello": rawFrame(appendResultOK(binary.AppendUvarint([]byte{wireKindResp}, 1), nil)),
 		"other version":      rawFrame([]byte{wireKindHello, wireVersion + 1, 0}),
 		"accept beyond list": rawFrame(appendHelloReply(nil, []int{0, proposal})),
 		"accept unordered":   rawFrame(appendHelloReply(nil, []int{1, 0})),
@@ -246,7 +244,7 @@ func TestRedialRejectsPeerThatIsNotThisProtocol(t *testing.T) {
 	// The first call may still find the old socket and fail on it; within a
 	// few calls the slot has redialed into the impostor.
 	for i := 0; i < 5; i++ {
-		err = c.Call(context.Background(), "svc", "echo", map[string]string{"k": "v"}, nil)
+		err = c.Call(context.Background(), "svc", "echo", tmsg{S: "v"}, nil)
 		if errors.Is(err, ErrWireProtocol) {
 			return
 		}
@@ -266,7 +264,7 @@ func TestWireFramePoolReuseKeepsPayloadsIntact(t *testing.T) {
 	var stream bytes.Buffer
 	for i := 0; i < frames; i++ {
 		buf := binary.AppendUvarint(append(newWireFrameBuf(), wireKindReq), uint64(i))
-		buf, err := appendCallArgs(buf, table, "svc.m", map[string]int{"seq": i})
+		buf, err := appendCallArgs(buf, table, "svc.m", tmsg{A: int64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,9 +291,9 @@ func TestWireFramePoolReuseKeepsPayloadsIntact(t *testing.T) {
 		}
 	}
 	for i, call := range calls {
-		var got map[string]int
-		if err := json.Unmarshal(call.payload, &got); err != nil || got["seq"] != i {
-			t.Fatalf("frame %d payload = %q (%v), want seq %d", i, call.payload, err, i)
+		var got tmsg
+		if err := call.codec.DecodeArgs(call.payload, &got); err != nil || got.A != int64(i) {
+			t.Fatalf("frame %d payload = %x (%v), want %d", i, call.payload, err, i)
 		}
 	}
 }
@@ -314,7 +312,11 @@ func TestWireFramePoolConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				want := uint64(g*1000 + i)
 				buf := binary.AppendUvarint(append(newWireFrameBuf(), wireKindReq), want)
-				buf = appendCall(buf, table, "s.m", encJSON, nil)
+				buf, err := appendCall(buf, table, "svc.m", nil)
+				if err != nil {
+					t.Errorf("appendCall: %v", err)
+					return
+				}
 				frame, err := finishWireFrame(buf)
 				if err != nil {
 					t.Errorf("finishWireFrame: %v", err)
@@ -355,13 +357,137 @@ func TestServeBinaryDropsMalformedConnection(t *testing.T) {
 	defer c.Close()
 	// A healthy call, then a raw garbage frame injected via the socket of
 	// a second client sharing nothing — easiest is to check a healthy call
-	// still works and a malformed typed payload is rejected per-call.
-	var reply map[string]string
-	if err := c.Call(context.Background(), "svc", "echo", map[string]string{"k": "v"}, &reply); err != nil {
+	// still works and a negotiated method the mux does not serve is
+	// rejected per-call.
+	var reply tmsg
+	if err := c.Call(context.Background(), "svc", "echo", tmsg{S: "v"}, &reply); err != nil {
 		t.Fatal(err)
 	}
-	err = c.Call(context.Background(), "nosuch", "m", nil, nil)
+	err = c.Call(context.Background(), "test", "nope", nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "no handler") {
-		t.Fatalf("unknown method over binary: err = %v, want no-handler", err)
+		t.Fatalf("unserved method over binary: err = %v, want no-handler", err)
+	}
+}
+
+// subsetServer serves one socket whose hello accepts only the proposed
+// methods in keep, the way a peer of another build would, and sends every
+// call it reads to calls after echoing it.
+func subsetServer(t *testing.T, keep map[string]bool, calls chan<- string) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		body, err := readWireFrame(br)
+		if err != nil {
+			return
+		}
+		proposal, err := parseHello(body)
+		if err != nil {
+			return
+		}
+		var accept []int
+		for i, name := range proposal {
+			if keep[name] {
+				accept = append(accept, i)
+			}
+		}
+		table, err := newWireTable(proposal, accept)
+		if err != nil || writeWireFrame(conn, appendHelloReply(newWireFrameBuf(), accept)) != nil {
+			return
+		}
+		p := &fakePeer{conn: conn, br: br, table: table}
+		for {
+			id, call, err := p.readCall()
+			if err != nil {
+				return
+			}
+			calls <- call.name
+			if p.echo(id, call) != nil {
+				return
+			}
+		}
+	}()
+	return ln
+}
+
+// TestUnnegotiatedMethodFailsBeforeAnyFrame: a method the peer did not
+// accept in the hello — here one this build has a codec for — fails on the
+// client with ErrNotNegotiated, alone and inside a batch, and puts nothing
+// on the socket: the next frame the peer reads is the next good call.
+func TestUnnegotiatedMethodFailsBeforeAnyFrame(t *testing.T) {
+	calls := make(chan string, 4)
+	ln := subsetServer(t, map[string]bool{"svc.echo": true}, calls)
+	c, err := Dial(ln.Addr().String(), DialOptions{PoolSize: 1, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	if err := c.Call(ctx, "test", "echo", tmsg{S: "x"}, nil); !errors.Is(err, ErrNotNegotiated) {
+		t.Fatalf("call to an unnegotiated method = %v, want ErrNotNegotiated", err)
+	}
+	_, err = CallBatch(ctx, c, []BatchCall{
+		{Service: "svc", Method: "echo", Args: tmsg{S: "x"}},
+		{Service: "test", Method: "echo", Args: tmsg{S: "x"}},
+	})
+	if !errors.Is(err, ErrNotNegotiated) {
+		t.Fatalf("batch with an unnegotiated sub-call = %v, want ErrNotNegotiated", err)
+	}
+	var reply tmsg
+	if err := c.Call(ctx, "svc", "echo", tmsg{S: "ok"}, &reply); err != nil || reply.S != "ok" {
+		t.Fatalf("negotiated call = %v, %v", reply, err)
+	}
+	if first := <-calls; first != "svc.echo" || len(calls) != 0 {
+		t.Fatalf("the peer read %s first (%d more), want only the negotiated call", first, len(calls))
+	}
+}
+
+// TestHandleTypedNeedsItsCodec: registering a handler for a method with no
+// codec, or with a codec of other args, panics at registration.
+func TestHandleTypedNeedsItsCodec(t *testing.T) {
+	mustPanic := func(what string, register func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		register()
+	}
+	mustPanic("a method without a codec", func() {
+		HandleTyped(NewMux(), "nocodec", "m", func(context.Context, *tmsg) (any, error) { return nil, nil })
+	})
+	mustPanic("a codec of other args", func() {
+		HandleTyped(NewMux(), "test", "echo", func(context.Context, *fuzzArgs) (any, error) { return nil, nil })
+	})
+}
+
+// TestWrongArgTypeIsAnError: an argument value the method's codec does not
+// handle fails the call, over both transports, before it is sent.
+func TestWrongArgTypeIsAnError(t *testing.T) {
+	addr, _ := startServer(t)
+	tcp, err := Dial(addr, DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	for name, conn := range map[string]Conn{"tcp": tcp, "loopback": NewLoopback(testMux())} {
+		err := conn.Call(context.Background(), "test", "echo", map[string]string{"S": "x"}, nil)
+		if !errors.Is(err, errCodecType) {
+			t.Errorf("%s: call with a map for a tmsg = %v, want errCodecType", name, err)
+		}
+		_, err = CallBatch(context.Background(), conn, []BatchCall{{Service: "test", Method: "echo", Args: "x"}})
+		if !errors.Is(err, errCodecType) {
+			t.Errorf("%s: batch with a string for a tmsg = %v, want errCodecType", name, err)
+		}
 	}
 }

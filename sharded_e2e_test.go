@@ -18,10 +18,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -46,7 +43,7 @@ func shardedSchema() *datablinder.Schema {
 			datablinder.MustField("note", datablinder.TypeString, "C1, op [I, EQ], tactic [RND]"),
 			// effective carries BL too: its 60 distinct values give the
 			// keyword-partitioned BIEX index enough routing labels to reach
-			// every shard, which the balance assertion below depends on.
+			// every shard, which the spread assertion below depends on.
 			datablinder.MustField("effective", datablinder.TypeInt, "C5, op [I, RG, BL], tactic [OPE, BIEX-2Lev]"),
 			datablinder.MustField("amount", datablinder.TypeInt, "C5, op [I, RG], tactic [ORE]"),
 			datablinder.MustField("value", datablinder.TypeFloat, "C5, op [I, EQ], agg [sum, avg], tactic [DET, Paillier]"),
@@ -108,14 +105,7 @@ func TestShardedTierMatchesSingleNode(t *testing.T) {
 	ctx := context.Background()
 
 	addrs := []string{startShard(t), startShard(t), startShard(t)}
-	// A fixed master key fixes the BIEX labels and so their ring placement:
-	// under a random key the key-balance bound below is a coin that lands
-	// wrong in a few percent of runs.
-	keyPath := filepath.Join(t.TempDir(), "master.key")
-	if err := os.WriteFile(keyPath, []byte(strings.Repeat("5a", 32)+"\n"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := datablinder.Open(ctx, datablinder.Options{CloudAddrs: addrs, MasterKeyPath: keyPath})
+	sharded, err := datablinder.Open(ctx, datablinder.Options{CloudAddrs: addrs})
 	if err != nil {
 		t.Fatalf("opening sharded client: %v", err)
 	}
@@ -331,11 +321,11 @@ func TestShardedTierMatchesSingleNode(t *testing.T) {
 	// routing bug that funnels everything to one node would still pass the
 	// equality checks above. The BIEX index must spread too: the emm + zmf
 	// kvstore namespaces (written only by BIEX) must hold keys on every
-	// shard, with a bounded max/min ratio. A regression back to namespace
-	// pinning piles everything on one shard and fails both checks. The
-	// ratio threshold is 4, not lower: the corpus has ~70 distinct routing
-	// labels but the 10 enum keywords own most of the cells, and a
-	// consistent-hash split of 10 heavy labels over 3 shards is lumpy.
+	// shard. A regression back to namespace pinning piles everything on one
+	// shard and fails that check. How evenly the cells spread is not
+	// asserted: ~10 enum keywords own most of them, so the split is a
+	// consistent-hash draw of 10 heavy labels over 3 shards, and any fixed
+	// bound on it fails for some master keys.
 	spread := 0
 	biexSpread := 0
 	biexKeys := make([]int, len(addrs))
@@ -363,19 +353,6 @@ func TestShardedTierMatchesSingleNode(t *testing.T) {
 	}
 	if biexSpread < len(addrs) {
 		t.Errorf("BIEX index keys on %d of %d shards (%v) — keyword partitioning is not spreading", biexSpread, len(addrs), biexKeys)
-	} else {
-		lo, hi := biexKeys[0], biexKeys[0]
-		for _, k := range biexKeys[1:] {
-			if k < lo {
-				lo = k
-			}
-			if k > hi {
-				hi = k
-			}
-		}
-		if ratio := float64(hi) / float64(lo); ratio > 4 {
-			t.Errorf("BIEX index key balance %v: max/min = %.1fx, want <= 4x", biexKeys, ratio)
-		}
 	}
 
 	// A blob missing in the middle of a result set: drop one document's

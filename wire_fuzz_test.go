@@ -4,18 +4,26 @@ import (
 	"bytes"
 	"testing"
 
-	ssebiex "datablinder/internal/sse/biex"
-	"datablinder/internal/sse/emm"
-	"datablinder/internal/sse/zmf"
-	tbiex "datablinder/internal/tactics/biex"
-	"datablinder/internal/transport"
-
 	// Codec registrations ride on package imports; the root package pulls
 	// in the cloud node and every tactic, so the full production codec set
 	// is visible here.
-	_ "datablinder/internal/cloud"
+	"datablinder/internal/cloud"
+	ssebiex "datablinder/internal/sse/biex"
+	"datablinder/internal/sse/emm"
+	ssesophos "datablinder/internal/sse/sophos"
+	"datablinder/internal/sse/zmf"
+	"datablinder/internal/store/kvstore"
 	_ "datablinder/internal/tactics"
+	tbiex "datablinder/internal/tactics/biex"
+	tpaillier "datablinder/internal/tactics/paillier"
+	tsophos "datablinder/internal/tactics/sophos"
+	"datablinder/internal/transport"
 )
+
+// wireMethods is the size of the production codec registry: thirty hot
+// methods, and agg.setup, sophos.setup and admin.stats since the wire lost
+// its JSON payloads.
+const wireMethods = 33
 
 // FuzzPayloadCodecs feeds arbitrary bytes to every registered typed codec
 // (args and reply decoders). Malformed payloads must error without
@@ -24,8 +32,18 @@ import (
 // stability is what makes a decode→encode proxy hop lossless).
 func FuzzPayloadCodecs(f *testing.F) {
 	methods := transport.RegisteredWireMethods()
-	if len(methods) == 0 {
-		f.Fatal("no registered wire codecs — tactic imports missing")
+	if len(methods) != wireMethods {
+		f.Fatalf("%d registered wire codecs, want %d: %v", len(methods), wireMethods, methods)
+	}
+	node, err := cloud.NewNode(cloud.Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer node.Close()
+	for _, name := range node.Mux.Services() {
+		if transport.LookupCodec(name) == nil {
+			f.Fatalf("the cloud serves %s without a codec", name)
+		}
 	}
 	f.Add(0, []byte{})
 	f.Add(1, []byte{0x01, 0x61, 0x00, 0x00})
@@ -37,7 +55,26 @@ func FuzzPayloadCodecs(f *testing.F) {
 	k := bytes.Repeat([]byte{0xa5}, 32)
 	pair := &emm.SearchToken{AddrKey: k, ValueKey: k, Counts: emm.Counts{Tail: 75}}
 	bucket := emm.SearchToken{AddrKey: k, ValueKey: k, Counts: emm.Counts{Packed: 2, Tail: 31}}
+	seed := func(i int, codec func(dst []byte, v any) ([]byte, error), v any) {
+		enc, err := codec(nil, v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(i, enc)
+	}
 	for i, name := range methods {
+		codec := transport.LookupCodec(name)
+		switch name {
+		case tpaillier.Service + ".setup":
+			seed(i, codec.EncodeArgs, &tpaillier.SetupArgs{Schema: "obs", N: k})
+		case tsophos.Service + ".setup":
+			seed(i, codec.EncodeArgs, &tsophos.SetupArgs{Schema: "obs", PK: ssesophos.PublicKey{N: k, E: 65537}})
+		case cloud.AdminService + ".stats":
+			seed(i, codec.EncodeReply, &cloud.StatsReply{
+				Namespaces:  map[string]kvstore.NamespaceStats{"emm": {Keys: 3, Items: 9, Bytes: 400}, "aggidx": {Keys: 1, Items: 2, Bytes: -1}},
+				Collections: map[string]int{"obs": 60, "": 0},
+			})
+		}
 		if name == tbiex.Service+".insert" {
 			// One shard's share of a document insert: global cells, packed
 			// pair cells and a filter update (no per-cell pair list — that
