@@ -56,25 +56,6 @@ type (
 		Collection string `json:"collection"`
 		ID         string `json:"id"`
 	}
-	// DocPutManyArgs stores several blobs of one collection in one round
-	// trip (bulk loads, multi-document writers).
-	DocPutManyArgs struct {
-		Collection string            `json:"collection"`
-		Records    []docstore.Record `json:"records"`
-		// IfAbsent applies insert semantics to every record; the call
-		// fails on the first pre-existing id (earlier records stay).
-		IfAbsent bool `json:"if_absent,omitempty"`
-	}
-	// DocDeleteManyArgs removes several documents in one round trip,
-	// skipping missing ids.
-	DocDeleteManyArgs struct {
-		Collection string   `json:"collection"`
-		IDs        []string `json:"ids"`
-	}
-	// DocDeleteManyReply reports how many ids were actually removed.
-	DocDeleteManyReply struct {
-		Deleted int `json:"deleted"`
-	}
 	// DocScanArgs pages through a collection in id order.
 	DocScanArgs struct {
 		Collection string `json:"collection"`
@@ -102,9 +83,9 @@ const AdminService = "admin"
 type StatsArgs struct{}
 
 // StatsReply reports one node's storage footprint: per-namespace index
-// statistics and per-collection document counts. The sharding benchmark
-// gathers it from every shard to verify consistent-hash routing spreads
-// each index family evenly; operators can hit it next to -pprof.
+// statistics and per-collection document counts. The sharded end-to-end
+// test gathers it from every shard to check that documents and BIEX index
+// keys spread over the shards; operators can hit it next to -pprof.
 type StatsReply struct {
 	Namespaces  map[string]kvstore.NamespaceStats `json:"namespaces"`
 	Collections map[string]int                    `json:"collections"`
@@ -213,35 +194,6 @@ func registerDocService(mux *transport.Mux, docs *docstore.Store) {
 			return nil, coded(docs.Insert(in.Collection, in.ID, in.Blob))
 		}
 		return nil, docs.Put(in.Collection, in.ID, in.Blob)
-	})
-	transport.HandleTyped(mux, DocService, "putmany", func(_ context.Context, in *DocPutManyArgs) (any, error) {
-		for _, rec := range in.Records {
-			if in.IfAbsent {
-				if err := docs.Insert(in.Collection, rec.ID, rec.Blob); err != nil {
-					return nil, coded(err)
-				}
-				continue
-			}
-			if err := docs.Put(in.Collection, rec.ID, rec.Blob); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
-	})
-	transport.HandleTyped(mux, DocService, "deletemany", func(_ context.Context, in *DocDeleteManyArgs) (any, error) {
-		deleted := 0
-		for _, id := range in.IDs {
-			err := docs.Delete(in.Collection, id)
-			if err == nil {
-				deleted++
-				continue
-			}
-			if errors.Is(err, docstore.ErrNotFound) {
-				continue // bulk deletes are idempotent per id
-			}
-			return nil, err
-		}
-		return &DocDeleteManyReply{Deleted: deleted}, nil
 	})
 	transport.HandleTyped(mux, DocService, "get", func(_ context.Context, in *DocGetArgs) (any, error) {
 		blob, err := docs.Get(in.Collection, in.ID)

@@ -95,18 +95,6 @@ func init() {
 			a.IfAbsent = r.Bool()
 		},
 	))
-	transport.RegisterCodec(DocService, "putmany", transport.WriteCodec(
-		func(b []byte, a *DocPutManyArgs) []byte {
-			b = wirefmt.AppendString(b, a.Collection)
-			b = appendRecords(b, a.Records)
-			return wirefmt.AppendBool(b, a.IfAbsent)
-		},
-		func(r *wirefmt.Reader, a *DocPutManyArgs) {
-			a.Collection = r.String()
-			a.Records = readRecords(r)
-			a.IfAbsent = r.Bool()
-		},
-	))
 	transport.RegisterCodec(DocService, "get", transport.Codec(
 		func(b []byte, a *DocGetArgs) []byte {
 			b = wirefmt.AppendString(b, a.Collection)
@@ -140,20 +128,6 @@ func init() {
 			a.Collection = r.String()
 			a.ID = r.String()
 		},
-	))
-	transport.RegisterCodec(DocService, "deletemany", transport.Codec(
-		func(b []byte, a *DocDeleteManyArgs) []byte {
-			b = wirefmt.AppendString(b, a.Collection)
-			return wirefmt.AppendStrings(b, a.IDs)
-		},
-		func(r *wirefmt.Reader, a *DocDeleteManyArgs) {
-			a.Collection = r.String()
-			a.IDs = r.Strings()
-		},
-		func(b []byte, out *DocDeleteManyReply) []byte {
-			return wirefmt.AppendUvarint(b, uint64(out.Deleted))
-		},
-		func(r *wirefmt.Reader, out *DocDeleteManyReply) { out.Deleted = int(r.Uvarint()) },
 	))
 	transport.RegisterCodec(DocService, "scan", transport.Codec(
 		func(b []byte, a *DocScanArgs) []byte {

@@ -1,8 +1,8 @@
 // Package coalesce implements the gateway's per-shard group-commit stage:
-// a transport.Conn wrapper that merges in-flight RPCs from *all* concurrent
-// callers into one mega-batch per shard connection, flushed on a size cap,
-// a byte cap, a short window timer, a gather condition (every active caller
-// has contributed), or explicit drain.
+// a transport.Conn wrapper that merges in-flight writes from *all*
+// concurrent callers into one mega-batch per shard connection, flushed on a
+// size cap, a byte cap, a short window timer, a gather condition (every
+// active caller has contributed), or explicit drain.
 //
 // The paper positions DataBlinder as middleware absorbing heavy multi-client
 // traffic; at high concurrency the dominant cost of the sharded tier is not
@@ -17,22 +17,20 @@
 // compensation-by-supersession on partial shard failure works exactly as it
 // does uncoalesced.
 //
-// Reads coalesce too: an identical read already waiting in the queue is
-// joined rather than re-enqueued (singleflight), and concurrent point reads
-// (doc.get) of one collection merge into a single doc.getmany sub-call with
-// per-caller demultiplexing. Deduplication only ever joins an *unsent*
-// entry, which preserves read-your-writes: a read issued after a completed
-// write can only join an entry enqueued after that write was flushed.
+// Only writes are queued: a call is a write when its method's codec has no
+// reply (it was built with transport.WriteCodec). Every other call goes
+// straight to the shard connection. A caller's write returns only once its
+// flush is acknowledged, so a read issued after it sees it.
 //
 // # Flush triggers
 //
 // "gather" is the interesting one: the conn tracks how many callers are
-// currently inside a coalesced Call (active) and how many of those have
-// their sub-call sitting in the queue (contributed). When everyone who
+// currently inside a coalesced call (active) and how many of those have
+// their sub-calls sitting in the queue (contributed). When everyone who
 // could contribute has contributed, waiting any longer is pure latency —
 // the batch flushes immediately. A single sequential caller therefore
 // pays no window latency at all (its own enqueue satisfies the gather
-// condition), while 16 streaming callers naturally settle into one
+// condition), while streaming callers naturally settle into one
 // mega-batch per shard per round trip: callers waiting on an in-flight
 // flush hold the gather condition open, and the moment their results land
 // they re-enqueue and release the next batch. The window timer is the
@@ -42,106 +40,49 @@ package coalesce
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
-	"datablinder/internal/cloud"
 	"datablinder/internal/transport"
 )
 
-// Defaults for Options zero values.
 const (
-	// DefaultMaxCalls caps the sub-calls accumulated per flush.
-	DefaultMaxCalls = 128
-	// DefaultMaxBytes caps the accumulated payload bytes per flush, sized
+	// defaultMaxCalls caps the sub-calls accumulated per flush.
+	defaultMaxCalls = 128
+	// defaultMaxBytes caps the accumulated payload bytes per flush, sized
 	// so a full batch's encoded frame stays under the transport's pooled
 	// frame-buffer limit (64 KiB) and keeps reusing pooled buffers.
-	DefaultMaxBytes = 48 << 10
-	// DefaultWindow is the straggler backstop: the longest an enqueued
+	defaultMaxBytes = 48 << 10
+	// defaultWindow is the straggler backstop: the longest an enqueued
 	// sub-call waits for company before flushing anyway.
-	DefaultWindow = 200 * time.Microsecond
+	defaultWindow = 200 * time.Microsecond
 )
 
-// Options configures a Conn. The zero value enables coalescing with the
-// defaults above.
+// Options configures a Conn. The zero value enables coalescing.
 type Options struct {
 	// Disabled routes every call straight through to the underlying
 	// connection. A caller that composes its own coalescer chain under the
 	// engine (the traced harness in benchmark/cmd/dblayers) sets it so the
 	// engine does not stack a second one on top; see DESIGN.md §6.
 	Disabled bool
-	// MaxCalls flushes when this many sub-calls are queued (0 = default).
-	MaxCalls int
-	// MaxBytes flushes when the queued payloads reach this many bytes
-	// (0 = default).
-	MaxBytes int
-	// Window flushes any queue this old even if no other trigger fired
-	// (0 = default).
-	Window time.Duration
-	// NoGatherFlush disables the all-active-callers-contributed trigger,
-	// leaving only size/bytes/window/drain. Tests use it to exercise the
-	// window timer deterministically; production configurations leave it
-	// false.
-	NoGatherFlush bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxCalls <= 0 {
-		o.MaxCalls = DefaultMaxCalls
-	}
-	if o.MaxBytes <= 0 {
-		o.MaxBytes = DefaultMaxBytes
-	}
-	if o.Window <= 0 {
-		o.Window = DefaultWindow
-	}
-	return o
-}
-
-// opClass is how the coalescer treats one service.method.
-type opClass int
-
-const (
-	opPass  opClass = iota // unknown or stateful-setup call: straight through
-	opWrite                // coalescable write
-	opRead                 // coalescable read: joins an identical queued read
-	opGet                  // doc.get: read, additionally mergeable into doc.getmany
-)
-
-// methodClass routes every known cloud method. Writes and reads coalesce;
-// setup/provisioning calls, admin stats, and scans pass through (they are
-// rare, sometimes stateful, and not worth batching). Unlisted methods pass
-// through — unknown traffic must never be reordered into a batch.
-var methodClass = map[string]opClass{
-	"doc.put": opWrite, "doc.putmany": opWrite,
-	"doc.delete": opWrite, "doc.deletemany": opWrite,
-	"doc.get": opGet, "doc.getmany": opRead, "doc.count": opRead,
-	"det.add": opWrite, "det.remove": opWrite, "det.lookup": opRead,
-	"mitra.insert": opWrite, "mitra.search": opRead,
-	"sophos.insert": opWrite, "sophos.search": opRead,
-	"biex.insert": opWrite, "biex.repack": opWrite, "biex.search": opRead,
-	"ope.add": opWrite, "ope.remove": opWrite, "ope.query": opRead,
-	"ore.add": opWrite, "ore.remove": opWrite, "ore.query": opRead,
-	"agg.put": opWrite, "agg.remove": opWrite, "agg.sum": opRead,
-	"rnd.put": opWrite, "rnd.remove": opWrite, "rnd.scan": opRead,
-}
-
-func classify(service, method string) opClass {
-	return methodClass[service+"."+method]
+// isWrite reports whether service.method is queued: its codec has no
+// reply. Unknown methods and the batch executor pass through.
+func isWrite(service, method string) bool {
+	codec := transport.LookupCodec(service + "." + method)
+	return codec != nil && codec.NewReply == nil
 }
 
 // entry is one caller's queued sub-call plus its completion future. The
 // payload is pre-encoded with the underlying connection's wire codec at
-// enqueue time (exact byte accounting, byte-level dedup keys, encode-once
-// flushes); args rides beside it for wrappers that inspect sub-calls.
+// enqueue time (exact byte accounting, encode-once flushes); args rides
+// beside it for wrappers that inspect sub-calls.
 type entry struct {
 	service, method string
 	payload         []byte
 	size            int // exact encoded sub-call size
 	args            any
-	dedupKey        string // non-empty for reads
-	getArgs         *cloud.DocGetArgs
 
 	taken bool // left the queue (flushed); guarded by Conn.mu
 	done  chan struct{}
@@ -149,19 +90,23 @@ type entry struct {
 }
 
 // Conn wraps one shard's connection with the group-commit stage. It
-// implements transport.Conn and transport.BatchCaller, so per-caller
-// batches (DET's per-document index batch) merge into the shared flush
-// like any other sub-calls.
+// implements transport.Conn and transport.BatchCaller, so a write set's
+// per-shard batch merges into the shared flush like any other sub-calls.
 type Conn struct {
-	under transport.Conn
-	opts  Options
-	stats counters
+	under    transport.Conn
+	disabled bool
+	stats    counters
+
+	// Flush caps and the window; fixed after New (tests lower them).
+	maxCalls int
+	maxBytes int
+	window   time.Duration
 
 	mu          sync.Mutex
 	closed      bool
 	pend        []*entry
 	bytes       int
-	active      int    // callers currently inside a coalesced Call
+	active      int    // callers currently inside a coalesced call
 	contributed int    // active callers whose sub-calls sit in pend
 	gen         uint64 // queue generation; invalidates stale window timers
 	timer       *time.Timer
@@ -170,55 +115,45 @@ type Conn struct {
 // New wraps under. The Conn registers itself for package-level stats
 // aggregation (the expvar endpoint); Close unregisters.
 func New(under transport.Conn, opts Options) *Conn {
-	c := &Conn{under: under, opts: opts.withDefaults()}
+	c := &Conn{
+		under: under, disabled: opts.Disabled,
+		maxCalls: defaultMaxCalls, maxBytes: defaultMaxBytes, window: defaultWindow,
+	}
 	register(c)
 	return c
 }
-
-// Under returns the wrapped connection.
-func (c *Conn) Under() transport.Conn { return c.under }
 
 // WireCodec exposes the underlying connection's codec so outer layers
 // (batch chunking in particular) account the same wire sizes the flush
 // will pay.
 func (c *Conn) WireCodec() transport.WireCodec { return transport.ConnCodec(c.under) }
 
-// Call implements transport.Conn. Coalescable calls are queued and the
-// caller parks on a completion future; everything else passes through.
+// Call implements transport.Conn. A write is queued as a one-call batch
+// and the caller parks until its flush is acknowledged; everything else
+// passes through.
 func (c *Conn) Call(ctx context.Context, service, method string, args, reply any) error {
-	cls := classify(service, method)
-	if c.opts.Disabled || cls == opPass || service == transport.BatchService {
+	if c.disabled || !isWrite(service, method) {
 		c.stats.passthrough.Add(1)
 		return c.under.Call(ctx, service, method, args, reply)
 	}
-	codec := transport.ConnCodec(c.under)
-	payload, err := codec.EncodeArgs(service, method, args)
+	res, err := c.CallBatch(ctx, []transport.BatchCall{{Service: service, Method: method, Args: args}})
 	if err != nil {
 		return err
 	}
-	c.enter()
-	defer c.exit()
-	e, ok := c.add(codec, service, method, payload, args, cls)
-	if !ok {
-		// Closed: fall through to the underlying conn, which reports it.
-		return c.under.Call(ctx, service, method, args, reply)
-	}
-	if err := c.await(ctx, []*entry{e}); err != nil {
-		return err
-	}
-	return e.res.Decode(reply)
+	return res[0].Decode(reply)
 }
 
-// CallBatch implements transport.BatchCaller: a caller-built batch splices
-// its sub-calls into the shared queue instead of framing its own
-// `_batch.exec`. Sub-call order within the batch is preserved (the queue
-// is FIFO and flushes whole). Transport-level flush failures are reported
-// per-result, which every CallBatch caller already handles.
+// CallBatch implements transport.BatchCaller: a caller-built batch (a
+// write set's share for this shard) splices its sub-calls into the shared
+// queue instead of framing its own `_batch.exec`. Sub-call order within the
+// batch is preserved (the queue is FIFO and flushes whole). Transport-level
+// flush failures are reported per-result, which every CallBatch caller
+// already handles.
 func (c *Conn) CallBatch(ctx context.Context, calls []transport.BatchCall) ([]transport.BatchResult, error) {
 	if len(calls) == 0 {
 		return nil, nil
 	}
-	if c.opts.Disabled {
+	if c.disabled {
 		return transport.CallBatch(ctx, c.under, calls)
 	}
 	codec := transport.ConnCodec(c.under)
@@ -237,8 +172,8 @@ func (c *Conn) CallBatch(ctx context.Context, calls []transport.BatchCall) ([]tr
 	}
 	c.enter()
 	defer c.exit()
-	ok := c.addBatch(entries)
-	if !ok {
+	if !c.enqueue(entries) {
+		// Closed: fall through to the underlying conn, which reports it.
 		return transport.CallBatch(ctx, c.under, calls)
 	}
 	if err := c.await(ctx, entries); err != nil {
@@ -300,84 +235,19 @@ func (c *Conn) exit() {
 }
 
 func (c *Conn) gatherReadyLocked() bool {
-	return !c.opts.NoGatherFlush && len(c.pend) > 0 && c.contributed >= c.active
+	return len(c.pend) > 0 && c.contributed >= c.active
 }
 
-// add enqueues one sub-call, possibly flushing. Reads join an identical
-// queued read instead of re-enqueueing. Returns ok=false when closed.
-func (c *Conn) add(codec transport.WireCodec, service, method string, payload []byte, args any, cls opClass) (e *entry, ok bool) {
-	var key string
-	if cls == opRead || cls == opGet {
-		// Byte-level dedup: identical reads encode identically.
-		key = service + "." + method + "\x00" + string(payload)
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, false
-	}
-	c.stats.enqueued.Add(1)
-	if key != "" {
-		for _, p := range c.pend {
-			if p.dedupKey == key {
-				// Joining counts as contributing: the join may be the last
-				// active caller the gather trigger was waiting on.
-				c.contributed++
-				c.stats.dedup.Add(1)
-				var batch []*entry
-				if c.gatherReadyLocked() {
-					batch = c.takeLocked()
-				}
-				c.mu.Unlock()
-				if batch != nil {
-					c.send(batch, trigGather)
-				}
-				return p, true
-			}
-		}
-	}
-	e = &entry{
-		service: service, method: method,
-		payload: payload, args: args,
-		size:     codec.SubSize(service, method, len(payload)),
-		dedupKey: key, done: make(chan struct{}),
-	}
-	if cls == opGet {
-		switch ga := args.(type) {
-		case cloud.DocGetArgs:
-			e.getArgs = &ga
-		case *cloud.DocGetArgs:
-			e.getArgs = ga
-		}
-	}
-	batch, trigger := c.appendLocked([]*entry{e})
-	c.mu.Unlock()
-	if batch != nil {
-		c.send(batch, trigger)
-	}
-	return e, true
-}
-
-// addBatch enqueues a caller's pre-built batch as consecutive entries.
-func (c *Conn) addBatch(entries []*entry) bool {
+// enqueue queues one caller's entries as consecutive sub-calls, marks the
+// caller as having contributed, and flushes if a trigger fires. It returns
+// false when the conn is closed.
+func (c *Conn) enqueue(entries []*entry) bool {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return false
 	}
 	c.stats.enqueued.Add(uint64(len(entries)))
-	batch, trigger := c.appendLocked(entries)
-	c.mu.Unlock()
-	if batch != nil {
-		c.send(batch, trigger)
-	}
-	return true
-}
-
-// appendLocked queues entries for one caller, marks the caller as having
-// contributed, and decides whether to flush now. It returns the batch to
-// send (nil = keep accumulating) and the trigger that fired.
-func (c *Conn) appendLocked(entries []*entry) ([]*entry, string) {
 	for _, e := range entries {
 		c.pend = append(c.pend, e)
 		c.bytes += e.size
@@ -386,19 +256,26 @@ func (c *Conn) appendLocked(entries []*entry) ([]*entry, string) {
 	if d := uint64(len(c.pend)); d > c.stats.maxDepth.Load() {
 		c.stats.maxDepth.Store(d)
 	}
+	var trigger string
 	switch {
-	case len(c.pend) >= c.opts.MaxCalls:
-		return c.takeLocked(), trigSize
-	case c.bytes >= c.opts.MaxBytes:
-		return c.takeLocked(), trigBytes
+	case len(c.pend) >= c.maxCalls:
+		trigger = trigSize
+	case c.bytes >= c.maxBytes:
+		trigger = trigBytes
 	case c.gatherReadyLocked():
-		return c.takeLocked(), trigGather
+		trigger = trigGather
+	default:
+		if c.timer == nil {
+			gen := c.gen
+			c.timer = time.AfterFunc(c.window, func() { c.fireWindow(gen) })
+		}
+		c.mu.Unlock()
+		return true
 	}
-	if c.timer == nil {
-		gen := c.gen
-		c.timer = time.AfterFunc(c.opts.Window, func() { c.fireWindow(gen) })
-	}
-	return nil, ""
+	batch := c.takeLocked()
+	c.mu.Unlock()
+	c.send(batch, trigger)
+	return true
 }
 
 // takeLocked removes the whole queue, resetting contribution accounting
@@ -452,71 +329,6 @@ func (c *Conn) await(ctx context.Context, entries []*entry) error {
 	return nil
 }
 
-// planned is one wire sub-call of a flush: either a single queued entry,
-// or a merged doc.getmany carrying several callers' point reads of one
-// collection.
-type planned struct {
-	call    transport.BatchCall
-	members []*entry
-	ids     []string // member ids of a merged getmany, in member order
-}
-
-// plan folds a batch into wire sub-calls, merging concurrent doc.get
-// entries of the same collection into one doc.getmany. The merged call
-// takes the queue position of its first member.
-func (c *Conn) plan(batch []*entry) []planned {
-	var gets int
-	for _, e := range batch {
-		if e.getArgs != nil {
-			gets++
-		}
-	}
-	merge := make(map[string]int) // collection -> planned index
-	plans := make([]planned, 0, len(batch))
-	for _, e := range batch {
-		if gets > 1 && e.getArgs != nil {
-			if i, ok := merge[e.getArgs.Collection]; ok {
-				plans[i].members = append(plans[i].members, e)
-				plans[i].ids = append(plans[i].ids, e.getArgs.ID)
-				continue
-			}
-			merge[e.getArgs.Collection] = len(plans)
-			plans = append(plans, planned{
-				call:    transport.BatchCall{Service: cloud.DocService, Method: "getmany"},
-				members: []*entry{e},
-				ids:     []string{e.getArgs.ID},
-			})
-			continue
-		}
-		plans = append(plans, planned{
-			call: transport.BatchCall{
-				Service: e.service, Method: e.method,
-				Args: e.args, Raw: e.payload,
-			},
-			members: []*entry{e},
-		})
-	}
-	merged := 0
-	for i := range plans {
-		if len(plans[i].ids) > 1 {
-			plans[i].call.Args = cloud.DocGetManyArgs{Collection: plans[i].members[0].getArgs.Collection, IDs: plans[i].ids}
-			merged += len(plans[i].ids)
-		} else if len(plans[i].ids) == 1 {
-			// A lone get in a multi-get batch stays a plain doc.get.
-			e := plans[i].members[0]
-			plans[i].call = transport.BatchCall{
-				Service: e.service, Method: e.method,
-				Args: e.args, Raw: e.payload,
-			}
-			plans[i].ids = nil
-		}
-	}
-	if merged > 0 {
-		c.stats.getsMerged.Add(uint64(merged))
-	}
-	return plans
-}
-
 // send executes one flushed batch against the underlying connection and
 // fans results back to every waiting caller. It runs detached from any
 // single caller's context: the batch carries many callers' work, and a
@@ -529,13 +341,12 @@ func (c *Conn) send(batch []*entry, trigger string) {
 			close(e.done)
 		}
 	}()
-	plans := c.plan(batch)
 	ctx := context.Background()
 
-	if len(plans) == 1 && len(plans[0].members) == 1 {
+	if len(batch) == 1 {
 		// A solo flush needs no batch framing: ship the pre-encoded payload
 		// and capture the raw result for the caller's deferred decode.
-		e := plans[0].members[0]
+		e := batch[0]
 		args := transport.RawArgs{Payload: e.payload}
 		if err := c.under.Call(ctx, e.service, e.method, args, &e.res); err != nil {
 			e.res = transport.BatchResult{Err: err}
@@ -543,9 +354,9 @@ func (c *Conn) send(batch []*entry, trigger string) {
 		return
 	}
 
-	calls := make([]transport.BatchCall, len(plans))
-	for i, p := range plans {
-		calls[i] = p.call
+	calls := make([]transport.BatchCall, len(batch))
+	for i, e := range batch {
+		calls[i] = transport.BatchCall{Service: e.service, Method: e.method, Args: e.args, Raw: e.payload}
 	}
 	results, err := transport.CallBatch(ctx, c.under, calls)
 	if err != nil {
@@ -555,55 +366,8 @@ func (c *Conn) send(batch []*entry, trigger string) {
 		}
 		return
 	}
-	for i, p := range plans {
-		if len(p.ids) > 1 {
-			demuxGetMany(p, results[i])
-			continue
-		}
-		p.members[0].res = results[i]
-	}
-}
-
-// docGet is the method a merged doc.getmany stands in for.
-const docGet = cloud.DocService + ".get"
-
-// demuxGetMany fans a merged doc.getmany result back into per-caller
-// doc.get replies, synthesizing the not-found error a direct doc.get
-// would have returned for ids the store does not hold.
-func demuxGetMany(p planned, res transport.BatchResult) {
-	if res.Err != nil {
-		for _, e := range p.members {
-			e.res = transport.BatchResult{Err: res.Err}
-		}
-		return
-	}
-	var reply cloud.DocGetManyReply
-	if err := res.Decode(&reply); err != nil {
-		for _, e := range p.members {
-			e.res = transport.BatchResult{Err: err}
-		}
-		return
-	}
-	codec := transport.LookupCodec(docGet)
-	found := make(map[string][]byte, len(reply.Records))
-	for _, rec := range reply.Records {
-		found[rec.ID] = rec.Blob
-	}
-	for i, e := range p.members {
-		blob, ok := found[p.ids[i]]
-		if !ok {
-			e.res = transport.BatchResult{Err: &transport.RemoteError{
-				Code: transport.CodeNotFound,
-				Msg:  fmt.Sprintf("docstore: %s: document not found", p.ids[i]),
-			}}
-			continue
-		}
-		payload, err := codec.EncodeReply(nil, &cloud.DocGetReply{Blob: blob})
-		if err != nil {
-			e.res = transport.BatchResult{Err: err}
-			continue
-		}
-		e.res = transport.BatchResult{Payload: payload, Name: docGet}
+	for i, e := range batch {
+		e.res = results[i]
 	}
 }
 

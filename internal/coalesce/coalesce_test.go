@@ -4,20 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"datablinder/internal/cloud"
-	biextactic "datablinder/internal/tactics/biex"
+	// The tactics package imports every tactic, so the full production
+	// codec registry is visible to TestClassification.
+	_ "datablinder/internal/tactics"
 	dettactic "datablinder/internal/tactics/det"
-	mitratactic "datablinder/internal/tactics/mitra"
-	opetactic "datablinder/internal/tactics/ope"
-	oretactic "datablinder/internal/tactics/ore"
-	aggtactic "datablinder/internal/tactics/paillier"
-	rndtactic "datablinder/internal/tactics/rnd"
-	sophostactic "datablinder/internal/tactics/sophos"
 	"datablinder/internal/transport"
 )
 
@@ -54,6 +51,14 @@ func testConn(t *testing.T, opts Options, register func(*transport.Mux)) (*Conn,
 	return c, counting
 }
 
+// holdGather enters a caller that never contributes, so the gather trigger
+// cannot fire and only size, bytes, window and drain flush. The caller
+// leaves at cleanup, before the conn closes.
+func holdGather(t *testing.T, c *Conn) {
+	c.enter()
+	t.Cleanup(c.exit)
+}
+
 // putRecorder registers a doc.put handler that records ids in arrival
 // order and fails ids the fail set names.
 func putRecorder(ids *[]string, mu *sync.Mutex, fail map[string]bool) func(*transport.Mux) {
@@ -85,12 +90,14 @@ func put(c *Conn, id string) error {
 	return c.Call(context.Background(), cloud.DocService, "put", cloud.DocPutArgs{Collection: "c", ID: id, Blob: []byte(id)}, nil)
 }
 
-// TestSizeCapFlush stages MaxCalls concurrent writers one by one; the
+// TestSizeCapFlush stages maxCalls concurrent writers one by one; the
 // last enqueue must flush the whole queue on the size trigger.
 func TestSizeCapFlush(t *testing.T) {
 	var ids []string
 	var mu sync.Mutex
-	c, counting := testConn(t, Options{NoGatherFlush: true, MaxCalls: 4, Window: time.Minute}, putRecorder(&ids, &mu, nil))
+	c, counting := testConn(t, Options{}, putRecorder(&ids, &mu, nil))
+	c.maxCalls, c.window = 4, time.Minute
+	holdGather(t, c)
 
 	errs := make([]error, 4)
 	var wg sync.WaitGroup
@@ -124,11 +131,13 @@ func TestSizeCapFlush(t *testing.T) {
 	}
 }
 
-// TestByteCapFlush: a payload crossing MaxBytes flushes immediately.
+// TestByteCapFlush: a payload crossing maxBytes flushes immediately.
 func TestByteCapFlush(t *testing.T) {
 	var ids []string
 	var mu sync.Mutex
-	c, _ := testConn(t, Options{NoGatherFlush: true, MaxBytes: 256, Window: time.Minute}, putRecorder(&ids, &mu, nil))
+	c, _ := testConn(t, Options{}, putRecorder(&ids, &mu, nil))
+	c.maxBytes, c.window = 256, time.Minute
+	holdGather(t, c)
 	if err := c.Call(context.Background(), cloud.DocService, "put",
 		cloud.DocPutArgs{Collection: "c", ID: "big", Blob: make([]byte, 512)}, nil); err != nil {
 		t.Fatalf("put: %v", err)
@@ -138,12 +147,14 @@ func TestByteCapFlush(t *testing.T) {
 	}
 }
 
-// TestWindowFlush: with gather disabled, a lone write completes once the
-// window timer fires.
+// TestWindowFlush: with the gather condition held open, a lone write
+// completes once the window timer fires.
 func TestWindowFlush(t *testing.T) {
 	var ids []string
 	var mu sync.Mutex
-	c, _ := testConn(t, Options{NoGatherFlush: true, Window: 5 * time.Millisecond}, putRecorder(&ids, &mu, nil))
+	c, _ := testConn(t, Options{}, putRecorder(&ids, &mu, nil))
+	c.window = 5 * time.Millisecond
+	holdGather(t, c)
 	t0 := time.Now()
 	if err := put(c, "d1"); err != nil {
 		t.Fatalf("put: %v", err)
@@ -161,7 +172,9 @@ func TestWindowFlush(t *testing.T) {
 func TestDrainFlush(t *testing.T) {
 	var ids []string
 	var mu sync.Mutex
-	c, _ := testConn(t, Options{NoGatherFlush: true, Window: time.Minute}, putRecorder(&ids, &mu, nil))
+	c, _ := testConn(t, Options{}, putRecorder(&ids, &mu, nil))
+	c.window = time.Minute
+	holdGather(t, c)
 	done := make(chan error, 1)
 	go func() { done <- put(c, "d1") }()
 	waitUntil(t, "write to queue", func() bool { return c.Stats().QueueDepth == 1 })
@@ -192,7 +205,7 @@ func TestGatherFlush(t *testing.T) {
 	entered := make(chan struct{})
 	var first atomic.Bool
 	first.Store(true)
-	c, counting := testConn(t, Options{Window: time.Minute}, func(mux *transport.Mux) {
+	c, counting := testConn(t, Options{}, func(mux *transport.Mux) {
 		transport.HandleTyped(mux, cloud.DocService, "put", func(_ context.Context, a *cloud.DocPutArgs) (any, error) {
 			if first.CompareAndSwap(true, false) {
 				close(entered)
@@ -204,6 +217,7 @@ func TestGatherFlush(t *testing.T) {
 			return nil, nil
 		})
 	})
+	c.window = time.Minute
 
 	errs := make([]error, 3)
 	var wg sync.WaitGroup
@@ -237,18 +251,68 @@ func TestGatherFlush(t *testing.T) {
 	}
 }
 
+// TestReadSkipsTheQueue: while one caller's write is in flight (its caller
+// holding the gather condition open) and the window is a minute, a second
+// caller's read must reach the shard at once instead of queueing behind it.
+func TestReadSkipsTheQueue(t *testing.T) {
+	block := make(chan struct{})
+	release := sync.OnceFunc(func() { close(block) })
+	defer release()
+	entered := make(chan struct{})
+	c, counting := testConn(t, Options{}, func(mux *transport.Mux) {
+		transport.HandleTyped(mux, cloud.DocService, "put", func(context.Context, *cloud.DocPutArgs) (any, error) {
+			close(entered)
+			<-block
+			return nil, nil
+		})
+		transport.HandleTyped(mux, dettactic.Service, "lookup", func(context.Context, *dettactic.LookupArgs) (any, error) {
+			return &dettactic.LookupReply{DocIDs: []string{"id1"}}, nil
+		})
+	})
+	c.window = time.Minute
+
+	wrote := make(chan error, 1)
+	go func() { wrote <- put(c, "w1") }()
+	<-entered
+
+	var got dettactic.LookupReply
+	read := make(chan error, 1)
+	go func() {
+		read <- c.Call(context.Background(), dettactic.Service, "lookup", dettactic.LookupArgs{CT: []byte("tk")}, &got)
+	}()
+	select {
+	case err := <-read:
+		if err != nil || len(got.DocIDs) != 1 || got.DocIDs[0] != "id1" {
+			t.Fatalf("lookup: %v, %v", got.DocIDs, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the read waited behind the in-flight write")
+	}
+	release()
+	if err := <-wrote; err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	if frames := counting.snapshot(); len(frames) != 2 || frames[0] != "doc.put" || frames[1] != dettactic.Service+".lookup" {
+		t.Fatalf("want [doc.put %s.lookup], got %v", dettactic.Service, frames)
+	}
+	if s := c.Stats(); s.Enqueued != 1 || s.Passthrough != 1 {
+		t.Fatalf("want the write queued and the read passed through: %+v", s)
+	}
+}
+
 // TestErrorFanout: a per-call handler failure reaches only its caller;
 // the other sub-calls of the same flush succeed.
 func TestErrorFanout(t *testing.T) {
 	var ids []string
 	var mu sync.Mutex
-	c, _ := testConn(t, Options{NoGatherFlush: true, MaxCalls: 2, Window: time.Minute},
-		putRecorder(&ids, &mu, map[string]bool{"bad": true}))
+	c, _ := testConn(t, Options{}, putRecorder(&ids, &mu, map[string]bool{"bad": true}))
+	c.maxCalls, c.window = 2, time.Minute
+	holdGather(t, c)
 
 	done := make(chan error, 1)
 	go func() { done <- put(c, "good") }()
 	waitUntil(t, "first write to queue", func() bool { return c.Stats().QueueDepth == 1 })
-	badErr := put(c, "bad") // second enqueue hits MaxCalls and flushes
+	badErr := put(c, "bad") // second enqueue hits maxCalls and flushes
 	goodErr := <-done
 	if goodErr != nil {
 		t.Fatalf("good put failed: %v", goodErr)
@@ -264,8 +328,10 @@ func TestErrorFanout(t *testing.T) {
 func TestTransportErrorFanout(t *testing.T) {
 	mux := transport.NewMux()
 	under := failBatches{Conn: transport.NewLoopback(mux)}
-	c := New(under, Options{NoGatherFlush: true, MaxCalls: 2, Window: time.Minute})
+	c := New(under, Options{})
 	defer c.Close()
+	c.maxCalls, c.window = 2, time.Minute
+	holdGather(t, c)
 
 	done := make(chan error, 1)
 	go func() { done <- put(c, "a") }()
@@ -288,129 +354,15 @@ func (f failBatches) Call(ctx context.Context, service, method string, args, rep
 	return f.Conn.Call(ctx, service, method, args, reply)
 }
 
-// TestSingleflight: identical concurrent reads share one queue entry and
-// one handler invocation, and a later identical read (after the flush)
-// hits the server again — read-your-writes is preserved.
-func TestSingleflight(t *testing.T) {
-	var calls atomic.Int64
-	c, _ := testConn(t, Options{NoGatherFlush: true, Window: time.Minute}, func(mux *transport.Mux) {
-		transport.HandleTyped(mux, dettactic.Service, "lookup", func(context.Context, *dettactic.LookupArgs) (any, error) {
-			calls.Add(1)
-			return &dettactic.LookupReply{DocIDs: []string{"id1"}}, nil
-		})
-	})
-	lookup := func() ([]string, error) {
-		var out dettactic.LookupReply
-		err := c.Call(context.Background(), dettactic.Service, "lookup", dettactic.LookupArgs{CT: []byte("tk")}, &out)
-		return out.DocIDs, err
-	}
-
-	res := make([][]string, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); res[0], errs[0] = lookup() }()
-	waitUntil(t, "read to queue", func() bool { return c.Stats().QueueDepth == 1 })
-	wg.Add(1)
-	go func() { defer wg.Done(); res[1], errs[1] = lookup() }()
-	waitUntil(t, "read to join", func() bool { return c.Stats().DedupHits == 1 })
-	c.Drain()
-	wg.Wait()
-	for i := range errs {
-		if errs[i] != nil {
-			t.Fatalf("lookup %d: %v", i, errs[i])
-		}
-		if len(res[i]) != 1 || res[i][0] != "id1" {
-			t.Fatalf("lookup %d: got %v", i, res[i])
-		}
-	}
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("handler ran %d times for two identical in-flight reads, want 1", n)
-	}
-
-	// The flushed entry must not be joinable: a fresh identical read hits
-	// the server again.
-	done := make(chan struct{})
-	go func() { defer close(done); lookup() }()
-	waitUntil(t, "fresh read to queue", func() bool { return c.Stats().QueueDepth == 1 })
-	c.Drain()
-	<-done
-	if n := calls.Load(); n != 2 {
-		t.Fatalf("handler ran %d times after a post-flush read, want 2", n)
-	}
-}
-
-// TestGetManyMerge: concurrent doc.get of one collection merge into a
-// single doc.getmany frame, and a missing id yields the not-found error a
-// direct doc.get would have produced.
-func TestGetManyMerge(t *testing.T) {
-	node, err := cloud.NewNode(cloud.Options{})
-	if err != nil {
-		t.Fatalf("node: %v", err)
-	}
-	defer node.Close()
-	counting := &countingConn{Conn: transport.NewLoopback(node.Mux)}
-	c := New(counting, Options{NoGatherFlush: true, Window: time.Minute})
-	defer c.Close()
-	ctx := context.Background()
-
-	seed := make(chan error, 1)
-	go func() {
-		seed <- c.Call(ctx, cloud.DocService, "put", cloud.DocPutArgs{Collection: "col", ID: "a", Blob: []byte("blob-a")}, nil)
-	}()
-	waitUntil(t, "seed put to queue", func() bool { return c.Stats().QueueDepth == 1 })
-	c.Drain()
-	if err := <-seed; err != nil {
-		t.Fatalf("seed put: %v", err)
-	}
-
-	type getRes struct {
-		reply cloud.DocGetReply
-		err   error
-	}
-	results := make([]getRes, 2)
-	var wg sync.WaitGroup
-	for i, id := range []string{"a", "missing"} {
-		i, id := i, id
-		waitUntil(t, "get to queue", func() bool { return c.Stats().QueueDepth == i })
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i].err = c.Call(ctx, cloud.DocService, "get", cloud.DocGetArgs{Collection: "col", ID: id}, &results[i].reply)
-		}()
-	}
-	waitUntil(t, "both gets queued", func() bool { return c.Stats().QueueDepth == 2 })
-	c.Drain()
-	wg.Wait()
-
-	if results[0].err != nil || string(results[0].reply.Blob) != "blob-a" {
-		t.Fatalf("get a: blob %q, err %v", results[0].reply.Blob, results[0].err)
-	}
-	var re *transport.RemoteError
-	if !errors.As(results[1].err, &re) || re.Code != transport.CodeNotFound {
-		t.Fatalf("get missing: want coded not-found, got %v", results[1].err)
-	}
-	if s := c.Stats(); s.GetsMerged != 2 {
-		t.Fatalf("want 2 merged gets, got %d", s.GetsMerged)
-	}
-	var batches int
-	for _, f := range counting.snapshot() {
-		if f == "_batch.exec" {
-			batches++
-		}
-	}
-	if batches != 1 {
-		t.Fatalf("want the merged gets in one batch frame, got %d", batches)
-	}
-}
-
 // TestCallBatchSplice: a caller-built batch joins the shared queue behind
 // an already-queued write, flushes with it in one frame, and keeps its
 // sub-call order.
 func TestCallBatchSplice(t *testing.T) {
 	var ids []string
 	var mu sync.Mutex
-	c, counting := testConn(t, Options{NoGatherFlush: true, MaxCalls: 3, Window: time.Minute}, putRecorder(&ids, &mu, nil))
+	c, counting := testConn(t, Options{}, putRecorder(&ids, &mu, nil))
+	c.maxCalls, c.window = 3, time.Minute
+	holdGather(t, c)
 
 	done := make(chan error, 1)
 	go func() { done <- put(c, "solo") }()
@@ -446,7 +398,9 @@ func TestCallBatchSplice(t *testing.T) {
 func TestAbandonedCaller(t *testing.T) {
 	var ids []string
 	var mu sync.Mutex
-	c, _ := testConn(t, Options{NoGatherFlush: true, Window: time.Minute}, putRecorder(&ids, &mu, nil))
+	c, _ := testConn(t, Options{}, putRecorder(&ids, &mu, nil))
+	c.window = time.Minute
+	holdGather(t, c)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -467,20 +421,27 @@ func TestAbandonedCaller(t *testing.T) {
 	}
 }
 
-// TestPassthrough: setup and admin traffic bypasses the queue entirely.
+// TestPassthrough: reads and methods without a codec bypass the queue
+// entirely, even while the gather condition is held open.
 func TestPassthrough(t *testing.T) {
-	c, counting := testConn(t, Options{NoGatherFlush: true, Window: time.Minute}, func(mux *transport.Mux) {
-		transport.HandleTyped(mux, sophostactic.Service, "setup", func(context.Context, *sophostactic.SetupArgs) (any, error) {
-			return nil, nil
+	c, counting := testConn(t, Options{}, func(mux *transport.Mux) {
+		transport.HandleTyped(mux, dettactic.Service, "lookup", func(context.Context, *dettactic.LookupArgs) (any, error) {
+			return &dettactic.LookupReply{}, nil
 		})
 	})
-	if err := c.Call(context.Background(), sophostactic.Service, "setup", nil, nil); err != nil {
-		t.Fatalf("setup: %v", err)
+	c.window = time.Minute
+	holdGather(t, c)
+	var reply dettactic.LookupReply
+	if err := c.Call(context.Background(), dettactic.Service, "lookup", dettactic.LookupArgs{CT: []byte("tk")}, &reply); err != nil {
+		t.Fatalf("lookup: %v", err)
 	}
-	if s := c.Stats(); s.Passthrough != 1 || s.Enqueued != 0 {
-		t.Fatalf("setup should pass through: %+v", s)
+	if err := c.Call(context.Background(), "unknown", "method", nil, nil); err == nil {
+		t.Fatal("a method without a codec succeeded")
 	}
-	if frames := counting.snapshot(); len(frames) != 1 || frames[0] != sophostactic.Service+".setup" {
+	if s := c.Stats(); s.Passthrough != 2 || s.Enqueued != 0 {
+		t.Fatalf("reads should pass through: %+v", s)
+	}
+	if frames := counting.snapshot(); len(frames) != 2 || frames[0] != dettactic.Service+".lookup" || frames[1] != "unknown.method" {
 		t.Fatalf("frames: %v", frames)
 	}
 }
@@ -501,58 +462,53 @@ func TestDisabled(t *testing.T) {
 	}
 }
 
-// TestClassification cross-checks the method table against the tactic
-// packages' service names: every tactic read/write the engine issues must
-// coalesce, and setup must not.
+// argsConn records the argument value of every call reaching it and
+// answers each with an empty reply.
+type argsConn struct {
+	args []any
+}
+
+func (a *argsConn) Call(_ context.Context, _, _ string, args, _ any) error {
+	a.args = append(a.args, args)
+	return nil
+}
+
+func (*argsConn) Close() error { return nil }
+
+// TestClassification sends one call of every method in the production
+// codec registry through the coalescer: a method whose codec has no reply
+// is queued (and reaches the shard as a pre-encoded flush), every other
+// method passes straight through with its own arguments.
 func TestClassification(t *testing.T) {
-	writes := map[string][]string{
-		cloud.DocService:     {"put", "putmany", "delete", "deletemany"},
-		dettactic.Service:    {"add", "remove"},
-		mitratactic.Service:  {"insert"},
-		sophostactic.Service: {"insert"},
-		biextactic.Service:   {"insert", "repack"},
-		opetactic.Service:    {"add", "remove"},
-		oretactic.Service:    {"add", "remove"},
-		aggtactic.Service:    {"put", "remove"},
-		rndtactic.Service:    {"put", "remove"},
-	}
-	reads := map[string][]string{
-		cloud.DocService:     {"getmany", "count"},
-		dettactic.Service:    {"lookup"},
-		mitratactic.Service:  {"search"},
-		sophostactic.Service: {"search"},
-		biextactic.Service:   {"search"},
-		opetactic.Service:    {"query"},
-		oretactic.Service:    {"query"},
-		aggtactic.Service:    {"sum"},
-		rndtactic.Service:    {"scan"},
-	}
-	for svc, methods := range writes {
-		for _, m := range methods {
-			if got := classify(svc, m); got != opWrite {
-				t.Errorf("classify(%s.%s) = %d, want write", svc, m, got)
-			}
+	under := &argsConn{}
+	c := New(under, Options{})
+	defer c.Close()
+	queued := map[string]bool{}
+	for _, name := range transport.RegisteredWireMethods() {
+		codec := transport.LookupCodec(name)
+		service, method, _ := strings.Cut(name, ".")
+		before := c.Stats()
+		if err := c.Call(context.Background(), service, method, codec.NewArgs(), nil); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	}
-	for svc, methods := range reads {
-		for _, m := range methods {
-			if got := classify(svc, m); got != opRead {
-				t.Errorf("classify(%s.%s) = %d, want read", svc, m, got)
+		after := c.Stats()
+		_, raw := under.args[len(under.args)-1].(transport.RawArgs)
+		enq, pass := after.Enqueued-before.Enqueued, after.Passthrough-before.Passthrough
+		if write := codec.NewReply == nil; write {
+			if enq != 1 || pass != 0 || !raw {
+				t.Errorf("%s has no reply but was not queued (enqueued %d, passed %d)", name, enq, pass)
 			}
+		} else if enq != 0 || pass != 1 || raw {
+			t.Errorf("%s has a reply but was queued (enqueued %d, passed %d)", name, enq, pass)
 		}
+		queued[name] = enq == 1
 	}
-	if classify(cloud.DocService, "get") != opGet {
-		t.Errorf("doc.get must classify as mergeable get")
-	}
-	for _, pass := range [][2]string{
-		{sophostactic.Service, "setup"},
-		{aggtactic.Service, "setup"},
-		{cloud.AdminService, "stats"},
-		{cloud.DocService, "scan"},
-		{"unknown", "method"},
+	for name, want := range map[string]bool{
+		"doc.put": true, "doc.delete": true, "biex.insert": true, "agg.setup": true, "sophos.setup": true,
+		"doc.get": false, "doc.getmany": false, "det.lookup": false, "biex.search": false, "admin.stats": false,
 	} {
-		if got := classify(pass[0], pass[1]); got != opPass {
-			t.Errorf("classify(%s.%s) = %d, want passthrough", pass[0], pass[1], got)
+		if got, ok := queued[name]; !ok || got != want {
+			t.Errorf("%s: queued = %v (registered %v), want %v", name, got, ok, want)
 		}
 	}
 }
@@ -563,7 +519,7 @@ func TestAggregate(t *testing.T) {
 	before := Aggregate()
 	var ids []string
 	var mu sync.Mutex
-	c, _ := testConn(t, Options{NoGatherFlush: true, MaxCalls: 1}, putRecorder(&ids, &mu, nil))
+	c, _ := testConn(t, Options{}, putRecorder(&ids, &mu, nil))
 	if err := put(c, "d1"); err != nil {
 		t.Fatalf("put: %v", err)
 	}

@@ -62,8 +62,6 @@ var histNames = histLabels()
 type counters struct {
 	enqueued    atomic.Uint64
 	passthrough atomic.Uint64
-	dedup       atomic.Uint64
-	getsMerged  atomic.Uint64
 	flushes     [5]atomic.Uint64 // indexed like triggers
 	subCalls    atomic.Uint64
 	coalesced   atomic.Uint64 // sub-calls that shared their flush with others
@@ -95,14 +93,12 @@ func (s *counters) recordFlush(trigger string, size int) {
 // every live Conn in the process).
 type Stats struct {
 	// Enqueued counts sub-calls that entered the coalescer; Passthrough
-	// counts calls routed around it (unknown methods, disabled).
+	// counts calls routed around it (reads, unknown methods, disabled).
 	Enqueued    uint64 `json:"enqueued"`
 	Passthrough uint64 `json:"passthrough"`
-	// DedupHits counts reads that joined an identical in-flight read
-	// instead of enqueueing; GetsMerged counts doc.get entries folded into
-	// merged doc.getmany sub-calls.
-	DedupHits  uint64 `json:"dedup_hits"`
-	GetsMerged uint64 `json:"gets_merged"`
+	// DedupHits is always 0: reads are no longer queued, so none joins
+	// another. The field stays for readers built against it.
+	DedupHits uint64 `json:"dedup_hits"`
 	// Flushes is the total flush count; FlushByTrigger splits it by cause.
 	Flushes        uint64            `json:"flushes"`
 	FlushByTrigger map[string]uint64 `json:"flush_by_trigger"`
@@ -123,8 +119,6 @@ func (c *Conn) Stats() Stats {
 	s := Stats{
 		Enqueued:          c.stats.enqueued.Load(),
 		Passthrough:       c.stats.passthrough.Load(),
-		DedupHits:         c.stats.dedup.Load(),
-		GetsMerged:        c.stats.getsMerged.Load(),
 		SubCalls:          c.stats.subCalls.Load(),
 		CoalescedSubCalls: c.stats.coalesced.Load(),
 		MaxQueueDepth:     c.stats.maxDepth.Load(),
@@ -154,7 +148,6 @@ func (s *Stats) Merge(other Stats) {
 	s.Enqueued += other.Enqueued
 	s.Passthrough += other.Passthrough
 	s.DedupHits += other.DedupHits
-	s.GetsMerged += other.GetsMerged
 	s.Flushes += other.Flushes
 	s.SubCalls += other.SubCalls
 	s.CoalescedSubCalls += other.CoalescedSubCalls

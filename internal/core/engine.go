@@ -941,18 +941,10 @@ func (e *Engine) Fetch(ctx context.Context, schema string, ids []string) ([]*mod
 }
 
 // getMany fetches blobs for ids, in request order, skipping missing ones.
-// On a sharded ring it splits the ids by owning shard, fans the per-shard
-// getmany calls out concurrently, and reassembles the gathered records in
-// the original id order.
+// It splits the ids by owning shard, fans the per-shard getmany calls out
+// concurrently, and reassembles the gathered records in the original id
+// order.
 func (e *Engine) getMany(ctx context.Context, schema string, ids []string) ([]docstore.Record, error) {
-	if e.shards.N() == 1 {
-		var reply cloud.DocGetManyReply
-		if err := e.shards.Conn(0).Call(ctx, cloud.DocService, "getmany",
-			cloud.DocGetManyArgs{Collection: schema, IDs: ids}, &reply); err != nil {
-			return nil, err
-		}
-		return reply.Records, nil
-	}
 	routes := make([]string, len(ids))
 	for i, id := range ids {
 		routes[i] = docRoute(schema, id)

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"datablinder/internal/conc"
 	"datablinder/internal/store/wal"
@@ -43,8 +42,6 @@ const DefaultCompactBytes = 64 << 20
 type Options struct {
 	// Fsync selects the durability policy (zero value: wal.FsyncInterval).
 	Fsync wal.Policy
-	// SyncInterval is the interval-policy flush cadence (0 = 1s).
-	SyncInterval time.Duration
 	// SegmentSize rotates log segments at this size (0 = 16 MiB).
 	SegmentSize int64
 	// Strict makes a torn log tail a fatal Open error instead of
@@ -74,10 +71,9 @@ func Open(path string, options ...Options) (*Store, error) {
 	s.opts = opts
 
 	l, err := wal.Open(path, wal.Options{
-		Fsync:        opts.Fsync,
-		SyncInterval: opts.SyncInterval,
-		SegmentSize:  opts.SegmentSize,
-		Strict:       opts.Strict,
+		Fsync:       opts.Fsync,
+		SegmentSize: opts.SegmentSize,
+		Strict:      opts.Strict,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: %w", err)

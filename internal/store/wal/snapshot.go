@@ -152,10 +152,6 @@ func (l *Log) replaySegment(name string, last bool, snapSeq uint64, apply func(u
 			l.stats.tornTails.Add(1)
 			break
 		}
-		info.records++
-		if info.first == 0 || seq < info.first {
-			info.first = seq
-		}
 		if seq > info.last {
 			info.last = seq
 		}
@@ -259,28 +255,6 @@ func syncDir(dir string) {
 	}
 }
 
-// SegmentInfo describes one sealed, immutable segment — the unit of
-// replica catch-up for the planned shard-replication layer.
-type SegmentInfo struct {
-	Name     string `json:"name"`
-	Size     int64  `json:"size"`
-	FirstSeq uint64 `json:"first_seq"`
-	LastSeq  uint64 `json:"last_seq"`
-	Records  int64  `json:"records"`
-}
-
-// Segments lists the sealed segments in replay order. The active segment
-// is excluded: it is still being written.
-func (l *Log) Segments() []SegmentInfo {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]SegmentInfo, len(l.sealed))
-	for i, s := range l.sealed {
-		out[i] = SegmentInfo{Name: s.name, Size: s.size, FirstSeq: s.first, LastSeq: s.last, Records: s.records}
-	}
-	return out
-}
-
 // SealedBytes returns the total size of the sealed segments — the "dead
 // weight" recovery would replay, which the stores watch to trigger
 // background snapshot+compaction.
@@ -292,44 +266,4 @@ func (l *Log) SealedBytes() int64 {
 		n += s.size
 	}
 	return n
-}
-
-// SnapshotSeq returns the covering sequence of the live snapshot and
-// whether one exists.
-func (l *Log) SnapshotSeq() (uint64, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.snapSeq, l.snapName != ""
-}
-
-// SegmentReader streams one sealed segment's records.
-type SegmentReader struct {
-	*RecordReader
-	f *os.File
-}
-
-// Close releases the underlying file.
-func (r *SegmentReader) Close() error { return r.f.Close() }
-
-// OpenSegment opens a sealed segment by name for streaming — the
-// replication hook: a replica fetches sealed segments (and the snapshot)
-// it has not yet applied. The name must come from Segments.
-func (l *Log) OpenSegment(name string) (*SegmentReader, error) {
-	l.mu.Lock()
-	found := false
-	for _, s := range l.sealed {
-		if s.name == name {
-			found = true
-			break
-		}
-	}
-	l.mu.Unlock()
-	if !found {
-		return nil, fmt.Errorf("wal: %q is not a sealed segment", name)
-	}
-	f, err := os.Open(filepath.Join(l.dir, name))
-	if err != nil {
-		return nil, fmt.Errorf("wal: opening segment: %w", err)
-	}
-	return &SegmentReader{RecordReader: NewRecordReader(f), f: f}, nil
 }

@@ -30,11 +30,6 @@
 // last segment is truncated in place (Strict mode makes it fatal);
 // corruption anywhere earlier is always fatal, because sealed segments
 // are flushed and fsynced before the next one opens.
-//
-// Sealed segments are immutable and enumerable (Segments, OpenSegment) —
-// the replica catch-up hook for shard replication: a replica holding
-// sequence S fetches the snapshot if its seq exceeds S, then every sealed
-// segment with records above S.
 package wal
 
 import (
@@ -76,7 +71,8 @@ func ParsePolicy(s string) (Policy, error) {
 
 // Defaults for Options zero values.
 const (
-	DefaultSegmentSize  = 16 << 20
+	DefaultSegmentSize = 16 << 20
+	// DefaultSyncInterval is the FsyncInterval flush cadence.
 	DefaultSyncInterval = time.Second
 )
 
@@ -84,8 +80,6 @@ const (
 type Options struct {
 	// Fsync is the durability policy (zero value: FsyncInterval).
 	Fsync Policy
-	// SyncInterval is the FsyncInterval flush cadence (0 = 1s).
-	SyncInterval time.Duration
 	// SegmentSize rotates the active segment once it reaches this many
 	// bytes (0 = 16 MiB).
 	SegmentSize int64
@@ -98,9 +92,6 @@ func (o Options) withDefaults() Options {
 	if o.Fsync == "" {
 		o.Fsync = FsyncInterval
 	}
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = DefaultSyncInterval
-	}
 	if o.SegmentSize <= 0 {
 		o.SegmentSize = DefaultSegmentSize
 	}
@@ -109,11 +100,9 @@ func (o Options) withDefaults() Options {
 
 // segment is one sealed, immutable log file.
 type segment struct {
-	name    string
-	size    int64
-	first   uint64 // lowest record seq (0 when empty)
-	last    uint64 // highest record seq
-	records int64
+	name string
+	size int64
+	last uint64 // highest record seq
 }
 
 // Log is one store's segmented write-ahead log. Construct with Open, then
@@ -262,12 +251,8 @@ func (l *Log) Append(seq uint64, payload []byte) error {
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	l.seg.size += int64(n)
-	l.seg.records++
 	l.appendPos += uint64(n)
 	l.pendingRecs++
-	if l.seg.first == 0 || seq < l.seg.first {
-		l.seg.first = seq
-	}
 	if seq > l.seg.last {
 		l.seg.last = seq
 	}
@@ -294,8 +279,7 @@ func (l *Log) Append(seq uint64, payload []byte) error {
 
 // rotateLocked seals the active segment (flush, fsync, close) and opens
 // the next one. Sealed segments are therefore always fully durable, which
-// is what lets recovery treat mid-history corruption as fatal and what
-// makes the Segments hook safe to stream from.
+// is what lets recovery treat mid-history corruption as fatal.
 func (l *Log) rotateLocked() error {
 	for l.syncing {
 		l.cond.Wait()
@@ -395,7 +379,7 @@ func (l *Log) Sync() error {
 
 // runIntervalSync is the FsyncInterval background flusher.
 func (l *Log) runIntervalSync() {
-	t := time.NewTicker(l.opts.SyncInterval)
+	t := time.NewTicker(DefaultSyncInterval)
 	defer t.Stop()
 	for {
 		select {

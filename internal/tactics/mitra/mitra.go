@@ -162,29 +162,16 @@ func (t *Tactic) SearchEq(ctx context.Context, field string, value any) ([]strin
 
 // RegisterCloud installs the cloud half on mux, backed by store.
 func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
-	servers := newServerCache(store)
 	transport.HandleTyped(mux, Service, "insert", func(_ context.Context, in *InsertArgs) (any, error) {
-		return nil, servers.get(in.Schema).Insert(in.Entries)
+		return nil, ssemitra.NewServer(store, in.Schema).Insert(in.Entries)
 	})
 	transport.HandleTyped(mux, Service, "search", func(_ context.Context, in *SearchArgs) (any, error) {
-		vals, err := servers.get(in.Schema).Search(ssemitra.SearchRequest{Addrs: in.Addrs})
+		vals, err := ssemitra.NewServer(store, in.Schema).Search(ssemitra.SearchRequest{Addrs: in.Addrs})
 		if err != nil {
 			return nil, err
 		}
 		return &SearchReply{Vals: vals}, nil
 	})
-}
-
-// serverCache memoizes per-schema server handles (they are just namespace
-// wrappers over the shared store).
-type serverCache struct {
-	store *kvstore.Store
-}
-
-func newServerCache(store *kvstore.Store) *serverCache { return &serverCache{store: store} }
-
-func (c *serverCache) get(schema string) *ssemitra.Server {
-	return ssemitra.NewServer(c.store, schema)
 }
 
 var (

@@ -196,13 +196,6 @@ func (t *Tactic) SearchRange(ctx context.Context, field string, lo, hi any, loIn
 		}
 		args.Hi = ct
 	}
-	if t.shards.N() == 1 {
-		var reply QueryReply
-		if err := t.shards.Conn(0).Call(ctx, Service, "query", args, &reply); err != nil {
-			return nil, err
-		}
-		return reply.DocIDs, nil
-	}
 	// Scatter-gather: every shard scans its slice of the sorted index, and
 	// the per-shard replies — each ascending by (score, id) — k-way merge
 	// into the exact order a single node would have returned.

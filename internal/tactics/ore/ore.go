@@ -178,13 +178,6 @@ func (t *Tactic) SearchRange(ctx context.Context, field string, lo, hi any, loIn
 		}
 		args.Hi = ct
 	}
-	if t.shards.N() == 1 {
-		var reply QueryReply
-		if err := t.shards.Conn(0).Call(ctx, Service, "query", args, &reply); err != nil {
-			return nil, err
-		}
-		return reply.DocIDs, nil
-	}
 	// Scatter-gather: each shard compare-scans its slice of the column in
 	// doc-id order, so merging the sorted per-shard streams reproduces the
 	// single-node result order.

@@ -310,33 +310,26 @@ func (t *Tactic) Aggregate(ctx context.Context, field string, agg model.Agg, doc
 // one Paillier addition per shard — the result is bit-for-bit a valid
 // encryption of the total, so sharding loses nothing.
 func (t *Tactic) partialSums(ctx context.Context, field string, docIDs []string, sk *cryptopaillier.PrivateKey) (*cryptopaillier.Ciphertext, int, error) {
+	routes := make([]string, len(docIDs))
+	for i, id := range docIDs {
+		routes[i] = t.route(id)
+	}
+	groups := t.shards.Split(routes)
 	replies := make([]SumReply, t.shards.N())
-	if t.shards.N() == 1 {
-		if err := t.shards.Conn(0).Call(ctx, Service, "sum",
-			SumArgs{Schema: t.binding.Schema, Field: field, DocIDs: docIDs}, &replies[0]); err != nil {
-			return nil, 0, err
+	err := t.shards.Each(ctx, func(gctx context.Context, shard int, conn transport.Conn) error {
+		idx := groups[shard]
+		if len(idx) == 0 {
+			return nil
 		}
-	} else {
-		routes := make([]string, len(docIDs))
-		for i, id := range docIDs {
-			routes[i] = t.route(id)
+		sub := make([]string, len(idx))
+		for j, i := range idx {
+			sub[j] = docIDs[i]
 		}
-		groups := t.shards.Split(routes)
-		err := t.shards.Each(ctx, func(gctx context.Context, shard int, conn transport.Conn) error {
-			idx := groups[shard]
-			if len(idx) == 0 {
-				return nil
-			}
-			sub := make([]string, len(idx))
-			for j, i := range idx {
-				sub[j] = docIDs[i]
-			}
-			return conn.Call(gctx, Service, "sum",
-				SumArgs{Schema: t.binding.Schema, Field: field, DocIDs: sub}, &replies[shard])
-		})
-		if err != nil {
-			return nil, 0, err
-		}
+		return conn.Call(gctx, Service, "sum",
+			SumArgs{Schema: t.binding.Schema, Field: field, DocIDs: sub}, &replies[shard])
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	acc := sk.NewAccumulator()
 	count := 0

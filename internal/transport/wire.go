@@ -228,7 +228,7 @@ type NoReply = struct{}
 // Codec builds a PayloadCodec from four append/consume functions, keeping
 // per-method codecs down to their field lists. encR may be nil for
 // write-style methods whose handlers return nil (use NoReply for R).
-// Encoders must be deterministic (coalescing dedups on encoded bytes).
+// Encoders must be deterministic.
 // Decode functions receive a pooled Reader and must not retain it past
 // the call (decoded values alias the payload buffer, not the Reader).
 func Codec[A, R any](
@@ -284,6 +284,7 @@ func Codec[A, R any](
 
 // WriteCodec builds a PayloadCodec for a write-style method whose reply is
 // empty (the handler returns nil); only the arguments get a typed encoding.
+// The gateway's coalescer queues exactly these methods (no NewReply).
 func WriteCodec[A any](
 	encA func(dst []byte, a *A) []byte,
 	decA func(r *wirefmt.Reader, a *A),
@@ -717,8 +718,8 @@ func wireExec(ctx context.Context, m *Mux, t *wireTable, dst []byte, call parsed
 // RawArgs is an argument value whose payload was already encoded by the
 // connection's WireCodec (see ConnCodec / WireCodec.EncodeArgs). The
 // coalescer encodes sub-calls at enqueue time — for byte-accurate flush
-// triggers and dedup keys — and ships them with RawArgs so the transport
-// does not encode twice.
+// triggers — and ships them with RawArgs so the transport does not encode
+// twice.
 type RawArgs struct {
 	Payload []byte
 }

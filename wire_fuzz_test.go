@@ -20,16 +20,16 @@ import (
 	"datablinder/internal/transport"
 )
 
-// wireMethods is the size of the production codec registry: thirty hot
-// methods, and agg.setup, sophos.setup and admin.stats since the wire lost
-// its JSON payloads.
-const wireMethods = 33
+// wireMethods is the size of the production codec registry: twenty-eight
+// hot methods, and agg.setup, sophos.setup and admin.stats since the wire
+// lost its JSON payloads.
+const wireMethods = 31
 
 // FuzzPayloadCodecs feeds arbitrary bytes to every registered typed codec
 // (args and reply decoders). Malformed payloads must error without
 // panicking; payloads that decode must re-encode deterministically and
-// byte-identically (the coalescer dedups on encoded bytes, and encode
-// stability is what makes a decode→encode proxy hop lossless).
+// byte-identically (encode stability is what makes a decode→encode proxy
+// hop lossless).
 func FuzzPayloadCodecs(f *testing.F) {
 	methods := transport.RegisteredWireMethods()
 	if len(methods) != wireMethods {
