@@ -19,6 +19,7 @@ package datablinder_test
 
 import (
 	"context"
+	"datablinder/internal/cloud/ring"
 	"fmt"
 	"testing"
 
@@ -254,7 +255,8 @@ func BenchmarkAggregates(b *testing.B) {
 // read-efficiency motivation for the two-level design.
 func BenchmarkBIEXCompaction(b *testing.B) {
 	mk := func(b *testing.B, compact bool) (spibench, func()) {
-		conn, kp, local := benchEnv(b)
+		cloud, kp, local := benchEnv(b)
+		conn := ring.Of(cloud)
 		ctx := context.Background()
 		inst, err := tbiex.Registration2Lev().Factory(spi.Binding{
 			Schema: "hot", Keys: kp, Cloud: conn, Local: local,

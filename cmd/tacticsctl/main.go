@@ -2,6 +2,7 @@
 //
 //	tacticsctl table2            # regenerate the paper's Table 2 from the registry
 //	tacticsctl table1            # regenerate the paper's Table 1 (SPI map)
+//	tacticsctl leakage           # per-operation leakage profiles (Fig. 1)
 //	tacticsctl plan <schema.json> # show adaptive tactic selection for a schema file
 //
 // The schema file is the JSON encoding of a datablinder.Schema.
@@ -10,6 +11,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -26,18 +28,19 @@ func main() {
 		os.Exit(2)
 	}
 	var err error
+	w := os.Stdout
 	switch os.Args[1] {
 	case "table2":
-		err = printTable2()
+		err = printTable2(w)
 	case "table1":
-		err = printTable1()
+		err = printTable1(w)
 	case "leakage":
-		err = printLeakage()
+		err = printLeakage(w)
 	case "plan":
 		if len(os.Args) < 3 {
 			err = fmt.Errorf("plan needs a schema file")
 		} else {
-			err = printPlan(os.Args[2])
+			err = printPlan(w, os.Args[2])
 		}
 	default:
 		err = fmt.Errorf("unknown subcommand %q", os.Args[1])
@@ -48,13 +51,13 @@ func main() {
 }
 
 // printTable2 regenerates the paper's Table 2 from the live registry.
-func printTable2() error {
+func printTable2(w io.Writer) error {
 	registry, err := tactics.Registry()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Table 2 — implemented cryptographic constructions (from the live registry)\n\n")
-	fmt.Printf("%-16s %-16s %-8s %-12s %8s %6s  %-26s %-12s\n",
+	fmt.Fprintf(w, "Table 2 — implemented cryptographic constructions (from the live registry)\n\n")
+	fmt.Fprintf(w, "%-16s %-16s %-8s %-12s %8s %6s  %-26s %-12s\n",
 		"Operation", "Scheme", "Class", "Leakage", "Gateway", "Cloud", "Challenge", "Impl")
 	// Order rows the way the paper does: by operation family.
 	order := []string{"Equality Search", "Boolean Search", "Range Query", "Sum / Average"}
@@ -74,7 +77,7 @@ func printTable2() error {
 		if d.Origin == spi.OriginAdapted {
 			impl = "adapted"
 		}
-		fmt.Printf("%-16s %-16s %-8s %-12s %8d %6d  %-26s %-12s\n",
+		fmt.Fprintf(w, "%-16s %-16s %-8s %-12s %8d %6d  %-26s %-12s\n",
 			d.Operation, d.Name, class, leak,
 			len(d.GatewayInterfaces), len(d.CloudInterfaces), d.Challenge, impl)
 	}
@@ -92,38 +95,38 @@ func opRank(order []string, op string) int {
 
 // printTable1 regenerates the paper's Table 1: the SPI interfaces per
 // high-level operation.
-func printTable1() error {
+func printTable1(w io.Writer) error {
 	m := spi.SPIMap()
 	rows := []string{"Insert", "Update", "Delete", "Read", "Equality Search", "Boolean Search", "Aggregate"}
-	fmt.Printf("Table 1 — Service Provider Interface (SPI)\n\n")
-	fmt.Printf("%-16s  %-44s  %s\n", "Operation", "Gateway Interfaces", "Cloud Interfaces")
+	fmt.Fprintf(w, "Table 1 — Service Provider Interface (SPI)\n\n")
+	fmt.Fprintf(w, "%-16s  %-44s  %s\n", "Operation", "Gateway Interfaces", "Cloud Interfaces")
 	for _, r := range rows {
 		e := m[r]
-		fmt.Printf("%-16s  %-44s  %s\n", r, strings.Join(e.Gateway, ", "), strings.Join(e.Cloud, ", "))
+		fmt.Fprintf(w, "%-16s  %-44s  %s\n", r, strings.Join(e.Gateway, ", "), strings.Join(e.Cloud, ", "))
 	}
 	return nil
 }
 
 // printLeakage reifies the paper's Fig. 1 tactic model: each tactic's
 // per-operation leakage profile and performance metrics.
-func printLeakage() error {
+func printLeakage(w io.Writer) error {
 	registry, err := tactics.Registry()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Per-operation leakage profiles (paper Fig. 1 reification)\n")
+	fmt.Fprintf(w, "Per-operation leakage profiles (paper Fig. 1 reification)\n")
 	for _, d := range registry.Descriptors() {
-		fmt.Printf("\n%s", d.Name)
+		fmt.Fprintf(w, "\n%s", d.Name)
 		if d.Leakage != 0 {
-			fmt.Printf("  [overall: %s, class %s]", d.Leakage, d.Class)
+			fmt.Fprintf(w, "  [overall: %s, class %s]", d.Leakage, d.Class)
 		} else {
-			fmt.Printf("  [aggregate-only: never searched by value]")
+			fmt.Fprintf(w, "  [aggregate-only: never searched by value]")
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		for _, ol := range d.OpLeakage {
-			fmt.Printf("  %-6s %-12s %s\n", ol.Op.Name(), ol.Leakage.String(), ol.Note)
+			fmt.Fprintf(w, "  %-6s %-12s %s\n", ol.Op.Name(), ol.Leakage.String(), ol.Note)
 		}
-		fmt.Printf("  perf: %s; %d round trip(s); client storage: %s; server storage ~%.1fx\n",
+		fmt.Fprintf(w, "  perf: %s; %d round trip(s); client storage: %s; server storage ~%.1fx\n",
 			d.Perf.Complexity, d.Perf.RoundTrips, d.Perf.ClientStorage, d.Perf.ServerStorageFactor)
 	}
 	return nil
@@ -131,7 +134,7 @@ func printLeakage() error {
 
 // printPlan loads a schema file, validates it, and shows per-field
 // adaptive tactic selection with effective protection classes.
-func printPlan(path string) error {
+func printPlan(w io.Writer, path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -147,14 +150,14 @@ func printPlan(path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("schema %q — adaptive tactic selection\n\n", s.Name)
-	fmt.Printf("%-14s %-10s %-28s %-24s %s\n", "field", "requested", "annotation", "tactics", "effective")
+	fmt.Fprintf(w, "schema %q — adaptive tactic selection\n\n", s.Name)
+	fmt.Fprintf(w, "%-14s %-10s %-28s %-24s %s\n", "field", "requested", "annotation", "tactics", "effective")
 	for _, f := range s.SensitiveFields() {
 		plan, err := registry.Select(f)
 		if err != nil {
 			return fmt.Errorf("field %q: %w", f.Name, err)
 		}
-		fmt.Printf("%-14s %-10s %-28s %-24s %s\n",
+		fmt.Fprintf(w, "%-14s %-10s %-28s %-24s %s\n",
 			f.Name, f.Annotation.Class, f.Annotation.String(),
 			strings.Join(plan.Tactics, ", "), registry.EffectiveClass(plan))
 	}

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"datablinder/internal/cloud"
+	"datablinder/internal/cloud/ring"
 	"datablinder/internal/core"
 	"datablinder/internal/crypto/primitives"
 	"datablinder/internal/fhir"
@@ -29,6 +30,7 @@ import (
 	"datablinder/internal/spi"
 	"datablinder/internal/store/kvstore"
 	"datablinder/internal/tactics"
+	"datablinder/internal/tactics/cell"
 	tdet "datablinder/internal/tactics/det"
 	tmitra "datablinder/internal/tactics/mitra"
 	tpaillier "datablinder/internal/tactics/paillier"
@@ -123,7 +125,7 @@ func (a *plainApp) Insert(ctx context.Context, doc *model.Document) error {
 		if !ok {
 			continue
 		}
-		if err := a.conn.Call(ctx, tdet.Service, "add", tdet.AddArgs{
+		if err := a.conn.Call(ctx, tdet.Service, "add", cell.Args{
 			Schema: a.collection, Field: f,
 			CT: []byte(model.ValueToString(v)), DocID: doc.ID,
 		}, nil); err != nil {
@@ -200,6 +202,7 @@ func (a *plainApp) AverageWhere(ctx context.Context, whereField string, whereVal
 // pipeline and no middleware dispatch.
 type hardcodedApp struct {
 	conn       transport.Conn
+	shards     *ring.Ring // conn, as the tactics route over it
 	collection string
 	aead       *primitives.AEAD
 
@@ -211,7 +214,8 @@ type hardcodedApp struct {
 
 func newHardcodedApp(ctx context.Context, conn transport.Conn, kp keys.Provider, local *kvstore.Store) (*hardcodedApp, error) {
 	const collection = "observation-hardcoded"
-	b := spi.Binding{Schema: collection, Keys: kp, Cloud: conn, Local: local}
+	shards := ring.Of(conn)
+	b := spi.Binding{Schema: collection, Keys: kp, Cloud: shards, Local: local}
 
 	detT, err := tdet.New(b)
 	if err != nil {
@@ -229,7 +233,8 @@ func newHardcodedApp(ctx context.Context, conn transport.Conn, kp keys.Provider,
 	if err != nil {
 		return nil, err
 	}
-	if err := paillierT.Setup(ctx); err != nil {
+	paillier := paillierT.(*tpaillier.Tactic)
+	if err := paillier.Setup(ctx); err != nil {
 		return nil, err
 	}
 	docKey, err := kp.Key(keys.Ref{Schema: collection, Field: "*", Tactic: "SecureEnc", Purpose: "doc"})
@@ -242,12 +247,13 @@ func newHardcodedApp(ctx context.Context, conn transport.Conn, kp keys.Provider,
 	}
 	return &hardcodedApp{
 		conn:       conn,
+		shards:     shards,
 		collection: collection,
 		aead:       aead,
 		det:        detT.(*tdet.Tactic),
 		mitra:      mitraT,
 		rnd:        rndT.(*trnd.Tactic),
-		paillier:   paillierT.(*tpaillier.Tactic),
+		paillier:   paillier,
 	}, nil
 }
 
@@ -271,7 +277,7 @@ func (a *hardcodedApp) Insert(ctx context.Context, doc *model.Document) error {
 		if !ok {
 			return nil
 		}
-		return spi.Apply(ctx, a.conn, t, model.OpInsert, doc.ID, map[string]any{f: v})
+		return spi.Apply(ctx, a.shards, t, model.OpInsert, doc.ID, map[string]any{f: v})
 	}
 	for _, f := range detFields {
 		if err := index(a.det, f); err != nil {

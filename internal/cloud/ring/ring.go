@@ -191,10 +191,10 @@ func (r *Ring) Close() error {
 type ringer interface{ Ring() *Ring }
 
 // Of returns the ring behind conn: the sharded client's own ring when conn
-// is one, otherwise a fresh single-shard ring wrapping conn. Engine and
-// tactic code calls Of once at construction and then routes uniformly; on
-// an unsharded connection every helper degenerates to a direct call, so
-// single-node behavior is unchanged.
+// is one, otherwise a fresh single-shard ring wrapping conn. The engine
+// calls Of once at construction, routes uniformly from then on and hands
+// the ring to its tactics; on an unsharded connection every helper
+// degenerates to a direct call, so single-node behavior is unchanged.
 func Of(conn transport.Conn) *Ring {
 	if r, ok := conn.(ringer); ok {
 		return r.Ring()
@@ -202,9 +202,9 @@ func Of(conn transport.Conn) *Ring {
 	return &Ring{conns: []transport.Conn{conn}}
 }
 
-// Client is the transport.Conn handed to the engine when the cloud tier is
-// sharded. Direct Call is only legal with a single shard (there is no
-// routing key); every sharded call site must go through Of(...).Call /
+// Client is the transport.Conn through which a sharded cloud tier reaches
+// the engine's Config. Direct Call is only legal with a single shard (there
+// is no routing key); every sharded call site must go through Of(...).Call /
 // Each / Split. A loud error here means a call site was missed during the
 // single-node → ring conversion, which the sharded e2e test exercises.
 type Client struct {
@@ -216,10 +216,6 @@ type Client struct {
 func NewClient(conns []transport.Conn, vnodes int) *Client {
 	return &Client{ring: New(conns, vnodes)}
 }
-
-// ClientOf wraps an existing ring (typically one rebuilt by WithConns) as
-// a sharded connection.
-func ClientOf(r *Ring) *Client { return &Client{ring: r} }
 
 // Ring exposes the routing view (the Of hook).
 func (c *Client) Ring() *Ring { return c.ring }
@@ -236,10 +232,11 @@ func (c *Client) Call(ctx context.Context, service, method string, args, reply a
 // Close implements transport.Conn.
 func (c *Client) Close() error { return c.ring.Close() }
 
-// MergeSorted k-way merges ascending string slices into one ascending
-// slice, dropping duplicates across inputs. Shards hold disjoint key sets,
-// so duplicates only occur when a caller merges overlapping pages.
-func MergeSorted(lists [][]string) []string {
+// Merge k-way merges lists, each ascending under cmp, into one ascending
+// slice, dropping an element that compares equal to the one before it.
+// Shards hold disjoint key sets, so duplicates only occur when a caller
+// merges overlapping pages. A single list comes back as it is.
+func Merge[T any](lists [][]T, cmp func(a, b T) int) []T {
 	switch len(lists) {
 	case 0:
 		return nil
@@ -250,15 +247,12 @@ func MergeSorted(lists [][]string) []string {
 	for _, l := range lists {
 		n += len(l)
 	}
-	out := make([]string, 0, n)
+	out := make([]T, 0, n)
 	pos := make([]int, len(lists))
 	for {
 		best := -1
 		for i, l := range lists {
-			if pos[i] >= len(l) {
-				continue
-			}
-			if best < 0 || l[pos[i]] < lists[best][pos[best]] {
+			if pos[i] < len(l) && (best < 0 || cmp(l[pos[i]], lists[best][pos[best]]) < 0) {
 				best = i
 			}
 		}
@@ -267,7 +261,7 @@ func MergeSorted(lists [][]string) []string {
 		}
 		v := lists[best][pos[best]]
 		pos[best]++
-		if len(out) == 0 || out[len(out)-1] != v {
+		if len(out) == 0 || cmp(out[len(out)-1], v) != 0 {
 			out = append(out, v)
 		}
 	}

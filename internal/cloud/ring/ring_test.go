@@ -3,6 +3,7 @@ package ring
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"datablinder/internal/transport"
@@ -130,7 +131,7 @@ func TestSplitPreservesOrder(t *testing.T) {
 }
 
 func TestMergeSorted(t *testing.T) {
-	got := MergeSorted([][]string{{"a", "c", "e"}, {"b", "c"}, {}, {"d"}})
+	got := Merge([][]string{{"a", "c", "e"}, {"b", "c"}, {}, {"d"}}, strings.Compare)
 	want := []string{"a", "b", "c", "d", "e"}
 	if len(got) != len(want) {
 		t.Fatalf("got %v, want %v", got, want)

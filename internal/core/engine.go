@@ -79,8 +79,7 @@ const writeWorkers = 16
 // Engine is the gateway-side middleware core.
 type Engine struct {
 	keys       keys.Provider
-	cloud      transport.Conn
-	shards     *ring.Ring // routing view of cloud: 1 shard unless cloud fronts a ring
+	shards     *ring.Ring // the cloud: 1 shard unless Config.Cloud fronts a ring
 	coalescers []*coalesce.Conn
 	local      *kvstore.Store
 	registry   *spi.Registry
@@ -192,16 +191,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 	base = base.WithConns(func(_ int, conn transport.Conn) transport.Conn {
 		return planner.WrapConn(conn, stats)
 	})
-	var cloudConn transport.Conn
-	if base.N() == 1 {
-		cloudConn = base.Conn(0)
-	} else {
-		cloudConn = ring.ClientOf(base)
-	}
 	e := &Engine{
 		keys:        cfg.Keys,
-		cloud:       cloudConn,
-		shards:      ring.Of(cloudConn),
+		shards:      base,
 		coalescers:  coals,
 		local:       cfg.Local,
 		registry:    cfg.Registry,
@@ -480,8 +472,6 @@ func (e *Engine) buildRuntime(ctx context.Context, s *model.Schema) (*schemaRunt
 		docMu:     &sync.Mutex{},
 		writers:   &sync.RWMutex{},
 	}
-	binding := spi.Binding{Schema: s.Name, Keys: e.keys, Cloud: e.cloud, Local: e.local}
-
 	for _, f := range s.SensitiveFields() {
 		plan, ok := e.loadPlan(s.Name, f)
 		if !ok {
@@ -499,16 +489,9 @@ func (e *Engine) buildRuntime(ctx context.Context, s *model.Schema) (*schemaRunt
 			if _, ok := rt.instances[name]; ok {
 				continue
 			}
-			reg, err := e.registry.Lookup(name)
+			inst, err := e.instantiate(ctx, s.Name, name)
 			if err != nil {
 				return nil, err
-			}
-			inst, err := reg.Factory(binding)
-			if err != nil {
-				return nil, fmt.Errorf("core: instantiating %s: %w", name, err)
-			}
-			if err := inst.Setup(ctx); err != nil {
-				return nil, fmt.Errorf("core: setting up %s: %w", name, err)
 			}
 			rt.instances[name] = inst
 		}
@@ -524,6 +507,25 @@ func (e *Engine) buildRuntime(ctx context.Context, s *model.Schema) (*schemaRunt
 	}
 	rt.aead = aead
 	return rt, nil
+}
+
+// instantiate builds the named tactic's instance for schema and runs its
+// Setup when the tactic has one.
+func (e *Engine) instantiate(ctx context.Context, schema, name string) (spi.Tactic, error) {
+	reg, err := e.registry.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	inst, err := reg.Factory(spi.Binding{Schema: schema, Keys: e.keys, Cloud: e.shards, Local: e.local})
+	if err != nil {
+		return nil, fmt.Errorf("core: instantiating %s: %w", name, err)
+	}
+	if p, ok := inst.(spi.Provisioner); ok {
+		if err := p.Setup(ctx); err != nil {
+			return nil, fmt.Errorf("core: setting up %s: %w", name, err)
+		}
+	}
+	return inst, nil
 }
 
 func (e *Engine) runtime(schema string) (*schemaRuntime, error) {

@@ -201,23 +201,13 @@ func (e *Engine) migrateField(ctx context.Context, schema, field string, target 
 	}
 
 	// Instantiate target tactics missing from the running set.
-	binding := spi.Binding{Schema: schema, Keys: e.keys, Cloud: e.cloud, Local: e.local}
 	instances := make(map[string]spi.Tactic)
 	for _, name := range target.Tactics {
-		if inst, ok := rt.instances[name]; ok {
-			instances[name] = inst
-			continue
-		}
-		reg, err := e.registry.Lookup(name)
-		if err != nil {
-			return err
-		}
-		inst, err := reg.Factory(binding)
-		if err != nil {
-			return fmt.Errorf("core: instantiating %s: %w", name, err)
-		}
-		if err := inst.Setup(ctx); err != nil {
-			return fmt.Errorf("core: setting up %s: %w", name, err)
+		inst, ok := rt.instances[name]
+		if !ok {
+			if inst, err = e.instantiate(ctx, schema, name); err != nil {
+				return err
+			}
 		}
 		instances[name] = inst
 	}

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"datablinder/internal/cloud"
@@ -370,7 +371,7 @@ func (e *Engine) allIDs(ctx context.Context, schema string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ring.MergeSorted(perShard), nil
+	return ring.Merge(perShard, strings.Compare), nil
 }
 
 // Aggregate computes an aggregate of field over the documents matching

@@ -73,13 +73,12 @@ func opVerb(op model.Op) string {
 // prepare runs one tactic's write half for the given fields of a document,
 // timing it for the cost model.
 func (w *write) prepare(name string, inst spi.Tactic, op model.Op, docID string, fields []string, values map[string]any) error {
-	wr, ok := inst.(spi.Writer)
-	if !ok || len(fields) == 0 {
+	if len(fields) == 0 {
 		return nil
 	}
 	start := time.Now()
 	from := len(w.set.Mutations)
-	if err := wr.Prepare(&w.set, op, docID, fields, values); err != nil {
+	if err := inst.Prepare(&w.set, op, docID, fields, values); err != nil {
 		return fmt.Errorf("core: %s index %s: %w", name, opVerb(op), err)
 	}
 	w.parts = append(w.parts, part{

@@ -682,3 +682,22 @@ func ValueToString(v any) string {
 		return fmt.Sprintf("%v", x)
 	}
 }
+
+// Keyword is the searchable-encryption keyword of one field value,
+// "field=value" over the value's canonical string.
+func Keyword(field string, value any) string {
+	return field + "=" + ValueToString(value)
+}
+
+// NumericType is the field type a numeric value is encoded under by the
+// tactics that index numbers: the engine passes int64 for int fields and
+// float64 for float fields, and raw Go ints may arrive from examples.
+func NumericType(v any) (FieldType, error) {
+	switch v.(type) {
+	case int, int64:
+		return TypeInt, nil
+	case float64:
+		return TypeFloat, nil
+	}
+	return "", fmt.Errorf("model: value %v (%T) is not numeric", v, v)
+}

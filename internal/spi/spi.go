@@ -15,10 +15,11 @@ import (
 	"fmt"
 	"sort"
 
+	"datablinder/internal/cloud/ring"
+	"datablinder/internal/crypto/primitives"
 	"datablinder/internal/keys"
 	"datablinder/internal/model"
 	"datablinder/internal/store/kvstore"
-	"datablinder/internal/transport"
 )
 
 // Errors returned by the registry.
@@ -106,18 +107,37 @@ type Binding struct {
 	Schema string
 	// Keys provides per-(schema, field, tactic, purpose) key material.
 	Keys keys.Provider
-	// Cloud reaches the tactic's cloud-side implementation.
-	Cloud transport.Conn
+	// Cloud routes calls to the tactic's cloud-side implementation: one
+	// shard, or the consistent-hash ring of a sharded tier.
+	Cloud *ring.Ring
 	// Local is the gateway-side state store (counters, TDP states, ...).
 	Local *kvstore.Store
 }
 
-// Tactic is the mandatory surface of every gateway-side tactic instance.
+// Key returns the key material of one (field, purpose) of tactic under the
+// binding's schema.
+func (b Binding) Key(tactic, field, purpose string) (primitives.Key, error) {
+	return b.Keys.Key(keys.Ref{Schema: b.Schema, Field: field, Tactic: tactic, Purpose: purpose})
+}
+
+// Tactic is the mandatory surface of every gateway-side tactic instance:
+// its write half. Prepare does the gateway-side work of indexing
+// (op == model.OpInsert) or un-indexing (model.OpDelete) the named fields
+// of one document — encryption, plus reserving counters in the local store
+// — and appends the resulting cloud mutations to ws. It sends nothing and
+// changes no local state a search can observe: what must only happen once
+// the request is certain to ship (a per-document version bump) is
+// registered with ws.OnCommit. fields is sorted and every name in it has a
+// value in values (for deletes, the previously indexed one).
 type Tactic interface {
-	// Descriptor returns the tactic's static description.
-	Descriptor() Descriptor
-	// Setup performs key generation and initial provisioning (the
-	// mandatory setup interface of §4.2). It must be idempotent.
+	Prepare(ws *WriteSet, op model.Op, docID string, fields []string, values map[string]any) error
+}
+
+// Provisioner is the optional setup interface of §4.2, for tactics that
+// generate and provision keys before first use (Sophos's trapdoor,
+// Paillier's key pair); the engine runs Setup once per instance it builds.
+// Setup must be idempotent.
+type Provisioner interface {
 	Setup(ctx context.Context) error
 }
 

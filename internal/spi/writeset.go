@@ -11,18 +11,6 @@ import (
 	"datablinder/internal/transport"
 )
 
-// Writer is the write half of a tactic. Prepare does the gateway-side work
-// of indexing (op == model.OpInsert) or un-indexing (model.OpDelete) the
-// named fields of one document — encryption, plus reserving counters in the
-// local store — and appends the resulting cloud mutations to ws. It sends
-// nothing and changes no local state a search can observe: what must only
-// happen once the request is certain to ship (a per-document version bump)
-// is registered with ws.OnCommit. fields is sorted and every name in it has
-// a value in values (for deletes, the previously indexed one).
-type Writer interface {
-	Prepare(ws *WriteSet, op model.Op, docID string, fields []string, values map[string]any) error
-}
-
 // Mutation is one cloud write of a write set.
 type Mutation struct {
 	// Route is the ring routing key. When it is empty the tactic placed the
@@ -171,22 +159,18 @@ func (ws *WriteSet) nth(owner []int, shard, j int) int {
 }
 
 // Apply runs one tactic write outside the engine — prepare, then flush over
-// conn's ring — for callers that drive a tactic directly (tactic tests,
-// the hard-coded benchmark baseline).
-func Apply(ctx context.Context, conn transport.Conn, t Tactic, op model.Op, docID string, values map[string]any) error {
-	w, ok := t.(Writer)
-	if !ok {
-		return fmt.Errorf("spi: %s has no write half", t.Descriptor().Name)
-	}
+// shards — for callers that drive a tactic directly (tactic tests, the
+// hard-coded benchmark baseline).
+func Apply(ctx context.Context, shards *ring.Ring, t Tactic, op model.Op, docID string, values map[string]any) error {
 	fields := make([]string, 0, len(values))
 	for f := range values {
 		fields = append(fields, f)
 	}
 	sort.Strings(fields)
 	var ws WriteSet
-	if err := w.Prepare(&ws, op, docID, fields, values); err != nil {
+	if err := t.Prepare(&ws, op, docID, fields, values); err != nil {
 		return err
 	}
-	_, err := ws.Flush(ctx, ring.Of(conn), func(f func()) { go f() })
+	_, err := ws.Flush(ctx, shards, func(f func()) { go f() })
 	return err
 }

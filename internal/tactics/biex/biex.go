@@ -14,11 +14,11 @@ package biex
 import (
 	"context"
 	"sort"
+	"strings"
 	"sync"
 
 	"datablinder/internal/cloud/ring"
 	"datablinder/internal/conc"
-	"datablinder/internal/keys"
 	"datablinder/internal/model"
 	"datablinder/internal/spi"
 	ssebiex "datablinder/internal/sse/biex"
@@ -133,17 +133,14 @@ func describe(name string, variant ssebiex.Variant) spi.Descriptor {
 // tail — and any conjunction anchored in it — keeps single-shard
 // resolution.
 type Tactic struct {
-	binding spi.Binding
-	shards  *ring.Ring
-	name    string
-	variant ssebiex.Variant
-	client  *ssebiex.Client
-	ns      string
+	spi.Binding
+	client *ssebiex.Client
+	ns     string
 }
 
 func newTactic(name string, variant ssebiex.Variant) spi.Factory {
 	return func(b spi.Binding) (spi.Tactic, error) {
-		root, err := b.Keys.Key(keys.Ref{Schema: b.Schema, Field: "*", Tactic: name, Purpose: "root"})
+		root, err := b.Key(name, "*", "root")
 		if err != nil {
 			return nil, err
 		}
@@ -151,16 +148,9 @@ func newTactic(name string, variant ssebiex.Variant) spi.Factory {
 		if err != nil {
 			return nil, err
 		}
-		return &Tactic{
-			binding: b,
-			shards:  ring.Of(b.Cloud),
-			name:    name,
-			variant: variant,
-			client:  client,
-			// Distinct namespaces keep the two variants' indexes and
-			// version counters apart when both serve the same schema.
-			ns: b.Schema + "|" + string(variant),
-		}, nil
+		// Distinct namespaces keep the two variants' indexes and version
+		// counters apart when both serve the same schema.
+		return &Tactic{Binding: b, client: client, ns: b.Schema + "|" + string(variant)}, nil
 	}
 }
 
@@ -174,17 +164,7 @@ func RegistrationZMF() spi.Registration {
 	return spi.Registration{Descriptor: describe(NameZMF, ssebiex.VariantZMF), Factory: newTactic(NameZMF, ssebiex.VariantZMF)}
 }
 
-// Descriptor implements spi.Tactic.
-func (t *Tactic) Descriptor() spi.Descriptor { return describe(t.name, t.variant) }
-
-// Setup implements spi.Tactic.
-func (t *Tactic) Setup(context.Context) error { return nil }
-
-func keyword(field string, value any) string {
-	return field + "=" + model.ValueToString(value)
-}
-
-// Prepare implements spi.Writer. For an insert the client groups the
+// Prepare implements spi.Tactic. For an insert the client groups the
 // document's index entries by owning shard, one mutation each; the version
 // they carry becomes the live one at commit. A failed write set — whichever
 // tactic's batch it was — is compensated the way the engine compensates a
@@ -202,9 +182,9 @@ func (t *Tactic) Prepare(ws *spi.WriteSet, op model.Op, docID string, fields []s
 	}
 	kws := make([]string, len(fields))
 	for i, f := range fields {
-		kws[i] = keyword(f, values[f])
+		kws[i] = model.Keyword(f, values[f])
 	}
-	groups, commit, err := t.client.Prepare(t.ns, docID, kws, t.shards.Shard)
+	groups, commit, err := t.client.Prepare(t.ns, docID, kws, t.Cloud.Shard)
 	if err != nil {
 		return err
 	}
@@ -230,7 +210,7 @@ func (t *Tactic) SearchBool(ctx context.Context, q spi.BoolQuery) ([]string, err
 	for _, conj := range q {
 		lits := make([]ssebiex.Literal, 0, len(conj))
 		for _, l := range conj {
-			lits = append(lits, ssebiex.Literal{Keyword: keyword(l.Field, l.Value), Negated: l.Negated})
+			lits = append(lits, ssebiex.Literal{Keyword: model.Keyword(l.Field, l.Value), Negated: l.Negated})
 		}
 		query = append(query, lits)
 	}
@@ -238,7 +218,7 @@ func (t *Tactic) SearchBool(ctx context.Context, q spi.BoolQuery) ([]string, err
 	// conjunction's anchor; the shards resolve in parallel and the union
 	// merges here. The query may compile to nothing (every conjunction
 	// unsatisfiable).
-	toks, err := t.client.Token(t.ns, query, t.shards.Shard)
+	toks, err := t.client.Token(t.ns, query, t.Cloud.Shard)
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +231,7 @@ func (t *Tactic) SearchBool(ctx context.Context, q spi.BoolQuery) ([]string, err
 	err = conc.ForEach(ctx, len(targets), 0, func(gctx context.Context, i int) error {
 		s := targets[i]
 		var reply SearchReply
-		if err := t.shards.Conn(s).Call(gctx, Service, "search",
+		if err := t.Cloud.Conn(s).Call(gctx, Service, "search",
 			SearchArgs{Namespace: t.ns, Token: *toks[s]}, &reply); err != nil {
 			return err
 		}
@@ -261,7 +241,7 @@ func (t *Tactic) SearchBool(ctx context.Context, q spi.BoolQuery) ([]string, err
 	if err != nil {
 		return nil, err
 	}
-	return t.client.Resolve(t.ns, ring.MergeSorted(perShard))
+	return t.client.Resolve(t.ns, ring.Merge(perShard, strings.Compare))
 }
 
 // SearchEq implements spi.EqSearcher as a single-keyword boolean query.
@@ -282,7 +262,7 @@ func (t *Tactic) SearchEq(ctx context.Context, field string, value any) ([]strin
 // co-located with the bucket's pair replicas and filters. Buckets repack
 // in parallel; they share no state.
 func (t *Tactic) Compact(ctx context.Context, field string, value any) error {
-	w := keyword(field, value)
+	w := model.Keyword(field, value)
 	buckets, err := t.client.Buckets(t.ns, w)
 	if err != nil {
 		return err
@@ -294,7 +274,7 @@ func (t *Tactic) Compact(ctx context.Context, field string, value any) error {
 		}
 		route := t.client.BucketRoute(t.ns, w, uint64(b))
 		var reply SearchReply
-		if err := t.shards.Call(gctx, route, Service, "search",
+		if err := t.Cloud.Call(gctx, route, Service, "search",
 			SearchArgs{Namespace: t.ns, Token: tok}, &reply); err != nil {
 			return err
 		}
@@ -306,7 +286,7 @@ func (t *Tactic) Compact(ctx context.Context, field string, value any) error {
 		if err != nil {
 			return err
 		}
-		return t.shards.Call(gctx, route, Service, "repack",
+		return t.Cloud.Call(gctx, route, Service, "repack",
 			RepackArgs{Namespace: t.ns, Stale: stale, Entries: entries}, nil)
 	})
 }
@@ -345,7 +325,7 @@ func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 }
 
 var (
-	_ spi.Writer       = (*Tactic)(nil)
+	_ spi.Compactor    = (*Tactic)(nil)
 	_ spi.BoolSearcher = (*Tactic)(nil)
 	_ spi.EqSearcher   = (*Tactic)(nil)
 )

@@ -21,7 +21,7 @@ import (
 // shardedInstance builds a tactic over n in-process cloud shards (n == 1
 // degenerates to the unsharded loopback setup). The returned stores allow
 // per-shard index inspection.
-func shardedInstance(t *testing.T, reg spi.Registration, n int) (spi.Tactic, transport.Conn, []*kvstore.Store) {
+func shardedInstance(t *testing.T, reg spi.Registration, n int) (spi.Tactic, *ring.Ring, []*kvstore.Store) {
 	t.Helper()
 	conns := make([]transport.Conn, n)
 	stores := make([]*kvstore.Store, n)
@@ -33,12 +33,7 @@ func shardedInstance(t *testing.T, reg spi.Registration, n int) (spi.Tactic, tra
 		conns[i] = transport.NewLoopback(mux)
 		stores[i] = kv
 	}
-	var cloud transport.Conn
-	if n == 1 {
-		cloud = conns[0]
-	} else {
-		cloud = ring.NewClient(conns, 0)
-	}
+	cloud := ring.New(conns, 0)
 	kp, err := keys.NewRandomStore()
 	if err != nil {
 		t.Fatal(err)
@@ -54,13 +49,13 @@ func shardedInstance(t *testing.T, reg spi.Registration, n int) (spi.Tactic, tra
 	return inst, cloud, stores
 }
 
-func instance(t *testing.T, reg spi.Registration) (spi.Tactic, transport.Conn) {
+func instance(t *testing.T, reg spi.Registration) (spi.Tactic, *ring.Ring) {
 	t.Helper()
 	inst, conn, _ := shardedInstance(t, reg, 1)
 	return inst, conn
 }
 
-func variants(t *testing.T, f func(t *testing.T, inst spi.Tactic, conn transport.Conn)) {
+func variants(t *testing.T, f func(t *testing.T, inst spi.Tactic, conn *ring.Ring)) {
 	t.Helper()
 	for _, reg := range []spi.Registration{biex.Registration2Lev(), biex.RegistrationZMF()} {
 		reg := reg
@@ -71,7 +66,7 @@ func variants(t *testing.T, f func(t *testing.T, inst spi.Tactic, conn transport
 	}
 }
 
-func seed(t *testing.T, inst spi.Tactic, conn transport.Conn) {
+func seed(t *testing.T, inst spi.Tactic, conn *ring.Ring) {
 	t.Helper()
 	ctx := context.Background()
 	docs := map[string]map[string]any{
@@ -87,7 +82,7 @@ func seed(t *testing.T, inst spi.Tactic, conn transport.Conn) {
 }
 
 func TestCrossFieldConjunction(t *testing.T) {
-	variants(t, func(t *testing.T, inst spi.Tactic, conn transport.Conn) {
+	variants(t, func(t *testing.T, inst spi.Tactic, conn *ring.Ring) {
 		seed(t, inst, conn)
 		ids, err := inst.(spi.BoolSearcher).SearchBool(context.Background(), spi.BoolQuery{{
 			{Field: "status", Value: "final"},
@@ -103,7 +98,7 @@ func TestCrossFieldConjunction(t *testing.T) {
 }
 
 func TestDisjunctionAndNegation(t *testing.T) {
-	variants(t, func(t *testing.T, inst spi.Tactic, conn transport.Conn) {
+	variants(t, func(t *testing.T, inst spi.Tactic, conn *ring.Ring) {
 		seed(t, inst, conn)
 		ctx := context.Background()
 		bs := inst.(spi.BoolSearcher)
@@ -135,7 +130,7 @@ func TestDisjunctionAndNegation(t *testing.T) {
 }
 
 func TestEqualityDegeneratesToSingleKeyword(t *testing.T) {
-	variants(t, func(t *testing.T, inst spi.Tactic, conn transport.Conn) {
+	variants(t, func(t *testing.T, inst spi.Tactic, conn *ring.Ring) {
 		seed(t, inst, conn)
 		ids, err := inst.(spi.EqSearcher).SearchEq(context.Background(), "code", "glucose")
 		if err != nil {
@@ -148,7 +143,7 @@ func TestEqualityDegeneratesToSingleKeyword(t *testing.T) {
 }
 
 func TestDocDeleteSupersedes(t *testing.T) {
-	variants(t, func(t *testing.T, inst spi.Tactic, conn transport.Conn) {
+	variants(t, func(t *testing.T, inst spi.Tactic, conn *ring.Ring) {
 		seed(t, inst, conn)
 		ctx := context.Background()
 		if err := spi.Apply(ctx, conn, inst, model.OpDelete, "d1", nil); err != nil {
@@ -179,7 +174,7 @@ func TestDocDeleteSupersedes(t *testing.T) {
 }
 
 func TestCompactPreservesResults(t *testing.T) {
-	variants(t, func(t *testing.T, inst spi.Tactic, conn transport.Conn) {
+	variants(t, func(t *testing.T, inst spi.Tactic, conn *ring.Ring) {
 		ctx := context.Background()
 		// 30 docs under one hot keyword, some deleted before compaction.
 		for i := 0; i < 30; i++ {
@@ -231,7 +226,7 @@ func shardedPair(t *testing.T, reg spi.Registration, docs map[string]map[string]
 	sharded, shardedConn, stores := shardedInstance(t, reg, 3)
 	ctx := context.Background()
 	for id, fields := range docs {
-		for inst, conn := range map[spi.Tactic]transport.Conn{single: singleConn, sharded: shardedConn} {
+		for inst, conn := range map[spi.Tactic]*ring.Ring{single: singleConn, sharded: shardedConn} {
 			if err := spi.Apply(ctx, conn, inst, model.OpInsert, id, fields); err != nil {
 				t.Fatalf("insert %s: %v", id, err)
 			}
@@ -453,7 +448,7 @@ func TestInsertCompensatesOnPartialFailure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			conn := ring.NewClient(conns, 0)
+			conn := ring.New(conns, 0)
 			inst, err := reg.Factory(spi.Binding{Schema: "obs", Keys: kp, Cloud: conn, Local: kvstore.New()})
 			if err != nil {
 				t.Fatal(err)
@@ -506,7 +501,7 @@ func TestVariantsShareCloudWithoutInterference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binding := spi.Binding{Schema: "obs", Keys: kp, Cloud: transport.NewLoopback(mux), Local: kvstore.New()}
+	binding := spi.Binding{Schema: "obs", Keys: kp, Cloud: ring.Of(transport.NewLoopback(mux)), Local: kvstore.New()}
 	i2, err := biex.Registration2Lev().Factory(binding)
 	if err != nil {
 		t.Fatal(err)

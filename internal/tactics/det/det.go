@@ -11,16 +11,15 @@ package det
 
 import (
 	"context"
-	"fmt"
 
-	"datablinder/internal/cloud/ring"
 	"datablinder/internal/crypto/keycache"
 	"datablinder/internal/crypto/primitives"
-	"datablinder/internal/keys"
 	"datablinder/internal/model"
 	"datablinder/internal/spi"
 	"datablinder/internal/store/kvstore"
+	"datablinder/internal/tactics/cell"
 	"datablinder/internal/transport"
+	"datablinder/internal/wirefmt"
 )
 
 // Name is the tactic's registry name.
@@ -29,28 +28,35 @@ const Name = "DET"
 // Service is the cloud RPC service name.
 const Service = "det"
 
-// AddArgs / RemoveArgs / LookupArgs are the cloud RPC payloads.
+// LookupArgs fetches the id set of a ciphertext; LookupReply carries it.
 type (
-	// AddArgs adds docID under a deterministic ciphertext.
-	AddArgs struct {
-		Schema string `json:"schema"`
-		Field  string `json:"field"`
-		CT     []byte `json:"ct"`
-		DocID  string `json:"doc_id"`
-	}
-	// RemoveArgs removes docID from a ciphertext's id set.
-	RemoveArgs = AddArgs
-	// LookupArgs fetches the id set of a ciphertext.
 	LookupArgs struct {
-		Schema string `json:"schema"`
-		Field  string `json:"field"`
-		CT     []byte `json:"ct"`
+		Schema string
+		Field  string
+		CT     []byte
 	}
-	// LookupReply carries the matching ids.
 	LookupReply struct {
-		DocIDs []string `json:"doc_ids"`
+		DocIDs []string
 	}
 )
+
+func init() {
+	cell.Register(Service, "add", "remove")
+	transport.RegisterCodec(Service, "lookup", transport.Codec(
+		func(b []byte, a *LookupArgs) []byte {
+			b = wirefmt.AppendString(b, a.Schema)
+			b = wirefmt.AppendString(b, a.Field)
+			return wirefmt.AppendBytes(b, a.CT)
+		},
+		func(r *wirefmt.Reader, a *LookupArgs) {
+			a.Schema = r.String()
+			a.Field = r.String()
+			a.CT = r.Bytes()
+		},
+		func(b []byte, out *LookupReply) []byte { return wirefmt.AppendStrings(b, out.DocIDs) },
+		func(r *wirefmt.Reader, out *LookupReply) { out.DocIDs = r.Strings() },
+	))
+}
 
 // Describe returns the tactic's static descriptor.
 func Describe() spi.Descriptor {
@@ -89,25 +95,28 @@ func Describe() spi.Descriptor {
 
 // Tactic is the gateway half.
 type Tactic struct {
-	binding spi.Binding
-	shards  *ring.Ring
+	spi.Binding
 	ciphers *keycache.Cache[string, *primitives.DET]
+	writer  cell.Writer
 }
 
 // New constructs the gateway half.
 func New(b spi.Binding) (spi.Tactic, error) {
-	return &Tactic{
-		binding: b,
-		shards:  ring.Of(b.Cloud),
-		ciphers: keycache.New[string, *primitives.DET](keycache.DefaultSize),
-	}, nil
+	t := &Tactic{Binding: b, ciphers: keycache.New[string, *primitives.DET](keycache.DefaultSize)}
+	// Insert and delete name a cell by its ciphertext, each routed by it.
+	t.writer = cell.Writer{
+		Service: Service, Put: "add",
+		Seal:  func(f, _ string, v any) ([]byte, error) { return t.encrypt(f, v) },
+		Route: func(f, _ string, ct []byte) string { return t.route(f, ct) },
+	}
+	return t, nil
 }
 
 // route is the routing key placing one (field, ciphertext) posting set on a
 // shard: the deterministic ciphertext is stable across restarts, so insert,
 // delete and lookup for one value always land on the same shard.
 func (t *Tactic) route(field string, ct []byte) string {
-	return "det/" + t.binding.Schema + "/" + field + "/" + string(ct)
+	return "det/" + t.Schema + "/" + field + "/" + string(ct)
 }
 
 // Registration couples descriptor and factory for the registry.
@@ -115,22 +124,15 @@ func Registration() spi.Registration {
 	return spi.Registration{Descriptor: Describe(), Factory: New}
 }
 
-// Descriptor implements spi.Tactic.
-func (t *Tactic) Descriptor() spi.Descriptor { return Describe() }
-
-// Setup implements spi.Tactic. DET needs no provisioning beyond key
-// derivation, which happens lazily per field.
-func (t *Tactic) Setup(context.Context) error { return nil }
-
 // cipher returns the per-field deterministic cipher, constructing it at
 // most once per field (cipher construction re-runs the AES key schedule).
 func (t *Tactic) cipher(field string) (*primitives.DET, error) {
 	return t.ciphers.GetOrCompute(field, func() (*primitives.DET, error) {
-		enc, err := t.binding.Keys.Key(keys.Ref{Schema: t.binding.Schema, Field: field, Tactic: Name, Purpose: "enc"})
+		enc, err := t.Key(Name, field, "enc")
 		if err != nil {
 			return nil, err
 		}
-		mac, err := t.binding.Keys.Key(keys.Ref{Schema: t.binding.Schema, Field: field, Tactic: Name, Purpose: "mac"})
+		mac, err := t.Key(Name, field, "mac")
 		if err != nil {
 			return nil, err
 		}
@@ -146,24 +148,9 @@ func (t *Tactic) encrypt(field string, value any) ([]byte, error) {
 	return c.Encrypt([]byte(model.ValueToString(value))), nil
 }
 
-// Prepare implements spi.Writer: one add or remove per field, each routed
-// by its own ciphertext.
+// Prepare implements spi.Tactic: one add or remove per field.
 func (t *Tactic) Prepare(ws *spi.WriteSet, op model.Op, docID string, fields []string, values map[string]any) error {
-	method := "add"
-	if op == model.OpDelete {
-		method = "remove"
-	}
-	for _, f := range fields {
-		ct, err := t.encrypt(f, values[f])
-		if err != nil {
-			return err
-		}
-		ws.Add(spi.Mutation{
-			Route: t.route(f, ct), Field: f, Service: Service, Method: method,
-			Args: AddArgs{Schema: t.binding.Schema, Field: f, CT: ct, DocID: docID},
-		})
-	}
-	return nil
+	return t.writer.Prepare(ws, t.Schema, op, docID, fields, values)
 }
 
 // SearchEq implements spi.EqSearcher.
@@ -173,8 +160,8 @@ func (t *Tactic) SearchEq(ctx context.Context, field string, value any) ([]strin
 		return nil, err
 	}
 	var reply LookupReply
-	if err := t.shards.Call(ctx, t.route(field, ct), Service, "lookup",
-		LookupArgs{Schema: t.binding.Schema, Field: field, CT: ct}, &reply); err != nil {
+	if err := t.Cloud.Call(ctx, t.route(field, ct), Service, "lookup",
+		LookupArgs{Schema: t.Schema, Field: field, CT: ct}, &reply); err != nil {
 		return nil, err
 	}
 	return reply.DocIDs, nil
@@ -183,12 +170,12 @@ func (t *Tactic) SearchEq(ctx context.Context, field string, value any) ([]strin
 // RegisterCloud installs the cloud half on mux, backed by store.
 func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 	setKey := func(schema, field string, ct []byte) []byte {
-		return append([]byte(fmt.Sprintf("detidx/%s/%s/", schema, field)), ct...)
+		return append([]byte("detidx/"+schema+"/"+field+"/"), ct...)
 	}
-	transport.HandleTyped(mux, Service, "add", func(_ context.Context, in *AddArgs) (any, error) {
+	transport.HandleTyped(mux, Service, "add", func(_ context.Context, in *cell.Args) (any, error) {
 		return nil, store.SAdd(setKey(in.Schema, in.Field, in.CT), []byte(in.DocID))
 	})
-	transport.HandleTyped(mux, Service, "remove", func(_ context.Context, in *RemoveArgs) (any, error) {
+	transport.HandleTyped(mux, Service, "remove", func(_ context.Context, in *cell.Args) (any, error) {
 		return nil, store.SRem(setKey(in.Schema, in.Field, in.CT), []byte(in.DocID))
 	})
 	transport.HandleTyped(mux, Service, "lookup", func(_ context.Context, in *LookupArgs) (any, error) {
@@ -204,7 +191,4 @@ func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 	})
 }
 
-var (
-	_ spi.Writer     = (*Tactic)(nil)
-	_ spi.EqSearcher = (*Tactic)(nil)
-)
+var _ spi.EqSearcher = (*Tactic)(nil)

@@ -7,8 +7,6 @@ package mitra
 import (
 	"context"
 
-	"datablinder/internal/cloud/ring"
-	"datablinder/internal/keys"
 	"datablinder/internal/model"
 	"datablinder/internal/spi"
 	ssemitra "datablinder/internal/sse/mitra"
@@ -79,30 +77,25 @@ func Describe() spi.Descriptor {
 
 // Tactic is the gateway half.
 type Tactic struct {
-	binding spi.Binding
-	shards  *ring.Ring
-	client  *ssemitra.Client
+	spi.Binding
+	client *ssemitra.Client
 }
 
 // New constructs the gateway half; keyword counters persist in the
 // gateway's local store.
 func New(b spi.Binding) (spi.Tactic, error) {
-	key, err := b.Keys.Key(keys.Ref{Schema: b.Schema, Field: "*", Tactic: Name, Purpose: "root"})
+	key, err := b.Key(Name, "*", "root")
 	if err != nil {
 		return nil, err
 	}
-	return &Tactic{
-		binding: b,
-		shards:  ring.Of(b.Cloud),
-		client:  ssemitra.NewClient(key, ssemitra.NewKVState(b.Local)),
-	}, nil
+	return &Tactic{Binding: b, client: ssemitra.NewClient(key, ssemitra.NewKVState(b.Local))}, nil
 }
 
 // route places one keyword's update cells on a shard. The keyword is known
 // at both insert and search time (the gateway derives cell addresses from
 // it), so a keyword's whole posting structure co-locates on one node.
 func (t *Tactic) route(w string) string {
-	return "mitra/" + t.binding.Schema + "/" + w
+	return "mitra/" + t.Schema + "/" + w
 }
 
 // Registration couples descriptor and factory for the registry.
@@ -110,17 +103,7 @@ func Registration() spi.Registration {
 	return spi.Registration{Descriptor: Describe(), Factory: New}
 }
 
-// Descriptor implements spi.Tactic.
-func (t *Tactic) Descriptor() spi.Descriptor { return Describe() }
-
-// Setup implements spi.Tactic.
-func (t *Tactic) Setup(context.Context) error { return nil }
-
-func keyword(field string, value any) string {
-	return field + "=" + model.ValueToString(value)
-}
-
-// Prepare implements spi.Writer. Deletions are update cells like additions
+// Prepare implements spi.Tactic. Deletions are update cells like additions
 // (backward privacy), so both directions reserve the keyword's next counter
 // and ship one cell.
 func (t *Tactic) Prepare(ws *spi.WriteSet, op model.Op, docID string, fields []string, values map[string]any) error {
@@ -129,14 +112,14 @@ func (t *Tactic) Prepare(ws *spi.WriteSet, op model.Op, docID string, fields []s
 		cell = ssemitra.OpDel
 	}
 	for _, f := range fields {
-		w := keyword(f, values[f])
-		e, err := t.client.Update(t.binding.Schema, w, cell, docID)
+		w := model.Keyword(f, values[f])
+		e, err := t.client.Update(t.Schema, w, cell, docID)
 		if err != nil {
 			return err
 		}
 		ws.Add(spi.Mutation{
 			Route: t.route(w), Field: f, Service: Service, Method: "insert",
-			Args: InsertArgs{Schema: t.binding.Schema, Entries: []ssemitra.Entry{e}},
+			Args: InsertArgs{Schema: t.Schema, Entries: []ssemitra.Entry{e}},
 		})
 	}
 	return nil
@@ -144,8 +127,8 @@ func (t *Tactic) Prepare(ws *spi.WriteSet, op model.Op, docID string, fields []s
 
 // SearchEq implements spi.EqSearcher.
 func (t *Tactic) SearchEq(ctx context.Context, field string, value any) ([]string, error) {
-	w := keyword(field, value)
-	req, err := t.client.SearchRequest(t.binding.Schema, w)
+	w := model.Keyword(field, value)
+	req, err := t.client.SearchRequest(t.Schema, w)
 	if err != nil {
 		return nil, err
 	}
@@ -153,11 +136,11 @@ func (t *Tactic) SearchEq(ctx context.Context, field string, value any) ([]strin
 		return nil, nil
 	}
 	var reply SearchReply
-	if err := t.shards.Call(ctx, t.route(w), Service, "search",
-		SearchArgs{Schema: t.binding.Schema, Addrs: req.Addrs}, &reply); err != nil {
+	if err := t.Cloud.Call(ctx, t.route(w), Service, "search",
+		SearchArgs{Schema: t.Schema, Addrs: req.Addrs}, &reply); err != nil {
 		return nil, err
 	}
-	return t.client.Resolve(t.binding.Schema, w, reply.Vals)
+	return t.client.Resolve(t.Schema, w, reply.Vals)
 }
 
 // RegisterCloud installs the cloud half on mux, backed by store.
@@ -174,7 +157,4 @@ func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 	})
 }
 
-var (
-	_ spi.Writer     = (*Tactic)(nil)
-	_ spi.EqSearcher = (*Tactic)(nil)
-)
+var _ spi.EqSearcher = (*Tactic)(nil)

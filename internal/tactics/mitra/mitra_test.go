@@ -2,6 +2,7 @@ package mitra_test
 
 import (
 	"context"
+	"datablinder/internal/cloud/ring"
 	"reflect"
 	"sync"
 	"testing"
@@ -32,7 +33,7 @@ func newEnv(t *testing.T) env {
 	t.Cleanup(func() { local.Close() })
 	return env{binding: spi.Binding{
 		Schema: "obs", Keys: kp,
-		Cloud: transport.NewLoopback(mux),
+		Cloud: ring.Of(transport.NewLoopback(mux)),
 		Local: local,
 	}}
 }

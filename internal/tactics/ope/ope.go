@@ -11,15 +11,16 @@ package ope
 import (
 	"bytes"
 	"context"
-	"fmt"
+	"strings"
 
 	"datablinder/internal/cloud/ring"
 	cryptoope "datablinder/internal/crypto/ope"
-	"datablinder/internal/keys"
 	"datablinder/internal/model"
 	"datablinder/internal/spi"
 	"datablinder/internal/store/kvstore"
+	"datablinder/internal/tactics/cell"
 	"datablinder/internal/transport"
+	"datablinder/internal/wirefmt"
 )
 
 // Name is the tactic's registry name.
@@ -28,35 +29,28 @@ const Name = "OPE"
 // Service is the cloud RPC service name.
 const Service = "ope"
 
-// RPC payloads.
-type (
-	// AddArgs indexes (ciphertext, doc).
-	AddArgs struct {
-		Schema string `json:"schema"`
-		Field  string `json:"field"`
-		CT     []byte `json:"ct"`
-		DocID  string `json:"doc_id"`
-	}
-	// RemoveArgs drops (ciphertext, doc).
-	RemoveArgs = AddArgs
-	// QueryArgs asks for ids with ciphertexts in [Lo, Hi] (nil = open).
-	QueryArgs struct {
-		Schema string `json:"schema"`
-		Field  string `json:"field"`
-		Lo     []byte `json:"lo,omitempty"`
-		Hi     []byte `json:"hi,omitempty"`
-		LoInc  bool   `json:"lo_inc"`
-		HiInc  bool   `json:"hi_inc"`
-	}
-	// QueryReply carries matching ids in ciphertext order. Scores is
-	// position-aligned with DocIDs and holds each id's order-preserving
-	// ciphertext: a sharded gateway k-way merges per-shard replies by
-	// (score, id) to reproduce the single-node result order.
-	QueryReply struct {
-		DocIDs []string `json:"doc_ids"`
-		Scores [][]byte `json:"scores,omitempty"`
-	}
-)
+// QueryReply carries the ids of a range query in ciphertext order. Scores is
+// position-aligned with DocIDs and holds each id's order-preserving
+// ciphertext: a sharded gateway merges per-shard replies by (score, id) to
+// reproduce the single-node result order.
+type QueryReply struct {
+	DocIDs []string
+	Scores [][]byte
+}
+
+func init() {
+	cell.Register(Service, "add", "remove")
+	transport.RegisterCodec(Service, "query", transport.Codec(cell.AppendRange, cell.ReadRange,
+		func(b []byte, out *QueryReply) []byte {
+			b = wirefmt.AppendStrings(b, out.DocIDs)
+			return wirefmt.AppendByteSlices(b, out.Scores)
+		},
+		func(r *wirefmt.Reader, out *QueryReply) {
+			out.DocIDs = r.Strings()
+			out.Scores = r.ByteSlices()
+		},
+	))
+}
 
 // Describe returns the tactic's static descriptor.
 func Describe() spi.Descriptor {
@@ -94,20 +88,23 @@ func Describe() spi.Descriptor {
 
 // Tactic is the gateway half.
 type Tactic struct {
-	binding spi.Binding
-	shards  *ring.Ring
+	spi.Binding
+	writer cell.Writer
 }
 
 // New constructs the gateway half.
 func New(b spi.Binding) (spi.Tactic, error) {
-	return &Tactic{binding: b, shards: ring.Of(b.Cloud)}, nil
-}
-
-// route places one document's index entries on a shard. Range queries have
-// no useful single-shard key (any shard may hold in-range ciphertexts), so
-// writes spread by document id and queries scatter-gather.
-func (t *Tactic) route(docID string) string {
-	return "ope/" + t.binding.Schema + "/" + docID
+	t := &Tactic{Binding: b}
+	// Range queries have no useful single-shard key (any shard may hold
+	// in-range ciphertexts), so writes spread by document id and queries
+	// scatter-gather. The sorted index is keyed by (ciphertext, id), so a
+	// delete re-encrypts the old value to name the entry.
+	t.writer = cell.Writer{
+		Service: Service, Put: "add",
+		Seal:  func(f, _ string, v any) ([]byte, error) { return t.encrypt(f, v) },
+		Route: func(_, docID string, _ []byte) string { return "ope/" + t.Schema + "/" + docID },
+	}
+	return t, nil
 }
 
 // Registration couples descriptor and factory for the registry.
@@ -115,36 +112,8 @@ func Registration() spi.Registration {
 	return spi.Registration{Descriptor: Describe(), Factory: New}
 }
 
-// Descriptor implements spi.Tactic.
-func (t *Tactic) Descriptor() spi.Descriptor { return Describe() }
-
-// Setup implements spi.Tactic.
-func (t *Tactic) Setup(context.Context) error { return nil }
-
-func (t *Tactic) cipher(field string) (*cryptoope.Cipher, error) {
-	k, err := t.binding.Keys.Key(keys.Ref{Schema: t.binding.Schema, Field: field, Tactic: Name, Purpose: "enc"})
-	if err != nil {
-		return nil, err
-	}
-	return cryptoope.New(k), nil
-}
-
-// fieldType resolves the field's numeric type for order encoding: the
-// engine passes int64 for int fields and float64 for float fields; raw Go
-// ints may arrive from examples.
-func fieldType(value any) (model.FieldType, error) {
-	switch value.(type) {
-	case int, int64:
-		return model.TypeInt, nil
-	case float64:
-		return model.TypeFloat, nil
-	default:
-		return "", fmt.Errorf("ope: value %v (%T) is not numeric", value, value)
-	}
-}
-
 func (t *Tactic) encrypt(field string, value any) ([]byte, error) {
-	ft, err := fieldType(value)
+	ft, err := model.NumericType(value)
 	if err != nil {
 		return nil, err
 	}
@@ -152,98 +121,63 @@ func (t *Tactic) encrypt(field string, value any) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := t.cipher(field)
+	k, err := t.Key(Name, field, "enc")
 	if err != nil {
 		return nil, err
 	}
-	return c.EncryptUint64(u), nil
+	return cryptoope.New(k).EncryptUint64(u), nil
 }
 
-// Prepare implements spi.Writer: the sorted index is keyed by (ciphertext,
-// id), so a delete re-encrypts the old value to name the entry.
+// Prepare implements spi.Tactic.
 func (t *Tactic) Prepare(ws *spi.WriteSet, op model.Op, docID string, fields []string, values map[string]any) error {
-	method := "add"
-	if op == model.OpDelete {
-		method = "remove"
-	}
-	for _, f := range fields {
-		ct, err := t.encrypt(f, values[f])
-		if err != nil {
-			return err
-		}
-		ws.Add(spi.Mutation{
-			Route: t.route(docID), Field: f, Service: Service, Method: method,
-			Args: AddArgs{Schema: t.binding.Schema, Field: f, CT: ct, DocID: docID},
-		})
-	}
-	return nil
+	return t.writer.Prepare(ws, t.Schema, op, docID, fields, values)
+}
+
+// hit is one result of a shard's range scan.
+type hit struct {
+	score []byte
+	id    string
 }
 
 // SearchRange implements spi.RangeSearcher.
 func (t *Tactic) SearchRange(ctx context.Context, field string, lo, hi any, loInc, hiInc bool) ([]string, error) {
-	args := QueryArgs{Schema: t.binding.Schema, Field: field, LoInc: loInc, HiInc: hiInc}
-	if lo != nil {
-		ct, err := t.encrypt(field, lo)
-		if err != nil {
-			return nil, err
-		}
-		args.Lo = ct
-	}
-	if hi != nil {
-		ct, err := t.encrypt(field, hi)
-		if err != nil {
-			return nil, err
-		}
-		args.Hi = ct
+	args, err := cell.NewRange(t.Schema, field, lo, hi, loInc, hiInc, t.encrypt)
+	if err != nil {
+		return nil, err
 	}
 	// Scatter-gather: every shard scans its slice of the sorted index, and
-	// the per-shard replies — each ascending by (score, id) — k-way merge
-	// into the exact order a single node would have returned.
-	replies := make([]QueryReply, t.shards.N())
-	err := t.shards.Each(ctx, func(gctx context.Context, shard int, conn transport.Conn) error {
-		return conn.Call(gctx, Service, "query", args, &replies[shard])
+	// the per-shard replies — each ascending by (score, id) — merge into the
+	// exact order a single node would have returned.
+	perShard := make([][]hit, t.Cloud.N())
+	err = t.Cloud.Each(ctx, func(gctx context.Context, shard int, conn transport.Conn) error {
+		var reply QueryReply
+		if err := conn.Call(gctx, Service, "query", args, &reply); err != nil {
+			return err
+		}
+		hits := make([]hit, len(reply.DocIDs))
+		for i, id := range reply.DocIDs {
+			hits[i] = hit{score: reply.Scores[i], id: id}
+		}
+		perShard[shard] = hits
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return mergeByScore(replies), nil
-}
-
-// mergeByScore k-way merges per-shard query replies ascending by
-// (score, doc id), matching the kvstore sorted-set iteration order.
-func mergeByScore(replies []QueryReply) []string {
-	n := 0
-	for _, r := range replies {
-		n += len(r.DocIDs)
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, 0, n)
-	pos := make([]int, len(replies))
-	for {
-		best := -1
-		for i, r := range replies {
-			p := pos[i]
-			if p >= len(r.DocIDs) {
-				continue
-			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			b := replies[best]
-			if c := bytes.Compare(r.Scores[p], b.Scores[pos[best]]); c < 0 ||
-				(c == 0 && r.DocIDs[p] < b.DocIDs[pos[best]]) {
-				best = i
-			}
+	hits := ring.Merge(perShard, func(a, b hit) int {
+		if c := bytes.Compare(a.score, b.score); c != 0 {
+			return c
 		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, replies[best].DocIDs[pos[best]])
-		pos[best]++
+		return strings.Compare(a.id, b.id)
+	})
+	if len(hits) == 0 {
+		return nil, nil
 	}
+	ids := make([]string, len(hits))
+	for i, h := range hits {
+		ids[i] = h.id
+	}
+	return ids, nil
 }
 
 // SearchEq implements spi.EqSearcher as a degenerate closed range.
@@ -254,15 +188,15 @@ func (t *Tactic) SearchEq(ctx context.Context, field string, value any) ([]strin
 // RegisterCloud installs the cloud half on mux, backed by store.
 func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 	idxKey := func(schema, field string) []byte {
-		return []byte(fmt.Sprintf("opeidx/%s/%s", schema, field))
+		return []byte("opeidx/" + schema + "/" + field)
 	}
-	transport.HandleTyped(mux, Service, "add", func(_ context.Context, in *AddArgs) (any, error) {
+	transport.HandleTyped(mux, Service, "add", func(_ context.Context, in *cell.Args) (any, error) {
 		return nil, store.ZAdd(idxKey(in.Schema, in.Field), in.CT, []byte(in.DocID))
 	})
-	transport.HandleTyped(mux, Service, "remove", func(_ context.Context, in *RemoveArgs) (any, error) {
+	transport.HandleTyped(mux, Service, "remove", func(_ context.Context, in *cell.Args) (any, error) {
 		return nil, store.ZRem(idxKey(in.Schema, in.Field), in.CT, []byte(in.DocID))
 	})
-	transport.HandleTyped(mux, Service, "query", func(_ context.Context, in *QueryArgs) (any, error) {
+	transport.HandleTyped(mux, Service, "query", func(_ context.Context, in *cell.Range) (any, error) {
 		pairs, err := store.ZRangeByScore(idxKey(in.Schema, in.Field), in.Lo, in.Hi, in.LoInc, in.HiInc)
 		if err != nil {
 			return nil, err
@@ -280,7 +214,6 @@ func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 }
 
 var (
-	_ spi.Writer        = (*Tactic)(nil)
 	_ spi.RangeSearcher = (*Tactic)(nil)
 	_ spi.EqSearcher    = (*Tactic)(nil)
 )

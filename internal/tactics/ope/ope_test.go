@@ -2,6 +2,7 @@ package ope_test
 
 import (
 	"context"
+	"datablinder/internal/cloud/ring"
 	"reflect"
 	"sort"
 	"testing"
@@ -15,7 +16,7 @@ import (
 	"datablinder/internal/transport"
 )
 
-func instance(t *testing.T) (spi.Tactic, transport.Conn) {
+func instance(t *testing.T) (spi.Tactic, *ring.Ring) {
 	t.Helper()
 	mux := transport.NewMux()
 	cloudKV := kvstore.New()
@@ -25,7 +26,7 @@ func instance(t *testing.T) (spi.Tactic, transport.Conn) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := transport.NewLoopback(mux)
+	conn := ring.Of(transport.NewLoopback(mux))
 	inst, err := ope.New(spi.Binding{Schema: "obs", Keys: kp, Cloud: conn, Local: kvstore.New()})
 	if err != nil {
 		t.Fatal(err)

@@ -6,21 +6,21 @@
 // revealed through a comparison algorithm. The cloud therefore evaluates
 // range predicates by a linear scan with the public Compare function over
 // the field column — the storage-friendly but read-heavier end of the
-// range-tactic spectrum (the OPE-vs-ORE ablation benchmark contrasts the
-// two).
+// range-tactic spectrum, where OPE is the read-efficient end.
 package ore
 
 import (
 	"context"
-	"fmt"
+	"strings"
 
 	"datablinder/internal/cloud/ring"
 	cryptoore "datablinder/internal/crypto/ore"
-	"datablinder/internal/keys"
 	"datablinder/internal/model"
 	"datablinder/internal/spi"
 	"datablinder/internal/store/kvstore"
+	"datablinder/internal/tactics/cell"
 	"datablinder/internal/transport"
+	"datablinder/internal/wirefmt"
 )
 
 // Name is the tactic's registry name.
@@ -29,35 +29,18 @@ const Name = "ORE"
 // Service is the cloud RPC service name.
 const Service = "ore"
 
-// RPC payloads.
-type (
-	// AddArgs indexes (ciphertext, doc).
-	AddArgs struct {
-		Schema string `json:"schema"`
-		Field  string `json:"field"`
-		CT     []byte `json:"ct"`
-		DocID  string `json:"doc_id"`
-	}
-	// RemoveArgs drops a doc from the column.
-	RemoveArgs struct {
-		Schema string `json:"schema"`
-		Field  string `json:"field"`
-		DocID  string `json:"doc_id"`
-	}
-	// QueryArgs asks for ids whose ciphertext compares within [Lo, Hi].
-	QueryArgs struct {
-		Schema string `json:"schema"`
-		Field  string `json:"field"`
-		Lo     []byte `json:"lo,omitempty"`
-		Hi     []byte `json:"hi,omitempty"`
-		LoInc  bool   `json:"lo_inc"`
-		HiInc  bool   `json:"hi_inc"`
-	}
-	// QueryReply carries matching ids.
-	QueryReply struct {
-		DocIDs []string `json:"doc_ids"`
-	}
-)
+// QueryReply carries the ids of a range query.
+type QueryReply struct {
+	DocIDs []string
+}
+
+func init() {
+	cell.Register(Service, "add", "remove")
+	transport.RegisterCodec(Service, "query", transport.Codec(cell.AppendRange, cell.ReadRange,
+		func(b []byte, out *QueryReply) []byte { return wirefmt.AppendStrings(b, out.DocIDs) },
+		func(r *wirefmt.Reader, out *QueryReply) { out.DocIDs = r.Strings() },
+	))
+}
 
 // Describe returns the tactic's static descriptor.
 func Describe() spi.Descriptor {
@@ -95,19 +78,21 @@ func Describe() spi.Descriptor {
 
 // Tactic is the gateway half.
 type Tactic struct {
-	binding spi.Binding
-	shards  *ring.Ring
+	spi.Binding
+	writer cell.Writer
 }
 
 // New constructs the gateway half.
 func New(b spi.Binding) (spi.Tactic, error) {
-	return &Tactic{binding: b, shards: ring.Of(b.Cloud)}, nil
-}
-
-// route places one document's column cells on a shard. Deletion only knows
-// the document id, so the id — not the ciphertext — must be the key.
-func (t *Tactic) route(docID string) string {
-	return "ore/" + t.binding.Schema + "/" + docID
+	t := &Tactic{Binding: b}
+	// The column is keyed by document id: a delete needs no old value, and
+	// the id — not the ciphertext — places a document's cells on a shard.
+	t.writer = cell.Writer{
+		Service: Service, Put: "add", Column: true,
+		Seal:  func(f, _ string, v any) ([]byte, error) { return t.encrypt(f, v) },
+		Route: func(_, docID string, _ []byte) string { return "ore/" + t.Schema + "/" + docID },
+	}
+	return t, nil
 }
 
 // Registration couples descriptor and factory for the registry.
@@ -115,74 +100,38 @@ func Registration() spi.Registration {
 	return spi.Registration{Descriptor: Describe(), Factory: New}
 }
 
-// Descriptor implements spi.Tactic.
-func (t *Tactic) Descriptor() spi.Descriptor { return Describe() }
-
-// Setup implements spi.Tactic.
-func (t *Tactic) Setup(context.Context) error { return nil }
-
 func (t *Tactic) encrypt(field string, value any) ([]byte, error) {
-	var ft model.FieldType
-	switch value.(type) {
-	case int, int64:
-		ft = model.TypeInt
-	case float64:
-		ft = model.TypeFloat
-	default:
-		return nil, fmt.Errorf("ore: value %v (%T) is not numeric", value, value)
+	ft, err := model.NumericType(value)
+	if err != nil {
+		return nil, err
 	}
 	u, err := model.OrderedUint64(value, ft)
 	if err != nil {
 		return nil, err
 	}
-	k, err := t.binding.Keys.Key(keys.Ref{Schema: t.binding.Schema, Field: field, Tactic: Name, Purpose: "enc"})
+	k, err := t.Key(Name, field, "enc")
 	if err != nil {
 		return nil, err
 	}
 	return cryptoore.New(k).EncryptUint64(u), nil
 }
 
-// Prepare implements spi.Writer. A delete does not need the old value: the
-// cloud index is keyed by document id.
+// Prepare implements spi.Tactic.
 func (t *Tactic) Prepare(ws *spi.WriteSet, op model.Op, docID string, fields []string, values map[string]any) error {
-	for _, f := range fields {
-		m := spi.Mutation{Route: t.route(docID), Field: f, Service: Service}
-		if op == model.OpDelete {
-			m.Method, m.Args = "remove", RemoveArgs{Schema: t.binding.Schema, Field: f, DocID: docID}
-		} else {
-			ct, err := t.encrypt(f, values[f])
-			if err != nil {
-				return err
-			}
-			m.Method, m.Args = "add", AddArgs{Schema: t.binding.Schema, Field: f, CT: ct, DocID: docID}
-		}
-		ws.Add(m)
-	}
-	return nil
+	return t.writer.Prepare(ws, t.Schema, op, docID, fields, values)
 }
 
 // SearchRange implements spi.RangeSearcher.
 func (t *Tactic) SearchRange(ctx context.Context, field string, lo, hi any, loInc, hiInc bool) ([]string, error) {
-	args := QueryArgs{Schema: t.binding.Schema, Field: field, LoInc: loInc, HiInc: hiInc}
-	if lo != nil {
-		ct, err := t.encrypt(field, lo)
-		if err != nil {
-			return nil, err
-		}
-		args.Lo = ct
-	}
-	if hi != nil {
-		ct, err := t.encrypt(field, hi)
-		if err != nil {
-			return nil, err
-		}
-		args.Hi = ct
+	args, err := cell.NewRange(t.Schema, field, lo, hi, loInc, hiInc, t.encrypt)
+	if err != nil {
+		return nil, err
 	}
 	// Scatter-gather: each shard compare-scans its slice of the column in
 	// doc-id order, so merging the sorted per-shard streams reproduces the
 	// single-node result order.
-	perShard := make([][]string, t.shards.N())
-	err := t.shards.Each(ctx, func(gctx context.Context, shard int, conn transport.Conn) error {
+	perShard := make([][]string, t.Cloud.N())
+	err = t.Cloud.Each(ctx, func(gctx context.Context, shard int, conn transport.Conn) error {
 		var reply QueryReply
 		if err := conn.Call(gctx, Service, "query", args, &reply); err != nil {
 			return err
@@ -193,7 +142,7 @@ func (t *Tactic) SearchRange(ctx context.Context, field string, lo, hi any, loIn
 	if err != nil {
 		return nil, err
 	}
-	return ring.MergeSorted(perShard), nil
+	return ring.Merge(perShard, strings.Compare), nil
 }
 
 // SearchEq implements spi.EqSearcher as a degenerate closed range.
@@ -205,30 +154,15 @@ func (t *Tactic) SearchEq(ctx context.Context, field string, value any) ([]strin
 // column lives in a hash (doc id → ciphertext); queries scan it with the
 // public ORE comparison.
 func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
-	colKey := func(schema, field string) []byte {
-		return []byte(fmt.Sprintf("oreidx/%s/%s", schema, field))
-	}
-	transport.HandleTyped(mux, Service, "add", func(_ context.Context, in *AddArgs) (any, error) {
-		return nil, store.HSet(colKey(in.Schema, in.Field), []byte(in.DocID), in.CT)
-	})
-	transport.HandleTyped(mux, Service, "remove", func(_ context.Context, in *RemoveArgs) (any, error) {
-		return nil, store.HDel(colKey(in.Schema, in.Field), []byte(in.DocID))
-	})
-	transport.HandleTyped(mux, Service, "query", func(_ context.Context, in *QueryArgs) (any, error) {
-		key := colKey(in.Schema, in.Field)
-		docs, err := store.HFields(key)
+	col := cell.Column{Store: store, Prefix: "oreidx"}
+	col.Handle(mux, Service, "add")
+	transport.HandleTyped(mux, Service, "query", func(_ context.Context, in *cell.Range) (any, error) {
+		ids, cts, err := col.Scan(in.Schema, in.Field)
 		if err != nil {
 			return nil, err
 		}
 		var reply QueryReply
-		for _, d := range docs {
-			ct, ok, err := store.HGet(key, d)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
+		for i, ct := range cts {
 			if in.Lo != nil {
 				c, err := cryptoore.Compare(ct, in.Lo)
 				if err != nil {
@@ -247,14 +181,13 @@ func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 					continue
 				}
 			}
-			reply.DocIDs = append(reply.DocIDs, string(d))
+			reply.DocIDs = append(reply.DocIDs, ids[i])
 		}
 		return &reply, nil
 	})
 }
 
 var (
-	_ spi.Writer        = (*Tactic)(nil)
 	_ spi.RangeSearcher = (*Tactic)(nil)
 	_ spi.EqSearcher    = (*Tactic)(nil)
 )

@@ -27,11 +27,11 @@ import (
 	"math/big"
 	"sync"
 
-	"datablinder/internal/cloud/ring"
 	cryptopaillier "datablinder/internal/crypto/paillier"
 	"datablinder/internal/model"
 	"datablinder/internal/spi"
 	"datablinder/internal/store/kvstore"
+	"datablinder/internal/tactics/cell"
 	"datablinder/internal/transport"
 )
 
@@ -64,34 +64,21 @@ var ErrStoredKeyFormat = errors.New("paillier: stored private key is not a {p, q
 type (
 	// SetupArgs ships the Paillier public key (modulus) to the cloud.
 	SetupArgs struct {
-		Schema string `json:"schema"`
-		N      []byte `json:"n"`
-	}
-	// PutArgs stores a field ciphertext for a document.
-	PutArgs struct {
-		Schema string `json:"schema"`
-		Field  string `json:"field"`
-		DocID  string `json:"doc_id"`
-		CT     []byte `json:"ct"`
-	}
-	// RemoveArgs drops a document's field ciphertext.
-	RemoveArgs struct {
-		Schema string `json:"schema"`
-		Field  string `json:"field"`
-		DocID  string `json:"doc_id"`
+		Schema string
+		N      []byte
 	}
 	// SumArgs requests the homomorphic sum over the given documents.
 	SumArgs struct {
-		Schema string   `json:"schema"`
-		Field  string   `json:"field"`
-		DocIDs []string `json:"doc_ids"`
+		Schema string
+		Field  string
+		DocIDs []string
 	}
 	// SumReply returns the encrypted sum and how many ciphertexts
 	// contributed (documents lacking the field are skipped). When none
 	// did, Count is 0 and CT is empty.
 	SumReply struct {
-		CT    []byte `json:"ct"`
-		Count int    `json:"count"`
+		CT    []byte
+		Count int
 	}
 )
 
@@ -140,8 +127,8 @@ func Describe() spi.Descriptor {
 
 // Tactic is the gateway half.
 type Tactic struct {
-	binding spi.Binding
-	shards  *ring.Ring
+	spi.Binding
+	writer cell.Writer
 
 	mu sync.Mutex
 	sk *cryptopaillier.PrivateKey
@@ -149,15 +136,18 @@ type Tactic struct {
 
 // New constructs the gateway half. Call Setup before use.
 func New(b spi.Binding) (spi.Tactic, error) {
-	return &Tactic{binding: b, shards: ring.Of(b.Cloud)}, nil
+	t := &Tactic{Binding: b}
+	// A document's aggregate ciphertexts route by its id; sums split the id
+	// set by the same key and combine per-shard partial sums homomorphically
+	// at the gateway — losslessly, since Paillier addition is associative.
+	t.writer = cell.Writer{
+		Service: Service, Put: "put", Column: true, Seal: t.seal, Route: t.route,
+	}
+	return t, nil
 }
 
-// route places one document's aggregate ciphertexts on a shard; sums split
-// the id set by the same key and combine per-shard partial sums
-// homomorphically at the gateway — losslessly, since Paillier addition is
-// associative.
-func (t *Tactic) route(docID string) string {
-	return "agg/" + t.binding.Schema + "/" + docID
+func (t *Tactic) route(_, docID string, _ []byte) string {
+	return "agg/" + t.Schema + "/" + docID
 }
 
 // Registration couples descriptor and factory for the registry.
@@ -165,12 +155,9 @@ func Registration() spi.Registration {
 	return spi.Registration{Descriptor: Describe(), Factory: New}
 }
 
-// Descriptor implements spi.Tactic.
-func (t *Tactic) Descriptor() spi.Descriptor { return Describe() }
+func (t *Tactic) skKey() []byte { return []byte("paillierkey/" + t.Schema) }
 
-func (t *Tactic) skKey() []byte { return []byte("paillierkey/" + t.binding.Schema) }
-
-// Setup implements spi.Tactic: load or generate the key pair, persist it,
+// Setup implements spi.Provisioner: load or generate the key pair, persist it,
 // and register the public key with the cloud. Idempotent.
 func (t *Tactic) Setup(ctx context.Context) error {
 	t.mu.Lock()
@@ -178,7 +165,7 @@ func (t *Tactic) Setup(ctx context.Context) error {
 	if t.sk != nil {
 		return nil
 	}
-	raw, ok, err := t.binding.Local.Get(t.skKey())
+	raw, ok, err := t.Local.Get(t.skKey())
 	if err != nil {
 		return fmt.Errorf("paillier: loading key: %w", err)
 	}
@@ -204,14 +191,14 @@ func (t *Tactic) Setup(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		if err := t.binding.Local.Set(t.skKey(), ser); err != nil {
+		if err := t.Local.Set(t.skKey(), ser); err != nil {
 			return fmt.Errorf("paillier: persisting key: %w", err)
 		}
 	}
 	// Every shard holds a slice of the ciphertext column and computes
 	// partial sums, so each needs the public key.
-	if err := t.shards.Broadcast(ctx, Service, "setup",
-		SetupArgs{Schema: t.binding.Schema, N: sk.PublicKey.Bytes()}); err != nil {
+	if err := t.Cloud.Broadcast(ctx, Service, "setup",
+		SetupArgs{Schema: t.Schema, N: sk.PublicKey.Bytes()}); err != nil {
 		return fmt.Errorf("paillier: registering public key: %w", err)
 	}
 	sk.EnableRandPool(randPoolSize)
@@ -228,39 +215,24 @@ func (t *Tactic) key() (*cryptopaillier.PrivateKey, error) {
 	return t.sk, nil
 }
 
-// Prepare implements spi.Writer: one ciphertext per numeric field on
+// Prepare implements spi.Tactic: one ciphertext per numeric field on
 // insert, one column removal per field on delete.
 func (t *Tactic) Prepare(ws *spi.WriteSet, op model.Op, docID string, fields []string, values map[string]any) error {
-	sk, err := t.key()
-	if err != nil {
+	if _, err := t.key(); err != nil {
 		return err
 	}
-	for _, f := range fields {
-		m := spi.Mutation{Route: t.route(docID), Field: f, Service: Service}
-		if op == model.OpDelete {
-			m.Method, m.Args = "remove", RemoveArgs{Schema: t.binding.Schema, Field: f, DocID: docID}
-		} else {
-			ct, err := encryptValue(sk, values[f])
-			if err != nil {
-				return err
-			}
-			m.Method, m.Args = "put", PutArgs{Schema: t.binding.Schema, Field: f, DocID: docID, CT: ct}
-		}
-		ws.Add(m)
-	}
-	return nil
+	return t.writer.Prepare(ws, t.Schema, op, docID, fields, values)
 }
 
-// encryptValue encrypts a numeric field value in fixed point.
-func encryptValue(sk *cryptopaillier.PrivateKey, value any) ([]byte, error) {
-	var ft model.FieldType
-	switch value.(type) {
-	case int, int64:
-		ft = model.TypeInt
-	case float64:
-		ft = model.TypeFloat
-	default:
-		return nil, fmt.Errorf("paillier: value %v (%T) is not numeric", value, value)
+// seal encrypts a numeric field value in fixed point.
+func (t *Tactic) seal(_, _ string, value any) ([]byte, error) {
+	sk, err := t.key()
+	if err != nil {
+		return nil, err
+	}
+	ft, err := model.NumericType(value)
+	if err != nil {
+		return nil, err
 	}
 	fp, err := model.ToFixedPoint(value, ft)
 	if err != nil {
@@ -312,11 +284,11 @@ func (t *Tactic) Aggregate(ctx context.Context, field string, agg model.Agg, doc
 func (t *Tactic) partialSums(ctx context.Context, field string, docIDs []string, sk *cryptopaillier.PrivateKey) (*cryptopaillier.Ciphertext, int, error) {
 	routes := make([]string, len(docIDs))
 	for i, id := range docIDs {
-		routes[i] = t.route(id)
+		routes[i] = t.route("", id, nil)
 	}
-	groups := t.shards.Split(routes)
-	replies := make([]SumReply, t.shards.N())
-	err := t.shards.Each(ctx, func(gctx context.Context, shard int, conn transport.Conn) error {
+	groups := t.Cloud.Split(routes)
+	replies := make([]SumReply, t.Cloud.N())
+	err := t.Cloud.Each(ctx, func(gctx context.Context, shard int, conn transport.Conn) error {
 		idx := groups[shard]
 		if len(idx) == 0 {
 			return nil
@@ -326,7 +298,7 @@ func (t *Tactic) partialSums(ctx context.Context, field string, docIDs []string,
 			sub[j] = docIDs[i]
 		}
 		return conn.Call(gctx, Service, "sum",
-			SumArgs{Schema: t.binding.Schema, Field: field, DocIDs: sub}, &replies[shard])
+			SumArgs{Schema: t.Schema, Field: field, DocIDs: sub}, &replies[shard])
 	})
 	if err != nil {
 		return nil, 0, err
@@ -348,9 +320,7 @@ func (t *Tactic) partialSums(ctx context.Context, field string, docIDs []string,
 // RegisterCloud installs the cloud half on mux, backed by store.
 func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 	pkKey := func(schema string) []byte { return []byte("aggpk/" + schema) }
-	colKey := func(schema, field string) []byte {
-		return []byte("aggidx/" + schema + "/" + field)
-	}
+	col := cell.Column{Store: store, Prefix: "aggidx"}
 	// Parsing a public key recomputes n², so the parsed key is cached per
 	// schema beside the modulus bytes it came from. setup is the only writer
 	// of the stored modulus and replaces the entry under pkMu, so sum never
@@ -391,12 +361,7 @@ func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 		delete(pkCache, in.Schema)
 		return nil, store.Set(pkKey(in.Schema), in.N)
 	})
-	transport.HandleTyped(mux, Service, "put", func(_ context.Context, in *PutArgs) (any, error) {
-		return nil, store.HSet(colKey(in.Schema, in.Field), []byte(in.DocID), in.CT)
-	})
-	transport.HandleTyped(mux, Service, "remove", func(_ context.Context, in *RemoveArgs) (any, error) {
-		return nil, store.HDel(colKey(in.Schema, in.Field), []byte(in.DocID))
-	})
+	col.Handle(mux, Service, "put")
 	// sum folds the stored ciphertexts with modular multiplications only.
 	// It does not start from a fresh Enc(0): the reply goes to the key
 	// holder alone, so re-randomising it would protect nothing.
@@ -405,18 +370,17 @@ func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 		if err != nil {
 			return nil, err
 		}
-		col := colKey(in.Schema, in.Field)
+		cts, err := col.Get(in.Schema, in.Field, in.DocIDs)
+		if err != nil {
+			return nil, err
+		}
 		acc := pk.NewAccumulator()
 		count := 0
-		for _, docID := range in.DocIDs {
-			raw, ok, err := store.HGet(col, []byte(docID))
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
+		for _, ct := range cts {
+			if ct == nil {
 				continue // document lacks this field
 			}
-			if err := acc.Add(raw); err != nil {
+			if err := acc.Add(ct); err != nil {
 				return nil, err
 			}
 			count++
@@ -426,6 +390,6 @@ func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 }
 
 var (
-	_ spi.Writer     = (*Tactic)(nil)
-	_ spi.Aggregator = (*Tactic)(nil)
+	_ spi.Provisioner = (*Tactic)(nil)
+	_ spi.Aggregator  = (*Tactic)(nil)
 )

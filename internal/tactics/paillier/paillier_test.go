@@ -39,7 +39,7 @@ func newEnv(t *testing.T) env {
 	local := kvstore.New()
 	t.Cleanup(func() { local.Close() })
 	return env{
-		binding: spi.Binding{Schema: "obs", Keys: kp, Cloud: transport.NewLoopback(mux), Local: local},
+		binding: spi.Binding{Schema: "obs", Keys: kp, Cloud: ring.Of(transport.NewLoopback(mux)), Local: local},
 		cloudKV: cloudKV,
 	}
 }
@@ -50,7 +50,7 @@ func instance(t *testing.T, e env) spi.Tactic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := inst.Setup(context.Background()); err != nil {
+	if err := inst.(spi.Provisioner).Setup(context.Background()); err != nil {
 		t.Fatalf("Setup: %v", err)
 	}
 	return inst
@@ -253,10 +253,7 @@ func newShardedEnv(t *testing.T, n int) *shardedEnv {
 		e.stores = append(e.stores, kv)
 		e.spies = append(e.spies, spy)
 	}
-	var cloud transport.Conn = conns[0]
-	if n > 1 {
-		cloud = ring.NewClient(conns, 0)
-	}
+	cloud := ring.New(conns, 0)
 	kp, err := keys.NewRandomStore()
 	if err != nil {
 		t.Fatal(err)
@@ -465,7 +462,7 @@ func TestSetupRejectsUnusableStoredKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = inst.Setup(context.Background())
+		err = inst.(spi.Provisioner).Setup(context.Background())
 		if !errors.Is(err, c.want) {
 			t.Errorf("%s: Setup = %v, want %v", c.name, err, c.want)
 		}

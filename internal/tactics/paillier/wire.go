@@ -4,11 +4,13 @@
 package paillier
 
 import (
+	"datablinder/internal/tactics/cell"
 	"datablinder/internal/transport"
 	"datablinder/internal/wirefmt"
 )
 
 func init() {
+	cell.Register(Service, "put", "remove")
 	transport.RegisterCodec(Service, "setup", transport.WriteCodec(
 		func(b []byte, a *SetupArgs) []byte {
 			b = wirefmt.AppendString(b, a.Schema)
@@ -17,32 +19,6 @@ func init() {
 		func(r *wirefmt.Reader, a *SetupArgs) {
 			a.Schema = r.String()
 			a.N = r.Bytes()
-		},
-	))
-	transport.RegisterCodec(Service, "put", transport.WriteCodec(
-		func(b []byte, a *PutArgs) []byte {
-			b = wirefmt.AppendString(b, a.Schema)
-			b = wirefmt.AppendString(b, a.Field)
-			b = wirefmt.AppendString(b, a.DocID)
-			return wirefmt.AppendBytes(b, a.CT)
-		},
-		func(r *wirefmt.Reader, a *PutArgs) {
-			a.Schema = r.String()
-			a.Field = r.String()
-			a.DocID = r.String()
-			a.CT = r.Bytes()
-		},
-	))
-	transport.RegisterCodec(Service, "remove", transport.WriteCodec(
-		func(b []byte, a *RemoveArgs) []byte {
-			b = wirefmt.AppendString(b, a.Schema)
-			b = wirefmt.AppendString(b, a.Field)
-			return wirefmt.AppendString(b, a.DocID)
-		},
-		func(r *wirefmt.Reader, a *RemoveArgs) {
-			a.Schema = r.String()
-			a.Field = r.String()
-			a.DocID = r.String()
 		},
 	))
 	transport.RegisterCodec(Service, "sum", transport.Codec(

@@ -12,15 +12,17 @@ package rnd
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"datablinder/internal/cloud/ring"
 	"datablinder/internal/crypto/keycache"
 	"datablinder/internal/crypto/primitives"
-	"datablinder/internal/keys"
 	"datablinder/internal/model"
 	"datablinder/internal/spi"
 	"datablinder/internal/store/kvstore"
+	"datablinder/internal/tactics/cell"
 	"datablinder/internal/transport"
+	"datablinder/internal/wirefmt"
 )
 
 // Name is the tactic's registry name.
@@ -29,36 +31,53 @@ const Name = "RND"
 // Service is the cloud RPC service name.
 const Service = "rnd"
 
-// RPC payloads.
+// ScanArgs streams every ciphertext of a field; the reply is the column.
 type (
-	// PutArgs stores a ciphertext for (field, doc).
-	PutArgs struct {
-		Schema string `json:"schema"`
-		Field  string `json:"field"`
-		DocID  string `json:"doc_id"`
-		CT     []byte `json:"ct"`
-	}
-	// RemoveArgs drops the ciphertext of (field, doc).
-	RemoveArgs struct {
-		Schema string `json:"schema"`
-		Field  string `json:"field"`
-		DocID  string `json:"doc_id"`
-	}
-	// ScanArgs streams every ciphertext of a field.
 	ScanArgs struct {
-		Schema string `json:"schema"`
-		Field  string `json:"field"`
+		Schema string
+		Field  string
 	}
-	// ScanItem is one (doc, ciphertext) pair.
 	ScanItem struct {
-		DocID string `json:"doc_id"`
-		CT    []byte `json:"ct"`
+		DocID string
+		CT    []byte
 	}
-	// ScanReply carries the full field column.
 	ScanReply struct {
-		Items []ScanItem `json:"items"`
+		Items []ScanItem
 	}
 )
+
+func init() {
+	cell.Register(Service, "put", "remove")
+	transport.RegisterCodec(Service, "scan", transport.Codec(
+		func(b []byte, a *ScanArgs) []byte {
+			b = wirefmt.AppendString(b, a.Schema)
+			return wirefmt.AppendString(b, a.Field)
+		},
+		func(r *wirefmt.Reader, a *ScanArgs) {
+			a.Schema = r.String()
+			a.Field = r.String()
+		},
+		func(b []byte, out *ScanReply) []byte {
+			b = wirefmt.AppendUvarint(b, uint64(len(out.Items)))
+			for _, it := range out.Items {
+				b = wirefmt.AppendString(b, it.DocID)
+				b = wirefmt.AppendBytes(b, it.CT)
+			}
+			return b
+		},
+		func(r *wirefmt.Reader, out *ScanReply) {
+			n := r.Count()
+			if n == 0 {
+				return
+			}
+			out.Items = make([]ScanItem, n)
+			for i := range out.Items {
+				out.Items[i].DocID = r.String()
+				out.Items[i].CT = r.Bytes()
+			}
+		},
+	))
+}
 
 // Describe returns the tactic's static descriptor.
 func Describe() spi.Descriptor {
@@ -96,24 +115,21 @@ func Describe() spi.Descriptor {
 
 // Tactic is the gateway half.
 type Tactic struct {
-	binding spi.Binding
-	shards  *ring.Ring
-	aeads   *keycache.Cache[string, *primitives.AEAD]
+	spi.Binding
+	aeads  *keycache.Cache[string, *primitives.AEAD]
+	writer cell.Writer
 }
 
 // New constructs the gateway half.
 func New(b spi.Binding) (spi.Tactic, error) {
-	return &Tactic{
-		binding: b,
-		shards:  ring.Of(b.Cloud),
-		aeads:   keycache.New[string, *primitives.AEAD](keycache.DefaultSize),
-	}, nil
-}
-
-// route places one document's ciphertext cells on a shard; the exhaustive
-// scan then gathers every shard's slice of the column.
-func (t *Tactic) route(docID string) string {
-	return "rnd/" + t.binding.Schema + "/" + docID
+	t := &Tactic{Binding: b, aeads: keycache.New[string, *primitives.AEAD](keycache.DefaultSize)}
+	// The cloud column is keyed by document id, so a delete does not need
+	// the old value. The exhaustive scan gathers every shard's slice.
+	t.writer = cell.Writer{
+		Service: Service, Put: "put", Column: true, Seal: t.seal,
+		Route: func(_, docID string, _ []byte) string { return "rnd/" + t.Schema + "/" + docID },
+	}
+	return t, nil
 }
 
 // Registration couples descriptor and factory for the registry.
@@ -121,17 +137,11 @@ func Registration() spi.Registration {
 	return spi.Registration{Descriptor: Describe(), Factory: New}
 }
 
-// Descriptor implements spi.Tactic.
-func (t *Tactic) Descriptor() spi.Descriptor { return Describe() }
-
-// Setup implements spi.Tactic.
-func (t *Tactic) Setup(context.Context) error { return nil }
-
 // aead returns the per-field cipher, constructing it at most once per
 // field (construction re-runs the AES key schedule and GCM setup).
 func (t *Tactic) aead(field string) (*primitives.AEAD, error) {
 	return t.aeads.GetOrCompute(field, func() (*primitives.AEAD, error) {
-		k, err := t.binding.Keys.Key(keys.Ref{Schema: t.binding.Schema, Field: field, Tactic: Name, Purpose: "enc"})
+		k, err := t.Key(Name, field, "enc")
 		if err != nil {
 			return nil, err
 		}
@@ -139,27 +149,18 @@ func (t *Tactic) aead(field string) (*primitives.AEAD, error) {
 	})
 }
 
-// Prepare implements spi.Writer. A delete does not need the old value: the
-// cloud column is keyed by document id.
-func (t *Tactic) Prepare(ws *spi.WriteSet, op model.Op, docID string, fields []string, values map[string]any) error {
-	for _, f := range fields {
-		m := spi.Mutation{Route: t.route(docID), Field: f, Service: Service}
-		if op == model.OpDelete {
-			m.Method, m.Args = "remove", RemoveArgs{Schema: t.binding.Schema, Field: f, DocID: docID}
-		} else {
-			aead, err := t.aead(f)
-			if err != nil {
-				return err
-			}
-			ct, err := aead.Seal([]byte(model.ValueToString(values[f])), []byte(docID))
-			if err != nil {
-				return err
-			}
-			m.Method, m.Args = "put", PutArgs{Schema: t.binding.Schema, Field: f, DocID: docID, CT: ct}
-		}
-		ws.Add(m)
+// seal encrypts a value bound to its document id.
+func (t *Tactic) seal(field, docID string, value any) ([]byte, error) {
+	aead, err := t.aead(field)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return aead.Seal([]byte(model.ValueToString(value)), []byte(docID))
+}
+
+// Prepare implements spi.Tactic.
+func (t *Tactic) Prepare(ws *spi.WriteSet, op model.Op, docID string, fields []string, values map[string]any) error {
+	return t.writer.Prepare(ws, t.Schema, op, docID, fields, values)
 }
 
 // SearchEq implements spi.EqSearcher by exhaustive scan + gateway-side
@@ -171,12 +172,11 @@ func (t *Tactic) SearchEq(ctx context.Context, field string, value any) ([]strin
 	}
 	// Exhaustive scan scatter-gathers: each shard streams its slice of the
 	// column (already in doc-id order), the slices merge by doc id, and
-	// decryption/filtering stays gateway-side as before.
-	perShard := make([][]ScanItem, t.shards.N())
-	err = t.shards.Each(ctx, func(gctx context.Context, shard int, conn transport.Conn) error {
+	// decryption/filtering stays gateway-side.
+	perShard := make([][]ScanItem, t.Cloud.N())
+	err = t.Cloud.Each(ctx, func(gctx context.Context, shard int, conn transport.Conn) error {
 		var reply ScanReply
-		if err := conn.Call(gctx, Service, "scan",
-			ScanArgs{Schema: t.binding.Schema, Field: field}, &reply); err != nil {
+		if err := conn.Call(gctx, Service, "scan", ScanArgs{Schema: t.Schema, Field: field}, &reply); err != nil {
 			return err
 		}
 		perShard[shard] = reply.Items
@@ -185,7 +185,7 @@ func (t *Tactic) SearchEq(ctx context.Context, field string, value any) ([]strin
 	if err != nil {
 		return nil, err
 	}
-	items := mergeScans(perShard)
+	items := ring.Merge(perShard, func(a, b ScanItem) int { return strings.Compare(a.DocID, b.DocID) })
 	want := model.ValueToString(value)
 	var ids []string
 	for _, item := range items {
@@ -200,67 +200,21 @@ func (t *Tactic) SearchEq(ctx context.Context, field string, value any) ([]strin
 	return ids, nil
 }
 
-// mergeScans k-way merges per-shard column slices ascending by doc id,
-// matching the single-node scan order.
-func mergeScans(perShard [][]ScanItem) []ScanItem {
-	if len(perShard) == 1 {
-		return perShard[0]
-	}
-	n := 0
-	for _, s := range perShard {
-		n += len(s)
-	}
-	out := make([]ScanItem, 0, n)
-	pos := make([]int, len(perShard))
-	for {
-		best := -1
-		for i, s := range perShard {
-			if pos[i] >= len(s) {
-				continue
-			}
-			if best < 0 || s[pos[i]].DocID < perShard[best][pos[best]].DocID {
-				best = i
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, perShard[best][pos[best]])
-		pos[best]++
-	}
-}
-
 // RegisterCloud installs the cloud half on mux, backed by store.
 func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
-	colKey := func(schema, field string) []byte {
-		return []byte(fmt.Sprintf("rndidx/%s/%s", schema, field))
-	}
-	transport.HandleTyped(mux, Service, "put", func(_ context.Context, in *PutArgs) (any, error) {
-		return nil, store.HSet(colKey(in.Schema, in.Field), []byte(in.DocID), in.CT)
-	})
-	transport.HandleTyped(mux, Service, "remove", func(_ context.Context, in *RemoveArgs) (any, error) {
-		return nil, store.HDel(colKey(in.Schema, in.Field), []byte(in.DocID))
-	})
+	col := cell.Column{Store: store, Prefix: "rndidx"}
+	col.Handle(mux, Service, "put")
 	transport.HandleTyped(mux, Service, "scan", func(_ context.Context, in *ScanArgs) (any, error) {
-		fields, err := store.HFields(colKey(in.Schema, in.Field))
+		ids, cts, err := col.Scan(in.Schema, in.Field)
 		if err != nil {
 			return nil, err
 		}
-		reply := ScanReply{Items: make([]ScanItem, 0, len(fields))}
-		for _, f := range fields {
-			ct, ok, err := store.HGet(colKey(in.Schema, in.Field), f)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				reply.Items = append(reply.Items, ScanItem{DocID: string(f), CT: ct})
-			}
+		reply := ScanReply{Items: make([]ScanItem, len(ids))}
+		for i, id := range ids {
+			reply.Items[i] = ScanItem{DocID: id, CT: cts[i]}
 		}
 		return &reply, nil
 	})
 }
 
-var (
-	_ spi.Writer     = (*Tactic)(nil)
-	_ spi.EqSearcher = (*Tactic)(nil)
-)
+var _ spi.EqSearcher = (*Tactic)(nil)

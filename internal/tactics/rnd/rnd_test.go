@@ -2,6 +2,7 @@ package rnd_test
 
 import (
 	"context"
+	"datablinder/internal/cloud/ring"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 	"datablinder/internal/transport"
 )
 
-func setup(t *testing.T) (spi.Tactic, transport.Conn, *kvstore.Store) {
+func setup(t *testing.T) (spi.Tactic, *ring.Ring, *kvstore.Store) {
 	t.Helper()
 	mux := transport.NewMux()
 	cloudKV := kvstore.New()
@@ -23,7 +24,7 @@ func setup(t *testing.T) (spi.Tactic, transport.Conn, *kvstore.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := transport.NewLoopback(mux)
+	conn := ring.Of(transport.NewLoopback(mux))
 	inst, err := rnd.New(spi.Binding{Schema: "obs", Keys: kp, Cloud: conn, Local: kvstore.New()})
 	if err != nil {
 		t.Fatal(err)

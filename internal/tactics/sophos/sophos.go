@@ -18,8 +18,6 @@ import (
 	"strings"
 	"sync"
 
-	"datablinder/internal/cloud/ring"
-	"datablinder/internal/keys"
 	"datablinder/internal/model"
 	"datablinder/internal/spi"
 	ssesophos "datablinder/internal/sse/sophos"
@@ -95,8 +93,7 @@ func Describe() spi.Descriptor {
 
 // Tactic is the gateway half.
 type Tactic struct {
-	binding spi.Binding
-	shards  *ring.Ring
+	spi.Binding
 
 	mu     sync.Mutex
 	client *ssesophos.Client // built by Setup
@@ -104,13 +101,13 @@ type Tactic struct {
 
 // New constructs the gateway half. Call Setup before use.
 func New(b spi.Binding) (spi.Tactic, error) {
-	return &Tactic{binding: b, shards: ring.Of(b.Cloud)}, nil
+	return &Tactic{Binding: b}, nil
 }
 
 // route places one keyword's state chain on a shard: insert and search both
 // derive from the keyword, so the whole chain co-locates.
 func (t *Tactic) route(w string) string {
-	return "sophos/" + t.binding.Schema + "/" + w
+	return "sophos/" + t.Schema + "/" + w
 }
 
 // Registration couples descriptor and factory for the registry.
@@ -118,14 +115,11 @@ func Registration() spi.Registration {
 	return spi.Registration{Descriptor: Describe(), Factory: New}
 }
 
-// Descriptor implements spi.Tactic.
-func (t *Tactic) Descriptor() spi.Descriptor { return Describe() }
-
 func (t *Tactic) tdpKey() []byte {
-	return []byte("sophostdp/" + t.binding.Schema)
+	return []byte("sophostdp/" + t.Schema)
 }
 
-// Setup implements spi.Tactic: it loads or generates the RSA trapdoor,
+// Setup implements spi.Provisioner: it loads or generates the RSA trapdoor,
 // persists it in the gateway store, and registers the public key with the
 // cloud half. Setup is idempotent.
 func (t *Tactic) Setup(ctx context.Context) error {
@@ -134,13 +128,13 @@ func (t *Tactic) Setup(ctx context.Context) error {
 	if t.client != nil {
 		return nil
 	}
-	root, err := t.binding.Keys.Key(keys.Ref{Schema: t.binding.Schema, Field: "*", Tactic: Name, Purpose: "root"})
+	root, err := t.Key(Name, "*", "root")
 	if err != nil {
 		return err
 	}
-	state := ssesophos.NewKVState(t.binding.Local)
+	state := ssesophos.NewKVState(t.Local)
 
-	raw, ok, err := t.binding.Local.Get(t.tdpKey())
+	raw, ok, err := t.Local.Get(t.tdpKey())
 	if err != nil {
 		return fmt.Errorf("sophos: loading TDP: %w", err)
 	}
@@ -159,14 +153,14 @@ func (t *Tactic) Setup(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		if err := t.binding.Local.Set(t.tdpKey(), x509.MarshalPKCS1PrivateKey(client.TDP())); err != nil {
+		if err := t.Local.Set(t.tdpKey(), x509.MarshalPKCS1PrivateKey(client.TDP())); err != nil {
 			return fmt.Errorf("sophos: persisting TDP: %w", err)
 		}
 	}
 	// Every shard must hold the public key: keyword chains are spread
 	// across the ring, and each node verifies/extends its own chains.
-	if err := t.shards.Broadcast(ctx, Service, "setup",
-		SetupArgs{Schema: t.binding.Schema, PK: client.PublicKey()}); err != nil {
+	if err := t.Cloud.Broadcast(ctx, Service, "setup",
+		SetupArgs{Schema: t.Schema, PK: client.PublicKey()}); err != nil {
 		return fmt.Errorf("sophos: registering public key: %w", err)
 	}
 	t.client = client
@@ -182,19 +176,15 @@ func (t *Tactic) getClient() (*ssesophos.Client, error) {
 	return t.client, nil
 }
 
-func keyword(field string, value any) string {
-	return field + "=" + model.ValueToString(value)
-}
-
 // version management: per-(field, doc) monotone counters implementing
 // deletion over a forward-only scheme.
 
 func (t *Tactic) verKey(field, docID string) []byte {
-	return []byte("sophosver/" + t.binding.Schema + "/" + field + "\x00" + docID)
+	return []byte("sophosver/" + t.Schema + "/" + field + "\x00" + docID)
 }
 
 func (t *Tactic) version(field, docID string) (uint64, error) {
-	raw, ok, err := t.binding.Local.Get(t.verKey(field, docID))
+	raw, ok, err := t.Local.Get(t.verKey(field, docID))
 	if err != nil || !ok {
 		return 0, err
 	}
@@ -202,10 +192,10 @@ func (t *Tactic) version(field, docID string) (uint64, error) {
 }
 
 func (t *Tactic) setVersion(field, docID string, v uint64) error {
-	return t.binding.Local.Set(t.verKey(field, docID), []byte(strconv.FormatUint(v, 10)))
+	return t.Local.Set(t.verKey(field, docID), []byte(strconv.FormatUint(v, 10)))
 }
 
-// Prepare implements spi.Writer. An insert extends the keyword's chain with
+// Prepare implements spi.Tactic. An insert extends the keyword's chain with
 // a cell for the document's next version; a delete ships nothing — it
 // supersedes the current version, and stale cells resolve to dropped
 // versions at the gateway. Either way the version moves at commit, so a
@@ -228,14 +218,14 @@ func (t *Tactic) Prepare(ws *spi.WriteSet, op model.Op, docID string, fields []s
 		if op == model.OpDelete {
 			continue
 		}
-		w := keyword(f, values[f])
-		e, err := client.Insert(t.binding.Schema, w, docID+"#"+strconv.FormatUint(v, 10))
+		w := model.Keyword(f, values[f])
+		e, err := client.Insert(t.Schema, w, docID+"#"+strconv.FormatUint(v, 10))
 		if err != nil {
 			return err
 		}
 		ws.Add(spi.Mutation{
 			Route: t.route(w), Field: f, Service: Service, Method: "insert",
-			Args: InsertArgs{Schema: t.binding.Schema, Entries: []ssesophos.Entry{e}},
+			Args: InsertArgs{Schema: t.Schema, Entries: []ssesophos.Entry{e}},
 		})
 	}
 	return nil
@@ -247,14 +237,14 @@ func (t *Tactic) SearchEq(ctx context.Context, field string, value any) ([]strin
 	if err != nil {
 		return nil, err
 	}
-	w := keyword(field, value)
-	tok, ok, err := client.Token(t.binding.Schema, w)
+	w := model.Keyword(field, value)
+	tok, ok, err := client.Token(t.Schema, w)
 	if err != nil || !ok {
 		return nil, err
 	}
 	var reply SearchReply
-	if err := t.shards.Call(ctx, t.route(w), Service, "search",
-		SearchArgs{Schema: t.binding.Schema, Token: tok}, &reply); err != nil {
+	if err := t.Cloud.Call(ctx, t.route(w), Service, "search",
+		SearchArgs{Schema: t.Schema, Token: tok}, &reply); err != nil {
 		return nil, err
 	}
 	var out []string
@@ -353,6 +343,6 @@ func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 }
 
 var (
-	_ spi.Writer     = (*Tactic)(nil)
-	_ spi.EqSearcher = (*Tactic)(nil)
+	_ spi.Provisioner = (*Tactic)(nil)
+	_ spi.EqSearcher  = (*Tactic)(nil)
 )

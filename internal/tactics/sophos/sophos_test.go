@@ -3,6 +3,7 @@ package sophos_test
 import (
 	"bytes"
 	"context"
+	"datablinder/internal/cloud/ring"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
@@ -38,7 +39,7 @@ func newEnv(t *testing.T) env {
 	local := kvstore.New()
 	t.Cleanup(func() { local.Close() })
 	return env{
-		binding: spi.Binding{Schema: "obs", Keys: kp, Cloud: transport.NewLoopback(mux), Local: local},
+		binding: spi.Binding{Schema: "obs", Keys: kp, Cloud: ring.Of(transport.NewLoopback(mux)), Local: local},
 		cloudKV: cloudKV,
 	}
 }
@@ -49,7 +50,7 @@ func instance(t *testing.T, e env) spi.Tactic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := inst.Setup(context.Background()); err != nil {
+	if err := inst.(spi.Provisioner).Setup(context.Background()); err != nil {
 		t.Fatalf("Setup: %v", err)
 	}
 	return inst
@@ -214,11 +215,11 @@ func TestCloudRestartReloadsKey(t *testing.T) {
 	kv, conn := openCloud(t, dir)
 	sw := &cloudSwitch{conn: conn}
 	e := newEnv(t)
-	e.binding.Cloud = sw
+	e.binding.Cloud = ring.Of(sw)
 	inst := instance(t, e)
 	ctx := context.Background()
 	for _, id := range []string{"d1", "d2"} {
-		if err := spi.Apply(ctx, sw, inst, model.OpInsert, id, map[string]any{"f": "v"}); err != nil {
+		if err := spi.Apply(ctx, e.binding.Cloud, inst, model.OpInsert, id, map[string]any{"f": "v"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,7 +237,7 @@ func TestCloudRestartReloadsKey(t *testing.T) {
 	if got := searchSorted(t, inst, "v"); got != "[d1 d2]" {
 		t.Fatalf("search after the cloud restarted = %s, want [d1 d2]", got)
 	}
-	if err := spi.Apply(ctx, sw, inst, model.OpInsert, "d3", map[string]any{"f": "v"}); err != nil {
+	if err := spi.Apply(ctx, e.binding.Cloud, inst, model.OpInsert, "d3", map[string]any{"f": "v"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := searchSorted(t, inst, "v"); got != "[d1 d2 d3]" {

@@ -51,7 +51,9 @@ import (
 )
 
 // wireVersion is the protocol version both peers state in the hello.
-const wireVersion = 3
+// Version 4 gave the per-field index writes one shared cell payload, which
+// changed the layout of rnd.put, agg.put and the column removes.
+const wireVersion = 4
 
 // Frame kind and result status tags.
 const (

@@ -162,6 +162,7 @@ func TestDialRejectsPeerThatIsNotThisProtocol(t *testing.T) {
 		"v1 JSON reply":      append([]byte{0, 0, 0, 40}, `{"id":1,"ok":true,"payload":{"version":1}}`...),
 		"response, no hello": rawFrame(appendResultOK(binary.AppendUvarint([]byte{wireKindResp}, 1), nil)),
 		"other version":      rawFrame([]byte{wireKindHello, wireVersion + 1, 0}),
+		"version 3":          rawFrame([]byte{wireKindHello, 3, 0}),
 		"accept beyond list": rawFrame(appendHelloReply(nil, []int{0, proposal})),
 		"accept unordered":   rawFrame(appendHelloReply(nil, []int{1, 0})),
 		"accept overflow":    rawFrame(binary.AppendUvarint([]byte{wireKindHello, wireVersion, 1}, 1<<63)),
@@ -207,6 +208,22 @@ func TestDialRejectsPeerThatIsNotThisProtocol(t *testing.T) {
 				t.Fatalf("Dial took %v, want it bounded by the %v timeout", elapsed, timeout)
 			}
 		})
+	}
+}
+
+// TestHelloRefusesVersion3: version 4 changed the payload layout of
+// rnd.put, agg.put and the column removes, so a version-3 peer would
+// misparse them; its hello is refused in both directions.
+func TestHelloRefusesVersion3(t *testing.T) {
+	if wireVersion != 4 {
+		t.Fatalf("wire protocol version %d, want 4", wireVersion)
+	}
+	hello := wirefmt.AppendStrings([]byte{wireKindHello, 3}, RegisteredWireMethods())
+	if _, err := parseHello(hello); !errors.Is(err, ErrWireProtocol) {
+		t.Fatalf("version-3 hello: err = %v, want ErrWireProtocol", err)
+	}
+	if _, err := parseHelloReply([]byte{wireKindHello, 3, 0}); !errors.Is(err, ErrWireProtocol) {
+		t.Fatalf("version-3 hello reply: err = %v, want ErrWireProtocol", err)
 	}
 }
 

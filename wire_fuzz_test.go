@@ -15,14 +15,17 @@ import (
 	"datablinder/internal/store/kvstore"
 	_ "datablinder/internal/tactics"
 	tbiex "datablinder/internal/tactics/biex"
+	"datablinder/internal/tactics/cell"
+	tdet "datablinder/internal/tactics/det"
 	tpaillier "datablinder/internal/tactics/paillier"
+	trnd "datablinder/internal/tactics/rnd"
 	tsophos "datablinder/internal/tactics/sophos"
 	"datablinder/internal/transport"
 )
 
 // wireMethods is the size of the production codec registry: twenty-eight
 // hot methods, and agg.setup, sophos.setup and admin.stats since the wire
-// lost its JSON payloads.
+// lost its JSON payloads. Ten of them share the cell codec.
 const wireMethods = 31
 
 // FuzzPayloadCodecs feeds arbitrary bytes to every registered typed codec
@@ -69,6 +72,10 @@ func FuzzPayloadCodecs(f *testing.F) {
 			seed(i, codec.EncodeArgs, &tpaillier.SetupArgs{Schema: "obs", N: k})
 		case tsophos.Service + ".setup":
 			seed(i, codec.EncodeArgs, &tsophos.SetupArgs{Schema: "obs", PK: ssesophos.PublicKey{N: k, E: 65537}})
+		case tdet.Service + ".add", trnd.Service + ".put":
+			seed(i, codec.EncodeArgs, &cell.Args{Schema: "obs", Field: "code", CT: k, DocID: "d1"})
+		case trnd.Service + ".remove":
+			seed(i, codec.EncodeArgs, &cell.Args{Schema: "obs", Field: "performer", DocID: "d1"})
 		case cloud.AdminService + ".stats":
 			seed(i, codec.EncodeReply, &cloud.StatsReply{
 				Namespaces:  map[string]kvstore.NamespaceStats{"emm": {Keys: 3, Items: 9, Bytes: 400}, "aggidx": {Keys: 1, Items: 2, Bytes: -1}},
