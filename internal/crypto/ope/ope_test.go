@@ -3,6 +3,8 @@ package ope
 import (
 	"bytes"
 	"math"
+	"math/big"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -137,5 +139,110 @@ func BenchmarkEncrypt(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.EncryptUint64(uint64(i) * 2654435761)
+	}
+}
+
+// TestEncryptAllocs pins an encryption at the walk state and the
+// ciphertext: the keyed PRF comes from the HMAC pool and the 128-bit
+// arithmetic stays in registers. Skipped under -race, where sync.Pool
+// deliberately drops items.
+func TestEncryptAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	c := cipher(t)
+	c.EncryptUint64(1) // warm the HMAC pool for the key
+	var m uint64
+	if got := testing.AllocsPerRun(200, func() {
+		m += 0x9e3779b97f4a7c15
+		c.EncryptUint64(m)
+	}); got > 4 {
+		t.Errorf("EncryptUint64 allocs/op = %.1f, want <= 4", got)
+	}
+}
+
+func bigOf(a u128) *big.Int {
+	v := new(big.Int).SetUint64(a.hi)
+	return v.Lsh(v, 64).Or(v, new(big.Int).SetUint64(a.lo))
+}
+
+// TestU128ModMatchesBig checks the two-word remainder against math/big on
+// divisors of one word, of two words, and next to the powers of two where
+// the quotient estimate is most likely to be off by one.
+func TestU128ModMatchesBig(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	random := func(bits int) u128 {
+		switch {
+		case bits <= 0:
+			return u128{}
+		case bits <= 64:
+			return u128{lo: rng.Uint64() >> (64 - bits)}
+		default:
+			return u128{hi: rng.Uint64() >> (128 - bits), lo: rng.Uint64()}
+		}
+	}
+	edges := []u128{{lo: 1}, {lo: math.MaxUint64}, {hi: 1}, {hi: 1, lo: 1}, {hi: 1 << 63}, {hi: math.MaxUint64, lo: math.MaxUint64}, rangeMax}
+	for i := 0; i < 20000; i++ {
+		a, b := random(1+rng.Intn(128)), random(1+rng.Intn(128))
+		if i < len(edges)*len(edges) {
+			a, b = edges[i/len(edges)], edges[i%len(edges)]
+		} else if i%3 == 0 {
+			b = u128{}.sub(random(rng.Intn(64))) // just under 2^128
+		}
+		if b == (u128{}) {
+			continue
+		}
+		want := new(big.Int).Mod(bigOf(a), bigOf(b))
+		if got := a.mod(b); bigOf(got).Cmp(want) != 0 {
+			t.Fatalf("%#x mod %#x = %#x, want %#x", bigOf(a), bigOf(b), bigOf(got), want)
+		}
+	}
+}
+
+// TestUniformMatchesBigReference runs the sampler against the math/big
+// rejection rule it replaced — bound 2^128, limit ⌊2^128/size⌋·size, draw
+// mod size — on windows up to 2^128 - 1 wide, where up to half of all
+// draws are rejected, as well as on the narrow ones the cipher uses.
+func TestUniformMatchesBigReference(t *testing.T) {
+	c := cipher(t)
+	rng := rand.New(rand.NewSource(2))
+	w := c.newWalk()
+	defer w.prf.Release()
+	ref := func(lo, hi *big.Int, seed []byte) *big.Int {
+		size := new(big.Int).Sub(hi, lo)
+		size.Add(size, big.NewInt(1))
+		bound := new(big.Int).Lsh(big.NewInt(1), 128)
+		limit := new(big.Int).Div(bound, size)
+		limit.Mul(limit, size)
+		for ctr := uint64(0); ; ctr++ {
+			draw := primitives.PRF(c.key, seed, primitives.Uint64Bytes(ctr))
+			v := new(big.Int).SetBytes(draw[:16])
+			if v.Cmp(limit) >= 0 {
+				continue
+			}
+			v.Mod(v, size)
+			return v.Add(v, lo)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		var lo, hi u128
+		switch i % 4 {
+		case 0: // a window of the cipher's range
+			lo = u128{hi: rng.Uint64() >> 33, lo: rng.Uint64()}
+			hi = lo.add(u128{hi: rng.Uint64() >> 33, lo: rng.Uint64()})
+		case 1: // a few values
+			lo = u128{lo: rng.Uint64() >> 1}
+			hi = lo.add(u128{lo: uint64(rng.Intn(5))})
+		default: // over 2^127 wide
+			lo = u128{lo: rng.Uint64() >> 1}
+			hi = u128{hi: 1<<63 | rng.Uint64()>>1, lo: rng.Uint64()}
+		}
+		dlo, dhi := rng.Uint64(), rng.Uint64()
+		rlo, rhi := u128{hi: rng.Uint64() >> 32, lo: rng.Uint64()}, u128{hi: rng.Uint64() >> 32, lo: rng.Uint64()}
+		got := w.uniform(lo, hi, dlo, dhi, rlo, rhi)
+		seed := append([]byte(nil), w.in[:4*seedField]...)
+		if want := ref(bigOf(lo), bigOf(hi), seed); bigOf(got).Cmp(want) != 0 {
+			t.Fatalf("uniform(%#x, %#x) = %#x, want %#x", bigOf(lo), bigOf(hi), bigOf(got), want)
+		}
 	}
 }

@@ -14,8 +14,8 @@
 //
 // A PublicKey (a holder of n only, e.g. the cloud) pays the textbook
 // r^n mod n² per ciphertext. A PrivateKey knows the factors of n and works
-// modulo p² and q² separately: decryption is two half-width exponentiations
-// (privatekey.go) and an encryption mask is a product of entries from a
+// modulo p² and q² separately: decryption is two half-width exponentiations,
+// one when the result must fit an int64 (privatekey.go), and an encryption mask is a product of entries from a
 // per-key fixed-base table, with no exponentiation at all (fixedbase.go).
 package paillier
 

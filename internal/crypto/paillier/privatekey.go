@@ -13,7 +13,8 @@ import (
 // §7; the homomorphic-encryption survey in PAPERS.md).
 //
 // Decryption: m_p = L_p(c^(p-1) mod p²)·h_p mod p with L_p(x) = (x-1)/p,
-// likewise m_q, and m = CRT(m_p, m_q).
+// likewise m_q, and m = CRT(m_p, m_q). An int64 result needs only one of
+// the halves (DecryptInt64).
 //
 // Masks: the n-th residues mod p² are the subgroup T_p of order p-1 (x ↦ x^q
 // permutes Z*_{p²} because gcd(n, φ(n)) = 1), and y ↦ y^p mod p² maps Z*_p
@@ -122,6 +123,14 @@ func lHalf(x, f, ff, fm1 *big.Int) *big.Int {
 	return l.Div(l, f)
 }
 
+// plainHalf returns the plaintext modulo the factor f:
+// m_f = L_f(c^(f-1) mod f²)·h_f mod f.
+func plainHalf(c, f, ff, fm1, hf *big.Int) *big.Int {
+	m := lHalf(c, f, ff, fm1)
+	m.Mul(m, hf)
+	return m.Mod(m, f)
+}
+
 // garner returns the x in [0, a·b) with x ≡ xa (mod a) and x ≡ xb (mod b),
 // given aInvB = a^-1 mod b.
 func garner(xa, xb, a, b, aInvB *big.Int) *big.Int {
@@ -137,20 +146,30 @@ func (sk *PrivateKey) Decrypt(ct *Ciphertext) (*big.Int, error) {
 	if ct.C.Sign() <= 0 || ct.C.Cmp(sk.N2) >= 0 {
 		return nil, ErrInvalidCipher
 	}
-	mp := lHalf(ct.C, sk.P, sk.pp, sk.pm1)
-	mp.Mul(mp, sk.hp)
-	mp.Mod(mp, sk.P)
-	mq := lHalf(ct.C, sk.Q, sk.qq, sk.qm1)
-	mq.Mul(mq, sk.hq)
-	mq.Mod(mq, sk.Q)
+	mp := plainHalf(ct.C, sk.P, sk.pp, sk.pm1, sk.hp)
+	mq := plainHalf(ct.C, sk.Q, sk.qq, sk.qm1, sk.hq)
 	return sk.decode(garner(mp, mq, sk.P, sk.Q, sk.pInvQ)), nil
 }
 
-// DecryptInt64 decrypts and converts to int64, erroring on overflow.
+// DecryptInt64 decrypts a plaintext expected to fit an int64, erroring when
+// it does not. It runs one CRT half, over the larger factor f: m mod f folded
+// into (-f/2, f/2] is the plaintext v itself whenever |v| < f/2, and f/2 is
+// at least 2^126 (n has 256 bits or more). Every sum of fewer than 2^63
+// int64 terms — the most any aggregate can add — is inside that bound, so
+// an int64 result is exact and a sum that leaves int64 still errors. A
+// ciphertext of a larger plaintext decrypts to v mod f; only a party that
+// holds n can make one, and it can encrypt any int64 it likes anyway.
 func (sk *PrivateKey) DecryptInt64(ct *Ciphertext) (int64, error) {
-	m, err := sk.Decrypt(ct)
-	if err != nil {
-		return 0, err
+	if ct.C.Sign() <= 0 || ct.C.Cmp(sk.N2) >= 0 {
+		return 0, ErrInvalidCipher
+	}
+	f, ff, fm1, hf := sk.P, sk.pp, sk.pm1, sk.hp
+	if sk.Q.Cmp(sk.P) > 0 {
+		f, ff, fm1, hf = sk.Q, sk.qq, sk.qm1, sk.hq
+	}
+	m := plainHalf(ct.C, f, ff, fm1, hf)
+	if m.Cmp(new(big.Int).Rsh(f, 1)) > 0 {
+		m.Sub(m, f)
 	}
 	if !m.IsInt64() {
 		return 0, fmt.Errorf("paillier: plaintext %s exceeds int64", m)

@@ -326,6 +326,19 @@ func BenchmarkDecryptCRT(b *testing.B) {
 	}
 }
 
+// BenchmarkDecryptInt64 times the aggregate path: one CRT half instead of
+// BenchmarkDecryptCRT's two.
+func BenchmarkDecryptInt64(b *testing.B) {
+	sk, _ := benchKey(b)
+	ct, _ := sk.EncryptInt64(12345)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sk.DecryptInt64(ct); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkAccumulatorAdd(b *testing.B) {
 	sk := key(b)
 	ct, _ := sk.EncryptInt64(1)

@@ -132,13 +132,7 @@ func PRF(key Key, data ...[]byte) []byte {
 // PRFInto appends the PRF output to dst and returns the extended slice,
 // letting hot paths reuse caller-owned buffers. dst may be nil.
 func PRFInto(dst []byte, key Key, data ...[]byte) []byte {
-	var mac hash.Hash
-	pool := macPoolFor(key)
-	if pool != nil {
-		mac = pool.Get().(hash.Hash)
-	} else {
-		mac = hmac.New(sha256.New, key[:])
-	}
+	mac, pool := pooledMAC(key)
 	for _, d := range data {
 		mac.Write(d)
 	}
@@ -150,18 +144,48 @@ func PRFInto(dst []byte, key Key, data ...[]byte) []byte {
 	return out
 }
 
+// pooledMAC returns an HMAC state keyed with key, from the pool when the key
+// has a slot there (the pool is then returned too) and fresh otherwise.
+func pooledMAC(key Key) (hash.Hash, *sync.Pool) {
+	if pool := macPoolFor(key); pool != nil {
+		return pool.Get().(hash.Hash), pool
+	}
+	k := key // a copy, so that only this path moves a key to the heap
+	return hmac.New(sha256.New, k[:]), nil
+}
+
 // PRFState is the PRF keyed once for a run of evaluations under one
 // short-lived key: a per-keyword walk over cell addresses, the pads of one
 // Mitra search, the two derivations of one insert. Keying costs two SHA-256
-// key schedules and a handful of allocations; Append costs neither. The
-// state never touches the HMAC pool. Not safe for concurrent use.
+// key schedules and a handful of allocations; Append costs neither. Such a
+// state never touches the HMAC pool; PooledPRFState borrows one from it for
+// a long-lived key instead. Not safe for concurrent use.
 type PRFState struct {
-	mac hash.Hash
+	mac  hash.Hash
+	pool *sync.Pool // the state's HMAC pool; nil for a state of its own
 }
 
 // NewPRFState keys the PRF with key.
 func NewPRFState(key Key) *PRFState {
 	return &PRFState{mac: hmac.New(sha256.New, key[:])}
+}
+
+// PooledPRFState is NewPRFState for a long-lived key (root, field or
+// purpose key): the keyed state is borrowed from the HMAC pool, so a run of
+// evaluations costs no key schedule and no allocation, and Release hands it
+// back. A key the pool has no slot for gets a state of its own.
+func PooledPRFState(key Key) PRFState {
+	mac, pool := pooledMAC(key)
+	return PRFState{mac: mac, pool: pool}
+}
+
+// Release returns a borrowed state to the HMAC pool; s must not be used
+// afterwards. It does nothing for a state from NewPRFState.
+func (s *PRFState) Release() {
+	if s.pool != nil {
+		s.pool.Put(s.mac)
+		s.mac, s.pool = nil, nil
+	}
 }
 
 // Append appends PRF(key, data) to dst and returns the extended slice; the

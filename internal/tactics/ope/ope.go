@@ -73,9 +73,11 @@ func Describe() spi.Descriptor {
 			ClientStorage:       "none",
 			ServerStorageFactor: 1.1,
 			Costs: map[model.Op]model.CostPrior{
-				// Encoding walks the mutable-OPE tree with a round trip
-				// per level, so inserts are expensive; range queries hit
-				// the sorted index directly and stay cheap at any size.
+				// The cipher is stateless: encoding is a 64-level PRF walk
+				// on the gateway (about 65 HMACs, no round trip), and range
+				// queries hit the sorted index directly. The numbers are
+				// the priors this tactic has always carried; the planner's
+				// recorded choices (tacticsctl plan) are built on them.
 				model.OpInsert: {Fixed: 900},
 				model.OpRange:  {Fixed: 120},
 				model.OpDelete: {Fixed: 40},
