@@ -1,8 +1,13 @@
 package paillier
 
 import (
+	"bytes"
+	"crypto/rand"
+	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
+	mrand "math/rand/v2"
 	"sync"
 	"testing"
 )
@@ -97,54 +102,197 @@ func TestGeneratorCheckRejectsPlantedSubgroups(t *testing.T) {
 	}
 }
 
-// TestPowMatchesExp injects exponents whose digits hit the edges of the
-// table walk and compares each product with the exponentiation it replaces.
-// The 250-bit factor of a 500-bit key leaves a two-bit top window.
+// TestPowMatchesExp compares each table product with the exponentiation it
+// replaces, at every width the Montgomery product runs: the toy primes
+// 1021 and 2311 (1 word, every exponent), the test key's factor and the
+// 250-bit factor of a 500-bit key (8 words, the latter with a two-bit top
+// window), and the factors of a KeyBits = 1024-bit key (16 words) and of a
+// 2048-bit key (32 words). Above one word the exponents are ones whose
+// digits hit the edges of the table walk, plus 50 random ones.
 func TestPowMatchesExp(t *testing.T) {
 	odd, err := GenerateKey(500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sk := range []*PrivateKey{key(t), odd} {
-		tab, err := newMaskTable(sk.P, sk.pm1, sk.pp)
+	prime := func(size int) *big.Int {
+		p, err := rand.Prime(rand.Reader, size)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bit := func(ks ...int) *big.Int {
-			r := new(big.Int)
-			for _, k := range ks {
-				r.SetBit(r, k, 1)
-			}
-			return r
+		return p
+	}
+	factors := []*big.Int{
+		big.NewInt(1021), big.NewInt(2311),
+		key(t).P, odd.P, prime(512), prime(1024),
+	}
+	for _, f := range factors {
+		fm1 := new(big.Int).Sub(f, one)
+		tab, err := newMaskTable(f, fm1, new(big.Int).Mul(f, f))
+		if err != nil {
+			t.Fatal(err)
 		}
-		top := tab.fm1.BitLen() - 1
-		cases := map[string]*big.Int{
-			"zero":                  new(big.Int),
-			"one":                   big.NewInt(1),
-			"f-2":                   new(big.Int).Sub(tab.fm1, one),
-			"zero digits at top":    big.NewInt(0x0102),
-			"zero digits in middle": bit(0, top-1),
-			"only the top digit":    bit(top - 1),
-			"full low word":         new(big.Int).SetUint64(math.MaxUint64),
-			"digit across words":    bit(62, 63, 64, 65),
-		}
-		for i := 0; i < 50; i++ {
-			r, err := randBelow(tab.fm1)
-			if err != nil {
-				t.Fatal(err)
+		cases := map[string]*big.Int{}
+		if f.IsInt64() {
+			for r := int64(0); r < fm1.Int64(); r++ {
+				cases[fmt.Sprint(r)] = big.NewInt(r)
 			}
-			cases["random "+r.String()] = r
+		} else {
+			bit := func(ks ...int) *big.Int {
+				r := new(big.Int)
+				for _, k := range ks {
+					r.SetBit(r, k, 1)
+				}
+				return r
+			}
+			top := tab.fm1.BitLen() - 1
+			cases = map[string]*big.Int{
+				"zero":                  new(big.Int),
+				"one":                   big.NewInt(1),
+				"f-2":                   new(big.Int).Sub(tab.fm1, one),
+				"zero digits at top":    big.NewInt(0x0102),
+				"zero digits in middle": bit(0, top-1),
+				"only the top digit":    bit(top - 1),
+				"full low word":         new(big.Int).SetUint64(math.MaxUint64),
+				"digit across words":    bit(62, 63, 64, 65),
+			}
+			for i := 0; i < 50; i++ {
+				r, err := randBelow(tab.fm1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cases["random "+r.String()] = r
+			}
 		}
 		for name, r := range cases {
 			want := new(big.Int).Exp(tab.g, r, tab.ff)
 			if got := tab.pow(r); got.Cmp(want) != 0 {
-				t.Errorf("%d-bit factor, %s: pow = %s, want G^r = %s", sk.P.BitLen(), name, got, want)
+				t.Errorf("%d-bit factor, %s: pow = %s, want G^r = %s", f.BitLen(), name, got, want)
 			}
 		}
 		if got := tab.pow(big.NewInt(1)); got.Cmp(tab.g) != 0 {
-			t.Errorf("pow(1) is not the base")
+			t.Errorf("%d-bit factor: pow(1) is not the base", f.BitLen())
 		}
 	}
+}
+
+// montRef returns math/big's x·y·R⁻¹ mod m, R = 2^(UintSize·n), and the
+// value montMul holds before its final subtraction, u = (x·y + Q·m)/R with
+// Q = -x·y·m⁻¹ mod R: u ≥ m takes the subtraction, u ≥ R the carry-out word.
+func montRef(x, y, m *big.Int, n int) (want, u *big.Int) {
+	r := new(big.Int).Lsh(one, uint(n*bits.UintSize))
+	xy := new(big.Int).Mul(x, y)
+	want = new(big.Int).Mul(xy, new(big.Int).ModInverse(r, m))
+	want.Mod(want, m)
+	q := new(big.Int).ModInverse(m, r)
+	q.Sub(r, q).Mul(q, xy).Mod(q, r)
+	u = q.Mul(q, m).Add(q, xy).Rsh(q, uint(n*bits.UintSize))
+	return want, u
+}
+
+// words returns x zero-padded to n words.
+func words(x *big.Int, n int) []big.Word {
+	w := make([]big.Word, n)
+	copy(w, x.Bits())
+	return w
+}
+
+// checkMontMul runs montMul on x, y < m into a fresh z and aliased to
+// either operand, and compares each result with montRef's.
+func checkMontMul(t testing.TB, x, y, m *big.Int) (u *big.Int) {
+	t.Helper()
+	n := len(m.Bits())
+	want, u := montRef(x, y, m, n)
+	mw, k0, scratch := m.Bits(), negInverse(m.Bits()[0]), make([]big.Word, 2*n)
+	for _, alias := range []string{"none", "x", "y"} {
+		xw, yw, z := words(x, n), words(y, n), make([]big.Word, n)
+		switch alias {
+		case "x":
+			z = xw
+		case "y":
+			z = yw
+		}
+		montMul(z, xw, yw, mw, k0, scratch)
+		if got := new(big.Int).SetBits(z); got.Cmp(want) != 0 {
+			t.Fatalf("%d words, z aliasing %s: montMul(%s, %s) mod %s = %s, want %s",
+				n, alias, x, y, m, got, want)
+		}
+	}
+	return u
+}
+
+// TestMontMul checks the Montgomery product against math/big at 1, 8, 16
+// and 32 words, over an all-ones modulus R-1, one with a top word of 1
+// (above one word), a random full-width one and, at 8 words, the test
+// key's p². Operands are 0, 1 and m-1 and 300 random pairs per modulus;
+// at each width the final subtraction and the carry-out word must both
+// have been taken.
+func TestMontMul(t *testing.T) {
+	rng := mrand.New(mrand.NewPCG(1, 2))
+	random := func(n int) *big.Int {
+		w := make([]big.Word, n)
+		for i := range w {
+			w[i] = big.Word(rng.Uint64())
+		}
+		return new(big.Int).SetBits(w)
+	}
+	for _, n := range []int{1, 8, 16, 32} {
+		r := new(big.Int).Lsh(one, uint(n*bits.UintSize))
+		full := random(n)
+		full.SetBit(full, n*bits.UintSize-1, 1).SetBit(full, 0, 1)
+		moduli := []*big.Int{new(big.Int).Sub(r, one), full}
+		if n > 1 {
+			top := new(big.Int).Rsh(r, bits.UintSize) // a top word of 1
+			top.Add(top, random(n-1)).SetBit(top, 0, 1)
+			moduli = append(moduli, top)
+		}
+		if n == 8 {
+			moduli = append(moduli, key(t).pp)
+		}
+		var subtractions, carries int
+		for _, m := range moduli {
+			if len(m.Bits()) != n {
+				t.Fatalf("modulus %s has %d words, want %d", m, len(m.Bits()), n)
+			}
+			mm1 := new(big.Int).Sub(m, one)
+			pairs := [][2]*big.Int{
+				{new(big.Int), new(big.Int)}, {new(big.Int), mm1}, {one, one},
+				{one, mm1}, {mm1, mm1},
+			}
+			for i := 0; i < 300; i++ {
+				x, y := random(n), random(n)
+				pairs = append(pairs, [2]*big.Int{x.Mod(x, m), y.Mod(y, m)})
+			}
+			for _, p := range pairs {
+				u := checkMontMul(t, p[0], p[1], m)
+				if u.Cmp(m) >= 0 {
+					subtractions++
+				}
+				if u.Cmp(r) >= 0 {
+					carries++
+				}
+			}
+		}
+		if subtractions == 0 || carries == 0 {
+			t.Errorf("%d words: %d final subtractions and %d carry-out words taken, want both", n, subtractions, carries)
+		}
+	}
+}
+
+// FuzzMontMul checks the Montgomery product against math/big for any odd
+// modulus of up to 32 words and any operands below it.
+func FuzzMontMul(f *testing.F) {
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{0xfe}, []byte{0xff, 0xfe})
+	f.Add(bytes.Repeat([]byte{0xff}, 128), bytes.Repeat([]byte{0xaa}, 128), bytes.Repeat([]byte{0x55}, 127))
+	f.Add(append([]byte{1}, make([]byte, 255)...), []byte{1}, []byte{})
+	f.Fuzz(func(t *testing.T, mb, xb, yb []byte) {
+		if len(mb) > 32*bits.UintSize/8 {
+			mb = mb[:32*bits.UintSize/8]
+		}
+		m := new(big.Int).SetBytes(mb)
+		m.SetBit(m, 0, 1)
+		x, y := new(big.Int).SetBytes(xb), new(big.Int).SetBytes(yb)
+		checkMontMul(t, x.Mod(x, m), y.Mod(y, m), m)
+	})
 }
 
 // TestDecryptOnlyKeyBuildsNoTable: the table is paid for by the first mask,
@@ -224,20 +372,20 @@ func TestWarmMaskAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 32 {
-		t.Fatalf("warm newMask allocates %.0f times, want <= 32", allocs)
+	if allocs > 17 {
+		t.Fatalf("warm newMask allocates %.0f times, want <= 17", allocs)
 	}
 }
 
 func BenchmarkMaskTableBuild(b *testing.B) {
-	sk, _ := benchKey(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab, err := newMaskTable(sk.P, sk.pm1, sk.pp)
-		if err != nil {
-			b.Fatal(err)
+	benchWidths(b, func(b *testing.B, sk *PrivateKey) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tab, err := newMaskTable(sk.P, sk.pm1, sk.pp)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink = tab.g
 		}
-		benchSink = tab.g
-	}
+	})
 }
