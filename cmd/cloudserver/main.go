@@ -42,7 +42,7 @@ func main() {
 	dataDir := flag.String("data", "", "persistence directory (empty = in-memory only)")
 	fsync := flag.String("fsync", "interval", "WAL durability policy: always (fsync per write, group-committed), interval (1s background), never")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
-	maxInFlight := flag.Int("max-inflight", transport.DefaultMaxInFlight, "server-wide cap on concurrently executing RPCs, across all connections (a coalesced gateway batch counts as one)")
+	maxInFlight := flag.Int("max-inflight", transport.DefaultMaxInFlight, "server-wide cap on concurrently executing RPCs, across all connections (a gateway batch, merged or not, counts as one)")
 	flag.Parse()
 
 	stopPprof, err := pprofserve.Start(*pprofAddr)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,61 +17,100 @@ import (
 	"datablinder/internal/transport"
 )
 
-// countingConn records every frame reaching the underlying connection.
-type countingConn struct {
-	transport.Conn
-	mu     sync.Mutex
-	frames []string // "service.method" per frame, in order
+type ctxKey struct{}
+
+// frame is one call that reached the underlying connection.
+type frame struct {
+	name string // service.method
+	tag  any    // the ctxKey value of the call's context
 }
 
-func (c *countingConn) Call(ctx context.Context, service, method string, args, reply any) error {
+// recConn records every frame reaching the underlying connection. When
+// hold is set, the first frame waits for it to close (after closing held),
+// so a test can keep a flush in flight while writers arrive. failBatch,
+// when set, fails every _batch.exec frame at the transport level.
+type recConn struct {
+	transport.Conn
+	hold, held chan struct{}
+	failBatch  error
+
+	mu     sync.Mutex
+	frames []frame
+}
+
+func (c *recConn) Call(ctx context.Context, service, method string, args, reply any) error {
 	c.mu.Lock()
-	c.frames = append(c.frames, service+"."+method)
+	first := len(c.frames) == 0
+	c.frames = append(c.frames, frame{name: service + "." + method, tag: ctx.Value(ctxKey{})})
 	c.mu.Unlock()
+	if first && c.hold != nil {
+		close(c.held)
+		<-c.hold
+	}
+	if service == transport.BatchService && c.failBatch != nil {
+		return c.failBatch
+	}
 	return c.Conn.Call(ctx, service, method, args, reply)
 }
 
-func (c *countingConn) snapshot() []string {
+func (c *recConn) names() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]string(nil), c.frames...)
+	out := make([]string, len(c.frames))
+	for i, f := range c.frames {
+		out[i] = f.name
+	}
+	return out
 }
 
-// testConn assembles mux → loopback → counting → coalescer.
-func testConn(t *testing.T, opts Options, register func(*transport.Mux)) (*Conn, *countingConn) {
+// testConn assembles mux → loopback → recorder → coalescer.
+func testConn(t *testing.T, opts Options, register func(*transport.Mux)) (*Conn, *recConn) {
 	t.Helper()
 	mux := transport.NewMux()
 	if register != nil {
 		register(mux)
 	}
-	counting := &countingConn{Conn: transport.NewLoopback(mux)}
-	c := New(counting, opts)
+	rec := &recConn{Conn: transport.NewLoopback(mux)}
+	c := New(rec, opts)
 	t.Cleanup(func() { c.Close() })
-	return c, counting
+	return c, rec
 }
 
-// holdGather enters a caller that never contributes, so the gather trigger
-// cannot fire and only size, bytes, window and drain flush. The caller
-// leaves at cleanup, before the conn closes.
-func holdGather(t *testing.T, c *Conn) {
-	c.enter()
-	t.Cleanup(c.exit)
+// heldConn is testConn whose first frame is held until release is called.
+func heldConn(t *testing.T, register func(*transport.Mux)) (c *Conn, rec *recConn, release func()) {
+	t.Helper()
+	c, rec = testConn(t, Options{}, register)
+	rec.hold, rec.held = make(chan struct{}), make(chan struct{})
+	release = sync.OnceFunc(func() { close(rec.hold) })
+	t.Cleanup(release) // before the conn's Close, which waits for the flush
+	return c, rec, release
 }
 
-// putRecorder registers a doc.put handler that records ids in arrival
-// order and fails ids the fail set names.
-func putRecorder(ids *[]string, mu *sync.Mutex, fail map[string]bool) func(*transport.Mux) {
-	return func(mux *transport.Mux) {
-		transport.HandleTyped(mux, cloud.DocService, "put", func(_ context.Context, a *cloud.DocPutArgs) (any, error) {
-			mu.Lock()
-			*ids = append(*ids, a.ID)
-			mu.Unlock()
-			if fail[a.ID] {
-				return nil, fmt.Errorf("put %s rejected", a.ID)
-			}
-			return nil, nil
-		})
-	}
+// recorder is a doc.put handler that records ids in arrival order and
+// fails the ids its fail set names.
+type recorder struct {
+	fail map[string]bool
+
+	mu  sync.Mutex
+	ids []string
+}
+
+func (r *recorder) register(mux *transport.Mux) {
+	transport.HandleTyped(mux, cloud.DocService, "put", func(_ context.Context, a *cloud.DocPutArgs) (any, error) {
+		r.mu.Lock()
+		r.ids = append(r.ids, a.ID)
+		r.mu.Unlock()
+		if r.fail[a.ID] {
+			return nil, fmt.Errorf("put %s rejected", a.ID)
+		}
+		return nil, nil
+	})
+}
+
+func (r *recorder) seen() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]string(nil), r.ids...)
 }
 
 func waitUntil(t *testing.T, what string, cond func() bool) {
@@ -86,194 +124,175 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-func put(c *Conn, id string) error {
-	return c.Call(context.Background(), cloud.DocService, "put", cloud.DocPutArgs{Collection: "c", ID: id, Blob: []byte(id)}, nil)
-}
-
-// TestSizeCapFlush stages maxCalls concurrent writers one by one; the
-// last enqueue must flush the whole queue on the size trigger.
-func TestSizeCapFlush(t *testing.T) {
-	var ids []string
-	var mu sync.Mutex
-	c, counting := testConn(t, Options{}, putRecorder(&ids, &mu, nil))
-	c.maxCalls, c.window = 4, time.Minute
-	holdGather(t, c)
-
-	errs := make([]error, 4)
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		i := i
-		waitUntil(t, "queue to fill", func() bool { return c.Stats().QueueDepth == i })
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = put(c, fmt.Sprintf("d%d", i))
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-	}
-	s := c.Stats()
-	if s.FlushByTrigger[trigSize] != 1 || s.Flushes != 1 {
-		t.Fatalf("want one size-triggered flush, got %+v", s.FlushByTrigger)
-	}
-	if len(ids) != 4 {
-		t.Fatalf("handler saw %d puts, want 4", len(ids))
-	}
-	if frames := counting.snapshot(); len(frames) != 1 || frames[0] != "_batch.exec" {
-		t.Fatalf("want one _batch.exec frame, got %v", frames)
-	}
-	if s.CoalescedSubCalls != 4 {
-		t.Fatalf("want 4 coalesced sub-calls, got %d", s.CoalescedSubCalls)
-	}
-}
-
-// TestByteCapFlush: a payload crossing maxBytes flushes immediately.
-func TestByteCapFlush(t *testing.T) {
-	var ids []string
-	var mu sync.Mutex
-	c, _ := testConn(t, Options{}, putRecorder(&ids, &mu, nil))
-	c.maxBytes, c.window = 256, time.Minute
-	holdGather(t, c)
-	if err := c.Call(context.Background(), cloud.DocService, "put",
-		cloud.DocPutArgs{Collection: "c", ID: "big", Blob: make([]byte, 512)}, nil); err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	if s := c.Stats(); s.FlushByTrigger[trigBytes] != 1 {
-		t.Fatalf("want one bytes-triggered flush, got %+v", s.FlushByTrigger)
-	}
-}
-
-// TestWindowFlush: with the gather condition held open, a lone write
-// completes once the window timer fires.
-func TestWindowFlush(t *testing.T) {
-	var ids []string
-	var mu sync.Mutex
-	c, _ := testConn(t, Options{}, putRecorder(&ids, &mu, nil))
-	c.window = 5 * time.Millisecond
-	holdGather(t, c)
-	t0 := time.Now()
-	if err := put(c, "d1"); err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	if waited := time.Since(t0); waited < 5*time.Millisecond {
-		t.Fatalf("put returned after %v, before the window", waited)
-	}
-	if s := c.Stats(); s.FlushByTrigger[trigWindow] != 1 {
-		t.Fatalf("want one window-triggered flush, got %+v", s.FlushByTrigger)
-	}
-}
-
-// TestDrainFlush: Drain releases a parked caller without waiting for any
-// other trigger, and the underlying connection stays usable.
-func TestDrainFlush(t *testing.T) {
-	var ids []string
-	var mu sync.Mutex
-	c, _ := testConn(t, Options{}, putRecorder(&ids, &mu, nil))
-	c.window = time.Minute
-	holdGather(t, c)
-	done := make(chan error, 1)
-	go func() { done <- put(c, "d1") }()
-	waitUntil(t, "write to queue", func() bool { return c.Stats().QueueDepth == 1 })
-	c.Drain()
-	if err := <-done; err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	if s := c.Stats(); s.FlushByTrigger[trigDrain] != 1 {
-		t.Fatalf("want one drain-triggered flush, got %+v", s.FlushByTrigger)
-	}
-	// The connection stays usable after a drain.
-	go func() { done <- put(c, "d2") }()
-	waitUntil(t, "write to queue", func() bool { return c.Stats().QueueDepth == 1 })
-	c.Drain()
-	if err := <-done; err != nil {
-		t.Fatalf("post-drain put: %v", err)
-	}
-}
-
-// TestGatherFlush exercises the gather trigger end to end: one caller's
-// solo flush is held in the handler while two more callers enqueue; when
-// the first caller departs, the remaining two (both contributed) must
-// flush together in a single frame without waiting for the window.
-func TestGatherFlush(t *testing.T) {
-	var ids []string
-	var mu sync.Mutex
-	block := make(chan struct{})
-	entered := make(chan struct{})
-	var first atomic.Bool
-	first.Store(true)
-	c, counting := testConn(t, Options{}, func(mux *transport.Mux) {
-		transport.HandleTyped(mux, cloud.DocService, "put", func(_ context.Context, a *cloud.DocPutArgs) (any, error) {
-			if first.CompareAndSwap(true, false) {
-				close(entered)
-				<-block
-			}
-			mu.Lock()
-			ids = append(ids, a.ID)
-			mu.Unlock()
-			return nil, nil
-		})
+// waitParked waits until n callers are parked behind the in-flight flush.
+func waitParked(t *testing.T, c *Conn, n int) {
+	t.Helper()
+	waitUntil(t, fmt.Sprintf("%d parked writers", n), func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.parked) == n
 	})
-	c.window = time.Minute
+}
 
-	errs := make([]error, 3)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); errs[0] = put(c, "w1") }()
-	<-entered // w1 is in flight (solo gather flush), its caller still active
-	for i := 1; i <= 2; i++ {
-		i := i
-		waitUntil(t, "write to queue", func() bool { return c.Stats().QueueDepth == i-1 })
-		wg.Add(1)
-		go func() { defer wg.Done(); errs[i] = put(c, fmt.Sprintf("w%d", i+1)) }()
+func putCall(id string, blob []byte) transport.BatchCall {
+	return transport.BatchCall{Service: cloud.DocService, Method: "put", Args: cloud.DocPutArgs{Collection: "c", ID: id, Blob: blob}}
+}
+
+func put(ctx context.Context, c *Conn, id string) error {
+	return c.Call(ctx, cloud.DocService, "put", cloud.DocPutArgs{Collection: "c", ID: id, Blob: []byte(id)}, nil)
+}
+
+// TestIdleWriteGoesDirect: a write to an idle shard is sent by its caller,
+// on its caller's context — a lone Call as a plain frame of its own
+// method, a lone batch as one _batch.exec — and no merged flush follows.
+func TestIdleWriteGoesDirect(t *testing.T) {
+	var r recorder
+	c, rec := testConn(t, Options{}, r.register)
+	ctx := context.WithValue(context.Background(), ctxKey{}, "caller")
+	if err := put(ctx, c, "d1"); err != nil {
+		t.Fatalf("put: %v", err)
 	}
-	waitUntil(t, "both writes queued", func() bool { return c.Stats().QueueDepth == 2 })
-	close(block)
+	if _, err := c.CallBatch(ctx, []transport.BatchCall{putCall("b1", nil), putCall("b2", nil)}); err != nil {
+		t.Fatalf("CallBatch: %v", err)
+	}
+	c.Drain()
+	rec.mu.Lock()
+	frames := append([]frame(nil), rec.frames...)
+	rec.mu.Unlock()
+	want := []frame{{"doc.put", "caller"}, {"_batch.exec", "caller"}}
+	if len(frames) != len(want) || frames[0] != want[0] || frames[1] != want[1] {
+		t.Fatalf("frames = %v, want %v", frames, want)
+	}
+	s := c.Stats()
+	if s.FlushByTrigger[flushDirect] != 2 || s.Flushes != 2 || s.SubCalls != 3 || s.CoalescedSubCalls != 0 {
+		t.Fatalf("want two direct flushes of 3 sub-calls: %+v", s)
+	}
+}
+
+// TestMergedFlush holds the first flush while n writers arrive, each with
+// a batch of its own: after release exactly one more frame goes out, and
+// it carries every caller's sub-calls, each caller's contiguous and in
+// order.
+func TestMergedFlush(t *testing.T) {
+	const n, per = 5, 3
+	var r recorder
+	c, rec, release := heldConn(t, r.register)
+	first := make(chan error, 1)
+	go func() { first <- put(context.Background(), c, "first") }()
+	<-rec.held
+
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		calls := make([]transport.BatchCall, per)
+		for j := range calls {
+			calls[j] = putCall(fmt.Sprintf("w%d-%d", i, j), nil)
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := c.CallBatch(context.Background(), calls)
+			if err == nil && len(res) != per {
+				err = fmt.Errorf("%d results for %d calls", len(res), per)
+			}
+			errs[i] = err
+		}(i)
+	}
+	waitParked(t, c, n)
+	release()
+	if err := <-first; err != nil {
+		t.Fatalf("first put: %v", err)
+	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("put %d: %v", i, err)
+			t.Fatalf("writer %d: %v", i, err)
 		}
 	}
-	s := c.Stats()
-	if s.FlushByTrigger[trigGather] != 2 {
-		t.Fatalf("want two gather-triggered flushes, got %+v", s.FlushByTrigger)
-	}
-	if s.FlushByTrigger[trigWindow] != 0 {
-		t.Fatalf("window should not have fired: %+v", s.FlushByTrigger)
-	}
-	// First frame is the solo put, second carries w2+w3 batched.
-	if frames := counting.snapshot(); len(frames) != 2 || frames[0] != "doc.put" || frames[1] != "_batch.exec" {
+	c.Drain()
+	if frames := rec.names(); len(frames) != 2 || frames[0] != "doc.put" || frames[1] != "_batch.exec" {
 		t.Fatalf("want [doc.put _batch.exec], got %v", frames)
 	}
+	ids := r.seen()
+	if len(ids) != 1+n*per || ids[0] != "first" {
+		t.Fatalf("server saw %v", ids)
+	}
+	for k := 1; k < len(ids); k += per {
+		var w int
+		if _, err := fmt.Sscanf(ids[k], "w%d-0", &w); err != nil {
+			t.Fatalf("sub-call %d is %s, want the start of a caller's batch (server saw %v)", k, ids[k], ids)
+		}
+		for j := 1; j < per; j++ {
+			if want := fmt.Sprintf("w%d-%d", w, j); ids[k+j] != want {
+				t.Fatalf("caller %d's calls are split or reordered: server saw %v", w, ids)
+			}
+		}
+	}
+	s := c.Stats()
+	if s.FlushByTrigger[flushDirect] != 1 || s.FlushByTrigger[flushMerged] != 1 || s.CoalescedSubCalls != n*per {
+		t.Fatalf("want one direct and one merged flush of %d coalesced sub-calls: %+v", n*per, s)
+	}
 }
 
-// TestReadSkipsTheQueue: while one caller's write is in flight (its caller
-// holding the gather condition open) and the window is a minute, a second
-// caller's read must reach the shard at once instead of queueing behind it.
+// TestMergedFlushChunks: a merged flush larger than one batch frame's cap
+// goes out as several _batch.exec chunks, in order.
+func TestMergedFlushChunks(t *testing.T) {
+	const n = 4
+	var r recorder
+	c, rec, release := heldConn(t, r.register)
+	first := make(chan error, 1)
+	go func() { first <- put(context.Background(), c, "first") }()
+	<-rec.held
+
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		blob := make([]byte, 20<<10)
+		go func(i int) {
+			errs <- c.Call(context.Background(), cloud.DocService, "put", cloud.DocPutArgs{Collection: "c", ID: fmt.Sprintf("w%d", i), Blob: blob}, nil)
+		}(i)
+		waitParked(t, c, i+1) // fixes the parking order
+	}
+	release()
+	if err := <-first; err != nil {
+		t.Fatalf("first put: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("put: %v", err)
+		}
+	}
+	c.Drain()
+	frames := rec.names()
+	if len(frames) < 3 || frames[0] != "doc.put" {
+		t.Fatalf("want the held put and at least two chunks, got %v", frames)
+	}
+	for _, f := range frames[1:] {
+		if f != "_batch.exec" {
+			t.Fatalf("want only _batch.exec chunks after the held put, got %v", frames)
+		}
+	}
+	if got := strings.Join(r.seen(), " "); got != "first w0 w1 w2 w3" {
+		t.Fatalf("server order %q, want \"first w0 w1 w2 w3\"", got)
+	}
+	if s := c.Stats(); s.FlushByTrigger[flushMerged] != 1 {
+		t.Fatalf("the chunks belong to one merged flush: %+v", s)
+	}
+}
+
+// TestReadSkipsTheQueue: while a write is in flight, a second caller's
+// read reaches the shard at once instead of parking behind it.
 func TestReadSkipsTheQueue(t *testing.T) {
-	block := make(chan struct{})
-	release := sync.OnceFunc(func() { close(block) })
-	defer release()
-	entered := make(chan struct{})
-	c, counting := testConn(t, Options{}, func(mux *transport.Mux) {
+	c, rec, release := heldConn(t, func(mux *transport.Mux) {
 		transport.HandleTyped(mux, cloud.DocService, "put", func(context.Context, *cloud.DocPutArgs) (any, error) {
-			close(entered)
-			<-block
 			return nil, nil
 		})
 		transport.HandleTyped(mux, dettactic.Service, "lookup", func(context.Context, *dettactic.LookupArgs) (any, error) {
 			return &dettactic.LookupReply{DocIDs: []string{"id1"}}, nil
 		})
 	})
-	c.window = time.Minute
-
 	wrote := make(chan error, 1)
-	go func() { wrote <- put(c, "w1") }()
-	<-entered
+	go func() { wrote <- put(context.Background(), c, "w1") }()
+	<-rec.held
 
 	var got dettactic.LookupReply
 	read := make(chan error, 1)
@@ -292,145 +311,214 @@ func TestReadSkipsTheQueue(t *testing.T) {
 	if err := <-wrote; err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	if frames := counting.snapshot(); len(frames) != 2 || frames[0] != "doc.put" || frames[1] != dettactic.Service+".lookup" {
+	if frames := rec.names(); len(frames) != 2 || frames[0] != "doc.put" || frames[1] != dettactic.Service+".lookup" {
 		t.Fatalf("want [doc.put %s.lookup], got %v", dettactic.Service, frames)
 	}
-	if s := c.Stats(); s.Enqueued != 1 || s.Passthrough != 1 {
-		t.Fatalf("want the write queued and the read passed through: %+v", s)
+	if s := c.Stats(); s.SubCalls != 1 || s.Flushes != 1 {
+		t.Fatalf("want the write flushed and the read passed through: %+v", s)
 	}
 }
 
-// TestErrorFanout: a per-call handler failure reaches only its caller;
-// the other sub-calls of the same flush succeed.
+// TestErrorFanout: a sub-call's handler failure reaches only its caller;
+// the other callers of the same merged flush succeed.
 func TestErrorFanout(t *testing.T) {
-	var ids []string
-	var mu sync.Mutex
-	c, _ := testConn(t, Options{}, putRecorder(&ids, &mu, map[string]bool{"bad": true}))
-	c.maxCalls, c.window = 2, time.Minute
-	holdGather(t, c)
+	r := recorder{fail: map[string]bool{"bad": true}}
+	c, rec, release := heldConn(t, r.register)
+	first := make(chan error, 1)
+	go func() { first <- put(context.Background(), c, "first") }()
+	<-rec.held
 
-	done := make(chan error, 1)
-	go func() { done <- put(c, "good") }()
-	waitUntil(t, "first write to queue", func() bool { return c.Stats().QueueDepth == 1 })
-	badErr := put(c, "bad") // second enqueue hits maxCalls and flushes
-	goodErr := <-done
-	if goodErr != nil {
-		t.Fatalf("good put failed: %v", goodErr)
+	good, bad := make(chan error, 1), make(chan error, 1)
+	go func() { good <- put(context.Background(), c, "good") }()
+	waitParked(t, c, 1)
+	go func() { bad <- put(context.Background(), c, "bad") }()
+	waitParked(t, c, 2)
+	release()
+	if err := <-first; err != nil {
+		t.Fatalf("first put: %v", err)
+	}
+	if err := <-good; err != nil {
+		t.Fatalf("good put failed: %v", err)
 	}
 	var re *transport.RemoteError
-	if badErr == nil || !errors.As(badErr, &re) {
-		t.Fatalf("bad put: want remote error, got %v", badErr)
+	if err := <-bad; err == nil || !errors.As(err, &re) {
+		t.Fatalf("bad put: want remote error, got %v", err)
+	}
+	if frames := rec.names(); len(frames) != 2 || frames[1] != "_batch.exec" {
+		t.Fatalf("good and bad should share one merged frame: %v", frames)
 	}
 }
 
-// TestTransportErrorFanout: a transport-level flush failure reaches every
-// caller of the affected flush.
+// TestTransportErrorFanout: a transport-level failure of a merged flush
+// reaches every caller in it.
 func TestTransportErrorFanout(t *testing.T) {
-	mux := transport.NewMux()
-	under := failBatches{Conn: transport.NewLoopback(mux)}
-	c := New(under, Options{})
-	defer c.Close()
-	c.maxCalls, c.window = 2, time.Minute
-	holdGather(t, c)
+	var r recorder
+	c, rec, release := heldConn(t, r.register)
+	rec.failBatch = errLinkDown
+	first := make(chan error, 1)
+	go func() { first <- put(context.Background(), c, "first") }()
+	<-rec.held
 
-	done := make(chan error, 1)
-	go func() { done <- put(c, "a") }()
-	waitUntil(t, "first write to queue", func() bool { return c.Stats().QueueDepth == 1 })
-	err2 := put(c, "b")
-	err1 := <-done
-	if !errors.Is(err1, errLinkDown) || !errors.Is(err2, errLinkDown) {
-		t.Fatalf("want link-down on both callers, got %v / %v", err1, err2)
+	errs := make(chan error, 2)
+	go func() { errs <- put(context.Background(), c, "a") }()
+	go func() {
+		_, err := c.CallBatch(context.Background(), []transport.BatchCall{putCall("b1", nil), putCall("b2", nil)})
+		errs <- err
+	}()
+	waitParked(t, c, 2)
+	release()
+	if err := <-first; err != nil {
+		t.Fatalf("the held direct put: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; !errors.Is(err, errLinkDown) {
+			t.Fatalf("want link-down on every caller of the merged flush, got %v", err)
+		}
 	}
 }
 
 var errLinkDown = errors.New("link down")
 
-type failBatches struct{ transport.Conn }
-
-func (f failBatches) Call(ctx context.Context, service, method string, args, reply any) error {
-	if service == transport.BatchService {
-		return errLinkDown
-	}
-	return f.Conn.Call(ctx, service, method, args, reply)
-}
-
-// TestCallBatchSplice: a caller-built batch joins the shared queue behind
-// an already-queued write, flushes with it in one frame, and keeps its
-// sub-call order.
+// TestCallBatchSplice: a caller-built batch parked behind an in-flight
+// write joins the merged flush whole, between the writes parked before and
+// after it, in one frame.
 func TestCallBatchSplice(t *testing.T) {
-	var ids []string
-	var mu sync.Mutex
-	c, counting := testConn(t, Options{}, putRecorder(&ids, &mu, nil))
-	c.maxCalls, c.window = 3, time.Minute
-	holdGather(t, c)
+	var r recorder
+	c, rec, release := heldConn(t, r.register)
+	first := make(chan error, 1)
+	go func() { first <- put(context.Background(), c, "solo") }()
+	<-rec.held
 
-	done := make(chan error, 1)
-	go func() { done <- put(c, "solo") }()
-	waitUntil(t, "write to queue", func() bool { return c.Stats().QueueDepth == 1 })
+	before, after := make(chan error, 1), make(chan error, 1)
+	go func() { before <- put(context.Background(), c, "p1") }()
+	waitParked(t, c, 1)
+	type out struct {
+		res []transport.BatchResult
+		err error
+	}
+	batch := make(chan out, 1)
+	go func() {
+		res, err := c.CallBatch(context.Background(), []transport.BatchCall{putCall("b1", []byte("x")), putCall("b2", []byte("y"))})
+		batch <- out{res, err}
+	}()
+	waitParked(t, c, 2)
+	go func() { after <- put(context.Background(), c, "p2") }()
+	waitParked(t, c, 3)
+	release()
 
-	calls := []transport.BatchCall{
-		{Service: cloud.DocService, Method: "put", Args: cloud.DocPutArgs{Collection: "c", ID: "b1", Blob: []byte("x")}},
-		{Service: cloud.DocService, Method: "put", Args: cloud.DocPutArgs{Collection: "c", ID: "b2", Blob: []byte("y")}},
+	for _, ch := range []chan error{first, before, after} {
+		if err := <-ch; err != nil {
+			t.Fatalf("put: %v", err)
+		}
 	}
-	results, err := c.CallBatch(context.Background(), calls)
-	if err != nil {
-		t.Fatalf("CallBatch: %v", err)
+	b := <-batch
+	if b.err != nil || len(b.res) != 2 || b.res[0].Err != nil || b.res[1].Err != nil {
+		t.Fatalf("batch results: %+v, %v", b.res, b.err)
 	}
-	if err := <-done; err != nil {
-		t.Fatalf("solo put: %v", err)
+	if got := strings.Join(r.seen(), " "); got != "solo p1 b1 b2 p2" {
+		t.Fatalf("server order %q, want \"solo p1 b1 b2 p2\"", got)
 	}
-	if len(results) != 2 || results[0].Err != nil || results[1].Err != nil {
-		t.Fatalf("batch results: %+v", results)
-	}
-	mu.Lock()
-	got := append([]string(nil), ids...)
-	mu.Unlock()
-	if len(got) != 3 || got[0] != "solo" || got[1] != "b1" || got[2] != "b2" {
-		t.Fatalf("server saw order %v, want [solo b1 b2]", got)
-	}
-	if frames := counting.snapshot(); len(frames) != 1 || frames[0] != "_batch.exec" {
-		t.Fatalf("want one merged frame, got %v", frames)
+	if frames := rec.names(); len(frames) != 2 || frames[1] != "_batch.exec" {
+		t.Fatalf("want the held put and one merged frame, got %v", frames)
 	}
 }
 
-// TestAbandonedCaller: a caller whose context ends stops waiting, but its
-// queued write still flushes; the remaining callers are unaffected.
+// TestAbandonedCaller: a parked caller whose context ends stops waiting,
+// but its write still ships with the merged flush, and Close waits for it.
 func TestAbandonedCaller(t *testing.T) {
-	var ids []string
-	var mu sync.Mutex
-	c, _ := testConn(t, Options{}, putRecorder(&ids, &mu, nil))
-	c.window = time.Minute
-	holdGather(t, c)
+	var r recorder
+	c, rec, release := heldConn(t, r.register)
+	first := make(chan error, 1)
+	go func() { first <- put(context.Background(), c, "first") }()
+	<-rec.held
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() {
-		done <- c.Call(ctx, cloud.DocService, "put", cloud.DocPutArgs{Collection: "c", ID: "orphan", Blob: []byte("x")}, nil)
-	}()
-	waitUntil(t, "write to queue", func() bool { return c.Stats().QueueDepth == 1 })
+	go func() { done <- put(ctx, c, "orphan") }()
+	waitParked(t, c, 1)
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("abandoned caller: want context.Canceled, got %v", err)
 	}
-	c.Drain()
-	mu.Lock()
-	n := len(ids)
-	mu.Unlock()
-	if n != 1 {
-		t.Fatalf("orphaned write should still flush, server saw %d puts", n)
+
+	closed := make(chan error, 1)
+	go func() { closed <- c.Close() }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a flush was in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := <-first; err != nil {
+		t.Fatalf("first put: %v", err)
+	}
+	if got := strings.Join(r.seen(), " "); got != "first orphan" {
+		t.Fatalf("the orphaned write should still ship; server saw %q", got)
 	}
 }
 
-// TestPassthrough: reads and methods without a codec bypass the queue
-// entirely, even while the gather condition is held open.
+// TestConcurrentWriters: many callers writing at once all land, each
+// exactly once, and the conn ends idle with nothing parked.
+func TestConcurrentWriters(t *testing.T) {
+	const callers, each = 8, 25
+	var r recorder
+	c, _ := testConn(t, Options{}, r.register)
+	var wg sync.WaitGroup
+	errs := make(chan error, callers*each)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				errs <- put(context.Background(), c, fmt.Sprintf("c%d-%d", i, j))
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("put: %v", err)
+		}
+	}
+	c.Drain()
+	seen := map[string]bool{}
+	for _, id := range r.seen() {
+		if seen[id] {
+			t.Fatalf("%s landed twice", id)
+		}
+		seen[id] = true
+	}
+	if len(seen) != callers*each {
+		t.Fatalf("server saw %d writes, want %d", len(seen), callers*each)
+	}
+	c.mu.Lock()
+	busy, parked := c.busy, len(c.parked)
+	c.mu.Unlock()
+	if busy || parked != 0 {
+		t.Fatalf("after Drain: busy %v, %d parked", busy, parked)
+	}
+	if s := c.Stats(); s.SubCalls != callers*each {
+		t.Fatalf("stats count %d sub-calls, want %d", s.SubCalls, callers*each)
+	}
+}
+
+// TestPassthrough: reads and methods without a codec bypass group commit
+// entirely, even while a write is in flight.
 func TestPassthrough(t *testing.T) {
-	c, counting := testConn(t, Options{}, func(mux *transport.Mux) {
+	var r recorder
+	c, rec, release := heldConn(t, func(mux *transport.Mux) {
+		r.register(mux)
 		transport.HandleTyped(mux, dettactic.Service, "lookup", func(context.Context, *dettactic.LookupArgs) (any, error) {
 			return &dettactic.LookupReply{}, nil
 		})
 	})
-	c.window = time.Minute
-	holdGather(t, c)
+	wrote := make(chan error, 1)
+	go func() { wrote <- put(context.Background(), c, "w1") }()
+	<-rec.held
 	var reply dettactic.LookupReply
 	if err := c.Call(context.Background(), dettactic.Service, "lookup", dettactic.LookupArgs{CT: []byte("tk")}, &reply); err != nil {
 		t.Fatalf("lookup: %v", err)
@@ -438,26 +526,29 @@ func TestPassthrough(t *testing.T) {
 	if err := c.Call(context.Background(), "unknown", "method", nil, nil); err == nil {
 		t.Fatal("a method without a codec succeeded")
 	}
-	if s := c.Stats(); s.Passthrough != 2 || s.Enqueued != 0 {
+	release()
+	if err := <-wrote; err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	if s := c.Stats(); s.SubCalls != 1 || s.Flushes != 1 {
 		t.Fatalf("reads should pass through: %+v", s)
 	}
-	if frames := counting.snapshot(); len(frames) != 2 || frames[0] != dettactic.Service+".lookup" || frames[1] != "unknown.method" {
+	if frames := rec.names(); len(frames) != 3 || frames[1] != dettactic.Service+".lookup" || frames[2] != "unknown.method" {
 		t.Fatalf("frames: %v", frames)
 	}
 }
 
 // TestDisabled routes everything straight through.
 func TestDisabled(t *testing.T) {
-	var ids []string
-	var mu sync.Mutex
-	c, counting := testConn(t, Options{Disabled: true}, putRecorder(&ids, &mu, nil))
-	if err := put(c, "d1"); err != nil {
+	var r recorder
+	c, rec := testConn(t, Options{Disabled: true}, r.register)
+	if err := put(context.Background(), c, "d1"); err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	if s := c.Stats(); s.Passthrough != 1 || s.Flushes != 0 {
+	if s := c.Stats(); s.SubCalls != 0 || s.Flushes != 0 {
 		t.Fatalf("disabled conn must not flush: %+v", s)
 	}
-	if frames := counting.snapshot(); len(frames) != 1 || frames[0] != "doc.put" {
+	if frames := rec.names(); len(frames) != 1 || frames[0] != "doc.put" {
 		t.Fatalf("frames: %v", frames)
 	}
 }
@@ -477,38 +568,36 @@ func (*argsConn) Close() error { return nil }
 
 // TestClassification sends one call of every method in the production
 // codec registry through the coalescer: a method whose codec has no reply
-// is queued (and reaches the shard as a pre-encoded flush), every other
-// method passes straight through with its own arguments.
+// is flushed as a write, every other method passes straight through. On
+// an idle shard both reach the shard with their caller's own arguments.
 func TestClassification(t *testing.T) {
 	under := &argsConn{}
 	c := New(under, Options{})
 	defer c.Close()
-	queued := map[string]bool{}
+	flushed := map[string]bool{}
 	for _, name := range transport.RegisteredWireMethods() {
 		codec := transport.LookupCodec(name)
 		service, method, _ := strings.Cut(name, ".")
+		args := codec.NewArgs()
 		before := c.Stats()
-		if err := c.Call(context.Background(), service, method, codec.NewArgs(), nil); err != nil {
+		if err := c.Call(context.Background(), service, method, args, nil); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		after := c.Stats()
-		_, raw := under.args[len(under.args)-1].(transport.RawArgs)
-		enq, pass := after.Enqueued-before.Enqueued, after.Passthrough-before.Passthrough
-		if write := codec.NewReply == nil; write {
-			if enq != 1 || pass != 0 || !raw {
-				t.Errorf("%s has no reply but was not queued (enqueued %d, passed %d)", name, enq, pass)
-			}
-		} else if enq != 0 || pass != 1 || raw {
-			t.Errorf("%s has a reply but was queued (enqueued %d, passed %d)", name, enq, pass)
+		sub := c.Stats().SubCalls - before.SubCalls
+		if got := under.args[len(under.args)-1]; got != args {
+			t.Errorf("%s reached the shard with %T, not its caller's args", name, got)
 		}
-		queued[name] = enq == 1
+		if write := codec.NewReply == nil; write != (sub == 1) {
+			t.Errorf("%s: has no reply = %v, but flushed %d sub-calls", name, write, sub)
+		}
+		flushed[name] = sub == 1
 	}
 	for name, want := range map[string]bool{
 		"doc.put": true, "doc.delete": true, "biex.insert": true, "agg.setup": true, "sophos.setup": true,
 		"doc.get": false, "doc.getmany": false, "det.lookup": false, "biex.search": false, "admin.stats": false,
 	} {
-		if got, ok := queued[name]; !ok || got != want {
-			t.Errorf("%s: queued = %v (registered %v), want %v", name, got, ok, want)
+		if got, ok := flushed[name]; !ok || got != want {
+			t.Errorf("%s: flushed = %v (registered %v), want %v", name, got, ok, want)
 		}
 	}
 }
@@ -517,14 +606,17 @@ func TestClassification(t *testing.T) {
 // closed ones.
 func TestAggregate(t *testing.T) {
 	before := Aggregate()
-	var ids []string
-	var mu sync.Mutex
-	c, _ := testConn(t, Options{}, putRecorder(&ids, &mu, nil))
-	if err := put(c, "d1"); err != nil {
+	var r recorder
+	c, _ := testConn(t, Options{}, r.register)
+	if err := put(context.Background(), c, "d1"); err != nil {
 		t.Fatalf("put: %v", err)
 	}
 	after := Aggregate()
-	if after.Enqueued-before.Enqueued != 1 || after.Flushes-before.Flushes != 1 {
+	if after.SubCalls-before.SubCalls != 1 || after.Flushes-before.Flushes != 1 {
 		t.Fatalf("aggregate did not pick up the conn: before %+v after %+v", before, after)
+	}
+	c.Close()
+	if closed := Aggregate(); closed.Flushes != before.Flushes {
+		t.Fatalf("aggregate still counts a closed conn: before %+v after close %+v", before, closed)
 	}
 }

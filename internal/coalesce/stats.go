@@ -11,161 +11,69 @@ import (
 	"sync/atomic"
 )
 
-// Flush trigger names (keys of Stats.FlushByTrigger).
+// Flush kinds (keys of Stats.FlushByTrigger).
 const (
-	trigSize   = "size"   // sub-call cap reached
-	trigBytes  = "bytes"  // payload byte cap reached
-	trigWindow = "window" // window timer expired
-	trigGather = "gather" // every active caller has contributed
-	trigDrain  = "drain"  // explicit Drain/Close
+	flushDirect = "direct" // a write to an idle shard, sent by its caller
+	flushMerged = "merged" // the writes parked behind a flush
 )
-
-var triggers = []string{trigSize, trigBytes, trigWindow, trigGather, trigDrain}
-
-// histBounds are the inclusive upper bounds of the batch-size histogram
-// buckets; the last bucket is unbounded.
-var histBounds = []int{1, 2, 4, 8, 16, 32, 64}
-
-// histLabels renders bucket i's range ("1", "2", "3-4", ..., "65+").
-func histLabels() []string {
-	labels := make([]string, len(histBounds)+1)
-	lo := 1
-	for i, hi := range histBounds {
-		if lo == hi {
-			labels[i] = itoa(hi)
-		} else {
-			labels[i] = itoa(lo) + "-" + itoa(hi)
-		}
-		lo = hi + 1
-	}
-	labels[len(histBounds)] = itoa(lo) + "+"
-	return labels
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-var histNames = histLabels()
 
 // counters are one Conn's live counters.
 type counters struct {
-	enqueued    atomic.Uint64
-	passthrough atomic.Uint64
-	flushes     [5]atomic.Uint64 // indexed like triggers
-	subCalls    atomic.Uint64
-	coalesced   atomic.Uint64 // sub-calls that shared their flush with others
-	hist        [8]atomic.Uint64
-	maxDepth    atomic.Uint64
+	direct, merged atomic.Uint64 // flushes by kind
+	subCalls       atomic.Uint64
+	coalesced      atomic.Uint64 // sub-calls that shared their flush with another caller's
 }
 
-func (s *counters) recordFlush(trigger string, size int) {
-	for i, t := range triggers {
-		if t == trigger {
-			s.flushes[i].Add(1)
-			break
-		}
+func (s *counters) flushed(kind string, subCalls int, shared bool) {
+	if kind == flushDirect {
+		s.direct.Add(1)
+	} else {
+		s.merged.Add(1)
 	}
-	s.subCalls.Add(uint64(size))
-	if size > 1 {
-		s.coalesced.Add(uint64(size))
+	s.subCalls.Add(uint64(subCalls))
+	if shared {
+		s.coalesced.Add(uint64(subCalls))
 	}
-	for i, hi := range histBounds {
-		if size <= hi {
-			s.hist[i].Add(1)
-			return
-		}
-	}
-	s.hist[len(histBounds)].Add(1)
 }
 
 // Stats is a point-in-time snapshot of one Conn (or, via Aggregate, of
 // every live Conn in the process).
 type Stats struct {
-	// Enqueued counts sub-calls that entered the coalescer; Passthrough
-	// counts calls routed around it (reads, unknown methods, disabled).
-	Enqueued    uint64 `json:"enqueued"`
-	Passthrough uint64 `json:"passthrough"`
-	// DedupHits is always 0: reads are no longer queued, so none joins
-	// another. The field stays for readers built against it.
+	// DedupHits is always 0: reads are not merged, so none joins another.
+	// The field stays for readers built against it.
 	DedupHits uint64 `json:"dedup_hits"`
-	// Flushes is the total flush count; FlushByTrigger splits it by cause.
+	// Flushes is the total flush count; FlushByTrigger splits it into
+	// "direct" and "merged".
 	Flushes        uint64            `json:"flushes"`
 	FlushByTrigger map[string]uint64 `json:"flush_by_trigger"`
-	// SubCalls counts sub-calls sent; CoalescedSubCalls the subset that
-	// shared a flush with at least one other sub-call (the merge rate).
+	// SubCalls counts write sub-calls sent; CoalescedSubCalls the subset
+	// that shared a merged flush with another caller's (the merge rate).
 	SubCalls          uint64 `json:"sub_calls"`
 	CoalescedSubCalls uint64 `json:"coalesced_sub_calls"`
-	// QueueDepth is the instantaneous queue length; MaxQueueDepth the
-	// high-water mark.
-	QueueDepth    int    `json:"queue_depth"`
-	MaxQueueDepth uint64 `json:"max_queue_depth"`
-	// BatchSizeHist buckets flushes by sub-call count.
-	BatchSizeHist map[string]uint64 `json:"batch_size_hist"`
 }
 
 // Stats snapshots the connection's counters.
 func (c *Conn) Stats() Stats {
-	s := Stats{
-		Enqueued:          c.stats.enqueued.Load(),
-		Passthrough:       c.stats.passthrough.Load(),
+	direct, merged := c.stats.direct.Load(), c.stats.merged.Load()
+	return Stats{
+		Flushes:           direct + merged,
+		FlushByTrigger:    map[string]uint64{flushDirect: direct, flushMerged: merged},
 		SubCalls:          c.stats.subCalls.Load(),
 		CoalescedSubCalls: c.stats.coalesced.Load(),
-		MaxQueueDepth:     c.stats.maxDepth.Load(),
-		FlushByTrigger:    make(map[string]uint64, len(triggers)),
-		BatchSizeHist:     make(map[string]uint64, len(histNames)),
 	}
-	for i, t := range triggers {
-		if n := c.stats.flushes[i].Load(); n > 0 {
-			s.FlushByTrigger[t] = n
-			s.Flushes += n
-		}
-	}
-	for i, name := range histNames {
-		if n := c.stats.hist[i].Load(); n > 0 {
-			s.BatchSizeHist[name] = n
-		}
-	}
-	c.mu.Lock()
-	s.QueueDepth = len(c.pend)
-	c.mu.Unlock()
-	return s
 }
 
-// Merge folds other into s (map fields summed key-wise; MaxQueueDepth is
-// the maximum of the two).
+// Merge folds other into s (FlushByTrigger summed key-wise).
 func (s *Stats) Merge(other Stats) {
-	s.Enqueued += other.Enqueued
-	s.Passthrough += other.Passthrough
 	s.DedupHits += other.DedupHits
 	s.Flushes += other.Flushes
 	s.SubCalls += other.SubCalls
 	s.CoalescedSubCalls += other.CoalescedSubCalls
-	s.QueueDepth += other.QueueDepth
-	if other.MaxQueueDepth > s.MaxQueueDepth {
-		s.MaxQueueDepth = other.MaxQueueDepth
-	}
 	if s.FlushByTrigger == nil {
 		s.FlushByTrigger = make(map[string]uint64)
 	}
 	for k, v := range other.FlushByTrigger {
 		s.FlushByTrigger[k] += v
-	}
-	if s.BatchSizeHist == nil {
-		s.BatchSizeHist = make(map[string]uint64)
-	}
-	for k, v := range other.BatchSizeHist {
-		s.BatchSizeHist[k] += v
 	}
 }
 
@@ -195,9 +103,7 @@ func Aggregate() Stats {
 		conns = append(conns, c)
 	}
 	regMu.Unlock()
-	var out Stats
-	out.FlushByTrigger = make(map[string]uint64)
-	out.BatchSizeHist = make(map[string]uint64)
+	out := Stats{FlushByTrigger: make(map[string]uint64)}
 	for _, c := range conns {
 		out.Merge(c.Stats())
 	}

@@ -54,11 +54,11 @@ type Config struct {
 	// Registry is the tactic catalog; defaults must be supplied by the
 	// caller (use tactics.Registry()).
 	Registry *spi.Registry
-	// Coalesce configures the per-shard group-commit stage wrapped around
-	// every cloud connection (see internal/coalesce). The zero value
-	// enables coalescing with defaults; Coalesce.Disabled routes every RPC
-	// individually, for a caller that wraps its shard conns in its own
-	// coalescer chain (benchmark/cmd/dblayers does).
+	// Coalesce configures the per-shard group commit wrapped around every
+	// cloud connection (see internal/coalesce). The zero value enables it;
+	// Coalesce.Disabled routes every RPC individually, for a caller that
+	// wraps its shard conns in its own coalescer chain
+	// (benchmark/cmd/dblayers does).
 	Coalesce coalesce.Options
 	// Planner enables cost-based tactic selection: new plans pick the
 	// cheapest tactic satisfying the leakage budget (live measurements
@@ -209,29 +209,20 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Drain flushes every per-shard write coalescer, blocking until the
-// in-flight batches complete. Call it before tearing down the cloud
-// connections so no queued write is dropped between "call returned" and
-// "process exited". (Callers of engine operations have already received
-// their results by the time their sub-calls completed; Drain only covers
-// entries abandoned by cancelled callers.)
-func (e *Engine) Drain() {
-	for _, c := range e.coalescers {
-		c.Drain()
-	}
-}
-
-// Close stops background work (resumed migrations), drains
-// the coalescers, and detaches the engine's cost counters from the
-// process-wide expvar export. The cloud connections and local store stay
-// open — they belong to the caller.
+// Close stops background work (resumed migrations), waits until every
+// shard's write coalescer is idle — so a write whose caller gave up
+// waiting has still shipped — and detaches the engine's cost counters from
+// the process-wide expvar export. The cloud connections and local store
+// stay open — they belong to the caller.
 func (e *Engine) Close() {
 	e.stopOnce.Do(func() {
 		close(e.stopCh)
 		e.workers.Close() // writes still in flight fall back to plain goroutines
 	})
 	e.bg.Wait()
-	e.Drain()
+	for _, c := range e.coalescers {
+		c.Drain()
+	}
 	planner.Unregister(e.stats)
 }
 

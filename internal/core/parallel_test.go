@@ -20,8 +20,16 @@ import (
 )
 
 // wrapEnv builds a registered engine whose cloud conn is wrapped by wrap
-// (nil for a plain loopback).
+// (nil for a plain loopback), with coalescing off: the fan-out tests
+// assert the engine's own RPC fan-out at the wrapped conn, and group
+// commit can legitimately merge sub-calls that reach a shard during a
+// flush into one batch, which would measure the batcher, not the engine.
 func wrapEnv(t testing.TB, wrap func(transport.Conn) transport.Conn) *testEnv {
+	return wrapEnvWith(t, wrap, coalesce.Options{Disabled: true})
+}
+
+// wrapEnvWith is wrapEnv with the engine's coalescing configured by co.
+func wrapEnvWith(t testing.TB, wrap func(transport.Conn) transport.Conn, co coalesce.Options) *testEnv {
 	t.Helper()
 	node, err := cloud.NewNode(cloud.Options{})
 	if err != nil {
@@ -41,13 +49,8 @@ func wrapEnv(t testing.TB, wrap func(transport.Conn) transport.Conn) *testEnv {
 		conn = wrap(conn)
 	}
 	local := kvstore.New()
-	// Coalescing is pinned off: these tests assert the engine's own RPC
-	// fan-out at the wrapped conn, and the coalescer's gather trigger can
-	// legitimately merge simultaneously-arriving sub-calls into one batch,
-	// which would measure the batcher, not the engine.
 	engine, err := NewEngine(Config{
-		Keys: ks, Cloud: conn, Local: local, Registry: reg,
-		Coalesce: coalesce.Options{Disabled: true},
+		Keys: ks, Cloud: conn, Local: local, Registry: reg, Coalesce: co,
 	})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -161,7 +164,14 @@ func plainIDs(docs []*model.Document, p Predicate) []string {
 // queries through the engine's concurrent evaluator and requires the id
 // sets the same predicates select from seed's plaintext documents.
 func TestParallelSearchMatchesPlaintext(t *testing.T) {
-	env := wrapEnv(t, nil)
+	for _, coalesced := range []bool{true, false} {
+		t.Run(fmt.Sprintf("coalesce=%v", coalesced), func(t *testing.T) {
+			testParallelSearchMatchesPlaintext(t, wrapEnvWith(t, nil, coalesce.Options{Disabled: !coalesced}))
+		})
+	}
+}
+
+func testParallelSearchMatchesPlaintext(t *testing.T, env *testEnv) {
 	seed(t, env)
 	docs := seedDocs()
 
@@ -305,7 +315,14 @@ func testInsertCompensatesFailedIndexing(t *testing.T) {
 // Update and Delete, applies the same mutations to seed's plaintext
 // documents, and requires the same search result from both.
 func TestParallelUpdateDeleteMatchesPlaintext(t *testing.T) {
-	env := wrapEnv(t, nil)
+	for _, coalesced := range []bool{true, false} {
+		t.Run(fmt.Sprintf("coalesce=%v", coalesced), func(t *testing.T) {
+			testParallelUpdateDeleteMatchesPlaintext(t, wrapEnvWith(t, nil, coalesce.Options{Disabled: !coalesced}))
+		})
+	}
+}
+
+func testParallelUpdateDeleteMatchesPlaintext(t *testing.T, env *testEnv) {
 	seed(t, env)
 
 	upd := obs("f001", "amended", "glucose", "john-doe", 1359966610, "john-smith", 9.9)

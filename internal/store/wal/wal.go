@@ -15,9 +15,9 @@
 // waits are batched. Under FsyncAlways, the first waiting writer becomes
 // the commit leader: it flushes the buffer and issues one Fdatasync
 // covering every record appended so far, then releases every writer whose
-// record that sync covered — the same cross-caller group-commit shape as
-// the gateway's coalescer, so durable write throughput scales with callers
-// instead of serializing on one fsync per operation.
+// record that sync covered — the same cross-caller group-commit rule the
+// gateway's coalescer applies to shard writes, so durable write throughput
+// scales with callers instead of serializing on one fsync per operation.
 //
 // # Recovery
 //

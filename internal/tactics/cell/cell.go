@@ -40,7 +40,8 @@ var codec = transport.WriteCodec(
 )
 
 // Register registers the cell codec under each of service's methods. The
-// codec has no reply, so the gateway's coalescer queues these writes.
+// codec has no reply, so the gateway's coalescer treats these as writes
+// and group-commits them per shard.
 func Register(service string, methods ...string) {
 	for _, m := range methods {
 		transport.RegisterCodec(service, m, codec)

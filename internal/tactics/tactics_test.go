@@ -3,7 +3,7 @@ package tactics_test
 // Shared SPI conformance tests: every registered tactic must honor the
 // contract the engine relies on — idempotent setup, insert→search
 // round-trips for the operations it advertises, clean deletion semantics,
-// and writes the coalescer can queue — on one shard and on a 3-shard ring,
+// and writes the coalescer can merge — on one shard and on a 3-shard ring,
 // each result checked against a plaintext filter over the same documents.
 // Tactic-specific behaviour is covered in each tactic's own test file.
 
@@ -299,7 +299,7 @@ func TestAggregateConformance(t *testing.T) {
 
 // TestPreparedMutationsAreQueuedWrites checks every mutation a tactic
 // prepares for an insert and for a delete: its method's codec has no reply,
-// so the coalescer queues it, and its args survive an encode/decode round
+// so the coalescer merges it, and its args survive an encode/decode round
 // trip. A shared codec registered with a reply, or a method left without a
 // codec, fails here before it reaches the wire.
 func TestPreparedMutationsAreQueuedWrites(t *testing.T) {
@@ -333,7 +333,7 @@ func TestPreparedMutationsAreQueuedWrites(t *testing.T) {
 					t.Fatalf("%s has no codec", name)
 				}
 				if codec.NewReply != nil {
-					t.Errorf("%s has a reply codec: the coalescer would not queue it", name)
+					t.Errorf("%s has a reply codec: the coalescer would not merge it", name)
 				}
 				enc, err := codec.EncodeArgs(nil, m.Args)
 				if err != nil {

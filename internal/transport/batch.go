@@ -1,5 +1,5 @@
-// Batch calls: many service.method invocations coalesced into one frame
-// and one round trip. A document insert that touches many indexed fields
+// Batch calls: many service.method invocations carried in one frame and
+// one round trip. A document insert that touches many indexed fields
 // issues one per-field index write per tactic; batching turns those into a
 // single gateway↔cloud exchange (paper §6: round trips, not crypto,
 // dominate distributed-tactic cost).
@@ -26,9 +26,9 @@ const (
 )
 
 // BatchCall is one sub-call of a batch. Raw optionally carries the payload
-// pre-encoded by the connection's WireCodec (the coalescer encodes at
-// enqueue time for byte-accurate flush triggers); Args is encoded when Raw
-// is nil, and kept beside Raw for wrappers that inspect the call.
+// pre-encoded by the connection's WireCodec (CallBatch fills it while it
+// sizes chunks); Args is encoded when Raw is nil, and kept beside Raw for
+// wrappers that inspect the call.
 type BatchCall struct {
 	Service string
 	Method  string
@@ -54,20 +54,21 @@ func (r BatchResult) Decode(reply any) error {
 	return decodeReply(r.Name, r.Payload, reply)
 }
 
-// BatchCaller is implemented by connections that coalesce batch sub-calls
+// BatchCaller is implemented by connections that schedule batch sub-calls
 // themselves (the gateway's per-shard write coalescer). CallBatch hands
-// such a connection the call list directly, so a caller-built batch merges
-// into the shared group commit instead of framing its own _batch.exec.
+// such a connection the call list directly, so a caller-built batch stays
+// whole: it goes out as one batch, or parks whole for the shard's next
+// merged flush.
 type BatchCaller interface {
 	CallBatch(ctx context.Context, calls []BatchCall) ([]BatchResult, error)
 }
 
 // maxBatchChunkBytes caps the encoded size of the sub-calls shipped in one
 // _batch.exec frame. It leaves headroom under maxPooledBuf (64 KiB) for the
-// outer request envelope, so a coalesced mega-batch keeps reusing pooled
-// frame buffers instead of allocating past the pool cap. A single sub-call
-// larger than the cap still ships (in a chunk of its own); only that
-// frame's buffer escapes the pool.
+// outer request envelope, so a large merged batch ships as several chunks
+// that keep reusing pooled frame buffers instead of allocating past the
+// pool cap. A single sub-call larger than the cap still ships (in a chunk
+// of its own); only that frame's buffer escapes the pool.
 const maxBatchChunkBytes = 56 << 10
 
 // CallBatch executes calls over conn and returns one result per call, in

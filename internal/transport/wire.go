@@ -286,7 +286,7 @@ func Codec[A, R any](
 
 // WriteCodec builds a PayloadCodec for a write-style method whose reply is
 // empty (the handler returns nil); only the arguments get a typed encoding.
-// The gateway's coalescer queues exactly these methods (no NewReply).
+// The gateway's coalescer merges exactly these methods (no NewReply).
 func WriteCodec[A any](
 	encA func(dst []byte, a *A) []byte,
 	decA func(r *wirefmt.Reader, a *A),
@@ -572,8 +572,8 @@ func parseResult(r *wirefmt.Reader) (parsedResult, error) {
 
 // appendArgs appends the payload of one outgoing call to dst. The batch
 // executor takes []BatchCall; any other method takes nil (an empty
-// payload), RawArgs (shipped as is) or a value its codec recognises. With
-// a nil dst the payload is freshly allocated and may be retained.
+// payload) or a value its codec recognises. With a nil dst the payload is
+// freshly allocated and may be retained.
 func appendArgs(dst []byte, t *wireTable, name string, args any) ([]byte, error) {
 	mid, err := t.mid(name)
 	if err != nil {
@@ -586,14 +586,8 @@ func appendArgs(dst []byte, t *wireTable, name string, args any) ([]byte, error)
 		}
 		return appendBatchPayload(dst, t, calls)
 	}
-	switch a := args.(type) {
-	case nil:
+	if args == nil {
 		return dst, nil
-	case RawArgs:
-		if dst == nil {
-			return a.Payload, nil
-		}
-		return append(dst, a.Payload...), nil
 	}
 	start := time.Now()
 	b, err := t.codecs[mid-1].EncodeArgs(dst, args)
@@ -606,8 +600,7 @@ func appendArgs(dst []byte, t *wireTable, name string, args any) ([]byte, error)
 
 // decodeResult turns the result of one call into Call's outcome: the
 // remote error, the parsed sub-results of a batch chunk, or the payload
-// decoded into reply. A *BatchResult reply captures the raw payload
-// without decoding (the coalescer's deferred-decode path).
+// decoded into reply.
 func decodeResult(name string, res *parsedResult, args, reply any) error {
 	if !res.ok {
 		return &RemoteError{Code: res.code, Msg: res.msg}
@@ -622,11 +615,6 @@ func decodeResult(name string, res *parsedResult, args, reply any) error {
 		wireRecordDecode(name, time.Since(start))
 		*out = results
 		return err
-	}
-	if br, ok := reply.(*BatchResult); ok {
-		br.Payload = append(br.Payload[:0], res.payload...)
-		br.Name = name
-		return nil
 	}
 	if reply == nil || len(res.payload) == 0 {
 		return nil
@@ -717,18 +705,9 @@ func wireExec(ctx context.Context, m *Mux, t *wireTable, dst []byte, call parsed
 	return sealLen(b, mark)
 }
 
-// RawArgs is an argument value whose payload was already encoded by the
-// connection's WireCodec (see ConnCodec / WireCodec.EncodeArgs). The
-// coalescer encodes sub-calls at enqueue time — for byte-accurate flush
-// triggers — and ships them with RawArgs so the transport does not encode
-// twice.
-type RawArgs struct {
-	Payload []byte
-}
-
 // WireCodec describes how a Conn encodes call payloads, letting the batch
-// chunker and the coalescer account exact per-sub-call wire sizes and
-// pre-encode payloads against the connection's method id table.
+// chunker account exact per-sub-call wire sizes against the connection's
+// method id table.
 type WireCodec interface {
 	// Name is "binary".
 	Name() string
