@@ -89,7 +89,7 @@ func main() {
 			}
 		}
 	} else {
-		opts.CloudAddr = *cloudAddr
+		opts.CloudAddrs = []string{*cloudAddr}
 	}
 	client, err := datablinder.Open(ctx, opts)
 	if err != nil {

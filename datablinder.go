@@ -33,7 +33,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"datablinder/internal/cloud"
@@ -162,29 +161,16 @@ func PlainField(name string, ft FieldType) Field {
 
 // Options configures Open.
 type Options struct {
-	// CloudAddr is the TCP address of a running cloudserver. Mutually
-	// exclusive with InProcessCloud and CloudAddrs.
-	CloudAddr string
-	// CloudAddrs lists the TCP addresses of a sharded cloud tier, one per
-	// shard. Order matters: shard identity is positional, so the same list
-	// (in the same order) must be passed on every gateway start or routing
-	// keys will resolve to the wrong nodes. One address behaves exactly
-	// like CloudAddr.
+	// CloudAddrs lists the TCP addresses of the cloud tier's running
+	// cloudservers, one per shard. Order matters: shard identity is
+	// positional, so the same list (in the same order) must be passed on
+	// every gateway start or routing keys will resolve to the wrong nodes.
+	// One address is a single-node cloud. Mutually exclusive with
+	// InProcessCloud.
 	CloudAddrs []string
-	// InProcessCloud embeds a cloud node in this process (single-process
+	// InProcessCloud embeds one cloud node in this process (single-process
 	// demos, tests, benchmarks).
 	InProcessCloud bool
-	// Shards is the number of embedded cloud nodes in InProcessCloud mode
-	// (0 or 1 = single node, the pre-sharding behavior). Persistence paths
-	// get a per-shard "shard-<i>" suffix/subdirectory.
-	Shards int
-	// PoolSize is the per-shard TCP connection pool size (CloudAddr /
-	// CloudAddrs modes).
-	PoolSize int
-	// VirtualNodes is the consistent-hash virtual node count per shard
-	// (0 = ring.DefaultVirtualNodes). All gateways of one deployment must
-	// agree on it.
-	VirtualNodes int
 
 	// MasterKeyPath loads (or, with CreateKey, creates) the gateway master
 	// key file. Empty means an ephemeral random key.
@@ -223,22 +209,19 @@ type Client struct {
 	engine *core.Engine
 	local  *kvstore.Store
 	conn   transport.Conn
-	nodes  []*cloud.Node // non-empty in in-process mode (one per shard)
+	node   *cloud.Node // the embedded cloud in in-process mode
 }
 
 // Open assembles a gateway: key management, local state, cloud channel,
 // tactic registry, and the middleware core. It restores previously
 // registered schemas from persistent local state.
 func Open(ctx context.Context, opts Options) (*Client, error) {
-	remote := opts.CloudAddr != "" || len(opts.CloudAddrs) > 0
+	remote := len(opts.CloudAddrs) > 0
 	if !remote && !opts.InProcessCloud {
-		return nil, errors.New("datablinder: Options needs CloudAddr(s) or InProcessCloud")
+		return nil, errors.New("datablinder: Options needs CloudAddrs or InProcessCloud")
 	}
 	if remote && opts.InProcessCloud {
-		return nil, errors.New("datablinder: CloudAddr(s) and InProcessCloud are mutually exclusive")
-	}
-	if opts.CloudAddr != "" && len(opts.CloudAddrs) > 0 {
-		return nil, errors.New("datablinder: CloudAddr and CloudAddrs are mutually exclusive")
+		return nil, errors.New("datablinder: CloudAddrs and InProcessCloud are mutually exclusive")
 	}
 
 	var provider *keys.Store
@@ -275,39 +258,17 @@ func Open(ctx context.Context, opts Options) (*Client, error) {
 
 	client := &Client{local: local}
 	if opts.InProcessCloud {
-		n := opts.Shards
-		if n < 1 {
-			n = 1
+		node, err := cloud.NewNode(cloud.Options{KVPath: opts.CloudKVPath, DocDir: opts.CloudDocDir, FsyncPolicy: opts.FsyncPolicy})
+		if err != nil {
+			client.Close()
+			return nil, err
 		}
-		conns := make([]transport.Conn, 0, n)
-		for i := 0; i < n; i++ {
-			kvPath, docDir := opts.CloudKVPath, opts.CloudDocDir
-			if n > 1 {
-				// Each shard persists independently, like separate nodes.
-				if kvPath != "" {
-					kvPath = fmt.Sprintf("%s.shard-%d", kvPath, i)
-				}
-				if docDir != "" {
-					docDir = filepath.Join(docDir, fmt.Sprintf("shard-%d", i))
-				}
-			}
-			node, err := cloud.NewNode(cloud.Options{KVPath: kvPath, DocDir: docDir, FsyncPolicy: opts.FsyncPolicy})
-			if err != nil {
-				client.Close()
-				return nil, err
-			}
-			client.nodes = append(client.nodes, node)
-			conns = append(conns, transport.NewLoopback(node.Mux))
-		}
-		client.conn = shardConn(conns, opts.VirtualNodes)
+		client.node = node
+		client.conn = transport.NewLoopback(node.Mux)
 	} else {
-		addrs := opts.CloudAddrs
-		if len(addrs) == 0 {
-			addrs = []string{opts.CloudAddr}
-		}
-		conns := make([]transport.Conn, 0, len(addrs))
-		for _, addr := range addrs {
-			conn, err := transport.Dial(addr, transport.DialOptions{PoolSize: opts.PoolSize})
+		conns := make([]transport.Conn, 0, len(opts.CloudAddrs))
+		for _, addr := range opts.CloudAddrs {
+			conn, err := transport.Dial(addr, transport.DialOptions{})
 			if err != nil {
 				for _, c := range conns {
 					c.Close()
@@ -317,7 +278,11 @@ func Open(ctx context.Context, opts Options) (*Client, error) {
 			}
 			conns = append(conns, conn)
 		}
-		client.conn = shardConn(conns, opts.VirtualNodes)
+		// One shard is a direct connection: no ring, no hashing.
+		client.conn = conns[0]
+		if len(conns) > 1 {
+			client.conn = ring.NewClient(conns, 0)
+		}
 	}
 
 	registry, err := tactics.Registry()
@@ -345,16 +310,6 @@ func Open(ctx context.Context, opts Options) (*Client, error) {
 	return client, nil
 }
 
-// shardConn wraps shard connections for the engine: a single connection
-// passes through untouched (the pre-sharding fast path — no ring, no
-// hashing), several front a consistent-hash ring client.
-func shardConn(conns []transport.Conn, vnodes int) transport.Conn {
-	if len(conns) == 1 {
-		return conns[0]
-	}
-	return ring.NewClient(conns, vnodes)
-}
-
 // Close stops background migrations, drains the write coalescers, and
 // releases the cloud connection and local state. It is idempotent.
 func (c *Client) Close() error {
@@ -367,8 +322,8 @@ func (c *Client) Close() error {
 			first = err
 		}
 	}
-	for _, node := range c.nodes {
-		if err := node.Close(); err != nil && first == nil {
+	if c.node != nil {
+		if err := c.node.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

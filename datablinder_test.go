@@ -45,7 +45,7 @@ func TestOpenValidation(t *testing.T) {
 		t.Fatal("Open accepted empty options")
 	}
 	if _, err := datablinder.Open(ctx, datablinder.Options{
-		InProcessCloud: true, CloudAddr: "x:1",
+		InProcessCloud: true, CloudAddrs: []string{"x:1"},
 	}); err == nil {
 		t.Fatal("Open accepted both cloud modes")
 	}
@@ -246,7 +246,7 @@ func TestRemoteCloudMode(t *testing.T) {
 	}
 	defer srv.Close()
 
-	client := openClient(t, datablinder.Options{CloudAddr: addr, PoolSize: 2})
+	client := openClient(t, datablinder.Options{CloudAddrs: []string{addr}})
 	ctx := context.Background()
 	if err := client.RegisterSchema(ctx, vitalsSchema()); err != nil {
 		t.Fatalf("RegisterSchema: %v", err)

@@ -28,7 +28,7 @@ func run() error {
 	ctx := context.Background()
 
 	// An in-process cloud keeps the quickstart self-contained; production
-	// deployments point CloudAddr at a cmd/cloudserver instance instead.
+	// deployments list their cmd/cloudserver shards in CloudAddrs instead.
 	client, err := datablinder.Open(ctx, datablinder.Options{InProcessCloud: true})
 	if err != nil {
 		return err

@@ -1,6 +1,6 @@
 // Typed wire codecs for the document and admin services: blobs ride as raw
 // bytes. Registered at init so any process importing this package —
-// gateway and cloudserver both — negotiates them.
+// gateway and cloudserver both — holds them in its method table.
 
 package cloud
 

@@ -77,11 +77,6 @@ func New(under transport.Conn, opts Options) *Conn {
 	return c
 }
 
-// WireCodec exposes the underlying connection's codec so outer layers
-// (batch chunking in particular) account the same wire sizes the flush
-// will pay.
-func (c *Conn) WireCodec() transport.WireCodec { return transport.ConnCodec(c.under) }
-
 // Call implements transport.Conn. A write goes out at once if the shard is
 // idle and parks for the next merged flush otherwise; everything else
 // passes through.

@@ -70,7 +70,13 @@ func testConn(t *testing.T, opts Options, register func(*transport.Mux)) (*Conn,
 	if register != nil {
 		register(mux)
 	}
-	rec := &recConn{Conn: transport.NewLoopback(mux)}
+	return recordedConn(t, opts, transport.NewLoopback(mux))
+}
+
+// recordedConn assembles under → recorder → coalescer.
+func recordedConn(t *testing.T, opts Options, under transport.Conn) (*Conn, *recConn) {
+	t.Helper()
+	rec := &recConn{Conn: under}
 	c := New(rec, opts)
 	t.Cleanup(func() { c.Close() })
 	return c, rec
@@ -80,10 +86,15 @@ func testConn(t *testing.T, opts Options, register func(*transport.Mux)) (*Conn,
 func heldConn(t *testing.T, register func(*transport.Mux)) (c *Conn, rec *recConn, release func()) {
 	t.Helper()
 	c, rec = testConn(t, Options{}, register)
+	return c, rec, hold(t, rec)
+}
+
+// hold makes rec's first frame wait until release is called.
+func hold(t *testing.T, rec *recConn) (release func()) {
 	rec.hold, rec.held = make(chan struct{}), make(chan struct{})
 	release = sync.OnceFunc(func() { close(rec.hold) })
 	t.Cleanup(release) // before the conn's Close, which waits for the flush
-	return c, rec, release
+	return release
 }
 
 // recorder is a doc.put handler that records ids in arrival order and
@@ -235,11 +246,25 @@ func TestMergedFlush(t *testing.T) {
 }
 
 // TestMergedFlushChunks: a merged flush larger than one batch frame's cap
-// goes out as several _batch.exec chunks, in order.
+// reaches the shard connection whole, as one _batch.exec call, and the TCP
+// connection under it ships it as several frames, in order.
 func TestMergedFlushChunks(t *testing.T) {
 	const n = 4
 	var r recorder
-	c, rec, release := heldConn(t, r.register)
+	mux := transport.NewMux()
+	r.register(mux)
+	srv := transport.NewServer(mux)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	sock, err := transport.Dial(addr, transport.DialOptions{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, rec := recordedConn(t, Options{}, sock)
+	release := hold(t, rec)
 	first := make(chan error, 1)
 	go func() { first <- put(context.Background(), c, "first") }()
 	<-rec.held
@@ -252,6 +277,12 @@ func TestMergedFlushChunks(t *testing.T) {
 		}(i)
 		waitParked(t, c, i+1) // fixes the parking order
 	}
+	// Each frame of the flush is read once by the server and its response
+	// once by the client, and both ends bill this process's counters.
+	framesIn := func() uint64 {
+		return transport.WireStats().Methods[transport.BatchService+"."+transport.BatchMethod].FramesIn
+	}
+	before := framesIn()
 	release()
 	if err := <-first; err != nil {
 		t.Fatalf("first put: %v", err)
@@ -262,14 +293,11 @@ func TestMergedFlushChunks(t *testing.T) {
 		}
 	}
 	c.Drain()
-	frames := rec.names()
-	if len(frames) < 3 || frames[0] != "doc.put" {
-		t.Fatalf("want the held put and at least two chunks, got %v", frames)
+	if calls := rec.names(); fmt.Sprint(calls) != "[doc.put _batch.exec]" {
+		t.Fatalf("want the held put and one merged batch, got %v", calls)
 	}
-	for _, f := range frames[1:] {
-		if f != "_batch.exec" {
-			t.Fatalf("want only _batch.exec chunks after the held put, got %v", frames)
-		}
+	if frames := (framesIn() - before) / 2; frames < 2 {
+		t.Fatalf("the merged batch shipped in %d frames, want at least two", frames)
 	}
 	if got := strings.Join(r.seen(), " "); got != "first w0 w1 w2 w3" {
 		t.Fatalf("server order %q, want \"first w0 w1 w2 w3\"", got)

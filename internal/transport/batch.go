@@ -10,7 +10,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"datablinder/internal/wirefmt"
 )
@@ -25,15 +24,12 @@ const (
 	batchName = BatchService + "." + BatchMethod
 )
 
-// BatchCall is one sub-call of a batch. Raw optionally carries the payload
-// pre-encoded by the connection's WireCodec (CallBatch fills it while it
-// sizes chunks); Args is encoded when Raw is nil, and kept beside Raw for
-// wrappers that inspect the call.
+// BatchCall is one sub-call of a batch: Args is encoded by the method's
+// codec into the frame that carries the batch.
 type BatchCall struct {
 	Service string
 	Method  string
 	Args    any
-	Raw     []byte
 }
 
 // BatchResult is one sub-call's outcome. Err is a *RemoteError when the
@@ -63,23 +59,15 @@ type BatchCaller interface {
 	CallBatch(ctx context.Context, calls []BatchCall) ([]BatchResult, error)
 }
 
-// maxBatchChunkBytes caps the encoded size of the sub-calls shipped in one
-// _batch.exec frame. It leaves headroom under maxPooledBuf (64 KiB) for the
-// outer request envelope, so a large merged batch ships as several chunks
-// that keep reusing pooled frame buffers instead of allocating past the
-// pool cap. A single sub-call larger than the cap still ships (in a chunk
-// of its own); only that frame's buffer escapes the pool.
-const maxBatchChunkBytes = 56 << 10
-
 // CallBatch executes calls over conn and returns one result per call, in
 // order. The connection's peer mux always supports it (the batch executor
-// is built into the protocol). Sub-call payloads are encoded once, with the
-// connection's wire codec, and chunked by their exact encoded sizes:
-// batches that would exceed the frame-buffer pool cap split into several
-// sequential calls — still in order, so per-document index-update ordering
-// is preserved. Each chunk is an ordinary conn.Call of BatchService with
-// []BatchCall args and a *[]BatchResult reply, which wrapper Conns forward
-// like any other call. Transport-level failures return a non-nil error;
+// is built into the protocol). A connection that schedules batches itself
+// (BatchCaller) gets the list directly; any other gets one conn.Call of
+// BatchService with []BatchCall args and a *[]BatchResult reply, which
+// wrapper Conns forward like any other call. The connection at the bottom
+// frames it: a TCPClient cuts a large batch into several frames, sent in
+// order so per-document index-update ordering is preserved, and a Loopback
+// executes it whole. Transport-level failures return a non-nil error;
 // per-call handler failures are reported in the corresponding BatchResult
 // only.
 func CallBatch(ctx context.Context, conn Conn, calls []BatchCall) ([]BatchResult, error) {
@@ -89,67 +77,36 @@ func CallBatch(ctx context.Context, conn Conn, calls []BatchCall) ([]BatchResult
 	if bc, ok := conn.(BatchCaller); ok {
 		return bc.CallBatch(ctx, calls)
 	}
-	codec := ConnCodec(conn)
-	subs := make([]BatchCall, len(calls))
-	sizes := make([]int, len(calls))
-	for i, call := range calls {
-		if call.Raw == nil {
-			var err error
-			if call.Raw, err = codec.EncodeArgs(call.Service, call.Method, call.Args); err != nil {
-				return nil, fmt.Errorf("transport: encoding batch args [%d]: %w", i, err)
-			}
-		}
-		subs[i] = call
-		sizes[i] = codec.SubSize(call.Service, call.Method, len(call.Raw))
-	}
-	maxChunk := codec.MaxChunkBytes()
 	var out []BatchResult
-	for start := 0; start < len(subs); {
-		end := start + 1
-		bytes := sizes[start]
-		for end < len(subs) && bytes+sizes[end] <= maxChunk {
-			bytes += sizes[end]
-			end++
-		}
-		var chunk []BatchResult
-		if err := conn.Call(ctx, BatchService, BatchMethod, subs[start:end], &chunk); err != nil {
-			return nil, err
-		}
-		if len(chunk) != end-start {
-			return nil, fmt.Errorf("transport: batch returned %d results for %d calls", len(chunk), end-start)
-		}
-		if out == nil {
-			out = chunk // the common single chunk needs no copy
-		} else {
-			out = append(out, chunk...)
-		}
-		start = end
+	if err := conn.Call(ctx, BatchService, BatchMethod, calls, &out); err != nil {
+		return nil, err
+	}
+	if len(out) != len(calls) {
+		return nil, fmt.Errorf("transport: batch returned %d results for %d calls", len(out), len(calls))
 	}
 	return out, nil
 }
 
-// appendBatchPayload appends calls as a batch payload, encoding any
-// sub-call that is not pre-encoded.
-func appendBatchPayload(b []byte, t *wireTable, calls []BatchCall) ([]byte, error) {
-	start := time.Now()
+// appendBatchPayload appends calls as one batch payload.
+func appendBatchPayload(b []byte, calls []BatchCall) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(len(calls)))
 	for i, call := range calls {
-		name := call.Service + "." + call.Method
-		payload := call.Raw
 		var err error
-		if payload == nil {
-			payload, err = appendArgs(nil, t, name, call.Args)
-		}
-		if err == nil {
-			b, err = appendCall(b, t, name, payload)
-		}
-		if err != nil {
+		if b, err = appendBatchSub(b, call); err != nil {
 			return b, fmt.Errorf("transport: encoding batch args [%d]: %w", i, err)
 		}
-		wireRecordSub(name, true, len(payload))
 	}
-	wireRecordEncode(batchName, time.Since(start))
 	return b, nil
+}
+
+// appendBatchSub appends the call section of one sub-call, its payload
+// encoded in place, and bills the payload to the sub-call's method.
+func appendBatchSub(b []byte, call BatchCall) ([]byte, error) {
+	b, name, n, err := appendCallArgs(b, call.Service, call.Method, call.Args)
+	if err == nil {
+		wireRecordSub(name, true, n)
+	}
+	return b, err
 }
 
 // parseBatchResults decodes a batch response payload into one result per
@@ -170,9 +127,11 @@ func parseBatchResults(calls []BatchCall, payload []byte) ([]BatchResult, error)
 			out[i] = BatchResult{Err: &RemoteError{Code: res.code, Msg: res.msg}}
 			continue
 		}
-		name := calls[i].Service + "." + calls[i].Method
+		// The calls were encoded, so the table holds every name. The
+		// payload aliases the response frame, which is never pooled.
+		_, name, _ := registryTable().method(calls[i].Service, calls[i].Method)
 		wireRecordSub(name, false, len(res.payload))
-		out[i] = BatchResult{Payload: append([]byte(nil), res.payload...), Name: name}
+		out[i] = BatchResult{Payload: res.payload, Name: name}
 	}
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("transport: decoding batch results: %w", err)

@@ -2,11 +2,13 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,9 +21,8 @@ import (
 // answered the client's hello and reads and writes real protocol frames,
 // but decides for itself when to answer and when to hang up.
 type fakePeer struct {
-	conn  net.Conn
-	br    *bufio.Reader
-	table *wireTable
+	conn net.Conn
+	br   *bufio.Reader
 }
 
 // fakeServer listens on a loopback port and hands every socket that
@@ -44,11 +45,10 @@ func fakeServer(t *testing.T, serve func(n int, p *fakePeer)) net.Listener {
 			go func(n int) {
 				defer conn.Close()
 				br := bufio.NewReader(conn)
-				table, err := acceptHello(conn, br)
-				if err != nil {
+				if acceptHello(conn, br) != nil {
 					return
 				}
-				serve(n, &fakePeer{conn: conn, br: br, table: table})
+				serve(n, &fakePeer{conn: conn, br: br})
 			}(n)
 		}
 	}()
@@ -66,7 +66,7 @@ func (p *fakePeer) readCall() (id uint64, call parsedCall, err error) {
 		return 0, call, fmt.Errorf("frame kind 0x%02x, want a request", kind)
 	}
 	id = r.Uvarint()
-	if call, err = parseCall(r, p.table); err != nil {
+	if call, err = parseCall(r); err != nil {
 		return 0, call, err
 	}
 	return id, call, r.Finish()
@@ -91,10 +91,7 @@ func (p *fakePeer) echo(id uint64, call parsedCall) error {
 // exactly the failed call.
 func TestCallReplaysOnceAfterMidFlightDeath(t *testing.T) {
 	served := make(chan int, 4)
-	ok, err := appendArgs(nil, registryTable(), "svc.echo", tmsg{S: "ok"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok := encodeArgs(t, "svc", "echo", tmsg{S: "ok"})
 	ln := fakeServer(t, func(n int, p *fakePeer) {
 		id, _, err := p.readCall()
 		if err != nil {
@@ -185,71 +182,101 @@ func newBatchEchoPeer() *batchEchoPeer {
 
 func (b *batchEchoPeer) exec(p *fakePeer, id uint64, call parsedCall) error {
 	return p.respond(id, func(buf []byte) []byte {
-		return wireExec(context.Background(), b.mux, p.table, buf, call)
+		return wireExec(context.Background(), b.mux, buf, call)
 	})
 }
 
-func echoBatch(n int) []BatchCall {
+// echoBatch is n echo.id calls, each padded with pad.
+func echoBatch(n int, pad string) []BatchCall {
 	calls := make([]BatchCall, n)
 	for i := range calls {
-		calls[i] = BatchCall{Service: "echo", Method: "id", Args: tmsg{A: int64(i)}}
+		calls[i] = BatchCall{Service: "echo", Method: "id", Args: tmsg{A: int64(i), S: pad}}
 	}
 	return calls
 }
 
 // TestBatchReplayedOnceAfterMidFlightDeath: a CallBatch in flight when its
 // socket dies takes the same redial-and-replay as a single call — the
-// batch frame is resent exactly once, its sub-calls execute once, and the
-// results come back in call order.
+// frame in flight is resent exactly once, its sub-calls execute once, and
+// the results come back in call order. A batch of several frames replays
+// only the frame in flight: the frames before it were answered on the dead
+// socket, and the ones after it go out on the new one.
 func TestBatchReplayedOnceAfterMidFlightDeath(t *testing.T) {
-	peer := newBatchEchoPeer()
-	var frames atomic.Int64
-	ln := fakeServer(t, func(n int, p *fakePeer) {
-		for {
-			id, call, err := p.readCall()
+	for _, tc := range []struct {
+		name   string
+		n      int
+		pad    string
+		frames int // the batch's frame count
+		dieAt  int // socket 1 dies with this frame (1-based) in flight
+	}{
+		{name: "one frame", n: 5, frames: 1, dieAt: 1},
+		{name: "three frames", n: 60, pad: strings.Repeat("x", 2048), frames: 3, dieAt: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			peer := newBatchEchoPeer()
+			var mu sync.Mutex
+			seen := map[int][][]byte{} // socket → the batch payloads it read
+			ln := fakeServer(t, func(n int, p *fakePeer) {
+				for {
+					id, call, err := p.readCall()
+					if err != nil {
+						return
+					}
+					if call.name != batchName {
+						t.Errorf("socket %d: call %s, want batch frames only", n, call.name)
+					}
+					mu.Lock()
+					seen[n] = append(seen[n], call.payload)
+					read := len(seen[n])
+					mu.Unlock()
+					if n == 1 && read == tc.dieAt {
+						return // the socket dies with this frame in flight
+					}
+					if err := peer.exec(p, id, call); err != nil {
+						return
+					}
+				}
+			})
+
+			c, err := Dial(ln.Addr().String(), DialOptions{PoolSize: 1, Timeout: 5 * time.Second})
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			if call.name != batchName {
-				t.Errorf("socket %d: call %s, want one batch frame", n, call.name)
-			}
-			frames.Add(1)
-			if n == 1 {
-				return // the socket dies with the batch in flight
-			}
-			if err := peer.exec(p, id, call); err != nil {
-				return
-			}
-		}
-	})
+			defer c.Close()
 
-	c, err := Dial(ln.Addr().String(), DialOptions{PoolSize: 1, Timeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	const n = 5
-	results, err := CallBatch(context.Background(), c, echoBatch(n))
-	if err != nil {
-		t.Fatalf("batch across mid-flight socket death: %v", err)
-	}
-	if len(results) != n {
-		t.Fatalf("got %d results, want %d", len(results), n)
-	}
-	for i, r := range results {
-		var got tmsg
-		if err := r.Decode(&got); err != nil || got.A != int64(i) {
-			t.Fatalf("result %d = %d, %v; results must come back in call order", i, got.A, err)
-		}
-	}
-	if got := frames.Load(); got != 2 {
-		t.Fatalf("server saw %d batch frames, want 2 (original + one replay)", got)
-	}
-	peer.mu.Lock()
-	defer peer.mu.Unlock()
-	if fmt.Sprint(peer.ran) != "[0 1 2 3 4]" {
-		t.Fatalf("sub-calls ran as %v, want each once, in order", peer.ran)
+			results, err := CallBatch(context.Background(), c, echoBatch(tc.n, tc.pad))
+			if err != nil {
+				t.Fatalf("batch across mid-flight socket death: %v", err)
+			}
+			if len(results) != tc.n {
+				t.Fatalf("got %d results, want %d", len(results), tc.n)
+			}
+			for i, r := range results {
+				var got tmsg
+				if err := r.Decode(&got); err != nil || got.A != int64(i) {
+					t.Fatalf("result %d = %d, %v; results must come back in call order", i, got.A, err)
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(seen) != 2 || len(seen[1]) != tc.dieAt || len(seen[2]) != tc.frames-tc.dieAt+1 {
+				t.Fatalf("sockets read %d and %d batch frames, want %d and %d (one replay)",
+					len(seen[1]), len(seen[2]), tc.dieAt, tc.frames-tc.dieAt+1)
+			}
+			if !bytes.Equal(seen[1][tc.dieAt-1], seen[2][0]) {
+				t.Fatal("the replay is not the frame that was in flight")
+			}
+			peer.mu.Lock()
+			defer peer.mu.Unlock()
+			if len(peer.ran) != tc.n {
+				t.Fatalf("%d sub-calls ran, want each of %d once", len(peer.ran), tc.n)
+			}
+			for i, v := range peer.ran {
+				if v != i {
+					t.Fatalf("sub-calls ran as %v, want each once, in order", peer.ran)
+				}
+			}
+		})
 	}
 }
 
@@ -275,7 +302,7 @@ func TestBatchReplayNotAttemptedAfterContextExpiry(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	_, err = CallBatch(ctx, c, echoBatch(3))
+	_, err = CallBatch(ctx, c, echoBatch(3, ""))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("CallBatch error = %v, want the context's deadline", err)
 	}

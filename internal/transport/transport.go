@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -258,9 +259,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	br := bufio.NewReaderSize(conn, 32<<10)
-	table, err := acceptHello(conn, br)
-	if err != nil {
-		return // not a peer of this protocol version: drop it
+	if acceptHello(conn, br) != nil {
+		return // not a peer of this protocol version and build: drop it
 	}
 	// Responses from concurrent workers interleave on the socket; writeMu
 	// keeps individual frames atomic.
@@ -275,7 +275,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		id := r.Uvarint()
-		call, cerr := parseCall(r, table)
+		call, cerr := parseCall(r)
 		if cerr != nil || r.Finish() != nil {
 			// A malformed frame (bad envelope, unknown method id) would
 			// desynchronize the stream; per-call handler errors, by
@@ -295,7 +295,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			buf := newWireFrameBuf()
 			buf = append(buf, wireKindResp)
 			buf = binary.AppendUvarint(buf, id)
-			buf = wireExec(s.ctx, s.mux, table, buf, call)
+			buf = wireExec(s.ctx, s.mux, buf, call)
 			frame, ferr := finishWireFrame(buf)
 			if ferr != nil {
 				// Response too large for one frame: report instead of
@@ -319,29 +319,23 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// acceptHello reads the hello that must open every socket and answers it
-// with the intersection of the client's proposal and the local codec
-// registry, which becomes the connection's method id table. Anything else
-// as a first frame — another protocol, another version, garbage — is an
-// error and the caller drops the socket.
-func acceptHello(conn net.Conn, br *bufio.Reader) (*wireTable, error) {
+// acceptHello reads the hello that must open every socket and acks it if
+// it names exactly this build's methods. Anything else as a first frame —
+// another protocol, another version, another method list, garbage — is an
+// error and the caller drops the socket unanswered.
+func acceptHello(conn net.Conn, br *bufio.Reader) error {
 	body, err := readWireFrame(br)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	proposal, err := parseHello(body)
+	methods, err := parseHello(body)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	accept := acceptIndexes(proposal)
-	table, err := newWireTable(proposal, accept)
-	if err != nil {
-		return nil, err
+	if !slices.Equal(methods, registryTable().names) {
+		return fmt.Errorf("%w: hello names other methods than this build's", ErrWireProtocol)
 	}
-	if err := writeWireFrame(conn, appendHelloReply(newWireFrameBuf(), accept)); err != nil {
-		return nil, err
-	}
-	return table, nil
+	return writeWireFrame(conn, appendHelloAck(newWireFrameBuf()))
 }
 
 // Close stops accepting, cancels in-flight handlers, closes all
@@ -375,13 +369,10 @@ type pending struct {
 
 // msock is one multiplexed client socket: a single writer-side mutex
 // serializes frame writes, a dedicated reader goroutine correlates
-// responses to pending calls by request id. table is the method id table
-// the hello fixed for this socket at dial time; it is immutable once the
-// read loop starts.
+// responses to pending calls by request id.
 type msock struct {
 	c       net.Conn
 	br      *bufio.Reader
-	table   *wireTable
 	writeMu sync.Mutex
 
 	mu     sync.Mutex
@@ -405,18 +396,17 @@ func newMsock(c net.Conn, timeout time.Duration) (*msock, error) {
 	return m, nil
 }
 
-// clientHello proposes this build's codec methods and adopts the subset
-// the server accepts as the socket's method id table. A peer that does not
-// complete the exchange — it hangs up, or answers anything but a hello
-// reply of this protocol version with in-range indexes — fails the dial
-// with ErrWireProtocol: there is no other framing to fall back to.
+// clientHello sends this build's method list and waits for the server's
+// ack. A peer that does not complete the exchange — it hangs up, because
+// its build holds other methods or it speaks another protocol, or answers
+// anything but an ack of this protocol version — fails the dial with
+// ErrWireProtocol: there is no other framing to fall back to.
 func (m *msock) clientHello(timeout time.Duration) error {
 	if err := m.c.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return err
 	}
 	defer m.c.SetDeadline(time.Time{})
-	proposal := RegisteredWireMethods()
-	err := writeWireFrame(m.c, appendHello(newWireFrameBuf(), proposal))
+	err := writeWireFrame(m.c, appendHello(newWireFrameBuf(), registryTable().names))
 	var body []byte
 	if err == nil {
 		body, err = readWireFrame(m.br)
@@ -424,12 +414,7 @@ func (m *msock) clientHello(timeout time.Duration) error {
 	if err != nil {
 		return fmt.Errorf("%w: hello: %w", ErrWireProtocol, err)
 	}
-	accept, err := parseHelloReply(body)
-	if err != nil {
-		return err
-	}
-	m.table, err = newWireTable(proposal, accept)
-	return err
+	return parseHelloAck(body)
 }
 
 // readLoop delivers responses until the socket fails, then drains every
@@ -522,11 +507,6 @@ type TCPClient struct {
 	nextID uint64 // atomic; request ids unique across the pool
 	rr     uint32 // atomic round-robin cursor
 
-	// table is the most recently negotiated method id table. Used for
-	// client-level size accounting (ConnCodec); each socket pins its own
-	// copy at dial time.
-	table atomic.Pointer[wireTable]
-
 	mu    sync.Mutex
 	slots []*socketSlot
 	done  bool
@@ -574,17 +554,7 @@ func (c *TCPClient) dial() (*msock, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", c.addr, err)
 	}
-	m, err := newMsock(sock, c.timeout)
-	if err != nil {
-		return nil, err
-	}
-	c.table.Store(m.table)
-	return m, nil
-}
-
-// WireCodec reports the codec of the most recently negotiated socket.
-func (c *TCPClient) WireCodec() WireCodec {
-	return binaryWireCodec{table: c.table.Load()}
+	return newMsock(sock, c.timeout)
 }
 
 // acquire returns a healthy multiplexed socket for the next call, redialing
@@ -626,68 +596,177 @@ func (c *TCPClient) acquire() (*msock, error) {
 
 // Call implements Conn. The call is pipelined: it occupies the socket only
 // for the duration of the frame write, then waits for its correlated
-// response while other calls proceed on the same socket. A batch chunk
-// ([]BatchCall args, see CallBatch) is a call like any other.
+// response while other calls proceed on the same socket. A batch
+// (BatchService with []BatchCall args, see CallBatch) goes out as one or
+// more frames, see callBatch.
 //
-// A call that fails because its socket died mid-flight (write error, or
+// A frame that fails because its socket died mid-flight (write error, or
 // the reader exiting before the response arrived) is transparently
-// replayed exactly once: acquire redials the dead slot, and only this call
-// is resent — neighbouring calls that failed on the same socket each make
-// their own retry decision. If the replay fails too, the original error is
-// surfaced. Timeouts and context cancellations are never replayed (the
-// request may still be executing server-side), and remote errors are
+// replayed exactly once: acquire redials the dead slot, and only this
+// frame is resent — neighbouring calls that failed on the same socket each
+// make their own retry decision. If the replay fails too, the original
+// error is surfaced. Timeouts and context cancellations are never replayed
+// (the request may still be executing server-side), and remote errors are
 // definitive answers, not transport failures.
 func (c *TCPClient) Call(ctx context.Context, service, method string, args, reply any) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	name := service + "." + method
-	res, err, sockDead := c.roundTrip(ctx, name, args)
-	if sockDead && ctx.Err() == nil {
-		if res2, err2, dead2 := c.roundTrip(ctx, name, args); err2 == nil && !dead2 {
-			res, err = res2, nil
-		}
-		// Replay failed: report the original failure, not the retry's.
+	if calls, ok := args.([]BatchCall); ok && service == BatchService && method == BatchMethod {
+		return c.callBatch(ctx, calls, reply)
 	}
+	buf, id := c.newRequest()
+	buf, name, _, err := appendCallArgs(buf, service, method, args)
+	var res *parsedResult
+	if err == nil {
+		res, err = c.send(ctx, name, id, buf)
+	}
+	putWireFrameBuf(buf)
 	if err != nil {
 		return err
 	}
 	return decodeResult(name, res, args, reply)
 }
 
-// roundTrip sends one request and waits for its response, encoding args
-// against the acquired socket's method id table (a replay after a redial
-// therefore re-encodes for the new socket's table). sockDead reports that
-// the failure was the socket dying under this call — the class of error a
-// single redial-and-replay can heal — as opposed to a timeout,
-// cancellation, client close, or a response that actually arrived.
-func (c *TCPClient) roundTrip(ctx context.Context, name string, args any) (res *parsedResult, err error, sockDead bool) {
+// maxBatchChunkBytes caps the summed call sections of the sub-calls one
+// _batch.exec frame carries. It leaves headroom under maxPooledBuf (64 KiB)
+// for the outer request envelope, so a large batch ships as several frames
+// that keep reusing pooled buffers instead of allocating past the pool cap.
+// A single sub-call larger than the cap still ships, in a frame of its own;
+// only that frame's buffer escapes the pool.
+const maxBatchChunkBytes = 56 << 10
+
+// batchChunk is one _batch.exec request frame: the call sections of
+// calls[first:end], in buf.
+type batchChunk struct {
+	buf        []byte
+	id         uint64
+	first, end int
+}
+
+// callBatch ships calls as one or more _batch.exec frames. Each sub-call
+// is encoded once, straight into the frame that carries it. A frame closes
+// before the sub-call that would take its summed call sections past
+// maxBatchChunkBytes, which moves, bytes and all, to the next frame; a
+// sub-call larger than that goes out alone. Every frame is encoded before
+// the first is sent, so a sub-call that cannot be encoded fails the batch
+// with nothing on the wire. The frames then go out in order, one round trip
+// (and at most one replay) each.
+func (c *TCPClient) callBatch(ctx context.Context, calls []BatchCall, reply any) error {
+	out, _ := reply.(*[]BatchResult)
+	if out == nil {
+		return fmt.Errorf("transport: %s reply must be a *[]BatchResult, not %T", batchName, reply)
+	}
+	chunks, err := c.encodeBatch(calls)
+	defer func() {
+		for _, ch := range chunks {
+			putWireFrameBuf(ch.buf)
+		}
+	}()
+	if err != nil {
+		return err
+	}
+	for _, ch := range chunks {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		res, err := c.send(ctx, batchName, ch.id, ch.buf)
+		var part []BatchResult
+		if err == nil {
+			err = decodeResult(batchName, res, calls[ch.first:ch.end], &part)
+		}
+		if err != nil {
+			return err
+		}
+		if *out == nil {
+			*out = part // the common single frame needs no copy
+		} else {
+			*out = append(*out, part...)
+		}
+	}
+	return nil
+}
+
+// encodeBatch encodes calls into the request frames callBatch sends (on an
+// error, with the frames so far, for recycling). A frame's batch payload
+// opens with its length and sub-call count, reserved at mark and written
+// once the frame's last sub-call is known.
+func (c *TCPClient) encodeBatch(calls []BatchCall) ([]batchChunk, error) {
+	var chunks []batchChunk
+	var cur batchChunk
+	var mark int
+	open := func(first int) {
+		cur.buf, cur.id = c.newRequest()
+		cur.buf, mark = reserveLen(append(cur.buf, 0)) // mid 0, the batch executor
+		cur.buf, _ = reserveLen(cur.buf)               // the sub-call count
+		cur.first = first
+	}
+	seal := func(end int) {
+		cur.end = end
+		cur.buf = sealLen(sealUvarint(cur.buf, mark+lenSlack, uint64(end-cur.first)), mark)
+		chunks = append(chunks, cur)
+	}
+	open(0)
+	for i, call := range calls {
+		at := len(cur.buf)
+		var err error
+		if cur.buf, err = appendBatchSub(cur.buf, call); err != nil {
+			return append(chunks, cur), fmt.Errorf("transport: encoding batch args [%d]: %w", i, err)
+		}
+		if i > cur.first && len(cur.buf)-mark-2*lenSlack > maxBatchChunkBytes {
+			// calls[i] moves, bytes and all, to the next frame.
+			moved := cur.buf[at:]
+			cur.buf = cur.buf[:at]
+			seal(i)
+			open(i)
+			cur.buf = append(cur.buf, moved...)
+		}
+	}
+	seal(len(calls))
+	return chunks, nil
+}
+
+// newRequest opens a pooled request frame under a fresh request id. A
+// replay resends the frame as it is: ids are unique across the pool, so
+// the id is free on whichever socket the replay takes.
+func (c *TCPClient) newRequest() ([]byte, uint64) {
+	id := atomic.AddUint64(&c.nextID, 1)
+	return binary.AppendUvarint(append(newWireFrameBuf(), wireKindReq), id), id
+}
+
+// send finishes the request frame in buf (request id, call section) and
+// makes its round trip, replaying it once if its socket died under it.
+func (c *TCPClient) send(ctx context.Context, name string, id uint64, buf []byte) (*parsedResult, error) {
+	frame, err := finishWireFrame(buf)
+	if err != nil {
+		return nil, err
+	}
+	res, err, sockDead := c.roundTrip(ctx, name, id, frame)
+	if sockDead && ctx.Err() == nil {
+		if res2, err2, dead2 := c.roundTrip(ctx, name, id, frame); err2 == nil && !dead2 {
+			res, err = res2, nil
+		}
+		// Replay failed: report the original failure, not the retry's.
+	}
+	return res, err
+}
+
+// roundTrip writes one request frame and waits for its response. sockDead
+// reports that the failure was the socket dying under this call — the
+// class of error a single redial-and-replay can heal — as opposed to a
+// timeout, cancellation, client close, or a response that actually
+// arrived.
+func (c *TCPClient) roundTrip(ctx context.Context, name string, id uint64, frame []byte) (res *parsedResult, err error, sockDead bool) {
 	m, err := c.acquire()
 	if err != nil {
 		return nil, err, false
 	}
 
-	id := atomic.AddUint64(&c.nextID, 1)
 	p := &pending{method: name, ch: make(chan *parsedResult, 1)}
 	if err := m.register(id, p); err != nil {
 		// The socket died between acquire and register; same class as a
 		// write failure (unless the client itself was closed).
 		return nil, err, !errors.Is(err, ErrClosed)
-	}
-
-	// Encode the full frame, payload in place, outside the write lock.
-	buf := newWireFrameBuf()
-	buf = append(buf, wireKindReq)
-	buf = binary.AppendUvarint(buf, id)
-	buf, err = appendCallArgs(buf, m.table, name, args)
-	var frame []byte
-	if err == nil {
-		frame, err = finishWireFrame(buf)
-	}
-	if err != nil {
-		putWireFrameBuf(buf)
-		m.deregister(id)
-		return nil, err, false
 	}
 
 	// Frame writes are short; bound them so a wedged peer cannot hold the
@@ -699,7 +778,6 @@ func (c *TCPClient) roundTrip(ctx context.Context, name string, args any) (res *
 		_, werr = m.c.Write(frame)
 	}
 	m.writeMu.Unlock()
-	putWireFrameBuf(buf)
 	if werr != nil {
 		m.deregister(id)
 		// A half-written frame poisons the stream for every call on the
@@ -755,27 +833,20 @@ func (c *TCPClient) Close() error {
 // Loopback is a Conn that dispatches directly into a Mux in-process,
 // routing every payload through the wire codec so serialization behaviour
 // matches the TCP path exactly: payloads are encoded by the method's codec
-// and re-decoded on dispatch. It is used
-// by benchmarks (scenario S_B/S_C single-host runs) and tests. Calls
-// dispatch on the caller's goroutine, so it is as concurrent as its
+// and re-decoded on dispatch. A batch executes whole, in one dispatch. It
+// is used by benchmarks (scenario S_B/S_C single-host runs) and tests.
+// Calls dispatch on the caller's goroutine, so it is as concurrent as its
 // callers.
 type Loopback struct {
-	mux   *Mux
-	table *wireTable
+	mux *Mux
 
 	mu     sync.Mutex
 	closed bool
 }
 
-// NewLoopback returns a loopback connection to mux with the method id
-// table two peers of this build negotiate: every registered codec method.
+// NewLoopback returns a loopback connection to mux.
 func NewLoopback(mux *Mux) *Loopback {
-	return &Loopback{mux: mux, table: registryTable()}
-}
-
-// WireCodec reports the loopback's codec.
-func (l *Loopback) WireCodec() WireCodec {
-	return binaryWireCodec{table: l.table}
+	return &Loopback{mux: mux}
 }
 
 // Call implements Conn.
@@ -789,18 +860,21 @@ func (l *Loopback) Call(ctx context.Context, service, method string, args, reply
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	name := service + "." + method
+	mid, name, err := registryTable().method(service, method)
+	if err != nil {
+		return err
+	}
 	// The payload is freshly allocated, never pooled: typed decoders alias
 	// it and handlers may keep what they decoded.
-	payload, err := appendArgs(nil, l.table, name, args)
+	payload, err := appendArgs(nil, mid, name, args)
 	if err != nil {
 		return err
 	}
 	call := parsedCall{name: name, payload: payload}
-	if mid, _ := l.table.mid(name); mid != 0 {
-		call.codec = l.table.codecs[mid-1]
+	if mid != 0 {
+		call.codec = registryTable().codecs[mid-1]
 	}
-	body := wireExec(ctx, l.mux, l.table, nil, call)
+	body := wireExec(ctx, l.mux, nil, call)
 	r := wirefmt.NewReader(body)
 	res, perr := parseResult(r)
 	if perr != nil || r.Finish() != nil {

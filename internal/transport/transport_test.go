@@ -21,8 +21,8 @@ type tmsg struct {
 	A, B int64
 }
 
-// testMethods have the tmsg codec, so two test binaries negotiate them.
-// test.nope has no handler on any test mux.
+// testMethods have the tmsg codec, so they are in the test binary's method
+// table. test.nope has no handler on any test mux.
 var testMethods = []string{
 	"test.echo", "test.fail", "test.add", "test.coded", "test.nope",
 	"slow.sleep", "probe.run", "echo.id", "svc.echo", "svc.m", "x.y",
@@ -257,7 +257,7 @@ func TestServerSurvivesGarbageFrames(t *testing.T) {
 	v1Hello := `{"id":1,"service":"_wire","method":"hello","payload":{"version":2,"methods":["doc.get"]}}`
 	otherVersion := appendHello(nil, nil)
 	otherVersion[1]--
-	request, err := appendCall(binary.AppendUvarint([]byte{wireKindReq}, 1), registryTable(), "test.echo", nil)
+	request, _, _, err := appendCallArgs(binary.AppendUvarint([]byte{wireKindReq}, 1), "test", "echo", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,17 +3,20 @@
 // registered codec (raw bytes ride as raw bytes: no base64, no reflective
 // encode/decode).
 //
+// One method table per build: the gateway and the cloud are built from one
+// tree and register the same codecs, so the table (the sorted registry; id
+// i+1 = i'th method, id 0 = the batch executor, _batch.exec) is a property
+// of the build, fixed at its first use. Nothing travels by name, so a call
+// to a method this build has no codec for fails on the client before any
+// frame is sent.
+//
 // Hello: the first frame on a fresh socket is the client's hello, carrying
-// the protocol version and the sorted list of methods it has codecs for.
-// The server replies with the same version and the indexes of the methods
-// it also holds codecs for; that agreed subset, in order, becomes the
-// socket's method id table (id i+1 = i'th accepted method; id 0 is the
-// batch executor, _batch.exec). Nothing travels by name, so a call to a
-// method outside the table fails on the client before any frame is sent.
-// There is nothing to fall back to either: a server drops a socket that
-// opens with anything but a hello of its own version, and a client fails
-// the dial with ErrWireProtocol when the answer is anything but a
-// well-formed reply of its own version.
+// the protocol version and the sorted list of its methods. The server
+// answers with a bare ack of the same version if that list is its own, and
+// otherwise drops the socket. There is nothing to negotiate and nothing to
+// fall back to: a server drops a socket that opens with anything but such
+// a hello, and a client fails the dial with ErrWireProtocol when the
+// answer is anything but the ack.
 //
 // Frame layout (both directions):
 //
@@ -21,7 +24,7 @@
 //	body     := 0x01 uvarint(id) call              // request
 //	          | 0x02 uvarint(id) result            // response
 //	          | 0x03 uvarint(version) strs         // hello: client's methods
-//	          | 0x03 uvarint(version) uvarints     // hello reply: accepted indexes
+//	          | 0x03 uvarint(version)              // hello ack
 //	call     := uvarint(mid) uvarint(len) payload  // mid 0: payload is a batch
 //	result   := 0x00 uvarint(len) payload          // ok
 //	          | 0x01 str(code) str(msg)            // handler error
@@ -29,7 +32,6 @@
 //	batchres := uvarint(n) n×result                // the reply payload of mid 0
 //	str      := uvarint(len) bytes
 //	strs     := uvarint(n) n×str
-//	uvarints := uvarint(n) n×uvarint
 //
 // An empty payload is nil args or a nil reply, and decodes to the zero
 // value.
@@ -42,9 +44,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"datablinder/internal/wirefmt"
@@ -52,8 +54,9 @@ import (
 
 // wireVersion is the protocol version both peers state in the hello.
 // Version 4 gave the per-field index writes one shared cell payload, which
-// changed the layout of rnd.put, agg.put and the column removes.
-const wireVersion = 4
+// changed the layout of rnd.put, agg.put and the column removes; version 5
+// answers the hello with a bare ack instead of a list of accepted methods.
+const wireVersion = 5
 
 // Frame kind and result status tags.
 const (
@@ -66,15 +69,15 @@ const (
 )
 
 // ErrWireProtocol reports a peer that does not speak this protocol: a
-// hello that is missing, malformed or of another version, or a malformed
-// frame (truncated varint, oversized length, unknown method id, bad tag
-// byte). Peers that send one have their connection dropped.
+// hello that is missing, malformed, of another version or of another
+// method list, or a malformed frame (truncated varint, oversized length,
+// unknown method id, bad tag byte). Peers that send one have their
+// connection dropped.
 var ErrWireProtocol = errors.New("transport: wire protocol violation")
 
-// ErrNotNegotiated reports a call to a method outside the connection's
-// method id table: the peer holds no codec for it (or this build does not).
-// The call fails before any frame is sent.
-var ErrNotNegotiated = errors.New("transport: method not negotiated with the peer")
+// errNoCodec reports a call to a method this build holds no codec for. The
+// call fails before any frame is sent.
+var errNoCodec = errors.New("transport: no codec registered")
 
 // appendHello appends the client's hello body: the sorted service.method
 // names it holds typed payload codecs for.
@@ -84,17 +87,11 @@ func appendHello(b []byte, methods []string) []byte {
 	return wirefmt.AppendStrings(b, methods)
 }
 
-// appendHelloReply appends the server's answer: accept indexes into the
-// client's method list and fixes the method id table (id = position in
-// accept + 1).
-func appendHelloReply(b []byte, accept []int) []byte {
+// appendHelloAck appends the server's answer to a hello that names exactly
+// its own methods: the kind and version, nothing else.
+func appendHelloAck(b []byte) []byte {
 	b = append(b, wireKindHello)
-	b = binary.AppendUvarint(b, wireVersion)
-	b = binary.AppendUvarint(b, uint64(len(accept)))
-	for _, idx := range accept {
-		b = binary.AppendUvarint(b, uint64(idx))
-	}
-	return b
+	return binary.AppendUvarint(b, wireVersion)
 }
 
 // helloHeader consumes the kind and version both hello directions open
@@ -110,7 +107,7 @@ func helloHeader(r *wirefmt.Reader) error {
 	return nil
 }
 
-// parseHello decodes a client hello body into its method proposal.
+// parseHello decodes a client hello body into its method list.
 func parseHello(body []byte) ([]string, error) {
 	r := wirefmt.NewReader(body)
 	if err := helloHeader(r); err != nil {
@@ -123,27 +120,16 @@ func parseHello(body []byte) ([]string, error) {
 	return methods, nil
 }
 
-// parseHelloReply decodes a server hello reply body into its accept
-// indexes. Whether they fit the proposal is newWireTable's check; here an
-// index only has to fit an int.
-func parseHelloReply(body []byte) ([]int, error) {
+// parseHelloAck checks a server's answer to the hello.
+func parseHelloAck(body []byte) error {
 	r := wirefmt.NewReader(body)
 	if err := helloHeader(r); err != nil {
-		return nil, err
-	}
-	accept := make([]int, r.Count())
-	for i := range accept {
-		idx := r.Uvarint()
-		if idx > MaxFrameSize {
-			// No proposal that fits a frame has this many entries.
-			return nil, fmt.Errorf("%w: hello reply: accept index %d", ErrWireProtocol, idx)
-		}
-		accept[i] = int(idx)
+		return err
 	}
 	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: hello reply: %v", ErrWireProtocol, err)
+		return fmt.Errorf("%w: hello ack: %v", ErrWireProtocol, err)
 	}
-	return accept, nil
+	return nil
 }
 
 // PayloadCodec is the typed binary encoding of one method's argument and
@@ -161,63 +147,98 @@ type PayloadCodec struct {
 	DecodeReply func(data []byte, reply any) error
 }
 
-// codecReg maps service.method → *PayloadCodec. Populated by package
-// init() functions on both ends of the channel (the tactic and cloud
-// packages register their wire shapes when imported), so gateway and
-// cloudserver agree on the encodable set without central coordination.
+// codecReg maps service.method → *PayloadCodec until registryTable freezes
+// it. Populated by package init() functions on both ends of the channel
+// (the tactic and cloud packages register their wire shapes when
+// imported), so a gateway and a cloudserver built from one tree hold the
+// same methods without central coordination.
 var (
-	codecMu  sync.RWMutex
-	codecReg = make(map[string]*PayloadCodec)
+	codecMu     sync.Mutex
+	codecReg    = make(map[string]*PayloadCodec)
+	codecFrozen bool
 )
 
 // RegisterCodec registers the typed payload codec for service.method.
-// Intended to be called from init(); later registrations replace earlier
-// ones.
+// Call it from init(): the method table is a property of the build, fixed
+// at its first use, and a registration after that panics.
 func RegisterCodec(service, method string, c *PayloadCodec) {
+	name := service + "." + method
 	codecMu.Lock()
 	defer codecMu.Unlock()
-	codecReg[service+"."+method] = c
-	registryTab.Store(nil)
+	if codecFrozen {
+		panic("transport: RegisterCodec " + name + " after the method table's first use")
+	}
+	codecReg[name] = c
 }
 
 // LookupCodec returns the codec registered for name ("service.method"),
 // or nil.
 func LookupCodec(name string) *PayloadCodec {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	return codecReg[name]
+	t := registryTable()
+	if mid, ok := t.ids[name]; ok {
+		return t.codecs[mid-1]
+	}
+	return nil
 }
 
 // RegisteredWireMethods returns the sorted names of all methods with typed
-// codecs — the client's negotiation proposal.
+// codecs: the list a client's hello carries.
 func RegisteredWireMethods() []string {
-	codecMu.RLock()
-	out := make([]string, 0, len(codecReg))
-	for k := range codecReg {
-		out = append(out, k)
-	}
-	codecMu.RUnlock()
-	sort.Strings(out)
-	return out
+	return slices.Clone(registryTable().names)
 }
 
-// registryTab caches registryTable's result until the next RegisterCodec.
-var registryTab atomic.Pointer[wireTable]
+// wireTable is the build's method id table: every registered codec method
+// in sorted order, mid i+1 ↔ names[i]; mid 0 is the batch executor. The
+// hello checks that both peers hold the same table, so every socket speaks
+// it.
+type wireTable struct {
+	names  []string
+	codecs []*PayloadCodec
+	ids    map[string]uint16
+}
 
-// registryTable is the table a hello between two peers of this build
-// yields: every registered codec method. It is what a Loopback speaks, and
-// what ConnCodec assumes of a Conn that does not say.
-func registryTable() *wireTable {
-	if t := registryTab.Load(); t != nil {
-		return t
+// registryTable freezes the codec registry, on first use, into the method
+// table.
+var registryTable = sync.OnceValue(func() *wireTable {
+	codecMu.Lock()
+	defer codecMu.Unlock()
+	codecFrozen = true
+	t := &wireTable{ids: make(map[string]uint16, len(codecReg))}
+	for name := range codecReg {
+		t.names = append(t.names, name)
 	}
-	proposal := RegisteredWireMethods()
-	t, err := newWireTable(proposal, acceptIndexes(proposal))
-	if err != nil {
-		panic(err) // unreachable: both lists come from the registry
+	sort.Strings(t.names)
+	for i, name := range t.names {
+		t.codecs = append(t.codecs, codecReg[name])
+		t.ids[name] = uint16(i + 1)
 	}
-	registryTab.Store(t)
 	return t
+})
+
+// method returns the method id service.method travels under and its name
+// as the table holds it: mid 0 for the batch executor, errNoCodec for a
+// method this build has no codec for.
+func (t *wireTable) method(service, method string) (uint16, string, error) {
+	if service == BatchService && method == BatchMethod {
+		return 0, batchName, nil
+	}
+	mid, ok := t.ids[service+"."+method]
+	if !ok {
+		return 0, "", fmt.Errorf("%w: %s.%s", errNoCodec, service, method)
+	}
+	return mid, t.names[mid-1], nil
+}
+
+// resolve maps a method id to its name and codec (nil for the batch
+// executor).
+func (t *wireTable) resolve(mid uint64) (string, *PayloadCodec, bool) {
+	if mid == 0 {
+		return batchName, nil, true
+	}
+	if mid > uint64(len(t.names)) {
+		return "", nil, false
+	}
+	return t.names[mid-1], t.codecs[mid-1], true
 }
 
 // errCodecType reports an argument/reply value a typed codec does not
@@ -306,69 +327,6 @@ func argPtr[T any](v any) (*T, bool) {
 	return nil, false
 }
 
-// wireTable is one connection's negotiated method id table: the ordered
-// intersection of the two peers' codec registries. mid i+1 ↔ names[i].
-type wireTable struct {
-	names  []string
-	codecs []*PayloadCodec
-	ids    map[string]uint16
-}
-
-// newWireTable builds the table both peers derive from a hello exchange.
-// proposal is the client's method list, accept the server's chosen indexes
-// (strictly increasing, in range); every accepted method must be in the
-// local registry.
-func newWireTable(proposal []string, accept []int) (*wireTable, error) {
-	t := &wireTable{ids: make(map[string]uint16, len(accept))}
-	prev := -1
-	for _, idx := range accept {
-		if idx <= prev || idx >= len(proposal) {
-			return nil, fmt.Errorf("%w: bad accept index %d", ErrWireProtocol, idx)
-		}
-		prev = idx
-		name := proposal[idx]
-		c := LookupCodec(name)
-		if c == nil {
-			return nil, fmt.Errorf("%w: accepted unknown method %q", ErrWireProtocol, name)
-		}
-		t.names = append(t.names, name)
-		t.codecs = append(t.codecs, c)
-		t.ids[name] = uint16(len(t.names))
-	}
-	return t, nil
-}
-
-// mid returns the method id name travels under: 0 for the batch executor,
-// its table id for a negotiated method, ErrNotNegotiated otherwise.
-func (t *wireTable) mid(name string) (uint16, error) {
-	if name == batchName {
-		return 0, nil
-	}
-	if mid, ok := t.ids[name]; ok {
-		return mid, nil
-	}
-	return 0, fmt.Errorf("%w: %s", ErrNotNegotiated, name)
-}
-
-// resolve maps a nonzero method id to its name and codec.
-func (t *wireTable) resolve(mid uint64) (string, *PayloadCodec, bool) {
-	if mid == 0 || mid > uint64(len(t.names)) {
-		return "", nil, false
-	}
-	return t.names[mid-1], t.codecs[mid-1], true
-}
-
-// acceptIndexes picks the proposal entries present in the local registry.
-func acceptIndexes(proposal []string) []int {
-	var accept []int
-	for i, name := range proposal {
-		if LookupCodec(name) != nil {
-			accept = append(accept, i)
-		}
-	}
-	return accept
-}
-
 // maxPooledBuf caps the capacity of recycled frame buffers so one huge
 // frame does not pin megabytes in the pool forever.
 const maxPooledBuf = 64 << 10
@@ -452,44 +410,18 @@ func reserveLen(b []byte) ([]byte, int) {
 // the payload's length at mark and shifts the payload down over the unused
 // slack.
 func sealLen(b []byte, mark int) []byte {
+	return sealUvarint(b, mark, uint64(len(b)-mark-lenSlack))
+}
+
+// sealUvarint writes v over the lenSlack bytes reserved at mark and shifts
+// what follows down over the unused slack.
+func sealUvarint(b []byte, mark int, v uint64) []byte {
 	start := mark + lenSlack
 	var l [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(l[:], uint64(len(b)-start))
+	n := binary.PutUvarint(l[:], v)
 	copy(b[mark:], l[:n])
 	copy(b[mark+n:], b[start:])
 	return b[:mark+n+len(b)-start]
-}
-
-// appendCall appends one call section for an already encoded payload.
-func appendCall(b []byte, t *wireTable, name string, payload []byte) ([]byte, error) {
-	mid, err := t.mid(name)
-	if err != nil {
-		return b, err
-	}
-	b = binary.AppendUvarint(b, uint64(mid))
-	return wirefmt.AppendBytes(b, payload), nil
-}
-
-// appendCallArgs appends the call section for args, encoding the payload
-// in place (see appendArgs for what args may be).
-func appendCallArgs(b []byte, t *wireTable, name string, args any) ([]byte, error) {
-	mid, err := t.mid(name)
-	if err != nil {
-		return b, err
-	}
-	b, mark := reserveLen(binary.AppendUvarint(b, uint64(mid)))
-	if b, err = appendArgs(b, t, name, args); err != nil {
-		return b, err
-	}
-	return sealLen(b, mark), nil
-}
-
-// callWireSize is the exact encoded size of one call section — the
-// codec-derived per-sub-call overhead the batch chunker uses.
-func callWireSize(t *wireTable, name string, payloadLen int) int {
-	// 0 for the batch executor; an unnegotiated call fails when it is framed.
-	mid := t.ids[name]
-	return uvarintLen(uint64(mid)) + uvarintLen(uint64(payloadLen)) + payloadLen
 }
 
 func uvarintLen(u uint64) int {
@@ -501,6 +433,23 @@ func uvarintLen(u uint64) int {
 	return n
 }
 
+// appendCallArgs appends the call section of service.method for args,
+// encoding the payload in place (see appendArgs for what args may be). It
+// also returns the method's name as the table holds it, and the payload's
+// length.
+func appendCallArgs(b []byte, service, method string, args any) (_ []byte, name string, n int, err error) {
+	mid, name, err := registryTable().method(service, method)
+	if err != nil {
+		return b, "", 0, err
+	}
+	b, mark := reserveLen(binary.AppendUvarint(b, uint64(mid)))
+	if b, err = appendArgs(b, mid, name, args); err != nil {
+		return b, "", 0, err
+	}
+	n = len(b) - mark - lenSlack
+	return sealLen(b, mark), name, n, nil
+}
+
 // parsedCall is one decoded call section.
 type parsedCall struct {
 	name    string
@@ -509,18 +458,14 @@ type parsedCall struct {
 }
 
 // parseCall consumes one call section from r.
-func parseCall(r *wirefmt.Reader, t *wireTable) (parsedCall, error) {
+func parseCall(r *wirefmt.Reader) (parsedCall, error) {
 	var c parsedCall
 	mid := r.Uvarint()
 	c.payload = r.Bytes()
 	if err := r.Err(); err != nil {
 		return c, fmt.Errorf("%w: %v", ErrWireProtocol, err)
 	}
-	if mid == 0 {
-		c.name = batchName
-		return c, nil
-	}
-	name, codec, ok := t.resolve(mid)
+	name, codec, ok := registryTable().resolve(mid)
 	if !ok {
 		return c, fmt.Errorf("%w: unknown method id %d", ErrWireProtocol, mid)
 	}
@@ -570,27 +515,23 @@ func parseResult(r *wirefmt.Reader) (parsedResult, error) {
 	return res, nil
 }
 
-// appendArgs appends the payload of one outgoing call to dst. The batch
-// executor takes []BatchCall; any other method takes nil (an empty
-// payload) or a value its codec recognises. With a nil dst the payload is
-// freshly allocated and may be retained.
-func appendArgs(dst []byte, t *wireTable, name string, args any) ([]byte, error) {
-	mid, err := t.mid(name)
-	if err != nil {
-		return dst, err
-	}
+// appendArgs appends the payload of one outgoing call of method id mid
+// (name) to dst. The batch executor takes []BatchCall; any other method
+// takes nil (an empty payload) or a value its codec recognises. With a nil
+// dst the payload is freshly allocated and may be retained.
+func appendArgs(dst []byte, mid uint16, name string, args any) ([]byte, error) {
 	if mid == 0 {
 		calls, ok := args.([]BatchCall)
 		if !ok {
 			return dst, fmt.Errorf("transport: %s args are %T, want []BatchCall", name, args)
 		}
-		return appendBatchPayload(dst, t, calls)
+		return appendBatchPayload(dst, calls)
 	}
 	if args == nil {
 		return dst, nil
 	}
 	start := time.Now()
-	b, err := t.codecs[mid-1].EncodeArgs(dst, args)
+	b, err := registryTable().codecs[mid-1].EncodeArgs(dst, args)
 	if err != nil {
 		return dst, fmt.Errorf("transport: encoding %s args (%T): %w", name, args, err)
 	}
@@ -599,7 +540,7 @@ func appendArgs(dst []byte, t *wireTable, name string, args any) ([]byte, error)
 }
 
 // decodeResult turns the result of one call into Call's outcome: the
-// remote error, the parsed sub-results of a batch chunk, or the payload
+// remote error, the parsed sub-results of a batch frame, or the payload
 // decoded into reply.
 func decodeResult(name string, res *parsedResult, args, reply any) error {
 	if !res.ok {
@@ -644,7 +585,7 @@ func decodeReply(name string, payload []byte, reply any) error {
 // wireExec executes one parsed call against m and appends its result
 // section to dst. A batch runs its sub-calls in order; a batch inside a
 // batch fails its slot.
-func wireExec(ctx context.Context, m *Mux, t *wireTable, dst []byte, call parsedCall) []byte {
+func wireExec(ctx context.Context, m *Mux, dst []byte, call parsedCall) []byte {
 	if call.codec == nil {
 		r := wirefmt.NewReader(call.payload)
 		n := r.Count()
@@ -655,7 +596,7 @@ func wireExec(ctx context.Context, m *Mux, t *wireTable, dst []byte, call parsed
 		defer putWireFrameBuf(body)
 		body = binary.AppendUvarint(body[:wireFrameHdr], uint64(n))
 		for i := 0; i < n; i++ {
-			sub, err := parseCall(r, t)
+			sub, err := parseCall(r)
 			if err != nil {
 				return appendResultErr(dst, "", fmt.Sprintf("transport: decoding batch sub-call %d: %v", i, err))
 			}
@@ -663,7 +604,7 @@ func wireExec(ctx context.Context, m *Mux, t *wireTable, dst []byte, call parsed
 				body = appendResultErr(body, "", "transport: nested batch calls are not allowed")
 				continue
 			}
-			body = wireExec(ctx, m, t, body, sub)
+			body = wireExec(ctx, m, body, sub)
 		}
 		if err := r.Finish(); err != nil {
 			return appendResultErr(dst, "", "transport: decoding batch: trailing bytes")
@@ -705,49 +646,18 @@ func wireExec(ctx context.Context, m *Mux, t *wireTable, dst []byte, call parsed
 	return sealLen(b, mark)
 }
 
-// WireCodec describes how a Conn encodes call payloads, letting the batch
-// chunker account exact per-sub-call wire sizes against the connection's
-// method id table.
+// WireCodec names the encoding a Conn speaks. Every Conn of this build
+// speaks the one binary protocol; the type is kept only because
+// benchmark/cmd/dblayers compiles against it.
 type WireCodec interface {
 	// Name is "binary".
 	Name() string
-	// EncodeArgs returns the payload for service.method.
-	EncodeArgs(service, method string, args any) ([]byte, error)
-	// SubSize is the exact encoded size of one batch sub-call with a
-	// payload of payloadLen bytes.
-	SubSize(service, method string, payloadLen int) int
-	// MaxChunkBytes caps the summed SubSizes shipped in one batch frame.
-	MaxChunkBytes() int
 }
 
-// wireCodecProvider is implemented by Conns whose codec can be queried.
-type wireCodecProvider interface {
-	WireCodec() WireCodec
-}
+// ConnCodec returns the codec conn speaks, which is "binary" whatever conn
+// is. Kept only for benchmark/cmd/dblayers.
+func ConnCodec(Conn) WireCodec { return binaryWireCodec{} }
 
-// ConnCodec returns conn's wire codec. Conns that do not expose one
-// (wrappers, test fakes) get the codec of the full-registry table, which
-// is what their inner connection negotiates with a peer of this build.
-func ConnCodec(conn Conn) WireCodec {
-	if p, ok := conn.(wireCodecProvider); ok {
-		if c := p.WireCodec(); c != nil {
-			return c
-		}
-	}
-	return binaryWireCodec{table: registryTable()}
-}
-
-// binaryWireCodec accounts for the framing under one method id table.
-type binaryWireCodec struct{ table *wireTable }
+type binaryWireCodec struct{}
 
 func (binaryWireCodec) Name() string { return "binary" }
-
-func (c binaryWireCodec) EncodeArgs(service, method string, args any) ([]byte, error) {
-	return appendArgs(nil, c.table, service+"."+method, args)
-}
-
-func (c binaryWireCodec) SubSize(service, method string, payloadLen int) int {
-	return callWireSize(c.table, service+"."+method, payloadLen)
-}
-
-func (binaryWireCodec) MaxChunkBytes() int { return maxBatchChunkBytes }

@@ -64,21 +64,13 @@ func fuzzMux() *Mux {
 
 // FuzzBinaryFrame throws arbitrary bytes at both ends of the framing: the
 // server's hello and request parse+execute paths and the client's hello
-// reply and response parse paths. Malformed input must error (or be
+// ack and response parse paths. Malformed input must error (or be
 // ignored), never panic, never over-allocate, and a parse that succeeds
 // must consume the body exactly.
 func FuzzBinaryFrame(f *testing.F) {
-	table := registryTable() // what a same-binary hello negotiates
 	mux := fuzzMux()
-	encode := func(name string, args any) []byte {
-		p, err := appendArgs(nil, table, name, args)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return p
-	}
-	request := func(id uint64, name string, payload []byte) []byte {
-		b, err := appendCall(binary.AppendUvarint([]byte{wireKindReq}, id), table, name, payload)
+	request := func(id uint64, service, method string, args any) []byte {
+		b, _, _, err := appendCallArgs(binary.AppendUvarint([]byte{wireKindReq}, id), service, method, args)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -88,18 +80,17 @@ func FuzzBinaryFrame(f *testing.F) {
 	// Seed with well-formed frames of every section kind: a typed call, a
 	// call with nil args (empty payload), a batch as mid 0 carrying a mid 0
 	// of its own, and its response.
-	argPayload := encode("fuzz.echo", &fuzzArgs{S: "s", B: []byte{1, 2}, US: []uint64{7}})
-	f.Add(request(99, "fuzz.echo", argPayload))
-	f.Add(request(100, "test.echo", nil))
+	f.Add(request(99, "fuzz", "echo", &fuzzArgs{S: "s", B: []byte{1, 2}, US: []uint64{7}}))
+	f.Add(request(100, "test", "echo", nil))
 	batch := []BatchCall{
-		{Service: "fuzz", Method: "echo", Raw: argPayload},
+		{Service: "fuzz", Method: "echo", Args: &fuzzArgs{S: "s", B: []byte{1, 2}, US: []uint64{7}}},
 		{Service: "test", Method: "add", Args: tmsg{A: 2, B: 3}},
 		{Service: BatchService, Method: BatchMethod, Args: []BatchCall{{Service: "test", Method: "echo"}}},
 	}
-	batchBody := encode(batchName, batch)
-	f.Add(request(101, batchName, batchBody))
+	f.Add(request(101, BatchService, BatchMethod, batch))
 	batchResp := binary.AppendUvarint([]byte{wireKindResp}, 101)
-	f.Add(wireExec(context.Background(), mux, table, batchResp, parsedCall{name: batchName, payload: batchBody}))
+	batchBody := encodeArgs(f, BatchService, BatchMethod, batch)
+	f.Add(wireExec(context.Background(), mux, batchResp, parsedCall{name: batchName, payload: batchBody}))
 
 	okResp := binary.AppendUvarint([]byte{wireKindResp}, 99)
 	okResp = appendResultOK(okResp, []byte{3, 1, 2, 3})
@@ -108,7 +99,7 @@ func FuzzBinaryFrame(f *testing.F) {
 	errResp = appendResultErr(errResp, "not_found", "gone")
 	f.Add(errResp)
 	f.Add(appendHello(nil, RegisteredWireMethods()))
-	f.Add(appendHelloReply(nil, []int{0, 2, 3}))
+	f.Add(appendHelloAck(nil))
 	f.Add([]byte{wireKindHello, wireVersion - 1, 0})
 	f.Add([]byte{})
 	f.Add([]byte{wireKindReq})
@@ -116,24 +107,17 @@ func FuzzBinaryFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		// Either end of a fresh socket: the hello parsers read bytes no
-		// table has vetted yet, and what they accept must make a table or a
-		// clean error.
-		if proposal, err := parseHello(body); err == nil {
-			if _, err := newWireTable(proposal, acceptIndexes(proposal)); err != nil {
-				t.Fatalf("own accept of a parsed proposal rejected: %v", err)
-			}
-		}
-		if accept, err := parseHelloReply(body); err == nil {
-			newWireTable(RegisteredWireMethods(), accept)
-		}
+		// check has vetted yet.
+		parseHello(body)
+		parseHelloAck(body)
 
 		// Server side: parse and, when valid, execute.
 		r := wirefmt.NewReader(body)
 		kind := r.Byte()
 		r.Uvarint() // request id
 		if kind == wireKindReq {
-			if call, err := parseCall(r, table); err == nil && r.Finish() == nil {
-				out := wireExec(context.Background(), mux, table, nil, call)
+			if call, err := parseCall(r); err == nil && r.Finish() == nil {
+				out := wireExec(context.Background(), mux, nil, call)
 				// Whatever the handler did, the result section must parse.
 				rr := wirefmt.NewReader(out)
 				if _, err := parseResult(rr); err != nil {

@@ -6,7 +6,9 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -44,11 +46,24 @@ func TestReadWireFrameRejectsTruncatedBody(t *testing.T) {
 
 // --- call/result section rejection ----------------------------------------
 
+// encodeArgs encodes args the way a call of service.method carries them.
+func encodeArgs(tb testing.TB, service, method string, args any) []byte {
+	tb.Helper()
+	mid, name, err := registryTable().method(service, method)
+	var p []byte
+	if err == nil {
+		p, err = appendArgs(nil, mid, name, args)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
 func TestParseCallRejectsBadMethodID(t *testing.T) {
-	table := registryTable()
-	bad := binary.AppendUvarint(nil, uint64(len(table.names)+7)) // beyond the table
+	bad := binary.AppendUvarint(nil, uint64(len(registryTable().names)+7)) // beyond the table
 	bad = wirefmt.AppendBytes(bad, []byte{0})
-	if _, err := parseCall(wirefmt.NewReader(bad), table); err == nil {
+	if _, err := parseCall(wirefmt.NewReader(bad)); err == nil {
 		t.Fatal("accepted out-of-table method id")
 	}
 }
@@ -56,10 +71,9 @@ func TestParseCallRejectsBadMethodID(t *testing.T) {
 // TestParseCallRejectsTruncatedPayload: a payload length running past the
 // frame is malformed, not a short payload.
 func TestParseCallRejectsTruncatedPayload(t *testing.T) {
-	table := registryTable()
-	b := binary.AppendUvarint(nil, uint64(table.ids["test.echo"]))
+	b := binary.AppendUvarint(nil, uint64(registryTable().ids["test.echo"]))
 	b = append(binary.AppendUvarint(b, 9), 1, 2, 3)
-	if _, err := parseCall(wirefmt.NewReader(b), table); !errors.Is(err, ErrWireProtocol) {
+	if _, err := parseCall(wirefmt.NewReader(b)); !errors.Is(err, ErrWireProtocol) {
 		t.Fatalf("truncated payload: err = %v, want ErrWireProtocol", err)
 	}
 }
@@ -68,15 +82,16 @@ func TestParseCallRejectsTruncatedPayload(t *testing.T) {
 // what it alone travels as; a method name has no way onto the wire.
 func TestMethodIDZeroIsTheBatchExecutor(t *testing.T) {
 	table := registryTable()
-	call, err := parseCall(wirefmt.NewReader([]byte{0, 1, 0}), table)
+	call, err := parseCall(wirefmt.NewReader([]byte{0, 1, 0}))
 	if err != nil || call.name != batchName || call.codec != nil {
 		t.Fatalf("mid 0 parsed as %q (codec %v), %v; want the batch executor", call.name, call.codec != nil, err)
 	}
-	if mid, err := table.mid(batchName); mid != 0 || err != nil {
-		t.Fatalf("mid(%s) = %d, %v", batchName, mid, err)
+	if mid, name, err := table.method(BatchService, BatchMethod); mid != 0 || name != batchName || err != nil {
+		t.Fatalf("method(%s) = %d, %q, %v", batchName, mid, name, err)
 	}
-	for name := range table.ids {
-		if mid, _ := table.mid(name); mid == 0 {
+	for _, name := range table.names {
+		service, method, _ := strings.Cut(name, ".")
+		if mid, _, _ := table.method(service, method); mid == 0 {
 			t.Fatalf("%s travels as mid 0", name)
 		}
 	}
@@ -98,16 +113,7 @@ func TestWirefmtCountRejectsHostilePrealloc(t *testing.T) {
 	}
 }
 
-// --- negotiation -----------------------------------------------------------
-
-func TestNewWireTableRejectsBadAccepts(t *testing.T) {
-	proposal := []string{"doc.get", "doc.put"}
-	for _, accepts := range [][]int{{-1}, {2}, {0, 0}, {1, 0}} {
-		if _, err := newWireTable(proposal, accepts); err == nil {
-			t.Fatalf("accepted accept list %v", accepts)
-		}
-	}
-}
+// --- the hello -------------------------------------------------------------
 
 func testWireMux() *Mux {
 	mux := NewMux()
@@ -115,8 +121,8 @@ func testWireMux() *Mux {
 	return mux
 }
 
-// TestHelloSettlesMethodTable: same-build client and server agree on the
-// full registry, and calls work.
+// TestHelloSettlesMethodTable: a client and a server of one build hold the
+// same method table, the hello says so, and calls work.
 func TestHelloSettlesMethodTable(t *testing.T) {
 	srv := NewServer(testWireMux())
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -140,9 +146,107 @@ func TestHelloSettlesMethodTable(t *testing.T) {
 	if got := ConnCodec(c).Name(); got != "binary" {
 		t.Fatalf("codec = %q, want binary", got)
 	}
-	if got, want := len(c.table.Load().names), len(RegisteredWireMethods()); got != want {
-		t.Fatalf("hello agreed on %d methods, want all %d registered", got, want)
+	if methods := RegisteredWireMethods(); !slices.IsSorted(methods) || len(methods) != len(registryTable().ids) {
+		t.Fatalf("the hello's method list %v is not the sorted table", methods)
 	}
+}
+
+// helloProxy relays one client socket to the server at addr, rewriting the
+// method list of the client's hello with edit on the way.
+func helloProxy(t *testing.T, addr string, edit func([]string) []string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		client, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer client.Close()
+		server, err := net.Dial("tcp", addr)
+		if err != nil {
+			return
+		}
+		defer server.Close()
+		br := bufio.NewReader(client)
+		body, err := readWireFrame(br)
+		if err != nil {
+			return
+		}
+		methods, err := parseHello(body)
+		if err != nil {
+			return
+		}
+		if _, err := server.Write(rawFrame(appendHello(nil, edit(methods)))); err != nil {
+			return
+		}
+		go io.Copy(server, br)
+		io.Copy(client, server)
+	}()
+	return ln.Addr().String()
+}
+
+// TestDialRejectsOtherMethodList: the method table is a property of the
+// build, so a server drops a hello whose method list is not its own — one
+// name more, one less, or two swapped — and the dial fails with
+// ErrWireProtocol. The same relay with the list untouched dials and calls.
+func TestDialRejectsOtherMethodList(t *testing.T) {
+	srv := NewServer(testWireMux())
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for name, edit := range map[string]func([]string) []string{
+		"unchanged":   func(m []string) []string { return m },
+		"one extra":   func(m []string) []string { return append(m, "zzz.extra") },
+		"one missing": func(m []string) []string { return m[1:] },
+		"reordered": func(m []string) []string {
+			m[0], m[1] = m[1], m[0]
+			return m
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, err := Dial(helloProxy(t, addr, edit), DialOptions{PoolSize: 1, Timeout: 5 * time.Second})
+			if name == "unchanged" {
+				if err != nil {
+					t.Fatalf("Dial through an honest relay: %v", err)
+				}
+				defer c.Close()
+				var reply tmsg
+				if err := c.Call(context.Background(), "svc", "echo", tmsg{S: "v"}, &reply); err != nil || reply.S != "v" {
+					t.Fatalf("call through an honest relay = %v, %v", reply, err)
+				}
+				return
+			}
+			if err == nil {
+				c.Close()
+				t.Fatal("Dial succeeded")
+			}
+			if !errors.Is(err, ErrWireProtocol) {
+				t.Fatalf("Dial error = %v, want ErrWireProtocol", err)
+			}
+		})
+	}
+}
+
+// TestRegisterCodecAfterFirstUsePanics: the method table is fixed the
+// first time anything uses it, so a later registration is a bug, not a
+// table change.
+func TestRegisterCodecAfterFirstUsePanics(t *testing.T) {
+	registryTable()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RegisterCodec after the table's first use did not panic")
+		}
+		if LookupCodec("late.m") != nil {
+			t.Fatal("the late codec was registered")
+		}
+	}()
+	RegisterCodec("late", "m", LookupCodec("test.echo"))
 }
 
 // rawFrame frames body the way finishWireFrame does, for tests that speak
@@ -156,17 +260,27 @@ func rawFrame(body []byte) []byte {
 // dial — within the dial timeout, and with ErrWireProtocol — instead of
 // leaving a link on some other framing.
 func TestDialRejectsPeerThatIsNotThisProtocol(t *testing.T) {
-	proposal := len(RegisteredWireMethods())
+	methods := uint64(len(RegisteredWireMethods()))
+	// listReply is a version-4-style answer, accept indexes and all, under
+	// this version: the ack followed by bytes it does not have.
+	listReply := func(accept ...uint64) []byte {
+		b := binary.AppendUvarint(appendHelloAck(nil), uint64(len(accept)))
+		for _, idx := range accept {
+			b = binary.AppendUvarint(b, idx)
+		}
+		return rawFrame(b)
+	}
 	answers := map[string][]byte{
 		"garbage":            {0xde, 0xad, 0xbe, 0xef, 0x00, 0x01},
 		"v1 JSON reply":      append([]byte{0, 0, 0, 40}, `{"id":1,"ok":true,"payload":{"version":1}}`...),
 		"response, no hello": rawFrame(appendResultOK(binary.AppendUvarint([]byte{wireKindResp}, 1), nil)),
 		"other version":      rawFrame([]byte{wireKindHello, wireVersion + 1, 0}),
 		"version 3":          rawFrame([]byte{wireKindHello, 3, 0}),
-		"accept beyond list": rawFrame(appendHelloReply(nil, []int{0, proposal})),
-		"accept unordered":   rawFrame(appendHelloReply(nil, []int{1, 0})),
-		"accept overflow":    rawFrame(binary.AppendUvarint([]byte{wireKindHello, wireVersion, 1}, 1<<63)),
-		"truncated reply":    rawFrame(appendHelloReply(nil, []int{0, 1}))[:3],
+		"version 4 reply":    rawFrame([]byte{wireKindHello, 4, 2, 0, 1}),
+		"accept beyond list": listReply(0, methods),
+		"accept unordered":   listReply(1, 0),
+		"accept overflow":    listReply(1 << 63),
+		"truncated reply":    rawFrame(appendHelloAck(nil))[:2],
 		"hangs up":           nil,
 		"says nothing":       nil,
 	}
@@ -213,17 +327,20 @@ func TestDialRejectsPeerThatIsNotThisProtocol(t *testing.T) {
 
 // TestHelloRefusesVersion3: version 4 changed the payload layout of
 // rnd.put, agg.put and the column removes, so a version-3 peer would
-// misparse them; its hello is refused in both directions.
+// misparse them, and version 5 changed what the hello is answered with;
+// hellos of either older version are refused in both directions.
 func TestHelloRefusesVersion3(t *testing.T) {
-	if wireVersion != 4 {
-		t.Fatalf("wire protocol version %d, want 4", wireVersion)
+	if wireVersion != 5 {
+		t.Fatalf("wire protocol version %d, want 5", wireVersion)
 	}
-	hello := wirefmt.AppendStrings([]byte{wireKindHello, 3}, RegisteredWireMethods())
-	if _, err := parseHello(hello); !errors.Is(err, ErrWireProtocol) {
-		t.Fatalf("version-3 hello: err = %v, want ErrWireProtocol", err)
-	}
-	if _, err := parseHelloReply([]byte{wireKindHello, 3, 0}); !errors.Is(err, ErrWireProtocol) {
-		t.Fatalf("version-3 hello reply: err = %v, want ErrWireProtocol", err)
+	for _, version := range []byte{3, 4} {
+		hello := wirefmt.AppendStrings([]byte{wireKindHello, version}, RegisteredWireMethods())
+		if _, err := parseHello(hello); !errors.Is(err, ErrWireProtocol) {
+			t.Fatalf("version-%d hello: err = %v, want ErrWireProtocol", version, err)
+		}
+		if err := parseHelloAck([]byte{wireKindHello, version, 0}); !errors.Is(err, ErrWireProtocol) {
+			t.Fatalf("version-%d hello reply: err = %v, want ErrWireProtocol", version, err)
+		}
 	}
 }
 
@@ -277,11 +394,10 @@ func TestRedialRejectsPeerThatIsNotThisProtocol(t *testing.T) {
 // is not clobbered by later ones (nothing read aliases a recycled buffer).
 func TestWireFramePoolReuseKeepsPayloadsIntact(t *testing.T) {
 	const frames = 64
-	table := registryTable()
 	var stream bytes.Buffer
 	for i := 0; i < frames; i++ {
 		buf := binary.AppendUvarint(append(newWireFrameBuf(), wireKindReq), uint64(i))
-		buf, err := appendCallArgs(buf, table, "svc.m", tmsg{A: int64(i)})
+		buf, _, _, err := appendCallArgs(buf, "svc", "m", tmsg{A: int64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +419,7 @@ func TestWireFramePoolReuseKeepsPayloadsIntact(t *testing.T) {
 		if kind, id := r.Byte(), r.Uvarint(); kind != wireKindReq || id != uint64(i) {
 			t.Fatalf("frame %d: kind 0x%02x id %d", i, kind, id)
 		}
-		if calls[i], err = parseCall(r, table); err != nil {
+		if calls[i], err = parseCall(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -318,7 +434,6 @@ func TestWireFramePoolReuseKeepsPayloadsIntact(t *testing.T) {
 // TestWireFramePoolConcurrent hammers the pool from parallel goroutines
 // under -race: independent streams, one shared sync.Pool.
 func TestWireFramePoolConcurrent(t *testing.T) {
-	table := registryTable()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -329,9 +444,9 @@ func TestWireFramePoolConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				want := uint64(g*1000 + i)
 				buf := binary.AppendUvarint(append(newWireFrameBuf(), wireKindReq), want)
-				buf, err := appendCall(buf, table, "svc.m", nil)
+				buf, _, _, err := appendCallArgs(buf, "svc", "m", nil)
 				if err != nil {
-					t.Errorf("appendCall: %v", err)
+					t.Errorf("appendCallArgs: %v", err)
 					return
 				}
 				frame, err := finishWireFrame(buf)
@@ -357,7 +472,7 @@ func TestWireFramePoolConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestServeBinaryDropsMalformedConnection: after negotiation, a garbage
+// TestServeBinaryDropsMalformedConnection: after the hello, a garbage
 // frame must kill the connection rather than desynchronize the stream.
 func TestServeBinaryDropsMalformedConnection(t *testing.T) {
 	mux := testWireMux()
@@ -374,7 +489,7 @@ func TestServeBinaryDropsMalformedConnection(t *testing.T) {
 	defer c.Close()
 	// A healthy call, then a raw garbage frame injected via the socket of
 	// a second client sharing nothing — easiest is to check a healthy call
-	// still works and a negotiated method the mux does not serve is
+	// still works and a method in the table that the mux does not serve is
 	// rejected per-call.
 	var reply tmsg
 	if err := c.Call(context.Background(), "svc", "echo", tmsg{S: "v"}, &reply); err != nil {
@@ -386,42 +501,13 @@ func TestServeBinaryDropsMalformedConnection(t *testing.T) {
 	}
 }
 
-// subsetServer serves one socket whose hello accepts only the proposed
-// methods in keep, the way a peer of another build would, and sends every
-// call it reads to calls after echoing it.
-func subsetServer(t *testing.T, keep map[string]bool, calls chan<- string) net.Listener {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		br := bufio.NewReader(conn)
-		body, err := readWireFrame(br)
-		if err != nil {
-			return
-		}
-		proposal, err := parseHello(body)
-		if err != nil {
-			return
-		}
-		var accept []int
-		for i, name := range proposal {
-			if keep[name] {
-				accept = append(accept, i)
-			}
-		}
-		table, err := newWireTable(proposal, accept)
-		if err != nil || writeWireFrame(conn, appendHelloReply(newWireFrameBuf(), accept)) != nil {
-			return
-		}
-		p := &fakePeer{conn: conn, br: br, table: table}
+// TestUncodedMethodFailsBeforeAnyFrame: a method this build holds no
+// codec for fails on the client, alone and inside a batch, and puts
+// nothing on the socket: the next frame the peer reads is the next good
+// call, and the socket stays usable.
+func TestUncodedMethodFailsBeforeAnyFrame(t *testing.T) {
+	calls := make(chan string, 4)
+	ln := fakeServer(t, func(_ int, p *fakePeer) {
 		for {
 			id, call, err := p.readCall()
 			if err != nil {
@@ -432,39 +518,29 @@ func subsetServer(t *testing.T, keep map[string]bool, calls chan<- string) net.L
 				return
 			}
 		}
-	}()
-	return ln
-}
-
-// TestUnnegotiatedMethodFailsBeforeAnyFrame: a method the peer did not
-// accept in the hello — here one this build has a codec for — fails on the
-// client with ErrNotNegotiated, alone and inside a batch, and puts nothing
-// on the socket: the next frame the peer reads is the next good call.
-func TestUnnegotiatedMethodFailsBeforeAnyFrame(t *testing.T) {
-	calls := make(chan string, 4)
-	ln := subsetServer(t, map[string]bool{"svc.echo": true}, calls)
+	})
 	c, err := Dial(ln.Addr().String(), DialOptions{PoolSize: 1, Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	ctx := context.Background()
-	if err := c.Call(ctx, "test", "echo", tmsg{S: "x"}, nil); !errors.Is(err, ErrNotNegotiated) {
-		t.Fatalf("call to an unnegotiated method = %v, want ErrNotNegotiated", err)
+	if err := c.Call(ctx, "nocodec", "m", tmsg{S: "x"}, nil); !errors.Is(err, errNoCodec) {
+		t.Fatalf("call to a method without a codec = %v, want errNoCodec", err)
 	}
 	_, err = CallBatch(ctx, c, []BatchCall{
 		{Service: "svc", Method: "echo", Args: tmsg{S: "x"}},
-		{Service: "test", Method: "echo", Args: tmsg{S: "x"}},
+		{Service: "nocodec", Method: "m", Args: tmsg{S: "x"}},
 	})
-	if !errors.Is(err, ErrNotNegotiated) {
-		t.Fatalf("batch with an unnegotiated sub-call = %v, want ErrNotNegotiated", err)
+	if !errors.Is(err, errNoCodec) {
+		t.Fatalf("batch with a sub-call without a codec = %v, want errNoCodec", err)
 	}
 	var reply tmsg
 	if err := c.Call(ctx, "svc", "echo", tmsg{S: "ok"}, &reply); err != nil || reply.S != "ok" {
-		t.Fatalf("negotiated call = %v, %v", reply, err)
+		t.Fatalf("good call = %v, %v", reply, err)
 	}
 	if first := <-calls; first != "svc.echo" || len(calls) != 0 {
-		t.Fatalf("the peer read %s first (%d more), want only the negotiated call", first, len(calls))
+		t.Fatalf("the peer read %s first (%d more), want only the good call", first, len(calls))
 	}
 }
 
