@@ -25,7 +25,9 @@ package coalesce
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
+	"datablinder/internal/obs"
 	"datablinder/internal/transport"
 )
 
@@ -60,7 +62,11 @@ type waiter struct {
 type Conn struct {
 	under    transport.Conn
 	disabled bool
-	stats    counters
+
+	// The counters of Stats: flushes by kind, write sub-calls sent, and the
+	// sub-calls that shared their flush with another caller's.
+	direct, merged      atomic.Uint64
+	subCalls, coalesced atomic.Uint64
 
 	mu     sync.Mutex
 	idle   sync.Cond // broadcast when busy clears
@@ -68,12 +74,12 @@ type Conn struct {
 	parked []*waiter // writes waiting for the next merged flush
 }
 
-// New wraps under. The Conn registers itself for package-level stats
-// aggregation (the expvar endpoint); Close unregisters.
+// New wraps under. The Conn counts in the "datablinder_coalesce" expvar
+// until it is closed.
 func New(under transport.Conn, opts Options) *Conn {
 	c := &Conn{under: under, disabled: opts.Disabled}
 	c.idle.L = &c.mu
-	register(c)
+	live.Join(c)
 	return c
 }
 
@@ -88,7 +94,7 @@ func (c *Conn) Call(ctx context.Context, service, method string, args, reply any
 	if !c.busy {
 		c.busy = true
 		c.mu.Unlock()
-		c.stats.flushed(flushDirect, 1, false)
+		c.flushed(&c.direct, 1, false)
 		defer c.release()
 		return c.under.Call(ctx, service, method, args, reply)
 	}
@@ -117,7 +123,7 @@ func (c *Conn) CallBatch(ctx context.Context, calls []transport.BatchCall) ([]tr
 	if !c.busy {
 		c.busy = true
 		c.mu.Unlock()
-		c.stats.flushed(flushDirect, len(calls), false)
+		c.flushed(&c.direct, len(calls), false)
 		defer c.release()
 		return transport.CallBatch(ctx, c.under, calls)
 	}
@@ -130,7 +136,7 @@ func (c *Conn) CallBatch(ctx context.Context, calls []transport.BatchCall) ([]tr
 // connection.
 func (c *Conn) Close() error {
 	c.Drain()
-	unregister(c)
+	live.Leave(c)
 	return c.under.Close()
 }
 
@@ -193,7 +199,7 @@ func (c *Conn) flushParked(batch []*waiter) {
 		for _, w := range batch {
 			calls = append(calls, w.calls...)
 		}
-		c.stats.flushed(flushMerged, len(calls), len(batch) > 1)
+		c.flushed(&c.merged, len(calls), len(batch) > 1)
 		results, err := transport.CallBatch(context.Background(), c.under, calls)
 		for _, w := range batch {
 			if err != nil {
@@ -204,6 +210,75 @@ func (c *Conn) flushParked(batch []*waiter) {
 			}
 			close(w.done)
 		}
+	}
+}
+
+// flushed counts one flush of n write sub-calls under its kind, c.direct
+// or c.merged; shared says it carried more than one caller's writes.
+func (c *Conn) flushed(kind *atomic.Uint64, n int, shared bool) {
+	kind.Add(1)
+	c.subCalls.Add(uint64(n))
+	if shared {
+		c.coalesced.Add(uint64(n))
+	}
+}
+
+// live is every open Conn, published as expvar "datablinder_coalesce" on
+// the gateway's -pprof listener.
+var live = obs.NewSet("datablinder_coalesce", statsOf)
+
+// Flush kinds (keys of Stats.FlushByTrigger).
+const (
+	flushDirect = "direct" // a write to an idle shard, sent by its caller
+	flushMerged = "merged" // the writes parked behind a flush
+)
+
+// Stats is a point-in-time snapshot of one Conn, or of every open Conn in
+// the process (expvar "datablinder_coalesce").
+type Stats struct {
+	// DedupHits is always 0: reads are not merged, so none joins another.
+	// Only benchmark/cmd/dblayers reads it; the benchmark-only port that
+	// stops reading it deletes it.
+	DedupHits uint64 `json:"dedup_hits"`
+	// Flushes is the total flush count; FlushByTrigger splits it into
+	// "direct" and "merged".
+	Flushes        uint64            `json:"flushes"`
+	FlushByTrigger map[string]uint64 `json:"flush_by_trigger"`
+	// SubCalls counts write sub-calls sent; CoalescedSubCalls the subset
+	// that shared a merged flush with another caller's (the merge rate).
+	SubCalls          uint64 `json:"sub_calls"`
+	CoalescedSubCalls uint64 `json:"coalesced_sub_calls"`
+}
+
+// Stats snapshots the connection's counters.
+func (c *Conn) Stats() Stats { return statsOf(c) }
+
+// statsOf sums the counters of conns into one snapshot.
+func statsOf(conns ...*Conn) Stats {
+	var direct, merged uint64
+	var s Stats
+	for _, c := range conns {
+		direct += c.direct.Load()
+		merged += c.merged.Load()
+		s.SubCalls += c.subCalls.Load()
+		s.CoalescedSubCalls += c.coalesced.Load()
+	}
+	s.Flushes = direct + merged
+	s.FlushByTrigger = map[string]uint64{flushDirect: direct, flushMerged: merged}
+	return s
+}
+
+// Merge folds other into s (FlushByTrigger summed key-wise).
+func (s *Stats) Merge(other Stats) {
+	s.DedupHits += other.DedupHits
+	s.Flushes += other.Flushes
+	s.SubCalls += other.SubCalls
+	s.CoalescedSubCalls += other.CoalescedSubCalls
+	if s.FlushByTrigger == nil {
+		s.FlushByTrigger = make(map[string]uint64)
+	}
+	for k, v := range other.FlushByTrigger {
+		s.FlushByTrigger[k] += v
 	}
 }
 

@@ -2,7 +2,9 @@ package coalesce
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"expvar"
 	"fmt"
 	"strings"
 	"sync"
@@ -630,21 +632,31 @@ func TestClassification(t *testing.T) {
 	}
 }
 
-// TestAggregate: package-level aggregation sums live conns and drops
-// closed ones.
+// coalesceVar decodes the "datablinder_coalesce" expvar.
+func coalesceVar(t *testing.T) Stats {
+	t.Helper()
+	var s Stats
+	if err := json.Unmarshal([]byte(expvar.Get("datablinder_coalesce").String()), &s); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestAggregate: the "datablinder_coalesce" expvar sums live conns and
+// drops closed ones.
 func TestAggregate(t *testing.T) {
-	before := Aggregate()
+	before := coalesceVar(t)
 	var r recorder
 	c, _ := testConn(t, Options{}, r.register)
 	if err := put(context.Background(), c, "d1"); err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	after := Aggregate()
+	after := coalesceVar(t)
 	if after.SubCalls-before.SubCalls != 1 || after.Flushes-before.Flushes != 1 {
 		t.Fatalf("aggregate did not pick up the conn: before %+v after %+v", before, after)
 	}
 	c.Close()
-	if closed := Aggregate(); closed.Flushes != before.Flushes {
+	if closed := coalesceVar(t); closed.Flushes != before.Flushes {
 		t.Fatalf("aggregate still counts a closed conn: before %+v after close %+v", before, closed)
 	}
 }

@@ -205,7 +205,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		stopCh:      make(chan struct{}),
 		schemas:     make(map[string]*schemaRuntime),
 	}
-	planner.Register(stats)
 	return e, nil
 }
 
@@ -223,7 +222,7 @@ func (e *Engine) Close() {
 	for _, c := range e.coalescers {
 		c.Drain()
 	}
-	planner.Unregister(e.stats)
+	e.stats.Close()
 }
 
 // TacticStats snapshots the engine's live tactic cost counters.

@@ -4,9 +4,9 @@
 // the adaptive tactic planner uses to rank tactics by *measured* cost
 // instead of assuming leakage and performance trade off monotonically.
 //
-// A Stats instance rides inside one engine; every instance registers into
-// a process-wide list exported as expvar "datablinder_tactics" (visible on
-// the -pprof listener next to datablinder_wire / datablinder_coalesce /
+// A Stats instance rides inside one engine; every instance counts in the
+// expvar "datablinder_tactics" until it is closed (visible on the -pprof
+// listener next to datablinder_wire / datablinder_coalesce /
 // datablinder_store).
 //
 // Cost estimation combines two sources:
@@ -25,7 +25,6 @@ package planner
 
 import (
 	"context"
-	"expvar"
 	"sort"
 	"strings"
 	"sync"
@@ -33,6 +32,7 @@ import (
 	"time"
 
 	"datablinder/internal/model"
+	"datablinder/internal/obs"
 	"datablinder/internal/transport"
 )
 
@@ -77,22 +77,30 @@ type Stats struct {
 	priors map[Key]model.CostPrior
 	migs   uint64 // completed online re-indexes
 
-	// rpcs counts cloud RPCs per service name, recorded by the conn
-	// wrapper interposed outside the write coalescer (so one caller-issued
-	// sub-call counts once, however it is batched downstream).
-	rpcs sync.Map // string -> *atomic.Uint64
+	// rpcs counts cloud RPCs per tactic family (indexed like families),
+	// recorded by the conn wrapper interposed outside the write coalescer
+	// (so one caller-issued sub-call counts once, however it is batched
+	// downstream).
+	rpcs [len(families)]atomic.Uint64
 }
 
-// NewStats builds an empty Stats.
+// NewStats builds an empty Stats, counted in the "datablinder_tactics"
+// expvar until Close.
 func NewStats() *Stats {
-	return &Stats{
+	s := &Stats{
 		ops:    make(map[Key]*opStat),
 		fields: make(map[fieldKey]uint64),
 		docs:   make(map[string]int64),
 		seeded: make(map[string]bool),
 		priors: make(map[Key]model.CostPrior),
 	}
+	live.Join(s)
+	return s
 }
+
+// Close removes s from the "datablinder_tactics" expvar (engines of
+// closed clients, benchmark arms). s stays usable.
+func (s *Stats) Close() { live.Leave(s) }
 
 // SetPriors installs the descriptor cost priors (used for calibration and
 // for estimating unmeasured tactics). Call once at engine construction.
@@ -178,13 +186,12 @@ func (s *Stats) FieldRates(schema, field string) map[model.Op]float64 {
 	return out
 }
 
-// RPC counts one cloud sub-call against a service.
+// RPC counts n cloud sub-calls against a service. A service of no tactic
+// (doc storage, batching) is plumbing and is not counted.
 func (s *Stats) RPC(service string, n uint64) {
-	v, ok := s.rpcs.Load(service)
-	if !ok {
-		v, _ = s.rpcs.LoadOrStore(service, new(atomic.Uint64))
+	if f := family(service); f >= 0 {
+		s.rpcs[f].Add(n)
 	}
-	v.(*atomic.Uint64).Add(n)
 }
 
 // MigrationDone counts one completed online re-index.
@@ -262,28 +269,31 @@ func (s *Stats) MeasuredCost(tactic string, op model.Op, prior model.CostPrior, 
 	return s.Cost(tactic, op, prior, docs)
 }
 
-// serviceTactic maps a cloud RPC service name to the catalog tactic family
-// it belongs to ("" for non-tactic plumbing like doc storage or batching).
-func serviceTactic(service string) string {
+// families are the catalog tactic families cloud services belong to.
+var families = [...]string{"DET", "RND", "Mitra", "Sophos", "BIEX", "OPE", "ORE", "Paillier"}
+
+// family returns the index in families of the tactic a cloud RPC service
+// belongs to, or -1 for plumbing like doc storage or batching.
+func family(service string) int {
 	switch service {
 	case "det":
-		return "DET"
+		return 0
 	case "rnd":
-		return "RND"
+		return 1
 	case "mitra":
-		return "Mitra"
+		return 2
 	case "sophos":
-		return "Sophos"
+		return 3
 	case "biex":
-		return "BIEX"
+		return 4
 	case "ope":
-		return "OPE"
+		return 5
 	case "ore":
-		return "ORE"
+		return 6
 	case "agg", "paillier":
-		return "Paillier"
+		return 7
 	}
-	return ""
+	return -1
 }
 
 // OpSnapshot is one (tactic, op) series in a Snapshot.
@@ -309,128 +319,63 @@ type Snapshot struct {
 	Migrations uint64                    `json:"migrations"`
 }
 
+// live is every open Stats, published as expvar "datablinder_tactics".
+var live = obs.NewSet("datablinder_tactics", snapshotOf)
+
 // Snapshot renders the current counters. Wire bytes come from the
 // process-wide transport counters, attributed to tactics by service name.
-func (s *Stats) Snapshot() Snapshot {
+func (s *Stats) Snapshot() Snapshot { return snapshotOf(s) }
+
+// snapshotOf sums the counters of ss into one snapshot: counts, RPCs,
+// documents and migrations add, an average is over every sample, and the
+// EWMAs are those of the last member that has the series.
+func snapshotOf(ss ...*Stats) Snapshot {
 	snap := Snapshot{Tactics: make(map[string]TacticSnapshot), Docs: make(map[string]int64)}
-	wire := transport.WireStats()
-	bytesByTactic := make(map[string]uint64)
-	for method, m := range wire.Methods {
-		service, _, _ := strings.Cut(method, ".")
-		if t := serviceTactic(service); t != "" {
-			bytesByTactic[t] += m.BytesOut + m.BytesIn
-		}
+	if len(ss) == 0 {
+		return snap
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k, st := range s.ops {
-		t := snap.Tactics[k.Tactic]
-		if t.Ops == nil {
-			t.Ops = make(map[string]OpSnapshot)
-		}
-		t.Ops[string(k.Op)] = OpSnapshot{
-			Count:  st.count,
-			AvgMs:  st.totalNs / float64(st.count) / 1e6,
-			EwmaMs: st.ewmaNs / 1e6,
-			AtDocs: st.ewmaDocs,
-		}
-		snap.Tactics[k.Tactic] = t
-	}
-	s.rpcs.Range(func(key, v any) bool {
-		tn := serviceTactic(key.(string))
-		if tn == "" {
-			return true
-		}
-		t := snap.Tactics[tn]
-		if t.Ops == nil {
-			t.Ops = make(map[string]OpSnapshot)
-		}
-		t.RPCs += v.(*atomic.Uint64).Load()
-		snap.Tactics[tn] = t
-		return true
-	})
-	for name, b := range bytesByTactic {
+	tactic := func(name string) TacticSnapshot {
 		t := snap.Tactics[name]
 		if t.Ops == nil {
 			t.Ops = make(map[string]OpSnapshot)
 		}
-		t.WireBytes = b
-		snap.Tactics[name] = t
+		return t
 	}
-	for schema, n := range s.docs {
-		snap.Docs[schema] = n
+	totalNs := make(map[Key]float64)
+	for _, s := range ss {
+		s.mu.Lock()
+		for k, st := range s.ops {
+			t := tactic(k.Tactic)
+			o := t.Ops[string(k.Op)]
+			o.Count += st.count
+			totalNs[k] += st.totalNs
+			o.AvgMs = totalNs[k] / float64(o.Count) / 1e6
+			o.EwmaMs, o.AtDocs = st.ewmaNs/1e6, st.ewmaDocs
+			t.Ops[string(k.Op)] = o
+			snap.Tactics[k.Tactic] = t
+		}
+		for schema, n := range s.docs {
+			snap.Docs[schema] += n
+		}
+		snap.Migrations += s.migs
+		s.mu.Unlock()
+		for f := range s.rpcs {
+			if n := s.rpcs[f].Load(); n > 0 {
+				t := tactic(families[f])
+				t.RPCs += n
+				snap.Tactics[families[f]] = t
+			}
+		}
 	}
-	snap.Migrations = s.migs
+	for method, m := range transport.WireStats().Methods {
+		service, _, _ := strings.Cut(method, ".")
+		if f := family(service); f >= 0 {
+			t := tactic(families[f])
+			t.WireBytes += m.BytesOut + m.BytesIn
+			snap.Tactics[families[f]] = t
+		}
+	}
 	return snap
-}
-
-// Merge folds other into s (expvar aggregation across engines).
-func (snap *Snapshot) merge(other Snapshot) {
-	for name, t := range other.Tactics {
-		cur := snap.Tactics[name]
-		if cur.Ops == nil {
-			cur.Ops = make(map[string]OpSnapshot)
-		}
-		for op, o := range t.Ops {
-			c := cur.Ops[op]
-			total := c.Count + o.Count
-			if total > 0 {
-				c.AvgMs = (c.AvgMs*float64(c.Count) + o.AvgMs*float64(o.Count)) / float64(total)
-			}
-			c.Count = total
-			c.EwmaMs = o.EwmaMs // latest-writer wins; per-engine detail is in each engine's Stats
-			c.AtDocs = o.AtDocs
-			cur.Ops[op] = c
-		}
-		cur.RPCs += t.RPCs
-		if t.WireBytes > cur.WireBytes {
-			cur.WireBytes = t.WireBytes // process-wide counters, not additive
-		}
-		snap.Tactics[name] = cur
-	}
-	for schema, n := range other.Docs {
-		snap.Docs[schema] += n
-	}
-	snap.Migrations += other.Migrations
-}
-
-var (
-	regMu      sync.Mutex
-	registered []*Stats
-	publish    sync.Once
-)
-
-// Register adds a Stats instance to the process-wide "datablinder_tactics"
-// expvar aggregation.
-func Register(s *Stats) {
-	regMu.Lock()
-	registered = append(registered, s)
-	regMu.Unlock()
-	publish.Do(func() {
-		expvar.Publish("datablinder_tactics", expvar.Func(func() any {
-			out := Snapshot{Tactics: make(map[string]TacticSnapshot), Docs: make(map[string]int64)}
-			regMu.Lock()
-			defer regMu.Unlock()
-			for _, s := range registered {
-				snap := s.Snapshot()
-				out.merge(snap)
-			}
-			return out
-		}))
-	})
-}
-
-// Unregister removes a Stats instance from the expvar aggregation
-// (engines of closed clients, benchmark arms).
-func Unregister(s *Stats) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	for i, r := range registered {
-		if r == s {
-			registered = append(registered[:i], registered[i+1:]...)
-			return
-		}
-	}
 }
 
 // SortedTactics returns the snapshot's tactic names, sorted (stable

@@ -118,8 +118,8 @@ func (l *Log) Replay(apply func(seq uint64, payload []byte) error) error {
 		l.done = make(chan struct{})
 		go l.runIntervalSync()
 	}
-	l.stats.recoveryNanos.Store(uint64(time.Since(t0).Nanoseconds()))
-	l.stats.recoveryRecords.Store(replayed)
+	l.recoveryNanos.Store(uint64(time.Since(t0).Nanoseconds()))
+	l.recoveryRecords.Store(replayed)
 	return nil
 }
 
@@ -149,7 +149,7 @@ func (l *Log) replaySegment(name string, last bool, snapSeq uint64, apply func(u
 			if terr := os.Truncate(path, rr.Offset()); terr != nil {
 				return segment{}, 0, fmt.Errorf("wal: truncating torn tail of %s: %w", name, terr)
 			}
-			l.stats.tornTails.Add(1)
+			l.tornTails.Add(1)
 			break
 		}
 		if seq > info.last {
@@ -240,9 +240,9 @@ func (l *Log) WriteSnapshot(seq uint64, payload []byte) error {
 	if old != "" && old != name {
 		os.Remove(filepath.Join(l.dir, old))
 	}
-	l.stats.snapshots.Add(1)
-	l.stats.snapshotNanos.Store(uint64(time.Since(t0).Nanoseconds()))
-	l.stats.compacted.Add(uint64(len(dropped)))
+	l.snapshots.Add(1)
+	l.snapshotNanos.Store(uint64(time.Since(t0).Nanoseconds()))
+	l.compacted.Add(uint64(len(dropped)))
 	return nil
 }
 

@@ -39,7 +39,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"datablinder/internal/obs"
 )
 
 // Policy selects when appended records are forced to stable storage.
@@ -108,9 +111,18 @@ type segment struct {
 // Log is one store's segmented write-ahead log. Construct with Open, then
 // LoadSnapshot and Replay exactly once before the first Append.
 type Log struct {
-	dir   string
-	opts  Options
-	stats counters
+	dir  string
+	opts Options
+
+	// The counters of Stats. snapshotNanos and recoveryNanos hold the most
+	// recent durations, recoveryRecords the records the last Replay applied.
+	appends, appendBytes         atomic.Uint64
+	fsyncs, fsyncNanos           atomic.Uint64
+	rotations, tornTails         atomic.Uint64
+	snapshots, compacted         atomic.Uint64
+	snapshotNanos, recoveryNanos atomic.Uint64
+	recoveryRecords              atomic.Uint64
+	fsyncHist, batchHist         obs.Histogram // fsync µs; records one fsync made durable
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -178,7 +190,10 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("wal: creating dir: %w", err)
 	}
-	l := &Log{dir: dir, opts: opts.withDefaults()}
+	l := &Log{
+		dir: dir, opts: opts.withDefaults(),
+		fsyncHist: obs.NewHistogram(fsyncBuckets), batchHist: obs.NewHistogram(batchBuckets),
+	}
 	l.cond = sync.NewCond(&l.mu)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -214,7 +229,7 @@ func Open(dir string, opts Options) (*Log, error) {
 			os.Remove(filepath.Join(dir, s))
 		}
 	}
-	register(l)
+	live.Join(l)
 	return l, nil
 }
 
@@ -259,8 +274,8 @@ func (l *Log) Append(seq uint64, payload []byte) error {
 	if seq > l.maxSeq {
 		l.maxSeq = seq
 	}
-	l.stats.appends.Add(1)
-	l.stats.appendBytes.Add(uint64(n))
+	l.appends.Add(1)
+	l.appendBytes.Add(uint64(n))
 	if l.seg.size >= l.opts.SegmentSize {
 		if err := l.rotateLocked(); err != nil {
 			l.mu.Unlock()
@@ -298,7 +313,7 @@ func (l *Log) rotateLocked() error {
 	l.sealed = append(l.sealed, sealed)
 	l.syncedPos = l.appendPos
 	l.pendingRecs = 0
-	l.stats.rotations.Add(1)
+	l.rotations.Add(1)
 	l.cond.Broadcast()
 	return l.openSegmentLocked()
 }
@@ -349,7 +364,12 @@ func (l *Log) waitSyncedLocked(pos uint64) error {
 			err := fdatasync(f)
 			d := time.Since(t0)
 			l.mu.Lock()
-			l.stats.recordFsync(d, batch)
+			l.fsyncs.Add(1)
+			l.fsyncNanos.Add(uint64(d.Nanoseconds()))
+			l.fsyncHist.Observe(uint64(d.Microseconds()))
+			if batch > 0 { // 0: the records were already durable (sealed by rotation)
+				l.batchHist.Observe(batch)
+			}
 			if err != nil {
 				l.syncErr = fmt.Errorf("wal: fsync: %w", err)
 			} else if target > l.syncedPos {
@@ -427,9 +447,87 @@ func (l *Log) Close() error {
 	}
 	l.cond.Broadcast()
 	l.mu.Unlock()
-	unregister(l)
+	live.Leave(l)
 	if err != nil {
 		return fmt.Errorf("wal: close: %w", err)
 	}
 	return nil
+}
+
+// fsyncBuckets bound the fsync-latency histogram (µs), batchBuckets the
+// group-commit batch sizes (records per fsync).
+var (
+	fsyncBuckets = obs.NewBuckets("us", 50, 100, 250, 500, 1000, 2500, 5000, 10000)
+	batchBuckets = obs.NewBuckets("", 1, 2, 4, 8, 16, 32, 64)
+)
+
+// live is every open Log, published as expvar "datablinder_store": the
+// -pprof listener of gateway and cloudserver shows appends, fsync latency,
+// group-commit batch sizes, segment counts and recovery cost.
+var live = obs.NewSet("datablinder_store", statsOf)
+
+// Stats is a point-in-time snapshot of one Log, or of every open Log in
+// the process (expvar "datablinder_store").
+type Stats struct {
+	// Appends counts records written; AppendBytes their framed size.
+	Appends     uint64 `json:"appends"`
+	AppendBytes uint64 `json:"append_bytes"`
+	// Fsyncs counts physical data syncs; FsyncMeanUs is the mean latency
+	// and FsyncHist the latency histogram. BatchHist buckets each group
+	// commit by how many records one fsync made durable.
+	Fsyncs      uint64            `json:"fsyncs"`
+	FsyncMeanUs float64           `json:"fsync_mean_us"`
+	FsyncHist   map[string]uint64 `json:"fsync_latency_hist"`
+	BatchHist   map[string]uint64 `json:"group_commit_batch_hist"`
+	// Segments / SealedBytes describe the live log structure; Rotations,
+	// Snapshots, CompactedSegments, and TornTails count lifecycle events.
+	Segments          int    `json:"segments"`
+	SealedBytes       int64  `json:"sealed_bytes"`
+	Rotations         uint64 `json:"rotations"`
+	Snapshots         uint64 `json:"snapshots"`
+	CompactedSegments uint64 `json:"compacted_segments"`
+	TornTails         uint64 `json:"torn_tails_truncated"`
+	// SnapshotLastMs / RecoveryLastMs are the most recent snapshot write
+	// and Replay durations (over several logs, the slowest); RecoveryRecords
+	// the records the last Replay applied.
+	SnapshotLastMs  float64 `json:"snapshot_last_ms"`
+	RecoveryLastMs  float64 `json:"recovery_last_ms"`
+	RecoveryRecords uint64  `json:"recovery_records"`
+}
+
+// Stats snapshots the log's counters.
+func (l *Log) Stats() Stats { return statsOf(l) }
+
+// statsOf sums the counters of logs into one snapshot.
+func statsOf(logs ...*Log) Stats {
+	s := Stats{FsyncHist: make(map[string]uint64), BatchHist: make(map[string]uint64)}
+	var fsyncNanos uint64
+	for _, l := range logs {
+		s.Appends += l.appends.Load()
+		s.AppendBytes += l.appendBytes.Load()
+		s.Fsyncs += l.fsyncs.Load()
+		fsyncNanos += l.fsyncNanos.Load()
+		l.fsyncHist.AddTo(s.FsyncHist)
+		l.batchHist.AddTo(s.BatchHist)
+		s.Rotations += l.rotations.Load()
+		s.Snapshots += l.snapshots.Load()
+		s.CompactedSegments += l.compacted.Load()
+		s.TornTails += l.tornTails.Load()
+		s.SnapshotLastMs = max(s.SnapshotLastMs, float64(l.snapshotNanos.Load())/1e6)
+		s.RecoveryLastMs = max(s.RecoveryLastMs, float64(l.recoveryNanos.Load())/1e6)
+		s.RecoveryRecords += l.recoveryRecords.Load()
+		l.mu.Lock()
+		s.Segments += len(l.sealed)
+		if l.ready && !l.closed {
+			s.Segments++ // the active segment
+		}
+		for _, seg := range l.sealed {
+			s.SealedBytes += seg.size
+		}
+		l.mu.Unlock()
+	}
+	if s.Fsyncs > 0 {
+		s.FsyncMeanUs = float64(fsyncNanos) / 1e3 / float64(s.Fsyncs)
+	}
+	return s
 }

@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"expvar"
 	"fmt"
 	"io"
 	"os"
@@ -462,7 +464,20 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// storeVar decodes the "datablinder_store" expvar.
+func storeVar(t *testing.T) Stats {
+	t.Helper()
+	var s Stats
+	if err := json.Unmarshal([]byte(expvar.Get("datablinder_store").String()), &s); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestStatsAggregate: the "datablinder_store" expvar sums every open Log
+// and drops a closed one.
 func TestStatsAggregate(t *testing.T) {
+	before := storeVar(t)
 	dir := t.TempDir()
 	l, _, _, _ := openReady(t, dir, Options{Fsync: FsyncAlways})
 	for seq := uint64(1); seq <= 5; seq++ {
@@ -470,9 +485,8 @@ func TestStatsAggregate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	agg := Aggregate()
-	if agg.Appends < 5 {
-		t.Fatalf("Aggregate().Appends = %d, want >= 5", agg.Appends)
+	if agg := storeVar(t); agg.Appends-before.Appends != 5 {
+		t.Fatalf("expvar appends went %d -> %d, want +5", before.Appends, agg.Appends)
 	}
 	st := l.Stats()
 	if st.FsyncMeanUs <= 0 {
@@ -481,8 +495,49 @@ func TestStatsAggregate(t *testing.T) {
 	if len(st.FsyncHist) == 0 {
 		t.Fatal("empty fsync histogram after FsyncAlways appends")
 	}
-	if len(st.BatchHist) == 0 {
-		t.Fatal("empty batch histogram after FsyncAlways appends")
+	if st.BatchHist["1"] == 0 {
+		t.Fatalf("batch histogram %v has no single-record commit after FsyncAlways appends", st.BatchHist)
 	}
 	l.Close()
+	if agg := storeVar(t); agg.Appends != before.Appends {
+		t.Fatalf("expvar still counts a closed log: appends %d, before %d", agg.Appends, before.Appends)
+	}
+}
+
+// TestStatsWhileClosing: expvar reads race logs that open, append and
+// close (run it under -race); once they are closed, the sum is back where
+// it started.
+func TestStatsWhileClosing(t *testing.T) {
+	before := storeVar(t)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if v := expvar.Get("datablinder_store").String(); !json.Valid([]byte(v)) {
+				t.Errorf("datablinder_store is not JSON: %s", v)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		l, _, _, _ := openReady(t, t.TempDir(), Options{Fsync: FsyncNever})
+		for seq := uint64(1); seq <= 3; seq++ {
+			if err := l.Append(seq, []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.Close()
+	}
+	close(stop)
+	wg.Wait()
+	if after := storeVar(t); after.Appends != before.Appends || after.Segments != before.Segments {
+		t.Fatalf("closed logs still counted: before %+v, after %+v", before, after)
+	}
 }

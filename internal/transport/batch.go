@@ -102,9 +102,9 @@ func appendBatchPayload(b []byte, calls []BatchCall) ([]byte, error) {
 // appendBatchSub appends the call section of one sub-call, its payload
 // encoded in place, and bills the payload to the sub-call's method.
 func appendBatchSub(b []byte, call BatchCall) ([]byte, error) {
-	b, name, n, err := appendCallArgs(b, call.Service, call.Method, call.Args)
+	b, mid, n, err := appendCallArgs(b, call.Service, call.Method, call.Args)
 	if err == nil {
-		wireRecordSub(name, true, n)
+		wireOf(mid).sub(true, n)
 	}
 	return b, err
 }
@@ -129,8 +129,8 @@ func parseBatchResults(calls []BatchCall, payload []byte) ([]BatchResult, error)
 		}
 		// The calls were encoded, so the table holds every name. The
 		// payload aliases the response frame, which is never pooled.
-		_, name, _ := registryTable().method(calls[i].Service, calls[i].Method)
-		wireRecordSub(name, false, len(res.payload))
+		mid, name, _ := registryTable().method(calls[i].Service, calls[i].Method)
+		wireOf(mid).sub(false, len(res.payload))
 		out[i] = BatchResult{Payload: res.payload, Name: name}
 	}
 	if err := r.Finish(); err != nil {

@@ -222,8 +222,8 @@ func TestBatchReplayedOnceAfterMidFlightDeath(t *testing.T) {
 					if err != nil {
 						return
 					}
-					if call.name != batchName {
-						t.Errorf("socket %d: call %s, want batch frames only", n, call.name)
+					if call.name() != batchName {
+						t.Errorf("socket %d: call %s, want batch frames only", n, call.name())
 					}
 					mu.Lock()
 					seen[n] = append(seen[n], call.payload)

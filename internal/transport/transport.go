@@ -282,7 +282,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// contrast, travel back as error results.
 			return
 		}
-		wireRecordFrame(call.name, false, len(body)+uvarintLen(uint64(len(body))))
+		wireOf(call.mid).frame(false, len(body)+uvarintLen(uint64(len(body))))
 		select {
 		case s.sem <- struct{}{}:
 		case <-s.ctx.Done():
@@ -306,15 +306,16 @@ func (s *Server) serveConn(conn net.Conn) {
 				buf = appendResultErr(buf, "", ferr.Error())
 				frame, _ = finishWireFrame(buf)
 			}
+			// Billed before the write: the client's call can return, and
+			// its caller snapshot the counters, before Write does.
+			wireOf(call.mid).frame(true, len(frame))
 			writeMu.Lock()
 			_, werr := conn.Write(frame)
 			writeMu.Unlock()
 			putWireFrameBuf(buf)
 			if werr != nil {
 				conn.Close() // wakes the read loop; connection is torn down
-				return
 			}
-			wireRecordFrame(call.name, true, len(frame))
 		})
 	}
 }
@@ -363,8 +364,8 @@ func (s *Server) Close() error {
 
 // pending is one in-flight call awaiting its response.
 type pending struct {
-	method string             // for frame accounting in the read loop
-	ch     chan *parsedResult // buffered(1); the reader delivers exactly once
+	mid uint16             // for frame accounting in the read loop
+	ch  chan *parsedResult // buffered(1); the reader delivers exactly once
 }
 
 // msock is one multiplexed client socket: a single writer-side mutex
@@ -439,7 +440,7 @@ func (m *msock) readLoop() {
 		delete(m.calls, id)
 		m.mu.Unlock()
 		if p != nil {
-			wireRecordFrame(p.method, false, len(body)+uvarintLen(uint64(len(body))))
+			wireOf(p.mid).frame(false, len(body)+uvarintLen(uint64(len(body))))
 			p.ch <- &res // buffered; never blocks
 		}
 		// No pending entry: the caller gave up (timeout/cancel); the
@@ -616,16 +617,16 @@ func (c *TCPClient) Call(ctx context.Context, service, method string, args, repl
 		return c.callBatch(ctx, calls, reply)
 	}
 	buf, id := c.newRequest()
-	buf, name, _, err := appendCallArgs(buf, service, method, args)
+	buf, mid, _, err := appendCallArgs(buf, service, method, args)
 	var res *parsedResult
 	if err == nil {
-		res, err = c.send(ctx, name, id, buf)
+		res, err = c.send(ctx, mid, id, buf)
 	}
 	putWireFrameBuf(buf)
 	if err != nil {
 		return err
 	}
-	return decodeResult(name, res, args, reply)
+	return decodeResult(mid, res, args, reply)
 }
 
 // maxBatchChunkBytes caps the summed call sections of the sub-calls one
@@ -670,10 +671,10 @@ func (c *TCPClient) callBatch(ctx context.Context, calls []BatchCall, reply any)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		res, err := c.send(ctx, batchName, ch.id, ch.buf)
+		res, err := c.send(ctx, 0, ch.id, ch.buf)
 		var part []BatchResult
 		if err == nil {
-			err = decodeResult(batchName, res, calls[ch.first:ch.end], &part)
+			err = decodeResult(0, res, calls[ch.first:ch.end], &part)
 		}
 		if err != nil {
 			return err
@@ -734,16 +735,17 @@ func (c *TCPClient) newRequest() ([]byte, uint64) {
 	return binary.AppendUvarint(append(newWireFrameBuf(), wireKindReq), id), id
 }
 
-// send finishes the request frame in buf (request id, call section) and
-// makes its round trip, replaying it once if its socket died under it.
-func (c *TCPClient) send(ctx context.Context, name string, id uint64, buf []byte) (*parsedResult, error) {
+// send finishes the request frame in buf (request id, call section of
+// method id mid) and makes its round trip, replaying it once if its socket
+// died under it.
+func (c *TCPClient) send(ctx context.Context, mid uint16, id uint64, buf []byte) (*parsedResult, error) {
 	frame, err := finishWireFrame(buf)
 	if err != nil {
 		return nil, err
 	}
-	res, err, sockDead := c.roundTrip(ctx, name, id, frame)
+	res, err, sockDead := c.roundTrip(ctx, mid, id, frame)
 	if sockDead && ctx.Err() == nil {
-		if res2, err2, dead2 := c.roundTrip(ctx, name, id, frame); err2 == nil && !dead2 {
+		if res2, err2, dead2 := c.roundTrip(ctx, mid, id, frame); err2 == nil && !dead2 {
 			res, err = res2, nil
 		}
 		// Replay failed: report the original failure, not the retry's.
@@ -756,13 +758,13 @@ func (c *TCPClient) send(ctx context.Context, name string, id uint64, buf []byte
 // class of error a single redial-and-replay can heal — as opposed to a
 // timeout, cancellation, client close, or a response that actually
 // arrived.
-func (c *TCPClient) roundTrip(ctx context.Context, name string, id uint64, frame []byte) (res *parsedResult, err error, sockDead bool) {
+func (c *TCPClient) roundTrip(ctx context.Context, mid uint16, id uint64, frame []byte) (res *parsedResult, err error, sockDead bool) {
 	m, err := c.acquire()
 	if err != nil {
 		return nil, err, false
 	}
 
-	p := &pending{method: name, ch: make(chan *parsedResult, 1)}
+	p := &pending{mid: mid, ch: make(chan *parsedResult, 1)}
 	if err := m.register(id, p); err != nil {
 		// The socket died between acquire and register; same class as a
 		// write failure (unless the client itself was closed).
@@ -785,7 +787,7 @@ func (c *TCPClient) roundTrip(ctx context.Context, name string, id uint64, frame
 		m.fail(fmt.Errorf("transport: write: %w", werr))
 		return nil, fmt.Errorf("transport: write: %w", werr), true
 	}
-	wireRecordFrame(name, true, len(frame))
+	wireOf(mid).frame(true, len(frame))
 
 	timer := time.NewTimer(c.timeout)
 	defer timer.Stop()
@@ -796,7 +798,7 @@ func (c *TCPClient) roundTrip(ctx context.Context, name string, id uint64, frame
 		return nil, ctx.Err(), false
 	case <-timer.C:
 		m.deregister(id)
-		return nil, fmt.Errorf("transport: call %s: timeout after %v", name, c.timeout), false
+		return nil, fmt.Errorf("transport: call %s: timeout after %v", registryTable().name(mid), c.timeout), false
 	case <-m.dead:
 		// The reader exited; either our response will never come, or it
 		// raced in just before the failure.
@@ -870,7 +872,7 @@ func (l *Loopback) Call(ctx context.Context, service, method string, args, reply
 	if err != nil {
 		return err
 	}
-	call := parsedCall{name: name, payload: payload}
+	call := parsedCall{mid: mid, payload: payload}
 	if mid != 0 {
 		call.codec = registryTable().codecs[mid-1]
 	}
@@ -880,7 +882,7 @@ func (l *Loopback) Call(ctx context.Context, service, method string, args, reply
 	if perr != nil || r.Finish() != nil {
 		return fmt.Errorf("%w: loopback result", ErrWireProtocol)
 	}
-	return decodeResult(name, &res, args, reply)
+	return decodeResult(mid, &res, args, reply)
 }
 
 // Close implements Conn.

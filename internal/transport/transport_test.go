@@ -26,6 +26,7 @@ type tmsg struct {
 var testMethods = []string{
 	"test.echo", "test.fail", "test.add", "test.coded", "test.nope",
 	"slow.sleep", "probe.run", "echo.id", "svc.echo", "svc.m", "x.y",
+	"wire.count",
 }
 
 func init() {
@@ -315,6 +316,50 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestWireStatsExactAfterEachCall: once a call returns, the wire counters
+// hold both of its frames on both sides of an in-process TCP pair. The
+// client bills its request and the server's response, the server the
+// request and its response, so each call adds two frames out and two in to
+// its method, equal bytes each way, and four frames to the codec totals.
+// The server bills its response before writing it; billed after, a
+// snapshot taken as the call returns could miss it.
+func TestWireStatsExactAfterEachCall(t *testing.T) {
+	mux := NewMux()
+	handle(mux, "wire.count", func(_ context.Context, in *tmsg) (any, error) {
+		return tmsg{S: in.S + in.S}, nil
+	})
+	srv := NewServer(mux)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := Dial(addr, DialOptions{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	prev := WireStats()
+	for i := 0; i < 500; i++ {
+		var reply tmsg
+		if err := client.Call(context.Background(), "wire", "count", tmsg{S: strings.Repeat("x", i%40)}, &reply); err != nil {
+			t.Fatal(err)
+		}
+		cur := WireStats()
+		a, b := prev.Methods["wire.count"], cur.Methods["wire.count"]
+		frames := cur.Codecs["binary"].Frames - prev.Codecs["binary"].Frames
+		out, in := b.BytesOut-a.BytesOut, b.BytesIn-a.BytesIn
+		if b.FramesOut-a.FramesOut != 2 || b.FramesIn-a.FramesIn != 2 || frames != 4 {
+			t.Fatalf("call %d: frames out +%d, in +%d, codec +%d; want +2, +2, +4",
+				i, b.FramesOut-a.FramesOut, b.FramesIn-a.FramesIn, frames)
+		}
+		if out != in || out == 0 || cur.TotalBytes()-prev.TotalBytes() != out+in {
+			t.Fatalf("call %d: bytes out +%d, in +%d, codec +%d", i, out, in, cur.TotalBytes()-prev.TotalBytes())
+		}
+		prev = cur
 	}
 }
 

@@ -47,8 +47,10 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"datablinder/internal/obs"
 	"datablinder/internal/wirefmt"
 )
 
@@ -190,11 +192,12 @@ func RegisteredWireMethods() []string {
 // wireTable is the build's method id table: every registered codec method
 // in sorted order, mid i+1 ↔ names[i]; mid 0 is the batch executor. The
 // hello checks that both peers hold the same table, so every socket speaks
-// it.
+// it. wire[mid] are the method's wire counters.
 type wireTable struct {
 	names  []string
 	codecs []*PayloadCodec
 	ids    map[string]uint16
+	wire   []wireCounters
 }
 
 // registryTable freezes the codec registry, on first use, into the method
@@ -212,8 +215,142 @@ var registryTable = sync.OnceValue(func() *wireTable {
 		t.codecs = append(t.codecs, codecReg[name])
 		t.ids[name] = uint16(i + 1)
 	}
+	t.wire = make([]wireCounters, len(t.names)+1)
 	return t
 })
+
+// name returns the name of method id mid, which the table holds.
+func (t *wireTable) name(mid uint16) string {
+	if mid == 0 {
+		return batchName
+	}
+	return t.names[mid-1]
+}
+
+// wireOf returns the wire counters of method id mid.
+func wireOf(mid uint16) *wireCounters { return &registryTable().wire[mid] }
+
+// wireCounters are one method's wire counters. Frames and their bytes are
+// billed at the socket, a batch frame to _batch.exec; a batch sub-call
+// bills its payload bytes to its own method (sub). Encode and decode
+// nanoseconds are billed at the typed payload codecs, sub-calls included.
+type wireCounters struct {
+	framesOut, framesIn atomic.Uint64
+	bytesOut, bytesIn   atomic.Uint64
+	frameBytes          atomic.Uint64 // the frames' bytes alone, both directions
+	encodeNs, decodeNs  atomic.Uint64
+}
+
+// frame bills one frame of n bytes. out is true for frames this process
+// writes (requests on clients, responses on servers).
+func (c *wireCounters) frame(out bool, n int) {
+	c.sub(out, n)
+	if out {
+		c.framesOut.Add(1)
+	} else {
+		c.framesIn.Add(1)
+	}
+	c.frameBytes.Add(uint64(n))
+}
+
+// sub bills n payload bytes of a batch sub-call.
+func (c *wireCounters) sub(out bool, n int) {
+	if out {
+		c.bytesOut.Add(uint64(n))
+	} else {
+		c.bytesIn.Add(uint64(n))
+	}
+}
+
+// MethodWireStats is a snapshot of one method's counters.
+type MethodWireStats struct {
+	FramesOut uint64 `json:"frames_out"`
+	FramesIn  uint64 `json:"frames_in"`
+	BytesOut  uint64 `json:"bytes_out"`
+	BytesIn   uint64 `json:"bytes_in"`
+	EncodeNs  uint64 `json:"encode_ns"`
+	DecodeNs  uint64 `json:"decode_ns"`
+}
+
+// CodecWireStats is a snapshot of a codec's frame totals.
+type CodecWireStats struct {
+	Frames uint64 `json:"frames"`
+	Bytes  uint64 `json:"bytes"`
+}
+
+// WireStatsSnapshot is the wire counters of every method that has any. Codecs
+// has the one key "binary", the frame totals of both directions; only
+// benchmark/cmd/dblayers reads it (and TotalBytes), and the benchmark-only
+// port that sums Methods instead deletes both.
+type WireStatsSnapshot struct {
+	Methods map[string]MethodWireStats `json:"methods"`
+	Codecs  map[string]CodecWireStats  `json:"codecs"`
+}
+
+// TotalBytes sums frame bytes across codecs (both directions).
+func (s WireStatsSnapshot) TotalBytes() uint64 {
+	var n uint64
+	for _, c := range s.Codecs {
+		n += c.Bytes
+	}
+	return n
+}
+
+// wireRow is one method's counters as the "datablinder_wire" expvar lists
+// them.
+type wireRow struct {
+	Method string `json:"method"`
+	MethodWireStats
+}
+
+// wireRows snapshots the counters of every method that has any, in table
+// order (sorted by name), with their frame totals.
+func wireRows() ([]wireRow, CodecWireStats) {
+	t := registryTable()
+	var rows []wireRow
+	var total CodecWireStats
+	for mid := range t.wire {
+		c := &t.wire[mid]
+		m := MethodWireStats{
+			FramesOut: c.framesOut.Load(), FramesIn: c.framesIn.Load(),
+			BytesOut: c.bytesOut.Load(), BytesIn: c.bytesIn.Load(),
+			EncodeNs: c.encodeNs.Load(), DecodeNs: c.decodeNs.Load(),
+		}
+		if m == (MethodWireStats{}) {
+			continue
+		}
+		rows = append(rows, wireRow{Method: t.name(uint16(mid)), MethodWireStats: m})
+		total.Frames += m.FramesOut + m.FramesIn
+		total.Bytes += c.frameBytes.Load()
+	}
+	return rows, total
+}
+
+// WireStats snapshots the wire counters.
+func WireStats() WireStatsSnapshot {
+	rows, total := wireRows()
+	snap := WireStatsSnapshot{
+		Methods: make(map[string]MethodWireStats, len(rows)),
+		Codecs:  map[string]CodecWireStats{"binary": total},
+	}
+	for _, r := range rows {
+		snap.Methods[r.Method] = r.MethodWireStats
+	}
+	return snap
+}
+
+// The wire counters are published as expvar "datablinder_wire", on the
+// -pprof listener next to datablinder_coalesce, so what the codec costs is
+// observable in production, not just in benches.
+func init() {
+	obs.Publish("datablinder_wire", func() any {
+		rows, total := wireRows()
+		return struct {
+			Methods []wireRow                 `json:"methods"`
+			Codecs  map[string]CodecWireStats `json:"codecs"`
+		}{rows, map[string]CodecWireStats{"binary": total}}
+	})
+}
 
 // method returns the method id service.method travels under and its name
 // as the table holds it: mid 0 for the batch executor, errNoCodec for a
@@ -229,16 +366,15 @@ func (t *wireTable) method(service, method string) (uint16, string, error) {
 	return mid, t.names[mid-1], nil
 }
 
-// resolve maps a method id to its name and codec (nil for the batch
-// executor).
-func (t *wireTable) resolve(mid uint64) (string, *PayloadCodec, bool) {
+// resolve maps a method id to its codec (nil for the batch executor).
+func (t *wireTable) resolve(mid uint64) (*PayloadCodec, bool) {
 	if mid == 0 {
-		return batchName, nil, true
+		return nil, true
 	}
 	if mid > uint64(len(t.names)) {
-		return "", nil, false
+		return nil, false
 	}
-	return t.names[mid-1], t.codecs[mid-1], true
+	return t.codecs[mid-1], true
 }
 
 // errCodecType reports an argument/reply value a typed codec does not
@@ -435,27 +571,29 @@ func uvarintLen(u uint64) int {
 
 // appendCallArgs appends the call section of service.method for args,
 // encoding the payload in place (see appendArgs for what args may be). It
-// also returns the method's name as the table holds it, and the payload's
-// length.
-func appendCallArgs(b []byte, service, method string, args any) (_ []byte, name string, n int, err error) {
+// also returns the method's id and the payload's length.
+func appendCallArgs(b []byte, service, method string, args any) (_ []byte, mid uint16, n int, err error) {
 	mid, name, err := registryTable().method(service, method)
 	if err != nil {
-		return b, "", 0, err
+		return b, 0, 0, err
 	}
 	b, mark := reserveLen(binary.AppendUvarint(b, uint64(mid)))
 	if b, err = appendArgs(b, mid, name, args); err != nil {
-		return b, "", 0, err
+		return b, 0, 0, err
 	}
 	n = len(b) - mark - lenSlack
-	return sealLen(b, mark), name, n, nil
+	return sealLen(b, mark), mid, n, nil
 }
 
 // parsedCall is one decoded call section.
 type parsedCall struct {
-	name    string
+	mid     uint16
 	codec   *PayloadCodec // nil for a batch
 	payload []byte        // aliases the frame buffer
 }
+
+// name returns the name of the called method.
+func (c parsedCall) name() string { return registryTable().name(c.mid) }
 
 // parseCall consumes one call section from r.
 func parseCall(r *wirefmt.Reader) (parsedCall, error) {
@@ -465,11 +603,11 @@ func parseCall(r *wirefmt.Reader) (parsedCall, error) {
 	if err := r.Err(); err != nil {
 		return c, fmt.Errorf("%w: %v", ErrWireProtocol, err)
 	}
-	name, codec, ok := registryTable().resolve(mid)
+	codec, ok := registryTable().resolve(mid)
 	if !ok {
 		return c, fmt.Errorf("%w: unknown method id %d", ErrWireProtocol, mid)
 	}
-	c.name, c.codec = name, codec
+	c.mid, c.codec = uint16(mid), codec
 	return c, nil
 }
 
@@ -535,17 +673,18 @@ func appendArgs(dst []byte, mid uint16, name string, args any) ([]byte, error) {
 	if err != nil {
 		return dst, fmt.Errorf("transport: encoding %s args (%T): %w", name, args, err)
 	}
-	wireRecordEncode(name, time.Since(start))
+	wireOf(mid).encodeNs.Add(uint64(time.Since(start)))
 	return b, nil
 }
 
-// decodeResult turns the result of one call into Call's outcome: the
-// remote error, the parsed sub-results of a batch frame, or the payload
-// decoded into reply.
-func decodeResult(name string, res *parsedResult, args, reply any) error {
+// decodeResult turns the result of one call of method id mid into Call's
+// outcome: the remote error, the parsed sub-results of a batch frame, or
+// the payload decoded into reply.
+func decodeResult(mid uint16, res *parsedResult, args, reply any) error {
 	if !res.ok {
 		return &RemoteError{Code: res.code, Msg: res.msg}
 	}
+	name := registryTable().name(mid)
 	if calls, ok := args.([]BatchCall); ok {
 		out, _ := reply.(*[]BatchResult)
 		if out == nil {
@@ -553,7 +692,7 @@ func decodeResult(name string, res *parsedResult, args, reply any) error {
 		}
 		start := time.Now()
 		results, err := parseBatchResults(calls, res.payload)
-		wireRecordDecode(name, time.Since(start))
+		wireOf(mid).decodeNs.Add(uint64(time.Since(start)))
 		*out = results
 		return err
 	}
@@ -562,7 +701,7 @@ func decodeResult(name string, res *parsedResult, args, reply any) error {
 	}
 	start := time.Now()
 	err := decodeReply(name, res.payload, reply)
-	wireRecordDecode(name, time.Since(start))
+	wireOf(mid).decodeNs.Add(uint64(time.Since(start)))
 	return err
 }
 
@@ -612,17 +751,17 @@ func wireExec(ctx context.Context, m *Mux, dst []byte, call parsedCall) []byte {
 		return appendResultOK(dst, body[wireFrameHdr:])
 	}
 
-	fn := m.lookup(call.name)
+	fn := m.lookup(call.name())
 	if fn == nil {
-		return appendResultErr(dst, "", fmt.Sprintf("%v: %s", ErrNoHandler, call.name))
+		return appendResultErr(dst, "", fmt.Sprintf("%v: %s", ErrNoHandler, call.name()))
 	}
 	args := call.codec.NewArgs()
 	if len(call.payload) > 0 {
 		start := time.Now()
 		err := call.codec.DecodeArgs(call.payload, args)
-		wireRecordDecode(call.name, time.Since(start))
+		wireOf(call.mid).decodeNs.Add(uint64(time.Since(start)))
 		if err != nil {
-			return appendResultErr(dst, "", fmt.Sprintf("transport: decoding %s args: %v", call.name, err))
+			return appendResultErr(dst, "", fmt.Sprintf("transport: decoding %s args: %v", call.name(), err))
 		}
 	}
 	result, err := fn(ctx, args)
@@ -634,14 +773,14 @@ func wireExec(ctx context.Context, m *Mux, dst []byte, call parsedCall) []byte {
 		return appendResultOK(dst, nil)
 	}
 	if call.codec.EncodeReply == nil {
-		return appendResultErr(dst, "", fmt.Sprintf("transport: %s has no reply codec for a %T reply", call.name, result))
+		return appendResultErr(dst, "", fmt.Sprintf("transport: %s has no reply codec for a %T reply", call.name(), result))
 	}
 	b, mark := reserveLen(append(dst, wireStatusOK))
 	start := time.Now()
 	b, err = call.codec.EncodeReply(b, result)
-	wireRecordEncode(call.name, time.Since(start))
+	wireOf(call.mid).encodeNs.Add(uint64(time.Since(start)))
 	if err != nil {
-		return appendResultErr(dst, "", fmt.Sprintf("transport: encoding %s reply (%T): %v", call.name, result, err))
+		return appendResultErr(dst, "", fmt.Sprintf("transport: encoding %s reply (%T): %v", call.name(), result, err))
 	}
 	return sealLen(b, mark)
 }

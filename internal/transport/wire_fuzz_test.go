@@ -90,7 +90,7 @@ func FuzzBinaryFrame(f *testing.F) {
 	f.Add(request(101, BatchService, BatchMethod, batch))
 	batchResp := binary.AppendUvarint([]byte{wireKindResp}, 101)
 	batchBody := encodeArgs(f, BatchService, BatchMethod, batch)
-	f.Add(wireExec(context.Background(), mux, batchResp, parsedCall{name: batchName, payload: batchBody}))
+	f.Add(wireExec(context.Background(), mux, batchResp, parsedCall{payload: batchBody}))
 
 	okResp := binary.AppendUvarint([]byte{wireKindResp}, 99)
 	okResp = appendResultOK(okResp, []byte{3, 1, 2, 3})

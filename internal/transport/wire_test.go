@@ -83,8 +83,8 @@ func TestParseCallRejectsTruncatedPayload(t *testing.T) {
 func TestMethodIDZeroIsTheBatchExecutor(t *testing.T) {
 	table := registryTable()
 	call, err := parseCall(wirefmt.NewReader([]byte{0, 1, 0}))
-	if err != nil || call.name != batchName || call.codec != nil {
-		t.Fatalf("mid 0 parsed as %q (codec %v), %v; want the batch executor", call.name, call.codec != nil, err)
+	if err != nil || call.name() != batchName || call.codec != nil {
+		t.Fatalf("mid 0 parsed as %q (codec %v), %v; want the batch executor", call.name(), call.codec != nil, err)
 	}
 	if mid, name, err := table.method(BatchService, BatchMethod); mid != 0 || name != batchName || err != nil {
 		t.Fatalf("method(%s) = %d, %q, %v", batchName, mid, name, err)
@@ -513,7 +513,7 @@ func TestUncodedMethodFailsBeforeAnyFrame(t *testing.T) {
 			if err != nil {
 				return
 			}
-			calls <- call.name
+			calls <- call.name()
 			if p.echo(id, call) != nil {
 				return
 			}
