@@ -1,16 +1,18 @@
-// Command cloudserver runs DataBlinder's untrusted-zone node: the
-// encrypted document store, the tactic index store, and the cloud halves
-// of every tactic protocol, served over the binary RPC transport
+// Command cloudserver runs DataBlinder's untrusted-zone node: one store
+// holding the encrypted documents and the tactic indexes, and the cloud
+// halves of every tactic protocol, served over the binary RPC transport
 // (internal/transport).
 //
 // Usage:
 //
 //	cloudserver -listen 127.0.0.1:7700 [-shards 4] [-data ./cloud-data] [-fsync always|interval|never] [-pprof addr] [-max-inflight N]
 //
-// With -data, both stores persist through segmented binary write-ahead
-// logs with group-committed fsync and background snapshot compaction;
-// -fsync picks the durability policy (default "interval": at most the
-// last second of writes is lost to a crash).
+// With -data, the store persists under <data>/index through a segmented
+// binary write-ahead log with group-committed fsync and background
+// snapshot compaction; -fsync picks the durability policy (default
+// "interval": at most the last second of writes is lost to a crash).
+// A data directory that still holds <data>/docs, where an earlier build
+// kept the documents apart, fails start-up with its files untouched.
 //
 // With -shards N (N > 1), the process hosts N independent cloud nodes —
 // disjoint stores, one listener each — on consecutive ports starting at
@@ -80,6 +82,28 @@ func shardAddrs(listen string, n int) ([]string, error) {
 	return addrs, nil
 }
 
+// storePaths returns the store directory of each of n shards under dataDir
+// (all empty without one). A shard directory holding docs, the documents'
+// old store, is refused before any store opens, leaving its files as they are.
+func storePaths(dataDir string, n int) ([]string, error) {
+	paths := make([]string, n)
+	if dataDir == "" {
+		return paths, nil
+	}
+	for i := range paths {
+		dir := dataDir
+		if n > 1 {
+			dir = filepath.Join(dataDir, fmt.Sprintf("shard-%d", i))
+		}
+		old := filepath.Join(dir, "docs")
+		if _, err := os.Lstat(old); err == nil {
+			return nil, fmt.Errorf("%s holds documents in the old two-store layout; there is no migration, start from a fresh -data directory", old)
+		}
+		paths[i] = filepath.Join(dir, "index")
+	}
+	return paths, nil
+}
+
 func run(listen string, shards int, dataDir, fsync string, maxInFlight int) error {
 	if shards < 1 {
 		return fmt.Errorf("-shards must be >= 1 (got %d)", shards)
@@ -88,21 +112,12 @@ func run(listen string, shards int, dataDir, fsync string, maxInFlight int) erro
 	if err != nil {
 		return err
 	}
-
+	paths, err := storePaths(dataDir, shards)
+	if err != nil {
+		return err
+	}
 	for i, shardAddr := range addrs {
-		opts := cloud.Options{FsyncPolicy: fsync}
-		if dataDir != "" {
-			dir := dataDir
-			if shards > 1 {
-				dir = filepath.Join(dataDir, fmt.Sprintf("shard-%d", i))
-			}
-			if err := os.MkdirAll(dir, 0o700); err != nil {
-				return fmt.Errorf("creating data dir: %w", err)
-			}
-			opts.KVPath = filepath.Join(dir, "index")
-			opts.DocDir = filepath.Join(dir, "docs")
-		}
-		node, err := cloud.NewNode(opts)
+		node, err := cloud.NewNode(cloud.Options{KVPath: paths[i], FsyncPolicy: fsync})
 		if err != nil {
 			return err
 		}

@@ -183,10 +183,9 @@ type Options struct {
 	// counters, schemas) under this directory. Empty means in-memory.
 	LocalStatePath string
 
-	// CloudKVPath / CloudDocDir enable persistence for the in-process
-	// cloud node.
+	// CloudKVPath enables persistence for the in-process cloud node: one
+	// store holding its indexes and documents.
 	CloudKVPath string
-	CloudDocDir string
 
 	// FsyncPolicy selects WAL durability for the local store and any
 	// in-process cloud node: "always", "interval" (default), or "never".
@@ -258,7 +257,7 @@ func Open(ctx context.Context, opts Options) (*Client, error) {
 
 	client := &Client{local: local}
 	if opts.InProcessCloud {
-		node, err := cloud.NewNode(cloud.Options{KVPath: opts.CloudKVPath, DocDir: opts.CloudDocDir, FsyncPolicy: opts.FsyncPolicy})
+		node, err := cloud.NewNode(cloud.Options{KVPath: opts.CloudKVPath, FsyncPolicy: opts.FsyncPolicy})
 		if err != nil {
 			client.Close()
 			return nil, err

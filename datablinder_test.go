@@ -182,7 +182,6 @@ func TestPersistentGatewayRestart(t *testing.T) {
 		CreateKey:      true,
 		LocalStatePath: filepath.Join(dir, "gateway.aof"),
 		CloudKVPath:    filepath.Join(dir, "cloud.aof"),
-		CloudDocDir:    filepath.Join(dir, "docs"),
 	}
 	ctx := context.Background()
 

@@ -22,7 +22,6 @@ func TestExpvarReaderContract(t *testing.T) {
 		InProcessCloud: true,
 		LocalStatePath: filepath.Join(dir, "state"),
 		CloudKVPath:    filepath.Join(dir, "index"),
-		CloudDocDir:    filepath.Join(dir, "docs"),
 	})
 	ctx := context.Background()
 	if err := client.RegisterSchema(ctx, vitalsSchema()); err != nil {

@@ -1,7 +1,7 @@
 // Package cloud assembles DataBlinder's untrusted-zone deployment (paper
-// Fig. 3/4): the document store holding whole-document ciphertexts, the
-// key-value store backing every tactic's secure indexes, and the RPC
-// services — the cloud halves of all tactics plus the document service.
+// Fig. 3/4): one key-value store per node, holding every tactic's secure
+// indexes and, in its doc/ namespace, the whole-document ciphertexts, and
+// the RPC services — the cloud halves of all tactics plus the doc service.
 //
 // Nothing in this process ever sees a decryption key: it stores opaque
 // blobs and executes token-driven index protocols.
@@ -93,20 +93,22 @@ type StatsReply struct {
 
 // Options configures a cloud node.
 type Options struct {
-	// KVPath enables WAL persistence for the index store (a directory of
-	// log segments).
+	// KVPath enables WAL persistence for the node's store, indexes and
+	// documents alike (a directory of log segments).
 	KVPath string
-	// DocDir enables WAL persistence for the document store (a kvstore
-	// directory like KVPath).
+	// DocDir is read by nothing: documents live in KVPath's store. It
+	// stays only because benchmark/cmd/dblayers still sets it; the
+	// benchmark-only port of dblayers deletes it.
 	DocDir string
-	// FsyncPolicy selects log durability for both stores: "always",
-	// "interval" (default), or "never".
+	// FsyncPolicy selects log durability: "always", "interval" (default),
+	// or "never".
 	FsyncPolicy string
 }
 
-// Node is one cloud deployment: stores plus a ready-to-serve mux.
+// Node is one cloud deployment: its store plus a ready-to-serve mux.
 type Node struct {
-	KV   *kvstore.Store
+	KV *kvstore.Store
+	// Docs is the document view of KV.
 	Docs *docstore.Store
 	Mux  *transport.Mux
 }
@@ -117,23 +119,13 @@ func NewNode(opts Options) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cloud: %w", err)
 	}
-	// Both stores are kvstores, in memory unless given a directory.
-	open := func(dir string) (*kvstore.Store, error) {
-		if dir == "" {
-			return kvstore.New(), nil
-		}
-		return kvstore.Open(dir, kvstore.Options{Fsync: fsync})
+	var kv *kvstore.Store
+	if opts.KVPath == "" {
+		kv = kvstore.New()
+	} else if kv, err = kvstore.Open(opts.KVPath, kvstore.Options{Fsync: fsync}); err != nil {
+		return nil, fmt.Errorf("cloud: opening store: %w", err)
 	}
-	kv, err := open(opts.KVPath)
-	if err != nil {
-		return nil, fmt.Errorf("cloud: opening kv store: %w", err)
-	}
-	docKV, err := open(opts.DocDir)
-	if err != nil {
-		kv.Close()
-		return nil, fmt.Errorf("cloud: opening doc store: %w", err)
-	}
-	docs := docstore.Over(docKV)
+	docs := docstore.Over(kv)
 
 	mux := transport.NewMux()
 	tactics.RegisterCloud(mux, kv)
@@ -164,15 +156,8 @@ func registerAdminService(mux *transport.Mux, kv *kvstore.Store, docs *docstore.
 	})
 }
 
-// Close flushes and closes both stores.
-func (n *Node) Close() error {
-	kvErr := n.KV.Close()
-	docErr := n.Docs.Close()
-	if kvErr != nil {
-		return kvErr
-	}
-	return docErr
-}
+// Close flushes and closes the node's store. Close is idempotent.
+func (n *Node) Close() error { return n.KV.Close() }
 
 // coded maps the doc store's sentinel errors to structured transport
 // codes, so gateways branch on codes instead of message substrings.

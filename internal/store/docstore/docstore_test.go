@@ -156,13 +156,29 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	s := open(t, dir)
 	payload := []byte{0x00, 0x01, 0xFF, 'j', 's', 'o', 'n'}
 	s.Put("obs", "d1", payload)
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	// Close writes no snapshot: the log alone is the state.
+	if snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap")); len(snaps) != 0 {
+		t.Fatalf("snapshots after Close = %v, want none", snaps)
+	}
+
+	// A snapshot taken by compaction covers the documents as well.
+	kv, err := kvstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	s = Over(kv)
 	s.Put("patients", "p1", []byte("enc"))
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	// Close leaves a final snapshot for the next open to recover from.
 	if snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap")); len(snaps) != 1 {
-		t.Fatalf("snapshots after Close = %v, want one", snaps)
+		t.Fatalf("snapshots after Compact = %v, want one", snaps)
 	}
 
 	s2 := open(t, dir)

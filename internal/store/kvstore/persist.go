@@ -44,9 +44,6 @@ type Options struct {
 	Fsync wal.Policy
 	// SegmentSize rotates log segments at this size (0 = 16 MiB).
 	SegmentSize int64
-	// Strict makes a torn log tail a fatal Open error instead of
-	// truncating at the last valid record.
-	Strict bool
 	// CompactBytes triggers a background snapshot once the sealed log
 	// exceeds this size (0 = 64 MiB; negative disables auto-compaction).
 	CompactBytes int64
@@ -73,7 +70,6 @@ func Open(path string, options ...Options) (*Store, error) {
 	l, err := wal.Open(path, wal.Options{
 		Fsync:       opts.Fsync,
 		SegmentSize: opts.SegmentSize,
-		Strict:      opts.Strict,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: %w", err)

@@ -82,18 +82,6 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 	if st := s2.WAL().Stats(); st.TornTails != 1 {
 		t.Fatalf("TornTails = %d, want 1", st.TornTails)
 	}
-
-	// Strict mode refuses the same damage instead of truncating.
-	s2.Close()
-	f, err = os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{0x44, 0x88})
-	f.Close()
-	if _, err := Open(path, Options{Strict: true}); err == nil {
-		t.Fatal("Strict Open accepted a torn tail")
-	}
 }
 
 func TestCompactBoundsRecovery(t *testing.T) {

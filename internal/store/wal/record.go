@@ -1,5 +1,5 @@
-// Record framing: the unit both stores append and both recovery paths
-// replay. A record is
+// Record framing: the unit a store appends and its recovery replays. A
+// record is
 //
 //	uvarint(seq) | uvarint(len(payload)) | payload | crc32c (4 bytes LE)
 //

@@ -56,9 +56,9 @@ func (l *Log) LoadSnapshot() (payload []byte, seq uint64, ok bool, err error) {
 // Replay streams every record with seq greater than the loaded snapshot's
 // covering sequence to apply, in file order, then opens a fresh active
 // segment and enables appends. A torn tail of the last segment is
-// truncated at the last CRC-valid record (fatal under Options.Strict);
-// corruption in any earlier segment is always fatal. Replay must be
-// called exactly once, after LoadSnapshot.
+// truncated at the last CRC-valid record; corruption in any earlier
+// segment is always fatal. Replay must be called exactly once, after
+// LoadSnapshot.
 func (l *Log) Replay(apply func(seq uint64, payload []byte) error) error {
 	l.mu.Lock()
 	if l.closed {
@@ -141,7 +141,7 @@ func (l *Log) replaySegment(name string, last bool, snapSeq uint64, apply func(u
 			break
 		}
 		if err != nil {
-			if l.opts.Strict || !last {
+			if !last {
 				return segment{}, 0, fmt.Errorf("wal: segment %s at offset %d: %w", name, rr.Offset(), err)
 			}
 			// Torn tail of the newest segment: a crash mid-append. Keep the

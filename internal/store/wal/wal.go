@@ -1,5 +1,5 @@
-// Package wal is the shard-local persistence engine under every kvstore
-// (tactic indexes, and encrypted documents through docstore): a segmented
+// Package wal is the persistence engine under every kvstore (a cloud
+// shard's one store of indexes and documents, and gateway state): a segmented
 // append-only log of length-prefixed binary records with per-record
 // CRC32C, a group-commit fsync stage, point-in-time snapshots with segment
 // compaction, and crash-tolerant recovery that truncates a torn tail at
@@ -27,9 +27,9 @@
 // out of sequence order (appends race outside the stripe locks), so
 // stores re-order by sequence before applying — the kvstore buckets by
 // lock stripe and replays all 32 stripes in parallel. A torn tail in the
-// last segment is truncated in place (Strict mode makes it fatal);
-// corruption anywhere earlier is always fatal, because sealed segments
-// are flushed and fsynced before the next one opens.
+// last segment is truncated in place; corruption anywhere earlier is
+// always fatal, because sealed segments are flushed and fsynced before the
+// next one opens.
 package wal
 
 import (
@@ -86,9 +86,6 @@ type Options struct {
 	// SegmentSize rotates the active segment once it reaches this many
 	// bytes (0 = 16 MiB).
 	SegmentSize int64
-	// Strict makes a torn tail a fatal Replay error instead of truncating
-	// at the last CRC-valid record.
-	Strict bool
 }
 
 func (o Options) withDefaults() Options {

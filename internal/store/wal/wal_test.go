@@ -278,38 +278,6 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 }
 
-func TestTornTailStrictModeFatal(t *testing.T) {
-	dir := t.TempDir()
-	l, _, _, _ := openReady(t, dir, Options{Fsync: FsyncNever})
-	if err := l.Append(1, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
-	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{0x01, 0x02})
-	f.Close()
-
-	l2, err := Open(dir, Options{Strict: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if _, _, _, err := l2.LoadSnapshot(); err != nil {
-		t.Fatal(err)
-	}
-	err = l2.Replay(func(uint64, []byte) error { return nil })
-	if err == nil {
-		t.Fatal("Strict Replay accepted a torn tail")
-	}
-	if !errors.Is(err, ErrTorn) {
-		t.Fatalf("Strict Replay error = %v, want ErrTorn", err)
-	}
-}
-
 func TestMidHistoryCorruptionFatal(t *testing.T) {
 	dir := t.TempDir()
 	l, _, _, _ := openReady(t, dir, Options{Fsync: FsyncNever, SegmentSize: 128})

@@ -24,12 +24,11 @@ import (
 
 // startPersistentShard brings up one cloud node persisting under dir and
 // returns its address plus a stop function that shuts the node down
-// cleanly (flushing the final snapshot).
+// cleanly (flushing and closing its WAL).
 func startPersistentShard(t *testing.T, dir string) (string, func()) {
 	t.Helper()
 	node, err := cloud.NewNode(cloud.Options{
 		KVPath:      filepath.Join(dir, "index"),
-		DocDir:      filepath.Join(dir, "docs"),
 		FsyncPolicy: "always",
 	})
 	if err != nil {
@@ -126,7 +125,7 @@ func TestPersistenceSurvivesShardRestart(t *testing.T) {
 	}
 
 	// Full teardown: gateway first (flushes its state WAL), then every
-	// shard (final snapshot + WAL close).
+	// shard (WAL flush + close).
 	if err := client.Close(); err != nil {
 		t.Fatalf("closing gateway: %v", err)
 	}

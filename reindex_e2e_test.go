@@ -200,7 +200,6 @@ func reindexOptions(dir string, throttle time.Duration) datablinder.Options {
 		CreateKey:       true,
 		LocalStatePath:  filepath.Join(dir, "gateway-state"),
 		CloudKVPath:     filepath.Join(dir, "cloud-index"),
-		CloudDocDir:     filepath.Join(dir, "cloud-docs"),
 		FsyncPolicy:     "always",
 		MigrateThrottle: throttle,
 	}
