@@ -21,9 +21,11 @@ package paillier
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
 )
 
 // Common errors.
@@ -37,11 +39,37 @@ var (
 
 var one = big.NewInt(1)
 
-// PublicKey is a Paillier public key.
+// PublicKey is a Paillier public key. Build one with PublicKeyFromN (or
+// as part of a PrivateKey): the constructors fix the Montgomery constants
+// sums fold with, so a key is read-only afterwards and safe for concurrent
+// use.
 type PublicKey struct {
 	N  *big.Int // modulus n = p*q
 	G  *big.Int // generator, fixed to n+1
 	N2 *big.Int // n² cache
+
+	// rr is R² mod n² for R = 2^(UintSize·len(N2.Bits())), zero-padded to
+	// len(N2.Bits()) words, and k0 is -n²⁻¹ mod 2^UintSize: the constants of
+	// montMul modulo n² (Accumulator).
+	rr []big.Word
+	k0 big.Word
+}
+
+// newPublicKey derives the public key of modulus n and its Montgomery
+// constants.
+func newPublicKey(n *big.Int) PublicKey {
+	n2 := new(big.Int).Mul(n, n)
+	w := len(n2.Bits())
+	r2 := new(big.Int).Lsh(one, uint(2*w*bits.UintSize))
+	rr := make([]big.Word, w)
+	copy(rr, r2.Mod(r2, n2).Bits())
+	return PublicKey{
+		N:  n,
+		G:  new(big.Int).Add(n, one),
+		N2: n2,
+		rr: rr,
+		k0: negInverse(n2.Bits()[0]),
+	}
 }
 
 // Ciphertext is a Paillier ciphertext bound to its public key.
@@ -158,37 +186,75 @@ func MulPlain(a *Ciphertext, k *big.Int) (*Ciphertext, error) {
 }
 
 // Accumulator folds serialized ciphertexts into a running homomorphic sum
-// in place: no exponentiation, no fresh mask and, after the first few
-// terms, no allocation. The sum of a single ciphertext is that ciphertext
-// unchanged — the result is not re-randomised, so it suits a reply that
-// only the key holder reads. Not safe for concurrent use.
+// in place: no exponentiation, no fresh mask and, once made, no
+// allocation. The sum of a single ciphertext is that ciphertext unchanged —
+// the result is not re-randomised, so it suits a reply that only the key
+// holder reads. Not safe for concurrent use.
+//
+// The fold runs in Montgomery form modulo n²: each term after the first is
+// multiplied in by montMul, which divides by R instead of dividing by n², so
+// after k terms the running value is the product times R^-(k-1). Bytes and
+// Ciphertext remove that factor with one more montMul, by R^(k-1) in
+// Montgomery form. The result is the fully reduced product mod n², the
+// same bytes a Mul+Mod fold gives.
 type Accumulator struct {
-	pk              *PublicKey
-	acc, term, prod big.Int
-	filled          bool // false until the first Add; acc is meaningless before
+	pk *PublicKey
+	// acc, term and pow are len(N2.Bits()) words each, scratch twice that,
+	// all cut from one slab.
+	acc, term, pow, scratch []big.Word
+	drift                   uint    // montMul folds since acc was last exact: acc = sum·R^-drift
+	filled                  bool    // false until the first Add; acc is meaningless before
+	sum                     big.Int // the settled acc, as Bytes and Ciphertext hand it out; aliases acc
 }
 
 // NewAccumulator returns an empty accumulator under pk.
 func (pk *PublicKey) NewAccumulator() *Accumulator {
-	return &Accumulator{pk: pk}
+	w := len(pk.rr) // 0 for a key built by hand, which then refuses every term
+	slab := make([]big.Word, 5*w)
+	return &Accumulator{
+		pk:      pk,
+		acc:     slab[:w:w],
+		term:    slab[w : 2*w : 2*w],
+		pow:     slab[2*w : 3*w : 3*w],
+		scratch: slab[3*w:],
+	}
 }
 
-// Add folds one serialized ciphertext into the sum.
+// Add folds one serialized ciphertext into the sum. A term outside
+// [1, n²) is refused and leaves the sum as it was.
 func (a *Accumulator) Add(raw []byte) error {
-	a.term.SetBytes(raw)
-	if a.term.Sign() <= 0 || a.term.Cmp(a.pk.N2) >= 0 {
+	mod := a.pk.N2.Bits()
+	if !setWords(a.term, raw) || !less(a.term, mod) {
 		return ErrInvalidCipher
 	}
 	if !a.filled {
-		a.acc.Set(&a.term)
+		copy(a.acc, a.term)
 		a.filled = true
 		return nil
 	}
-	a.prod.Mul(&a.acc, &a.term)
-	// term is dead until the next SetBytes, so it takes the quotient and
-	// the reduction allocates nothing.
-	a.term.QuoRem(&a.prod, a.pk.N2, &a.acc)
+	montMul(a.acc, a.term, a.acc, mod, a.pk.k0, a.scratch)
+	a.drift++
 	return nil
+}
+
+// settle makes acc the exact sum: one montMul by R^drift in Montgomery
+// form, R^(drift+1) mod n², which left-to-right binary powering of the
+// Montgomery form of R, R² mod n², builds in at most 2·log₂(drift)
+// products.
+func (a *Accumulator) settle() {
+	if a.drift == 0 {
+		return
+	}
+	mod, k0, rr := a.pk.N2.Bits(), a.pk.k0, a.pk.rr
+	copy(a.pow, rr)
+	for i := bits.Len(a.drift) - 2; i >= 0; i-- {
+		montMul(a.pow, a.pow, a.pow, mod, k0, a.scratch)
+		if a.drift>>i&1 == 1 {
+			montMul(a.pow, a.pow, rr, mod, k0, a.scratch)
+		}
+	}
+	montMul(a.acc, a.acc, a.pow, mod, k0, a.scratch)
+	a.drift = 0
 }
 
 // Bytes serializes the sum; nil when nothing was added.
@@ -196,7 +262,8 @@ func (a *Accumulator) Bytes() []byte {
 	if !a.filled {
 		return nil
 	}
-	return a.acc.Bytes()
+	a.settle()
+	return a.sum.SetBits(a.acc).Bytes()
 }
 
 // Ciphertext returns the sum, or nil when nothing was added. The result
@@ -205,7 +272,35 @@ func (a *Accumulator) Ciphertext() *Ciphertext {
 	if !a.filled {
 		return nil
 	}
-	return &Ciphertext{C: &a.acc, pk: a.pk}
+	a.settle()
+	return &Ciphertext{C: a.sum.SetBits(a.acc), pk: a.pk}
+}
+
+// setWords sets z to the big-endian integer b, zero-padded to len(z) words,
+// and reports whether it is non-zero and fits.
+func setWords(z []big.Word, b []byte) bool {
+	for len(b) > 0 && b[0] == 0 {
+		b = b[1:]
+	}
+	const size = bits.UintSize / 8
+	if len(b) == 0 || len(b) > len(z)*size {
+		return false
+	}
+	clear(z)
+	i := 0
+	for ; len(b) >= size; i++ {
+		end := len(b) - size
+		if size == 8 {
+			z[i] = big.Word(binary.BigEndian.Uint64(b[end:]))
+		} else {
+			z[i] = big.Word(binary.BigEndian.Uint32(b[end:]))
+		}
+		b = b[:end]
+	}
+	for _, c := range b { // the top word's leading bytes
+		z[i] = z[i]<<8 | big.Word(c)
+	}
+	return true
 }
 
 // Bytes serializes the ciphertext value.
@@ -227,11 +322,8 @@ func PublicKeyFromN(nBytes []byte) (*PublicKey, error) {
 	if n.BitLen() < 256 {
 		return nil, ErrKeySize
 	}
-	return &PublicKey{
-		N:  n,
-		G:  new(big.Int).Add(n, one),
-		N2: new(big.Int).Mul(n, n),
-	}, nil
+	pk := newPublicKey(n)
+	return &pk, nil
 }
 
 // Bytes serializes the public key (its modulus).

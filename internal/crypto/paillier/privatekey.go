@@ -69,7 +69,7 @@ func NewPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 		return nil, fmt.Errorf("%w: gcd(n, (p-1)(q-1)) != 1", ErrInvalidFactors)
 	}
 	sk := &PrivateKey{
-		PublicKey: PublicKey{N: n, G: new(big.Int).Add(n, one), N2: new(big.Int).Mul(n, n)},
+		PublicKey: newPublicKey(n),
 		P:         new(big.Int).Set(p),
 		Q:         new(big.Int).Set(q),
 		pp:        new(big.Int).Mul(p, p),

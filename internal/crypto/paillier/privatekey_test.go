@@ -353,19 +353,3 @@ func BenchmarkDecryptInt64(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAccumulatorAdd times the cloud's aggregate fold at the 1024-bit
-// width it runs.
-func BenchmarkAccumulatorAdd(b *testing.B) {
-	sk, _ := benchKey(b)
-	ct, _ := sk.EncryptInt64(1)
-	raw := ct.Bytes()
-	acc := sk.NewAccumulator()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := acc.Add(raw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -332,14 +332,23 @@ func NewServer(store *kvstore.Store, namespace string) *Server {
 	return &Server{store: store, namespace: namespace}
 }
 
-func (s *Server) cellKey(addr []byte) []byte {
-	return append([]byte("mitra/"+s.namespace+"/"), addr...)
+// keyPrefix returns a buffer holding the cell-key prefix
+// "mitra/<namespace>/" with room for one address after it, and the
+// prefix's length. A cell's key is append(key[:prefix], addr...): a call
+// over many cells builds the prefix once and reuses the buffer, since the
+// store copies every key it keeps.
+func (s *Server) keyPrefix() (key []byte, prefix int) {
+	key = make([]byte, 0, len("mitra/")+len(s.namespace)+1+primitives.PRFSize)
+	key = append(append(append(key, "mitra/"...), s.namespace...), '/')
+	return key, len(key)
 }
 
 // Insert stores encrypted cells.
 func (s *Server) Insert(entries []Entry) error {
+	key, prefix := s.keyPrefix()
 	for _, e := range entries {
-		if err := s.store.Set(s.cellKey(e.Addr), e.Val); err != nil {
+		key = append(key[:prefix], e.Addr...)
+		if err := s.store.Set(key, e.Val); err != nil {
 			return fmt.Errorf("mitra: inserting cell: %w", err)
 		}
 	}
@@ -351,8 +360,10 @@ func (s *Server) Insert(entries []Entry) error {
 // derive the right pad per position.
 func (s *Server) Search(req SearchRequest) ([][]byte, error) {
 	out := make([][]byte, len(req.Addrs))
+	key, prefix := s.keyPrefix()
 	for i, addr := range req.Addrs {
-		v, ok, err := s.store.Get(s.cellKey(addr))
+		key = append(key[:prefix], addr...)
+		v, ok, err := s.store.Get(key)
 		if err != nil {
 			return nil, err
 		}

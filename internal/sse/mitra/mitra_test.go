@@ -367,3 +367,56 @@ func TestResolveOrderAndCancellation(t *testing.T) {
 		t.Fatalf("Resolve = %v, want %v", got, want)
 	}
 }
+
+// TestServerCellKeys: the server keeps a cell under "mitra/<namespace>/"
+// followed by its address, and builds that prefix once per call: a Search
+// allocates its result, one key buffer and one copy per cell found, and
+// an Insert one key buffer and what the store itself copies per cell.
+func TestServerCellKeys(t *testing.T) {
+	c, _ := setup(t)
+	store := kvstore.New()
+	s := NewServer(store, "obs/code")
+	var entries []Entry
+	for i := 0; i < 16; i++ {
+		e, err := c.Update("obs/code", "glucose", OpAdd, fmt.Sprintf("doc-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, e)
+	}
+	if err := s.Insert(entries); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		v, ok, err := store.Get(append([]byte("mitra/obs/code/"), e.Addr...))
+		if err != nil || !ok || !bytes.Equal(v, e.Val) {
+			t.Fatalf("cell %x is not under mitra/obs/code/<addr>: %x, %v, %v", e.Addr, v, ok, err)
+		}
+	}
+	req, err := c.SearchRequest("obs/code", "glucose")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := search(t, c, s, "obs/code", "glucose"); len(ids) != len(entries) {
+		t.Fatalf("search found %d ids, want %d", len(ids), len(entries))
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	n := float64(len(entries))
+	if got := testing.AllocsPerRun(50, func() {
+		if _, err := s.Search(req); err != nil {
+			t.Fatal(err)
+		}
+	}); got > n+2 {
+		t.Fatalf("Search of %v cells makes %v allocations, want at most %v", n, got, n+2)
+	}
+	// Re-inserting stored cells: the store copies each value and key.
+	if got := testing.AllocsPerRun(50, func() {
+		if err := s.Insert(entries); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 2*n+1 {
+		t.Fatalf("Insert of %v cells makes %v allocations, want at most %v", n, got, 2*n+1)
+	}
+}

@@ -197,7 +197,8 @@ func (s *Store) HGet(key, field []byte) ([]byte, bool, error) {
 
 // HMGet returns the values of fields in the hash at key, in field order,
 // read under one lock; a missing field's value is nil, a present one's is
-// never nil. The fields are strings because batch readers hold their ids
+// never nil. The values are copies cut from one slab, each capped at its
+// own length. The fields are strings because batch readers hold their ids
 // as strings, and converting each to []byte would cost a copy.
 func (s *Store) HMGet(key []byte, fields []string) ([][]byte, error) {
 	sh := s.shard(key)
@@ -208,9 +209,21 @@ func (s *Store) HMGet(key []byte, fields []string) ([][]byte, error) {
 	}
 	h := sh.hashes[string(key)]
 	out := make([][]byte, len(fields))
+	size := 0
 	for i, f := range fields {
 		if v, ok := h[f]; ok {
-			out[i] = append(make([]byte, 0, len(v)), v...)
+			if v == nil {
+				v = []byte{} // an empty value, stored as nil, is still present
+			}
+			out[i] = v // the store's own bytes until the copy below
+			size += len(v)
+		}
+	}
+	slab := make([]byte, size) // non-nil even when size is 0
+	for i, v := range out {
+		if v != nil {
+			n := copy(slab, v)
+			out[i], slab = slab[:n:n], slab[n:]
 		}
 	}
 	return out, nil

@@ -55,6 +55,45 @@ func TestValueCopySemantics(t *testing.T) {
 	}
 }
 
+// TestHMGetCopies: HMGet's values are copies — writing into one, or
+// appending to it, changes neither the store nor the value beside it — and
+// a call costs two allocations however many fields it finds: the result
+// slice and one slab for every value.
+func TestHMGetCopies(t *testing.T) {
+	s := New()
+	h := []byte("h")
+	fields := make([]string, 20)
+	for i := range fields {
+		fields[i] = fmt.Sprintf("f%02d", i)
+		if err := s.HSet(h, []byte(fields[i]), []byte(fmt.Sprintf("value-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vals, err := s.HMGet(h, fields[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals[0][0] = 'X'
+	vals[0] = append(vals[0], "-appended"...)
+	if string(vals[1]) != "value-01" {
+		t.Fatalf("append to one value changed the next: %q", vals[1])
+	}
+	if v, _, _ := s.HGet(h, []byte(fields[0])); string(v) != "value-00" {
+		t.Fatalf("store aliased an HMGet value: %q", v)
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	want := append(fields[:len(fields):len(fields)], "missing")
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := s.HMGet(h, want); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 2 {
+		t.Fatalf("HMGet of %d fields makes %v allocations, want at most 2", len(want), got)
+	}
+}
+
 func TestHashOps(t *testing.T) {
 	s := New()
 	if err := s.HSet([]byte("h"), []byte("f1"), []byte("v1")); err != nil {

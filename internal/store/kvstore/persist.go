@@ -376,8 +376,17 @@ func (s *Store) Compact() error {
 	// so with all stripes held the state reflects exactly seq ≤ seqNow.
 	seqNow := s.seq.Load()
 	payload := s.serializeLocked()
+	// No sequence above seqNow can be claimed yet, so sealing the active
+	// segment now puts it among the segments the snapshot drops. A record
+	// claimed before the freeze but appended after it lands in the next
+	// segment, which the snapshot does not drop: WriteSnapshot removes
+	// only sealed segments whose last record is ≤ seqNow.
+	err := s.wal.Rotate()
 	for i := range s.shards {
 		s.shards[i].mu.Unlock()
+	}
+	if err != nil {
+		return fmt.Errorf("kvstore: %w", err)
 	}
 	if err := s.wal.WriteSnapshot(seqNow, payload); err != nil {
 		return fmt.Errorf("kvstore: %w", err)

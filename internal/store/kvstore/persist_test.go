@@ -125,6 +125,68 @@ func TestCompactBoundsRecovery(t *testing.T) {
 	}
 }
 
+// TestCompactionDropsWhatItCovers: after a background compaction and a
+// clean close, no segment left on disk holds a record the snapshot
+// covers — the segment that was active when the snapshot froze the store
+// is sealed and dropped with the older ones, not kept beside it.
+func TestCompactionDropsWhatItCovers(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store")
+	s, err := Open(path, Options{Fsync: wal.FsyncNever, SegmentSize: 4 << 20, CompactBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := bytes.Repeat([]byte("v"), 400)
+	const writes = 30000
+	for i := 0; i < writes; i++ {
+		if err := s.HSet([]byte(fmt.Sprintf("h%02d", i%64)), []byte(fmt.Sprintf("f%05d", i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil { // waits for a compaction in flight
+		t.Fatal(err)
+	}
+	snaps, _ := filepath.Glob(filepath.Join(path, "snap-*.snap"))
+	if len(snaps) != 1 {
+		t.Fatalf("%d snapshots on disk after %d writes, want 1", len(snaps), writes)
+	}
+	var snapSeq uint64
+	if _, err := fmt.Sscanf(filepath.Base(snaps[0]), "snap-%d.snap", &snapSeq); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(path, "seg-*.wal"))
+	for _, name := range segs {
+		f, err := os.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr := wal.NewRecordReader(bufio.NewReader(f))
+		for {
+			seq, _, err := rr.Next()
+			if err != nil {
+				break
+			}
+			if seq <= snapSeq {
+				f.Close()
+				t.Fatalf("%s holds record %d, covered by snapshot %d", filepath.Base(name), seq, snapSeq)
+			}
+		}
+		f.Close()
+	}
+	s2, err := Open(path, Options{Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	total := 0
+	for k := 0; k < 64; k++ {
+		n, _ := s2.HLen([]byte(fmt.Sprintf("h%02d", k)))
+		total += n
+	}
+	if total != writes {
+		t.Fatalf("reopened store holds %d fields, want %d", total, writes)
+	}
+}
+
 func TestAutoCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store")
 	s, err := Open(path, Options{Fsync: wal.FsyncNever, SegmentSize: 2 << 10, CompactBytes: 8 << 10})

@@ -7,9 +7,10 @@
 //
 // Compaction follows from the covering property alone: any *sealed*
 // segment whose highest record sequence is ≤ S holds only mutations the
-// snapshot already reflects, so it is deleted. Records with seq ≤ S that
-// land in later segments (an append that raced the snapshot freeze) are
-// skipped individually during replay. Recovery therefore replays
+// snapshot already reflects, so it is deleted. The store seals the active
+// segment (Rotate) while its writers are frozen at S, so that segment is
+// dropped too. Records with seq ≤ S that land in later segments (an append
+// that raced the snapshot freeze) are skipped individually during replay. Recovery therefore replays
 // snapshot + tail instead of the whole history.
 
 package wal

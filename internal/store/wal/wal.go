@@ -289,6 +289,22 @@ func (l *Log) Append(seq uint64, payload []byte) error {
 	return nil
 }
 
+// Rotate seals the active segment and opens the next one, unless the
+// active segment is empty. A store calls it while its writers are frozen
+// for a snapshot, so every record the snapshot covers sits in a sealed
+// segment that WriteSnapshot can drop.
+func (l *Log) Rotate() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
+	}
+	if !l.ready || l.seg.size == 0 {
+		return nil
+	}
+	return l.rotateLocked()
+}
+
 // rotateLocked seals the active segment (flush, fsync, close) and opens
 // the next one. Sealed segments are therefore always fully durable, which
 // is what lets recovery treat mid-history corruption as fatal.

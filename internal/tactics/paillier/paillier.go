@@ -321,8 +321,9 @@ func (t *Tactic) partialSums(ctx context.Context, field string, docIDs []string,
 func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 	pkKey := func(schema string) []byte { return []byte("aggpk/" + schema) }
 	col := cell.Column{Store: store, Prefix: "aggidx"}
-	// Parsing a public key recomputes n², so the parsed key is cached per
-	// schema beside the modulus bytes it came from. setup is the only writer
+	// Parsing a public key recomputes n² and its Montgomery constants, so
+	// the parsed key is cached per schema beside the modulus bytes it came
+	// from; concurrent sums only read it. setup is the only writer
 	// of the stored modulus and replaces the entry under pkMu, so sum never
 	// re-reads the store to check the cache is current.
 	type cachedKey struct {
