@@ -417,7 +417,7 @@ func (col *Collection) Get(ctx context.Context, id string) (*Document, error) {
 	return col.engine.Get(ctx, col.schema, id)
 }
 
-// Update replaces a document, re-indexing changed fields.
+// Update replaces a document, re-indexing every sensitive field.
 func (col *Collection) Update(ctx context.Context, doc *Document) error {
 	return col.engine.Update(ctx, col.schema, doc)
 }

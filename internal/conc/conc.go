@@ -1,8 +1,9 @@
-// Package conc provides the small structured-concurrency primitive the
-// middleware core fans out with: an error group in the style of
+// Package conc provides the small concurrency primitives the middleware
+// core is built from: an error group in the style of
 // golang.org/x/sync/errgroup (not imported — the repository is
 // standard-library-only), with first-error context cancellation and an
-// optional concurrency limit.
+// optional concurrency limit; a pool of reused goroutines; and a striped
+// lock.
 package conc
 
 import (

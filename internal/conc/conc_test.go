@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -150,4 +151,27 @@ func TestPoolReusesParkedGoroutines(t *testing.T) {
 	run(3, nil) // still runs functions, on goroutines that do not linger
 	wg.Wait()
 	settle(t, base)
+}
+
+// TestStripeHashesJoinedParts: a key's parts hash as the FNV-1a of their
+// zero-byte join, so splitting a key differently picks a different stripe
+// only through the hash, never by accident of the joining.
+func TestStripeHashesJoinedParts(t *testing.T) {
+	fnv := func(s string) int {
+		h := uint32(2166136261)
+		for i := 0; i < len(s); i++ {
+			h ^= uint32(s[i])
+			h *= 16777619
+		}
+		return int(h % StripeCount)
+	}
+	for _, parts := range [][]string{{""}, {"a"}, {"ledger", "d003"}, {"", ""}, {"x", "", "yz"}} {
+		if got, want := Stripe(parts...), fnv(strings.Join(parts, "\x00")); got != want {
+			t.Errorf("Stripe(%q) = %d, want %d", parts, got, want)
+		}
+	}
+	var s Stripes
+	if s.For("ledger", "d003") != &s[Stripe("ledger", "d003")] {
+		t.Error("For does not return the key's stripe")
+	}
 }

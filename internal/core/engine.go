@@ -94,6 +94,11 @@ type Engine struct {
 	plannerOn   bool
 	migThrottle time.Duration
 
+	// docLocks holds one stripe per (schema, document id): every write
+	// holds its document's stripe from its read or reservation until its
+	// write set has landed, so writes of one document never interleave.
+	docLocks conc.Stripes
+
 	// migMu serializes online re-indexes (one migration runs at a time).
 	migMu    sync.Mutex
 	stopCh   chan struct{}
@@ -107,7 +112,7 @@ type Engine struct {
 // schemaRuntime is one registered schema with its selected tactics. The
 // struct is immutable once published in Engine.schemas: plan changes swap
 // in a fresh copy (copy-on-write), so readers never observe a half-updated
-// plan map. The two locks are pointers shared across swaps, so exclusion
+// plan map. The writers lock is a pointer shared across swaps, so exclusion
 // spans runtime generations.
 type schemaRuntime struct {
 	schema    *model.Schema
@@ -115,11 +120,6 @@ type schemaRuntime struct {
 	instances map[string]spi.Tactic // tactic name -> live instance
 	aead      *primitives.AEAD      // whole-document encryption (SecureEnc)
 
-	// docMu serializes Update/Delete flows, whose retrieve-reindex-rewrite
-	// sequences are not atomic; plain inserts need no lock (index counters
-	// are reserved atomically by the tactic clients). Online re-index scan
-	// batches also hold it, so scan writes never interleave a mutation.
-	docMu *sync.Mutex
 	// writers is read-locked by every write operation for its duration;
 	// a migration write-locks it once after swapping the runtime so that
 	// writers still using the pre-swap runtime (which lacks the dual-write
@@ -142,7 +142,6 @@ func (rt *schemaRuntime) clone() *schemaRuntime {
 		plans:     make(map[string]spi.Plan, len(rt.plans)),
 		instances: make(map[string]spi.Tactic, len(rt.instances)),
 		aead:      rt.aead,
-		docMu:     rt.docMu,
 		writers:   rt.writers,
 		mig:       rt.mig,
 	}
@@ -459,7 +458,6 @@ func (e *Engine) buildRuntime(ctx context.Context, s *model.Schema) (*schemaRunt
 		schema:    s,
 		plans:     make(map[string]spi.Plan),
 		instances: make(map[string]spi.Tactic),
-		docMu:     &sync.Mutex{},
 		writers:   &sync.RWMutex{},
 	}
 	for _, f := range s.SensitiveFields() {
@@ -723,10 +721,10 @@ func (e *Engine) Insert(ctx context.Context, schema string, doc *model.Document)
 		return "", err
 	}
 	defer release()
+	mu := e.docLocks.For(schema, doc.ID)
+	mu.Lock()
+	defer mu.Unlock()
 
-	// No doc lock here: concurrent inserts of distinct documents are safe —
-	// tactic clients reserve index counters atomically, and the IfAbsent
-	// put rejects a racing duplicate id before its index writes are sent.
 	route := docRoute(schema, doc.ID)
 	put := cloud.DocPutArgs{Collection: schema, ID: doc.ID, Blob: blob, IfAbsent: true}
 	w := &write{e: e, schema: schema}
@@ -749,7 +747,7 @@ func (e *Engine) Insert(ctx context.Context, schema string, doc *model.Document)
 	// The dual-write claims the id against the backfill scan, so it waits
 	// until the id is known to be this insert's.
 	if err == nil {
-		err = w.mirror(rt, doc, model.OpInsert, false)
+		err = w.mirror(rt, doc, model.OpInsert)
 	}
 	if err == nil {
 		err = w.flush(ctx)
@@ -791,8 +789,9 @@ func (e *Engine) Get(ctx context.Context, schema, id string) (*model.Document, e
 	return rt.openDoc(id, reply.Blob)
 }
 
-// Update replaces a document: changed sensitive fields are re-indexed
-// (delete old + insert new), the whole-document ciphertext is rewritten.
+// Update replaces a document: every sensitive field of the stored copy is
+// un-indexed, every sensitive field of the new one indexed, and the
+// whole-document ciphertext rewritten.
 func (e *Engine) Update(ctx context.Context, schema string, doc *model.Document) error {
 	rt, err := e.runtime(schema)
 	if err != nil {
@@ -807,56 +806,66 @@ func (e *Engine) Update(ctx context.Context, schema string, doc *model.Document)
 	if err := doc.ValidateAgainst(rt.schema); err != nil {
 		return err
 	}
-	old, err := e.Get(ctx, schema, doc.ID)
-	if err != nil {
-		return err
-	}
-
-	rt, release, err := e.writeRuntime(schema)
-	if err != nil {
-		return err
-	}
-	defer release()
-	rt.docMu.Lock()
-	defer rt.docMu.Unlock()
-	if err := e.reindex(ctx, rt, old, model.OpDelete); err != nil {
-		return err
-	}
 	blob, err := rt.sealDoc(doc)
 	if err != nil {
 		return err
 	}
-	if err := e.shards.Call(ctx, docRoute(schema, doc.ID), cloud.DocService, "put",
-		cloud.DocPutArgs{Collection: schema, ID: doc.ID, Blob: blob}, nil); err != nil {
-		return err
-	}
-	return e.reindex(ctx, rt, doc, model.OpInsert)
+	return e.replace(ctx, schema, doc.ID, doc, spi.Mutation{Route: docRoute(schema, doc.ID),
+		Service: cloud.DocService, Method: "put", Args: cloud.DocPutArgs{Collection: schema, ID: doc.ID, Blob: blob}})
 }
 
 // Delete removes a document and all its index entries.
 func (e *Engine) Delete(ctx context.Context, schema, id string) error {
-	old, err := e.Get(ctx, schema, id)
-	if err != nil {
+	if err := e.replace(ctx, schema, id, nil, spi.Mutation{Route: docRoute(schema, id),
+		Service: cloud.DocService, Method: "delete", Args: cloud.DocDeleteArgs{Collection: schema, ID: id}}); err != nil {
 		return err
 	}
+	e.stats.DocDelta(schema, -1)
+	return nil
+}
+
+// replace is Update and Delete: blob is the document's put or delete, doc
+// the new document (nil for Delete). Under the document's lock it reads the
+// stored copy, then ships one write set: the stored copy's index deletes,
+// blob, and the new document's index inserts — each with its migration
+// mirror. The lock is what makes the read current: no other write of the
+// id can land between the read and the set that un-indexes what it
+// returned.
+func (e *Engine) replace(ctx context.Context, schema, id string, doc *model.Document, blob spi.Mutation) error {
 	rt, release, err := e.writeRuntime(schema)
 	if err != nil {
 		return err
 	}
 	defer release()
-	rt.docMu.Lock()
-	defer rt.docMu.Unlock()
-	if err := e.reindex(ctx, rt, old, model.OpDelete); err != nil {
+	mu := e.docLocks.For(schema, id)
+	mu.Lock()
+	defer mu.Unlock()
+	old, err := e.Get(ctx, schema, id)
+	if err != nil {
 		return err
 	}
-	if err := e.shards.Call(ctx, docRoute(schema, id), cloud.DocService, "delete",
-		cloud.DocDeleteArgs{Collection: schema, ID: id}, nil); err != nil {
+	w := &write{e: e, schema: schema}
+	if err := w.index(rt, old, model.OpDelete); err != nil {
+		return err
+	}
+	if err := w.mirror(rt, old, model.OpDelete); err != nil {
+		return err
+	}
+	w.set.Add(blob)
+	if doc != nil {
+		if err := w.index(rt, doc, model.OpInsert); err != nil {
+			return err
+		}
+		if err := w.mirror(rt, doc, model.OpInsert); err != nil {
+			return err
+		}
+	}
+	if err := w.flush(ctx); err != nil {
 		if transport.IsNotFoundError(err) {
 			return fmt.Errorf("%w: %s", ErrDocumentMissing, id)
 		}
 		return err
 	}
-	e.stats.DocDelta(schema, -1)
 	return nil
 }
 

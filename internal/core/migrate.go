@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"datablinder/internal/conc"
 	"datablinder/internal/model"
 	"datablinder/internal/spi"
 )
@@ -27,7 +28,7 @@ import (
 var ErrMigrationActive = errors.New("core: an online re-index is already running for this schema")
 
 // migScanBatch is how many documents one backfill scan batch claims while
-// holding the schema's doc lock.
+// holding their document locks.
 const migScanBatch = 256
 
 // replanHysteresis is the fractional cost advantage a challenger plan needs
@@ -162,7 +163,7 @@ func (e *Engine) MigrationsActive() []string {
 //     by swapping in a runtime with the migration attached,
 //  3. drain writers that predate the window (they can't have dual-written),
 //  4. backfill: scan every document, feeding unclaimed ones into the
-//     target indexes under the doc lock, marking each done,
+//     target indexes under their document locks, marking each done,
 //  5. cut over: persist the new plan, drop the journal and markers, and
 //     swap in a runtime that routes the field's queries to the new tactic.
 //
@@ -280,7 +281,7 @@ func (e *Engine) migrateField(ctx context.Context, schema, field string, target 
 		if end > len(ids) {
 			end = len(ids)
 		}
-		if err := e.migrateBatch(ctx, schema, migRT, mig, ids[start:end]); err != nil {
+		if err := e.migrateBatch(ctx, schema, mig, ids[start:end]); err != nil {
 			return finish(err)
 		}
 		if e.migThrottle > 0 {
@@ -316,13 +317,23 @@ func (e *Engine) migrateField(ctx context.Context, schema, field string, target 
 	return nil
 }
 
-// migrateBatch backfills one batch of document ids under the doc lock:
-// fetch the live blobs, feed unclaimed documents into the target indexes,
-// mark them done. Holding docMu means no Update/Delete interleaves the
-// fetch-then-write, so the value written is the value stored.
-func (e *Engine) migrateBatch(ctx context.Context, schema string, rt *schemaRuntime, m *migration, batch []string) error {
-	rt.docMu.Lock()
-	defer rt.docMu.Unlock()
+// migrateBatch backfills one batch of document ids under their document
+// locks: fetch the live blobs, feed unclaimed documents into the target
+// indexes, mark them done. Holding the locks means no write of a batch id
+// interleaves the fetch-then-write, so the value written is the value
+// stored. The stripes are taken in ascending order, the one order any
+// holder of several takes them in.
+func (e *Engine) migrateBatch(ctx context.Context, schema string, m *migration, batch []string) error {
+	var stripes [conc.StripeCount]bool
+	for _, id := range batch {
+		stripes[conc.Stripe(schema, id)] = true
+	}
+	for i, held := range stripes {
+		if held {
+			e.docLocks[i].Lock()
+			defer e.docLocks[i].Unlock()
+		}
+	}
 	var todo []string
 	for _, id := range batch {
 		if _, loaded := m.claims.LoadOrStore(id, struct{}{}); !loaded {

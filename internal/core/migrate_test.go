@@ -282,7 +282,8 @@ func TestMigrateResumesAfterCrash(t *testing.T) {
 
 // TestMigrateDualWriteWindow holds a migration open with the scan throttle
 // and drives live traffic through the dual-write window: inserts, an
-// update, a delete, and a competing migration attempt.
+// update, a delete, a delete and re-insert of a backfilled id, and a
+// competing migration attempt.
 func TestMigrateDualWriteWindow(t *testing.T) {
 	env := ledgerEnv(t, func(cfg *Config) { cfg.MigrateThrottle = 500 * time.Millisecond })
 	ctx := context.Background()
@@ -316,6 +317,28 @@ func TestMigrateDualWriteWindow(t *testing.T) {
 	if err := env.engine.Migrate(ctx, "ledger", "pinned", "OPE"); !errors.Is(err, ErrMigrationActive) {
 		t.Fatalf("second Migrate during window: err = %v, want ErrMigrationActive", err)
 	}
+	// Once the scan's first batch has backfilled d005, delete it and insert
+	// it again with a value in range: the re-insert must reach the target
+	// index although the scan claimed the id.
+	for {
+		if _, done, err := env.local.HGet(markerKey("ledger", "amount"), []byte("d005")); err != nil {
+			t.Fatal(err)
+		} else if done {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the scan never backfilled d005")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := env.engine.Delete(ctx, "ledger", "d005"); err != nil {
+		t.Fatalf("Delete(d005) during window: %v", err)
+	}
+	if _, err := env.engine.Insert(ctx, "ledger", &model.Document{ID: "d005", Fields: map[string]any{
+		"ref": "ref-5", "amount": 12.5, "pinned": 5.0,
+	}}); err != nil {
+		t.Fatalf("re-Insert(d005) during window: %v", err)
+	}
 
 	if err := <-errCh; err != nil {
 		t.Fatalf("Migrate: %v", err)
@@ -323,8 +346,9 @@ func TestMigrateDualWriteWindow(t *testing.T) {
 	if got := routed(t, env.engine, "amount", model.OpRange); got != "ORE" {
 		t.Fatalf("post-window range tactic = %q, want ORE", got)
 	}
-	// d010..d020 were in [10, 20]; d014 moved out, d016 is gone, "live" is in.
-	want := []string{"d010", "d011", "d012", "d013", "d015", "d017", "d018", "d019", "d020", "live"}
+	// d010..d020 were in [10, 20]; d014 moved out, d016 is gone, "live" and
+	// the re-inserted d005 are in.
+	want := []string{"d005", "d010", "d011", "d012", "d013", "d015", "d017", "d018", "d019", "d020", "live"}
 	if got := rangeIDs(t, env.engine, 10, 20); !reflect.DeepEqual(want, got) {
 		t.Fatalf("window mutations lost:\n want %v\n got  %v", want, got)
 	}

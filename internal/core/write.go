@@ -117,19 +117,13 @@ func (w *write) target(m *migration, doc *model.Document, op model.Op) error {
 }
 
 // mirror adds the dual-write mirroring one document mutation into an
-// in-flight migration's target indexes. locked reports whether the caller
-// holds rt.docMu, and the discipline differs by caller:
-//
-//   - Plain inserts (locked=false) run without the doc lock; they claim the
-//     id first (atomically, against the scan) and skip the write if the scan
-//     already backfilled it — both would write the same value, so the skip
-//     is safe and spares non-idempotent tactics a duplicate.
-//   - Update/Delete flows (locked=true) hold the doc lock, so they never
-//     interleave a scan batch. Their delete halves only apply when the id
-//     is claimed (the target index holds nothing to delete otherwise — and
-//     a counted-cell tactic would go negative); their insert halves always
-//     apply and claim, because they carry the newest value.
-func (w *write) mirror(rt *schemaRuntime, doc *model.Document, op model.Op, locked bool) error {
+// in-flight migration's target indexes. The caller holds the document's
+// lock, as a backfill scan batch does for its ids, so the two never
+// interleave. A delete applies only when the id is claimed: the target
+// index holds nothing to delete otherwise, and a counted-cell tactic would
+// go negative. An insert always applies, since it carries the newest value,
+// and claims the id once it has landed, so the scan leaves it alone.
+func (w *write) mirror(rt *schemaRuntime, doc *model.Document, op model.Op) error {
 	m := rt.mig
 	if m == nil {
 		return nil
@@ -138,15 +132,10 @@ func (w *write) mirror(rt *schemaRuntime, doc *model.Document, op model.Op, lock
 		return nil
 	}
 	if op == model.OpDelete {
-		if _, claimed := m.claims.Load(doc.ID); !locked || !claimed {
-			return nil // plain inserts never delete
-		}
-		return w.target(m, doc, op)
-	}
-	if !locked {
-		if _, loaded := m.claims.LoadOrStore(doc.ID, struct{}{}); loaded {
+		if _, claimed := m.claims.Load(doc.ID); !claimed {
 			return nil
 		}
+		return w.target(m, doc, op)
 	}
 	if err := w.target(m, doc, op); err != nil {
 		return err
@@ -190,18 +179,4 @@ func (w *write) flush(ctx context.Context) error {
 		return w.landed()
 	}
 	return nil
-}
-
-// reindex adds a document to (or removes it from) every selected tactic
-// index, mirrored into an in-flight migration's target, as one write set.
-// The caller holds rt.docMu (Update and Delete flows).
-func (e *Engine) reindex(ctx context.Context, rt *schemaRuntime, doc *model.Document, op model.Op) error {
-	w := &write{e: e, schema: rt.schema.Name}
-	if err := w.index(rt, doc, op); err != nil {
-		return err
-	}
-	if err := w.mirror(rt, doc, op, true); err != nil {
-		return err
-	}
-	return w.flush(ctx)
 }

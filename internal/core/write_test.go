@@ -24,16 +24,18 @@ import (
 	"datablinder/internal/transport"
 )
 
+// field is a sensitive field with the given annotation.
+func field(name string, ft model.FieldType, ann string) model.Field {
+	a, err := model.ParseAnnotation(ann)
+	if err != nil {
+		panic(err)
+	}
+	return model.Field{Name: name, Type: ft, Sensitive: true, Annotation: a}
+}
+
 // paperSchema is the benchmark's §5.2 schema: eight tactic pins, five of
 // them DET.
 func paperSchema() *model.Schema {
-	field := func(name string, ft model.FieldType, ann string) model.Field {
-		a, err := model.ParseAnnotation(ann)
-		if err != nil {
-			panic(err)
-		}
-		return model.Field{Name: name, Type: ft, Sensitive: true, Annotation: a}
-	}
 	return &model.Schema{Name: "observation", Fields: []model.Field{
 		{Name: "identifier", Type: model.TypeString},
 		field("status", model.TypeString, "C4, op [I, EQ], tactic [DET]"),
@@ -197,6 +199,15 @@ func tappedEngine(t testing.TB, n int, schema *model.Schema, cfg Config) (*Engin
 		t.Cleanup(func() { node.Close() })
 		conns[i] = &tapConn{inner: transport.NewLoopback(node.Mux), tap: tp, shard: i}
 	}
+	e := engineOver(t, conns, schema, cfg)
+	tp.reset()
+	return e, tp
+}
+
+// engineOver builds an engine over the given shard conns (a ring when
+// there are several) with schema registered.
+func engineOver(t testing.TB, conns []transport.Conn, schema *model.Schema, cfg Config) *Engine {
+	t.Helper()
 	ks, err := keys.NewRandomStore()
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +218,7 @@ func tappedEngine(t testing.TB, n int, schema *model.Schema, cfg Config) (*Engin
 	}
 	cfg.Keys, cfg.Local, cfg.Registry = ks, kvstore.New(), reg
 	cfg.Cloud = conns[0]
-	if n > 1 {
+	if len(conns) > 1 {
 		cfg.Cloud = ring.NewClient(conns, 0)
 	}
 	e, err := NewEngine(cfg)
@@ -218,8 +229,7 @@ func tappedEngine(t testing.TB, n int, schema *model.Schema, cfg Config) (*Engin
 	if err := e.RegisterSchema(context.Background(), schema); err != nil {
 		t.Fatal(err)
 	}
-	tp.reset()
-	return e, tp
+	return e
 }
 
 // TestInsertFramesPerShard: an insert ships one batch per shard it touches
@@ -282,6 +292,66 @@ func TestInsertFramesPerShard(t *testing.T) {
 			}
 			if n == 3 && widest < 2 {
 				t.Fatalf("no insert touched more than %d of 3 shards", widest)
+			}
+		})
+	}
+}
+
+// TestUpdateDeleteWaves: Update and Delete are a read plus one write set —
+// two round-trip waves, the second one frame per shard touched — and they
+// make the same sub-calls the read-lock-rewrite sequence they replace made.
+func TestUpdateDeleteWaves(t *testing.T) {
+	wantUpdate := map[string]int{"doc.get": 1, "det.remove": 5, "det.add": 5, "mitra.insert": 2,
+		"agg.remove": 1, "agg.put": 1, "rnd.remove": 1, "rnd.put": 1, "doc.put": 1}
+	wantDelete := map[string]int{"doc.get": 1, "det.remove": 5, "mitra.insert": 1,
+		"agg.remove": 1, "rnd.remove": 1, "doc.delete": 1}
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("%d-shard", n), func(t *testing.T) {
+			e, tp := tappedEngine(t, n, paperSchema(), Config{})
+			ctx := context.Background()
+			check := func(what string, want map[string]int) {
+				t.Helper()
+				frames := tp.taken()
+				if got := subCalls(frames); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s sub-calls = %v, want %v", what, got, want)
+				}
+				ws := waves(frames)
+				if len(ws) != 2 || len(ws[0]) != 1 || !reflect.DeepEqual(ws[0][0].subs, []string{"doc.get"}) {
+					var subs [][]string
+					for _, wave := range ws {
+						var all []string
+						for _, f := range wave {
+							all = append(all, f.subs...)
+						}
+						subs = append(subs, all)
+					}
+					t.Fatalf("%s: %d waves %v, want the doc.get then one flush", what, len(ws), subs)
+				}
+				shards := map[int]bool{}
+				for _, f := range ws[1] {
+					if shards[f.shard] {
+						t.Fatalf("%s: shard %d carried two frames of one flush: %+v", what, f.shard, ws[1])
+					}
+					shards[f.shard] = true
+				}
+			}
+			for i := 0; i < 4; i++ {
+				id := fmt.Sprintf("obs-%d", i)
+				if _, err := e.Insert(ctx, "observation", paperObs(id, i)); err != nil {
+					t.Fatal(err)
+				}
+				tp.delay = 20 * time.Millisecond
+				tp.reset()
+				if err := e.Update(ctx, "observation", paperObs(id, i+10)); err != nil {
+					t.Fatal(err)
+				}
+				check("update", wantUpdate)
+				tp.reset()
+				if err := e.Delete(ctx, "observation", id); err != nil {
+					t.Fatal(err)
+				}
+				check("delete", wantDelete)
+				tp.delay = 0
 			}
 		})
 	}

@@ -23,6 +23,7 @@ import (
 	"math/big"
 	"sync"
 
+	"datablinder/internal/conc"
 	"datablinder/internal/crypto/keycache"
 	"datablinder/internal/crypto/primitives"
 	"datablinder/internal/store/kvstore"
@@ -142,7 +143,7 @@ type Client struct {
 	key    primitives.Key
 	rsa    *rsa.PrivateKey
 	state  State
-	locks  [64]sync.Mutex
+	locks  conc.Stripes
 	kwKeys *keycache.Cache[string, primitives.Key]
 }
 
@@ -260,24 +261,10 @@ func decodeCell(cell []byte) (string, error) {
 	return string(cell[1 : 1+cell[0]]), nil
 }
 
-func (c *Client) lockFor(namespace, w string) *sync.Mutex {
-	h := fnv32(namespace + "\x00" + w)
-	return &c.locks[h%uint32(len(c.locks))]
-}
-
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
 // Insert produces the encrypted cell adding id under w. Sophos has no
 // native deletion; the middleware layers a revocation set above it.
 func (c *Client) Insert(namespace, w, id string) (Entry, error) {
-	mu := c.lockFor(namespace, w)
+	mu := c.locks.For(namespace, w)
 	mu.Lock()
 	defer mu.Unlock()
 	ks, ok, err := c.state.Keyword(namespace, w)
