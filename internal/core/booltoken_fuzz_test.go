@@ -44,7 +44,7 @@ func newBoolFuzzIndex(tb testing.TB) *boolFuzzIndex {
 	for i := range key {
 		key[i] = byte(0x60 + i)
 	}
-	client, err := ssebiex.NewClient(key, ssebiex.NewMemState(), ssebiex.Variant2Lev)
+	client, err := ssebiex.NewClient(key, kvstore.New(), ssebiex.Variant2Lev)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"datablinder/internal/cloud"
 	"datablinder/internal/cloud/ring"
@@ -190,6 +192,7 @@ func TestOpenDocAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitMaskFillers(t)
 	got := testing.AllocsPerRun(200, func() {
 		if _, err := rt.openDoc(doc.ID, blob); err != nil {
 			t.Fatal(err)
@@ -198,6 +201,30 @@ func TestOpenDocAllocs(t *testing.T) {
 	// 1 Document + 2 map + 5 strings x 2 + 2 ints + 1 float.
 	if got > 16 {
 		t.Errorf("openDoc allocates %v times per document, want at most 16", got)
+	}
+}
+
+// waitMaskFillers waits until no Paillier mask-pool filler is running. Each
+// engine that sets up a Paillier tactic — this one, and every engine an
+// earlier test of the package built — starts one that computes up to 128
+// masks in the background, and AllocsPerRun counts the mallocs of every
+// goroutine. A filler added up to about a hundred mallocs to a window of
+// 200 openDoc calls; 200 of them read as a seventeenth allocation each.
+func waitMaskFillers(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
+		n := runtime.Stack(buf, true)
+		for n == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			n = runtime.Stack(buf, true)
+		}
+		if !bytes.Contains(buf[:n], []byte("paillier.(*randPool)")) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Paillier mask-pool fillers still running after a minute")
+		}
 	}
 }
 

@@ -86,7 +86,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"datablinder/internal/crypto/primitives"
 	"datablinder/internal/sse/emm"
@@ -173,114 +172,46 @@ type SearchToken struct {
 	Conjunctions []ConjToken `json:"conjunctions"`
 }
 
-// State persists the client's per-document versions and per-keyword spill
-// counters on top of the EMM counter state.
-type State interface {
-	emm.State
-	// Version returns the current version of id (0 = never inserted).
-	Version(namespace, id string) (uint64, error)
-	// SetVersion stores the current version of id.
-	SetVersion(namespace, id string, v uint64) error
-	// Spill returns how many inserts of keyword w have been indexed
-	// (0 = never seen). Spill/SpillThreshold is the keyword's current
-	// bucket.
-	Spill(namespace, w string) (uint64, error)
-	// SetSpill stores keyword w's insert count.
-	SetSpill(namespace, w string, n uint64) error
+func versionKey(namespace, id string) []byte {
+	return []byte("biexver/" + namespace + "\x00" + id)
 }
 
-// MemState is an in-memory State.
-type MemState struct {
-	*emm.MemState
-	mu sync.RWMutex
-	v  map[string]uint64
-	sp map[string]uint64
+func spillKey(namespace, w string) []byte {
+	return []byte("biexspill/" + namespace + "\x00" + w)
 }
 
-// NewMemState returns an empty MemState.
-func NewMemState() *MemState {
-	return &MemState{
-		MemState: emm.NewMemState(),
-		v:        make(map[string]uint64),
-		sp:       make(map[string]uint64),
-	}
+// version returns the current version of id (0 = never inserted).
+func (c *Client) version(namespace, id string) (uint64, error) {
+	return c.decimal(versionKey(namespace, id), "version")
 }
 
-// Version implements State.
-func (s *MemState) Version(namespace, id string) (uint64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.v[namespace+"\x00"+id], nil
+// setVersion stores the current version of id.
+func (c *Client) setVersion(namespace, id string, v uint64) error {
+	return c.store.Set(versionKey(namespace, id), strconv.AppendUint(nil, v, 10))
 }
 
-// SetVersion implements State.
-func (s *MemState) SetVersion(namespace, id string, v uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.v[namespace+"\x00"+id] = v
-	return nil
+// spill returns how many inserts of keyword w have been indexed (0 = never
+// seen); spill/SpillThreshold is the keyword's current bucket.
+func (c *Client) spill(namespace, w string) (uint64, error) {
+	return c.decimal(spillKey(namespace, w), "spill counter")
 }
 
-// Spill implements State.
-func (s *MemState) Spill(namespace, w string) (uint64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.sp[namespace+"\x00"+w], nil
+// setSpill stores keyword w's insert count.
+func (c *Client) setSpill(namespace, w string, n uint64) error {
+	return c.store.Set(spillKey(namespace, w), strconv.AppendUint(nil, n, 10))
 }
 
-// SetSpill implements State.
-func (s *MemState) SetSpill(namespace, w string, n uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sp[namespace+"\x00"+w] = n
-	return nil
-}
-
-// KVState persists versions and EMM counters in the gateway kvstore.
-type KVState struct {
-	*emm.KVState
-	store *kvstore.Store
-}
-
-// NewKVState wraps store.
-func NewKVState(store *kvstore.Store) *KVState {
-	return &KVState{KVState: emm.NewKVState(store), store: store}
-}
-
-// Version implements State.
-func (s *KVState) Version(namespace, id string) (uint64, error) {
-	raw, ok, err := s.store.Get([]byte("biexver/" + namespace + "\x00" + id))
-	if err != nil || !ok {
-		return 0, err
-	}
-	v, err := strconv.ParseUint(string(raw), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("biex: decoding version: %w", err)
-	}
-	return v, nil
-}
-
-// SetVersion implements State.
-func (s *KVState) SetVersion(namespace, id string, v uint64) error {
-	return s.store.Set([]byte("biexver/"+namespace+"\x00"+id), []byte(strconv.FormatUint(v, 10)))
-}
-
-// Spill implements State.
-func (s *KVState) Spill(namespace, w string) (uint64, error) {
-	raw, ok, err := s.store.Get([]byte("biexspill/" + namespace + "\x00" + w))
+// decimal reads a decimal integer from the gateway store (0 if absent).
+func (c *Client) decimal(key []byte, what string) (uint64, error) {
+	raw, ok, err := c.store.Get(key)
 	if err != nil || !ok {
 		return 0, err
 	}
 	n, err := strconv.ParseUint(string(raw), 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("biex: decoding spill counter: %w", err)
+		return 0, fmt.Errorf("biex: decoding %s: %w", what, err)
 	}
 	return n, nil
-}
-
-// SetSpill implements State.
-func (s *KVState) SetSpill(namespace, w string, n uint64) error {
-	return s.store.Set([]byte("biexspill/"+namespace+"\x00"+w), []byte(strconv.FormatUint(n, 10)))
 }
 
 func versionedID(id string, v uint64) string {
@@ -445,21 +376,22 @@ type Client struct {
 	cross   *emm.Client
 	filters *zmf.Client
 	route   primitives.Key // derives per-keyword routing labels
-	state   State
+	store   *kvstore.Store // the gateway store: versions, spill and EMM counters
 }
 
-// NewClient derives a BIEX client from key.
-func NewClient(key primitives.Key, state State, variant Variant) (*Client, error) {
+// NewClient derives a BIEX client from key; store keeps its per-document
+// versions, per-keyword spill counters and EMM counters.
+func NewClient(key primitives.Key, store *kvstore.Store, variant Variant) (*Client, error) {
 	if variant != Variant2Lev && variant != VariantZMF {
 		return nil, ErrBadVariant
 	}
 	return &Client{
 		variant: variant,
-		global:  emm.NewClient(primitives.PRFKey(key, []byte("biex-global")), state),
-		cross:   emm.NewClient(primitives.PRFKey(key, []byte("biex-cross")), state),
+		global:  emm.NewClient(primitives.PRFKey(key, []byte("biex-global")), store),
+		cross:   emm.NewClient(primitives.PRFKey(key, []byte("biex-cross")), store),
 		filters: zmf.NewClient(primitives.PRFKey(key, []byte("biex-zmf"))),
 		route:   primitives.PRFKey(key, []byte("biex-route")),
-		state:   state,
+		store:   store,
 	}, nil
 }
 
@@ -481,7 +413,7 @@ func (c *Client) BucketRoute(namespace, w string, bucket uint64) string {
 // least 1 (a never-seen keyword still owns its empty bucket 0), growing
 // by one for every SpillThreshold inserts.
 func (c *Client) Buckets(namespace, w string) (int, error) {
-	n, err := c.state.Spill(namespace, w)
+	n, err := c.spill(namespace, w)
 	return int(bucketCount(n)), err
 }
 
@@ -528,12 +460,12 @@ func (c *Client) Insert(namespace, id string, keywords []string, shardOf ShardFu
 // runs commit — before delivering the batches. A caller that drops the
 // entries instead leaves the document's current index entries live.
 func (c *Client) Prepare(namespace, id string, keywords []string, shardOf ShardFunc) (out map[int]*Entries, commit func() error, err error) {
-	v, err := c.state.Version(namespace, id)
+	v, err := c.version(namespace, id)
 	if err != nil {
 		return nil, nil, err
 	}
 	v++
-	commit = func() error { return c.state.SetVersion(namespace, id, v) }
+	commit = func() error { return c.setVersion(namespace, id, v) }
 	vid := versionedID(id, v)
 
 	// Deduplicate keywords; pair generation assumes distinct keywords.
@@ -550,12 +482,12 @@ func (c *Client) Prepare(namespace, id string, keywords []string, shardOf ShardF
 	shard := make([]int, len(uniq))
 	bucket := make([]uint64, len(uniq))
 	for i, w := range uniq {
-		n, err := c.state.Spill(namespace, w)
+		n, err := c.spill(namespace, w)
 		if err != nil {
 			return nil, nil, err
 		}
 		bucket[i] = n / SpillThreshold
-		if err := c.state.SetSpill(namespace, w, n+1); err != nil {
+		if err := c.setSpill(namespace, w, n+1); err != nil {
 			return nil, nil, err
 		}
 		shard[i] = shardOf(c.BucketRoute(namespace, w, bucket[i]))
@@ -647,14 +579,14 @@ func (c *Client) Prepare(namespace, id string, keywords []string, shardOf ShardF
 // Delete supersedes every index entry of id by bumping its version. No
 // server interaction is required; stale cells become unreachable results.
 func (c *Client) Delete(namespace, id string) error {
-	v, err := c.state.Version(namespace, id)
+	v, err := c.version(namespace, id)
 	if err != nil {
 		return err
 	}
 	if v == 0 {
 		return nil // never indexed
 	}
-	return c.state.SetVersion(namespace, id, v+1)
+	return c.setVersion(namespace, id, v+1)
 }
 
 // Token compiles a DNF query into one search token per shard that has work
@@ -676,7 +608,7 @@ func (c *Client) Token(namespace string, q Query, shardOf ShardFunc) (map[int]*S
 			if l.Negated {
 				continue
 			}
-			n, err := c.state.Spill(namespace, l.Keyword)
+			n, err := c.spill(namespace, l.Keyword)
 			if err != nil {
 				return nil, err
 			}
@@ -767,7 +699,7 @@ func (c *Client) LiveVersioned(namespace string, vids []string) ([]string, error
 		if !ok || seen[vid] {
 			continue
 		}
-		cur, err := c.state.Version(namespace, id)
+		cur, err := c.version(namespace, id)
 		if err != nil {
 			return nil, err
 		}
@@ -818,7 +750,7 @@ func (c *Client) Resolve(namespace string, vids []string) ([]string, error) {
 		if !ok {
 			continue // foreign/corrupt entry; skip
 		}
-		cur, err := c.state.Version(namespace, id)
+		cur, err := c.version(namespace, id)
 		if err != nil {
 			return nil, err
 		}
@@ -974,8 +906,3 @@ func filterIDs(ids []string, keep func(string) bool) []string {
 	}
 	return out
 }
-
-var (
-	_ State = (*MemState)(nil)
-	_ State = (*KVState)(nil)
-)

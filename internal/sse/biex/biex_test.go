@@ -2,6 +2,7 @@ package biex
 
 import (
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -18,7 +19,7 @@ func setup(t testing.TB, v Variant) (*Client, *Server) {
 	if err != nil {
 		t.Fatalf("key: %v", err)
 	}
-	c, err := NewClient(key, NewMemState(), v)
+	c, err := NewClient(key, kvstore.New(), v)
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
 	}
@@ -45,7 +46,7 @@ func pinnedKey(seed byte) primitives.Key {
 
 func newTier(t testing.TB, key primitives.Key, v Variant, n int) *tier {
 	t.Helper()
-	c, err := NewClient(key, NewMemState(), v)
+	c, err := NewClient(key, kvstore.New(), v)
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
 	}
@@ -265,7 +266,7 @@ func TestQueryValidation(t *testing.T) {
 
 func TestBadVariant(t *testing.T) {
 	key, _ := primitives.NewRandomKey()
-	if _, err := NewClient(key, NewMemState(), Variant("bogus")); err != ErrBadVariant {
+	if _, err := NewClient(key, kvstore.New(), Variant("bogus")); err != ErrBadVariant {
 		t.Fatalf("bad variant = %v", err)
 	}
 }
@@ -285,11 +286,11 @@ func TestVariantsAgreeQuick(t *testing.T) {
 	// Property: both variants and a plaintext reference evaluator agree on
 	// random corpora and random 2-term conjunctive/negated queries.
 	key, _ := primitives.NewRandomKey()
-	c2, err := NewClient(key, NewMemState(), Variant2Lev)
+	c2, err := NewClient(key, kvstore.New(), Variant2Lev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cz, err := NewClient(key, NewMemState(), VariantZMF)
+	cz, err := NewClient(key, kvstore.New(), VariantZMF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,17 +508,45 @@ func TestSpillFansHotKeywordAcrossBuckets(t *testing.T) {
 	}
 }
 
+// TestKVStateVersions: a client's versions and spill counters live in the
+// gateway store and survive its reopen.
 func TestKVStateVersions(t *testing.T) {
-	st := NewKVState(kvstore.New())
-	if err := st.SetVersion("ns", "d1", 3); err != nil {
+	key, _ := primitives.NewRandomKey()
+	dir := filepath.Join(t.TempDir(), "state")
+	store, err := kvstore.Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := st.Version("ns", "d1")
-	if err != nil || v != 3 {
-		t.Fatalf("Version = %d, %v", v, err)
+	c, err := NewClient(key, store, Variant2Lev)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v, _ := st.Version("ns", "absent"); v != 0 {
-		t.Fatalf("Version(absent) = %d", v)
+	if err := c.setVersion("ns", "d1", 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.setSpill("ns", "w", 40); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store, err = kvstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	c, err = NewClient(key, store, Variant2Lev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := c.version("ns", "d1"); err != nil || v != 3 {
+		t.Fatalf("version = %d, %v", v, err)
+	}
+	if v, _ := c.version("ns", "absent"); v != 0 {
+		t.Fatalf("version(absent) = %d", v)
+	}
+	if n, err := c.spill("ns", "w"); err != nil || n != 40 {
+		t.Fatalf("spill = %d, %v", n, err)
 	}
 }
 

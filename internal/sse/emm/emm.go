@@ -25,7 +25,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"datablinder/internal/crypto/keycache"
@@ -54,108 +53,6 @@ type Counts struct {
 	Tail   uint64 `json:"tail"`
 }
 
-// State persists the client's per-keyword counters. Implementations must
-// be safe for concurrent use; NextTail must be atomic so concurrent
-// appends to one keyword never reuse a cell index.
-type State interface {
-	// Counts returns the counters for keyword w (zero value if absent).
-	Counts(namespace, w string) (Counts, error)
-	// NextTail atomically reserves and returns the next tail index for w.
-	NextTail(namespace, w string) (uint64, error)
-	// SetCounts stores the counters for keyword w (rebuilds/restores).
-	SetCounts(namespace, w string, c Counts) error
-}
-
-// MemState is an in-memory State for tests and ephemeral gateways.
-type MemState struct {
-	mu sync.RWMutex
-	m  map[string]Counts
-}
-
-// NewMemState returns an empty MemState.
-func NewMemState() *MemState { return &MemState{m: make(map[string]Counts)} }
-
-// Counts implements State.
-func (s *MemState) Counts(namespace, w string) (Counts, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m[namespace+"\x00"+w], nil
-}
-
-// NextTail implements State.
-func (s *MemState) NextTail(namespace, w string) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k := namespace + "\x00" + w
-	c := s.m[k]
-	i := c.Tail
-	c.Tail++
-	s.m[k] = c
-	return i, nil
-}
-
-// SetCounts implements State.
-func (s *MemState) SetCounts(namespace, w string, c Counts) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[namespace+"\x00"+w] = c
-	return nil
-}
-
-// KVState persists counters in a kvstore (the gateway's local Redis in the
-// paper's deployment).
-type KVState struct {
-	store *kvstore.Store
-}
-
-// NewKVState wraps store.
-func NewKVState(store *kvstore.Store) *KVState { return &KVState{store: store} }
-
-func (s *KVState) tailKey(namespace, w string) []byte {
-	return []byte("emmtail/" + namespace + "\x00" + w)
-}
-
-func (s *KVState) packedKey(namespace, w string) []byte {
-	return []byte("emmpacked/" + namespace + "\x00" + w)
-}
-
-// Counts implements State.
-func (s *KVState) Counts(namespace, w string) (Counts, error) {
-	tail, err := s.store.Counter(s.tailKey(namespace, w))
-	if err != nil {
-		return Counts{}, fmt.Errorf("emm: loading tail state: %w", err)
-	}
-	packed, err := s.store.Counter(s.packedKey(namespace, w))
-	if err != nil {
-		return Counts{}, fmt.Errorf("emm: loading packed state: %w", err)
-	}
-	return Counts{Packed: uint64(packed), Tail: uint64(tail)}, nil
-}
-
-// NextTail implements State atomically via the store's counter primitive.
-func (s *KVState) NextTail(namespace, w string) (uint64, error) {
-	c, err := s.store.Incr(s.tailKey(namespace, w), 1)
-	if err != nil {
-		return 0, fmt.Errorf("emm: reserving tail index: %w", err)
-	}
-	return uint64(c - 1), nil
-}
-
-// SetCounts implements State.
-func (s *KVState) SetCounts(namespace, w string, c Counts) error {
-	cur, err := s.Counts(namespace, w)
-	if err != nil {
-		return err
-	}
-	if _, err := s.store.Incr(s.tailKey(namespace, w), int64(c.Tail)-int64(cur.Tail)); err != nil {
-		return fmt.Errorf("emm: storing tail state: %w", err)
-	}
-	if _, err := s.store.Incr(s.packedKey(namespace, w), int64(c.Packed)-int64(cur.Packed)); err != nil {
-		return fmt.Errorf("emm: storing packed state: %w", err)
-	}
-	return nil
-}
-
 // Entry is one encrypted cell destined for the server.
 type Entry struct {
 	Addr []byte `json:"addr"`
@@ -173,24 +70,66 @@ type SearchToken struct {
 	Counts Counts `json:"counts"`
 }
 
-// Client is the gateway half of the EMM. It is safe for concurrent use
-// given a concurrency-safe State.
+// Client is the gateway half of the EMM. It is safe for concurrent use.
 type Client struct {
-	keyAddr primitives.Key // derives per-keyword address keys
-	keyVal  primitives.Key // derives per-keyword value keys
-	state   State
+	keyAddr primitives.Key                             // derives per-keyword address keys
+	keyVal  primitives.Key                             // derives per-keyword value keys
+	store   *kvstore.Store                             // the gateway store: two counters per keyword
 	kwKeys  *keycache.Cache[string, [2]primitives.Key] // (addr, value) pairs
 }
 
-// NewClient derives the EMM client keys from key. state persists the
-// per-keyword counters.
-func NewClient(key primitives.Key, state State) *Client {
+// NewClient derives the EMM client keys from key. store keeps the
+// per-keyword counters (the gateway's local Redis in the paper's
+// deployment).
+func NewClient(key primitives.Key, store *kvstore.Store) *Client {
 	return &Client{
 		keyAddr: primitives.PRFKey(key, []byte("emm-addr")),
 		keyVal:  primitives.PRFKey(key, []byte("emm-val")),
-		state:   state,
+		store:   store,
 		kwKeys:  keycache.New[string, [2]primitives.Key](keycache.DefaultSize),
 	}
+}
+
+func tailKey(namespace, w string) []byte {
+	return []byte("emmtail/" + namespace + "\x00" + w)
+}
+
+func packedKey(namespace, w string) []byte {
+	return []byte("emmpacked/" + namespace + "\x00" + w)
+}
+
+// counts returns keyword w's counters (zero if it has none).
+func (c *Client) counts(namespace, w string) (Counts, error) {
+	tail, err := c.store.Counter(tailKey(namespace, w))
+	if err != nil {
+		return Counts{}, fmt.Errorf("emm: loading tail state: %w", err)
+	}
+	packed, err := c.store.Counter(packedKey(namespace, w))
+	if err != nil {
+		return Counts{}, fmt.Errorf("emm: loading packed state: %w", err)
+	}
+	return Counts{Packed: uint64(packed), Tail: uint64(tail)}, nil
+}
+
+// nextTail reserves and returns the next tail index of w, atomically, so
+// concurrent appends to one keyword never reuse a cell index.
+func (c *Client) nextTail(namespace, w string) (uint64, error) {
+	n, err := c.store.Incr(tailKey(namespace, w), 1)
+	if err != nil {
+		return 0, fmt.Errorf("emm: reserving tail index: %w", err)
+	}
+	return uint64(n - 1), nil
+}
+
+// setCounts stores keyword w's counters, in the form Incr keeps them.
+func (c *Client) setCounts(namespace, w string, n Counts) error {
+	if err := c.store.Set(tailKey(namespace, w), binary.BigEndian.AppendUint64(nil, n.Tail)); err != nil {
+		return fmt.Errorf("emm: storing tail state: %w", err)
+	}
+	if err := c.store.Set(packedKey(namespace, w), binary.BigEndian.AppendUint64(nil, n.Packed)); err != nil {
+		return fmt.Errorf("emm: storing packed state: %w", err)
+	}
+	return nil
 }
 
 // keywordKeys derives (or recalls) the per-keyword address and value keys.
@@ -308,7 +247,7 @@ var sharedLabel = []byte("emm-shared")
 // cells (WrapSharedKey + SealSharedIDs + server-side SharedValue).
 func (c *Client) AppendAddr(namespace, w string) ([]byte, primitives.Key, error) {
 	ak, vk := c.keywordKeys(namespace, w)
-	i, err := c.state.NextTail(namespace, w)
+	i, err := c.nextTail(namespace, w)
 	if err != nil {
 		return nil, primitives.Key{}, err
 	}
@@ -392,7 +331,7 @@ func (c *Client) Append(namespace, w, id string) (Entry, error) {
 	if err != nil {
 		return Entry{}, err
 	}
-	i, err := c.state.NextTail(namespace, w)
+	i, err := c.nextTail(namespace, w)
 	if err != nil {
 		return Entry{}, err
 	}
@@ -404,7 +343,7 @@ func (c *Client) Append(namespace, w, id string) (Entry, error) {
 // entries plus the number of now-stale cells the server should drop
 // (callers pass the old counts to Server.Rebuild).
 func (c *Client) BuildPacked(namespace, w string, ids []string) (entries []Entry, old, nu Counts, err error) {
-	old, err = c.state.Counts(namespace, w)
+	old, err = c.counts(namespace, w)
 	if err != nil {
 		return nil, Counts{}, Counts{}, err
 	}
@@ -430,7 +369,7 @@ func (c *Client) BuildPacked(namespace, w string, ids []string) (entries []Entry
 		}
 	}
 	nu = Counts{Packed: uint64(len(entries))}
-	if err := c.state.SetCounts(namespace, w, nu); err != nil {
+	if err := c.setCounts(namespace, w, nu); err != nil {
 		return nil, Counts{}, Counts{}, err
 	}
 	return entries, old, nu, nil
@@ -438,7 +377,7 @@ func (c *Client) BuildPacked(namespace, w string, ids []string) (entries []Entry
 
 // Token builds the search token for w.
 func (c *Client) Token(namespace, w string) (SearchToken, error) {
-	counts, err := c.state.Counts(namespace, w)
+	counts, err := c.counts(namespace, w)
 	if err != nil {
 		return SearchToken{}, err
 	}
@@ -601,8 +540,3 @@ func (s *Server) opener(vk primitives.Key) (func([]byte) ([]string, error), erro
 		return ids, err
 	}, nil
 }
-
-var (
-	_ State = (*MemState)(nil)
-	_ State = (*KVState)(nil)
-)

@@ -20,7 +20,7 @@ func setup(t testing.TB) (*Client, *Server) {
 	if err != nil {
 		t.Fatalf("key: %v", err)
 	}
-	client := NewClient(key, NewMemState())
+	client := NewClient(key, kvstore.New())
 	server := NewServer(kvstore.New(), "test")
 	return client, server
 }
@@ -159,7 +159,7 @@ func TestServerCellsAreOpaque(t *testing.T) {
 	// or values.
 	key, _ := primitives.NewRandomKey()
 	store := kvstore.New()
-	c := NewClient(key, NewMemState())
+	c := NewClient(key, kvstore.New())
 	s := NewServer(store, "ns")
 	e, err := c.Append("ns", "hypertension", "patient-007")
 	if err != nil {
@@ -212,18 +212,24 @@ func TestWrongValueKeyFailsClosed(t *testing.T) {
 	}
 }
 
+// TestKVStateRoundTrip: counters stored with one Set each read back, and
+// the next tail index counts on from the stored tail.
 func TestKVStateRoundTrip(t *testing.T) {
-	st := NewKVState(kvstore.New())
-	if err := st.SetCounts("ns", "w", Counts{Packed: 2, Tail: 5}); err != nil {
-		t.Fatalf("SetCounts: %v", err)
+	key, _ := primitives.NewRandomKey()
+	st := NewClient(key, kvstore.New())
+	if err := st.setCounts("ns", "w", Counts{Packed: 2, Tail: 5}); err != nil {
+		t.Fatalf("setCounts: %v", err)
 	}
-	c, err := st.Counts("ns", "w")
+	c, err := st.counts("ns", "w")
 	if err != nil || c.Packed != 2 || c.Tail != 5 {
-		t.Fatalf("Counts = %+v, %v", c, err)
+		t.Fatalf("counts = %+v, %v", c, err)
 	}
-	c, err = st.Counts("ns", "other")
+	if i, err := st.nextTail("ns", "w"); err != nil || i != 5 {
+		t.Fatalf("nextTail = %d, %v, want 5", i, err)
+	}
+	c, err = st.counts("ns", "other")
 	if err != nil || c.Packed != 0 || c.Tail != 0 {
-		t.Fatalf("Counts(absent) = %+v, %v", c, err)
+		t.Fatalf("counts(absent) = %+v, %v", c, err)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"datablinder/internal/crypto/keycache"
 	"datablinder/internal/crypto/primitives"
@@ -50,90 +49,6 @@ var (
 	ErrBadCell   = errors.New("mitra: malformed server cell")
 )
 
-// State persists the client's per-keyword counter. Implementations must
-// be safe for concurrent use; Next must be atomic so concurrent updates
-// to the same keyword never reuse a cell index.
-type State interface {
-	// Counter returns the number of updates issued for w (0 if none).
-	Counter(namespace, w string) (uint64, error)
-	// Next atomically reserves and returns the next update index for w
-	// (0 for the first update).
-	Next(namespace, w string) (uint64, error)
-	// SetCounter stores the update count for w (used by restores/tests).
-	SetCounter(namespace, w string, c uint64) error
-}
-
-// MemState is an in-memory State.
-type MemState struct {
-	mu sync.RWMutex
-	m  map[string]uint64
-}
-
-// NewMemState returns an empty MemState.
-func NewMemState() *MemState { return &MemState{m: make(map[string]uint64)} }
-
-// Counter implements State.
-func (s *MemState) Counter(namespace, w string) (uint64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m[namespace+"\x00"+w], nil
-}
-
-// Next implements State.
-func (s *MemState) Next(namespace, w string) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k := namespace + "\x00" + w
-	c := s.m[k]
-	s.m[k] = c + 1
-	return c, nil
-}
-
-// SetCounter implements State.
-func (s *MemState) SetCounter(namespace, w string, c uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[namespace+"\x00"+w] = c
-	return nil
-}
-
-// KVState persists counters in the gateway kvstore.
-type KVState struct {
-	store *kvstore.Store
-}
-
-// NewKVState wraps store.
-func NewKVState(store *kvstore.Store) *KVState { return &KVState{store: store} }
-
-func (s *KVState) key(namespace, w string) []byte {
-	return []byte("mitractr/" + namespace + "\x00" + w)
-}
-
-// Counter implements State.
-func (s *KVState) Counter(namespace, w string) (uint64, error) {
-	c, err := s.store.Counter(s.key(namespace, w))
-	return uint64(c), err
-}
-
-// Next implements State atomically via the store's counter primitive.
-func (s *KVState) Next(namespace, w string) (uint64, error) {
-	c, err := s.store.Incr(s.key(namespace, w), 1)
-	if err != nil {
-		return 0, err
-	}
-	return uint64(c - 1), nil
-}
-
-// SetCounter implements State.
-func (s *KVState) SetCounter(namespace, w string, c uint64) error {
-	cur, err := s.store.Counter(s.key(namespace, w))
-	if err != nil {
-		return err
-	}
-	_, err = s.store.Incr(s.key(namespace, w), int64(c)-cur)
-	return err
-}
-
 // Entry is one encrypted update cell.
 type Entry struct {
 	Addr []byte `json:"addr"`
@@ -149,17 +64,23 @@ type SearchRequest struct {
 // Client is the gateway half of Mitra.
 type Client struct {
 	key    primitives.Key
-	state  State
+	store  *kvstore.Store // the gateway store: one counter per keyword
 	kwKeys *keycache.Cache[string, primitives.Key]
 }
 
-// NewClient derives the client from key; state persists keyword counters.
-func NewClient(key primitives.Key, state State) *Client {
+// NewClient derives the client from key; store keeps the keyword counters.
+func NewClient(key primitives.Key, store *kvstore.Store) *Client {
 	return &Client{
 		key:    primitives.PRFKey(key, []byte("mitra")),
-		state:  state,
+		store:  store,
 		kwKeys: keycache.New[string, primitives.Key](keycache.DefaultSize),
 	}
+}
+
+// counterKey names keyword w's counter: the number of updates issued for
+// it, and so the index of its next cell.
+func counterKey(namespace, w string) []byte {
+	return []byte("mitractr/" + namespace + "\x00" + w)
 }
 
 func (c *Client) keywordKey(namespace, w string) primitives.Key {
@@ -243,10 +164,11 @@ func (c *Client) Update(namespace, w string, op Op, id string) (Entry, error) {
 	if err != nil {
 		return Entry{}, err
 	}
-	ctr, err := c.state.Next(namespace, w)
+	n, err := c.store.Incr(counterKey(namespace, w), 1)
 	if err != nil {
 		return Entry{}, err
 	}
+	ctr := uint64(n - 1)
 	d := newCellPRF(c.keywordKey(namespace, w))
 	subtle.XORBytes(cell, cell, d.padFor(ctr))
 	return Entry{Addr: d.appendAddr(nil, ctr), Val: cell}, nil
@@ -255,7 +177,7 @@ func (c *Client) Update(namespace, w string, op Op, id string) (Entry, error) {
 // SearchRequest enumerates the cell addresses for w. An empty request
 // (zero counter) means the keyword has never been updated.
 func (c *Client) SearchRequest(namespace, w string) (SearchRequest, error) {
-	ctr, err := c.state.Counter(namespace, w)
+	ctr, err := c.store.Counter(counterKey(namespace, w))
 	if err != nil {
 		return SearchRequest{}, err
 	}
@@ -373,8 +295,3 @@ func (s *Server) Search(req SearchRequest) ([][]byte, error) {
 	}
 	return out, nil
 }
-
-var (
-	_ State = (*MemState)(nil)
-	_ State = (*KVState)(nil)
-)

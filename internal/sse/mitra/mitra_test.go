@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -20,7 +21,7 @@ func setup(t testing.TB) (*Client, *Server) {
 	if err != nil {
 		t.Fatalf("key: %v", err)
 	}
-	return NewClient(key, NewMemState()), NewServer(kvstore.New(), "test")
+	return NewClient(key, kvstore.New()), NewServer(kvstore.New(), "test")
 }
 
 func update(t testing.TB, c *Client, s *Server, ns, w string, op Op, id string) {
@@ -130,7 +131,7 @@ func TestMaxLengthID(t *testing.T) {
 func TestServerSeesOnlyOpaqueData(t *testing.T) {
 	key, _ := primitives.NewRandomKey()
 	store := kvstore.New()
-	c := NewClient(key, NewMemState())
+	c := NewClient(key, kvstore.New())
 	s := NewServer(store, "ns")
 	e, err := c.Update("ns", "diagnosis", OpAdd, "patient-9")
 	if err != nil {
@@ -239,17 +240,39 @@ func searchQuiet(c *Client, s *Server, ns, w string) []string {
 	return ids
 }
 
+// TestKVStatePersistence: keyword counters live in the gateway store, so a
+// client over the reopened store asks for the cells issued before.
 func TestKVStatePersistence(t *testing.T) {
-	st := NewKVState(kvstore.New())
-	if err := st.SetCounter("ns", "w", 9); err != nil {
+	key, _ := primitives.NewRandomKey()
+	dir := filepath.Join(t.TempDir(), "state")
+	store, err := kvstore.Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := st.Counter("ns", "w")
-	if err != nil || c != 9 {
-		t.Fatalf("Counter = %d, %v", c, err)
+	c := NewClient(key, store)
+	var addrs [][]byte
+	for i := 0; i < 3; i++ {
+		e, err := c.Update("ns", "w", OpAdd, fmt.Sprintf("d%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, e.Addr)
 	}
-	if c, _ := st.Counter("ns", "absent"); c != 0 {
-		t.Fatalf("Counter(absent) = %d", c)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store, err = kvstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	c = NewClient(key, store)
+	req, err := c.SearchRequest("ns", "w")
+	if err != nil || !reflect.DeepEqual(req.Addrs, addrs) {
+		t.Fatalf("SearchRequest after reopen = %x, %v, want %x", req.Addrs, err, addrs)
+	}
+	if req, _ := c.SearchRequest("ns", "absent"); len(req.Addrs) != 0 {
+		t.Fatalf("SearchRequest(absent) = %d addresses", len(req.Addrs))
 	}
 }
 
@@ -311,8 +334,8 @@ func TestGoldenVectors(t *testing.T) {
 	for i := range master {
 		master[i] = byte(0xa0 + i)
 	}
-	st := NewMemState()
-	if err := st.SetCounter("ns", "w", 7); err != nil {
+	st := kvstore.New()
+	if _, err := st.Incr(counterKey("ns", "w"), 7); err != nil {
 		t.Fatal(err)
 	}
 	c := NewClient(master, st)
@@ -344,7 +367,7 @@ func TestGoldenVectors(t *testing.T) {
 // adds drop out.
 func TestResolveOrderAndCancellation(t *testing.T) {
 	key, _ := primitives.NewRandomKey()
-	c := NewClient(key, NewMemState())
+	c := NewClient(key, kvstore.New())
 	ops := []struct {
 		op Op
 		id string

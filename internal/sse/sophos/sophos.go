@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sync"
 
 	"datablinder/internal/conc"
 	"datablinder/internal/crypto/keycache"
@@ -50,76 +49,6 @@ var (
 	ErrBadToken  = errors.New("sophos: malformed search token")
 )
 
-// KeywordState is the client's per-keyword record: the latest TDP state
-// and the number of updates.
-type KeywordState struct {
-	ST    []byte `json:"st"` // current state, fixed width
-	Count uint64 `json:"count"`
-}
-
-// State persists per-keyword records.
-type State interface {
-	// Keyword returns the record for w and whether it exists.
-	Keyword(namespace, w string) (KeywordState, bool, error)
-	// SetKeyword stores the record for w.
-	SetKeyword(namespace, w string, ks KeywordState) error
-}
-
-// MemState is an in-memory State.
-type MemState struct {
-	mu sync.RWMutex
-	m  map[string]KeywordState
-}
-
-// NewMemState returns an empty MemState.
-func NewMemState() *MemState { return &MemState{m: make(map[string]KeywordState)} }
-
-// Keyword implements State.
-func (s *MemState) Keyword(namespace, w string) (KeywordState, bool, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ks, ok := s.m[namespace+"\x00"+w]
-	return ks, ok, nil
-}
-
-// SetKeyword implements State.
-func (s *MemState) SetKeyword(namespace, w string, ks KeywordState) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[namespace+"\x00"+w] = ks
-	return nil
-}
-
-// KVState persists keyword records in the gateway kvstore.
-type KVState struct {
-	store *kvstore.Store
-}
-
-// NewKVState wraps store.
-func NewKVState(store *kvstore.Store) *KVState { return &KVState{store: store} }
-
-// Keyword implements State.
-func (s *KVState) Keyword(namespace, w string) (KeywordState, bool, error) {
-	raw, ok, err := s.store.Get([]byte("sophosstate/" + namespace + "\x00" + w))
-	if err != nil || !ok {
-		return KeywordState{}, false, err
-	}
-	var ks KeywordState
-	if err := json.Unmarshal(raw, &ks); err != nil {
-		return KeywordState{}, false, fmt.Errorf("sophos: decoding state: %w", err)
-	}
-	return ks, true, nil
-}
-
-// SetKeyword implements State.
-func (s *KVState) SetKeyword(namespace, w string, ks KeywordState) error {
-	raw, err := json.Marshal(ks)
-	if err != nil {
-		return err
-	}
-	return s.store.Set([]byte("sophosstate/"+namespace+"\x00"+w), raw)
-}
-
 // Entry is one encrypted update cell.
 type Entry struct {
 	Addr []byte `json:"addr"`
@@ -142,31 +71,32 @@ type SearchToken struct {
 type Client struct {
 	key    primitives.Key
 	rsa    *rsa.PrivateKey
-	state  State
+	store  *kvstore.Store // the gateway store: one chain record per keyword
 	locks  conc.Stripes
 	kwKeys *keycache.Cache[string, primitives.Key]
 }
 
-// NewClient derives the Sophos client. Generating the RSA trapdoor takes
-// noticeable time; reuse clients.
-func NewClient(key primitives.Key, state State) (*Client, error) {
+// NewClient derives the Sophos client; store keeps the per-keyword chain
+// records. Generating the RSA trapdoor takes noticeable time; reuse
+// clients.
+func NewClient(key primitives.Key, store *kvstore.Store) (*Client, error) {
 	pk, err := rsa.GenerateKey(rand.Reader, RSABits)
 	if err != nil {
 		return nil, fmt.Errorf("sophos: generating TDP: %w", err)
 	}
-	return NewClientWithTDP(key, state, pk)
+	return NewClientWithTDP(key, store, pk)
 }
 
 // NewClientWithTDP builds a client over an existing RSA trapdoor (e.g.
 // loaded from the key management system).
-func NewClientWithTDP(key primitives.Key, state State, pk *rsa.PrivateKey) (*Client, error) {
+func NewClientWithTDP(key primitives.Key, store *kvstore.Store, pk *rsa.PrivateKey) (*Client, error) {
 	if pk.N.BitLen() > RSABits {
 		return nil, fmt.Errorf("sophos: TDP modulus %d bits exceeds %d", pk.N.BitLen(), RSABits)
 	}
 	return &Client{
 		key:    primitives.PRFKey(key, []byte("sophos")),
 		rsa:    pk,
-		state:  state,
+		store:  store,
 		kwKeys: keycache.New[string, primitives.Key](keycache.DefaultSize),
 	}, nil
 }
@@ -261,13 +191,37 @@ func decodeCell(cell []byte) (string, error) {
 	return string(cell[1 : 1+cell[0]]), nil
 }
 
+// chain is the client's record of one keyword: the latest TDP state and
+// the number of updates, stored as JSON under chainKey.
+type chain struct {
+	ST    []byte `json:"st"` // current state, fixed width
+	Count uint64 `json:"count"`
+}
+
+func chainKey(namespace, w string) []byte {
+	return []byte("sophosstate/" + namespace + "\x00" + w)
+}
+
+// loadChain returns keyword w's record and whether it exists.
+func (c *Client) loadChain(namespace, w string) (chain, bool, error) {
+	raw, ok, err := c.store.Get(chainKey(namespace, w))
+	if err != nil || !ok {
+		return chain{}, false, err
+	}
+	var ks chain
+	if err := json.Unmarshal(raw, &ks); err != nil {
+		return chain{}, false, fmt.Errorf("sophos: decoding state: %w", err)
+	}
+	return ks, true, nil
+}
+
 // Insert produces the encrypted cell adding id under w. Sophos has no
 // native deletion; the middleware layers a revocation set above it.
 func (c *Client) Insert(namespace, w, id string) (Entry, error) {
 	mu := c.locks.For(namespace, w)
 	mu.Lock()
 	defer mu.Unlock()
-	ks, ok, err := c.state.Keyword(namespace, w)
+	ks, ok, err := c.loadChain(namespace, w)
 	if err != nil {
 		return Entry{}, err
 	}
@@ -279,7 +233,7 @@ func (c *Client) Insert(namespace, w, id string) (Entry, error) {
 		}
 		buf := make([]byte, stBytes)
 		st0.FillBytes(buf)
-		ks = KeywordState{ST: buf, Count: 0}
+		ks = chain{ST: buf, Count: 0}
 	} else {
 		// Walk backwards: ST_c = π⁻¹(ST_{c-1}).
 		ks.ST = c.inverse(ks.ST)
@@ -295,7 +249,11 @@ func (c *Client) Insert(namespace, w, id string) (Entry, error) {
 		Addr: d.h1(ks.ST),
 		Val:  primitives.XOR(cell, d.h2(ks.ST)),
 	}
-	if err := c.state.SetKeyword(namespace, w, ks); err != nil {
+	raw, err := json.Marshal(ks)
+	if err != nil {
+		return Entry{}, err
+	}
+	if err := c.store.Set(chainKey(namespace, w), raw); err != nil {
 		return Entry{}, err
 	}
 	return e, nil
@@ -304,7 +262,7 @@ func (c *Client) Insert(namespace, w, id string) (Entry, error) {
 // Token builds the search token for w. ok is false when w has never been
 // inserted (the search trivially returns nothing).
 func (c *Client) Token(namespace, w string) (SearchToken, bool, error) {
-	ks, ok, err := c.state.Keyword(namespace, w)
+	ks, ok, err := c.loadChain(namespace, w)
 	if err != nil || !ok {
 		return SearchToken{}, false, err
 	}
@@ -370,8 +328,3 @@ func (s *Server) Search(t SearchToken) ([]string, error) {
 	}
 	return ids, nil
 }
-
-var (
-	_ State = (*MemState)(nil)
-	_ State = (*KVState)(nil)
-)

@@ -39,7 +39,7 @@ func setup(t testing.TB) (*Client, *Server) {
 	if err != nil {
 		t.Fatalf("key: %v", err)
 	}
-	client, err := NewClientWithTDP(key, NewMemState(), testTDP(t))
+	client, err := NewClientWithTDP(key, kvstore.New(), testTDP(t))
 	if err != nil {
 		t.Fatalf("NewClientWithTDP: %v", err)
 	}
@@ -156,7 +156,7 @@ func TestMaxLengthID(t *testing.T) {
 func TestServerSeesOnlyOpaqueData(t *testing.T) {
 	key, _ := primitives.NewRandomKey()
 	store := kvstore.New()
-	c, err := NewClientWithTDP(key, NewMemState(), testTDP(t))
+	c, err := NewClientWithTDP(key, kvstore.New(), testTDP(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestStatePersistenceAcrossClients(t *testing.T) {
 	// A gateway restart (same state store + same TDP) must continue the
 	// chain without breaking searchability.
 	key, _ := primitives.NewRandomKey()
-	state := NewKVState(kvstore.New())
+	state := kvstore.New()
 	store := kvstore.New()
 	c1, err := NewClientWithTDP(key, state, testTDP(t))
 	if err != nil {

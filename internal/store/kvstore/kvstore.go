@@ -1,9 +1,11 @@
 // Package kvstore implements a Redis-like key-value store with the basic
 // constructions DataBlinder tactics build custom secure indexes from:
-// byte-string values, hash maps, sets, and counters. The original system
-// deployed Redis "in a semi-persistent durability mode" on both the gateway
-// and the cloud; this package provides the same contract in-process, backed
-// by the segmented binary write-ahead log in internal/store/wal.
+// strings, hashes and sorted sets. A counter is a string holding an 8-byte
+// big-endian integer; a set is a hash whose fields carry empty values. The
+// original system deployed Redis "in a semi-persistent durability mode" on
+// both the gateway and the cloud; this package provides the same contract
+// in-process, backed by the segmented binary write-ahead log in
+// internal/store/wal.
 //
 // All operations are safe for concurrent use. The store is striped into
 // independently locked shards (the key hashes to a shard), so concurrent
@@ -16,6 +18,7 @@
 package kvstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -35,12 +38,10 @@ const numShards = 32
 
 // shard is one independently locked slice of the keyspace.
 type shard struct {
-	mu       sync.RWMutex
-	strings  map[string][]byte
-	hashes   map[string]map[string][]byte
-	sets     map[string]map[string]struct{}
-	counters map[string]int64
-	zsets    map[string][]zentry
+	mu      sync.RWMutex
+	strings map[string][]byte
+	hashes  map[string]map[string][]byte
+	zsets   map[string][]zentry
 }
 
 // Store is an in-memory key-value store with optional WAL persistence.
@@ -66,8 +67,6 @@ func New() *Store {
 		sh := &s.shards[i]
 		sh.strings = make(map[string][]byte)
 		sh.hashes = make(map[string]map[string][]byte)
-		sh.sets = make(map[string]map[string]struct{})
-		sh.counters = make(map[string]int64)
 		sh.zsets = make(map[string][]zentry)
 	}
 	return s
@@ -120,7 +119,7 @@ func (s *Store) Get(key []byte) ([]byte, bool, error) {
 	return append([]byte(nil), v...), true, nil
 }
 
-// Del removes key from all namespaces (string, hash, set, counter).
+// Del removes key whatever it holds: a string, a hash or a sorted set.
 func (s *Store) Del(key []byte) error {
 	sh := s.shard(key)
 	sh.mu.Lock()
@@ -131,8 +130,6 @@ func (s *Store) Del(key []byte) error {
 	k := string(key)
 	delete(sh.strings, k)
 	delete(sh.hashes, k)
-	delete(sh.sets, k)
-	delete(sh.counters, k)
 	delete(sh.zsets, k)
 	seq, ok := s.claim()
 	sh.mu.Unlock()
@@ -296,90 +293,16 @@ func (s *Store) HFields(key []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// SAdd adds member to the set at key.
-func (s *Store) SAdd(key, member []byte) error {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	if s.closed.Load() {
-		sh.mu.Unlock()
-		return ErrClosed
-	}
-	set := sh.sets[string(key)]
-	if set == nil {
-		set = make(map[string]struct{})
-		sh.sets[string(key)] = set
-	}
-	set[string(member)] = struct{}{}
-	seq, ok := s.claim()
-	sh.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	return s.log2(seq, opSAdd, key, member)
-}
+// SAdd adds member to the set at key: a set is a hash whose fields carry
+// empty values. Only dblayers' kvstore.sadd_us probe calls it; the
+// benchmark-only port of dblayers deletes it.
+func (s *Store) SAdd(key, member []byte) error { return s.HSet(key, member, nil) }
 
-// SRem removes member from the set at key.
-func (s *Store) SRem(key, member []byte) error {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	if s.closed.Load() {
-		sh.mu.Unlock()
-		return ErrClosed
-	}
-	delete(sh.sets[string(key)], string(member))
-	seq, ok := s.claim()
-	sh.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	return s.log2(seq, opSRem, key, member)
-}
-
-// SMembers returns the members of the set at key, sorted.
-func (s *Store) SMembers(key []byte) ([][]byte, error) {
-	sh := s.shard(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	set := sh.sets[string(key)]
-	members := make([]string, 0, len(set))
-	for m := range set {
-		members = append(members, m)
-	}
-	sort.Strings(members)
-	out := make([][]byte, len(members))
-	for i, m := range members {
-		out[i] = []byte(m)
-	}
-	return out, nil
-}
-
-// SCard returns the cardinality of the set at key.
-func (s *Store) SCard(key []byte) (int, error) {
-	sh := s.shard(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if s.closed.Load() {
-		return 0, ErrClosed
-	}
-	return len(sh.sets[string(key)]), nil
-}
-
-// SIsMember reports whether member is in the set at key.
-func (s *Store) SIsMember(key, member []byte) (bool, error) {
-	sh := s.shard(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if s.closed.Load() {
-		return false, ErrClosed
-	}
-	_, ok := sh.sets[string(key)][string(member)]
-	return ok, nil
-}
-
-// Incr adds delta to the counter at key and returns the new value.
+// Incr adds delta to the counter at key and returns the new value. A
+// counter is a string holding an 8-byte big-endian integer, overwritten in
+// place under the key's lock (Get copies, so nothing aliases it); the new
+// value is logged as the frame Set writes. An absent key counts from 0; a
+// string of any other length is an error.
 func (s *Store) Incr(key []byte, delta int64) (int64, error) {
 	sh := s.shard(key)
 	sh.mu.Lock()
@@ -387,17 +310,27 @@ func (s *Store) Incr(key []byte, delta int64) (int64, error) {
 		sh.mu.Unlock()
 		return 0, ErrClosed
 	}
-	sh.counters[string(key)] += delta
-	v := sh.counters[string(key)]
-	seq, ok := s.claim()
-	sh.mu.Unlock()
+	v, ok := sh.strings[string(key)]
 	if !ok {
-		return v, nil
+		v = make([]byte, 8)
+		sh.strings[string(key)] = v
+	} else if len(v) != 8 {
+		sh.mu.Unlock()
+		return 0, errNotCounter(key, v)
 	}
-	if err := s.logIncr(seq, key, delta); err != nil {
+	n := int64(binary.BigEndian.Uint64(v)) + delta
+	binary.BigEndian.PutUint64(v, uint64(n))
+	var frame [8]byte
+	copy(frame[:], v)
+	seq, logged := s.claim()
+	sh.mu.Unlock()
+	if !logged {
+		return n, nil
+	}
+	if err := s.log2(seq, opSet, key, frame[:]); err != nil {
 		return 0, err
 	}
-	return v, nil
+	return n, nil
 }
 
 // Counter returns the current counter value at key (0 if unset).
@@ -408,7 +341,18 @@ func (s *Store) Counter(key []byte) (int64, error) {
 	if s.closed.Load() {
 		return 0, ErrClosed
 	}
-	return sh.counters[string(key)], nil
+	v, ok := sh.strings[string(key)]
+	if !ok {
+		return 0, nil
+	}
+	if len(v) != 8 {
+		return 0, errNotCounter(key, v)
+	}
+	return int64(binary.BigEndian.Uint64(v)), nil
+}
+
+func errNotCounter(key, v []byte) error {
+	return fmt.Errorf("kvstore: %q holds %d bytes, not an 8-byte counter", key, len(v))
 }
 
 // Keys returns all string keys with the given prefix, sorted. It exists for
@@ -456,7 +400,7 @@ func (s *Store) Len() (int, error) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		n += len(sh.strings) + len(sh.hashes) + len(sh.sets) + len(sh.counters) + len(sh.zsets)
+		n += len(sh.strings) + len(sh.hashes) + len(sh.zsets)
 		sh.mu.RUnlock()
 	}
 	return n, nil
@@ -467,10 +411,10 @@ func (s *Store) Len() (int, error) {
 // — exactly how the tactics partition their index structures — so the
 // stats read as one row per secure index family.
 type NamespaceStats struct {
-	// Keys counts top-level keys (strings, hashes, sets, counters, zsets).
+	// Keys counts top-level keys (strings, hashes, sorted sets).
 	Keys int `json:"keys"`
-	// Items counts leaf entries: hash fields, set members, zset elements,
-	// plus one per string/counter key.
+	// Items counts leaf entries: hash fields, sorted-set elements, plus one
+	// per string key (a counter is a string).
 	Items int `json:"items"`
 	// Bytes approximates payload size (keys + stored values).
 	Bytes int64 `json:"bytes"`
@@ -512,16 +456,6 @@ func (s *Store) Stats() (map[string]NamespaceStats, error) {
 				b += int64(len(f) + len(v))
 			}
 			add(k, len(h), b)
-		}
-		for k, set := range sh.sets {
-			var b int64
-			for m := range set {
-				b += int64(len(m))
-			}
-			add(k, len(set), b)
-		}
-		for k := range sh.counters {
-			add(k, 1, 8)
 		}
 		for k, z := range sh.zsets {
 			var b int64

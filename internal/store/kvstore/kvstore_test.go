@@ -186,6 +186,8 @@ func TestHashConditionalOps(t *testing.T) {
 	}
 }
 
+// TestSetOps: a set is a hash whose fields carry empty values, so SAdd
+// deduplicates, HFields lists the members sorted and HDel removes one.
 func TestSetOps(t *testing.T) {
 	s := New()
 	for _, m := range []string{"b", "a", "c", "a"} {
@@ -193,24 +195,21 @@ func TestSetOps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, _ := s.SCard([]byte("s")); n != 3 {
-		t.Fatalf("SCard = %d, want 3 (dedup)", n)
+	if n, _ := s.HLen([]byte("s")); n != 3 {
+		t.Fatalf("HLen = %d, want 3 (dedup)", n)
 	}
-	members, _ := s.SMembers([]byte("s"))
-	want := []string{"a", "b", "c"}
-	for i, m := range members {
-		if string(m) != want[i] {
-			t.Fatalf("SMembers[%d] = %q, want %q", i, m, want[i])
-		}
+	members, _ := s.HFields([]byte("s"))
+	if got := fmt.Sprintf("%s", members); got != "[a b c]" {
+		t.Fatalf("HFields = %s, want [a b c]", got)
 	}
-	if ok, _ := s.SIsMember([]byte("s"), []byte("b")); !ok {
-		t.Fatal("SIsMember(b) = false")
+	if v, ok, _ := s.HGet([]byte("s"), []byte("b")); !ok || len(v) != 0 {
+		t.Fatalf("HGet(b) = %q, %v, want a present empty value", v, ok)
 	}
-	if err := s.SRem([]byte("s"), []byte("b")); err != nil {
+	if err := s.HDel([]byte("s"), []byte("b")); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := s.SIsMember([]byte("s"), []byte("b")); ok {
-		t.Fatal("member survived SRem")
+	if _, ok, _ := s.HGet([]byte("s"), []byte("b")); ok {
+		t.Fatal("member survived HDel")
 	}
 }
 
@@ -227,6 +226,21 @@ func TestCounters(t *testing.T) {
 	}
 	if v, err := s.Counter([]byte("unset")); err != nil || v != 0 {
 		t.Fatalf("Counter(unset) = %d, %v", v, err)
+	}
+	// A counter is an 8-byte big-endian string; a string of another length
+	// is not a counter.
+	if v, ok, _ := s.Get([]byte("c")); !ok || !bytes.Equal(v, []byte{0, 0, 0, 0, 0, 0, 0, 3}) {
+		t.Fatalf("Get(counter) = %x, %v", v, ok)
+	}
+	s.Set([]byte("s"), []byte("seven"))
+	if _, err := s.Incr([]byte("s"), 1); err == nil {
+		t.Fatal("Incr of a 5-byte string succeeded")
+	}
+	if _, err := s.Counter([]byte("s")); err == nil {
+		t.Fatal("Counter of a 5-byte string succeeded")
+	}
+	if v, _, _ := s.Get([]byte("s")); string(v) != "seven" {
+		t.Fatalf("refused Incr changed the string to %q", v)
 	}
 }
 
@@ -247,7 +261,7 @@ func TestLen(t *testing.T) {
 	s := New()
 	s.Set([]byte("a"), []byte("1"))
 	s.HSet([]byte("b"), []byte("f"), []byte("1"))
-	s.SAdd([]byte("c"), []byte("m"))
+	s.ZAdd([]byte("c"), []byte("1"), []byte("m"))
 	s.Incr([]byte("d"), 1)
 	if n, _ := s.Len(); n != 4 {
 		t.Fatalf("Len = %d, want 4", n)
@@ -282,10 +296,11 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 	s.Set([]byte("k"), []byte("v"))
 	s.HSet([]byte("h"), []byte("f"), []byte("hv"))
-	s.SAdd([]byte("set"), []byte("m1"))
-	s.SAdd([]byte("set"), []byte("m2"))
-	s.SRem([]byte("set"), []byte("m1"))
-	s.Incr([]byte("c"), 7)
+	s.HSet([]byte("set"), []byte("m1"), nil)
+	s.HSet([]byte("set"), []byte("m2"), nil)
+	s.HDel([]byte("set"), []byte("m1"))
+	s.Incr([]byte("c"), 5)
+	s.Incr([]byte("c"), 2)
 	s.Set([]byte("gone"), []byte("x"))
 	s.Del([]byte("gone"))
 	s.HSet([]byte("h"), []byte("dead"), []byte("x"))
@@ -308,11 +323,8 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if _, ok, _ := s2.HGet([]byte("h"), []byte("dead")); ok {
 		t.Fatal("HDel not replayed")
 	}
-	if ok, _ := s2.SIsMember([]byte("set"), []byte("m2")); !ok {
-		t.Fatal("SAdd not replayed")
-	}
-	if ok, _ := s2.SIsMember([]byte("set"), []byte("m1")); ok {
-		t.Fatal("SRem not replayed")
+	if members, _ := s2.HFields([]byte("set")); fmt.Sprintf("%s", members) != "[m2]" {
+		t.Fatalf("empty-valued fields not replayed: %s", members)
 	}
 	if c, _ := s2.Counter([]byte("c")); c != 7 {
 		t.Fatalf("counter not replayed: %d", c)
@@ -368,8 +380,8 @@ func TestConcurrentAccess(t *testing.T) {
 					t.Errorf("Incr: %v", err)
 					return
 				}
-				if err := s.SAdd([]byte("all"), k); err != nil {
-					t.Errorf("SAdd: %v", err)
+				if err := s.HSet([]byte("all"), k, nil); err != nil {
+					t.Errorf("HSet: %v", err)
 					return
 				}
 			}
@@ -379,8 +391,8 @@ func TestConcurrentAccess(t *testing.T) {
 	if c, _ := s.Counter([]byte("shared")); c != 8*200 {
 		t.Fatalf("counter = %d, want %d", c, 8*200)
 	}
-	if n, _ := s.SCard([]byte("all")); n != 8*200 {
-		t.Fatalf("set card = %d, want %d", n, 8*200)
+	if n, _ := s.HLen([]byte("all")); n != 8*200 {
+		t.Fatalf("hash len = %d, want %d", n, 8*200)
 	}
 }
 

@@ -19,18 +19,17 @@ import (
 	"datablinder/internal/wirefmt"
 )
 
-// Op codes for persisted mutations.
+// Op codes for persisted mutations. Codes 5, 6 and 7 (set add, set remove
+// and counter increment) are retired, not reused: a log holding one was
+// written in another format, and Open refuses it.
 const (
-	opSet byte = iota + 1
-	opDel
-	opHSet
-	opHDel
-	opSAdd
-	opSRem
-	opIncr
-	opZAdd
-	opZRem
-	opMax = opZRem
+	opSet  byte = 1
+	opDel  byte = 2
+	opHSet byte = 3
+	opHDel byte = 4
+	opZAdd byte = 8
+	opZRem byte = 9
+	opMax       = opZRem
 )
 
 // DefaultCompactBytes is the sealed-log size that triggers a background
@@ -152,30 +151,18 @@ func (s *Store) log3(seq uint64, op byte, key, a, c []byte) error {
 	return err
 }
 
-func (s *Store) logIncr(seq uint64, key []byte, delta int64) error {
-	bp := framePool.Get().(*[]byte)
-	b := append((*bp)[:0], opIncr)
-	b = wirefmt.AppendBytes(b, key)
-	b = wirefmt.AppendInt64(b, delta)
-	err := s.logFrame(seq, b)
-	*bp = b
-	framePool.Put(bp)
-	return err
-}
-
 // mutation is one decoded frame. Its slices alias the frame: a and b are
-// the field and value (opHSet), the field (opHDel), the member (opSAdd,
-// opSRem), the value (opSet, in b) or the score and member (opZAdd, opZRem).
+// the field and value (opHSet), the field (opHDel), the value (opSet, in
+// b) or the score and member (opZAdd, opZRem).
 type mutation struct {
-	op    byte
-	key   []byte
-	a, b  []byte
-	delta int64
+	op   byte
+	key  []byte
+	a, b []byte
 }
 
 // decodeFrame decodes and checks one frame in full.
 func decodeFrame(frame []byte) (mutation, error) {
-	if len(frame) < 2 || frame[0] < opSet || frame[0] > opMax {
+	if len(frame) < 2 {
 		return mutation{}, fmt.Errorf("malformed frame (%d bytes)", len(frame))
 	}
 	m := mutation{op: frame[0]}
@@ -183,14 +170,15 @@ func decodeFrame(frame []byte) (mutation, error) {
 	defer wirefmt.PutReader(r)
 	m.key = r.Bytes()
 	switch m.op {
+	case opDel:
 	case opSet:
 		m.b = r.Bytes()
 	case opHSet, opZAdd, opZRem:
 		m.a, m.b = r.Bytes(), r.Bytes()
-	case opHDel, opSAdd, opSRem:
+	case opHDel:
 		m.a = r.Bytes()
-	case opIncr:
-		m.delta = r.Int64()
+	default:
+		return mutation{}, fmt.Errorf("unknown op %d (%d-byte frame)", m.op, len(frame))
 	}
 	if err := r.Finish(); err != nil {
 		return mutation{}, fmt.Errorf("malformed op %d frame: %w", m.op, err)
@@ -209,8 +197,6 @@ func (sh *shard) apply(m mutation) {
 	case opDel:
 		delete(sh.strings, k)
 		delete(sh.hashes, k)
-		delete(sh.sets, k)
-		delete(sh.counters, k)
 		delete(sh.zsets, k)
 	case opHSet:
 		h := sh.hashes[k]
@@ -221,17 +207,6 @@ func (sh *shard) apply(m mutation) {
 		h[string(m.a)] = m.b
 	case opHDel:
 		delete(sh.hashes[k], string(m.a))
-	case opSAdd:
-		set := sh.sets[k]
-		if set == nil {
-			set = make(map[string]struct{})
-			sh.sets[k] = set
-		}
-		set[string(m.a)] = struct{}{}
-	case opSRem:
-		delete(sh.sets[k], string(m.a))
-	case opIncr:
-		sh.counters[k] += m.delta
 	case opZAdd:
 		sh.zinsert(k, m.a, m.b)
 	case opZRem:
@@ -327,20 +302,6 @@ func (s *Store) serializeLocked() []byte {
 				frame = wirefmt.AppendBytes(frame, v)
 				b = wirefmt.AppendBytes(b, frame)
 			}
-		}
-		for k, set := range sh.sets {
-			for m := range set {
-				frame = append(frame[:0], opSAdd)
-				frame = wirefmt.AppendString(frame, k)
-				frame = wirefmt.AppendString(frame, m)
-				b = wirefmt.AppendBytes(b, frame)
-			}
-		}
-		for k, v := range sh.counters {
-			frame = append(frame[:0], opIncr)
-			frame = wirefmt.AppendString(frame, k)
-			frame = wirefmt.AppendInt64(frame, v)
-			b = wirefmt.AppendBytes(b, frame)
 		}
 		for k, z := range sh.zsets {
 			for _, e := range z {

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -268,11 +269,20 @@ const (
 // crashHash is the hash the crash child inserts into and deletes from.
 var crashHash = []byte("docs")
 
+// crashCounters is the number of writers that Incr one shared counter in
+// each round of the crash child: round j starts them together on counter
+// "ctr/j" and ends when all have returned. Their appends reach the log in
+// any order, and only recovery's per-stripe sort by sequence puts the
+// highest value last. (Had one counter taken every Incr of the run, only
+// its final frames would show that order.)
+const crashCounters = 16
+
 // TestCrashHelper is not a real test: it is the body of the crash-injected
 // child process. Under concurrent load it sets keys, inserts hash fields
-// with HSetNX, and inserts then HRemoves others, recording each
-// acknowledged write in a ledger file ("set k", "ins f", "del f"), until
-// it is killed.
+// with HSetNX, inserts then HRemoves others, and increments shared
+// counters, recording each acknowledged write in a ledger file ("set k",
+// "ins f", "del f", "inc c v" for counter c acknowledged at value v), and
+// each Incr before it is made ("call c"), until it is killed.
 func TestCrashHelper(t *testing.T) {
 	dir := os.Getenv(crashEnvDir)
 	if dir == "" {
@@ -292,16 +302,16 @@ func TestCrashHelper(t *testing.T) {
 	// durability promise. Ledger writes are unbuffered single syscalls —
 	// surviving SIGKILL needs only the page cache, not the disk.
 	var mu sync.Mutex
+	ack := func(kind, key string) {
+		mu.Lock()
+		fmt.Fprintf(ledger, "%s %s\n", kind, key)
+		mu.Unlock()
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ack := func(kind, key string) {
-				mu.Lock()
-				fmt.Fprintf(ledger, "%s %s\n", kind, key)
-				mu.Unlock()
-			}
 			for i := 0; ; i++ {
 				key := fmt.Sprintf("w%d-%d", g, i)
 				if err := s.Set([]byte(key), []byte(key)); err != nil {
@@ -323,6 +333,32 @@ func TestCrashHelper(t *testing.T) {
 			}
 		}(g)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for j := 0; ; j++ {
+			ctr := fmt.Sprintf("ctr/%d", j)
+			var round sync.WaitGroup
+			var failed atomic.Bool
+			for g := 0; g < crashCounters; g++ {
+				round.Add(1)
+				go func() {
+					defer round.Done()
+					ack("call", ctr)
+					v, err := s.Incr([]byte(ctr), 1)
+					if err != nil {
+						failed.Store(true)
+						return
+					}
+					ack("inc", fmt.Sprintf("%s %d", ctr, v))
+				}()
+			}
+			round.Wait()
+			if failed.Load() {
+				return
+			}
+		}
+	}()
 	wg.Wait()
 }
 
@@ -370,11 +406,11 @@ func TestCrashRecovery(t *testing.T) {
 			}
 			defer s.Close()
 
-			// ...and under fsync=always every acked write must be present,
-			// and every acked delete must stay deleted.
-			if policy != wal.FsyncAlways {
-				return
-			}
+			// ...no counter may exceed the Incr calls made on it, and under
+			// fsync=always every acked write must be present, every acked
+			// delete must stay deleted and no counter may read below a value
+			// acked for it.
+			always := policy == wal.FsyncAlways
 			lf, err := os.Open(ledgerPath)
 			if err != nil {
 				t.Fatal(err)
@@ -397,10 +433,23 @@ func TestCrashRecovery(t *testing.T) {
 			if len(raw) > 0 && raw[len(raw)-1] != '\n' && len(lines) > 0 {
 				lines = lines[:len(lines)-1]
 			}
+			calls := map[string]int64{}   // Incr calls made, per counter
+			highest := map[string]int64{} // highest acked value, per counter
 			for _, line := range lines {
 				kind, key, _ := strings.Cut(line, " ")
 				var ok bool
 				switch kind {
+				case "call":
+					calls[key]++
+					continue
+				case "inc":
+					var ctr string
+					var v int64
+					if _, err := fmt.Sscanf(key, "%s %d", &ctr, &v); err != nil {
+						t.Fatalf("unparsable ledger line %q", line)
+					}
+					highest[ctr] = max(highest[ctr], v)
+					continue
 				case "set":
 					_, ok, _ = s.Get([]byte(key))
 				case "ins":
@@ -411,15 +460,30 @@ func TestCrashRecovery(t *testing.T) {
 				default:
 					t.Fatalf("unparsable ledger line %q", line)
 				}
-				if !ok {
+				if always && !ok {
 					t.Fatalf("acked %s of %q lost after SIGKILL under fsync=always", kind, key)
 				}
 				acked++
 			}
-			if acked == 0 {
-				t.Fatal("ledger empty; crash test proved nothing")
+			counters, err := s.Keys([]byte("ctr/"))
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Logf("verified %d acked sets, inserts and deletes survived SIGKILL", acked)
+			for _, k := range counters {
+				if v, err := s.Counter(k); err != nil || v > calls[string(k)] {
+					t.Fatalf("counter %s recovered as %d, %v after %d Incr calls", k, v, err, calls[string(k)])
+				}
+			}
+			for ctr, v := range highest {
+				if got, err := s.Counter([]byte(ctr)); always && (err != nil || got < v) {
+					t.Fatalf("counter %s recovered as %d, %v after %d was acked under fsync=always", ctr, got, err, v)
+				}
+			}
+			if acked == 0 || len(highest) == 0 {
+				t.Fatal("ledger holds no acked write or Incr; crash test proved nothing")
+			}
+			t.Logf("checked %d acked sets, inserts and deletes and %d counters (%d recovered) after SIGKILL",
+				acked, len(highest), len(counters))
 		})
 	}
 }

@@ -40,8 +40,8 @@ func TestStripedConcurrent(t *testing.T) {
 					t.Errorf("HSet: %v", err)
 					return
 				}
-				if err := s.SAdd([]byte(fmt.Sprintf("set%d", g)), key); err != nil {
-					t.Errorf("SAdd: %v", err)
+				if err := s.HSet([]byte(fmt.Sprintf("set%d", g)), key, nil); err != nil {
+					t.Errorf("HSet: %v", err)
 					return
 				}
 				if _, err := s.Incr([]byte("shared-counter"), 1); err != nil {

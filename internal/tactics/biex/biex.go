@@ -144,7 +144,7 @@ func newTactic(name string, variant ssebiex.Variant) spi.Factory {
 		if err != nil {
 			return nil, err
 		}
-		client, err := ssebiex.NewClient(root, ssebiex.NewKVState(b.Local), variant)
+		client, err := ssebiex.NewClient(root, b.Local, variant)
 		if err != nil {
 			return nil, err
 		}

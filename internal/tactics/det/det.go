@@ -3,10 +3,11 @@
 // implemented from scratch).
 //
 // The gateway deterministically encrypts the field value (SIV mode); the
-// cloud keeps a map from ciphertext to the set of document ids holding that
-// value. Equality search is a single ciphertext lookup — the fastest
-// equality tactic and the weakest of the searchable ones (equal plaintexts
-// are visible as equal ciphertexts even in a snapshot).
+// cloud keeps a posting list per ciphertext: a hash whose fields are the
+// ids of the documents holding that value, each with an empty value.
+// Equality search is a single ciphertext lookup — the fastest equality
+// tactic and the weakest of the searchable ones (equal plaintexts are
+// visible as equal ciphertexts even in a snapshot).
 package det
 
 import (
@@ -173,13 +174,13 @@ func RegisterCloud(mux *transport.Mux, store *kvstore.Store) {
 		return append([]byte("detidx/"+schema+"/"+field+"/"), ct...)
 	}
 	transport.HandleTyped(mux, Service, "add", func(_ context.Context, in *cell.Args) (any, error) {
-		return nil, store.SAdd(setKey(in.Schema, in.Field, in.CT), []byte(in.DocID))
+		return nil, store.HSet(setKey(in.Schema, in.Field, in.CT), []byte(in.DocID), nil)
 	})
 	transport.HandleTyped(mux, Service, "remove", func(_ context.Context, in *cell.Args) (any, error) {
-		return nil, store.SRem(setKey(in.Schema, in.Field, in.CT), []byte(in.DocID))
+		return nil, store.HDel(setKey(in.Schema, in.Field, in.CT), []byte(in.DocID))
 	})
 	transport.HandleTyped(mux, Service, "lookup", func(_ context.Context, in *LookupArgs) (any, error) {
-		members, err := store.SMembers(setKey(in.Schema, in.Field, in.CT))
+		members, err := store.HFields(setKey(in.Schema, in.Field, in.CT))
 		if err != nil {
 			return nil, err
 		}

@@ -88,7 +88,7 @@ func New(b spi.Binding) (spi.Tactic, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tactic{Binding: b, client: ssemitra.NewClient(key, ssemitra.NewKVState(b.Local))}, nil
+	return &Tactic{Binding: b, client: ssemitra.NewClient(key, b.Local)}, nil
 }
 
 // route places one keyword's update cells on a shard. The keyword is known

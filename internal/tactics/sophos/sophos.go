@@ -132,8 +132,6 @@ func (t *Tactic) Setup(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	state := ssesophos.NewKVState(t.Local)
-
 	raw, ok, err := t.Local.Get(t.tdpKey())
 	if err != nil {
 		return fmt.Errorf("sophos: loading TDP: %w", err)
@@ -144,12 +142,12 @@ func (t *Tactic) Setup(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("sophos: parsing stored TDP: %w", err)
 		}
-		client, err = ssesophos.NewClientWithTDP(root, state, pk)
+		client, err = ssesophos.NewClientWithTDP(root, t.Local, pk)
 		if err != nil {
 			return err
 		}
 	} else {
-		client, err = ssesophos.NewClient(root, state)
+		client, err = ssesophos.NewClient(root, t.Local)
 		if err != nil {
 			return err
 		}
