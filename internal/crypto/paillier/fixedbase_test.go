@@ -105,10 +105,12 @@ func TestGeneratorCheckRejectsPlantedSubgroups(t *testing.T) {
 // TestPowMatchesExp compares each table product with the exponentiation it
 // replaces, at every width the Montgomery product runs: the toy primes
 // 1021 and 2311 (1 word, every exponent), the test key's factor and the
-// 250-bit factor of a 500-bit key (8 words, the latter with a two-bit top
-// window), and the factors of a KeyBits = 1024-bit key (16 words) and of a
-// 2048-bit key (32 words). Above one word the exponents are ones whose
-// digits hit the edges of the table walk, plus 50 random ones.
+// 250-bit factor of a 500-bit key (4 words over an 8-word square, the
+// latter with a two-bit top window), a 260-bit factor (5 words over a
+// 9-word square, one short of twice f), and the factors of a KeyBits =
+// 1024-bit key (8 over 16 words) and of a 2048-bit key (16 over 32 words).
+// Above one word the exponents are ones whose digits hit the edges of the
+// table walk, plus 50 random ones.
 func TestPowMatchesExp(t *testing.T) {
 	odd, err := GenerateKey(500)
 	if err != nil {
@@ -123,7 +125,7 @@ func TestPowMatchesExp(t *testing.T) {
 	}
 	factors := []*big.Int{
 		big.NewInt(1021), big.NewInt(2311),
-		key(t).P, odd.P, prime(512), prime(1024),
+		key(t).P, odd.P, prime(260), prime(512), prime(1024),
 	}
 	for _, f := range factors {
 		fm1 := new(big.Int).Sub(f, one)
@@ -175,46 +177,112 @@ func TestPowMatchesExp(t *testing.T) {
 	}
 }
 
-// montRef returns math/big's x·y·R⁻¹ mod m, R = 2^(UintSize·n), and the
+// TestMaskEntriesAreHalvesOfThePowers checks the table itself: entry (i, j)
+// holds e < f and q < f with e·(1 + f·q) ≡ G^(j·2^(maskWindow·i))
+// (mod f²), digit 0 included. It runs over every entry of the toy primes
+// 1021 and 2311, and over the edge entries of a 512-bit factor — each
+// window's first links and the one that crosses into the next window — and
+// 300 random ones.
+func TestMaskEntriesAreHalvesOfThePowers(t *testing.T) {
+	large, err := rand.Prime(rand.Reader, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := mrand.New(mrand.NewPCG(3, 4))
+	for _, f := range []*big.Int{big.NewInt(1021), big.NewInt(2311), large} {
+		fm1 := new(big.Int).Sub(f, one)
+		tab, err := newMaskTable(f, fm1, new(big.Int).Mul(f, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := len(f.Bits())
+		if len(tab.e) != tab.windows*maskDigits*h || len(tab.q) != len(tab.e) {
+			t.Fatalf("%d-bit factor: slabs of %d and %d words, want %d·%d·%d",
+				f.BitLen(), len(tab.e), len(tab.q), tab.windows, maskDigits, h)
+		}
+		check := func(i, j int) {
+			at := (i*maskDigits + j) * h
+			e := new(big.Int).SetBits(append([]big.Word(nil), tab.e[at:at+h]...))
+			q := new(big.Int).SetBits(append([]big.Word(nil), tab.q[at:at+h]...))
+			if e.Cmp(f) >= 0 || q.Cmp(f) >= 0 {
+				t.Fatalf("%d-bit factor, entry (%d, %d): e = %s, q = %s, want both below f", f.BitLen(), i, j, e, q)
+			}
+			got := new(big.Int).Mul(f, q)
+			got.Add(got, one).Mul(got, e).Mod(got, tab.ff)
+			x := new(big.Int).Lsh(big.NewInt(int64(j)), uint(maskWindow*i))
+			if want := x.Exp(tab.g, x, tab.ff); got.Cmp(want) != 0 {
+				t.Fatalf("%d-bit factor, entry (%d, %d): e·(1 + f·q) = %s, want G^(j·2^(%d·i)) = %s",
+					f.BitLen(), i, j, got, maskWindow, want)
+			}
+		}
+		if f.IsInt64() {
+			for i := 0; i < tab.windows; i++ {
+				for j := 0; j < maskDigits; j++ {
+					check(i, j)
+				}
+			}
+			continue
+		}
+		for i := 0; i < tab.windows; i++ {
+			for _, j := range []int{0, 1, 2, maskDigits - 1} {
+				check(i, j)
+			}
+		}
+		for k := 0; k < 300; k++ {
+			check(rng.IntN(tab.windows), rng.IntN(maskDigits))
+		}
+	}
+}
+
+// montRef returns math/big's x·y·R⁻¹ mod m, R = 2^(UintSize·l), and the
 // value montMul holds before its final subtraction, u = (x·y + Q·m)/R with
-// Q = -x·y·m⁻¹ mod R: u ≥ m takes the subtraction, u ≥ R the carry-out word.
-func montRef(x, y, m *big.Int, n int) (want, u *big.Int) {
-	r := new(big.Int).Lsh(one, uint(n*bits.UintSize))
+// Q = -x·y·m⁻¹ mod R: u ≥ m takes the subtraction, u ≥ 2^(UintSize·n) for
+// the n words of m the carry-out word.
+func montRef(x, y, m *big.Int, l int) (want, u *big.Int) {
+	r := new(big.Int).Lsh(one, uint(l*bits.UintSize))
 	xy := new(big.Int).Mul(x, y)
 	want = new(big.Int).Mul(xy, new(big.Int).ModInverse(r, m))
 	want.Mod(want, m)
 	q := new(big.Int).ModInverse(m, r)
 	q.Sub(r, q).Mul(q, xy).Mod(q, r)
-	u = q.Mul(q, m).Add(q, xy).Rsh(q, uint(n*bits.UintSize))
+	u = q.Mul(q, m).Add(q, xy).Rsh(q, uint(l*bits.UintSize))
 	return want, u
 }
 
-// words returns x zero-padded to n words.
-func words(x *big.Int, n int) []big.Word {
-	w := make([]big.Word, n)
-	copy(w, x.Bits())
-	return w
-}
-
-// checkMontMul runs montMul on x, y < m into a fresh z and aliased to
-// either operand, and compares each result with montRef's.
-func checkMontMul(t testing.TB, x, y, m *big.Int) (u *big.Int) {
+// checkMontMul runs montMul on x < m and a y of l words into a fresh z and
+// aliased to x (and to y when l is m's width), compares each result with
+// montRef's, and checks that the scratch's low l words hold Q and that the
+// reported subtraction is montRef's u ≥ m.
+func checkMontMul(t testing.TB, x, y, m *big.Int, l int) (u *big.Int) {
 	t.Helper()
 	n := len(m.Bits())
-	want, u := montRef(x, y, m, n)
-	mw, k0, scratch := m.Bits(), negInverse(m.Bits()[0]), make([]big.Word, 2*n)
-	for _, alias := range []string{"none", "x", "y"} {
-		xw, yw, z := words(x, n), words(y, n), make([]big.Word, n)
+	want, u := montRef(x, y, m, l)
+	r := new(big.Int).Lsh(one, uint(l*bits.UintSize))
+	q := new(big.Int).ModInverse(m, r)
+	q.Sub(r, q).Mul(q, x).Mul(q, y).Mod(q, r)
+	mw, k0, scratch := m.Bits(), negInverse(m.Bits()[0]), make([]big.Word, n+l)
+	aliases := []string{"none", "x"}
+	if l == n {
+		aliases = append(aliases, "y")
+	}
+	for _, alias := range aliases {
+		xw, yw, z := words(x, n), words(y, l), make([]big.Word, n)
 		switch alias {
 		case "x":
 			z = xw
 		case "y":
 			z = yw
 		}
-		montMul(z, xw, yw, mw, k0, scratch)
+		subtracted := montMul(z, xw, yw, mw, k0, scratch)
 		if got := new(big.Int).SetBits(z); got.Cmp(want) != 0 {
-			t.Fatalf("%d words, z aliasing %s: montMul(%s, %s) mod %s = %s, want %s",
-				n, alias, x, y, m, got, want)
+			t.Fatalf("%d words by %d, z aliasing %s: montMul(%s, %s) mod %s = %s, want %s",
+				n, l, alias, x, y, m, got, want)
+		}
+		if got := new(big.Int).SetBits(append([]big.Word(nil), scratch[:l]...)); got.Cmp(q) != 0 {
+			t.Fatalf("%d words by %d: scratch holds Q = %s, want %s", n, l, got, q)
+		}
+		if subtracted != (u.Cmp(m) >= 0) {
+			t.Fatalf("%d words by %d: montMul reports subtracted = %v for u = %s, m = %s", n, l, subtracted, u, m)
 		}
 	}
 	return u
@@ -223,8 +291,9 @@ func checkMontMul(t testing.TB, x, y, m *big.Int) (u *big.Int) {
 // TestMontMul checks the Montgomery product against math/big at 1, 8, 16
 // and 32 words, over an all-ones modulus R-1, one with a top word of 1
 // (above one word), a random full-width one and, at 8 words, the test
-// key's p². Operands are 0, 1 and m-1 and 300 random pairs per modulus;
-// at each width the final subtraction and the carry-out word must both
+// key's p². Operands are 0, 1 and m-1 and 300 random pairs per modulus,
+// each also as a half-width product by the low half of y's words; at each
+// width the full product's final subtraction and carry-out word must both
 // have been taken.
 func TestMontMul(t *testing.T) {
 	rng := mrand.New(mrand.NewPCG(1, 2))
@@ -263,7 +332,9 @@ func TestMontMul(t *testing.T) {
 				pairs = append(pairs, [2]*big.Int{x.Mod(x, m), y.Mod(y, m)})
 			}
 			for _, p := range pairs {
-				u := checkMontMul(t, p[0], p[1], m)
+				half := (n + 1) / 2 // the mask product's y: its low words, any value
+				checkMontMul(t, p[0], new(big.Int).SetBits(words(p[1], n)[:half]), m, half)
+				u := checkMontMul(t, p[0], p[1], m, n)
 				if u.Cmp(m) >= 0 {
 					subtractions++
 				}
@@ -279,19 +350,29 @@ func TestMontMul(t *testing.T) {
 }
 
 // FuzzMontMul checks the Montgomery product against math/big for any odd
-// modulus of up to 32 words and any operands below it.
+// modulus of up to 32 words, any x below it and any y: a y of fewer words
+// than the modulus runs as the half-width product, R = 2^(UintSize·len(y)),
+// and a longer one is reduced mod m first.
 func FuzzMontMul(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{0xfe}, []byte{0xff, 0xfe})
 	f.Add(bytes.Repeat([]byte{0xff}, 128), bytes.Repeat([]byte{0xaa}, 128), bytes.Repeat([]byte{0x55}, 127))
 	f.Add(append([]byte{1}, make([]byte, 255)...), []byte{1}, []byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, 128), bytes.Repeat([]byte{0x77}, 128), bytes.Repeat([]byte{0xff}, 64))
+	f.Add(bytes.Repeat([]byte{0x9d}, 72), bytes.Repeat([]byte{0xff}, 72), bytes.Repeat([]byte{0xff}, 40))
 	f.Fuzz(func(t *testing.T, mb, xb, yb []byte) {
 		if len(mb) > 32*bits.UintSize/8 {
 			mb = mb[:32*bits.UintSize/8]
 		}
 		m := new(big.Int).SetBytes(mb)
 		m.SetBit(m, 0, 1)
+		n := len(m.Bits())
 		x, y := new(big.Int).SetBytes(xb), new(big.Int).SetBytes(yb)
-		checkMontMul(t, x.Mod(x, m), y.Mod(y, m), m)
+		l := max(1, (len(yb)+bits.UintSize/8-1)/(bits.UintSize/8))
+		if l >= n {
+			l = n
+			y.Mod(y, m)
+		}
+		checkMontMul(t, x.Mod(x, m), y, m, l)
 	})
 }
 
@@ -357,8 +438,9 @@ func TestMaskTablesBuiltOnceUnderRace(t *testing.T) {
 	}
 }
 
-// TestWarmMaskAllocs pins the scratch reuse in pow: a mask allocates a
-// fixed handful of big.Ints, not one per table multiplication.
+// TestWarmMaskAllocs pins the allocations of a mask: the two exponents'
+// draws, one scratch buffer and one big.Int per table product, and garner's
+// big.Ints — none per table multiplication.
 func TestWarmMaskAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")

@@ -307,19 +307,45 @@ func benchWidths(b *testing.B, fn func(b *testing.B, sk *PrivateKey)) {
 	}
 }
 
-// BenchmarkMaskCRT times a warm private-key mask: two fixed-base table
-// products and Garner. The tables are built before the timer starts;
-// BenchmarkMaskTableBuild has their cost.
+// coldTableBytes is the size of the tables BenchmarkMaskCRT's cold arm
+// cycles through: four times a 32 MiB L3.
+const coldTableBytes = 128 << 20
+
+// BenchmarkMaskCRT times a private-key mask: two fixed-base table products
+// and Garner. The tables are built before the timer starts;
+// BenchmarkMaskTableBuild has their cost. The warm arm draws masks back to
+// back from one key, so the entries a mask reads are often cached. The cold
+// arm draws them in turn from keys on the same primes whose tables, 4·bits²
+// bytes a key, total coldTableBytes, so most entries come from memory, as
+// when an insert's other work has run between two masks.
 func BenchmarkMaskCRT(b *testing.B) {
 	benchWidths(b, func(b *testing.B, sk *PrivateKey) {
 		if _, err := sk.newMask(); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			benchSink, _ = sk.newMask()
-		}
+		b.Run("warm", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink, _ = sk.newMask()
+			}
+		})
+		var keys []*PrivateKey
+		b.Run("cold", func(b *testing.B) {
+			for bits := sk.N.BitLen(); len(keys) < coldTableBytes/(4*bits*bits); {
+				k, err := NewPrivateKey(sk.P, sk.Q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := k.newMask(); err != nil {
+					b.Fatal(err)
+				}
+				keys = append(keys, k)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink, _ = keys[i%len(keys)].newMask()
+			}
+		})
 	})
 }
 

@@ -6,8 +6,9 @@ import (
 )
 
 // The expensive part of a Paillier encryption is the random mask — an n-th
-// residue mod n², some 130 modular multiplications from the key holder's
-// fixed-base tables. The mask is independent of the message, so it can be
+// residue mod n², one half-width Montgomery product per 8-bit digit of each
+// factor's exponent (128 at 1024 bits) from the key holder's fixed-base
+// tables. The mask is independent of the message, so it can be
 // precomputed off the hot path: with a warm pool, Encrypt is a single
 // modular multiplication. This is the classic offline/online split for
 // Paillier (see the homomorphic encryption survey in PAPERS.md). Only a

@@ -246,19 +246,30 @@ func (s *Store) hdel(key, field []byte, ifPresent bool) (bool, error) {
 		sh.mu.Unlock()
 		return false, ErrClosed
 	}
-	h := sh.hashes[string(key)]
-	_, present := h[string(field)]
+	present := sh.hremove(string(key), string(field))
 	if !present && ifPresent {
 		sh.mu.Unlock()
 		return false, nil
 	}
-	delete(h, string(field))
 	seq, ok := s.claim()
 	sh.mu.Unlock()
 	if !ok {
 		return present, nil
 	}
 	return present, s.log2(seq, opHDel, key, field)
+}
+
+// hremove deletes field from the hash at k, reporting whether it was there.
+// The hash's last field takes its key with it, so an emptied hash is no key,
+// as after a snapshot, which writes no frame for it.
+func (sh *shard) hremove(k, field string) bool {
+	h := sh.hashes[k]
+	_, present := h[field]
+	delete(h, field)
+	if present && len(h) == 0 {
+		delete(sh.hashes, k)
+	}
+	return present
 }
 
 // HLen returns the number of fields in the hash at key.

@@ -206,7 +206,7 @@ func (sh *shard) apply(m mutation) {
 		}
 		h[string(m.a)] = m.b
 	case opHDel:
-		delete(sh.hashes[k], string(m.a))
+		sh.hremove(k, string(m.a))
 	case opZAdd:
 		sh.zinsert(k, m.a, m.b)
 	case opZRem:

@@ -487,3 +487,73 @@ func TestCrashRecovery(t *testing.T) {
 		})
 	}
 }
+
+// TestEmptiedCollectionsLeaveKeyspace: a hash whose last field is deleted
+// and a sorted set whose last member is removed are no keys at all — live,
+// after a replay of the log that emptied them, and after a compaction and
+// a reopen, so Len and Stats read the same across a restart.
+func TestEmptiedCollectionsLeaveKeyspace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store")
+	open := func() *Store {
+		s, err := Open(path, Options{Fsync: wal.FsyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	empty := func(s *Store, when string) {
+		t.Helper()
+		if n, err := s.Len(); err != nil || n != 0 {
+			t.Errorf("%s: Len = %d, %v, want 0", when, n, err)
+		}
+		st, err := s.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ns := range []string{"detidx", "opeidx", "doc"} {
+			if got, ok := st[ns]; ok {
+				t.Errorf("%s: Stats()[%q] = %+v, want no row", when, ns, got)
+			}
+		}
+		if keys, err := s.HKeys(nil); err != nil || len(keys) != 0 {
+			t.Errorf("%s: HKeys = %q, %v, want none", when, keys, err)
+		}
+		if n, err := s.ZCard([]byte("opeidx/z")); err != nil || n != 0 {
+			t.Errorf("%s: ZCard = %d, %v, want 0", when, n, err)
+		}
+	}
+	s := open()
+	steps := []func() error{
+		func() error { return s.HSet([]byte("detidx/a"), []byte("id1"), nil) },
+		func() error { return s.HDel([]byte("detidx/a"), []byte("id1")) },
+		func() error { return s.HSet([]byte("doc/c"), []byte("id2"), []byte("body")) },
+		func() error {
+			if ok, err := s.HRemove([]byte("doc/c"), []byte("id2")); err != nil || !ok {
+				return fmt.Errorf("HRemove = %v, %v", ok, err)
+			}
+			return nil
+		},
+		func() error { return s.ZAdd([]byte("opeidx/z"), []byte{0, 7}, []byte("id3")) },
+		func() error { return s.ZRem([]byte("opeidx/z"), []byte{0, 7}, []byte("id3")) },
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	empty(s, "live")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = open()
+	empty(s, "after replay")
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = open()
+	defer s.Close()
+	empty(s, "after compaction and reopen")
+}

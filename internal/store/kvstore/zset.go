@@ -45,12 +45,16 @@ func (sh *shard) zinsert(k string, score, member []byte) bool {
 }
 
 // zremove deletes (score, member) from the sorted set at k, reporting
-// whether an entry was removed.
+// whether an entry was removed. The set's last member takes its key with it.
 func (sh *shard) zremove(k string, score, member []byte) bool {
 	z := sh.zsets[k]
 	i, exists := zfind(z, zentry{score: score, member: member})
 	if !exists {
 		return false
+	}
+	if len(z) == 1 {
+		delete(sh.zsets, k)
+		return true
 	}
 	sh.zsets[k] = append(z[:i], z[i+1:]...)
 	return true
